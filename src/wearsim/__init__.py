@@ -6,8 +6,8 @@ Layers, bottom up:
 - skeleton: bone tree, sensor placements, calibration, joint angles
 - motion: trajectory synthesis, forward kinematics, sensor noise model
 - radio: 2.4 GHz channel geometry, interference, collision arbitration
-- protocol: polling master/slaves with channel hopping, broadcast baseline
-- pipeline: CSV recording format, resampling, comparison metrics
+- protocol: polling master/slaves with channel hopping, connection-based baseline
+- pipeline: CSV recording format, comparison metrics
 - scenario/runner/cli: declarative experiment configs and the CLI
 """
 

@@ -24,7 +24,7 @@ from .pipeline import (HEADER, AngleSeries, ParseError, ValidationError,
                        read_recording)
 from .protocol import ConfigError
 from .runner import _write_csv, execute, load_session, run_scenario
-from .scenario import load_scenario
+from .scenario import load_scenario, parse_scenario
 from .skeleton import JOINTS, Skeleton
 
 EXIT_OK = 0
@@ -184,7 +184,10 @@ def cmd_protocol_bench(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
 
-    base = load_scenario(args.scenario, seed=args.seed)
+    # Parse the file once; each seed re-resolves the mapping, because the
+    # seed drives every derived stream (noise, offsets, interferers).
+    cfg = yaml.safe_load(Path(args.scenario).read_text(encoding="utf-8"))
+    base = parse_scenario(cfg, seed=args.seed)
     if "ble-baseline" in protocols and len(base.roster) > 5:
         raise ConfigError(f"ble-baseline supports at most 5 sensors; scenario "
                           f"places {len(base.roster)}")
@@ -193,9 +196,9 @@ def cmd_protocol_bench(args: argparse.Namespace) -> int:
     per_run: dict[str, dict] = {p: {} for p in protocols}
     for i in range(args.seeds):
         seed = base.seed + i
+        seed_sc = parse_scenario(cfg, seed=seed)
         for proto in protocols:
-            sc = replace(load_scenario(args.scenario, seed=seed), protocol_kind=proto)
-            m = execute(sc).metrics
+            m = execute(replace(seed_sc, protocol_kind=proto)).metrics
             per_run[proto][str(seed)] = {
                 "hop_count": m["hop_count"], "resync_count": m["resync_count"],
                 "per_sensor": m["per_sensor"],

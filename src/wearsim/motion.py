@@ -32,12 +32,6 @@ from .skeleton import JOINTS, BoneId, SensorPlacement, Skeleton, placement_prese
 _SPEED_H = 5e-4
 
 
-def fold_deg(deg: float) -> float:
-    """Fold an arbitrary angle into [0, 180], the range of measured angles."""
-    a = abs(deg) % 360.0
-    return 360.0 - a if a > 180.0 else a
-
-
 class AngleFn(Protocol):
     def angle(self, t: float) -> float: ...
 
@@ -154,26 +148,6 @@ def effective_cap(noise: NoiseModel, omega_deg_s: float) -> float:
     return noise.static_max_deg + (noise.dynamic_max_deg - noise.static_max_deg) * f
 
 
-def _check_t(spec: TrajectorySpec, t: float) -> None:
-    if not 0.0 <= t <= spec.duration_s:
-        raise ValueError(f"t={t} outside trajectory [0, {spec.duration_s}]")
-
-
-def ground_truth(spec: TrajectorySpec, skel: Skeleton, t: float) -> dict[BoneId, Quaternion]:
-    """World orientation of every bone at time t (zero noise)."""
-    _check_t(spec, t)
-    tracks = {JOINTS[label].child_bone: tr for label, tr in spec.joints.items()}
-    world: dict[BoneId, Quaternion] = {}
-    for bone in BoneId:
-        parent = skel.parent[bone]
-        q = Quaternion.identity() if parent is None else world[parent]
-        tr = tracks.get(bone)
-        if tr is not None:
-            q = hamilton_product(q, from_axis_angle(tr.axis, tr.fn.angle(t)))
-        world[bone] = q
-    return world
-
-
 def random_offsets(placement: SensorPlacement, seed: int) -> dict[int, Quaternion]:
     """Arbitrary fixed mounting rotation per sensor."""
     offsets = {}
@@ -219,7 +193,9 @@ class SyntheticBody:
                 for s in sorted(placement.bones)}
 
     def bone_world(self, bone: BoneId, t: float) -> Quaternion:
-        _check_t(self.spec, t)
+        """Noise-free world orientation of a bone at time t (forward kinematics)."""
+        if not 0.0 <= t <= self.spec.duration_s:
+            raise ValueError(f"t={t} outside trajectory [0, {self.spec.duration_s}]")
         q = Quaternion.identity()
         for b in self._chain[bone]:
             tr = self._tracks.get(b)

@@ -1,4 +1,4 @@
-"""Recording persistence, resampling, and analysis metrics.
+"""Recording persistence and analysis metrics.
 
 A recording is a flat stream of per-sensor quaternion samples. On disk
 it is a plain CSV with a fixed header:
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .quatmath import Quaternion, slerp
+from .quatmath import Quaternion
 from .skeleton import (CalibrationRecord, JointSpec, Skeleton, animate_frame,
                        joint_angle)
 
@@ -131,48 +131,6 @@ def read_recording(path: str | Path) -> list[RecordingFrame]:
         frames.append(frame)
     _check_stream(frames, first_line=2)
     return frames
-
-
-def slerp_resample(frames: Sequence[RecordingFrame], target_hz: float) -> list[RecordingFrame]:
-    """Resample each sensor onto a uniform grid at target_hz.
-
-    The grid spans that sensor's first to last timestamp; orientations
-    interpolate along the shorter arc, the status column holds the value
-    of the earlier bracketing frame, and sequence numbers are renumbered
-    from 1. A sensor with fewer than two frames cannot bracket anything.
-    """
-    if target_hz <= 0:
-        raise ValueError(f"target_hz must be positive, got {target_hz}")
-    per_sensor: dict[int, list[RecordingFrame]] = {}
-    for f in frames:
-        per_sensor.setdefault(f.sensor_id, []).append(f)
-    out: list[RecordingFrame] = []
-    step = 1e6 / target_hz
-    for sensor, fs in sorted(per_sensor.items()):
-        if len(fs) < 2:
-            raise ValidationError(f"sensor {sensor} has {len(fs)} frame(s); need at least 2")
-        ts = [f.timestamp_us for f in fs]
-        first, last = ts[0], ts[-1]
-        i = 0
-        k = 0
-        while True:
-            t = first + k * step
-            if t > last + 1e-6:
-                break
-            while i + 1 < len(fs) and ts[i + 1] <= t:
-                i += 1
-            if i + 1 >= len(fs):
-                q = fs[i].quaternion()
-                status = fs[i].status
-            else:
-                dt = ts[i + 1] - ts[i]
-                frac = 0.0 if dt == 0 else (t - ts[i]) / dt
-                q = slerp(fs[i].quaternion(), fs[i + 1].quaternion(), min(frac, 1.0))
-                status = fs[i].status
-            k += 1
-            out.append(RecordingFrame.quantized(int(round(t)), sensor, k, q, status))
-    out.sort(key=lambda f: (f.timestamp_us, f.sensor_id))
-    return out
 
 
 @dataclass(frozen=True)

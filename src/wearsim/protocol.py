@@ -60,8 +60,12 @@ class TimingProfile:
     resync_timeout_ms: float = 200.0
 
     def __post_init__(self) -> None:
-        if self.poll_cap_hz <= 0 or self.us_per_byte <= 0:
-            raise ValueError("poll_cap_hz and us_per_byte must be positive")
+        # Zero-length frames, beacon intervals or timeouts cannot run.
+        for key in ("us_per_byte", "poll_bytes", "response_bytes", "beacon_bytes",
+                    "hop_bytes", "ack_bytes", "poll_cap_hz", "beacon_interval_ms",
+                    "resync_timeout_ms"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive")
 
     def airtime_us(self, nbytes: int) -> float:
         return self.us_per_byte * nbytes
@@ -124,6 +128,12 @@ class HopPolicy:
             raise ValueError("loss_threshold must be within the loss window")
         if self.announce_repeats < 1:
             raise ValueError("announce_repeats must be at least 1")
+        if self.walk_dwell_ms <= 0:
+            raise ValueError("walk_dwell_ms must be positive")
+        # The current channel and the blacklist must leave a channel to hop to.
+        limit = len(ChannelPlan.default().data) - 2
+        if not 0 <= self.blacklist_size <= limit:
+            raise ValueError(f"blacklist_size must be within 0..{limit}")
 
 
 @dataclass(frozen=True)
@@ -184,11 +194,6 @@ class HopSequencer:
             self.blacklist.append(self.current)
         self.cursor, self.current = pos, cand
         return cand
-
-
-def select_next_channel(sequencer: HopSequencer) -> int:
-    """Next data channel under the blacklist rule; never a sync channel."""
-    return sequencer.advance()
 
 
 class SlaveUnit:
@@ -308,13 +313,16 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     channel_history: list[tuple[float, int]] = [(0.0, seq.current)]
     counters = {"hops": 0}
 
-    def tx(source: str, start: float, dur: float, ch: int,
-           frame_type: str, sensor_id: int) -> str:
+    def arbitrated(source: str, start: float, dur: float, ch: int,
+                   frame_type: str, sensor_id: int) -> TraceRow:
         t = Transmission(source, start, dur, plan.band(ch), channel=ch)
-        outcome = radio.arbitrate(t, field, (), p_floor, floor_rng)
-        trace.append(TraceRow(start, dur, source, ch, "cw", frame_type,
-                              sensor_id, outcome))
-        return outcome
+        return TraceRow(start, dur, source, ch, "cw", frame_type, sensor_id,
+                        radio.arbitrate(t, field, (), p_floor, floor_rng))
+
+    def tx(*frame) -> str:
+        row = arbitrated(*frame)
+        trace.append(row)
+        return row.outcome
 
     def poll_exchange(s: int):
         slave = slaves[s]
@@ -330,10 +338,13 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
         if heard:
             slave.seq += 1
             q = sampler(s, sched.now)
-            r_out = tx(f"sensor:{s}", sched.now, timing.response_air_us, ch,
-                       "response", s)
+            response = arbitrated(f"sensor:{s}", sched.now, timing.response_air_us,
+                                  ch, "response", s)
             yield timing.response_air_us
-            if r_out == radio.DELIVERED:
+            # Logged on completion: a response the session end cuts off
+            # never reaches the master, so it is neither sent nor recorded.
+            trace.append(response)
+            if response.outcome == radio.DELIVERED:
                 delivered = True
                 frames.append(RecordingFrame.quantized(
                     int(round(sched.now)), s, slave.seq, q, 3))

@@ -22,9 +22,6 @@ Vector3 = Sequence[float]
 # inputs (identity, axis-aligned 90s) bit-exact.
 _NORM_TOL = 1e-12
 
-# Below this angular gap (radians) slerp falls back to nlerp.
-_SLERP_PARALLEL = 1e-6
-
 
 class Quaternion:
     """Immutable unit quaternion.
@@ -132,44 +129,6 @@ def shortest_angle_deg(r_a: Quaternion, r_b: Quaternion) -> float:
     if d >= 1.0:
         return 0.0
     return math.degrees(2.0 * math.acos(d))
-
-
-def vector_angle_deg(u: Vector3, v: Vector3) -> float:
-    """Angle between two non-zero 3-vectors, in [0, 180]."""
-    ux, uy, uz = float(u[0]), float(u[1]), float(u[2])
-    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
-    nu = math.sqrt(ux * ux + uy * uy + uz * uz)
-    nv = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("vector_angle_deg requires non-zero vectors")
-    c = (ux * vx + uy * vy + uz * vz) / (nu * nv)
-    # Rounding can push |c| marginally past 1; clamp instead of NaN.
-    c = max(-1.0, min(1.0, c))
-    return math.degrees(math.acos(c))
-
-
-def slerp(a: Quaternion, b: Quaternion, t: float) -> Quaternion:
-    """Constant-angular-velocity interpolation along the shorter arc."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"slerp fraction must be in [0,1], got {t}")
-    d = dot4(a, b)
-    bw, bx, by, bz = b.w, b.x, b.y, b.z
-    if d < 0.0:
-        # Negate one endpoint so interpolation runs along the short arc.
-        d, bw, bx, by, bz = -d, -bw, -bx, -by, -bz
-    d = min(d, 1.0)
-    theta = 2.0 * math.acos(d)
-    if theta < _SLERP_PARALLEL:
-        # Near-parallel: sin(theta) is numerically unusable, nlerp is
-        # indistinguishable from slerp at this gap.
-        return Quaternion(a.w + t * (bw - a.w), a.x + t * (bx - a.x),
-                          a.y + t * (by - a.y), a.z + t * (bz - a.z))
-    half = theta / 2.0
-    s = math.sin(half)
-    ka = math.sin((1.0 - t) * half) / s
-    kb = math.sin(t * half) / s
-    return Quaternion(ka * a.w + kb * bw, ka * a.x + kb * bx,
-                      ka * a.y + kb * by, ka * a.z + kb * bz)
 
 
 def from_axis_angle(axis: Vector3, deg: float) -> Quaternion:

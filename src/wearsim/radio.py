@@ -57,12 +57,6 @@ class ChannelPlan:
         return (float(c - 1), float(c + 1))
 
 
-def overlaps(k: int, band: tuple[float, float]) -> bool:
-    """True iff channel k's 2 MHz band intersects band with nonzero measure."""
-    lo, hi = ChannelPlan.default().band(k)
-    return lo < band[1] and band[0] < hi
-
-
 def wifi_band_mhz(wifi_channel: int) -> tuple[float, float]:
     """Occupied band of a 2.4 GHz Wi-Fi channel (22 MHz wide)."""
     if not 1 <= wifi_channel <= 13:
@@ -139,7 +133,6 @@ class Jammer:
 
     channel: int
     start_s: float = 0.0
-    seed: int = 0  # unused; keeps the interferer interface uniform
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -162,7 +155,6 @@ def occupancy(interferer: WifiAp | BtDevice | Jammer,
     t0, t1 = window
     if t0 >= t1:
         raise ValueError("window must have positive length")
-    rng = np.random.default_rng(interferer.seed)
     out: list[Transmission] = []
 
     def emit(bs: float, be: float, band: tuple[float, float]) -> None:
@@ -171,9 +163,11 @@ def occupancy(interferer: WifiAp | BtDevice | Jammer,
             out.append(Transmission(interferer.source, bs, be - bs, band))
 
     if isinstance(interferer, Jammer):
+        # A jammer draws nothing, so it carries no seed.
         emit(interferer.start_s * 1e6, t1, ChannelPlan.default().band(interferer.channel))
         return out
 
+    rng = np.random.default_rng(interferer.seed)
     if isinstance(interferer, WifiAp):
         band = wifi_band_mhz(interferer.wifi_channel)
         if interferer.duty == 0.0:
@@ -280,9 +274,6 @@ class EventScheduler:
             raise ValueError(f"cannot schedule at {time_us} before now={self.now}")
         heapq.heappush(self._heap, (time_us, source, next(self._counter), fn))
 
-    def after(self, delay_us: float, fn: Callable[[], None], source: int = 0) -> None:
-        self.at(self.now + delay_us, fn, source)
-
     def spawn(self, source: int, gen: Generator[float, None, None]) -> None:
         """Drive a generator that yields microsecond delays."""
         def step() -> None:
@@ -305,8 +296,16 @@ def _derived_seed(seed: int, index: int) -> int:
     return int(randomness.stream(seed, randomness.INTERFERER, index).integers(0, 2**63))
 
 
-def crowded_interferers(seed: int) -> list[WifiAp | BtDevice]:
-    """Office-like load: 12 APs split over Wi-Fi 1/6/11 plus 8 BT hoppers."""
+def preset_interferers(name: str, seed: int) -> list[WifiAp | BtDevice]:
+    """Interferers of a named preset.
+
+    clean is an empty band; crowded is an office-like load of 12 APs
+    split over Wi-Fi 1/6/11 plus 8 BT hoppers.
+    """
+    if name == "clean":
+        return []
+    if name != "crowded":
+        raise ValueError(f"unknown interference preset {name!r}; choose clean or crowded")
     out: list[WifiAp | BtDevice] = []
     idx = 0
     for ch in (1, 6, 11):
@@ -329,8 +328,4 @@ def build_field(interferers: Sequence[WifiAp | BtDevice],
 
 
 def interference_preset(name: str, seed: int, duration_us: float) -> InterferenceField:
-    if name == "clean":
-        return InterferenceField([])
-    if name == "crowded":
-        return build_field(crowded_interferers(seed), duration_us)
-    raise ValueError(f"unknown interference preset {name!r}; choose clean or crowded")
+    return build_field(preset_interferers(name, seed), duration_us)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .motion import SyntheticBody, random_offsets
-from .pipeline import ParseError, write_recording
+from .pipeline import ParseError, _nine_digits, write_recording
 from .protocol import SessionResult, ble_baseline_run, master_run, session_metrics
 from .quatmath import Quaternion
 from .radio import InterferenceField, build_field
@@ -119,10 +119,6 @@ def _write_ground_truth(body: SyntheticBody, sc: Scenario, out_dir: Path) -> lis
     return paths
 
 
-def _nine(x: float) -> float:
-    return float(f"{x:.9g}")
-
-
 def _write_session(sc: Scenario, calib: CalibrationRecord, path: Path) -> None:
     data = {
         "calibration_pose": calib.pose.value,
@@ -133,7 +129,8 @@ def _write_session(sc: Scenario, calib: CalibrationRecord, path: Path) -> None:
                       "sensors": {str(s): b.value
                                   for s, b in sorted(sc.placement.bones.items())}},
         "protocol": sc.protocol_kind,
-        "q_calib": {str(s): [_nine(q.w), _nine(q.x), _nine(q.y), _nine(q.z)]
+        "q_calib": {str(s): [_nine_digits(q.w), _nine_digits(q.x),
+                             _nine_digits(q.y), _nine_digits(q.z)]
                     for s, q in sorted(calib.q_calib.items())},
         "seed": sc.seed,
     }

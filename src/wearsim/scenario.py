@@ -10,6 +10,7 @@ byte-identical runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Mapping
@@ -18,7 +19,7 @@ import yaml
 
 from .motion import NoiseModel, TrajectorySpec, preset_scenario
 from .protocol import ConfigError, HopPolicy, TimingProfile
-from .radio import BtDevice, ChannelPlan, Jammer, WifiAp, crowded_interferers
+from .radio import BtDevice, ChannelPlan, Jammer, WifiAp, preset_interferers
 from .skeleton import JOINTS, SensorPlacement, placement_preset
 
 Interferer = Any  # WifiAp | BtDevice | Jammer
@@ -78,6 +79,8 @@ def _number(raw: Mapping, key: str, where: str, default: Any = _REQUIRED, *,
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where}.{key} must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -160,10 +163,10 @@ def _source(item: Mapping, index: int, seed: int) -> Interferer:
                             _number(item, "burst_us", where, 296.0, minimum=1e-3),
                             seed=src_seed, name=f"bt:{index}")
         if kind == "jam":
-            _reject_unknown(item, ("type", "channel", "start_s", "seed"), where)
+            _reject_unknown(item, ("type", "channel", "start_s"), where)
             return Jammer(_integer(item, "channel", where),
                           _number(item, "start_s", where, 0.0, minimum=0.0),
-                          seed=src_seed, name=f"jam:{index}")
+                          name=f"jam:{index}")
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where}.type must be 'wifi', 'bt', or 'jam', got {kind!r}")
@@ -177,12 +180,10 @@ def _interference(value: Any, seed: int) -> tuple[Interferer, ...]:
     if "preset" in raw and "sources" in raw:
         raise ConfigError("interference takes either a preset or a sources list, not both")
     if "preset" in raw:
-        name = raw["preset"]
-        if name == "clean":
-            return ()
-        if name == "crowded":
-            return tuple(crowded_interferers(seed))
-        raise ConfigError(f"interference.preset must be 'clean' or 'crowded', got {name!r}")
+        try:
+            return tuple(preset_interferers(raw["preset"], seed))
+        except ValueError as exc:
+            raise ConfigError(f"interference.preset: {exc}") from None
     sources = raw["sources"]
     if not isinstance(sources, list):
         raise ConfigError("interference.sources must be a list")

@@ -97,16 +97,14 @@ def _rest_sets() -> dict[CalibrationPose, dict[BoneId, Quaternion]]:
 
 @dataclass(frozen=True)
 class Skeleton:
-    """Immutable bone tree with rest poses and segment lengths."""
+    """Immutable bone tree with rest poses."""
 
     parent: Mapping[BoneId, BoneId | None]
     rest: Mapping[CalibrationPose, Mapping[BoneId, Quaternion]]
-    segment_length_m: Mapping[BoneId, float]
 
     @staticmethod
     def default() -> "Skeleton":
-        return Skeleton(parent=dict(PARENT), rest=_rest_sets(),
-                        segment_length_m={b: 1.0 for b in BoneId})
+        return Skeleton(parent=dict(PARENT), rest=_rest_sets())
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,22 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", str(s), "--out", str(tmp_path / "o")]) == 2
         assert "10 or 12" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key", [
+        ("protocol: {timing: {beacon_interval_ms: 0}}", "beacon_interval_ms"),
+        ("protocol: {timing: {poll_bytes: 0}}", "poll_bytes"),
+        ("protocol: {timing: {resync_timeout_ms: 0}}", "resync_timeout_ms"),
+        ("protocol: {hop: {walk_dwell_ms: 0}}", "walk_dwell_ms"),
+        ("protocol: {hop: {blacklist_size: 76}}", "blacklist_size"),
+        ("interference: {sources: [{type: jam, channel: 40, seed: 3}]}", "seed"),
+        ("protocol: {timing: {poll_cap_hz: .nan}}", "poll_cap_hz"),
+    ])
+    def test_unrunnable_setting(self, tmp_path, capsys, section, key):
+        s = tmp_path / "s.yaml"
+        s.write_text(f"session: {{duration_s: 2.0}}\nmotion: {{preset: arm-raise}}\n"
+                     f"{section}\n")
+        assert main(["simulate", "--scenario", str(s), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_missing_scenario_file(self, tmp_path):
         assert main(["simulate", "--scenario", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "o")]) == 3

@@ -13,6 +13,18 @@ from wearsim.motion import Constant, NoiseModel, Piecewise, Sinusoid, SyntheticB
 from wearsim.quatmath import Quaternion
 
 
+def fold_deg(deg):
+    """Fold an arbitrary angle into [0, 180], the range of measured angles."""
+    a = abs(deg) % 360.0
+    return 360.0 - a if a > 180.0 else a
+
+
+def truth_body(spec):
+    """Zero-noise body: its bone_world is the ground-truth forward kinematics."""
+    return SyntheticBody(spec, sk.Skeleton.default(), sk.placement_preset("p12"),
+                         NoiseModel.zero())
+
+
 def elbow_spec(fn, duration=10.0):
     return mo.TrajectorySpec(
         joints={"right elbow": mo.JointTrack(fn, (0.0, 1.0, 0.0))},
@@ -62,38 +74,36 @@ class TestGroundTruth:
         self.skel = sk.Skeleton.default()
 
     def test_all_rest_when_no_motion(self):
-        spec = elbow_spec(Constant(0.0))
+        body = truth_body(elbow_spec(Constant(0.0)))
         for t in (0.0, 3.3, 10.0):
-            world = mo.ground_truth(spec, self.skel, t)
-            assert all(q == Quaternion.identity() for q in world.values())
+            assert all(body.bone_world(b, t) == Quaternion.identity() for b in sk.BoneId)
 
     def test_out_of_range_t(self):
-        spec = elbow_spec(Constant(0.0), duration=2.0)
+        body = truth_body(elbow_spec(Constant(0.0), duration=2.0))
         with pytest.raises(ValueError):
-            mo.ground_truth(spec, self.skel, -0.1)
+            body.bone_world(sk.BoneId.FOREARM_R, -0.1)
         with pytest.raises(ValueError):
-            mo.ground_truth(spec, self.skel, 2.1)
+            body.bone_world(sk.BoneId.FOREARM_R, 2.1)
 
     def test_hinge_angle_recovered_over_sweep(self):
         s = Sinusoid(90.0, 55.0, 5.0)
-        spec = elbow_spec(s)
+        body = truth_body(elbow_spec(s))
         for i in range(101):
             t = 10.0 * i / 100.0
-            world = mo.ground_truth(spec, self.skel, t)
-            got = qm.shortest_angle_deg(world[sk.BoneId.ARM_R],
-                                        world[sk.BoneId.FOREARM_R])
-            assert abs(got - mo.fold_deg(s.angle(t))) <= 1e-9
+            got = qm.shortest_angle_deg(body.bone_world(sk.BoneId.ARM_R, t),
+                                        body.bone_world(sk.BoneId.FOREARM_R, t))
+            assert abs(got - fold_deg(s.angle(t))) <= 1e-9
 
     def test_child_follows_parent_joint(self):
         # With only the shoulder moving, the whole arm chain moves rigidly.
         spec = mo.TrajectorySpec(
             joints={"right shoulder": mo.JointTrack(Constant(70.0), (0, 0, 1))},
             duration_s=1.0)
-        world = mo.ground_truth(spec, self.skel, 0.5)
-        assert qm.shortest_angle_deg(world[sk.BoneId.ARM_R],
-                                     world[sk.BoneId.FOREARM_R]) == 0.0
-        assert qm.shortest_angle_deg(world[sk.BoneId.SPINE],
-                                     world[sk.BoneId.FOREARM_R]) == pytest.approx(70.0, abs=1e-9)
+        body = truth_body(spec)
+        forearm = body.bone_world(sk.BoneId.FOREARM_R, 0.5)
+        assert qm.shortest_angle_deg(body.bone_world(sk.BoneId.ARM_R, 0.5), forearm) == 0.0
+        assert qm.shortest_angle_deg(body.bone_world(sk.BoneId.SPINE, 0.5),
+                                     forearm) == pytest.approx(70.0, abs=1e-9)
 
     def test_elbow_angle_immune_to_shoulder_motion(self):
         elbow = Sinusoid(45.0, 45.0, 2.0, phase_rad=-math.pi / 2)
@@ -102,12 +112,12 @@ class TestGroundTruth:
             joints={"right elbow": mo.JointTrack(elbow, (0, 1, 0)),
                     "right shoulder": mo.JointTrack(shoulder, (0, 0, 1))},
             duration_s=10.0)
+        body = truth_body(spec)
         for i in range(100):
             t = 10.0 * i / 99.0
-            world = mo.ground_truth(spec, self.skel, t)
-            got = qm.shortest_angle_deg(world[sk.BoneId.ARM_R],
-                                        world[sk.BoneId.FOREARM_R])
-            assert abs(got - mo.fold_deg(elbow.angle(t))) <= 1e-9
+            got = qm.shortest_angle_deg(body.bone_world(sk.BoneId.ARM_R, t),
+                                        body.bone_world(sk.BoneId.FOREARM_R, t))
+            assert abs(got - fold_deg(elbow.angle(t))) <= 1e-9
 
     def test_truth_joint_angle_helper(self):
         spec = elbow_spec(Constant(90.0))
@@ -125,18 +135,17 @@ class TestSensorReadings:
         body = SyntheticBody(elbow_spec(Sinusoid(90.0, 55.0, 5.0)), self.skel,
                              self.placement, NoiseModel.zero())
         for t in (0.0, 1.25, 7.7):
-            truth = mo.ground_truth(body.spec, self.skel, t)
             for sensor, bone in self.placement.bones.items():
-                assert body.reading(sensor, t) == truth[bone]
+                assert body.reading(sensor, t) == body.bone_world(bone, t)
 
     def test_zero_noise_offset_angle(self):
         offset = qm.from_axis_angle((1, 2, 3), 25.0)
         offsets = {i: offset for i in self.placement.bones}
         body = SyntheticBody(elbow_spec(Constant(30.0)), self.skel,
                              self.placement, NoiseModel.zero(), offsets=offsets)
-        truth = mo.ground_truth(body.spec, self.skel, 1.0)
+        truth = body.bone_world(sk.BoneId.FOREARM_R, 1.0)
         r = body.reading(5, 1.0)
-        assert qm.shortest_angle_deg(r, truth[sk.BoneId.FOREARM_R]) == pytest.approx(25.0, abs=1e-9)
+        assert qm.shortest_angle_deg(r, truth) == pytest.approx(25.0, abs=1e-9)
 
     def test_static_noise_mean_matches_truncated_half_normal(self):
         sigma, cap = 0.3, 2.0
@@ -144,7 +153,7 @@ class TestSensorReadings:
                            static_max_deg=cap, dynamic_max_deg=cap, seed=77)
         body = SyntheticBody(elbow_spec(Constant(30.0)), self.skel,
                              self.placement, noise)
-        truth = mo.ground_truth(body.spec, self.skel, 5.0)[sk.BoneId.FOREARM_R]
+        truth = body.bone_world(sk.BoneId.FOREARM_R, 5.0)
         n = 10_000
         angles = [qm.shortest_angle_deg(body.reading(5, 5.0), truth) for _ in range(n)]
         mc_mean = sum(angles) / n
@@ -160,7 +169,7 @@ class TestSensorReadings:
                            static_max_deg=2.0, dynamic_max_deg=2.0, seed=3)
         body = SyntheticBody(elbow_spec(Constant(30.0)), self.skel,
                              self.placement, noise)
-        truth = mo.ground_truth(body.spec, self.skel, 2.0)[sk.BoneId.FOREARM_R]
+        truth = body.bone_world(sk.BoneId.FOREARM_R, 2.0)
         for _ in range(10_000):
             a = qm.shortest_angle_deg(body.reading(5, 2.0), truth)
             assert a <= 2.0 + 1e-9
@@ -256,7 +265,7 @@ class TestEndToEndExactness:
 
         a = angles(101)
         for t, measured in a:
-            assert abs(measured - mo.fold_deg(s.angle(t))) <= 1e-9
+            assert abs(measured - fold_deg(s.angle(t))) <= 1e-9
 
         b = angles(202)
         for (_, ma), (_, mb) in zip(a, b):

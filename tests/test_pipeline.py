@@ -130,46 +130,6 @@ class TestReadErrors:
             pl.write_recording(frames, tmp_path / "x.csv")
 
 
-class TestSlerpResample:
-    def test_identity_at_native_rate(self):
-        frames = [frame(i * 10000, 1, i + 1, rot(float(i))) for i in range(20)]
-        out = pl.slerp_resample(frames, 100.0)
-        assert len(out) == len(frames)
-        for a, b in zip(out, frames):
-            assert a.timestamp_us == b.timestamp_us
-            assert abs(a.qw - b.qw) <= 1e-9 and abs(a.qx - b.qx) <= 1e-9
-            assert abs(a.qy - b.qy) <= 1e-9 and abs(a.qz - b.qz) <= 1e-9
-
-    def test_midpoint(self):
-        frames = [frame(0, 1, 1, Quaternion.identity()),
-                  frame(10000, 1, 2, rot(90.0, (0, 0, 1)))]
-        out = pl.slerp_resample(frames, 200.0)
-        mid = [f for f in out if f.timestamp_us == 5000][0]
-        assert qm.shortest_angle_deg(mid.quaternion(), rot(45.0, (0, 0, 1))) <= 1e-6
-
-    def test_seq_renumbered_and_status_held(self):
-        frames = [frame(0, 1, 7, Quaternion.identity(), status=2),
-                  frame(10000, 1, 9, rot(90.0), status=1)]
-        out = pl.slerp_resample(frames, 300.0)
-        assert [f.seq for f in out] == list(range(1, len(out) + 1))
-        assert all(f.status == 2 for f in out if f.timestamp_us < 10000)
-        assert out[-1].status == 1
-
-    def test_monotone_bracket(self):
-        # Angles of resampled frames stay between bracketing input angles.
-        frames = [frame(i * 20000, 1, i + 1, rot(10.0 * i)) for i in range(10)]
-        out = pl.slerp_resample(frames, 500.0)
-        for f in out:
-            lo = 10.0 * (f.timestamp_us // 20000)
-            hi = min(lo + 10.0, 90.0)
-            a = qm.shortest_angle_deg(f.quaternion(), Quaternion.identity())
-            assert lo - 1e-6 <= a <= hi + 1e-6
-
-    def test_too_few_frames(self):
-        with pytest.raises(ValidationError, match="sensor 4"):
-            pl.slerp_resample([frame(0, 4, 1, Quaternion.identity())], 100.0)
-
-
 class TestJointAngleSeries:
     def setup_method(self):
         self.skel = sk.Skeleton.default()

@@ -8,7 +8,7 @@ from wearsim import randomness as rnd
 from wearsim.pipeline import rate_series
 from wearsim.protocol import (ConfigError, HopPolicy, HopSequencer, SlaveUnit,
                               TimingProfile, ble_baseline_run, csa1_next,
-                              master_run, select_next_channel, session_metrics)
+                              master_run, session_metrics)
 from wearsim.quatmath import Quaternion
 from wearsim.radio import ChannelPlan, InterferenceField, Jammer, build_field
 
@@ -49,17 +49,17 @@ class TestHopSequencer:
         perm = rnd.stream(7, rnd.PROTOCOL).permutation(len(plan.data))
         expected = plan.data[perm[0]]
         seq = HopSequencer(plan, HopPolicy(), seed=7)
-        assert select_next_channel(seq) == expected
+        assert seq.advance() == expected
 
     def test_never_a_sync_channel(self):
         plan = ChannelPlan.default()
         seq = HopSequencer(plan, HopPolicy(), seed=3)
         for _ in range(200):
-            assert select_next_channel(seq) in plan.data
+            assert seq.advance() in plan.data
 
     def test_no_revisit_within_blacklist_window(self):
         seq = HopSequencer(ChannelPlan.default(), HopPolicy(), seed=5)
-        picks = [select_next_channel(seq) for _ in range(100)]
+        picks = [seq.advance() for _ in range(100)]
         for i, ch in enumerate(picks):
             assert ch not in picks[max(0, i - 8):i]
 
@@ -68,7 +68,7 @@ class TestHopSequencer:
         seq = HopSequencer(plan, HopPolicy(), seed=9)
         seq.seek(40)
         assert seq.current == 40
-        nxt = select_next_channel(seq)
+        nxt = seq.advance()
         i = seq.chain.index(40)
         assert nxt == seq.chain[(i + 1) % len(seq.chain)]
 
@@ -175,6 +175,14 @@ class TestSequenceIntegrity:
             assert max(f.seq for f in delivered) <= len(sent)
             lost = sum(1 for r in sent if r.outcome != radio.DELIVERED)
             assert len(sent) - len(delivered) == lost
+
+    def test_response_cut_off_by_session_end_is_not_logged(self):
+        # Seed 39 of the crowded arm-raise fixture ends while sensor 5's
+        # response is still on air.
+        res = master_run([1, 2, 3, 4, 5], 10.0, flat_sampler, crowded_field(39, 10.0),
+                         seed=39)
+        for s, st in session_metrics(res)["per_sensor"].items():
+            assert st["delivered"] == st["recorded"], s
 
 
 class TestDeterminism:

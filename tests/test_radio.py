@@ -34,19 +34,26 @@ class TestChannelPlan:
 
 
 class TestOverlaps:
+    """The spectral half of the any-overlap rule: a channel against a Wi-Fi band."""
+
+    @staticmethod
+    def busy(k, band):
+        field = InterferenceField([Transmission("wifi", 0.0, 100.0, band)])
+        return field.busy(ChannelPlan.default().band(k), 10.0, 20.0)
+
     def test_inside_wifi6(self):
-        assert radio.overlaps(37, (2426.0, 2448.0)) is True
+        assert self.busy(37, (2426.0, 2448.0)) is True
 
     def test_far_channel(self):
-        assert radio.overlaps(79, (2401.0, 2423.0)) is False
+        assert self.busy(79, (2401.0, 2423.0)) is False
 
     def test_touching_is_not_overlap(self):
         # Channel 24 occupies [2423, 2425]; Wi-Fi 1 ends at 2423 exactly.
-        assert radio.overlaps(24, (2401.0, 2423.0)) is False
+        assert self.busy(24, (2401.0, 2423.0)) is False
 
     def test_bad_channel(self):
         with pytest.raises(ValueError):
-            radio.overlaps(80, (2400.0, 2401.0))
+            ChannelPlan.default().band(80)
 
 
 class TestWifiBand:

@@ -1,13 +1,16 @@
 """Scenario schema: strict validation and preset resolution."""
 
 import copy
+from dataclasses import fields
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wearsim.protocol import ConfigError
+from wearsim.protocol import ConfigError, HopPolicy, TimingProfile
 from wearsim.radio import BtDevice, Jammer, WifiAp
-from wearsim.scenario import load_scenario, parse_scenario
+from wearsim.scenario import Scenario, load_scenario, parse_scenario
 
 BASE = {"motion": {"preset": "arm-raise"}}
 
@@ -174,6 +177,25 @@ class TestProtocol:
             parse_scenario(cfg(protocol={"timing": {"poll_bytes": 12.5}}))
 
 
+def overrides(cls):
+    """Mappings of some of cls's fields to ints, floats, 0, negatives or bools."""
+    values = st.one_of(st.integers(), st.floats(), st.just(0),
+                       st.integers(max_value=-1), st.floats(max_value=0.0),
+                       st.booleans())
+    return st.dictionaries(st.sampled_from([f.name for f in fields(cls)]), values)
+
+
+class TestOverrideProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(timing=overrides(TimingProfile), hop=overrides(HopPolicy))
+    def test_scenario_or_config_error(self, timing, hop):
+        try:
+            sc = parse_scenario(cfg(protocol={"timing": timing, "hop": hop}))
+        except ConfigError:
+            return
+        assert isinstance(sc, Scenario)
+
+
 class TestInterference:
     def test_preset_clean(self):
         assert parse_scenario(cfg(interference={"preset": "clean"})).interferers == ()
@@ -226,6 +248,10 @@ class TestInterference:
         with pytest.raises(ConfigError, match="power"):
             parse_scenario(cfg(interference={"sources": [
                 {"type": "jam", "channel": 40, "power": 9}]}))
+        # A jammer draws nothing, so it takes no seed.
+        with pytest.raises(ConfigError, match="'seed'"):
+            parse_scenario(cfg(interference={"sources": [
+                {"type": "jam", "channel": 40, "seed": 3}]}))
 
 
 class TestLoadFile:

@@ -66,10 +66,6 @@ class TestSkeleton:
         assert qm.shortest_angle_deg(rest[sk.BoneId.ARM_L],
                                      rest[sk.BoneId.SPINE]) == pytest.approx(90.0, abs=1e-9)
 
-    def test_default_segment_lengths(self):
-        skel = sk.Skeleton.default()
-        assert all(skel.segment_length_m[b] == 1.0 for b in sk.BoneId)
-
 
 class TestPlacements:
     def test_preset_sizes(self):
