@@ -173,8 +173,8 @@ def joint_angle_series(frames: Sequence[RecordingFrame], calib: CalibrationRecor
     return AngleSeries(joint.label, points)
 
 
-def _interp(points: Sequence[tuple[int, float]], t: float) -> float:
-    ts = [p[0] for p in points]
+def _interp(points: Sequence[tuple[int, float]], ts: Sequence[int], t: float) -> float:
+    """Value of `points` at t; `ts` holds their timestamps."""
     i = bisect_right(ts, t) - 1
     if i < 0 or t > ts[-1]:
         raise ValueError(f"t={t} outside series range {ts[0]}..{ts[-1]}")
@@ -187,7 +187,8 @@ def _interp(points: Sequence[tuple[int, float]], t: float) -> float:
 def _aligned(a: AngleSeries, b: AngleSeries) -> list[tuple[float, float]]:
     lo = max(a.points[0][0], b.points[0][0])
     hi = min(a.points[-1][0], b.points[-1][0])
-    pairs = [(va, _interp(b.points, t)) for t, va in a.points if lo <= t <= hi]
+    ts = [p[0] for p in b.points]
+    pairs = [(va, _interp(b.points, ts, t)) for t, va in a.points if lo <= t <= hi]
     if lo > hi or not pairs:
         raise ValueError("series do not overlap in time")
     return pairs

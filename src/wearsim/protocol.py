@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import radio
 from . import randomness as rnd
@@ -91,12 +91,6 @@ class TimingProfile:
         return self.airtime_us(self.ack_bytes)
 
     @property
-    def slot_us(self) -> float:
-        return (self.poll_air_us + self.turnaround_us + self.response_air_us
-                + self.turnaround_us + self.ack_air_us + self.turnaround_us
-                + self.guard_us)
-
-    @property
     def cap_period_us(self) -> float:
         return 1e6 / self.poll_cap_hz
 
@@ -136,9 +130,8 @@ class HopPolicy:
             raise ValueError(f"blacklist_size must be within 0..{limit}")
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """One transmission as seen by the session log."""
+class TraceRow(NamedTuple):
+    """One transmission as seen by the session log; fields in CSV column order."""
 
     time_us: float
     duration_us: float
@@ -315,7 +308,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
 
     def arbitrated(source: str, start: float, dur: float, ch: int,
                    frame_type: str, sensor_id: int) -> TraceRow:
-        t = Transmission(source, start, dur, plan.band(ch), channel=ch)
+        t = Transmission(source, start, dur, plan.band(ch))
         return TraceRow(start, dur, source, ch, "cw", frame_type, sensor_id,
                         radio.arbitrate(t, field, (), p_floor, floor_rng))
 
@@ -523,8 +516,7 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
             queue.append((seq, sampler(s, sched.now)))
             channel = csa1_next(channel, increment)
             start = sched.now
-            t = Transmission(f"sensor:{s}", start, _BLE_TX_US,
-                             _ble_band(channel), channel=channel)
+            t = Transmission(f"sensor:{s}", start, _BLE_TX_US, _ble_band(channel))
             while ledger and ledger[0].end_us <= start:
                 ledger.popleft()
             ledger.append(t)
@@ -588,38 +580,38 @@ def session_metrics(result: SessionResult) -> dict:
     minimum window rate slides a 1 s half-open window from the first
     delivery to the session end.
     """
-    per_sensor: dict[str, dict] = {}
-    data_kinds = ("response", "data")
-    by_sensor_rows: dict[int, list[TraceRow]] = {s: [] for s in result.roster}
+    frames: dict[int, list[RecordingFrame]] = {s: [] for s in result.roster}
+    for f in result.frames:
+        frames[f.sensor_id].append(f)
+    rows: dict[int, list[TraceRow]] = {s: [] for s in result.roster}
     for r in result.trace:
-        if r.frame_type in data_kinds and r.sensor_id in by_sensor_rows:
-            by_sensor_rows[r.sensor_id].append(r)
+        if r.frame_type in ("response", "data") and r.sensor_id in rows:
+            rows[r.sensor_id].append(r)
+    rates = rate_series(result.frames, 1.0, end_us=int(result.duration_us))
+    per_sensor: dict[str, dict] = {}
     for s in result.roster:
-        fs = [f for f in result.frames if f.sensor_id == s]
-        rows = by_sensor_rows[s]
-        delivered = sum(1 for r in rows if r.outcome == radio.DELIVERED)
+        fs, sent = frames[s], rows[s]
+        delivered = sum(1 for r in sent if r.outcome == radio.DELIVERED)
         mean = 0.0
         if len(fs) >= 2:
             span = (fs[-1].timestamp_us - fs[0].timestamp_us) / 1e6
             if span > 0:
                 mean = (len(fs) - 1) / span
         if fs:
-            series = rate_series(fs, 1.0, end_us=int(result.duration_us))[s]
-            min_window = min((v for _, v in series), default=float(len(fs)))
+            min_window = min((v for _, v in rates[s]), default=float(len(fs)))
         else:
             min_window = 0.0
         per_sensor[str(s)] = {
             "recorded": len(fs),
-            "sent": len(rows),
+            "sent": len(sent),
             "delivered": delivered,
-            "pdr": delivered / len(rows) if rows else 0.0,
+            "pdr": delivered / len(sent) if sent else 0.0,
             "mean_rate_hz": mean,
             "min_window_rate_hz": min_window,
             "host_dropped": result.host_dropped.get(s, 0),
         }
-    lasts = [max(f.timestamp_us for f in result.frames if f.sensor_id == s)
-             for s in result.roster
-             if any(f.sensor_id == s for f in result.frames)]
+    # Frames are in time order, so each sensor's last frame is its latest.
+    lasts = [fs[-1].timestamp_us for fs in frames.values() if fs]
     skew = max(lasts) - min(lasts) if lasts else 0
     return {
         "protocol": result.protocol,

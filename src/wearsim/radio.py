@@ -71,7 +71,6 @@ class Transmission:
     start_us: float
     duration_us: float
     band_mhz: tuple[float, float]
-    channel: int | None = None
 
     def __post_init__(self) -> None:
         if self.duration_us <= 0.0:

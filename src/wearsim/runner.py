@@ -3,23 +3,28 @@
 A run writes one directory:
 
     recording.csv            delivered sensor frames
-    session_trace.csv        every protocol transmission with its outcome
-    radio_trace.csv          protocol traffic merged with interferer bursts
+    session_trace.csv        every protocol transmission, one TraceRow per line
+    radio_trace.csv          protocol rows merged with interferer bursts
+                             (empty channel, outcome "busy")
     metrics.json             session summary statistics
     ground_truth_<joint>.csv noise-free joint angles at 100 Hz
     session.json             sidecar needed to re-derive angles offline
                              (placement, calibration pose, frozen q_calib)
+
+Both traces are ordered by (time_us, source).
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .motion import SyntheticBody, random_offsets
 from .pipeline import ParseError, _nine_digits, write_recording
-from .protocol import SessionResult, ble_baseline_run, master_run, session_metrics
+from .protocol import (SessionResult, TraceRow, ble_baseline_run, master_run,
+                       session_metrics)
 from .quatmath import Quaternion
 from .radio import InterferenceField, build_field
 from .scenario import Scenario
@@ -27,7 +32,7 @@ from .skeleton import (BoneId, CalibrationPose, CalibrationRecord, SensorPlaceme
                        Skeleton, calibrate)
 
 GROUND_TRUTH_HZ = 100.0
-SESSION_TRACE_HEADER = "time_us,duration_us,source,channel,kind,frame_type,sensor_id,outcome"
+SESSION_TRACE_HEADER = ",".join(TraceRow._fields)
 RADIO_TRACE_HEADER = "time_us,duration_us,source,channel,kind,outcome"
 
 
@@ -86,22 +91,14 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write(",".join(_cell(c) for c in row) + "\n")
 
 
-def _session_trace_rows(result: SessionResult):
-    for r in result.trace:
-        yield (r.time_us, r.duration_us, r.source, r.channel, r.kind,
-               r.frame_type, r.sensor_id, r.outcome)
-
-
 def _radio_trace_rows(result: SessionResult, field: InterferenceField):
-    rows = [(r.time_us, r.duration_us, r.source, r.channel, r.kind, r.outcome)
-            for r in result.trace]
-    for tx in field.all_bursts():
-        if tx.start_us > result.duration_us:
-            continue
-        rows.append((tx.start_us, tx.duration_us, tx.source,
-                     tx.channel, tx.source.split(":")[0], "busy"))
-    rows.sort(key=lambda r: (r[0], r[2]))
-    return rows
+    """Protocol rows and interferer bursts in one stream, by (time_us, source)."""
+    proto = ((r.time_us, r.duration_us, r.source, r.channel, r.kind, r.outcome)
+             for r in result.trace)
+    bursts = ((b.start_us, b.duration_us, b.source, None, b.source.split(":")[0], "busy")
+              for b in field.all_bursts() if b.start_us <= result.duration_us)
+    # Both inputs are already ordered by (time_us, source), so this equals a stable sort.
+    return heapq.merge(proto, bursts, key=lambda r: (r[0], r[2]))
 
 
 def _write_ground_truth(body: SyntheticBody, sc: Scenario, out_dir: Path) -> list[Path]:
@@ -159,8 +156,7 @@ def run_scenario(sc: Scenario, out_dir: str | Path) -> RunArtifacts:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_recording(art.result.frames, out / "recording.csv")
-    _write_csv(out / "session_trace.csv", SESSION_TRACE_HEADER,
-               _session_trace_rows(art.result))
+    _write_csv(out / "session_trace.csv", SESSION_TRACE_HEADER, art.result.trace)
     _write_csv(out / "radio_trace.csv", RADIO_TRACE_HEADER,
                _radio_trace_rows(art.result, art.field))
     (out / "metrics.json").write_text(

@@ -31,6 +31,8 @@ _NOISE_KEYS = ("static_sigma_deg", "dynamic_sigma_deg", "static_max_deg",
                "dynamic_max_deg", "drift_deg_per_min", "omega_ref_deg_s")
 
 _REQUIRED = object()
+# Integers beyond a C ssize_t overflow deque sizes and float conversion.
+_INT_LIMIT = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,8 @@ def _number(raw: Mapping, key: str, where: str, default: Any = _REQUIRED, *,
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
+    if isinstance(value, int) and abs(value) > _INT_LIMIT:
+        raise ConfigError(f"{where}.{key} must lie within +-(2**63 - 1)")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where}.{key} must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -97,6 +101,8 @@ def _integer(raw: Mapping, key: str, where: str, default: Any = _REQUIRED, *,
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+    if abs(value) > _INT_LIMIT:
+        raise ConfigError(f"{where}.{key} must lie within +-(2**63 - 1)")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where}.{key} must be >= {minimum}, got {value}")
     return value

@@ -227,6 +227,11 @@ class TestExitCodes:
         ("protocol: {hop: {blacklist_size: 76}}", "blacklist_size"),
         ("interference: {sources: [{type: jam, channel: 40, seed: 3}]}", "seed"),
         ("protocol: {timing: {poll_cap_hz: .nan}}", "poll_cap_hz"),
+        ("protocol: {hop: {loss_window: 100000000000000000000}}", "loss_window"),
+        pytest.param(f"protocol: {{timing: {{poll_bytes: {10**310}}}}}", "poll_bytes",
+                     id="poll_bytes-10**310"),
+        pytest.param(f"session: {{duration_s: {10**310}}}", "duration_s",
+                     id="duration_s-10**310"),
     ])
     def test_unrunnable_setting(self, tmp_path, capsys, section, key):
         s = tmp_path / "s.yaml"

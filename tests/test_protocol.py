@@ -32,9 +32,6 @@ class TestTimingProfile:
         assert t.hop_air_us == 48.0
         assert t.ack_air_us == 32.0
 
-    def test_slot(self):
-        assert TimingProfile().slot_us == 708.0
-
     def test_cap_period(self):
         assert TimingProfile().cap_period_us == pytest.approx(1e6 / 60.0)
 
@@ -157,10 +154,16 @@ class TestTdma:
     def test_ble_nodes_can_collide_with_each_other(self):
         # Unsynchronized connection events may land on the same channel
         # at the same time; the arbiter must see them.
+        # On a clean band every collision is node against node; seed 0
+        # has some (seeds 1-5 happen to have none).
         res = ble_baseline_run([1, 2, 3, 4, 5], 10.0, flat_sampler, CLEAN, seed=0)
-        counts = pr.source_counts(res.trace)
-        total_collided = sum(c["collided"] for c in counts.values())
-        assert total_collided >= 0  # exercised; exact count is seed-dependent
+        collided = [r for r in res.trace if r.outcome == radio.COLLIDED]
+        assert len(collided) > 0
+        for r in collided:
+            assert any(o.sensor_id != r.sensor_id and o.channel == r.channel
+                       and o.time_us < r.time_us + r.duration_us
+                       and r.time_us < o.time_us + o.duration_us
+                       for o in res.trace), r
 
 
 class TestSequenceIntegrity:

@@ -10,7 +10,7 @@ from wearsim.radio import (BtDevice, ChannelPlan, EventScheduler,
 def make_tx(channel, start, dur, source="s1"):
     plan = ChannelPlan.default()
     return Transmission(source=source, start_us=start, duration_us=dur,
-                        band_mhz=plan.band(channel), channel=channel)
+                        band_mhz=plan.band(channel))
 
 
 class TestChannelPlan:

@@ -178,8 +178,9 @@ class TestProtocol:
 
 
 def overrides(cls):
-    """Mappings of some of cls's fields to ints, floats, 0, negatives or bools."""
-    values = st.one_of(st.integers(), st.floats(), st.just(0),
+    """Mappings of some of cls's fields to ints, huge ints, floats, 0, negatives or bools."""
+    values = st.one_of(st.integers(), st.integers(min_value=2**62, max_value=10**320),
+                       st.floats(), st.just(0),
                        st.integers(max_value=-1), st.floats(max_value=0.0),
                        st.booleans())
     return st.dictionaries(st.sampled_from([f.name for f in fields(cls)]), values)
