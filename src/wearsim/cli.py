@@ -22,7 +22,7 @@ import yaml
 from .pipeline import (HEADER, AngleSeries, ParseError, ValidationError,
                        joint_angle_series, mae, pearson, rate_series,
                        read_recording)
-from .protocol import ConfigError
+from .protocol import BLE_MAX_SENSORS, ConfigError
 from .runner import _write_csv, execute, load_session, run_scenario
 from .scenario import load_scenario, parse_scenario
 from .skeleton import JOINTS, Skeleton
@@ -99,7 +99,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     end_us = int(meta["duration_s"] * 1e6) if "duration_s" in meta else None
     rate_rows = []
-    for sensor, pts in sorted(rate_series(frames, 1.0, end_us=end_us).items()):
+    for sensor, pts in sorted(rate_series(frames, end_us=end_us).items()):
         rate_rows.extend((sensor, t, hz) for t, hz in pts)
         stats = {"windows": len(pts)}
         if pts:
@@ -188,9 +188,9 @@ def cmd_protocol_bench(args: argparse.Namespace) -> int:
     # seed drives every derived stream (noise, offsets, interferers).
     cfg = yaml.safe_load(Path(args.scenario).read_text(encoding="utf-8"))
     base = parse_scenario(cfg, seed=args.seed)
-    if "ble-baseline" in protocols and len(base.roster) > 5:
-        raise ConfigError(f"ble-baseline supports at most 5 sensors; scenario "
-                          f"places {len(base.roster)}")
+    if "ble-baseline" in protocols and len(base.roster) > BLE_MAX_SENSORS:
+        raise ConfigError(f"ble-baseline supports at most {BLE_MAX_SENSORS} sensors; "
+                          f"scenario places {len(base.roster)}")
 
     rows = []
     per_run: dict[str, dict] = {p: {} for p in protocols}

@@ -19,9 +19,10 @@ calibration step cancels.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Protocol
 
 from . import randomness
@@ -79,7 +80,7 @@ class Piecewise:
             return pts[0][1]
         if t >= pts[-1][0]:
             return pts[-1][1]
-        i = bisect.bisect_right([p[0] for p in pts], t)
+        i = bisect_right(pts, t, key=itemgetter(0))
         (t0, a0), (t1, a1) = pts[i - 1], pts[i]
         return a0 + (a1 - a0) * (t - t0) / (t1 - t0)
 
@@ -103,9 +104,6 @@ class TrajectorySpec:
             raise ValueError(f"unknown joint labels in trajectory: {unknown}")
         if self.duration_s <= 0.0:
             raise ValueError("trajectory duration must be positive")
-
-    def with_duration(self, duration_s: float) -> "TrajectorySpec":
-        return replace(self, duration_s=duration_s)
 
 
 @dataclass(frozen=True)
@@ -174,13 +172,15 @@ class SyntheticBody:
         self.placement = placement
         self.noise = noise
         self._offsets = dict(offsets) if offsets else {}
-        self._tracks = {JOINTS[label].child_bone: tr for label, tr in spec.joints.items()}
-        self._chain: dict[BoneId, tuple[BoneId, ...]] = {}
+        tracks = {JOINTS[label].child_bone: tr for label, tr in spec.joints.items()}
+        # Per bone, the tracked joints from the root down to it.
+        self._chain: dict[BoneId, tuple[JointTrack, ...]] = {}
         for bone in BoneId:
             chain = []
             cur: BoneId | None = bone
             while cur is not None:
-                chain.append(cur)
+                if cur in tracks:
+                    chain.append(tracks[cur])
                 cur = skel.parent[cur]
             self._chain[bone] = tuple(reversed(chain))
         self._noisy = noise.static_sigma_deg > 0.0 or noise.dynamic_sigma_deg > 0.0
@@ -197,10 +197,8 @@ class SyntheticBody:
         if not 0.0 <= t <= self.spec.duration_s:
             raise ValueError(f"t={t} outside trajectory [0, {self.spec.duration_s}]")
         q = Quaternion.identity()
-        for b in self._chain[bone]:
-            tr = self._tracks.get(b)
-            if tr is not None:
-                q = hamilton_product(q, from_axis_angle(tr.axis, tr.fn.angle(t)))
+        for tr in self._chain[bone]:
+            q = hamilton_product(q, from_axis_angle(tr.axis, tr.fn.angle(t)))
         return q
 
     def angular_speed(self, bone: BoneId, t: float) -> float:

@@ -32,6 +32,8 @@ from .skeleton import (CalibrationRecord, JointSpec, Skeleton, animate_frame,
 HEADER = "timestamp_us,sensor_id,seq,qw,qx,qy,qz,status"
 
 _UNIT_TOL = 1e-6
+# Width of the sliding window of rate_series.
+RATE_WINDOW_US = 1_000_000
 
 
 class RecordingError(ValueError):
@@ -168,8 +170,7 @@ def joint_angle_series(frames: Sequence[RecordingFrame], calib: CalibrationRecor
         for s in sensors:
             idx = bisect_right(stamps[s], t) - 1
             snapshot[s] = streams[s][idx].quaternion()
-        pose = animate_frame(snapshot, calib, skel, timestamp_us=t)
-        points.append((t, joint_angle(pose, joint)))
+        points.append((t, joint_angle(animate_frame(snapshot, calib, skel), joint)))
     return AngleSeries(joint.label, points)
 
 
@@ -217,16 +218,13 @@ def pearson(a: AngleSeries, b: AngleSeries) -> float:
     return cov / math.sqrt(var_a * var_b)
 
 
-def rate_series(frames: Sequence[RecordingFrame], window_s: float = 1.0,
+def rate_series(frames: Sequence[RecordingFrame],
                 end_us: int | None = None) -> dict[int, list[tuple[int, float]]]:
-    """Per-sensor delivery rate over a sliding half-open window [t-w, t).
+    """Per-sensor delivery rate in Hz over a sliding half-open 1 s window.
 
-    Evaluated every 0.1 s from first timestamp + window up to end_us
-    (default: that sensor's last timestamp).
+    The window [t - 1 s, t) is evaluated every 0.1 s from first timestamp
+    + 1 s up to end_us (default: that sensor's last timestamp).
     """
-    if window_s <= 0:
-        raise ValueError(f"window_s must be positive, got {window_s}")
-    w = int(round(window_s * 1e6))
     per_sensor: dict[int, list[int]] = {}
     for f in frames:
         per_sensor.setdefault(f.sensor_id, []).append(f.timestamp_us)
@@ -235,10 +233,10 @@ def rate_series(frames: Sequence[RecordingFrame], window_s: float = 1.0,
         ts.sort()
         end = ts[-1] if end_us is None else end_us
         series: list[tuple[int, float]] = []
-        t = ts[0] + w
+        t = ts[0] + RATE_WINDOW_US
         while t <= end:
-            count = bisect_left(ts, t) - bisect_left(ts, t - w)
-            series.append((t, count / window_s))
+            count = bisect_left(ts, t) - bisect_left(ts, t - RATE_WINDOW_US)
+            series.append((t, count * 1e6 / RATE_WINDOW_US))
             t += 100_000
         rates[sensor] = series
     return rates

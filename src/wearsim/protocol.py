@@ -27,9 +27,14 @@ from . import radio
 from . import randomness as rnd
 from .pipeline import RecordingFrame, rate_series
 from .quatmath import Quaternion
-from .radio import ChannelPlan, InterferenceField, Transmission
+from .radio import (DATA_CHANNELS, SYNC_CHANNELS, InterferenceField, Transmission,
+                    channel_band)
 
 Sampler = Callable[[int, float], Quaternion]
+
+# Defaults of the session settings a scenario may override.
+DEFAULT_INITIAL_CHANNEL = 40
+DEFAULT_P_FLOOR = 0.0
 
 
 class ConfigError(ValueError):
@@ -125,7 +130,7 @@ class HopPolicy:
         if self.walk_dwell_ms <= 0:
             raise ValueError("walk_dwell_ms must be positive")
         # The current channel and the blacklist must leave a channel to hop to.
-        limit = len(ChannelPlan.default().data) - 2
+        limit = len(DATA_CHANNELS) - 2
         if not 0 <= self.blacklist_size <= limit:
             raise ValueError(f"blacklist_size must be within 0..{limit}")
 
@@ -151,9 +156,9 @@ class HopSequencer:
     A short blacklist keeps recently abandoned channels out of play.
     """
 
-    def __init__(self, plan: ChannelPlan, policy: HopPolicy, seed: int) -> None:
-        order = rnd.stream(seed, rnd.PROTOCOL).permutation(len(plan.data))
-        self.chain: list[int] = [plan.data[i] for i in order]
+    def __init__(self, policy: HopPolicy, seed: int) -> None:
+        order = rnd.stream(seed, rnd.PROTOCOL).permutation(len(DATA_CHANNELS))
+        self.chain: list[int] = [DATA_CHANNELS[i] for i in order]
         self._pos = {ch: i for i, ch in enumerate(self.chain)}
         self.cursor = -1
         self.current: int | None = None
@@ -197,10 +202,9 @@ class SlaveUnit:
     time, so the simulation evaluates them lazily at each transmission.
     """
 
-    def __init__(self, sensor_id: int, plan: ChannelPlan, timing: TimingProfile,
-                 policy: HopPolicy, chain: Sequence[int]) -> None:
+    def __init__(self, sensor_id: int, timing: TimingProfile, policy: HopPolicy,
+                 chain: Sequence[int]) -> None:
         self.sensor_id = sensor_id
-        self._sync = plan.sync
         self._chain = list(chain)
         self._dwell = timing.scan_dwell_us
         self._resync = timing.resync_us
@@ -232,8 +236,8 @@ class SlaveUnit:
                 # Assume a missed hop: walk forward along the chain.
                 steps = 1 + int((silence - self._probe_gap) // self._walk)
                 return self._chain[(self.chain_pos + steps) % len(self._chain)]
-        idx = int((t_us - self.scan_start_us) // self._dwell) % len(self._sync)
-        return self._sync[idx]
+        idx = int((t_us - self.scan_start_us) // self._dwell) % len(SYNC_CHANNELS)
+        return SYNC_CHANNELS[idx]
 
     def hears(self, start_us: float, end_us: float, channel: int) -> bool:
         """Tuned to this channel for the whole frame."""
@@ -278,13 +282,11 @@ def _check_roster(roster: Sequence[int], limit: int) -> tuple[int, ...]:
 
 def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                field: InterferenceField, seed: int, *,
-               plan: ChannelPlan | None = None,
                timing: TimingProfile | None = None,
                policy: HopPolicy | None = None,
-               p_floor: float = 0.0,
-               initial_channel: int = 40) -> SessionResult:
+               p_floor: float = DEFAULT_P_FLOOR,
+               initial_channel: int = DEFAULT_INITIAL_CHANNEL) -> SessionResult:
     """Run one polling session and return its frames, trace, and counters."""
-    plan = plan or ChannelPlan.default()
     timing = timing or TimingProfile()
     policy = policy or HopPolicy()
     ids = _check_roster(roster, 12)
@@ -292,9 +294,9 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
         raise ConfigError(f"duration_s must be positive, got {duration_s}")
     duration_us = duration_s * 1e6
 
-    seq = HopSequencer(plan, policy, seed)
+    seq = HopSequencer(policy, seed)
     seq.seek(initial_channel)
-    slaves = {s: SlaveUnit(s, plan, timing, policy, seq.chain) for s in ids}
+    slaves = {s: SlaveUnit(s, timing, policy, seq.chain) for s in ids}
     joined = {s: False for s in ids}
     last_ok = {s: -math.inf for s in ids}
     loss: deque[bool] = deque(maxlen=policy.loss_window)
@@ -308,7 +310,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
 
     def arbitrated(source: str, start: float, dur: float, ch: int,
                    frame_type: str, sensor_id: int) -> TraceRow:
-        t = Transmission(source, start, dur, plan.band(ch))
+        t = Transmission(source, start, dur, channel_band(ch))
         return TraceRow(start, dur, source, ch, "cw", frame_type, sensor_id,
                         radio.arbitrate(t, field, (), p_floor, floor_rng))
 
@@ -364,7 +366,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
         # actually busy; transient losses never cause a hop.
         if sum(1 for ok in loss if not ok) < policy.loss_threshold:
             return
-        busy = field.busy(plan.band(seq.current), sched.now,
+        busy = field.busy(channel_band(seq.current), sched.now,
                           sched.now + policy.assess_us)
         yield policy.assess_us
         if not busy:
@@ -386,7 +388,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
 
     def beacon_burst():
         pending = [s for s in ids if not joined[s]]
-        for c in plan.sync:
+        for c in SYNC_CHANNELS:
             b_start = sched.now
             b_out = tx("master", b_start, timing.beacon_air_us, c, "beacon", 0)
             responders = set()
@@ -413,7 +415,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     def master():
         # Leave a channel that is busy right now before inviting anyone.
         for _ in range(len(seq.chain)):
-            busy = field.busy(plan.band(seq.current), sched.now,
+            busy = field.busy(channel_band(seq.current), sched.now,
                               sched.now + policy.assess_us)
             yield policy.assess_us
             if not busy:
@@ -449,6 +451,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
 
 # Connection-based baseline ------------------------------------------------
 
+BLE_MAX_SENSORS = 5
 _BLE_CHANNELS = 37
 _BLE_INTERVAL_US = 15_000.0
 _BLE_TX_US = 128.0
@@ -479,7 +482,7 @@ def _ble_band(channel: int) -> tuple[float, float]:
 
 def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                      field: InterferenceField, seed: int, *,
-                     p_floor: float = 0.0) -> SessionResult:
+                     p_floor: float = DEFAULT_P_FLOOR) -> SessionResult:
     """Run the same sensors as independent connection-based links.
 
     Each link holds a 15 ms connection event cadence: a fresh sample is
@@ -488,7 +491,7 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     failures drop the link for a one-second reconnect that flushes the
     queue. Delivered samples pass a 60 Hz token-bucket host cap.
     """
-    ids = _check_roster(roster, 5)
+    ids = _check_roster(roster, BLE_MAX_SENSORS)
     if duration_s <= 0:
         raise ConfigError(f"duration_s must be positive, got {duration_s}")
     duration_us = duration_s * 1e6
@@ -587,7 +590,7 @@ def session_metrics(result: SessionResult) -> dict:
     for r in result.trace:
         if r.frame_type in ("response", "data") and r.sensor_id in rows:
             rows[r.sensor_id].append(r)
-    rates = rate_series(result.frames, 1.0, end_us=int(result.duration_us))
+    rates = rate_series(result.frames, end_us=int(result.duration_us))
     per_sensor: dict[str, dict] = {}
     for s in result.roster:
         fs, sent = frames[s], rows[s]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterable, Sequence
@@ -28,33 +29,18 @@ COLLIDED = "collided"
 FLOOR_LOST = "floor-lost"
 
 
-@dataclass(frozen=True)
-class ChannelPlan:
-    """Channel indexing and the fixed sync-channel set.
+# Sync channels 2/26/79 sit in the gaps between the central lobes of
+# Wi-Fi channels 1, 6, and 11, mirroring how BLE places its advertising
+# channels. Every other channel carries data.
+SYNC_CHANNELS = (2, 26, 79)
+DATA_CHANNELS = tuple(k for k in range(80) if k not in SYNC_CHANNELS)
 
-    center_mhz(k) = 2400 + k. Sync channels 2/26/79 sit in the gaps
-    between the central lobes of Wi-Fi channels 1, 6, and 11, mirroring
-    how BLE places its advertising channels.
-    """
 
-    sync: tuple[int, ...] = (2, 26, 79)
-
-    @staticmethod
-    def default() -> "ChannelPlan":
-        return ChannelPlan()
-
-    @property
-    def data(self) -> tuple[int, ...]:
-        return tuple(k for k in range(80) if k not in self.sync)
-
-    def center_mhz(self, k: int) -> int:
-        if not 0 <= k <= 79:
-            raise ValueError(f"channel index {k} outside 0..79")
-        return 2400 + k
-
-    def band(self, k: int) -> tuple[float, float]:
-        c = self.center_mhz(k)
-        return (float(c - 1), float(c + 1))
+def channel_band(k: int) -> tuple[float, float]:
+    """Occupied 2 MHz of radio channel k, centered on 2400 + k MHz."""
+    if not 0 <= k <= 79:
+        raise ValueError(f"channel index {k} outside 0..79")
+    return (float(2399 + k), float(2401 + k))
 
 
 def wifi_band_mhz(wifi_channel: int) -> tuple[float, float]:
@@ -116,6 +102,11 @@ class BtDevice:
     def __post_init__(self) -> None:
         if self.event_interval_ms <= 0.0 or self.burst_us <= 0.0:
             raise ValueError("BT interval and burst must be positive")
+        # One device's bursts cannot overlap, and the phase draw needs a
+        # finite interval.
+        if not self.burst_us <= self.event_interval_ms * 1000.0 < math.inf:
+            raise ValueError(f"event_interval_ms {self.event_interval_ms} must be finite "
+                             f"and cover burst_us {self.burst_us}")
 
     @property
     def source(self) -> str:
@@ -135,7 +126,7 @@ class Jammer:
     name: str = ""
 
     def __post_init__(self) -> None:
-        ChannelPlan.default().band(self.channel)
+        channel_band(self.channel)
         if self.start_s < 0.0:
             raise ValueError("jam start must be non-negative")
 
@@ -145,25 +136,18 @@ class Jammer:
 
 
 def occupancy(interferer: WifiAp | BtDevice | Jammer,
-              window: tuple[float, float]) -> list[Transmission]:
-    """Seeded burst list of one interferer, clipped to the window.
-
-    Processes always evolve from t=0 regardless of the window, so
-    different query windows see one consistent timeline.
-    """
-    t0, t1 = window
-    if t0 >= t1:
-        raise ValueError("window must have positive length")
+              end_us: float) -> list[Transmission]:
+    """Seeded burst list of one interferer from t=0, clipped at end_us."""
     out: list[Transmission] = []
 
     def emit(bs: float, be: float, band: tuple[float, float]) -> None:
-        bs, be = max(bs, t0), min(be, t1)
+        be = min(be, end_us)
         if be > bs:
             out.append(Transmission(interferer.source, bs, be - bs, band))
 
     if isinstance(interferer, Jammer):
         # A jammer draws nothing, so it carries no seed.
-        emit(interferer.start_s * 1e6, t1, ChannelPlan.default().band(interferer.channel))
+        emit(interferer.start_s * 1e6, end_us, channel_band(interferer.channel))
         return out
 
     rng = np.random.default_rng(interferer.seed)
@@ -172,14 +156,14 @@ def occupancy(interferer: WifiAp | BtDevice | Jammer,
         if interferer.duty == 0.0:
             return []
         if interferer.duty == 1.0:
-            emit(t0, t1, band)
+            emit(0.0, end_us, band)
             return out
         mean_busy = interferer.mean_burst_ms * 1000.0
         mean_idle = mean_busy * (1.0 - interferer.duty) / interferer.duty
         t = 0.0
-        while t < t1:
+        while t < end_us:
             t += float(rng.exponential(mean_idle))
-            if t >= t1:
+            if t >= end_us:
                 break
             dur = float(rng.exponential(mean_busy))
             emit(t, t + dur, band)
@@ -193,7 +177,7 @@ def occupancy(interferer: WifiAp | BtDevice | Jammer,
     inc = _BT_INCREMENTS[int(rng.integers(0, len(_BT_INCREMENTS)))]
     ch = int(rng.integers(0, 40))
     t = phase
-    while t < t1:
+    while t < end_us:
         ch = (ch + inc) % 40
         center = 2402 + 2 * ch
         emit(t, t + interferer.burst_us, (float(center - 1), float(center + 1)))
@@ -322,7 +306,7 @@ def build_field(interferers: Sequence[WifiAp | BtDevice],
                 duration_us: float) -> InterferenceField:
     bursts: list[Transmission] = []
     for i in interferers:
-        bursts.extend(occupancy(i, (0.0, duration_us)))
+        bursts.extend(occupancy(i, duration_us))
     return InterferenceField(bursts)
 
 

@@ -18,8 +18,9 @@ from typing import Any, Mapping
 import yaml
 
 from .motion import NoiseModel, TrajectorySpec, preset_scenario
-from .protocol import ConfigError, HopPolicy, TimingProfile
-from .radio import BtDevice, ChannelPlan, Jammer, WifiAp, preset_interferers
+from .protocol import (BLE_MAX_SENSORS, DEFAULT_INITIAL_CHANNEL, DEFAULT_P_FLOOR,
+                       ConfigError, HopPolicy, TimingProfile)
+from .radio import DATA_CHANNELS, BtDevice, Jammer, WifiAp, preset_interferers
 from .skeleton import JOINTS, SensorPlacement, placement_preset
 
 Interferer = Any  # WifiAp | BtDevice | Jammer
@@ -27,8 +28,8 @@ Interferer = Any  # WifiAp | BtDevice | Jammer
 _SECTIONS = ("session", "motion", "placement", "protocol", "interference")
 _TIMING_KEYS = tuple(f.name for f in fields(TimingProfile))
 _HOP_KEYS = tuple(f.name for f in fields(HopPolicy))
-_NOISE_KEYS = ("static_sigma_deg", "dynamic_sigma_deg", "static_max_deg",
-               "dynamic_max_deg", "drift_deg_per_min", "omega_ref_deg_s")
+# The noise seed follows the session seed, so it is not a key.
+_NOISE_KEYS = tuple(f.name for f in fields(NoiseModel) if f.name != "seed")
 
 _REQUIRED = object()
 # Integers beyond a C ssize_t overflow deque sizes and float conversion.
@@ -72,12 +73,8 @@ def _reject_unknown(raw: Mapping, allowed: tuple[str, ...], where: str) -> None:
                           f"(allowed: {', '.join(allowed)})")
 
 
-def _number(raw: Mapping, key: str, where: str, default: Any = _REQUIRED, *,
-            minimum: float | None = None, maximum: float | None = None) -> float:
-    if key not in raw:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}.{key} is required")
-        return default
+def _finite(raw: Mapping, key: str, where: str) -> int | float:
+    """raw[key] as given, if it is an int within +-(2**63 - 1) or a finite float."""
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
@@ -85,6 +82,16 @@ def _number(raw: Mapping, key: str, where: str, default: Any = _REQUIRED, *,
         raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
     if isinstance(value, int) and abs(value) > _INT_LIMIT:
         raise ConfigError(f"{where}.{key} must lie within +-(2**63 - 1)")
+    return value
+
+
+def _number(raw: Mapping, key: str, where: str, default: Any = _REQUIRED, *,
+            minimum: float | None = None, maximum: float | None = None) -> float:
+    if key not in raw:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}.{key} is required")
+        return default
+    value = _finite(raw, key, where)
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where}.{key} must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -127,17 +134,10 @@ def _override(base, raw: Mapping, allowed: tuple[str, ...], where: str):
 
 
 def _noise(value: Any, seed: int) -> NoiseModel:
-    if value is None:
-        return NoiseModel(seed=seed)
     if value == "zero":
         return replace(NoiseModel.zero(), seed=seed)
-    raw = _mapping(value, "motion.noise")
-    _reject_unknown(raw, _NOISE_KEYS, "motion.noise")
-    kwargs = {key: _number(raw, key, "motion.noise", minimum=0.0) for key in raw}
-    try:
-        return NoiseModel(seed=seed, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"motion.noise: {exc}") from None
+    return _override(NoiseModel(seed=seed), _mapping(value, "motion.noise"),
+                     _NOISE_KEYS, "motion.noise")
 
 
 def _check_coverage(trajectory: TrajectorySpec, placement: SensorPlacement) -> None:
@@ -161,17 +161,19 @@ def _source(item: Mapping, index: int, seed: int) -> Interferer:
             _reject_unknown(item, ("type", "channel", "duty", "mean_burst_ms", "seed"), where)
             return WifiAp(_integer(item, "channel", where),
                           _number(item, "duty", where, minimum=0.0, maximum=1.0),
-                          _number(item, "mean_burst_ms", where, 2.0, minimum=1e-3),
+                          _number(item, "mean_burst_ms", where, WifiAp.mean_burst_ms,
+                                  minimum=1e-3),
                           seed=src_seed, name=f"wifi:{index}")
         if kind == "bt":
             _reject_unknown(item, ("type", "event_interval_ms", "burst_us", "seed"), where)
-            return BtDevice(_number(item, "event_interval_ms", where, 15.0, minimum=1e-3),
-                            _number(item, "burst_us", where, 296.0, minimum=1e-3),
+            return BtDevice(_number(item, "event_interval_ms", where,
+                                    BtDevice.event_interval_ms, minimum=1e-3),
+                            _number(item, "burst_us", where, BtDevice.burst_us, minimum=1e-3),
                             seed=src_seed, name=f"bt:{index}")
         if kind == "jam":
             _reject_unknown(item, ("type", "channel", "start_s"), where)
             return Jammer(_integer(item, "channel", where),
-                          _number(item, "start_s", where, 0.0, minimum=0.0),
+                          _number(item, "start_s", where, Jammer.start_s, minimum=0.0),
                           name=f"jam:{index}")
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
@@ -216,7 +218,8 @@ def parse_scenario(cfg: Any, *, seed: int | None = None) -> Scenario:
     preset = motion.get("preset")
     if not isinstance(preset, str):
         raise ConfigError("motion.preset is required and must be a string")
-    params = _mapping(motion.get("params"), "motion.params")
+    raw_params = _mapping(motion.get("params"), "motion.params")
+    params = {key: _finite(raw_params, key, "motion.params") for key in raw_params}
     try:
         trajectory, placement = preset_scenario(preset, **params)
     except (ValueError, TypeError) as exc:
@@ -238,7 +241,7 @@ def parse_scenario(cfg: Any, *, seed: int | None = None) -> Scenario:
     duration_s = _number(session, "duration_s", "session",
                          trajectory.duration_s, minimum=1e-3)
     if duration_s != trajectory.duration_s:
-        trajectory = trajectory.with_duration(duration_s)
+        trajectory = replace(trajectory, duration_s=duration_s)
 
     proto = _mapping(cfg.get("protocol"), "protocol")
     _reject_unknown(proto, ("kind", "initial_channel", "p_floor", "timing", "hop"),
@@ -250,14 +253,16 @@ def parse_scenario(cfg: Any, *, seed: int | None = None) -> Scenario:
                        _TIMING_KEYS, "protocol.timing")
     policy = _override(HopPolicy(), _mapping(proto.get("hop"), "protocol.hop"),
                        _HOP_KEYS, "protocol.hop")
-    initial_channel = _integer(proto, "initial_channel", "protocol", 40, minimum=0)
-    if initial_channel not in ChannelPlan.default().data:
+    initial_channel = _integer(proto, "initial_channel", "protocol",
+                               DEFAULT_INITIAL_CHANNEL, minimum=0)
+    if initial_channel not in DATA_CHANNELS:
         raise ConfigError(
             f"protocol.initial_channel {initial_channel} is not a data channel")
-    p_floor = _number(proto, "p_floor", "protocol", 0.0, minimum=0.0, maximum=0.999)
-    if kind == "ble-baseline" and len(placement.bones) > 5:
+    p_floor = _number(proto, "p_floor", "protocol", DEFAULT_P_FLOOR,
+                      minimum=0.0, maximum=0.999)
+    if kind == "ble-baseline" and len(placement.bones) > BLE_MAX_SENSORS:
         raise ConfigError(
-            f"ble-baseline supports at most 5 sensors; placement "
+            f"ble-baseline supports at most {BLE_MAX_SENSORS} sensors; placement "
             f"{placement.name!r} has {len(placement.bones)}")
 
     interferers = _interference(cfg.get("interference"), run_seed)

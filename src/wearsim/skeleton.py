@@ -186,17 +186,10 @@ class CalibrationRecord:
     pose: CalibrationPose
     placement: SensorPlacement
     q_calib: Mapping[int, Quaternion]
-    timestamp_us: int = 0
-
-
-@dataclass(frozen=True)
-class BonePoseFrame:
-    timestamp_us: int
-    poses: Mapping[BoneId, Quaternion]
 
 
 def calibrate(snapshot: Mapping[int, Quaternion], pose: CalibrationPose,
-              placement: SensorPlacement, timestamp_us: int = 0) -> CalibrationRecord:
+              placement: SensorPlacement) -> CalibrationRecord:
     """Freeze each sensor's instantaneous orientation as its reference.
 
     The snapshot values are stored verbatim; no transformation applies.
@@ -206,12 +199,12 @@ def calibrate(snapshot: Mapping[int, Quaternion], pose: CalibrationPose,
         raise CalibrationError(
             f"calibration snapshot missing sensors {missing} for placement {placement.name!r}")
     q_calib = {sensor: snapshot[sensor] for sensor in placement.bones}
-    return CalibrationRecord(pose, placement, q_calib, timestamp_us)
+    return CalibrationRecord(pose, placement, q_calib)
 
 
 def animate_frame(snapshot: Mapping[int, Quaternion], calib: CalibrationRecord,
-                  skel: Skeleton, timestamp_us: int = 0) -> BonePoseFrame:
-    """Bone orientations for one instant of sensor readings."""
+                  skel: Skeleton) -> dict[BoneId, Quaternion]:
+    """Orientation of each sensed bone for one instant of sensor readings."""
     rest = skel.rest[calib.pose]
     poses: dict[BoneId, Quaternion] = {}
     for sensor, q in snapshot.items():
@@ -220,13 +213,12 @@ def animate_frame(snapshot: Mapping[int, Quaternion], calib: CalibrationRecord,
         bone = calib.placement.bones[sensor]
         q_rel = relative_to_calibration(q, calib.q_calib[sensor])
         poses[bone] = hamilton_product(enu_to_left_handed(q_rel), rest[bone])
-    return BonePoseFrame(timestamp_us, poses)
+    return poses
 
 
-def joint_angle(frame: BonePoseFrame, joint: JointSpec) -> float:
+def joint_angle(poses: Mapping[BoneId, Quaternion], joint: JointSpec) -> float:
     """Shortest angle in degrees between the joint's two bones."""
     for bone in (joint.parent_bone, joint.child_bone):
-        if bone not in frame.poses:
+        if bone not in poses:
             raise ValueError(f"joint {joint.label!r} needs bone {bone.value}, absent from frame")
-    return shortest_angle_deg(frame.poses[joint.parent_bone],
-                              frame.poses[joint.child_bone])
+    return shortest_angle_deg(poses[joint.parent_bone], poses[joint.child_bone])

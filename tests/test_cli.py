@@ -232,6 +232,10 @@ class TestExitCodes:
                      id="poll_bytes-10**310"),
         pytest.param(f"session: {{duration_s: {10**310}}}", "duration_s",
                      id="duration_s-10**310"),
+        pytest.param(f"motion: {{preset: artificial-joint, params: {{angle_deg: {10**310}}}}}",
+                     "motion.params.angle_deg", id="angle_deg-10**310"),
+        ("interference: {sources: [{type: bt, event_interval_ms: 1.0e-3}]}",
+         "event_interval_ms"),
     ])
     def test_unrunnable_setting(self, tmp_path, capsys, section, key):
         s = tmp_path / "s.yaml"

@@ -231,7 +231,7 @@ class TestPearson:
 class TestRateSeries:
     def test_uniform_fifty_hz(self):
         frames = [frame(i * 20000, 1, i + 1, Quaternion.identity()) for i in range(500)]
-        rates = pl.rate_series(frames, window_s=1.0)
+        rates = pl.rate_series(frames)
         assert set(rates) == {1}
         assert all(v == 50.0 for _, v in rates[1])
 
@@ -239,7 +239,7 @@ class TestRateSeries:
         ts = [i * 20000 for i in range(100)]
         ts += [i * 20000 + 3_000_000 for i in range(100, 200)]
         frames = [frame(t, 1, i + 1, Quaternion.identity()) for i, t in enumerate(ts)]
-        rates = pl.rate_series(frames, window_s=1.0)
+        rates = pl.rate_series(frames)
         vals = [v for _, v in rates[1]]
         assert min(vals) == 0.0
         assert max(vals) == 50.0
@@ -249,7 +249,7 @@ class TestRateSeries:
         # evaluated at t=1s contains only the first.
         frames = [frame(0, 1, 1, Quaternion.identity()),
                   frame(1_000_000, 1, 2, Quaternion.identity())]
-        rates = pl.rate_series(frames, window_s=1.0)
+        rates = pl.rate_series(frames)
         t0, v0 = rates[1][0]
         assert t0 == 1_000_000
         assert v0 == 1.0

@@ -10,7 +10,7 @@ from wearsim.protocol import (ConfigError, HopPolicy, HopSequencer, SlaveUnit,
                               TimingProfile, ble_baseline_run, csa1_next,
                               master_run, session_metrics)
 from wearsim.quatmath import Quaternion
-from wearsim.radio import ChannelPlan, InterferenceField, Jammer, build_field
+from wearsim.radio import DATA_CHANNELS, InterferenceField, Jammer, build_field
 
 CLEAN = InterferenceField(())
 
@@ -42,27 +42,24 @@ class TestTimingProfile:
 
 class TestHopSequencer:
     def test_fresh_state_returns_first_of_permutation(self):
-        plan = ChannelPlan.default()
-        perm = rnd.stream(7, rnd.PROTOCOL).permutation(len(plan.data))
-        expected = plan.data[perm[0]]
-        seq = HopSequencer(plan, HopPolicy(), seed=7)
+        perm = rnd.stream(7, rnd.PROTOCOL).permutation(len(DATA_CHANNELS))
+        expected = DATA_CHANNELS[perm[0]]
+        seq = HopSequencer(HopPolicy(), seed=7)
         assert seq.advance() == expected
 
     def test_never_a_sync_channel(self):
-        plan = ChannelPlan.default()
-        seq = HopSequencer(plan, HopPolicy(), seed=3)
+        seq = HopSequencer(HopPolicy(), seed=3)
         for _ in range(200):
-            assert seq.advance() in plan.data
+            assert seq.advance() in DATA_CHANNELS
 
     def test_no_revisit_within_blacklist_window(self):
-        seq = HopSequencer(ChannelPlan.default(), HopPolicy(), seed=5)
+        seq = HopSequencer(HopPolicy(), seed=5)
         picks = [seq.advance() for _ in range(100)]
         for i, ch in enumerate(picks):
             assert ch not in picks[max(0, i - 8):i]
 
     def test_seek_aligns_cursor(self):
-        plan = ChannelPlan.default()
-        seq = HopSequencer(plan, HopPolicy(), seed=9)
+        seq = HopSequencer(HopPolicy(), seed=9)
         seq.seek(40)
         assert seq.current == 40
         nxt = seq.advance()
@@ -72,8 +69,7 @@ class TestHopSequencer:
 
 class TestSlaveScanning:
     def test_cycles_sync_channels_without_a_master(self):
-        slave = SlaveUnit(1, ChannelPlan.default(), TimingProfile(), HopPolicy(),
-                          chain=list(ChannelPlan.default().data))
+        slave = SlaveUnit(1, TimingProfile(), HopPolicy(), chain=list(DATA_CHANNELS))
         assert slave.listening_channel(0.0) == 2
         assert slave.listening_channel(39_999.0) == 2
         assert slave.listening_channel(40_000.0) == 26
@@ -333,7 +329,7 @@ class TestMetrics:
     def test_rate_series_agrees(self):
         res = master_run([1], 3.0, flat_sampler, CLEAN, seed=0)
         m = session_metrics(res)
-        rates = rate_series(res.frames, 1.0, end_us=int(3e6))
+        rates = rate_series(res.frames, end_us=int(3e6))
         assert m["per_sensor"]["1"]["min_window_rate_hz"] == min(v for _, v in rates[1])
 
 

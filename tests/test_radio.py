@@ -3,34 +3,30 @@
 import pytest
 
 from wearsim import radio
-from wearsim.radio import (BtDevice, ChannelPlan, EventScheduler,
-                           InterferenceField, Transmission, WifiAp)
+from wearsim.radio import (DATA_CHANNELS, SYNC_CHANNELS, BtDevice, EventScheduler,
+                           InterferenceField, Transmission, WifiAp, channel_band)
 
 
 def make_tx(channel, start, dur, source="s1"):
-    plan = ChannelPlan.default()
     return Transmission(source=source, start_us=start, duration_us=dur,
-                        band_mhz=plan.band(channel))
+                        band_mhz=channel_band(channel))
 
 
 class TestChannelPlan:
     def test_partition(self):
-        plan = ChannelPlan.default()
-        assert len(plan.sync) == 3
-        assert len(plan.data) == 77
-        assert set(plan.sync) | set(plan.data) == set(range(80))
-        assert set(plan.sync) & set(plan.data) == set()
+        assert len(SYNC_CHANNELS) == 3
+        assert len(DATA_CHANNELS) == 77
+        assert set(SYNC_CHANNELS) | set(DATA_CHANNELS) == set(range(80))
+        assert set(SYNC_CHANNELS) & set(DATA_CHANNELS) == set()
 
     def test_centers_and_bands(self):
-        plan = ChannelPlan.default()
-        assert plan.center_mhz(0) == 2400
-        assert plan.center_mhz(37) == 2437
-        assert plan.band(37) == (2436.0, 2438.0)
+        assert channel_band(0) == (2399.0, 2401.0)
+        assert channel_band(37) == (2436.0, 2438.0)
+        assert channel_band(79) == (2478.0, 2480.0)
 
     def test_sync_channels_dodge_wifi_centers(self):
         # Sync channels sit outside the central lobes of Wi-Fi 1/6/11.
-        plan = ChannelPlan.default()
-        assert set(plan.sync) == {2, 26, 79}
+        assert set(SYNC_CHANNELS) == {2, 26, 79}
 
 
 class TestOverlaps:
@@ -39,7 +35,7 @@ class TestOverlaps:
     @staticmethod
     def busy(k, band):
         field = InterferenceField([Transmission("wifi", 0.0, 100.0, band)])
-        return field.busy(ChannelPlan.default().band(k), 10.0, 20.0)
+        return field.busy(channel_band(k), 10.0, 20.0)
 
     def test_inside_wifi6(self):
         assert self.busy(37, (2426.0, 2448.0)) is True
@@ -53,7 +49,7 @@ class TestOverlaps:
 
     def test_bad_channel(self):
         with pytest.raises(ValueError):
-            ChannelPlan.default().band(80)
+            channel_band(80)
 
 
 class TestWifiBand:
@@ -66,32 +62,32 @@ class TestWifiBand:
 class TestOccupancy:
     def test_duty_zero_empty(self):
         ap = WifiAp(wifi_channel=6, duty=0.0, seed=1)
-        assert radio.occupancy(ap, (0.0, 1e6)) == []
+        assert radio.occupancy(ap, 1e6) == []
 
     def test_duty_one_spans_window(self):
         ap = WifiAp(wifi_channel=6, duty=1.0, seed=1)
-        bursts = radio.occupancy(ap, (0.0, 1e6))
+        bursts = radio.occupancy(ap, 1e6)
         assert len(bursts) == 1
         assert bursts[0].start_us == 0.0
         assert bursts[0].duration_us == 1e6
 
     def test_duty_half_lln(self):
         ap = WifiAp(wifi_channel=6, duty=0.5, mean_burst_ms=2.0, seed=7)
-        window = (0.0, 10e6)
-        busy = sum(b.duration_us for b in radio.occupancy(ap, window))
+        busy = sum(b.duration_us for b in radio.occupancy(ap, 10e6))
         assert 0.45 <= busy / 10e6 <= 0.55
 
     def test_bursts_sorted_disjoint_clipped(self):
         ap = WifiAp(wifi_channel=1, duty=0.3, mean_burst_ms=2.0, seed=3)
-        bursts = radio.occupancy(ap, (1e5, 3e5))
+        bursts = radio.occupancy(ap, 3e5)
+        assert bursts
         for a, b in zip(bursts, bursts[1:]):
             assert a.start_us + a.duration_us <= b.start_us
         for b in bursts:
-            assert b.start_us >= 1e5 and b.start_us + b.duration_us <= 3e5
+            assert b.start_us >= 0.0 and b.start_us + b.duration_us <= 3e5
 
     def test_bt_cadence_and_band(self):
         bt = BtDevice(event_interval_ms=15.0, burst_us=296.0, seed=5)
-        bursts = radio.occupancy(bt, (0.0, 1.5e6))
+        bursts = radio.occupancy(bt, 1.5e6)
         assert 98 <= len(bursts) <= 101
         for b in bursts:
             assert b.duration_us == 296.0
@@ -101,13 +97,13 @@ class TestOccupancy:
 
     def test_bt_hops(self):
         bt = BtDevice(seed=5)
-        bands = {b.band_mhz for b in radio.occupancy(bt, (0.0, 1e6))}
+        bands = {b.band_mhz for b in radio.occupancy(bt, 1e6)}
         assert len(bands) > 10
 
     def test_deterministic(self):
         for mk in (lambda: WifiAp(6, 0.25, seed=11), lambda: BtDevice(seed=11)):
-            a = radio.occupancy(mk(), (0.0, 1e6))
-            b = radio.occupancy(mk(), (0.0, 1e6))
+            a = radio.occupancy(mk(), 1e6)
+            b = radio.occupancy(mk(), 1e6)
             assert a == b
 
     def test_duty_validated(self):
@@ -115,6 +111,12 @@ class TestOccupancy:
             WifiAp(wifi_channel=6, duty=1.5, seed=1)
         with pytest.raises(ValueError):
             WifiAp(wifi_channel=3, duty=0.5, seed=1)
+
+    def test_bt_interval_covers_burst(self):
+        BtDevice(event_interval_ms=0.296, burst_us=296.0)
+        for interval_ms in (0.295, 1e306):
+            with pytest.raises(ValueError, match="event_interval_ms"):
+                BtDevice(event_interval_ms=interval_ms, burst_us=296.0)
 
 
 class TestInterferenceField:

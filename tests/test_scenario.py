@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wearsim.protocol import ConfigError, HopPolicy, TimingProfile
-from wearsim.radio import BtDevice, Jammer, WifiAp
+from wearsim.radio import BtDevice, Jammer, WifiAp, build_field
 from wearsim.scenario import Scenario, load_scenario, parse_scenario
 
 BASE = {"motion": {"preset": "arm-raise"}}
@@ -177,24 +177,58 @@ class TestProtocol:
             parse_scenario(cfg(protocol={"timing": {"poll_bytes": 12.5}}))
 
 
+# Ints, huge ints, floats (nan and inf too), 0, negatives and bools.
+NUMBERS = st.one_of(st.integers(), st.integers(min_value=2**62, max_value=10**320),
+                    st.floats(), st.just(0),
+                    st.integers(max_value=-1), st.floats(max_value=0.0),
+                    st.booleans())
+# Source numbers also lean toward magnitudes where bursts can collide.
+SOURCE_NUMBERS = st.one_of(st.floats(min_value=1e-3, max_value=1.0),
+                           st.floats(min_value=1e-3, max_value=1e3), NUMBERS)
+
+
 def overrides(cls):
-    """Mappings of some of cls's fields to ints, huge ints, floats, 0, negatives or bools."""
-    values = st.one_of(st.integers(), st.integers(min_value=2**62, max_value=10**320),
-                       st.floats(), st.just(0),
-                       st.integers(max_value=-1), st.floats(max_value=0.0),
-                       st.booleans())
-    return st.dictionaries(st.sampled_from([f.name for f in fields(cls)]), values)
+    """Mappings of some of cls's fields to NUMBERS."""
+    return st.dictionaries(st.sampled_from([f.name for f in fields(cls)]), NUMBERS)
+
+
+def parse_and_build(config):
+    """parse_scenario returns or raises ConfigError; what it returns builds a field."""
+    try:
+        sc = parse_scenario(config)
+    except ConfigError:
+        return
+    assert isinstance(sc, Scenario)
+    # 10 ms of field is enough to show bursts that cannot be built.
+    build_field(sc.interferers, 10_000.0)
+
+
+WIFI = st.fixed_dictionaries({"type": st.just("wifi"), "channel": st.sampled_from([1, 6, 11]),
+                              "duty": SOURCE_NUMBERS}, optional={"mean_burst_ms": SOURCE_NUMBERS})
+BT = st.fixed_dictionaries({"type": st.just("bt")},
+                           optional={"event_interval_ms": SOURCE_NUMBERS,
+                                     "burst_us": SOURCE_NUMBERS})
 
 
 class TestOverrideProperty:
     @settings(max_examples=300, deadline=None)
     @given(timing=overrides(TimingProfile), hop=overrides(HopPolicy))
     def test_scenario_or_config_error(self, timing, hop):
-        try:
-            sc = parse_scenario(cfg(protocol={"timing": timing, "hop": hop}))
-        except ConfigError:
-            return
-        assert isinstance(sc, Scenario)
+        parse_and_build(cfg(protocol={"timing": timing, "hop": hop}))
+
+    # arm-raise is left out: it builds knots in proportion to its duration_s.
+    @settings(max_examples=200, deadline=None)
+    @given(preset=st.sampled_from(["artificial-joint", "half-jacks"]),
+           params=st.dictionaries(
+               st.sampled_from(["angle_deg", "dwell_s", "sensors", "duration_s"]),
+               st.one_of(NUMBERS, st.none(), st.text(max_size=3))))
+    def test_motion_params(self, preset, params):
+        parse_and_build({"motion": {"preset": preset, "params": params}})
+
+    @settings(max_examples=200, deadline=None)
+    @given(sources=st.lists(st.one_of(WIFI, BT), max_size=3))
+    def test_source_numbers(self, sources):
+        parse_and_build(cfg(interference={"sources": sources}))
 
 
 class TestInterference:

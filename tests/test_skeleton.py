@@ -162,7 +162,7 @@ class TestAnimateFrame:
             rec = self._calib(snapshot, pose)
             frame = sk.animate_frame(snapshot, rec, self.skel)
             for sensor, bone in self.placement.bones.items():
-                assert frame.poses[bone] == self.skel.rest[pose][bone]
+                assert frame[bone] == self.skel.rest[pose][bone]
 
     def test_uncalibrated_sensor_rejected(self):
         snapshot = {i: Quaternion.identity() for i in self.placement.bones}
@@ -175,7 +175,7 @@ class TestAnimateFrame:
         snapshot = {i: Quaternion.identity() for i in self.placement.bones}
         rec = self._calib(snapshot)
         frame = sk.animate_frame({1: Quaternion.identity()}, rec, self.skel)
-        assert set(frame.poses) == {sk.BoneId.SPINE}
+        assert set(frame) == {sk.BoneId.SPINE}
 
     def test_hinge_angle_recovered_with_offsets_and_parent_motion(self):
         # Sensor readings are bone-world orientation times a fixed mounting
