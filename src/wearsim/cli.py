@@ -11,7 +11,6 @@ Exit codes are stable so scripts can branch on failure class:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import replace
@@ -19,11 +18,11 @@ from pathlib import Path
 
 import yaml
 
-from .pipeline import (HEADER, AngleSeries, ParseError, ValidationError,
-                       joint_angle_series, mae, pearson, rate_series,
-                       read_recording)
+from .pipeline import (ANGLE_HEADER, HEADER, AngleSeries, ParseError, ValidationError,
+                       joint_angle_series, mae, pearson, rate_series, read_angles,
+                       read_recording, write_csv, write_json)
 from .protocol import BLE_MAX_SENSORS, ConfigError
-from .runner import _write_csv, execute, load_session, run_scenario
+from .runner import execute, load_session, run_scenario
 from .scenario import load_scenario, parse_scenario
 from .skeleton import JOINTS, Skeleton
 
@@ -31,12 +30,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VALIDATION = 4
-
-ANGLE_HEADER = "time_us,angle_deg"
-
-
-def _slug(label: str) -> str:
-    return label.replace(" ", "_")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -85,7 +78,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     summary: dict = {"joints": {}, "rates": {}}
     for label in labels:
         series = joint_angle_series(frames, calib, skel, JOINTS[label])
-        _write_csv(out / f"angles_{_slug(label)}.csv", ANGLE_HEADER, series.points)
+        write_csv(out / f"angles_{label.replace(' ', '_')}.csv", ANGLE_HEADER, series.points)
         values = [v for _, v in series.points]
         lo, hi = min(values), max(values)
         mean = math.fsum(values) / len(values)
@@ -109,9 +102,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(f"sensor {sensor}: rate mean {stats['mean_hz']:.2f} Hz  "
                   f"min {stats['min_hz']:.1f}  max {stats['max_hz']:.1f}")
         summary["rates"][str(sensor)] = stats
-    _write_csv(out / "rates.csv", "sensor_id,time_us,rate_hz", rate_rows)
-    (out / "analysis.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_csv(out / "rates.csv", "sensor_id,time_us,rate_hz", rate_rows)
+    write_json(out / "analysis.json", summary)
     return EXIT_OK
 
 
@@ -120,41 +112,23 @@ def _angle_series_from(path: Path, joint: str | None,
     """An angle series from either a recording or a two-column export."""
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().strip()
-    if first == HEADER:
-        frames = read_recording(path)
-        session_path = Path(session) if session else path.with_name("session.json")
-        if not session_path.exists():
-            raise ConfigError(f"recording {path} needs a session sidecar "
-                              f"(none at {session_path}); pass --session-a/--session-b")
-        calib, meta = load_session(session_path)
-        label = joint
-        if label is None:
-            joints = meta.get("joints", [])
-            if len(joints) != 1:
-                raise ConfigError(f"recording {path} covers joints {joints}; pick one "
-                                  f"with --joint")
-            label = joints[0]
-        _require_joint(label)
-        return joint_angle_series(frames, calib, Skeleton.default(), JOINTS[label])
-    if first == ANGLE_HEADER:
-        points: list[tuple[int, float]] = []
-        with open(path, encoding="utf-8") as fh:
-            fh.readline()
-            for n, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                cells = line.split(",")
-                try:
-                    if len(cells) != 2:
-                        raise ValueError(f"expected 2 columns, got {len(cells)}")
-                    points.append((int(cells[0]), float(cells[1])))
-                except ValueError as exc:
-                    raise ParseError(f"{path} line {n}: {exc}") from None
-        if not points:
-            raise ValidationError(f"{path} contains no angle rows")
-        return AngleSeries(path.stem, points)
-    raise ParseError(f"{path}: unrecognized header {first!r}")
+    if first != HEADER:
+        return read_angles(path)
+    frames = read_recording(path)
+    session_path = Path(session) if session else path.with_name("session.json")
+    if not session_path.exists():
+        raise ConfigError(f"recording {path} needs a session sidecar "
+                          f"(none at {session_path}); pass --session-a/--session-b")
+    calib, meta = load_session(session_path)
+    label = joint
+    if label is None:
+        joints = meta.get("joints", [])
+        if len(joints) != 1:
+            raise ConfigError(f"recording {path} covers joints {joints}; pick one "
+                              f"with --joint")
+        label = joints[0]
+    _require_joint(label)
+    return joint_angle_series(frames, calib, Skeleton.default(), JOINTS[label])
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -169,8 +143,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
         report = {"a": str(args.a), "b": str(args.b), "joint": args.joint,
                   "mae_deg": err, "pearson": corr}
-        (out / "comparison.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_json(out / "comparison.json", report)
     return EXIT_OK
 
 
@@ -240,11 +213,10 @@ def cmd_protocol_bench(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "bench.csv",
-               "protocol,seed,sensor_id,recorded,pdr,mean_rate_hz,"
-               "min_window_rate_hz,host_dropped", rows)
-    (out / "bench.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_csv(out / "bench.csv",
+              "protocol,seed,sensor_id,recorded,pdr,mean_rate_hz,"
+              "min_window_rate_hz,host_dropped", rows)
+    write_json(out / "bench.json", report)
     print(f"wrote {out / 'bench.json'}")
     return EXIT_OK
 

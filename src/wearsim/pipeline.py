@@ -1,14 +1,17 @@
-"""Recording persistence and analysis metrics.
+"""Output formats, recording persistence and analysis metrics.
+
+Every output file is written here: write_csv for each CSV kind, write_json
+for each JSON report. A CSV cell is empty for None, a float to 9
+significant digits (the nine_digits grid) and str() of anything else.
 
 A recording is a flat stream of per-sensor quaternion samples. On disk
 it is a plain CSV with a fixed header:
 
     timestamp_us,sensor_id,seq,qw,qx,qy,qz,status
 
-Quaternion components are serialized with 9 significant digits; frames
-built through RecordingFrame.quantized round their components to that
-grid first, so write followed by read reproduces frames exactly and a
-rewrite of a read file is byte-identical.
+RecordingFrame.quantized rounds components to the 9-digit grid, so write
+followed by read reproduces frames exactly and a rewrite of a read file
+is byte-identical.
 
 Invariants enforced on both read and write: file timestamps never
 decrease, per-sensor sequence numbers strictly increase, quaternions
@@ -19,17 +22,19 @@ raise ParseError, cross-row problems ValidationError; both carry the
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .quatmath import Quaternion
 from .skeleton import (CalibrationRecord, JointSpec, Skeleton, animate_frame,
                        joint_angle)
 
 HEADER = "timestamp_us,sensor_id,seq,qw,qx,qy,qz,status"
+ANGLE_HEADER = "time_us,angle_deg"
 
 _UNIT_TOL = 1e-6
 # Width of the sliding window of rate_series.
@@ -48,8 +53,31 @@ class ValidationError(RecordingError):
     """Rows parse but violate a stream invariant."""
 
 
-def _nine_digits(x: float) -> float:
-    return float(f"{x:.9g}")
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return str(value)
+
+
+def nine_digits(x: float) -> float:
+    """x on the grid of a written CSV cell: 9 significant digits."""
+    return float(_cell(x))
+
+
+def write_csv(path: str | Path, header: str, rows: Iterable[Iterable]) -> None:
+    """Write a header line, then one comma-joined line of cells per row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def write_json(path: str | Path, data) -> None:
+    """Write data as indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
 @dataclass(frozen=True)
@@ -77,8 +105,8 @@ class RecordingFrame:
                   q: Quaternion, status: int = 3) -> "RecordingFrame":
         """Build a frame with components rounded to the serialized grid."""
         return RecordingFrame(timestamp_us, sensor_id, seq,
-                              _nine_digits(q.w), _nine_digits(q.x),
-                              _nine_digits(q.y), _nine_digits(q.z), status)
+                              nine_digits(q.w), nine_digits(q.x),
+                              nine_digits(q.y), nine_digits(q.z), status)
 
     def quaternion(self) -> Quaternion:
         return Quaternion(self.qw, self.qx, self.qy, self.qz)
@@ -106,11 +134,8 @@ def _check_stream(frames: Iterable[RecordingFrame], first_line: int = 0) -> None
 def write_recording(frames: Sequence[RecordingFrame], path: str | Path) -> None:
     """Write frames as CSV. The stream invariants are checked first."""
     _check_stream(frames)
-    with open(path, "w", newline="") as fh:
-        fh.write(HEADER + "\n")
-        for f in frames:
-            fh.write(f"{f.timestamp_us},{f.sensor_id},{f.seq},"
-                     f"{f.qw:.9g},{f.qx:.9g},{f.qy:.9g},{f.qz:.9g},{f.status}\n")
+    write_csv(path, HEADER, ((f.timestamp_us, f.sensor_id, f.seq,
+                              f.qw, f.qx, f.qy, f.qz, f.status) for f in frames))
 
 
 def read_recording(path: str | Path) -> list[RecordingFrame]:
@@ -141,6 +166,31 @@ class AngleSeries:
 
     label: str
     points: list[tuple[int, float]]
+
+
+def read_angles(path: str | Path) -> AngleSeries:
+    """A time_us,angle_deg CSV labelled by its file stem; blank lines are
+    skipped. A bad header or row is a ParseError, no rows a ValidationError."""
+    path = Path(path)
+    points: list[tuple[int, float]] = []
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline().strip()
+        if first != ANGLE_HEADER:
+            raise ParseError(f"{path}: unrecognized header {first!r}")
+        for n, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            cells = line.split(",")
+            try:
+                if len(cells) != 2:
+                    raise ValueError(f"expected 2 columns, got {len(cells)}")
+                points.append((int(cells[0]), float(cells[1])))
+            except ValueError as exc:
+                raise ParseError(f"{path} line {n}: {exc}") from None
+    if not points:
+        raise ValidationError(f"{path} contains no angle rows")
+    return AngleSeries(path.stem, points)
 
 
 def joint_angle_series(frames: Sequence[RecordingFrame], calib: CalibrationRecord,

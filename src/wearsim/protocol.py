@@ -306,7 +306,6 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     frames: list[RecordingFrame] = []
     trace: list[TraceRow] = []
     channel_history: list[tuple[float, int]] = [(0.0, seq.current)]
-    counters = {"hops": 0}
 
     def arbitrated(source: str, start: float, dur: float, ch: int,
                    frame_type: str, sensor_id: int) -> TraceRow:
@@ -319,19 +318,39 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
         trace.append(row)
         return row.outcome
 
-    def poll_exchange(s: int):
-        slave = slaves[s]
-        ch = seq.current
+    def broadcast(frame_type: str, sensor_id: int, air_us: float, ch: int,
+                  listeners: Sequence[int], follow: tuple[int, int]) -> list[int]:
+        """Send a master frame; each listener tuned to ch for all of it follows
+        it to (channel, chain position). Returns the listeners that heard it."""
         start = sched.now
-        p_out = tx("master", start, timing.poll_air_us, ch, "poll", s)
-        heard = (p_out == radio.DELIVERED
-                 and slave.hears(start, start + timing.poll_air_us, ch))
-        if heard:
-            slave.heard_master(ch, seq.cursor, start + timing.poll_air_us)
+        end = start + air_us
+        heard = []
+        if tx("master", start, air_us, ch, frame_type, sensor_id) == radio.DELIVERED:
+            for s in listeners:
+                if slaves[s].hears(start, end, ch):
+                    # A beacon carries no polling rhythm.
+                    slaves[s].heard_master(*follow, end, frame_type != "beacon")
+                    heard.append(s)
+        return heard
+
+    def assess():
+        """Listen to the current channel for assess_us; True if it was busy."""
+        busy = field.busy(channel_band(seq.current), sched.now,
+                          sched.now + policy.assess_us)
+        yield policy.assess_us
+        return busy
+
+    def hop() -> None:
+        seq.advance()
+        channel_history.append((sched.now, seq.current))
+
+    def poll_exchange(s: int):
+        ch = seq.current
+        heard = broadcast("poll", s, timing.poll_air_us, ch, (s,), (ch, seq.cursor))
         yield timing.poll_air_us + timing.turnaround_us
         delivered = False
         if heard:
-            slave.seq += 1
+            slaves[s].seq += 1
             q = sampler(s, sched.now)
             response = arbitrated(f"sensor:{s}", sched.now, timing.response_air_us,
                                   ch, "response", s)
@@ -342,7 +361,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
             if response.outcome == radio.DELIVERED:
                 delivered = True
                 frames.append(RecordingFrame.quantized(
-                    int(round(sched.now)), s, slave.seq, q, 3))
+                    int(round(sched.now)), s, slaves[s].seq, q, 3))
                 last_ok[s] = sched.now
         else:
             # Nothing came back; the master still waits out the slot.
@@ -350,11 +369,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
         loss.append(delivered)
         if delivered:
             yield timing.turnaround_us
-            a_start = sched.now
-            a_out = tx("master", a_start, timing.ack_air_us, ch, "ack", s)
-            if (a_out == radio.DELIVERED
-                    and slaves[s].hears(a_start, a_start + timing.ack_air_us, ch)):
-                slaves[s].heard_master(ch, seq.cursor, a_start + timing.ack_air_us)
+            broadcast("ack", s, timing.ack_air_us, ch, (s,), (ch, seq.cursor))
             yield (timing.ack_air_us + timing.turnaround_us + timing.guard_us
                    + timing.host_cost_us)
         else:
@@ -366,39 +381,21 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
         # actually busy; transient losses never cause a hop.
         if sum(1 for ok in loss if not ok) < policy.loss_threshold:
             return
-        busy = field.busy(channel_band(seq.current), sched.now,
-                          sched.now + policy.assess_us)
-        yield policy.assess_us
-        if not busy:
+        if not (yield from assess()):
             return
         nxt = seq.preview()
-        nxt_pos = seq.position(nxt)
+        follow = (nxt, seq.position(nxt))
         for _ in range(policy.announce_repeats):
-            h_start = sched.now
-            h_out = tx("master", h_start, timing.hop_air_us, seq.current, "hop", 0)
-            if h_out == radio.DELIVERED:
-                for slave in slaves.values():
-                    if slave.hears(h_start, h_start + timing.hop_air_us, seq.current):
-                        slave.heard_master(nxt, nxt_pos, h_start + timing.hop_air_us)
+            broadcast("hop", 0, timing.hop_air_us, seq.current, ids, follow)
             yield timing.hop_air_us + timing.turnaround_us
         yield timing.guard_us
-        seq.advance()
-        counters["hops"] += 1
-        channel_history.append((sched.now, seq.current))
+        hop()
 
     def beacon_burst():
         pending = [s for s in ids if not joined[s]]
         for c in SYNC_CHANNELS:
-            b_start = sched.now
-            b_out = tx("master", b_start, timing.beacon_air_us, c, "beacon", 0)
-            responders = set()
-            if b_out == radio.DELIVERED:
-                for s in pending:
-                    if slaves[s].hears(b_start, b_start + timing.beacon_air_us, c):
-                        slaves[s].heard_master(seq.current, seq.cursor,
-                                               b_start + timing.beacon_air_us,
-                                               rhythm=False)
-                        responders.add(s)
+            responders = broadcast("beacon", 0, timing.beacon_air_us, c, pending,
+                                   (seq.current, seq.cursor))
             yield timing.beacon_air_us
             for s in pending:
                 yield timing.turnaround_us
@@ -415,14 +412,9 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     def master():
         # Leave a channel that is busy right now before inviting anyone.
         for _ in range(len(seq.chain)):
-            busy = field.busy(channel_band(seq.current), sched.now,
-                              sched.now + policy.assess_us)
-            yield policy.assess_us
-            if not busy:
+            if not (yield from assess()):
                 break
-            seq.advance()
-            counters["hops"] += 1
-            channel_history.append((sched.now, seq.current))
+            hop()
         last_burst = -math.inf
         while sched.now < duration_us:
             cycle_start = sched.now
@@ -441,11 +433,13 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                 yield from beacon_burst()
             yield max(cycle_start + timing.cap_period_us - sched.now, 0.0)
 
-    sched.spawn(0, master())
+    loop = master()
+    sched.spawn(0, loop)
     sched.run_until(duration_us)
+    loop.close()  # else its pending step keeps trace and frames until a GC cycle
     resyncs = sum(sl.resyncs for sl in slaves.values())
     return SessionResult("cw", duration_us, ids, frames, trace,
-                         counters["hops"], resyncs, {s: 0 for s in ids},
+                         len(channel_history) - 1, resyncs, {s: 0 for s in ids},
                          channel_history)
 
 
@@ -551,9 +545,12 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                 else:
                     yield _BLE_INTERVAL_US - _BLE_TX_US
 
-    for s in ids:
-        sched.spawn(s, node(s))
+    nodes = [node(s) for s in ids]
+    for s, gen in zip(ids, nodes):
+        sched.spawn(s, gen)
     sched.run_until(duration_us)
+    for gen in nodes:  # as in master_run
+        gen.close()
     frames.sort(key=lambda f: (f.timestamp_us, f.sensor_id))
     return SessionResult("ble", duration_us, ids, frames, trace, 0,
                          counters["resyncs"], host_dropped, [])

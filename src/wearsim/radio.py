@@ -308,7 +308,3 @@ def build_field(interferers: Sequence[WifiAp | BtDevice],
     for i in interferers:
         bursts.extend(occupancy(i, duration_us))
     return InterferenceField(bursts)
-
-
-def interference_preset(name: str, seed: int, duration_us: float) -> InterferenceField:
-    return build_field(preset_interferers(name, seed), duration_us)

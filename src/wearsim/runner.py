@@ -11,7 +11,8 @@ A run writes one directory:
     session.json             sidecar needed to re-derive angles offline
                              (placement, calibration pose, frozen q_calib)
 
-Both traces are ordered by (time_us, source).
+Both traces are ordered by (time_us, source). Every file is written
+through pipeline.write_csv or pipeline.write_json.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .motion import SyntheticBody, random_offsets
-from .pipeline import ParseError, _nine_digits, write_recording
+from .pipeline import (ANGLE_HEADER, ParseError, nine_digits, write_csv, write_json,
+                       write_recording)
 from .protocol import (SessionResult, TraceRow, ble_baseline_run, master_run,
                        session_metrics)
 from .quatmath import Quaternion
@@ -76,21 +78,6 @@ def execute(sc: Scenario) -> RunArtifacts:
     return RunArtifacts(sc, body, calib, field, result, session_metrics(result))
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(c) for c in row) + "\n")
-
-
 def _radio_trace_rows(result: SessionResult, field: InterferenceField):
     """Protocol rows and interferer bursts in one stream, by (time_us, source)."""
     proto = ((r.time_us, r.duration_us, r.source, r.channel, r.kind, r.outcome)
@@ -101,19 +88,12 @@ def _radio_trace_rows(result: SessionResult, field: InterferenceField):
     return heapq.merge(proto, bursts, key=lambda r: (r[0], r[2]))
 
 
-def _write_ground_truth(body: SyntheticBody, sc: Scenario, out_dir: Path) -> list[Path]:
+def _write_ground_truth(body: SyntheticBody, sc: Scenario, out_dir: Path) -> None:
     step = int(round(1e6 / GROUND_TRUTH_HZ))
-    last = int(sc.duration_s * 1e6 // step)
-    paths = []
+    times = range(0, int(sc.duration_s * 1e6 // step) * step + 1, step)
     for label in sorted(sc.trajectory.joints):
-        rows = []
-        for k in range(last + 1):
-            t_us = k * step
-            rows.append((t_us, body.truth_joint_angle(label, t_us / 1e6)))
-        path = out_dir / f"ground_truth_{label.replace(' ', '_')}.csv"
-        _write_csv(path, "time_us,angle_deg", rows)
-        paths.append(path)
-    return paths
+        write_csv(out_dir / f"ground_truth_{label.replace(' ', '_')}.csv", ANGLE_HEADER,
+                  ((t_us, body.truth_joint_angle(label, t_us / 1e6)) for t_us in times))
 
 
 def _write_session(sc: Scenario, calib: CalibrationRecord, path: Path) -> None:
@@ -126,13 +106,12 @@ def _write_session(sc: Scenario, calib: CalibrationRecord, path: Path) -> None:
                       "sensors": {str(s): b.value
                                   for s, b in sorted(sc.placement.bones.items())}},
         "protocol": sc.protocol_kind,
-        "q_calib": {str(s): [_nine_digits(q.w), _nine_digits(q.x),
-                             _nine_digits(q.y), _nine_digits(q.z)]
+        "q_calib": {str(s): [nine_digits(q.w), nine_digits(q.x),
+                             nine_digits(q.y), nine_digits(q.z)]
                     for s, q in sorted(calib.q_calib.items())},
         "seed": sc.seed,
     }
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    write_json(path, data)
 
 
 def load_session(path: str | Path) -> tuple[CalibrationRecord, dict]:
@@ -156,11 +135,10 @@ def run_scenario(sc: Scenario, out_dir: str | Path) -> RunArtifacts:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_recording(art.result.frames, out / "recording.csv")
-    _write_csv(out / "session_trace.csv", SESSION_TRACE_HEADER, art.result.trace)
-    _write_csv(out / "radio_trace.csv", RADIO_TRACE_HEADER,
-               _radio_trace_rows(art.result, art.field))
-    (out / "metrics.json").write_text(
-        json.dumps(art.metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_csv(out / "session_trace.csv", SESSION_TRACE_HEADER, art.result.trace)
+    write_csv(out / "radio_trace.csv", RADIO_TRACE_HEADER,
+              _radio_trace_rows(art.result, art.field))
+    write_json(out / "metrics.json", art.metrics)
     _write_ground_truth(art.body, sc, out)
     _write_session(sc, art.calibration, out / "session.json")
     return art

@@ -34,6 +34,8 @@ _NOISE_KEYS = tuple(f.name for f in fields(NoiseModel) if f.name != "seed")
 _REQUIRED = object()
 # Integers beyond a C ssize_t overflow deque sizes and float conversion.
 _INT_LIMIT = 2**63 - 1
+# One day: presets build their knots at parse time, in proportion to duration.
+_MAX_DURATION_S = 86_400.0
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,9 @@ def parse_scenario(cfg: Any, *, seed: int | None = None) -> Scenario:
     if not isinstance(preset, str):
         raise ConfigError("motion.preset is required and must be a string")
     raw_params = _mapping(motion.get("params"), "motion.params")
-    params = {key: _finite(raw_params, key, "motion.params") for key in raw_params}
+    params = {key: _number(raw_params, key, "motion.params", maximum=_MAX_DURATION_S)
+              if key in ("duration_s", "dwell_s") else _finite(raw_params, key, "motion.params")
+              for key in raw_params}
     try:
         trajectory, placement = preset_scenario(preset, **params)
     except (ValueError, TypeError) as exc:
@@ -239,7 +243,7 @@ def parse_scenario(cfg: Any, *, seed: int | None = None) -> Scenario:
         _check_coverage(trajectory, placement)
 
     duration_s = _number(session, "duration_s", "session",
-                         trajectory.duration_s, minimum=1e-3)
+                         trajectory.duration_s, minimum=1e-3, maximum=_MAX_DURATION_S)
     if duration_s != trajectory.duration_s:
         trajectory = replace(trajectory, duration_s=duration_s)
 

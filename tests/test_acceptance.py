@@ -29,7 +29,7 @@ from wearsim.protocol import (TimingProfile, ble_baseline_run, master_run,
                               session_metrics, source_counts)
 from wearsim.quatmath import Quaternion, enu_to_left_handed, hamilton_product
 from wearsim.radio import (DELIVERED, InterferenceField, Jammer, build_field,
-                           interference_preset)
+                           preset_interferers)
 from wearsim.randomness import stream
 from wearsim.runner import run_scenario
 from wearsim.scenario import parse_scenario
@@ -163,7 +163,7 @@ def test_ac6_interference_ordering():
     dominates = starved = solid = 0
     seeds = 100
     for seed in range(seeds):
-        field = interference_preset("crowded", seed, 10.1e6)
+        field = build_field(preset_interferers("crowded", seed), 10.1e6)
         cw = session_metrics(master_run(roster, 10.0, flat_sampler, field, seed))
         ble = session_metrics(ble_baseline_run(roster, 10.0, flat_sampler, field, seed))
         cw_per, ble_per = cw["per_sensor"], ble["per_sensor"]
@@ -232,7 +232,7 @@ def test_ac8_determinism_and_conservation(tmp_path):
 
     checked = 0
     roster = [1, 2, 3]
-    field = interference_preset("crowded", 5, 3.1e6)
+    field = build_field(preset_interferers("crowded", 5), 3.1e6)
     traces = [
         master_run(roster, 3.0, flat_sampler, field, seed=5).trace,
         master_run(roster, 3.0, flat_sampler, field, seed=5, p_floor=0.05).trace,

@@ -236,6 +236,12 @@ class TestExitCodes:
                      "motion.params.angle_deg", id="angle_deg-10**310"),
         ("interference: {sources: [{type: bt, event_interval_ms: 1.0e-3}]}",
          "event_interval_ms"),
+        # arm-raise builds three knots per 2 s of duration_s at parse time.
+        ("motion: {preset: arm-raise, params: {duration_s: 2.0e5}}",
+         "motion.params.duration_s"),
+        ("motion: {preset: artificial-joint, params: {angle_deg: 30, dwell_s: 86401}}",
+         "motion.params.dwell_s"),
+        ("session: {duration_s: 86401}", "session.duration_s"),
     ])
     def test_unrunnable_setting(self, tmp_path, capsys, section, key):
         s = tmp_path / "s.yaml"
@@ -287,6 +293,26 @@ class TestExitCodes:
         a = tmp_path / "a.csv"
         a.write_text("t,angle\n0,1\n")
         assert main(["compare", str(a), str(a)]) == 3
+
+    def test_angle_row_with_three_columns(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("time_us,angle_deg\n0,1\n100,2,3\n")
+        assert main(["compare", str(a), str(a)]) == 3
+        assert "line 3: expected 2 columns, got 3" in capsys.readouterr().err
+
+    def test_angle_header_only(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("time_us,angle_deg\n")
+        assert main(["compare", str(a), str(a)]) == 4
+        assert "no angle rows" in capsys.readouterr().err
+
+    def test_angle_blank_lines_skipped(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("time_us,angle_deg\n0,1\n100,3\n")
+        b.write_text("time_us,angle_deg\n\n0,1\n  \n100,3\n\n")
+        assert main(["compare", str(a), str(b)]) == 0
+        assert "mae_deg 0\n" in capsys.readouterr().out
 
 
 class TestProtocolBench:

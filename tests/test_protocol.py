@@ -1,5 +1,8 @@
 """Polling protocol, channel hopping, and the connection-based baseline."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from wearsim import protocol as pr
@@ -20,7 +23,7 @@ def flat_sampler(sensor_id, t_us):
 
 
 def crowded_field(seed, duration_s):
-    return radio.interference_preset("crowded", seed, (duration_s + 0.1) * 1e6)
+    return build_field(radio.preset_interferers("crowded", seed), (duration_s + 0.1) * 1e6)
 
 
 class TestTimingProfile:
@@ -343,3 +346,23 @@ class TestCrowdedComparison:
             assert (cw["per_sensor"][str(s)]["mean_rate_hz"]
                     > ble["per_sensor"][str(s)]["mean_rate_hz"])
         assert cw["hop_count"] >= 1
+
+
+class TestSessionMemory:
+    @pytest.mark.parametrize("run", [master_run, ble_baseline_run])
+    def test_dropped_result_frees_the_session(self, run):
+        # With the cyclic collector off, reference counting alone must free
+        # the trace and frames once the caller drops the result.
+        field = crowded_field(1, 3.0)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run([1, 2, 3, 4, 5], 3.0, flat_sampler, field, 1)
+            assert len(result.trace) > 500
+            del result
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < 100_000

@@ -224,25 +224,29 @@ class TestScheduler:
                         ("a", 30.0, 2), ("b", 30.0, 1), ("b", 45.0, 2)]
 
 
+def preset_field(name, seed):
+    return radio.build_field(radio.preset_interferers(name, seed), 1e6)
+
+
 class TestPresets:
     def test_clean_is_empty(self):
-        field = radio.interference_preset("clean", seed=1, duration_us=1e6)
+        field = preset_field("clean", 1)
         assert field.all_bursts() == []
 
     def test_crowded_composition(self):
-        field = radio.interference_preset("crowded", seed=1, duration_us=1e6)
+        field = preset_field("crowded", 1)
         sources = {b.source for b in field.all_bursts()}
         wifi = [s for s in sources if s.startswith("wifi")]
         bt = [s for s in sources if s.startswith("bt")]
         assert len(wifi) == 12 and len(bt) == 8
 
     def test_crowded_deterministic(self):
-        a = radio.interference_preset("crowded", seed=9, duration_us=1e6)
-        b = radio.interference_preset("crowded", seed=9, duration_us=1e6)
+        a = preset_field("crowded", 9)
+        b = preset_field("crowded", 9)
         assert a.all_bursts() == b.all_bursts()
-        c = radio.interference_preset("crowded", seed=10, duration_us=1e6)
+        c = preset_field("crowded", 10)
         assert a.all_bursts() != c.all_bursts()
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="interference"):
-            radio.interference_preset("stormy", seed=1, duration_us=1e6)
+            radio.preset_interferers("stormy", seed=1)

@@ -216,9 +216,8 @@ class TestOverrideProperty:
     def test_scenario_or_config_error(self, timing, hop):
         parse_and_build(cfg(protocol={"timing": timing, "hop": hop}))
 
-    # arm-raise is left out: it builds knots in proportion to its duration_s.
     @settings(max_examples=200, deadline=None)
-    @given(preset=st.sampled_from(["artificial-joint", "half-jacks"]),
+    @given(preset=st.sampled_from(["artificial-joint", "half-jacks", "arm-raise"]),
            params=st.dictionaries(
                st.sampled_from(["angle_deg", "dwell_s", "sensors", "duration_s"]),
                st.one_of(NUMBERS, st.none(), st.text(max_size=3))))
