@@ -5,7 +5,8 @@ Exit codes are stable so scripts can branch on failure class:
     0  success
     2  configuration problem (bad scenario, unknown joint, bad flag combo)
     3  I/O or parse failure (missing file, malformed CSV/JSON/YAML)
-    4  validation failure (inconsistent recording, disjoint series)
+    4  validation failure (inconsistent recording, angle CSV timestamps not
+       increasing, disjoint series)
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from pathlib import Path
 import yaml
 
 from .pipeline import (ANGLE_HEADER, HEADER, AngleSeries, ParseError, ValidationError,
-                       joint_angle_series, mae, pearson, rate_series, read_angles,
-                       read_recording, write_csv, write_json)
+                       file_slug, joint_angle_series, mae, pearson, rate_series,
+                       read_angles, read_recording, write_csv, write_json)
 from .protocol import BLE_MAX_SENSORS, ConfigError
-from .runner import execute, load_session, run_scenario
+from .runner import execute, load_session, run_scenario, scenario_field
 from .scenario import load_scenario, parse_scenario
 from .skeleton import JOINTS, Skeleton
 
@@ -78,7 +79,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     summary: dict = {"joints": {}, "rates": {}}
     for label in labels:
         series = joint_angle_series(frames, calib, skel, JOINTS[label])
-        write_csv(out / f"angles_{label.replace(' ', '_')}.csv", ANGLE_HEADER, series.points)
+        write_csv(out / f"angles_{file_slug(label)}.csv", ANGLE_HEADER, series.points)
         values = [v for _, v in series.points]
         lo, hi = min(values), max(values)
         mean = math.fsum(values) / len(values)
@@ -170,8 +171,10 @@ def cmd_protocol_bench(args: argparse.Namespace) -> int:
     for i in range(args.seeds):
         seed = base.seed + i
         seed_sc = parse_scenario(cfg, seed=seed)
+        # Every protocol of a seed meets the same interferers.
+        field = scenario_field(seed_sc)
         for proto in protocols:
-            m = execute(replace(seed_sc, protocol_kind=proto)).metrics
+            m = execute(replace(seed_sc, protocol_kind=proto), field).metrics
             per_run[proto][str(seed)] = {
                 "hop_count": m["hop_count"], "resync_count": m["resync_count"],
                 "per_sensor": m["per_sensor"],

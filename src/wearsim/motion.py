@@ -132,18 +132,12 @@ class NoiseModel:
         return NoiseModel(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def _speed_fraction(noise: NoiseModel, omega_deg_s: float) -> float:
-    return min(omega_deg_s / noise.omega_ref_deg_s, 1.0)
-
-
-def effective_sigma(noise: NoiseModel, omega_deg_s: float) -> float:
-    f = _speed_fraction(noise, omega_deg_s)
-    return noise.static_sigma_deg + (noise.dynamic_sigma_deg - noise.static_sigma_deg) * f
-
-
-def effective_cap(noise: NoiseModel, omega_deg_s: float) -> float:
-    f = _speed_fraction(noise, omega_deg_s)
-    return noise.static_max_deg + (noise.dynamic_max_deg - noise.static_max_deg) * f
+def sigma_and_cap(noise: NoiseModel, omega_deg_s: float) -> tuple[float, float]:
+    """Perturbation sigma and cap at angular speed omega: linear from the
+    static values at rest to the dynamic ones at omega_ref_deg_s and above."""
+    f = min(omega_deg_s / noise.omega_ref_deg_s, 1.0)
+    return (noise.static_sigma_deg + (noise.dynamic_sigma_deg - noise.static_sigma_deg) * f,
+            noise.static_max_deg + (noise.dynamic_max_deg - noise.static_max_deg) * f)
 
 
 def random_offsets(placement: SensorPlacement, seed: int) -> dict[int, Quaternion]:
@@ -252,8 +246,7 @@ class SyntheticBody:
             q = hamilton_product(from_axis_angle(self._drift_axis[sensor], drift_deg), q)
         if self._noisy:
             omega = self.angular_speed(bone, t)
-            p = self._perturbation(sensor, effective_sigma(self.noise, omega),
-                                   effective_cap(self.noise, omega))
+            p = self._perturbation(sensor, *sigma_and_cap(self.noise, omega))
             q = hamilton_product(p, q)
         return q
 

@@ -66,6 +66,11 @@ def nine_digits(x: float) -> float:
     return float(_cell(x))
 
 
+def file_slug(label: str) -> str:
+    """A joint label as it appears in output file names."""
+    return label.replace(" ", "_")
+
+
 def write_csv(path: str | Path, header: str, rows: Iterable[Iterable]) -> None:
     """Write a header line, then one comma-joined line of cells per row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -170,7 +175,8 @@ class AngleSeries:
 
 def read_angles(path: str | Path) -> AngleSeries:
     """A time_us,angle_deg CSV labelled by its file stem; blank lines are
-    skipped. A bad header or row is a ParseError, no rows a ValidationError."""
+    skipped. A bad header or row is a ParseError; no rows, or a timestamp
+    that does not increase, is a ValidationError."""
     path = Path(path)
     points: list[tuple[int, float]] = []
     with open(path, encoding="utf-8") as fh:
@@ -185,9 +191,13 @@ def read_angles(path: str | Path) -> AngleSeries:
             try:
                 if len(cells) != 2:
                     raise ValueError(f"expected 2 columns, got {len(cells)}")
-                points.append((int(cells[0]), float(cells[1])))
+                t, value = int(cells[0]), float(cells[1])
             except ValueError as exc:
                 raise ParseError(f"{path} line {n}: {exc}") from None
+            if points and t <= points[-1][0]:
+                raise ValidationError(f"{path} line {n}: timestamp {t} does not "
+                                      f"increase (previous {points[-1][0]})")
+            points.append((t, value))
     if not points:
         raise ValidationError(f"{path} contains no angle rows")
     return AngleSeries(path.stem, points)

@@ -494,11 +494,12 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     frames: list[RecordingFrame] = []
     trace: list[TraceRow] = []
     host_dropped = {s: 0 for s in ids}
-    counters = {"resyncs": 0}
+    resyncs = 0
     ledger: deque[Transmission] = deque()
     floor_rng = rnd.stream(seed, rnd.FLOOR) if p_floor > 0 else None
 
     def node(s: int):
+        nonlocal resyncs
         rng = rnd.stream(seed, rnd.BLE, s)
         channel = int(rng.integers(0, _BLE_CHANNELS))
         increment = int(rng.integers(5, 17))
@@ -538,7 +539,7 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
             else:
                 fails += 1
                 if fails >= _BLE_FAIL_LIMIT:
-                    counters["resyncs"] += 1
+                    resyncs += 1
                     queue.clear()
                     fails = 0
                     yield _BLE_RECONNECT_US - _BLE_TX_US
@@ -553,7 +554,7 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
         gen.close()
     frames.sort(key=lambda f: (f.timestamp_us, f.sensor_id))
     return SessionResult("ble", duration_us, ids, frames, trace, 0,
-                         counters["resyncs"], host_dropped, [])
+                         resyncs, host_dropped, [])
 
 
 # Metrics -------------------------------------------------------------------

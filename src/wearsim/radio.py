@@ -6,6 +6,14 @@ cycles) or periodic hoppers (Bluetooth); collisions are binary on any
 spectral-and-temporal overlap of nonzero measure. No capture effect,
 power, or distance modeling: crowdedness is expressed via duty cycles.
 
+The interference field is columnar. build_field draws each source's
+bursts in bulk as numpy columns (starts, durations, band edges), summed
+in the same order as a draw-by-draw loop, so every figure is the scalar
+one. busy() answers from the bursts grouped by exact band across
+sources, each group merged into disjoint intervals: one bisect per group
+that overlaps the queried band. bursts() streams every burst in
+(start, source) order without building a list.
+
 The event scheduler is single-threaded and fully deterministic: events
 fire in nondecreasing time, ties broken by (source id, insertion
 order).
@@ -18,7 +26,8 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -135,40 +144,92 @@ class Jammer:
         return self.name or f"jam:{self.channel}"
 
 
-def occupancy(interferer: WifiAp | BtDevice | Jammer,
-              end_us: float) -> list[Transmission]:
-    """Seeded burst list of one interferer from t=0, clipped at end_us."""
-    out: list[Transmission] = []
+# At most this many Wi-Fi idle/busy pairs, or BT events, per numpy call.
+_DRAW_CHUNK = 1 << 16
+# Bursts per lane turned into Python floats at a time by bursts().
+_ROW_CHUNK = 1024
 
-    def emit(bs: float, be: float, band: tuple[float, float]) -> None:
-        be = min(be, end_us)
-        if be > bs:
-            out.append(Transmission(interferer.source, bs, be - bs, band))
+# One source's bursts, ordered by start: starts, durations, band lows and
+# band highs, one float64 entry per burst.
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# One interferer burst: (start_us, duration_us, source, band).
+Burst = tuple[float, float, str, tuple[float, float]]
 
+
+def _clipped(starts: np.ndarray, ends: np.ndarray, end_us: float,
+             lo, hi) -> Columns:
+    """Bursts with each end clipped at end_us; bursts left empty are dropped.
+
+    The duration is stored as computed (be - bs); the end is always
+    rederived as start + duration, as Transmission.end_us does.
+    """
+    durations = np.minimum(ends, end_us) - starts
+    keep = durations > 0.0
+    return (starts[keep], durations[keep],
+            np.broadcast_to(np.asarray(lo, dtype=float), starts.shape)[keep],
+            np.broadcast_to(np.asarray(hi, dtype=float), starts.shape)[keep])
+
+
+def _renewal(rng: np.random.Generator, mean_idle: float, mean_busy: float,
+             end_us: float) -> tuple[np.ndarray, np.ndarray]:
+    """Alternating idle/busy exponential periods from t=0: start and end of
+    every busy period that starts before end_us.
+
+    The sums run in draw order (t + idle, then + busy, ...), so each figure
+    equals the one of a scalar loop over rng.exponential; chunks carry t.
+    """
+    n = min(int(end_us / (mean_idle + mean_busy) * 1.1) + 64, _DRAW_CHUNK)
+    starts, ends = [], []
+    t = 0.0
+    while t < end_us:
+        steps = rng.standard_exponential(2 * n)
+        steps[0::2] *= mean_idle
+        steps[1::2] *= mean_busy
+        sums = np.cumsum(np.concatenate(([t], steps)))
+        # sums[2k + 1] is the k-th start and sums[2k + 2] its end.
+        k = int(np.searchsorted(sums[1::2], end_us))
+        starts.append(sums[1:2 * k:2])
+        ends.append(sums[2:2 * k + 1:2])
+        if k < n:
+            break
+        t = float(sums[-1])
+    if not starts:
+        return np.empty(0), np.empty(0)
+    return np.concatenate(starts), np.concatenate(ends)
+
+
+def _periodic(t: float, step: float, end_us: float) -> np.ndarray:
+    """t, t + step, (t + step) + step, ... up to the last value below end_us,
+    summed in that order."""
+    out = [np.empty(0)]
+    while t < end_us:
+        n = min(int((end_us - t) / step) + 2, _DRAW_CHUNK)
+        sums = np.cumsum(np.concatenate(([t], np.full(n, step))))
+        k = int(np.searchsorted(sums, end_us))
+        out.append(sums[:min(k, n)])
+        if k <= n:
+            break
+        t = float(sums[n])
+    return np.concatenate(out)
+
+
+def _occupancy(interferer: WifiAp | BtDevice | Jammer, end_us: float) -> Columns:
+    """Seeded bursts of one interferer from t=0, clipped at end_us."""
     if isinstance(interferer, Jammer):
         # A jammer draws nothing, so it carries no seed.
-        emit(interferer.start_s * 1e6, end_us, channel_band(interferer.channel))
-        return out
+        return _clipped(np.array([interferer.start_s * 1e6]), np.array([end_us]),
+                        end_us, *channel_band(interferer.channel))
 
     rng = np.random.default_rng(interferer.seed)
     if isinstance(interferer, WifiAp):
-        band = wifi_band_mhz(interferer.wifi_channel)
+        lo, hi = wifi_band_mhz(interferer.wifi_channel)
         if interferer.duty == 0.0:
-            return []
+            return _clipped(np.empty(0), np.empty(0), end_us, lo, hi)
         if interferer.duty == 1.0:
-            emit(0.0, end_us, band)
-            return out
+            return _clipped(np.array([0.0]), np.array([end_us]), end_us, lo, hi)
         mean_busy = interferer.mean_burst_ms * 1000.0
         mean_idle = mean_busy * (1.0 - interferer.duty) / interferer.duty
-        t = 0.0
-        while t < end_us:
-            t += float(rng.exponential(mean_idle))
-            if t >= end_us:
-                break
-            dur = float(rng.exponential(mean_busy))
-            emit(t, t + dur, band)
-            t += dur
-        return out
+        return _clipped(*_renewal(rng, mean_idle, mean_busy, end_us), end_us, lo, hi)
 
     # Bluetooth: hop (last + increment) mod 40 over 2 MHz channels at
     # 2402 + 2k, one burst per connection event.
@@ -176,52 +237,111 @@ def occupancy(interferer: WifiAp | BtDevice | Jammer,
     phase = float(rng.uniform(0.0, interval))
     inc = _BT_INCREMENTS[int(rng.integers(0, len(_BT_INCREMENTS)))]
     ch = int(rng.integers(0, 40))
-    t = phase
-    while t < end_us:
-        ch = (ch + inc) % 40
-        center = 2402 + 2 * ch
-        emit(t, t + interferer.burst_us, (float(center - 1), float(center + 1)))
-        t += interval
-    return out
+    starts = _periodic(phase, interval, end_us)
+    lo = (2401 + 2 * ((ch + inc * np.arange(1, len(starts) + 1)) % 40)).astype(float)
+    return _clipped(starts, starts + interferer.burst_us, end_us, lo, lo + 2.0)
+
+
+class _Lane(NamedTuple):
+    source: str
+    starts: np.ndarray
+    durations: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _lane_bursts(lane: _Lane) -> Iterator[Burst]:
+    for i in range(0, len(lane.starts), _ROW_CHUNK):
+        part = slice(i, i + _ROW_CHUNK)
+        yield from zip(lane.starts[part].tolist(), lane.durations[part].tolist(),
+                       itertools.repeat(lane.source),
+                       zip(lane.lo[part].tolist(), lane.hi[part].tolist()))
+
+
+def _merged(starts: np.ndarray, ends: np.ndarray) -> tuple[list[float], list[float]]:
+    """Union of intervals sorted by start, as disjoint intervals that do not
+    touch: their starts and ends."""
+    reach = np.maximum.accumulate(ends)
+    gaps = np.flatnonzero(starts[1:] > reach[:-1]) + 1
+    return (starts[np.r_[0, gaps]].tolist(),
+            reach[np.r_[gaps - 1, len(starts) - 1]].tolist())
 
 
 class InterferenceField:
     """Queryable set of interferer bursts for one session.
 
-    Bursts of one source must be non-overlapping (renewal processes
-    guarantee that); sources are independent lanes.
+    Each source is one lane of columns (see Columns). Bursts of one source
+    must be non-overlapping (renewal processes guarantee that); sources are
+    independent lanes. busy() reads an index of bursts grouped by exact band
+    across sources, each group merged into disjoint intervals.
     """
 
     def __init__(self, bursts: Iterable[Transmission]) -> None:
-        lanes: dict[str, list[Transmission]] = {}
+        rows: dict[str, list[tuple[float, float, float, float]]] = {}
         for b in bursts:
-            lanes.setdefault(b.source, []).append(b)
-        self._lanes: list[tuple[list[float], list[float], list[tuple[float, float]]]] = []
-        self._all: list[Transmission] = []
-        for source in sorted(lanes):
-            lane = sorted(lanes[source], key=lambda b: b.start_us)
-            for a, b in zip(lane, lane[1:]):
-                if b.start_us < a.end_us:
-                    raise ValueError(f"overlapping bursts within source {source!r}")
-            self._lanes.append(([b.start_us for b in lane],
-                                [b.end_us for b in lane],
-                                [b.band_mhz for b in lane]))
-            self._all.extend(lane)
-        self._all.sort(key=lambda b: (b.start_us, b.source))
+            rows.setdefault(b.source, []).append((b.start_us, b.duration_us, *b.band_mhz))
+        self._index({source: [tuple(np.array(r, dtype=float).T)]
+                     for source, r in rows.items()})
+
+    @classmethod
+    def _from_columns(cls, parts: dict[str, list[Columns]]) -> "InterferenceField":
+        field = cls.__new__(cls)
+        field._index(parts)
+        return field
+
+    def _index(self, parts: dict[str, list[Columns]]) -> None:
+        """One lane per source: its columns joined in the order given and
+        stably sorted by start. Then the per-band groups of busy()."""
+        self._lanes: list[_Lane] = []
+        for source in sorted(parts):
+            cols = [np.concatenate(c) for c in zip(*parts[source])]
+            order = np.argsort(cols[0], kind="stable")
+            starts, durations, lo, hi = (c[order] for c in cols)
+            if np.any(starts[1:] < (starts + durations)[:-1]):
+                raise ValueError(f"overlapping bursts within source {source!r}")
+            if len(starts):
+                self._lanes.append(_Lane(source, starts, durations, lo, hi))
+
+        self._groups: dict[tuple[float, float], tuple[list[float], list[float]]] = {}
+        if self._lanes:
+            starts = np.concatenate([lane.starts for lane in self._lanes])
+            ends = np.concatenate([lane.starts + lane.durations for lane in self._lanes])
+            lo = np.concatenate([lane.lo for lane in self._lanes])
+            hi = np.concatenate([lane.hi for lane in self._lanes])
+            order = np.lexsort((starts, hi, lo))
+            starts, ends, lo, hi = starts[order], ends[order], lo[order], hi[order]
+            cuts = np.flatnonzero((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])) + 1
+            for a, b in zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(starts)].tolist()):
+                self._groups[(float(lo[a]), float(hi[a]))] = _merged(starts[a:b], ends[a:b])
+        # Query band -> the groups whose band overlaps it strictly.
+        self._near: dict[tuple[float, float], list[tuple[list[float], list[float]]]] = {}
+
+    def bursts(self) -> Iterator[Burst]:
+        """Every burst as (start_us, duration_us, source, band), ordered by
+        (start_us, source); columns turn into Python floats a chunk at a time."""
+        return heapq.merge(*map(_lane_bursts, self._lanes), key=itemgetter(0, 2))
 
     def all_bursts(self) -> list[Transmission]:
-        return list(self._all)
+        return [Transmission(source, start, duration, band)
+                for start, duration, source, band in self.bursts()]
 
     def busy(self, band: tuple[float, float], start_us: float, end_us: float) -> bool:
-        """Any burst overlapping the band and the interval, both strictly."""
-        for starts, ends, bands in self._lanes:
+        """Any burst overlapping the band and the interval, both strictly.
+
+        The interval must have positive length: then it meets a merged
+        interval exactly when it meets one of the bursts inside it.
+        """
+        if not self._groups:
+            # A clean band: skip hashing the query band.
+            return False
+        near = self._near.get(band)
+        if near is None:
+            near = self._near[band] = [group for (lo, hi), group in self._groups.items()
+                                       if lo < band[1] and band[0] < hi]
+        for starts, ends in near:
             i = bisect_left(starts, end_us)
-            j = i - 1
-            while j >= 0 and ends[j] > start_us:
-                lo, hi = bands[j]
-                if lo < band[1] and band[0] < hi:
-                    return True
-                j -= 1
+            if i and ends[i - 1] > start_us:
+                return True
         return False
 
 
@@ -304,7 +424,7 @@ def preset_interferers(name: str, seed: int) -> list[WifiAp | BtDevice]:
 
 def build_field(interferers: Sequence[WifiAp | BtDevice],
                 duration_us: float) -> InterferenceField:
-    bursts: list[Transmission] = []
+    parts: dict[str, list[Columns]] = {}
     for i in interferers:
-        bursts.extend(occupancy(i, duration_us))
-    return InterferenceField(bursts)
+        parts.setdefault(i.source, []).append(_occupancy(i, duration_us))
+    return InterferenceField._from_columns(parts)

@@ -11,8 +11,10 @@ A run writes one directory:
     session.json             sidecar needed to re-derive angles offline
                              (placement, calibration pose, frozen q_calib)
 
-Both traces are ordered by (time_us, source). Every file is written
-through pipeline.write_csv or pipeline.write_json.
+Both traces are ordered by (time_us, source). The interferer rows of
+radio_trace.csv stream from InterferenceField.bursts() into the writer,
+so no list of every burst is built. Every file is written through
+pipeline.write_csv or pipeline.write_json.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .motion import SyntheticBody, random_offsets
-from .pipeline import (ANGLE_HEADER, ParseError, nine_digits, write_csv, write_json,
-                       write_recording)
+from .pipeline import (ANGLE_HEADER, ParseError, file_slug, nine_digits, write_csv,
+                       write_json, write_recording)
 from .protocol import (SessionResult, TraceRow, ble_baseline_run, master_run,
                        session_metrics)
 from .quatmath import Quaternion
@@ -58,12 +60,20 @@ def build_body(sc: Scenario) -> tuple[SyntheticBody, CalibrationRecord]:
     return body, calib
 
 
-def execute(sc: Scenario) -> RunArtifacts:
-    """Run the radio session without touching the filesystem."""
-    body, calib = build_body(sc)
+def scenario_field(sc: Scenario) -> InterferenceField:
+    """The scenario's interference field; it depends on the interferers and
+    the duration only, so every protocol of one seed can share it."""
     duration_us = sc.duration_s * 1e6
     # Margin so bursts fully cover transmissions arbitrated near the end.
-    field = build_field(sc.interferers, duration_us + 100_000.0)
+    return build_field(sc.interferers, duration_us + 100_000.0)
+
+
+def execute(sc: Scenario, field: InterferenceField | None = None) -> RunArtifacts:
+    """Run the radio session without touching the filesystem. field, when
+    given, must be scenario_field(sc) or a field built the same way."""
+    body, calib = build_body(sc)
+    if field is None:
+        field = scenario_field(sc)
 
     def sampler(sensor: int, t_us: float) -> Quaternion:
         return body.reading(sensor, t_us / 1e6)
@@ -82,8 +92,9 @@ def _radio_trace_rows(result: SessionResult, field: InterferenceField):
     """Protocol rows and interferer bursts in one stream, by (time_us, source)."""
     proto = ((r.time_us, r.duration_us, r.source, r.channel, r.kind, r.outcome)
              for r in result.trace)
-    bursts = ((b.start_us, b.duration_us, b.source, None, b.source.split(":")[0], "busy")
-              for b in field.all_bursts() if b.start_us <= result.duration_us)
+    bursts = ((start, duration, source, None, source.split(":")[0], "busy")
+              for start, duration, source, _ in field.bursts()
+              if start <= result.duration_us)
     # Both inputs are already ordered by (time_us, source), so this equals a stable sort.
     return heapq.merge(proto, bursts, key=lambda r: (r[0], r[2]))
 
@@ -92,7 +103,7 @@ def _write_ground_truth(body: SyntheticBody, sc: Scenario, out_dir: Path) -> Non
     step = int(round(1e6 / GROUND_TRUTH_HZ))
     times = range(0, int(sc.duration_s * 1e6 // step) * step + 1, step)
     for label in sorted(sc.trajectory.joints):
-        write_csv(out_dir / f"ground_truth_{label.replace(' ', '_')}.csv", ANGLE_HEADER,
+        write_csv(out_dir / f"ground_truth_{file_slug(label)}.csv", ANGLE_HEADER,
                   ((t_us, body.truth_joint_angle(label, t_us / 1e6)) for t_us in times))
 
 

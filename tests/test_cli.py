@@ -314,6 +314,19 @@ class TestExitCodes:
         assert main(["compare", str(a), str(b)]) == 0
         assert "mae_deg 0\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rows, line, message", [
+        ("0,1\n150,2\n100,3\n300,4\n", 4, "timestamp 100 does not increase (previous 150)"),
+        ("0,1\n100,2\n100,3\n200,4\n", 4, "timestamp 100 does not increase (previous 100)"),
+    ])
+    def test_angle_timestamps_must_increase(self, tmp_path, capsys, rows, line, message):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("time_us,angle_deg\n" + rows)
+        b.write_text("time_us,angle_deg\n0,1\n100,2\n200,3\n")
+        for args in ([str(a), str(b)], [str(b), str(a)]):
+            assert main(["compare", *args]) == 4
+            assert f"{a} line {line}: {message}" in capsys.readouterr().err
+
 
 class TestProtocolBench:
     def test_small_bench(self, tmp_path, capsys):

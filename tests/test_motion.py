@@ -175,11 +175,12 @@ class TestSensorReadings:
             assert a <= 2.0 + 1e-9
 
     def test_sigma_interpolation(self):
-        noise = NoiseModel(static_sigma_deg=0.3, dynamic_sigma_deg=1.2)
-        assert mo.effective_sigma(noise, 0.0) == 0.3
-        assert mo.effective_sigma(noise, 90.0) == 1.2
-        assert mo.effective_sigma(noise, 200.0) == 1.2
-        assert mo.effective_sigma(noise, 45.0) == pytest.approx(0.75)
+        noise = NoiseModel(static_sigma_deg=0.3, dynamic_sigma_deg=1.2,
+                           static_max_deg=1.0, dynamic_max_deg=3.0)
+        assert mo.sigma_and_cap(noise, 0.0) == (0.3, 1.0)
+        assert mo.sigma_and_cap(noise, 90.0) == (1.2, 3.0)
+        assert mo.sigma_and_cap(noise, 200.0) == (1.2, 3.0)
+        assert mo.sigma_and_cap(noise, 45.0) == pytest.approx((0.75, 2.0))
 
     def test_drift_linear_growth(self):
         noise = NoiseModel(static_sigma_deg=0.0, dynamic_sigma_deg=0.0,

@@ -1,15 +1,76 @@
 """2.4 GHz band model: channels, interferers, arbitration, scheduler."""
 
-import pytest
+import json
 
-from wearsim import radio
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wearsim import cli, radio, runner
 from wearsim.radio import (DATA_CHANNELS, SYNC_CHANNELS, BtDevice, EventScheduler,
-                           InterferenceField, Transmission, WifiAp, channel_band)
+                           InterferenceField, Jammer, Transmission, WifiAp, channel_band,
+                           wifi_band_mhz)
 
 
 def make_tx(channel, start, dur, source="s1"):
     return Transmission(source=source, start_us=start, duration_us=dur,
                         band_mhz=channel_band(channel))
+
+
+def occupancy(interferer, end_us):
+    """One interferer's bursts, as the field holds them."""
+    return radio.build_field([interferer], end_us).all_bursts()
+
+
+def scalar_occupancy(interferer, end_us):
+    """Oracle: one scalar draw per burst edge, in the order the columns sum them."""
+    out = []
+
+    def emit(bs, be, band):
+        be = min(be, end_us)
+        if be > bs:
+            out.append(Transmission(interferer.source, bs, be - bs, band))
+
+    if isinstance(interferer, Jammer):
+        emit(interferer.start_s * 1e6, end_us, channel_band(interferer.channel))
+        return out
+    rng = np.random.default_rng(interferer.seed)
+    if isinstance(interferer, WifiAp):
+        band = wifi_band_mhz(interferer.wifi_channel)
+        if interferer.duty == 0.0:
+            return []
+        if interferer.duty == 1.0:
+            emit(0.0, end_us, band)
+            return out
+        mean_busy = interferer.mean_burst_ms * 1000.0
+        mean_idle = mean_busy * (1.0 - interferer.duty) / interferer.duty
+        t = 0.0
+        while t < end_us:
+            t += float(rng.exponential(mean_idle))
+            if t >= end_us:
+                break
+            dur = float(rng.exponential(mean_busy))
+            emit(t, t + dur, band)
+            t += dur
+        return out
+    interval = interferer.event_interval_ms * 1000.0
+    phase = float(rng.uniform(0.0, interval))
+    inc = radio._BT_INCREMENTS[int(rng.integers(0, len(radio._BT_INCREMENTS)))]
+    ch = int(rng.integers(0, 40))
+    t = phase
+    while t < end_us:
+        ch = (ch + inc) % 40
+        center = 2402 + 2 * ch
+        emit(t, t + interferer.burst_us, (float(center - 1), float(center + 1)))
+        t += interval
+    return out
+
+
+def bits(b):
+    assert all(type(x) is float for x in (b.start_us, b.duration_us, *b.band_mhz))
+    return (b.source, b.start_us.hex(), b.duration_us.hex(),
+            b.band_mhz[0].hex(), b.band_mhz[1].hex())
 
 
 class TestChannelPlan:
@@ -62,23 +123,23 @@ class TestWifiBand:
 class TestOccupancy:
     def test_duty_zero_empty(self):
         ap = WifiAp(wifi_channel=6, duty=0.0, seed=1)
-        assert radio.occupancy(ap, 1e6) == []
+        assert occupancy(ap, 1e6) == []
 
     def test_duty_one_spans_window(self):
         ap = WifiAp(wifi_channel=6, duty=1.0, seed=1)
-        bursts = radio.occupancy(ap, 1e6)
+        bursts = occupancy(ap, 1e6)
         assert len(bursts) == 1
         assert bursts[0].start_us == 0.0
         assert bursts[0].duration_us == 1e6
 
     def test_duty_half_lln(self):
         ap = WifiAp(wifi_channel=6, duty=0.5, mean_burst_ms=2.0, seed=7)
-        busy = sum(b.duration_us for b in radio.occupancy(ap, 10e6))
+        busy = sum(b.duration_us for b in occupancy(ap, 10e6))
         assert 0.45 <= busy / 10e6 <= 0.55
 
     def test_bursts_sorted_disjoint_clipped(self):
         ap = WifiAp(wifi_channel=1, duty=0.3, mean_burst_ms=2.0, seed=3)
-        bursts = radio.occupancy(ap, 3e5)
+        bursts = occupancy(ap, 3e5)
         assert bursts
         for a, b in zip(bursts, bursts[1:]):
             assert a.start_us + a.duration_us <= b.start_us
@@ -87,7 +148,7 @@ class TestOccupancy:
 
     def test_bt_cadence_and_band(self):
         bt = BtDevice(event_interval_ms=15.0, burst_us=296.0, seed=5)
-        bursts = radio.occupancy(bt, 1.5e6)
+        bursts = occupancy(bt, 1.5e6)
         assert 98 <= len(bursts) <= 101
         for b in bursts:
             assert b.duration_us == 296.0
@@ -97,13 +158,13 @@ class TestOccupancy:
 
     def test_bt_hops(self):
         bt = BtDevice(seed=5)
-        bands = {b.band_mhz for b in radio.occupancy(bt, 1e6)}
+        bands = {b.band_mhz for b in occupancy(bt, 1e6)}
         assert len(bands) > 10
 
     def test_deterministic(self):
         for mk in (lambda: WifiAp(6, 0.25, seed=11), lambda: BtDevice(seed=11)):
-            a = radio.occupancy(mk(), 1e6)
-            b = radio.occupancy(mk(), 1e6)
+            a = occupancy(mk(), 1e6)
+            b = occupancy(mk(), 1e6)
             assert a == b
 
     def test_duty_validated(self):
@@ -117,6 +178,121 @@ class TestOccupancy:
         for interval_ms in (0.295, 1e306):
             with pytest.raises(ValueError, match="event_interval_ms"):
                 BtDevice(event_interval_ms=interval_ms, burst_us=296.0)
+
+
+def mixed_sources(seed):
+    """Crowded preset plus a late jammer, a duty-1 AP, a silent AP, a dense AP
+    and a fast BT hopper."""
+    return [*radio.preset_interferers("crowded", seed),
+            Jammer(5 + seed, start_s=0.4 * seed, name="jam:0"),
+            WifiAp(6, 1.0, seed=seed, name="wifi:full"),
+            WifiAp(11, 0.0, seed=seed, name="wifi:off"),
+            WifiAp(1, 0.9, mean_burst_ms=0.5, seed=seed + 1, name="wifi:dense"),
+            BtDevice(event_interval_ms=0.4, seed=seed + 2, name="bt:fast")]
+
+
+class TestColumns:
+    @pytest.mark.parametrize("chunks", [(None, None), (7, 5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_match_scalar_oracle(self, seed, chunks, monkeypatch):
+        # Small chunks carry the running sum across many draws and conversions.
+        for name, size in zip(("_DRAW_CHUNK", "_ROW_CHUNK"), chunks):
+            if size is not None:
+                monkeypatch.setattr(radio, name, size)
+        end = 1.3e6
+        sources = mixed_sources(seed)
+        expected = sorted((b for i in sources for b in scalar_occupancy(i, end)),
+                          key=lambda b: (b.start_us, b.source))
+        got = radio.build_field(sources, end).all_bursts()
+        assert len(got) > 1000
+        assert list(map(bits, got)) == list(map(bits, expected))
+
+    def test_bursts_match_all_bursts(self):
+        field = radio.build_field(mixed_sources(5), 1e6)
+        assert [(b.start_us, b.duration_us, b.source, b.band_mhz)
+                for b in field.all_bursts()] == list(field.bursts())
+
+    def test_transmissions_and_columns_give_one_field(self):
+        sources = mixed_sources(6)
+        columns = radio.build_field(sources, 1e6)
+        rebuilt = InterferenceField(reversed(columns.all_bursts()))
+        assert list(rebuilt.bursts()) == list(columns.bursts())
+
+    def test_shared_source_name_is_one_lane(self):
+        a, b = BtDevice(seed=1, name="bt"), BtDevice(seed=2, name="bt")
+        field = radio.build_field([a, b], 2e5)
+        expected = sorted(scalar_occupancy(a, 2e5) + scalar_occupancy(b, 2e5),
+                          key=lambda t: t.start_us)
+        assert list(map(bits, field.all_bursts())) == list(map(bits, expected))
+        with pytest.raises(ValueError, match="overlapping bursts within source 'jam:9'"):
+            radio.build_field([Jammer(9, name="jam:9"), Jammer(9, 0.1, name="jam:9")], 1e6)
+
+
+# Channel 2 shares its low edge with Wi-Fi 1, channels 10 and 11 overlap.
+BANDS = [channel_band(2), channel_band(10), channel_band(11), wifi_band_mhz(1)]
+QUERY_BANDS = [channel_band(k) for k in range(0, 16)] + [wifi_band_mhz(1), wifi_band_mhz(6)]
+
+
+@st.composite
+def burst_lists(draw):
+    """Bursts of up to four sources on a coarse grid, so bursts touch,
+    overlap and contain each other across sources and bands repeat."""
+    bursts = []
+    for n in range(draw(st.integers(0, 4))):
+        t = 0
+        for _ in range(draw(st.integers(0, 8))):
+            t += draw(st.integers(0, 4))
+            d = draw(st.integers(1, 12))
+            bursts.append(Transmission(f"s{n}", float(t), float(d),
+                                       draw(st.sampled_from(BANDS))))
+            t += d
+    return bursts
+
+
+queries = st.lists(st.tuples(st.sampled_from(QUERY_BANDS),
+                             st.integers(-2, 60).map(float) | st.floats(-2.0, 60.0),
+                             st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.5])),
+                   min_size=1, max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(burst_lists(), queries)
+def test_busy_matches_brute_force(bursts, queries):
+    field = InterferenceField(bursts)
+    for band, start, length in queries:
+        end = start + length
+        expected = any(b.start_us < end and b.end_us > start
+                       and b.band_mhz[0] < band[1] and band[0] < b.band_mhz[1]
+                       for b in bursts)
+        assert field.busy(band, start, end) is expected
+
+
+def test_protocol_bench_builds_one_field_per_seed(tmp_path, monkeypatch):
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("session: {duration_s: 1.0, seed: 3}\n"
+                        "motion: {preset: arm-raise}\n"
+                        "interference: {preset: crowded}\n")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return radio.build_field(*args)
+
+    def bench(out):
+        args = ["protocol-bench", "--scenario", str(scenario), "--out", str(out),
+                "--seeds", "3"]
+        assert cli.main(args) == 0
+        return (out / "bench.json").read_bytes(), (out / "bench.csv").read_bytes()
+
+    monkeypatch.setattr(runner, "build_field", counted)
+    shared = bench(tmp_path / "shared")
+    assert len(calls) == 3
+    # Without a shared field, execute builds one per protocol run.
+    monkeypatch.setattr(cli, "scenario_field", lambda sc: None)
+    separate = bench(tmp_path / "separate")
+    assert len(calls) == 3 + 6
+    assert shared == separate
+    assert json.loads(shared[0])["hop_count_total"]["cw"] > 0
 
 
 class TestInterferenceField:
