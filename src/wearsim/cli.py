@@ -19,9 +19,9 @@ from pathlib import Path
 
 import yaml
 
-from .pipeline import (ANGLE_HEADER, HEADER, AngleSeries, ParseError, ValidationError,
-                       file_slug, joint_angle_series, mae, pearson, rate_series,
-                       read_angles, read_recording, write_csv, write_json)
+from .pipeline import (ANGLE_CSV, RECORDING_CSV, AngleSeries, CsvSchema, ParseError,
+                       ValidationError, file_slug, joint_angle_series, mae, pearson,
+                       rate_series, read_angles, read_recording, write_csv, write_json)
 from .protocol import BLE_MAX_SENSORS, ConfigError
 from .runner import execute, load_session, run_scenario, scenario_field
 from .scenario import load_scenario, parse_scenario
@@ -31,6 +31,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VALIDATION = 4
+
+RATES_CSV = CsvSchema(("sensor_id", int), ("time_us", int), ("rate_hz", float))
+BENCH_CSV = CsvSchema(("protocol", str), ("seed", int), ("sensor_id", str),
+                      ("recorded", int), ("pdr", float), ("mean_rate_hz", float),
+                      ("min_window_rate_hz", float), ("host_dropped", int))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -79,7 +84,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     summary: dict = {"joints": {}, "rates": {}}
     for label in labels:
         series = joint_angle_series(frames, calib, skel, JOINTS[label])
-        write_csv(out / f"angles_{file_slug(label)}.csv", ANGLE_HEADER, series.points)
+        write_csv(out / f"angles_{file_slug(label)}.csv", ANGLE_CSV, series.points)
         values = [v for _, v in series.points]
         lo, hi = min(values), max(values)
         mean = math.fsum(values) / len(values)
@@ -103,7 +108,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(f"sensor {sensor}: rate mean {stats['mean_hz']:.2f} Hz  "
                   f"min {stats['min_hz']:.1f}  max {stats['max_hz']:.1f}")
         summary["rates"][str(sensor)] = stats
-    write_csv(out / "rates.csv", "sensor_id,time_us,rate_hz", rate_rows)
+    write_csv(out / "rates.csv", RATES_CSV, rate_rows)
     write_json(out / "analysis.json", summary)
     return EXIT_OK
 
@@ -113,7 +118,7 @@ def _angle_series_from(path: Path, joint: str | None,
     """An angle series from either a recording or a two-column export."""
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().strip()
-    if first != HEADER:
+    if first != RECORDING_CSV.header:
         return read_angles(path)
     frames = read_recording(path)
     session_path = Path(session) if session else path.with_name("session.json")
@@ -216,9 +221,7 @@ def cmd_protocol_bench(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "bench.csv",
-              "protocol,seed,sensor_id,recorded,pdr,mean_rate_hz,"
-              "min_window_rate_hz,host_dropped", rows)
+    write_csv(out / "bench.csv", BENCH_CSV, rows)
     write_json(out / "bench.json", report)
     print(f"wrote {out / 'bench.json'}")
     return EXIT_OK

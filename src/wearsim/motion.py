@@ -15,6 +15,11 @@ reset at power-on while lying parallel in their storage box, so the
 calibration pose is the shared zero of every sensor frame. Fixed
 mounting differences live entirely in the per-sensor offsets, which the
 calibration step cancels.
+
+The per-frame path (reading, truth_joint_angle) runs on plain float
+tuples through the quatmath kernel and builds one Quaternion per reading.
+Each sensor's noise comes from a randomness.NormalBlocks over its own
+stream, so a reading makes no numpy call except the unit vector's norm.
 """
 
 from __future__ import annotations
@@ -23,10 +28,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Mapping, Protocol
+from typing import Callable, Mapping, Protocol
 
 from . import randomness
-from .quatmath import Quaternion, from_axis_angle, hamilton_product, shortest_angle_deg
+from .quatmath import (IDENTITY4, Quad, Quaternion, Vector3, angle4_deg, axis_angle4,
+                       mul4)
 from .skeleton import JOINTS, BoneId, SensorPlacement, Skeleton, placement_preset
 
 # Step for numeric differentiation of bone orientation (seconds).
@@ -150,6 +156,10 @@ def random_offsets(placement: SensorPlacement, seed: int) -> dict[int, Quaternio
     return offsets
 
 
+# (angle function, hinge axis) of each tracked joint from the root down to a bone.
+_Chain = tuple[tuple[Callable[[float], float], Vector3], ...]
+
+
 class SyntheticBody:
     """Stateful sensor simulator for one session.
 
@@ -165,34 +175,37 @@ class SyntheticBody:
         self.skel = skel
         self.placement = placement
         self.noise = noise
-        self._offsets = dict(offsets) if offsets else {}
+        self._offsets = {s: (q.w, q.x, q.y, q.z) for s, q in (offsets or {}).items()}
         tracks = {JOINTS[label].child_bone: tr for label, tr in spec.joints.items()}
-        # Per bone, the tracked joints from the root down to it.
-        self._chain: dict[BoneId, tuple[JointTrack, ...]] = {}
+        self._chain: dict[BoneId, _Chain] = {}
         for bone in BoneId:
             chain = []
             cur: BoneId | None = bone
             while cur is not None:
                 if cur in tracks:
-                    chain.append(tracks[cur])
+                    chain.append((tracks[cur].fn.angle, tracks[cur].axis))
                 cur = skel.parent[cur]
             self._chain[bone] = tuple(reversed(chain))
         self._noisy = noise.static_sigma_deg > 0.0 or noise.dynamic_sigma_deg > 0.0
         self._drifting = noise.drift_deg_per_min != 0.0
-        self._noise_rng = {s: randomness.stream(noise.seed, randomness.NOISE, s)
-                           for s in sorted(placement.bones)}
+        self._noise = {s: randomness.NormalBlocks(
+                           randomness.stream(noise.seed, randomness.NOISE, s))
+                       for s in sorted(placement.bones)}
         if self._drifting:
             self._drift_axis = {
                 s: randomness.unit_vector(randomness.stream(noise.seed, randomness.DRIFT_AXIS, s))
                 for s in sorted(placement.bones)}
 
-    def bone_world(self, bone: BoneId, t: float) -> Quaternion:
-        """Noise-free world orientation of a bone at time t (forward kinematics)."""
+    def bone_world(self, bone: BoneId, t: float) -> Quad:
+        """Noise-free world orientation of a bone at time t (forward
+        kinematics), as a unit (w, x, y, z) tuple."""
         if not 0.0 <= t <= self.spec.duration_s:
             raise ValueError(f"t={t} outside trajectory [0, {self.spec.duration_s}]")
-        q = Quaternion.identity()
-        for tr in self._chain[bone]:
-            q = hamilton_product(q, from_axis_angle(tr.axis, tr.fn.angle(t)))
+        # Starts from the identity, not the first joint's rotation: the
+        # identity product turns a -0.0 component into 0.0.
+        q = IDENTITY4
+        for angle, axis in self._chain[bone]:
+            q = mul4(q, axis_angle4(axis, angle(t)))
         return q
 
     def angular_speed(self, bone: BoneId, t: float) -> float:
@@ -201,21 +214,20 @@ class SyntheticBody:
         hi = min(self.spec.duration_s, t + _SPEED_H)
         if hi <= lo:
             return 0.0
-        return shortest_angle_deg(self.bone_world(bone, lo),
-                                  self.bone_world(bone, hi)) / (hi - lo)
+        return angle4_deg(self.bone_world(bone, lo), self.bone_world(bone, hi)) / (hi - lo)
 
     def truth_joint_angle(self, label: str, t: float) -> float:
         """Ground-truth angle between a joint's bones at time t."""
         joint = JOINTS[label]
-        return shortest_angle_deg(self.bone_world(joint.parent_bone, t),
-                                  self.bone_world(joint.child_bone, t))
+        return angle4_deg(self.bone_world(joint.parent_bone, t),
+                          self.bone_world(joint.child_bone, t))
 
-    def _perturbation(self, sensor: int, sigma: float, cap: float) -> Quaternion:
-        rng = self._noise_rng[sensor]
-        angle = abs(float(rng.normal(0.0, sigma)))
+    def _perturbation(self, sensor: int, sigma: float, cap: float) -> Quad:
+        draws = self._noise[sensor]
+        angle = abs(draws.normal(sigma))
         while angle > cap:
-            angle = abs(float(rng.normal(0.0, sigma)))
-        return from_axis_angle(randomness.unit_vector(rng), angle)
+            angle = abs(draws.normal(sigma))
+        return axis_angle4(draws.unit_vector(), angle)
 
     def calibration_snapshot(self) -> dict[int, Quaternion]:
         """Sensor orientations while the wearer holds the calibration pose.
@@ -226,12 +238,12 @@ class SyntheticBody:
         """
         snap = {}
         for sensor in sorted(self.placement.bones):
-            q = self._offsets.get(sensor, Quaternion.identity())
+            q = self._offsets.get(sensor, IDENTITY4)
             if self._noisy:
                 p = self._perturbation(sensor, self.noise.static_sigma_deg,
                                        self.noise.static_max_deg)
-                q = hamilton_product(p, q)
-            snap[sensor] = q
+                q = mul4(p, q)
+            snap[sensor] = Quaternion(*q)
         return snap
 
     def reading(self, sensor: int, t: float) -> Quaternion:
@@ -240,15 +252,14 @@ class SyntheticBody:
         q = self.bone_world(bone, t)
         off = self._offsets.get(sensor)
         if off is not None:
-            q = hamilton_product(q, off)
+            q = mul4(q, off)
         if self._drifting:
             drift_deg = self.noise.drift_deg_per_min * t / 60.0
-            q = hamilton_product(from_axis_angle(self._drift_axis[sensor], drift_deg), q)
+            q = mul4(axis_angle4(self._drift_axis[sensor], drift_deg), q)
         if self._noisy:
             omega = self.angular_speed(bone, t)
-            p = self._perturbation(sensor, *sigma_and_cap(self.noise, omega))
-            q = hamilton_product(p, q)
-        return q
+            q = mul4(self._perturbation(sensor, *sigma_and_cap(self.noise, omega)), q)
+        return Quaternion(*q)
 
 
 def _artificial_joint(angle_deg: float | None = None, dwell_s: float = 5.0):

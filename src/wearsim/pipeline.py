@@ -3,6 +3,10 @@
 Every output file is written here: write_csv for each CSV kind, write_json
 for each JSON report. A CSV cell is empty for None, a float to 9
 significant digits (the nine_digits grid) and str() of anything else.
+Each CSV kind has a CsvSchema: its column names and the one type each
+column holds. The schema turns that rule into one %-format per row shape,
+so a row is formatted by one `%` and a cell of the wrong type is refused
+instead of written in another format.
 
 A recording is a flat stream of per-sensor quaternion samples. On disk
 it is a plain CSV with a fixed header:
@@ -22,19 +26,19 @@ raise ParseError, cross-row problems ValidationError; both carry the
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import NoneType, UnionType
+from typing import Iterable, Iterator, Sequence, get_args
 
 from .quatmath import Quaternion
 from .skeleton import (CalibrationRecord, JointSpec, Skeleton, animate_frame,
                        joint_angle)
-
-HEADER = "timestamp_us,sensor_id,seq,qw,qx,qy,qz,status"
-ANGLE_HEADER = "time_us,angle_deg"
 
 _UNIT_TOL = 1e-6
 # Width of the sliding window of rate_series.
@@ -71,12 +75,63 @@ def file_slug(label: str) -> str:
     return label.replace(" ", "_")
 
 
-def write_csv(path: str | Path, header: str, rows: Iterable[Iterable]) -> None:
-    """Write a header line, then one comma-joined line of cells per row."""
+def _cell_format(kind: type) -> str:
+    """The %-format that writes a value of type kind as _cell does."""
+    if kind is NoneType:
+        return "%.0s"  # None as the empty string
+    return "%.9g" if kind is float else "%s"
+
+
+class CsvSchema:
+    """Column names and cell types of one CSV kind.
+
+    Each column is given as (name, type); `int | None` marks a column that
+    may be empty. A row is a tuple with one cell per column, each of exactly
+    one of its column's types (a bool is not an int), and is written by one
+    %-format.
+    """
+
+    def __init__(self, *columns: tuple[str, type | UnionType]) -> None:
+        # (name, accepted cell types) per column.
+        self.columns = tuple((name, get_args(kind) if isinstance(kind, UnionType) else (kind,))
+                             for name, kind in columns)
+        self.names = tuple(name for name, _ in columns)
+        self.header = ",".join(self.names)
+        # One format per accepted tuple of cell types.
+        self._formats = {shape: ",".join(map(_cell_format, shape)) + "\n"
+                         for shape in itertools.product(*(k for _, k in self.columns))}
+
+    def lines(self, rows: Iterable[tuple]) -> Iterator[str]:
+        """Each row as one line of text. The first row that does not fit
+        raises TypeError before any of it is formatted."""
+        formats = self._formats
+        for n, row in enumerate(rows, start=1):
+            fmt = formats.get(tuple(map(type, row)))
+            if fmt is None:
+                raise TypeError(f"{self.header} row {n}: {self._misfit(row)}")
+            yield fmt % row
+
+    def _misfit(self, row: tuple) -> str:
+        if len(row) != len(self.columns):
+            return f"expected {len(self.columns)} cells, got {len(row)}: {row!r}"
+        name, kinds, value = next((name, kinds, value)
+                                  for (name, kinds), value in zip(self.columns, row)
+                                  if type(value) not in kinds)
+        return (f"column {name!r} holds {' or '.join(k.__name__ for k in kinds)}, "
+                f"got {type(value).__name__} {value!r}")
+
+
+RECORDING_CSV = CsvSchema(("timestamp_us", int), ("sensor_id", int), ("seq", int),
+                          ("qw", float), ("qx", float), ("qy", float), ("qz", float),
+                          ("status", int))
+ANGLE_CSV = CsvSchema(("time_us", int), ("angle_deg", float))
+
+
+def write_csv(path: str | Path, schema: CsvSchema, rows: Iterable[tuple]) -> None:
+    """Write the schema's header line, then one line per row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(_cell, row)) + "\n")
+        fh.write(schema.header + "\n")
+        fh.writelines(schema.lines(rows))
 
 
 def write_json(path: str | Path, data) -> None:
@@ -85,7 +140,7 @@ def write_json(path: str | Path, data) -> None:
                           encoding="utf-8")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordingFrame:
     """One delivered sensor sample."""
 
@@ -139,16 +194,15 @@ def _check_stream(frames: Iterable[RecordingFrame], first_line: int = 0) -> None
 def write_recording(frames: Sequence[RecordingFrame], path: str | Path) -> None:
     """Write frames as CSV. The stream invariants are checked first."""
     _check_stream(frames)
-    write_csv(path, HEADER, ((f.timestamp_us, f.sensor_id, f.seq,
-                              f.qw, f.qx, f.qy, f.qz, f.status) for f in frames))
+    write_csv(path, RECORDING_CSV, map(attrgetter(*RECORDING_CSV.names), frames))
 
 
 def read_recording(path: str | Path) -> list[RecordingFrame]:
     """Parse and validate a recording CSV."""
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0] != HEADER:
-        raise ParseError(f"line 1: expected header {HEADER!r}")
+    if not lines or lines[0] != RECORDING_CSV.header:
+        raise ParseError(f"line 1: expected header {RECORDING_CSV.header!r}")
     frames: list[RecordingFrame] = []
     for n, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
@@ -181,7 +235,7 @@ def read_angles(path: str | Path) -> AngleSeries:
     points: list[tuple[int, float]] = []
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().strip()
-        if first != ANGLE_HEADER:
+        if first != ANGLE_CSV.header:
             raise ParseError(f"{path}: unrecognized header {first!r}")
         for n, line in enumerate(fh, start=2):
             line = line.strip()

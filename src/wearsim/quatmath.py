@@ -7,8 +7,17 @@ Conventions used throughout the package:
   matrix of a*b equals R(a) @ R(b).
 - Angles cross module boundaries in degrees; radians stay internal.
 
-Everything here is pure value math with no dependencies beyond the
-stdlib, so it stays trivially deterministic across platforms.
+Every product, axis-angle rotation and renormalization is computed once,
+by a kernel on plain (w, x, y, z) float tuples: mul4, axis_angle4,
+unit4 and angle4_deg. The Quaternion functions wrap it, and the sampler's
+per-frame path calls it directly, so a reading builds one Quaternion
+instead of one per intermediate.
+
+Everything here is stdlib float math in a fixed order, so one input gives
+the same bits on every run of one machine. Across machines, sin, cos and
+acos come from the platform's libm, and the noise fed in comes from numpy
+(see randomness.unit_vector), so bit identity is promised per machine and
+build, not across platforms.
 """
 
 from __future__ import annotations
@@ -17,6 +26,8 @@ import math
 from typing import Sequence
 
 Vector3 = Sequence[float]
+Quad = tuple[float, float, float, float]
+IDENTITY4: Quad = (1.0, 0.0, 0.0, 0.0)
 
 # Renormalize only when drift is detectable; keeps products of exact
 # inputs (identity, axis-aligned 90s) bit-exact.
@@ -42,16 +53,21 @@ class Quaternion:
         if not (math.isfinite(w) and math.isfinite(x)
                 and math.isfinite(y) and math.isfinite(z)):
             raise ValueError("quaternion components must be finite")
-        n2 = w * w + x * x + y * y + z * z
-        if n2 == 0.0:
-            raise ValueError("zero quaternion has no direction")
-        if abs(n2 - 1.0) > _NORM_TOL:
-            n = math.sqrt(n2)
-            w, x, y, z = w / n, x / n, y / n, z / n
+        w, x, y, z = unit4(w, x, y, z)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
+
+    @classmethod
+    def _of(cls, q: Quad) -> "Quaternion":
+        # A kernel result is finite and already unit: skip the checks.
+        self = object.__new__(cls)
+        object.__setattr__(self, "w", q[0])
+        object.__setattr__(self, "x", q[1])
+        object.__setattr__(self, "y", q[2])
+        object.__setattr__(self, "z", q[3])
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Quaternion is immutable")
@@ -72,14 +88,62 @@ class Quaternion:
         return Quaternion(1.0, 0.0, 0.0, 0.0)
 
 
+def unit4(w: float, x: float, y: float, z: float) -> Quad:
+    """(w, x, y, z) scaled to unit norm when its squared norm is off unity by
+    more than _NORM_TOL; otherwise the same values. Components must be
+    finite floats."""
+    n2 = w * w + x * x + y * y + z * z
+    if abs(n2 - 1.0) > _NORM_TOL:
+        if n2 == 0.0:
+            raise ValueError("zero quaternion has no direction")
+        n = math.sqrt(n2)
+        return (w / n, x / n, y / n, z / n)
+    return (w, x, y, z)
+
+
+def mul4(a: Quad, b: Quad) -> Quad:
+    """Hamilton product a*b of unit tuples: applying b first, then a."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return unit4(aw * bw - ax * bx - ay * by - az * bz,
+                 aw * bx + ax * bw + ay * bz - az * by,
+                 aw * by - ax * bz + ay * bw + az * bx,
+                 aw * bz + ax * by - ay * bx + az * bw)
+
+
+def axis_angle4(axis: Vector3, deg: float) -> Quad:
+    """Unit tuple rotating by deg degrees about axis."""
+    ax, ay, az = float(axis[0]), float(axis[1]), float(axis[2])
+    n = math.sqrt(ax * ax + ay * ay + az * az)
+    if n == 0.0:
+        raise ValueError("rotation axis must be non-zero")
+    half = math.radians(deg) / 2.0
+    s = math.sin(half) / n
+    return unit4(math.cos(half), s * ax, s * ay, s * az)
+
+
+def angle4_deg(a: Quad, b: Quad) -> float:
+    """Shortest rotation angle between two unit tuples, in [0, 180].
+
+    alpha = 2*acos(min(|a.b|, 1)) with a.b the 4-component dot product;
+    the abs folds the double cover so q and -q compare as equal.
+    """
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    if (aw == bw and ax == bx and ay == by and az == bz) or \
+       (aw == -bw and ax == -bx and ay == -by and az == -bz):
+        # Same orientation either way round the double cover: exactly 0,
+        # not acos rounding noise.
+        return 0.0
+    d = abs(aw * bw + ax * bx + ay * by + az * bz)
+    if d >= 1.0:
+        return 0.0
+    return math.degrees(2.0 * math.acos(d))
+
+
 def hamilton_product(a: Quaternion, b: Quaternion) -> Quaternion:
     """a*b: applying b first, then a."""
-    return Quaternion(
-        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-        a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-        a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-    )
+    return Quaternion._of(mul4((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
 
 
 def inverse(q: Quaternion) -> Quaternion:
@@ -109,34 +173,11 @@ def enu_to_left_handed(q: Quaternion) -> Quaternion:
     return Quaternion(q.w, q.y, -q.z, -q.x)
 
 
-def dot4(a: Quaternion, b: Quaternion) -> float:
-    """4-component dot product."""
-    return a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
-
-
 def shortest_angle_deg(r_a: Quaternion, r_b: Quaternion) -> float:
-    """Shortest rotation angle between two orientations, in [0, 180].
-
-    alpha = 2*acos(min(|dot4|, 1)); the abs folds the double cover so
-    q and -q compare as equal.
-    """
-    if (r_a.w == r_b.w and r_a.x == r_b.x and r_a.y == r_b.y and r_a.z == r_b.z) or \
-       (r_a.w == -r_b.w and r_a.x == -r_b.x and r_a.y == -r_b.y and r_a.z == -r_b.z):
-        # Same orientation either way round the double cover: exactly 0,
-        # not acos rounding noise.
-        return 0.0
-    d = abs(dot4(r_a, r_b))
-    if d >= 1.0:
-        return 0.0
-    return math.degrees(2.0 * math.acos(d))
+    """Shortest rotation angle between two orientations, in [0, 180]."""
+    return angle4_deg((r_a.w, r_a.x, r_a.y, r_a.z), (r_b.w, r_b.x, r_b.y, r_b.z))
 
 
 def from_axis_angle(axis: Vector3, deg: float) -> Quaternion:
     """Unit quaternion rotating by deg degrees about axis."""
-    ax, ay, az = float(axis[0]), float(axis[1]), float(axis[2])
-    n = math.sqrt(ax * ax + ay * ay + az * az)
-    if n == 0.0:
-        raise ValueError("rotation axis must be non-zero")
-    half = math.radians(deg) / 2.0
-    s = math.sin(half) / n
-    return Quaternion(math.cos(half), s * ax, s * ay, s * az)
+    return Quaternion._of(axis_angle4(axis, deg))

@@ -23,10 +23,11 @@ import heapq
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 from .motion import SyntheticBody, random_offsets
-from .pipeline import (ANGLE_HEADER, ParseError, file_slug, nine_digits, write_csv,
-                       write_json, write_recording)
+from .pipeline import (ANGLE_CSV, CsvSchema, ParseError, file_slug, nine_digits,
+                       write_csv, write_json, write_recording)
 from .protocol import (SessionResult, TraceRow, ble_baseline_run, master_run,
                        session_metrics)
 from .quatmath import Quaternion
@@ -36,8 +37,10 @@ from .skeleton import (BoneId, CalibrationPose, CalibrationRecord, SensorPlaceme
                        Skeleton, calibrate)
 
 GROUND_TRUTH_HZ = 100.0
-SESSION_TRACE_HEADER = ",".join(TraceRow._fields)
-RADIO_TRACE_HEADER = "time_us,duration_us,source,channel,kind,outcome"
+SESSION_TRACE_CSV = CsvSchema(*get_type_hints(TraceRow).items())
+# Interferer bursts have no channel: their cell is empty.
+RADIO_TRACE_CSV = CsvSchema(("time_us", float), ("duration_us", float), ("source", str),
+                            ("channel", int | None), ("kind", str), ("outcome", str))
 
 
 @dataclass
@@ -103,7 +106,7 @@ def _write_ground_truth(body: SyntheticBody, sc: Scenario, out_dir: Path) -> Non
     step = int(round(1e6 / GROUND_TRUTH_HZ))
     times = range(0, int(sc.duration_s * 1e6 // step) * step + 1, step)
     for label in sorted(sc.trajectory.joints):
-        write_csv(out_dir / f"ground_truth_{file_slug(label)}.csv", ANGLE_HEADER,
+        write_csv(out_dir / f"ground_truth_{file_slug(label)}.csv", ANGLE_CSV,
                   ((t_us, body.truth_joint_angle(label, t_us / 1e6)) for t_us in times))
 
 
@@ -146,8 +149,8 @@ def run_scenario(sc: Scenario, out_dir: str | Path) -> RunArtifacts:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_recording(art.result.frames, out / "recording.csv")
-    write_csv(out / "session_trace.csv", SESSION_TRACE_HEADER, art.result.trace)
-    write_csv(out / "radio_trace.csv", RADIO_TRACE_HEADER,
+    write_csv(out / "session_trace.csv", SESSION_TRACE_CSV, art.result.trace)
+    write_csv(out / "radio_trace.csv", RADIO_TRACE_CSV,
               _radio_trace_rows(art.result, art.field))
     write_json(out / "metrics.json", art.metrics)
     _write_ground_truth(art.body, sc, out)

@@ -8,6 +8,7 @@ from scipy import integrate, stats
 
 from wearsim import motion as mo
 from wearsim import quatmath as qm
+from wearsim import randomness
 from wearsim import skeleton as sk
 from wearsim.motion import Constant, NoiseModel, Piecewise, Sinusoid, SyntheticBody
 from wearsim.quatmath import Quaternion
@@ -17,6 +18,11 @@ def fold_deg(deg):
     """Fold an arbitrary angle into [0, 180], the range of measured angles."""
     a = abs(deg) % 360.0
     return 360.0 - a if a > 180.0 else a
+
+
+def world(body, bone, t):
+    """A bone's world orientation as a Quaternion."""
+    return Quaternion(*body.bone_world(bone, t))
 
 
 def truth_body(spec):
@@ -76,22 +82,22 @@ class TestGroundTruth:
     def test_all_rest_when_no_motion(self):
         body = truth_body(elbow_spec(Constant(0.0)))
         for t in (0.0, 3.3, 10.0):
-            assert all(body.bone_world(b, t) == Quaternion.identity() for b in sk.BoneId)
+            assert all(world(body, b, t) == Quaternion.identity() for b in sk.BoneId)
 
     def test_out_of_range_t(self):
         body = truth_body(elbow_spec(Constant(0.0), duration=2.0))
         with pytest.raises(ValueError):
-            body.bone_world(sk.BoneId.FOREARM_R, -0.1)
+            world(body, sk.BoneId.FOREARM_R, -0.1)
         with pytest.raises(ValueError):
-            body.bone_world(sk.BoneId.FOREARM_R, 2.1)
+            world(body, sk.BoneId.FOREARM_R, 2.1)
 
     def test_hinge_angle_recovered_over_sweep(self):
         s = Sinusoid(90.0, 55.0, 5.0)
         body = truth_body(elbow_spec(s))
         for i in range(101):
             t = 10.0 * i / 100.0
-            got = qm.shortest_angle_deg(body.bone_world(sk.BoneId.ARM_R, t),
-                                        body.bone_world(sk.BoneId.FOREARM_R, t))
+            got = qm.shortest_angle_deg(world(body, sk.BoneId.ARM_R, t),
+                                        world(body, sk.BoneId.FOREARM_R, t))
             assert abs(got - fold_deg(s.angle(t))) <= 1e-9
 
     def test_child_follows_parent_joint(self):
@@ -100,9 +106,9 @@ class TestGroundTruth:
             joints={"right shoulder": mo.JointTrack(Constant(70.0), (0, 0, 1))},
             duration_s=1.0)
         body = truth_body(spec)
-        forearm = body.bone_world(sk.BoneId.FOREARM_R, 0.5)
-        assert qm.shortest_angle_deg(body.bone_world(sk.BoneId.ARM_R, 0.5), forearm) == 0.0
-        assert qm.shortest_angle_deg(body.bone_world(sk.BoneId.SPINE, 0.5),
+        forearm = world(body, sk.BoneId.FOREARM_R, 0.5)
+        assert qm.shortest_angle_deg(world(body, sk.BoneId.ARM_R, 0.5), forearm) == 0.0
+        assert qm.shortest_angle_deg(world(body, sk.BoneId.SPINE, 0.5),
                                      forearm) == pytest.approx(70.0, abs=1e-9)
 
     def test_elbow_angle_immune_to_shoulder_motion(self):
@@ -115,8 +121,8 @@ class TestGroundTruth:
         body = truth_body(spec)
         for i in range(100):
             t = 10.0 * i / 99.0
-            got = qm.shortest_angle_deg(body.bone_world(sk.BoneId.ARM_R, t),
-                                        body.bone_world(sk.BoneId.FOREARM_R, t))
+            got = qm.shortest_angle_deg(world(body, sk.BoneId.ARM_R, t),
+                                        world(body, sk.BoneId.FOREARM_R, t))
             assert abs(got - fold_deg(elbow.angle(t))) <= 1e-9
 
     def test_truth_joint_angle_helper(self):
@@ -136,14 +142,14 @@ class TestSensorReadings:
                              self.placement, NoiseModel.zero())
         for t in (0.0, 1.25, 7.7):
             for sensor, bone in self.placement.bones.items():
-                assert body.reading(sensor, t) == body.bone_world(bone, t)
+                assert body.reading(sensor, t) == world(body, bone, t)
 
     def test_zero_noise_offset_angle(self):
         offset = qm.from_axis_angle((1, 2, 3), 25.0)
         offsets = {i: offset for i in self.placement.bones}
         body = SyntheticBody(elbow_spec(Constant(30.0)), self.skel,
                              self.placement, NoiseModel.zero(), offsets=offsets)
-        truth = body.bone_world(sk.BoneId.FOREARM_R, 1.0)
+        truth = world(body, sk.BoneId.FOREARM_R, 1.0)
         r = body.reading(5, 1.0)
         assert qm.shortest_angle_deg(r, truth) == pytest.approx(25.0, abs=1e-9)
 
@@ -153,7 +159,7 @@ class TestSensorReadings:
                            static_max_deg=cap, dynamic_max_deg=cap, seed=77)
         body = SyntheticBody(elbow_spec(Constant(30.0)), self.skel,
                              self.placement, noise)
-        truth = body.bone_world(sk.BoneId.FOREARM_R, 5.0)
+        truth = world(body, sk.BoneId.FOREARM_R, 5.0)
         n = 10_000
         angles = [qm.shortest_angle_deg(body.reading(5, 5.0), truth) for _ in range(n)]
         mc_mean = sum(angles) / n
@@ -169,7 +175,7 @@ class TestSensorReadings:
                            static_max_deg=2.0, dynamic_max_deg=2.0, seed=3)
         body = SyntheticBody(elbow_spec(Constant(30.0)), self.skel,
                              self.placement, noise)
-        truth = body.bone_world(sk.BoneId.FOREARM_R, 2.0)
+        truth = world(body, sk.BoneId.FOREARM_R, 2.0)
         for _ in range(10_000):
             a = qm.shortest_angle_deg(body.reading(5, 2.0), truth)
             assert a <= 2.0 + 1e-9
@@ -271,6 +277,134 @@ class TestEndToEndExactness:
         b = angles(202)
         for (_, ma), (_, mb) in zip(a, b):
             assert abs(ma - mb) <= 1e-9
+
+
+class ScalarBody:
+    """The sampler as it was before the float path: a Quaternion per step,
+    rng.normal(0, sigma) per draw and randomness.unit_vector on the
+    generator itself. SyntheticBody must match it bit for bit."""
+
+    def __init__(self, spec, skel, placement, noise, offsets):
+        self.spec, self.placement, self.noise, self.offsets = spec, placement, noise, offsets
+        tracks = {sk.JOINTS[label].child_bone: tr for label, tr in spec.joints.items()}
+        self.chain = {}
+        for bone in sk.BoneId:
+            chain, cur = [], bone
+            while cur is not None:
+                if cur in tracks:
+                    chain.append(tracks[cur])
+                cur = skel.parent[cur]
+            self.chain[bone] = chain[::-1]
+        self.noisy = noise.static_sigma_deg > 0.0 or noise.dynamic_sigma_deg > 0.0
+        self.rng = {s: randomness.stream(noise.seed, randomness.NOISE, s)
+                    for s in sorted(placement.bones)}
+        self.drift_axis = {
+            s: randomness.unit_vector(randomness.stream(noise.seed, randomness.DRIFT_AXIS, s))
+            for s in sorted(placement.bones)}
+        self.draws = {s: 0 for s in placement.bones}
+        self.redraws = 0
+
+    def world(self, bone, t):
+        q = Quaternion.identity()
+        for tr in self.chain[bone]:
+            q = qm.hamilton_product(q, qm.from_axis_angle(tr.axis, tr.fn.angle(t)))
+        return q
+
+    def speed(self, bone, t):
+        lo, hi = max(0.0, t - 5e-4), min(self.spec.duration_s, t + 5e-4)
+        if hi <= lo:
+            return 0.0
+        return qm.shortest_angle_deg(self.world(bone, lo), self.world(bone, hi)) / (hi - lo)
+
+    def perturbation(self, sensor, sigma, cap):
+        rng = self.rng[sensor]
+        angle = abs(float(rng.normal(0.0, sigma)))
+        self.draws[sensor] += 4
+        while angle > cap:
+            angle = abs(float(rng.normal(0.0, sigma)))
+            self.draws[sensor] += 1
+            self.redraws += 1
+        return qm.from_axis_angle(randomness.unit_vector(rng), angle)
+
+    def calibration_snapshot(self):
+        snap = {}
+        for sensor in sorted(self.placement.bones):
+            q = self.offsets.get(sensor, Quaternion.identity())
+            if self.noisy:
+                p = self.perturbation(sensor, self.noise.static_sigma_deg,
+                                      self.noise.static_max_deg)
+                q = qm.hamilton_product(p, q)
+            snap[sensor] = q
+        return snap
+
+    def reading(self, sensor, t):
+        bone = self.placement.bones[sensor]
+        q = qm.hamilton_product(self.world(bone, t), self.offsets[sensor])
+        if self.noise.drift_deg_per_min != 0.0:
+            drift = self.noise.drift_deg_per_min * t / 60.0
+            q = qm.hamilton_product(qm.from_axis_angle(self.drift_axis[sensor], drift), q)
+        if self.noisy:
+            sigma, cap = mo.sigma_and_cap(self.noise, self.speed(bone, t))
+            q = qm.hamilton_product(self.perturbation(sensor, sigma, cap), q)
+        return q
+
+    def truth_joint_angle(self, label, t):
+        joint = sk.JOINTS[label]
+        return qm.shortest_angle_deg(self.world(joint.parent_bone, t),
+                                     self.world(joint.child_bone, t))
+
+
+def bits(q):
+    return [c.hex() for c in (q.w, q.x, q.y, q.z)]
+
+
+NOISES = {
+    "default": lambda seed: NoiseModel(seed=seed),
+    "zero": lambda seed: NoiseModel.zero(),
+    # Cap equal to sigma: about a third of the angle draws are redrawn.
+    "capped": lambda seed: NoiseModel(1.0, 1.5, 1.0, 1.5, seed=seed),
+    "drift": lambda seed: NoiseModel(drift_deg_per_min=4.5, seed=seed),
+}
+PRESETS = {"artificial-joint": {"angle_deg": 75.0}, "elbow-flexion": {},
+           "half-jacks": {"sensors": 12}, "arm-raise": {}}
+
+
+class TestFloatPathOracle:
+    # Each noisy sensor takes at least 4 draws per reading, so 200 readings
+    # cross three refills of its NormalBlocks.
+    STEPS = 200
+
+    @pytest.mark.parametrize("noise", sorted(NOISES))
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_bits_equal_the_scalar_path(self, preset, noise):
+        assert set(PRESETS) == set(mo._PRESETS)  # every preset is covered
+        spec, placement = mo.preset_scenario(preset, **PRESETS[preset])
+        skel = sk.Skeleton.default()
+        sensors = sorted(placement.bones)
+        for seed in range(4):
+            model = NOISES[noise](seed)
+            offsets = mo.random_offsets(placement, seed)
+            body = SyntheticBody(spec, skel, placement, model, offsets)
+            oracle = ScalarBody(spec, skel, placement, model, offsets)
+            snap, want = body.calibration_snapshot(), oracle.calibration_snapshot()
+            assert {s: bits(q) for s, q in snap.items()} == \
+                {s: bits(q) for s, q in want.items()}
+            for k in range(self.STEPS):
+                for j, s in enumerate(sensors):
+                    # Sensors sample at staggered times; the first and last
+                    # steps reach both ends of the trajectory.
+                    t = min(spec.duration_s,
+                            spec.duration_s * (k + 0.5 * j / len(sensors)) / (self.STEPS - 1))
+                    assert bits(body.reading(s, t)) == bits(oracle.reading(s, t)), (seed, s, t)
+                if k % 10 == 0:
+                    t = spec.duration_s * k / (self.STEPS - 1)
+                    for label in spec.joints:
+                        assert body.truth_joint_angle(label, t).hex() == \
+                            oracle.truth_joint_angle(label, t).hex()
+            if model.static_sigma_deg > 0.0:
+                assert min(oracle.draws.values()) > 3 * randomness.NORMAL_BLOCK
+            if noise == "capped":
+                assert oracle.redraws > 0
 
 
 class TestPresets:

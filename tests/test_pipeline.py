@@ -2,14 +2,21 @@
 
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wearsim import pipeline as pl
 from wearsim import quatmath as qm
 from wearsim import skeleton as sk
-from wearsim.pipeline import ParseError, RecordingFrame, ValidationError
+from wearsim.cli import BENCH_CSV, RATES_CSV
+from wearsim.pipeline import ParseError, RecordingFrame, ValidationError, _cell
+from wearsim.protocol import TraceRow
 from wearsim.quatmath import Quaternion
+from wearsim.runner import RADIO_TRACE_CSV, SESSION_TRACE_CSV
 
 
 def frame(ts, sensor, seq, q, status=3):
@@ -36,6 +43,15 @@ class TestRecordingFrame:
             RecordingFrame(0, 1, 1, 1.0, 0.0, 0.0, 0.0, 4)
         with pytest.raises(ValueError):
             RecordingFrame(0, 1, 1, 1.0, 0.0, 0.0, 0.0, -1)
+
+    def test_slotted_and_still_checked(self):
+        f = RecordingFrame(0, 1, 1, 1.0, 0.0, 0.0, 0.0, 3)
+        assert not hasattr(f, "__dict__")
+        with pytest.raises(ValueError, match="not unit"):
+            RecordingFrame(0, 1, 1, 0.9, 0.0, 0.0, 0.0, 3)
+        for status in (-1, 4):
+            with pytest.raises(ValueError, match="outside 0..3"):
+                RecordingFrame(0, 1, 1, 1.0, 0.0, 0.0, 0.0, status)
 
 
 class TestRoundTrip:
@@ -73,6 +89,109 @@ class TestRoundTrip:
         pl.write_recording(f, p1)
         pl.write_recording(pl.read_recording(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@st.composite
+def frame_streams(draw):
+    """Valid quantized frames: timestamps never decrease, each sensor's seq
+    strictly increases."""
+    frames = []
+    ts = draw(st.integers(0, 2**62))
+    seqs = {}
+    for _ in range(draw(st.integers(0, 30))):
+        ts += draw(st.integers(0, 10**6))
+        sensor = draw(st.integers(0, 12))
+        seqs[sensor] = seqs.get(sensor, draw(st.integers(-2**40, 2**40))) + draw(
+            st.integers(1, 2**20))
+        comps = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+            lambda c: sum(x * x for x in c) > 1e-6))
+        frames.append(RecordingFrame.quantized(ts, sensor, seqs[sensor], Quaternion(*comps),
+                                               draw(st.integers(0, 3))))
+    return frames
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(frame_streams())
+    def test_write_read_rewrite(self, frames):
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+            pl.write_recording(frames, a)
+            back = pl.read_recording(a)
+            assert back == frames
+            pl.write_recording(back, b)
+            assert a.read_bytes() == b.read_bytes()
+
+
+SCHEMAS = {"recording": pl.RECORDING_CSV, "angles": pl.ANGLE_CSV,
+           "session_trace": SESSION_TRACE_CSV, "radio_trace": RADIO_TRACE_CSV,
+           "rates": RATES_CSV, "bench": BENCH_CSV}
+
+CELLS = {
+    float: st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 5e-324,
+                                                   123456789.5, 0.1])),
+    int: st.one_of(st.integers(), st.integers(2**53, 2**80), st.integers(-2**80, -2**53)),
+    str: st.text(),
+    type(None): st.none(),
+}
+
+
+def rows_of(schema):
+    """Rows whose cells each hold one of their column's types."""
+    return st.lists(st.tuples(*[st.one_of(*map(CELLS.get, kinds))
+                                for _, kinds in schema.columns]), max_size=10)
+
+
+def written(schema, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        pl.write_csv(path, schema, rows)
+        return path.read_bytes().decode("utf-8")
+
+
+class TestCsvSchema:
+    @pytest.mark.parametrize("kind", sorted(SCHEMAS))
+    def test_equals_cell_join(self, kind):
+        schema = SCHEMAS[kind]
+
+        @settings(max_examples=60, deadline=None)
+        @given(rows_of(schema))
+        def check(rows):
+            oracle = "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+            assert written(schema, rows) == schema.header + "\n" + oracle
+
+        check()
+
+    def test_radio_rows_with_and_without_channel(self):
+        rows = [(1.5, 2.0, "master", 3, "cw", "delivered"),
+                (-0.0, 1e-7, "wifi:1", None, "wifi", "busy")]
+        assert written(RADIO_TRACE_CSV, rows).splitlines()[1:] == [
+            "1.5,2,master,3,cw,delivered", "-0,1e-07,wifi:1,,wifi,busy"]
+
+    @pytest.mark.parametrize("schema, good, bad, column", [
+        (SESSION_TRACE_CSV, TraceRow(0.0, 10.0, "master", 3, "cw", "poll", 1, "delivered"),
+         TraceRow(2**60, 10.0, "master", 3, "cw", "poll", 1, "delivered"), "time_us"),
+        (SESSION_TRACE_CSV, TraceRow(0.0, 10.0, "master", 3, "cw", "poll", 1, "delivered"),
+         TraceRow(5.0, 10.0, "master", None, "cw", "poll", 1, "delivered"), "channel"),
+        (pl.ANGLE_CSV, (0, 1.5), (100, None), "angle_deg"),
+        (RATES_CSV, (1, 0, 50.0), (True, 100, 50.0), "sensor_id"),
+    ])
+    def test_wrong_type_names_the_column(self, tmp_path, schema, good, bad, column):
+        path = tmp_path / "out.csv"
+        with pytest.raises(TypeError, match=f"'{column}'"):
+            pl.write_csv(path, schema, [good, bad])
+        # The good row is written; nothing of the bad one is.
+        assert path.read_text() == schema.header + "\n" + ",".join(map(_cell, good)) + "\n"
+
+    def test_float_timestamp_in_a_frame(self, tmp_path):
+        path = tmp_path / "r.csv"
+        with pytest.raises(TypeError, match="'timestamp_us'"):
+            pl.write_recording([RecordingFrame(1e17, 1, 1, 1.0, 0.0, 0.0, 0.0, 3)], path)
+        assert path.read_text() == pl.RECORDING_CSV.header + "\n"
+
+    def test_row_of_wrong_length(self, tmp_path):
+        with pytest.raises(TypeError, match="expected 2 cells"):
+            pl.write_csv(tmp_path / "a.csv", pl.ANGLE_CSV, [(0, 1.0, 2.0)])
 
 
 class TestReadErrors:

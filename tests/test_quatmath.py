@@ -52,6 +52,10 @@ def random_quaternion(rng):
     return qm.from_axis_angle(axis, deg)
 
 
+def dot4(a, b):
+    return a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
+
+
 def assert_quat_close(a, b, tol=1e-9):
     # Double cover: compare up to global sign.
     d = abs(a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z)
@@ -187,8 +191,8 @@ class TestEnuToLeftHanded:
         for _ in range(1000):
             a = random_quaternion(rng)
             b = random_quaternion(rng)
-            da = qm.dot4(a, b)
-            db = qm.dot4(qm.enu_to_left_handed(a), qm.enu_to_left_handed(b))
+            da = dot4(a, b)
+            db = dot4(qm.enu_to_left_handed(a), qm.enu_to_left_handed(b))
             assert abs(da - db) <= 1e-9
 
     def test_shortest_angle_invariant_under_map(self):
@@ -231,8 +235,8 @@ class TestShortestAngle:
             a = random_quaternion(rng)
             b = random_quaternion(rng)
             g = random_quaternion(rng)
-            d0 = qm.dot4(a, b)
-            d1 = qm.dot4(qm.hamilton_product(a, g), qm.hamilton_product(b, g))
+            d0 = dot4(a, b)
+            d1 = dot4(qm.hamilton_product(a, g), qm.hamilton_product(b, g))
             assert abs(d0 - d1) <= 1e-9
 
 
