@@ -193,7 +193,8 @@ class SyntheticBody:
                        for s in sorted(placement.bones)}
         if self._drifting:
             self._drift_axis = {
-                s: randomness.unit_vector(randomness.stream(noise.seed, randomness.DRIFT_AXIS, s))
+                s: randomness.NormalBlocks(
+                    randomness.stream(noise.seed, randomness.DRIFT_AXIS, s)).unit_vector()
                 for s in sorted(placement.bones)}
 
     def bone_world(self, bone: BoneId, t: float) -> Quad:

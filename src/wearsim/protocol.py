@@ -27,7 +27,7 @@ from . import radio
 from . import randomness as rnd
 from .pipeline import RecordingFrame, rate_series
 from .quatmath import Quaternion
-from .radio import (DATA_CHANNELS, SYNC_CHANNELS, InterferenceField, Transmission,
+from .radio import (DATA_CHANNELS, SYNC_CHANNELS, Burst, InterferenceField,
                     channel_band)
 
 Sampler = Callable[[int, float], Quaternion]
@@ -309,7 +309,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
 
     def arbitrated(source: str, start: float, dur: float, ch: int,
                    frame_type: str, sensor_id: int) -> TraceRow:
-        t = Transmission(source, start, dur, channel_band(ch))
+        t = Burst(start, dur, source, channel_band(ch))
         return TraceRow(start, dur, source, ch, "cw", frame_type, sensor_id,
                         radio.arbitrate(t, field, (), p_floor, floor_rng))
 
@@ -495,7 +495,7 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     trace: list[TraceRow] = []
     host_dropped = {s: 0 for s in ids}
     resyncs = 0
-    ledger: deque[Transmission] = deque()
+    ledger: deque[Burst] = deque()
     floor_rng = rnd.stream(seed, rnd.FLOOR) if p_floor > 0 else None
 
     def node(s: int):
@@ -514,8 +514,8 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
             queue.append((seq, sampler(s, sched.now)))
             channel = csa1_next(channel, increment)
             start = sched.now
-            t = Transmission(f"sensor:{s}", start, _BLE_TX_US, _ble_band(channel))
-            while ledger and ledger[0].end_us <= start:
+            t = Burst(start, _BLE_TX_US, f"sensor:{s}", _ble_band(channel))
+            while ledger and ledger[0].start_us + ledger[0].duration_us <= start:
                 ledger.popleft()
             ledger.append(t)
             yield _BLE_TX_US

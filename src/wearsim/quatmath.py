@@ -16,7 +16,7 @@ instead of one per intermediate.
 Everything here is stdlib float math in a fixed order, so one input gives
 the same bits on every run of one machine. Across machines, sin, cos and
 acos come from the platform's libm, and the noise fed in comes from numpy
-(see randomness.unit_vector), so bit identity is promised per machine and
+(see randomness._direction), so bit identity is promised per machine and
 build, not across platforms.
 """
 

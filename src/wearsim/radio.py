@@ -5,13 +5,14 @@ channels overlap). Interferers are renewal processes (Wi-Fi duty
 cycles) or periodic hoppers (Bluetooth); collisions are binary on any
 spectral-and-temporal overlap of nonzero measure. No capture effect,
 power, or distance modeling: crowdedness is expressed via duty cycles.
+A protocol frame and an interferer burst are one record, Burst.
 
 The interference field is columnar. build_field draws each source's
 bursts in bulk as numpy columns (starts, durations, band edges), summed
 in the same order as a draw-by-draw loop, so every figure is the scalar
 one. busy() answers from the bursts grouped by exact band across
 sources, each group merged into disjoint intervals: one bisect per group
-that overlaps the queried band. bursts() streams every burst in
+that overlaps the queried band. bursts() streams every Burst in
 (start, source) order without building a list.
 
 The event scheduler is single-threaded and fully deterministic: events
@@ -60,20 +61,14 @@ def wifi_band_mhz(wifi_channel: int) -> tuple[float, float]:
     return (float(center - 11), float(center + 11))
 
 
-@dataclass(frozen=True)
-class Transmission:
-    source: str
+class Burst(NamedTuple):
+    """A source on a band from start_us to start_us + duration_us: a
+    protocol frame or an interferer burst. Fields 0 and 2 as in TraceRow."""
+
     start_us: float
     duration_us: float
+    source: str
     band_mhz: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if self.duration_us <= 0.0:
-            raise ValueError("transmission duration must be positive")
-
-    @property
-    def end_us(self) -> float:
-        return self.start_us + self.duration_us
 
 
 @dataclass(frozen=True)
@@ -152,8 +147,6 @@ _ROW_CHUNK = 1024
 # One source's bursts, ordered by start: starts, durations, band lows and
 # band highs, one float64 entry per burst.
 Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-# One interferer burst: (start_us, duration_us, source, band).
-Burst = tuple[float, float, str, tuple[float, float]]
 
 
 def _clipped(starts: np.ndarray, ends: np.ndarray, end_us: float,
@@ -161,7 +154,7 @@ def _clipped(starts: np.ndarray, ends: np.ndarray, end_us: float,
     """Bursts with each end clipped at end_us; bursts left empty are dropped.
 
     The duration is stored as computed (be - bs); the end is always
-    rederived as start + duration, as Transmission.end_us does.
+    rederived as start + duration, as Burst documents.
     """
     durations = np.minimum(ends, end_us) - starts
     keep = durations > 0.0
@@ -253,9 +246,10 @@ class _Lane(NamedTuple):
 def _lane_bursts(lane: _Lane) -> Iterator[Burst]:
     for i in range(0, len(lane.starts), _ROW_CHUNK):
         part = slice(i, i + _ROW_CHUNK)
-        yield from zip(lane.starts[part].tolist(), lane.durations[part].tolist(),
-                       itertools.repeat(lane.source),
-                       zip(lane.lo[part].tolist(), lane.hi[part].tolist()))
+        yield from map(Burst._make, zip(
+            lane.starts[part].tolist(), lane.durations[part].tolist(),
+            itertools.repeat(lane.source),
+            zip(lane.lo[part].tolist(), lane.hi[part].tolist())))
 
 
 def _merged(starts: np.ndarray, ends: np.ndarray) -> tuple[list[float], list[float]]:
@@ -276,9 +270,11 @@ class InterferenceField:
     across sources, each group merged into disjoint intervals.
     """
 
-    def __init__(self, bursts: Iterable[Transmission]) -> None:
+    def __init__(self, bursts: Iterable[Burst]) -> None:
         rows: dict[str, list[tuple[float, float, float, float]]] = {}
         for b in bursts:
+            if not b.duration_us > 0.0:
+                raise ValueError(f"burst duration must be positive, got {b.duration_us}")
             rows.setdefault(b.source, []).append((b.start_us, b.duration_us, *b.band_mhz))
         self._index({source: [tuple(np.array(r, dtype=float).T)]
                      for source, r in rows.items()})
@@ -317,13 +313,12 @@ class InterferenceField:
         self._near: dict[tuple[float, float], list[tuple[list[float], list[float]]]] = {}
 
     def bursts(self) -> Iterator[Burst]:
-        """Every burst as (start_us, duration_us, source, band), ordered by
-        (start_us, source); columns turn into Python floats a chunk at a time."""
+        """Every burst, ordered by (start_us, source); columns turn into
+        Python floats a chunk at a time."""
         return heapq.merge(*map(_lane_bursts, self._lanes), key=itemgetter(0, 2))
 
-    def all_bursts(self) -> list[Transmission]:
-        return [Transmission(source, start, duration, band)
-                for start, duration, source, band in self.bursts()]
+    def all_bursts(self) -> list[Burst]:
+        return list(self.bursts())
 
     def busy(self, band: tuple[float, float], start_us: float, end_us: float) -> bool:
         """Any burst overlapping the band and the interval, both strictly.
@@ -345,19 +340,20 @@ class InterferenceField:
         return False
 
 
-def arbitrate(tx: Transmission, field: InterferenceField,
-              node_txs: Sequence[Transmission] = (),
+def arbitrate(tx: Burst, field: InterferenceField,
+              node_txs: Sequence[Burst] = (),
               p_floor: float = 0.0,
               floor_rng: np.random.Generator | None = None) -> str:
     """Outcome of one transmission under the binary any-overlap rule."""
-    if field.busy(tx.band_mhz, tx.start_us, tx.end_us):
+    start, end = tx.start_us, tx.start_us + tx.duration_us
+    lo, hi = tx.band_mhz
+    if field.busy(tx.band_mhz, start, end):
         return COLLIDED
     for other in node_txs:
         if other is tx:
             continue
-        if (other.start_us < tx.end_us and tx.start_us < other.end_us
-                and other.band_mhz[0] < tx.band_mhz[1]
-                and tx.band_mhz[0] < other.band_mhz[1]):
+        if (other.start_us < end and start < other.start_us + other.duration_us
+                and other.band_mhz[0] < hi and lo < other.band_mhz[1]):
             return COLLIDED
     if p_floor > 0.0 and floor_rng is not None and float(floor_rng.random()) < p_floor:
         return FLOOR_LOST

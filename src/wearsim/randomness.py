@@ -29,39 +29,30 @@ def stream(seed: int, tag: int, *ids: int) -> np.random.Generator:
 
 
 def _direction(v: np.ndarray) -> tuple[float, float, float] | None:
-    """Three normal draws scaled to unit length; None when too short to scale."""
+    """Three normal draws scaled to unit length; None when too short to scale.
+
+    The norm is np.sqrt(v @ v), and numpy hands `v @ v` to BLAS. With
+    numpy 2.4 and its bundled OpenBLAS on x86-64 it equals
+    fma(z, z, fma(y, y, x*x)), which differs from the plain Python sum
+    x*x + y*y + z*z on about a fifth of draws. So the noise bits, and the
+    9-digit outputs built on them, depend on the numpy/BLAS build and the
+    CPU it selects kernels for: byte identity holds per machine and build.
+    The arithmetic stays as it is, because changing it would move every
+    noisy output.
+    """
     n = float(np.sqrt(v @ v))
     if n > 1e-12:
         return (float(v[0]) / n, float(v[1]) / n, float(v[2]) / n)
     return None
 
 
-def unit_vector(rng: np.random.Generator) -> tuple[float, float, float]:
-    """Uniformly distributed direction on the unit sphere.
-
-    The norm is np.sqrt(v @ v) of three normal draws, and numpy hands
-    `v @ v` to BLAS. With numpy 2.4 and its bundled OpenBLAS on x86-64 it
-    equals fma(z, z, fma(y, y, x*x)), which differs from the plain Python
-    sum x*x + y*y + z*z on about a fifth of draws. So the noise bits, and
-    the 9-digit outputs built on them, depend on the numpy/BLAS build and
-    the CPU it selects kernels for: byte identity holds per machine and
-    build. The arithmetic stays as it is, because changing it would move
-    every noisy output.
-    """
-    while True:
-        d = _direction(rng.normal(size=3))
-        if d is not None:
-            return d
-
-
 class NormalBlocks:
     """A generator's normal draws, taken NORMAL_BLOCK at a time and handed
     out in stream order.
 
-    normal(sigma) and unit_vector() return the same bits as
-    rng.normal(0.0, sigma) and unit_vector(rng) would at the same point of
-    the stream, without a generator call per draw. The generator must not be
-    used elsewhere: draws taken ahead are held here.
+    normal(sigma) returns the same bits as rng.normal(0.0, sigma) would at
+    the same point of the stream, without a generator call per draw. The
+    generator must not be used elsewhere: draws taken ahead are held here.
     """
 
     __slots__ = ("_rng", "_block", "_values", "_i")
@@ -90,7 +81,8 @@ class NormalBlocks:
         return 0.0 + sigma * z
 
     def unit_vector(self) -> tuple[float, float, float]:
-        """The next uniformly distributed direction, as unit_vector(rng)."""
+        """The next uniformly distributed direction on the unit sphere:
+        three normal draws, scaled by _direction, drawn again while too short."""
         while True:
             i = self._i
             if i + 3 > len(self._values):

@@ -13,7 +13,9 @@ A run writes one directory:
 
 Both traces are ordered by (time_us, source). The interferer rows of
 radio_trace.csv stream from InterferenceField.bursts() into the writer,
-so no list of every burst is built. Every file is written through
+so no list of every burst is built. TraceRow, radio.Burst and a
+radio_trace.csv row all hold time in field 0 and source in field 2, so
+one key, itemgetter(0, 2), orders all three. Every file is written through
 pipeline.write_csv or pipeline.write_json.
 """
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import get_type_hints
 
@@ -98,8 +101,8 @@ def _radio_trace_rows(result: SessionResult, field: InterferenceField):
     bursts = ((start, duration, source, None, source.split(":")[0], "busy")
               for start, duration, source, _ in field.bursts()
               if start <= result.duration_us)
-    # Both inputs are already ordered by (time_us, source), so this equals a stable sort.
-    return heapq.merge(proto, bursts, key=lambda r: (r[0], r[2]))
+    # Both inputs are already ordered by this key, so this equals a stable sort.
+    return heapq.merge(proto, bursts, key=itemgetter(0, 2))
 
 
 def _write_ground_truth(body: SyntheticBody, sc: Scenario, out_dir: Path) -> None:

@@ -279,10 +279,18 @@ class TestEndToEndExactness:
             assert abs(ma - mb) <= 1e-9
 
 
+def unit_vector(rng):
+    """A direction from three normal draws at a time, redrawn while too short."""
+    while True:
+        d = randomness._direction(rng.normal(size=3))
+        if d is not None:
+            return d
+
+
 class ScalarBody:
     """The sampler as it was before the float path: a Quaternion per step,
-    rng.normal(0, sigma) per draw and randomness.unit_vector on the
-    generator itself. SyntheticBody must match it bit for bit."""
+    rng.normal(0, sigma) per draw and three rng.normal draws per direction
+    on the generator itself. SyntheticBody must match it bit for bit."""
 
     def __init__(self, spec, skel, placement, noise, offsets):
         self.spec, self.placement, self.noise, self.offsets = spec, placement, noise, offsets
@@ -299,7 +307,7 @@ class ScalarBody:
         self.rng = {s: randomness.stream(noise.seed, randomness.NOISE, s)
                     for s in sorted(placement.bones)}
         self.drift_axis = {
-            s: randomness.unit_vector(randomness.stream(noise.seed, randomness.DRIFT_AXIS, s))
+            s: unit_vector(randomness.stream(noise.seed, randomness.DRIFT_AXIS, s))
             for s in sorted(placement.bones)}
         self.draws = {s: 0 for s in placement.bones}
         self.redraws = 0
@@ -324,7 +332,7 @@ class ScalarBody:
             angle = abs(float(rng.normal(0.0, sigma)))
             self.draws[sensor] += 1
             self.redraws += 1
-        return qm.from_axis_angle(randomness.unit_vector(rng), angle)
+        return qm.from_axis_angle(unit_vector(rng), angle)
 
     def calibration_snapshot(self):
         snap = {}

@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wearsim import cli, radio, runner
-from wearsim.radio import (DATA_CHANNELS, SYNC_CHANNELS, BtDevice, EventScheduler,
-                           InterferenceField, Jammer, Transmission, WifiAp, channel_band,
-                           wifi_band_mhz)
+from wearsim.protocol import TraceRow
+from wearsim.radio import (DATA_CHANNELS, SYNC_CHANNELS, BtDevice, Burst, EventScheduler,
+                           InterferenceField, Jammer, WifiAp, channel_band, wifi_band_mhz)
 
 
 def make_tx(channel, start, dur, source="s1"):
-    return Transmission(source=source, start_us=start, duration_us=dur,
-                        band_mhz=channel_band(channel))
+    return Burst(start_us=start, duration_us=dur, source=source,
+                 band_mhz=channel_band(channel))
 
 
 def occupancy(interferer, end_us):
@@ -30,7 +30,7 @@ def scalar_occupancy(interferer, end_us):
     def emit(bs, be, band):
         be = min(be, end_us)
         if be > bs:
-            out.append(Transmission(interferer.source, bs, be - bs, band))
+            out.append(Burst(bs, be - bs, interferer.source, band))
 
     if isinstance(interferer, Jammer):
         emit(interferer.start_s * 1e6, end_us, channel_band(interferer.channel))
@@ -95,7 +95,7 @@ class TestOverlaps:
 
     @staticmethod
     def busy(k, band):
-        field = InterferenceField([Transmission("wifi", 0.0, 100.0, band)])
+        field = InterferenceField([Burst(0.0, 100.0, "wifi", band)])
         return field.busy(channel_band(k), 10.0, 20.0)
 
     def test_inside_wifi6(self):
@@ -209,14 +209,24 @@ class TestColumns:
 
     def test_bursts_match_all_bursts(self):
         field = radio.build_field(mixed_sources(5), 1e6)
-        assert [(b.start_us, b.duration_us, b.source, b.band_mhz)
-                for b in field.all_bursts()] == list(field.bursts())
+        assert field.all_bursts() == list(field.bursts())
+        assert all(type(b) is Burst for b in field.all_bursts())
 
     def test_transmissions_and_columns_give_one_field(self):
-        sources = mixed_sources(6)
-        columns = radio.build_field(sources, 1e6)
-        rebuilt = InterferenceField(reversed(columns.all_bursts()))
-        assert list(rebuilt.bursts()) == list(columns.bursts())
+        columns = radio.build_field(mixed_sources(6), 1e6)
+        for rebuilt in (InterferenceField(columns.bursts()),
+                        InterferenceField(reversed(columns.all_bursts()))):
+            assert list(rebuilt.bursts()) == list(columns.bursts())
+            for band in QUERY_BANDS + [channel_band(k) for k in (26, 40, 60, 79)]:
+                for start in np.linspace(-100.0, 1.05e6, 97).tolist():
+                    for length in (1.0, 296.0, 5000.0):
+                        assert (rebuilt.busy(band, start, start + length)
+                                is columns.busy(band, start, start + length))
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, float("nan")])
+    def test_non_positive_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration must be positive"):
+            InterferenceField([Burst(10.0, duration, "wifi", wifi_band_mhz(6))])
 
     def test_shared_source_name_is_one_lane(self):
         a, b = BtDevice(seed=1, name="bt"), BtDevice(seed=2, name="bt")
@@ -243,8 +253,8 @@ def burst_lists(draw):
         for _ in range(draw(st.integers(0, 8))):
             t += draw(st.integers(0, 4))
             d = draw(st.integers(1, 12))
-            bursts.append(Transmission(f"s{n}", float(t), float(d),
-                                       draw(st.sampled_from(BANDS))))
+            bursts.append(Burst(float(t), float(d), f"s{n}",
+                                draw(st.sampled_from(BANDS))))
             t += d
     return bursts
 
@@ -261,10 +271,18 @@ def test_busy_matches_brute_force(bursts, queries):
     field = InterferenceField(bursts)
     for band, start, length in queries:
         end = start + length
-        expected = any(b.start_us < end and b.end_us > start
+        expected = any(b.start_us < end and b.start_us + b.duration_us > start
                        and b.band_mhz[0] < band[1] and band[0] < b.band_mhz[1]
                        for b in bursts)
         assert field.busy(band, start, end) is expected
+
+
+def test_records_share_time_and_source_columns():
+    # runner._radio_trace_rows and InterferenceField.bursts() order all three
+    # by itemgetter(0, 2).
+    assert TraceRow._fields[0:3:2] == ("time_us", "source")
+    assert Burst._fields[0:3:2] == ("start_us", "source")
+    assert runner.RADIO_TRACE_CSV.names[0:3:2] == ("time_us", "source")
 
 
 def test_protocol_bench_builds_one_field_per_seed(tmp_path, monkeypatch):
@@ -297,8 +315,8 @@ def test_protocol_bench_builds_one_field_per_seed(tmp_path, monkeypatch):
 
 class TestInterferenceField:
     def setup_method(self):
-        burst = Transmission(source="wifi:6", start_us=100.0, duration_us=100.0,
-                             band_mhz=(2436.0, 2438.0))
+        burst = Burst(start_us=100.0, duration_us=100.0, source="wifi:6",
+                      band_mhz=(2436.0, 2438.0))
         self.field = InterferenceField([burst])
 
     def test_overlap_detected(self):
@@ -322,18 +340,18 @@ class TestArbitrate:
         assert radio.arbitrate(tx, InterferenceField([])) == "delivered"
 
     def test_inside_burst_collides(self):
-        burst = Transmission("wifi:6", 900.0, 1000.0, band_mhz=(2426.0, 2448.0))
+        burst = Burst(900.0, 1000.0, "wifi:6", band_mhz=(2426.0, 2448.0))
         tx = make_tx(37, 1000.0, 128.0)
         assert radio.arbitrate(tx, InterferenceField([burst])) == "collided"
 
     def test_one_microsecond_tail_overlap_collides(self):
         # Burst ends 1 us into the packet.
-        burst = Transmission("wifi:6", 0.0, 1001.0, band_mhz=(2426.0, 2448.0))
+        burst = Burst(0.0, 1001.0, "wifi:6", band_mhz=(2426.0, 2448.0))
         tx = make_tx(37, 1000.0, 128.0)
         assert radio.arbitrate(tx, InterferenceField([burst])) == "collided"
 
     def test_touching_delivers(self):
-        burst = Transmission("wifi:6", 0.0, 1000.0, band_mhz=(2426.0, 2448.0))
+        burst = Burst(0.0, 1000.0, "wifi:6", band_mhz=(2426.0, 2448.0))
         tx = make_tx(37, 1000.0, 128.0)
         assert radio.arbitrate(tx, InterferenceField([burst])) == "delivered"
 
