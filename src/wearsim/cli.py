@@ -3,8 +3,9 @@
 Exit codes are stable so scripts can branch on failure class:
 
     0  success
-    2  configuration problem (bad scenario, unknown joint, bad flag combo)
-    3  I/O or parse failure (missing file, malformed CSV/JSON/YAML)
+    2  configuration problem (bad scenario or --seed, unknown joint, bad flag combo)
+    3  I/O or parse failure (missing file, malformed CSV/JSON/YAML, a file
+       that is not UTF-8, a non-finite angle)
     4  validation failure (inconsistent recording, angle CSV timestamps not
        increasing, disjoint series)
 """
@@ -25,7 +26,7 @@ from .pipeline import (ANGLE_CSV, RECORDING_CSV, AngleSeries, CsvSchema, ParseEr
 from .protocol import BLE_MAX_SENSORS, ConfigError
 from .runner import execute, load_session, run_scenario, scenario_field
 from .scenario import load_scenario, parse_scenario
-from .skeleton import JOINTS, Skeleton
+from .skeleton import JOINTS, CalibrationRecord, Skeleton
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,13 +62,19 @@ def _require_joint(label: str) -> None:
                           f"{', '.join(sorted(JOINTS))}")
 
 
+def _sidecar(recording: Path, session: str | None, flag: str) -> tuple[CalibrationRecord, dict]:
+    """The session.json given by flag, or else the one next to the recording."""
+    path = Path(session) if session else recording.with_name("session.json")
+    if not path.exists():
+        raise ConfigError(f"recording {recording} needs a session sidecar "
+                          f"(none at {path}); pass {flag}")
+    return load_session(path)
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     rec_path = Path(args.recording)
     frames = read_recording(rec_path)
-    session_path = Path(args.session) if args.session else rec_path.with_name("session.json")
-    if not session_path.exists():
-        raise ConfigError(f"no session sidecar at {session_path}; pass --session")
-    calib, meta = load_session(session_path)
+    calib, meta = _sidecar(rec_path, args.session, "--session")
 
     if args.joints:
         labels = [s.strip() for s in args.joints.split(",") if s.strip()]
@@ -121,11 +128,7 @@ def _angle_series_from(path: Path, joint: str | None,
     if first != RECORDING_CSV.header:
         return read_angles(path)
     frames = read_recording(path)
-    session_path = Path(session) if session else path.with_name("session.json")
-    if not session_path.exists():
-        raise ConfigError(f"recording {path} needs a session sidecar "
-                          f"(none at {session_path}); pass --session-a/--session-b")
-    calib, meta = load_session(session_path)
+    calib, meta = _sidecar(path, session, "--session-a/--session-b")
     label = joint
     if label is None:
         joints = meta.get("joints", [])
@@ -286,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (yaml.YAMLError, OSError) as exc:
+    except (yaml.YAMLError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValidationError, ValueError) as exc:

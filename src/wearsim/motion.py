@@ -16,8 +16,9 @@ calibration pose is the shared zero of every sensor frame. Fixed
 mounting differences live entirely in the per-sensor offsets, which the
 calibration step cancels.
 
-The per-frame path (reading, truth_joint_angle) runs on plain float
-tuples through the quatmath kernel and builds one Quaternion per reading.
+The per-frame path (reading, truth_joint_angle) chains the quatmath
+kernel's plain-tuple products and builds one Quaternion per reading;
+offsets and the identity enter the kernel as the Quaternions they are.
 Each sensor's noise comes from a randomness.NormalBlocks over its own
 stream, so a reading makes no numpy call except the unit vector's norm.
 """
@@ -31,8 +32,8 @@ from operator import itemgetter
 from typing import Callable, Mapping, Protocol
 
 from . import randomness
-from .quatmath import (IDENTITY4, Quad, Quaternion, Vector3, angle4_deg, axis_angle4,
-                       mul4)
+from .quatmath import (Quad, Quaternion, Vector3, axis_angle4, mul4,
+                       shortest_angle_deg)
 from .skeleton import JOINTS, BoneId, SensorPlacement, Skeleton, placement_preset
 
 # Step for numeric differentiation of bone orientation (seconds).
@@ -132,6 +133,10 @@ class NoiseModel:
             raise ValueError("require 0 <= dynamic sigma <= dynamic max")
         if self.omega_ref_deg_s <= 0.0:
             raise ValueError("omega_ref_deg_s must be positive")
+        # A cap past 180 deg means nothing, and interpolating between caps
+        # far apart can cancel to 0, where the redraw loop never ends.
+        if max(self.static_max_deg, self.dynamic_max_deg) > 180.0:
+            raise ValueError("perturbation caps must be <= 180 deg")
 
     @staticmethod
     def zero() -> "NoiseModel":
@@ -175,7 +180,7 @@ class SyntheticBody:
         self.skel = skel
         self.placement = placement
         self.noise = noise
-        self._offsets = {s: (q.w, q.x, q.y, q.z) for s, q in (offsets or {}).items()}
+        self._offsets = dict(offsets or {})
         tracks = {JOINTS[label].child_bone: tr for label, tr in spec.joints.items()}
         self._chain: dict[BoneId, _Chain] = {}
         for bone in BoneId:
@@ -204,7 +209,7 @@ class SyntheticBody:
             raise ValueError(f"t={t} outside trajectory [0, {self.spec.duration_s}]")
         # Starts from the identity, not the first joint's rotation: the
         # identity product turns a -0.0 component into 0.0.
-        q = IDENTITY4
+        q = Quaternion.identity()
         for angle, axis in self._chain[bone]:
             q = mul4(q, axis_angle4(axis, angle(t)))
         return q
@@ -215,13 +220,13 @@ class SyntheticBody:
         hi = min(self.spec.duration_s, t + _SPEED_H)
         if hi <= lo:
             return 0.0
-        return angle4_deg(self.bone_world(bone, lo), self.bone_world(bone, hi)) / (hi - lo)
+        return shortest_angle_deg(self.bone_world(bone, lo), self.bone_world(bone, hi)) / (hi - lo)
 
     def truth_joint_angle(self, label: str, t: float) -> float:
         """Ground-truth angle between a joint's bones at time t."""
         joint = JOINTS[label]
-        return angle4_deg(self.bone_world(joint.parent_bone, t),
-                          self.bone_world(joint.child_bone, t))
+        return shortest_angle_deg(self.bone_world(joint.parent_bone, t),
+                                  self.bone_world(joint.child_bone, t))
 
     def _perturbation(self, sensor: int, sigma: float, cap: float) -> Quad:
         draws = self._noise[sensor]
@@ -239,7 +244,7 @@ class SyntheticBody:
         """
         snap = {}
         for sensor in sorted(self.placement.bones):
-            q = self._offsets.get(sensor, IDENTITY4)
+            q = self._offsets.get(sensor, Quaternion.identity())
             if self._noisy:
                 p = self._perturbation(sensor, self.noise.static_sigma_deg,
                                        self.noise.static_max_deg)

@@ -135,8 +135,9 @@ def write_csv(path: str | Path, schema: CsvSchema, rows: Iterable[tuple]) -> Non
 
 
 def write_json(path: str | Path, data) -> None:
-    """Write data as indented JSON with sorted keys and a final newline."""
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
+    """Write data as indented JSON with sorted keys and a final newline. A NaN
+    or infinity raises ValueError: JSON has no such number."""
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n",
                           encoding="utf-8")
 
 
@@ -164,9 +165,7 @@ class RecordingFrame:
     def quantized(timestamp_us: int, sensor_id: int, seq: int,
                   q: Quaternion, status: int = 3) -> "RecordingFrame":
         """Build a frame with components rounded to the serialized grid."""
-        return RecordingFrame(timestamp_us, sensor_id, seq,
-                              nine_digits(q.w), nine_digits(q.x),
-                              nine_digits(q.y), nine_digits(q.z), status)
+        return RecordingFrame(timestamp_us, sensor_id, seq, *map(nine_digits, q), status)
 
     def quaternion(self) -> Quaternion:
         return Quaternion(self.qw, self.qx, self.qy, self.qz)
@@ -199,7 +198,7 @@ def write_recording(frames: Sequence[RecordingFrame], path: str | Path) -> None:
 
 def read_recording(path: str | Path) -> list[RecordingFrame]:
     """Parse and validate a recording CSV."""
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != RECORDING_CSV.header:
         raise ParseError(f"line 1: expected header {RECORDING_CSV.header!r}")
@@ -229,8 +228,8 @@ class AngleSeries:
 
 def read_angles(path: str | Path) -> AngleSeries:
     """A time_us,angle_deg CSV labelled by its file stem; blank lines are
-    skipped. A bad header or row is a ParseError; no rows, or a timestamp
-    that does not increase, is a ValidationError."""
+    skipped. A bad header or row (a non-finite angle too) is a ParseError;
+    no rows, or a timestamp that does not increase, is a ValidationError."""
     path = Path(path)
     points: list[tuple[int, float]] = []
     with open(path, encoding="utf-8") as fh:
@@ -246,6 +245,8 @@ def read_angles(path: str | Path) -> AngleSeries:
                 if len(cells) != 2:
                     raise ValueError(f"expected 2 columns, got {len(cells)}")
                 t, value = int(cells[0]), float(cells[1])
+                if not math.isfinite(value):
+                    raise ValueError(f"angle {cells[1]!r} is not finite")
             except ValueError as exc:
                 raise ParseError(f"{path} line {n}: {exc}") from None
             if points and t <= points[-1][0]:

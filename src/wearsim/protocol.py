@@ -71,6 +71,9 @@ class TimingProfile:
                     "resync_timeout_ms"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key} must be positive")
+        # Below 1 us the scan-channel index of a long session overflows.
+        if self.beacon_interval_ms < 1e-3:
+            raise ValueError("beacon_interval_ms must be at least 1e-3 (1 us)")
 
     def airtime_us(self, nbytes: int) -> float:
         return self.us_per_byte * nbytes
@@ -127,8 +130,9 @@ class HopPolicy:
             raise ValueError("loss_threshold must be within the loss window")
         if self.announce_repeats < 1:
             raise ValueError("announce_repeats must be at least 1")
-        if self.walk_dwell_ms <= 0:
-            raise ValueError("walk_dwell_ms must be positive")
+        # Below 1 us the probe-walk step count of a long silence overflows.
+        if self.walk_dwell_ms < 1e-3:
+            raise ValueError("walk_dwell_ms must be at least 1e-3 (1 us)")
         # The current channel and the blacklist must leave a channel to hop to.
         limit = len(DATA_CHANNELS) - 2
         if not 0 <= self.blacklist_size <= limit:

@@ -7,11 +7,12 @@ Conventions used throughout the package:
   matrix of a*b equals R(a) @ R(b).
 - Angles cross module boundaries in degrees; radians stay internal.
 
-Every product, axis-angle rotation and renormalization is computed once,
-by a kernel on plain (w, x, y, z) float tuples: mul4, axis_angle4,
-unit4 and angle4_deg. The Quaternion functions wrap it, and the sampler's
-per-frame path calls it directly, so a reading builds one Quaternion
-instead of one per intermediate.
+A Quaternion is a (w, x, y, z) tuple, so the kernel (unit4, mul4,
+axis_angle4, shortest_angle_deg) takes one as it is. Every product,
+axis-angle rotation and renormalization is computed once, by that
+kernel. mul4 and axis_angle4 return plain tuples: the sampler's per-frame
+path chains them and builds one Quaternion per reading, not one per
+intermediate.
 
 Everything here is stdlib float math in a fixed order, so one input gives
 the same bits on every run of one machine. Across machines, sin, cos and
@@ -23,69 +24,43 @@ build, not across platforms.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from typing import Sequence
 
 Vector3 = Sequence[float]
 Quad = tuple[float, float, float, float]
-IDENTITY4: Quad = (1.0, 0.0, 0.0, 0.0)
 
 # Renormalize only when drift is detectable; keeps products of exact
 # inputs (identity, axis-aligned 90s) bit-exact.
 _NORM_TOL = 1e-12
 
 
-class Quaternion:
-    """Immutable unit quaternion.
+class Quaternion(namedtuple("Quaternion", "w x y z")):
+    """Immutable unit quaternion: the tuple (w, x, y, z).
 
     Constructor inputs must be finite and not all zero; the value is
-    normalized on construction when its norm is off unity.
+    normalized on construction when its norm is off unity. _make(q) is the
+    unchecked path for a kernel result, which is finite and already unit.
+
+    Being a tuple, a Quaternion unpacks, has len 4, equals (and hashes as)
+    a plain tuple with the same components, and its repr names the fields.
     """
 
-    __slots__ = ("w", "x", "y", "z")
+    __slots__ = ()
 
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __init__(self, w: float, x: float, y: float, z: float) -> None:
+    def __new__(cls, w: float, x: float, y: float, z: float) -> "Quaternion":
         w, x, y, z = float(w), float(x), float(y), float(z)
         if not (math.isfinite(w) and math.isfinite(x)
                 and math.isfinite(y) and math.isfinite(z)):
             raise ValueError("quaternion components must be finite")
-        w, x, y, z = unit4(w, x, y, z)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-
-    @classmethod
-    def _of(cls, q: Quad) -> "Quaternion":
-        # A kernel result is finite and already unit: skip the checks.
-        self = object.__new__(cls)
-        object.__setattr__(self, "w", q[0])
-        object.__setattr__(self, "x", q[1])
-        object.__setattr__(self, "y", q[2])
-        object.__setattr__(self, "z", q[3])
-        return self
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Quaternion is immutable")
-
-    def __repr__(self) -> str:
-        return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        return (self.w, self.x, self.y, self.z) == (other.w, other.x, other.y, other.z)
-
-    def __hash__(self) -> int:
-        return hash((self.w, self.x, self.y, self.z))
+        return tuple.__new__(cls, unit4(w, x, y, z))
 
     @staticmethod
     def identity() -> "Quaternion":
-        return Quaternion(1.0, 0.0, 0.0, 0.0)
+        return _IDENTITY
+
+
+_IDENTITY = Quaternion._make((1.0, 0.0, 0.0, 0.0))
 
 
 def unit4(w: float, x: float, y: float, z: float) -> Quad:
@@ -122,8 +97,8 @@ def axis_angle4(axis: Vector3, deg: float) -> Quad:
     return unit4(math.cos(half), s * ax, s * ay, s * az)
 
 
-def angle4_deg(a: Quad, b: Quad) -> float:
-    """Shortest rotation angle between two unit tuples, in [0, 180].
+def shortest_angle_deg(a: Quad, b: Quad) -> float:
+    """Shortest rotation angle between two orientations, in [0, 180].
 
     alpha = 2*acos(min(|a.b|, 1)) with a.b the 4-component dot product;
     the abs folds the double cover so q and -q compare as equal.
@@ -143,12 +118,13 @@ def angle4_deg(a: Quad, b: Quad) -> float:
 
 def hamilton_product(a: Quaternion, b: Quaternion) -> Quaternion:
     """a*b: applying b first, then a."""
-    return Quaternion._of(mul4((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
+    return Quaternion._make(mul4(a, b))
 
 
 def inverse(q: Quaternion) -> Quaternion:
     """Conjugate; equals the inverse for unit quaternions."""
-    return Quaternion(q.w, -q.x, -q.y, -q.z)
+    w, x, y, z = q
+    return Quaternion(w, -x, -y, -z)
 
 
 def relative_to_calibration(q: Quaternion, q_calib: Quaternion) -> Quaternion:
@@ -160,7 +136,7 @@ def relative_to_calibration(q: Quaternion, q_calib: Quaternion) -> Quaternion:
     if q == q_calib:
         # At the calibration instant the result is the exact identity,
         # not an identity perturbed by rounding.
-        return Quaternion.identity()
+        return _IDENTITY
     return hamilton_product(q, inverse(q_calib))
 
 
@@ -170,14 +146,10 @@ def enu_to_left_handed(q: Quaternion) -> Quaternion:
     Signed component permutation (w, x, y, z) -> (w, y, -z, -x). As a
     4D isometry it preserves dot products, hence relative angles.
     """
-    return Quaternion(q.w, q.y, -q.z, -q.x)
-
-
-def shortest_angle_deg(r_a: Quaternion, r_b: Quaternion) -> float:
-    """Shortest rotation angle between two orientations, in [0, 180]."""
-    return angle4_deg((r_a.w, r_a.x, r_a.y, r_a.z), (r_b.w, r_b.x, r_b.y, r_b.z))
+    w, x, y, z = q
+    return Quaternion(w, y, -z, -x)
 
 
 def from_axis_angle(axis: Vector3, deg: float) -> Quaternion:
     """Unit quaternion rotating by deg degrees about axis."""
-    return Quaternion._of(axis_angle4(axis, deg))
+    return Quaternion._make(axis_angle4(axis, deg))

@@ -123,8 +123,7 @@ def _write_session(sc: Scenario, calib: CalibrationRecord, path: Path) -> None:
                       "sensors": {str(s): b.value
                                   for s, b in sorted(sc.placement.bones.items())}},
         "protocol": sc.protocol_kind,
-        "q_calib": {str(s): [nine_digits(q.w), nine_digits(q.x),
-                             nine_digits(q.y), nine_digits(q.z)]
+        "q_calib": {str(s): list(map(nine_digits, q))
                     for s, q in sorted(calib.q_calib.items())},
         "seed": sc.seed,
     }

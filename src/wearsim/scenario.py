@@ -107,13 +107,16 @@ def _integer(raw: Mapping, key: str, where: str, default: Any = _REQUIRED, *,
         if default is _REQUIRED:
             raise ConfigError(f"{where}.{key} is required")
         return default
-    value = raw[key]
+    return _checked_int(raw[key], f"{where}.{key}", minimum)
+
+
+def _checked_int(value: Any, name: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     if abs(value) > _INT_LIMIT:
-        raise ConfigError(f"{where}.{key} must lie within +-(2**63 - 1)")
+        raise ConfigError(f"{name} must lie within +-(2**63 - 1)")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}.{key} must be >= {minimum}, got {value}")
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return value
 
 
@@ -204,16 +207,17 @@ def _interference(value: Any, seed: int) -> tuple[Interferer, ...]:
 def parse_scenario(cfg: Any, *, seed: int | None = None) -> Scenario:
     """Validate a parsed scenario mapping and resolve it to a plan.
 
-    ``seed`` overrides session.seed when given (the --seed flag); every
-    derived stream (noise, mounting offsets, interferers, protocol
-    draws) follows the override.
+    ``seed`` overrides session.seed when given (the --seed flag) and is
+    checked by the same rule; every derived stream (noise, mounting
+    offsets, interferers, protocol draws) follows the override.
     """
     cfg = _mapping(cfg, "scenario")
     _reject_unknown(cfg, _SECTIONS, "scenario")
 
     session = _mapping(cfg.get("session"), "session")
     _reject_unknown(session, ("duration_s", "seed"), "session")
-    run_seed = seed if seed is not None else _integer(session, "seed", "session", 0, minimum=0)
+    run_seed = (_checked_int(seed, "--seed", minimum=0) if seed is not None
+                else _integer(session, "seed", "session", 0, minimum=0))
 
     motion = _mapping(cfg.get("motion"), "motion")
     _reject_unknown(motion, ("preset", "params", "noise"), "motion")

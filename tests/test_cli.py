@@ -1,11 +1,21 @@
 """CLI commands end to end: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wearsim.cli import main
+from wearsim.motion import NoiseModel
+from wearsim.protocol import HopPolicy, TimingProfile
 from wearsim.pipeline import read_recording
 from wearsim.quatmath import Quaternion
 from wearsim.runner import load_session
@@ -38,6 +48,12 @@ def arm_raise_run(tmp_path_factory):
     rc = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
     assert rc == 0
     return out
+
+
+def setting(section, key, *command, id=None):
+    """A test_unrunnable_setting case: a scenario line, the name its error
+    must give, and the command line (simulate unless given)."""
+    return pytest.param(section, key, command or ("simulate",), id=id or f"{section}-{key}")
 
 
 class TestSimulate:
@@ -219,36 +235,55 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", str(s), "--out", str(tmp_path / "o")]) == 2
         assert "10 or 12" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section, key", [
-        ("protocol: {timing: {beacon_interval_ms: 0}}", "beacon_interval_ms"),
-        ("protocol: {timing: {poll_bytes: 0}}", "poll_bytes"),
-        ("protocol: {timing: {resync_timeout_ms: 0}}", "resync_timeout_ms"),
-        ("protocol: {hop: {walk_dwell_ms: 0}}", "walk_dwell_ms"),
-        ("protocol: {hop: {blacklist_size: 76}}", "blacklist_size"),
-        ("interference: {sources: [{type: jam, channel: 40, seed: 3}]}", "seed"),
-        ("protocol: {timing: {poll_cap_hz: .nan}}", "poll_cap_hz"),
-        ("protocol: {hop: {loss_window: 100000000000000000000}}", "loss_window"),
-        pytest.param(f"protocol: {{timing: {{poll_bytes: {10**310}}}}}", "poll_bytes",
-                     id="poll_bytes-10**310"),
-        pytest.param(f"session: {{duration_s: {10**310}}}", "duration_s",
-                     id="duration_s-10**310"),
-        pytest.param(f"motion: {{preset: artificial-joint, params: {{angle_deg: {10**310}}}}}",
-                     "motion.params.angle_deg", id="angle_deg-10**310"),
-        ("interference: {sources: [{type: bt, event_interval_ms: 1.0e-3}]}",
-         "event_interval_ms"),
+    @pytest.mark.parametrize("section, key, command", [
+        setting("protocol: {timing: {beacon_interval_ms: 0}}", "beacon_interval_ms"),
+        setting("protocol: {timing: {poll_bytes: 0}}", "poll_bytes"),
+        setting("protocol: {timing: {resync_timeout_ms: 0}}", "resync_timeout_ms"),
+        setting("protocol: {hop: {walk_dwell_ms: 0}}", "walk_dwell_ms"),
+        setting("protocol: {hop: {blacklist_size: 76}}", "blacklist_size"),
+        setting("interference: {sources: [{type: jam, channel: 40, seed: 3}]}", "seed"),
+        setting("protocol: {timing: {poll_cap_hz: .nan}}", "poll_cap_hz"),
+        setting("protocol: {hop: {loss_window: 100000000000000000000}}", "loss_window"),
+        setting(f"protocol: {{timing: {{poll_bytes: {10**310}}}}}", "poll_bytes",
+                id="poll_bytes-10**310"),
+        setting(f"session: {{duration_s: {10**310}}}", "duration_s",
+                id="duration_s-10**310"),
+        setting(f"motion: {{preset: artificial-joint, params: {{angle_deg: {10**310}}}}}",
+                "motion.params.angle_deg", id="angle_deg-10**310"),
+        setting("interference: {sources: [{type: bt, event_interval_ms: 1.0e-3}]}",
+                "event_interval_ms"),
         # arm-raise builds three knots per 2 s of duration_s at parse time.
-        ("motion: {preset: arm-raise, params: {duration_s: 2.0e5}}",
-         "motion.params.duration_s"),
-        ("motion: {preset: artificial-joint, params: {angle_deg: 30, dwell_s: 86401}}",
-         "motion.params.dwell_s"),
-        ("session: {duration_s: 86401}", "session.duration_s"),
+        setting("motion: {preset: arm-raise, params: {duration_s: 2.0e5}}",
+                "motion.params.duration_s"),
+        setting("motion: {preset: artificial-joint, params: {angle_deg: 30, dwell_s: 86401}}",
+                "motion.params.dwell_s"),
+        setting("session: {duration_s: 86401}", "session.duration_s"),
+        # Under 1 us, the slaves' channel arithmetic overflowed (exit 1).
+        setting("protocol: {timing: {beacon_interval_ms: 5.0e-324}}", "beacon_interval_ms"),
+        setting("protocol: {hop: {walk_dwell_ms: 5.0e-324}}", "walk_dwell_ms"),
+        # The interpolated cap was 1e300 + (7 - 1e300) = 0: the sampler redrew forever.
+        setting("motion: {preset: arm-raise, noise: {static_max_deg: 1.0e+300}}",
+                "motion.noise: perturbation caps must be <= 180 deg"),
+        # --seed follows session.seed's rule: an integer in 0..2**63 - 1.
+        setting("", "--seed", "simulate", "--seed", "-1", id="simulate --seed -1"),
+        setting("", "--seed", "simulate", "--seed", str(2**63), id="simulate --seed 2**63"),
+        setting("", "--seed", "simulate", "--seed", str(10**23), id="simulate --seed 10**23"),
+        setting("", "--seed", "protocol-bench", "--seed", "-1",
+                id="protocol-bench --seed -1"),
+        setting("interference: {preset: crowded}", "--seed", "protocol-bench", "--seed", "-1",
+                id="protocol-bench crowded --seed -1"),
+        setting("", "--seed", "protocol-bench", "--seed", str(10**23),
+                id="protocol-bench --seed 10**23"),
     ])
-    def test_unrunnable_setting(self, tmp_path, capsys, section, key):
+    def test_unrunnable_setting(self, tmp_path, capsys, section, key, command):
         s = tmp_path / "s.yaml"
         s.write_text(f"session: {{duration_s: 2.0}}\nmotion: {{preset: arm-raise}}\n"
                      f"{section}\n")
-        assert main(["simulate", "--scenario", str(s), "--out", str(tmp_path / "o")]) == 2
-        assert key in capsys.readouterr().err
+        argv = [command[0], "--scenario", str(s), "--out", str(tmp_path / "o"), *command[1:]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "interference.preset" not in err
 
     def test_missing_scenario_file(self, tmp_path):
         assert main(["simulate", "--scenario", str(tmp_path / "nope.yaml"),
@@ -328,6 +363,46 @@ class TestExitCodes:
             assert f"{a} line {line}: {message}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["simulate", "protocol-bench", "analyze",
+                                         "compare-angles", "compare-recording"])
+    def test_undecodable_input(self, artificial_run, tmp_path, capsys, command):
+        # Byte 0xff starts no UTF-8 sequence: a read failure, not a validation one.
+        scenario = tmp_path / "s.yaml"
+        scenario.write_bytes(b"session: {duration_s: 1.0}\nmotion: {preset: arm-raise}\n"
+                             b"# \xff\n")
+        recording = tmp_path / "recording.csv"
+        recording.write_bytes((artificial_run / "recording.csv").read_bytes() + b"\xff\n")
+        (tmp_path / "session.json").write_bytes((artificial_run / "session.json").read_bytes())
+        angles = tmp_path / "a.csv"
+        angles.write_bytes(b"time_us,angle_deg\n0,1\n100,2\xff\n")
+        good = tmp_path / "b.csv"
+        good.write_text("time_us,angle_deg\n0,1\n100,2\n")
+        out = str(tmp_path / "o")
+        argv = {
+            "simulate": ["simulate", "--scenario", str(scenario), "--out", out],
+            "protocol-bench": ["protocol-bench", "--scenario", str(scenario), "--out", out],
+            "analyze": ["analyze", "--recording", str(recording), "--out", out],
+            "compare-angles": ["compare", str(good), str(angles)],
+            "compare-recording": ["compare", str(recording), str(good)],
+        }[command]
+        assert main(argv) == 3
+        assert "can't decode byte 0xff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "infinity"])
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_non_finite_angle(self, tmp_path, capsys, cell, which):
+        paths = {name: tmp_path / f"{name}.csv" for name in "ab"}
+        for name, path in paths.items():
+            path.write_text("time_us,angle_deg\n0,1\n100,2\n200,3\n")
+        paths[which].write_text(f"time_us,angle_deg\n0,1\n100,{cell}\n200,3\n")
+        out = tmp_path / "o"
+        assert main(["compare", str(paths["a"]), str(paths["b"]), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert f"{paths[which]} line 3: angle '{cell}' is not finite" in captured.err
+        assert captured.out == ""
+        assert not (out / "comparison.json").exists()
+
+
 class TestProtocolBench:
     def test_small_bench(self, tmp_path, capsys):
         scenario = tmp_path / "s.yaml"
@@ -376,3 +451,87 @@ class TestJamScenario:
         assert ",jam:0," in trace
         session = (out / "session_trace.csv").read_text()
         assert ",hop," in session
+
+
+# Values that are out of range or of the wrong type for most keys.
+ODD = st.sampled_from([-1, -0.5, 0, math.nan, -math.inf, 2**63, 10**30, True, "x", None,
+                       [1], {"a": 1}])
+
+
+def mostly(valid, odd=ODD):
+    """valid, or one time in ten an odd value. (one_of would not keep these
+    odds: hypothesis favours its last branch.)"""
+    return st.integers(0, 9).flatmap(lambda n: odd if n == 9 else valid)
+
+
+def with_unknown(mappings):
+    """The mappings, one time in ten with an unknown key added."""
+    return st.tuples(mappings, st.integers(0, 9)).map(
+        lambda mn: {**mn[0], "turbo": 1} if mn[1] == 9 else mn[0])
+
+
+def section(required=None, **keys):
+    """Mappings over the required keys and some of the others, each drawn
+    mostly from its strategy."""
+    return with_unknown(st.fixed_dictionaries(
+        {key: mostly(value) for key, value in (required or {}).items()},
+        optional={key: mostly(value) for key, value in keys.items()}))
+
+
+def scaled(cls):
+    """A section of cls's number fields: each a default times a power of two
+    from 1/8 to 8, or, for a float, one of the extremes 5e-324 and 1e300."""
+    def value(default):
+        factor = st.sampled_from([0.125, 0.5, 1.0, 2.0, 8.0])
+        if isinstance(default, int):
+            return factor.map(lambda f: max(1, int(default * f)))
+        return st.one_of(factor.map(lambda f: default * f), st.sampled_from([5e-324, 1e300]))
+    return section(**{f.name: value(f.default) for f in fields(cls) if f.name != "seed"})
+
+
+SOURCE = section(
+    {"type": st.sampled_from(["wifi", "bt", "jam"])},
+    channel=st.integers(-1, 80), duty=st.floats(0.0, 1.0), mean_burst_ms=st.floats(1e-3, 10.0),
+    event_interval_ms=st.floats(1e-3, 30.0), burst_us=st.floats(1e-3, 1000.0),
+    start_s=st.floats(0.0, 1.0), seed=st.integers(0, 2**63 - 1))
+
+PRESET_PARAMS = {
+    "artificial-joint": section({"angle_deg": st.floats(-720.0, 720.0)},
+                                dwell_s=st.floats(1e-3, 100.0)),
+    "elbow-flexion": section(),
+    "half-jacks": section(sensors=st.sampled_from([10, 11, 12]),
+                          duration_s=st.floats(1e-3, 100.0)),
+    "arm-raise": section(duration_s=st.floats(1e-3, 100.0)),
+}
+# All five sections; session.duration_s is always given and, when valid,
+# at most 0.5 s, so a run stays short.
+SCENARIO_MAPPINGS = section(
+    {"session": section({"duration_s": st.floats(1e-3, 0.5)}, seed=st.integers(0, 2**63 - 1)),
+     "motion": st.sampled_from(sorted(PRESET_PARAMS)).flatmap(lambda name: section(
+         {"preset": st.just(name)}, params=PRESET_PARAMS[name],
+         noise=st.one_of(st.just("zero"), scaled(NoiseModel))))},
+    placement=section(preset=st.sampled_from(["p5-upper", "p10", "p12"])),
+    protocol=section(kind=st.sampled_from(["cw", "ble-baseline"]),
+                     initial_channel=st.integers(0, 80), p_floor=st.floats(0.0, 0.999),
+                     timing=scaled(TimingProfile), hop=scaled(HopPolicy)),
+    interference=st.one_of(section(preset=st.sampled_from(["clean", "crowded"])),
+                           section(sources=st.lists(mostly(SOURCE), max_size=3))))
+
+
+class TestSimulateProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(scenario=SCENARIO_MAPPINGS,
+           seed=mostly(st.one_of(st.none(), st.integers(0, 2**63 - 1)),
+                       odd=st.sampled_from([-1, 2**63])))
+    def test_exit_code_never_a_crash(self, scenario, seed):
+        # simulate exits 0, 2, 3 or 4 on any scenario mapping; a traceback
+        # (an exception out of main) would be exit 1.
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            path = Path(tmp) / "s.yaml"
+            path.write_text(yaml.safe_dump(scenario), encoding="utf-8")
+            argv = ["simulate", "--scenario", str(path), "--out", str(Path(tmp) / "o")]
+            if seed is not None:
+                argv += ["--seed", str(seed)]
+            assert main(argv) in (0, 2, 3, 4)

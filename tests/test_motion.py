@@ -20,11 +20,6 @@ def fold_deg(deg):
     return 360.0 - a if a > 180.0 else a
 
 
-def world(body, bone, t):
-    """A bone's world orientation as a Quaternion."""
-    return Quaternion(*body.bone_world(bone, t))
-
-
 def truth_body(spec):
     """Zero-noise body: its bone_world is the ground-truth forward kinematics."""
     return SyntheticBody(spec, sk.Skeleton.default(), sk.placement_preset("p12"),
@@ -82,22 +77,22 @@ class TestGroundTruth:
     def test_all_rest_when_no_motion(self):
         body = truth_body(elbow_spec(Constant(0.0)))
         for t in (0.0, 3.3, 10.0):
-            assert all(world(body, b, t) == Quaternion.identity() for b in sk.BoneId)
+            assert all(body.bone_world(b, t) == Quaternion.identity() for b in sk.BoneId)
 
     def test_out_of_range_t(self):
         body = truth_body(elbow_spec(Constant(0.0), duration=2.0))
         with pytest.raises(ValueError):
-            world(body, sk.BoneId.FOREARM_R, -0.1)
+            body.bone_world(sk.BoneId.FOREARM_R, -0.1)
         with pytest.raises(ValueError):
-            world(body, sk.BoneId.FOREARM_R, 2.1)
+            body.bone_world(sk.BoneId.FOREARM_R, 2.1)
 
     def test_hinge_angle_recovered_over_sweep(self):
         s = Sinusoid(90.0, 55.0, 5.0)
         body = truth_body(elbow_spec(s))
         for i in range(101):
             t = 10.0 * i / 100.0
-            got = qm.shortest_angle_deg(world(body, sk.BoneId.ARM_R, t),
-                                        world(body, sk.BoneId.FOREARM_R, t))
+            got = qm.shortest_angle_deg(body.bone_world(sk.BoneId.ARM_R, t),
+                                        body.bone_world(sk.BoneId.FOREARM_R, t))
             assert abs(got - fold_deg(s.angle(t))) <= 1e-9
 
     def test_child_follows_parent_joint(self):
@@ -106,9 +101,9 @@ class TestGroundTruth:
             joints={"right shoulder": mo.JointTrack(Constant(70.0), (0, 0, 1))},
             duration_s=1.0)
         body = truth_body(spec)
-        forearm = world(body, sk.BoneId.FOREARM_R, 0.5)
-        assert qm.shortest_angle_deg(world(body, sk.BoneId.ARM_R, 0.5), forearm) == 0.0
-        assert qm.shortest_angle_deg(world(body, sk.BoneId.SPINE, 0.5),
+        forearm = body.bone_world(sk.BoneId.FOREARM_R, 0.5)
+        assert qm.shortest_angle_deg(body.bone_world(sk.BoneId.ARM_R, 0.5), forearm) == 0.0
+        assert qm.shortest_angle_deg(body.bone_world(sk.BoneId.SPINE, 0.5),
                                      forearm) == pytest.approx(70.0, abs=1e-9)
 
     def test_elbow_angle_immune_to_shoulder_motion(self):
@@ -121,8 +116,8 @@ class TestGroundTruth:
         body = truth_body(spec)
         for i in range(100):
             t = 10.0 * i / 99.0
-            got = qm.shortest_angle_deg(world(body, sk.BoneId.ARM_R, t),
-                                        world(body, sk.BoneId.FOREARM_R, t))
+            got = qm.shortest_angle_deg(body.bone_world(sk.BoneId.ARM_R, t),
+                                        body.bone_world(sk.BoneId.FOREARM_R, t))
             assert abs(got - fold_deg(elbow.angle(t))) <= 1e-9
 
     def test_truth_joint_angle_helper(self):
@@ -142,14 +137,14 @@ class TestSensorReadings:
                              self.placement, NoiseModel.zero())
         for t in (0.0, 1.25, 7.7):
             for sensor, bone in self.placement.bones.items():
-                assert body.reading(sensor, t) == world(body, bone, t)
+                assert body.reading(sensor, t) == body.bone_world(bone, t)
 
     def test_zero_noise_offset_angle(self):
         offset = qm.from_axis_angle((1, 2, 3), 25.0)
         offsets = {i: offset for i in self.placement.bones}
         body = SyntheticBody(elbow_spec(Constant(30.0)), self.skel,
                              self.placement, NoiseModel.zero(), offsets=offsets)
-        truth = world(body, sk.BoneId.FOREARM_R, 1.0)
+        truth = body.bone_world(sk.BoneId.FOREARM_R, 1.0)
         r = body.reading(5, 1.0)
         assert qm.shortest_angle_deg(r, truth) == pytest.approx(25.0, abs=1e-9)
 
@@ -159,7 +154,7 @@ class TestSensorReadings:
                            static_max_deg=cap, dynamic_max_deg=cap, seed=77)
         body = SyntheticBody(elbow_spec(Constant(30.0)), self.skel,
                              self.placement, noise)
-        truth = world(body, sk.BoneId.FOREARM_R, 5.0)
+        truth = body.bone_world(sk.BoneId.FOREARM_R, 5.0)
         n = 10_000
         angles = [qm.shortest_angle_deg(body.reading(5, 5.0), truth) for _ in range(n)]
         mc_mean = sum(angles) / n
@@ -175,7 +170,7 @@ class TestSensorReadings:
                            static_max_deg=2.0, dynamic_max_deg=2.0, seed=3)
         body = SyntheticBody(elbow_spec(Constant(30.0)), self.skel,
                              self.placement, noise)
-        truth = world(body, sk.BoneId.FOREARM_R, 2.0)
+        truth = body.bone_world(sk.BoneId.FOREARM_R, 2.0)
         for _ in range(10_000):
             a = qm.shortest_angle_deg(body.reading(5, 2.0), truth)
             assert a <= 2.0 + 1e-9
@@ -363,7 +358,7 @@ class ScalarBody:
 
 
 def bits(q):
-    return [c.hex() for c in (q.w, q.x, q.y, q.z)]
+    return [c.hex() for c in q]
 
 
 NOISES = {

@@ -248,6 +248,13 @@ class TestReadErrors:
         with pytest.raises(ValidationError, match="sensor 1"):
             pl.write_recording(frames, tmp_path / "x.csv")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_refuses_non_finite(self, tmp_path, value):
+        # JSON has no NaN or infinity; writing one would give an invalid file.
+        with pytest.raises(ValueError, match="JSON compliant"):
+            pl.write_json(tmp_path / "x.json", {"mae_deg": value})
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestJointAngleSeries:
     def setup_method(self):

@@ -92,6 +92,43 @@ class TestConstruction:
                 assert abs(n - 1.0) <= 1e-9
 
 
+class TestTupleType:
+    def test_is_a_tuple_equal_to_its_components(self):
+        q = Quaternion(SQ2, 0.0, 0.0, SQ2)
+        assert isinstance(q, tuple)
+        assert q == (SQ2, 0.0, 0.0, SQ2) and hash(q) == hash((SQ2, 0.0, 0.0, SQ2))
+        assert tuple(q) == (q.w, q.x, q.y, q.z) and len(q) == 4
+        w, x, y, z = Quaternion.identity()
+        assert (w, x, y, z) == (1.0, 0.0, 0.0, 0.0)
+        assert repr(q) == f"Quaternion(w={SQ2!r}, x=0.0, y=0.0, z={SQ2!r})"
+
+    def test_immutable(self):
+        q = Quaternion.identity()
+        with pytest.raises(AttributeError):
+            q.w = 0.5
+        with pytest.raises(AttributeError):
+            q.extra = 1.0
+        assert q == (1.0, 0.0, 0.0, 0.0)
+
+    def test_make_is_unchecked_and_constructor_is_checked(self):
+        assert Quaternion._make((2.0, 0.0, 0.0, 0.0)).w == 2.0
+        assert Quaternion(2.0, 0.0, 0.0, 0.0).w == 1.0
+
+    def test_operations_return_quaternions(self):
+        a = qm.from_axis_angle((0.3, -0.5, 0.8), 40.0)
+        b = qm.from_axis_angle((1.0, 0.0, 0.0), 25.0)
+        for q in (a, qm.hamilton_product(a, b), qm.inverse(a), qm.enu_to_left_handed(a),
+                  qm.relative_to_calibration(a, b), qm.relative_to_calibration(a, a)):
+            assert type(q) is Quaternion
+
+    def test_kernel_takes_quaternions_as_tuples(self):
+        a = qm.from_axis_angle((0.3, -0.5, 0.8), 40.0)
+        b = qm.from_axis_angle((1.0, 0.0, 0.0), 25.0)
+        assert qm.hamilton_product(a, b) == qm.mul4(tuple(a), tuple(b)) == qm.mul4(a, b)
+        assert type(qm.mul4(a, b)) is tuple
+        assert qm.shortest_angle_deg(a, b) == qm.shortest_angle_deg(tuple(a), tuple(b))
+
+
 class TestHamiltonProduct:
     def test_identity_element(self):
         rng = random.Random(1)

@@ -43,6 +43,16 @@ class TestDefaults:
         assert sc.seed == 21
         assert sc.noise.seed == 21
 
+    @pytest.mark.parametrize("seed", [-1, 2**63, True, 2.0])
+    def test_seed_override_checked_like_session_seed(self, seed):
+        for config, override, name in ((cfg(session={"seed": seed}), None, "session.seed"),
+                                       (cfg(), seed, "--seed")):
+            with pytest.raises(ConfigError, match=f"^{name} must"):
+                parse_scenario(config, seed=override)
+
+    def test_largest_seed(self):
+        assert parse_scenario(cfg(), seed=2**63 - 1).seed == 2**63 - 1
+
     def test_duration_override_reshapes_trajectory(self):
         sc = parse_scenario(cfg(session={"duration_s": 4.0}))
         assert sc.duration_s == 4.0
