@@ -3,11 +3,12 @@
 Exit codes are stable so scripts can branch on failure class:
 
     0  success
-    2  configuration problem (bad scenario or --seed, unknown joint, bad flag combo)
+    2  configuration problem (bad scenario or --seed, a --seeds run past seed
+       2**63 - 1, unknown joint, bad flag combo)
     3  I/O or parse failure (missing file, malformed CSV/JSON/YAML, a file
        that is not UTF-8, a non-finite angle)
     4  validation failure (inconsistent recording, angle CSV timestamps not
-       increasing, disjoint series)
+       increasing, disjoint series, an MAE or Pearson result that overflows)
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .pipeline import (ANGLE_CSV, RECORDING_CSV, AngleSeries, CsvSchema, ParseEr
                        rate_series, read_angles, read_recording, write_csv, write_json)
 from .protocol import BLE_MAX_SENSORS, ConfigError
 from .runner import execute, load_session, run_scenario, scenario_field
-from .scenario import load_scenario, parse_scenario
+from .scenario import INT_LIMIT, load_scenario, parse_scenario
 from .skeleton import JOINTS, CalibrationRecord, Skeleton
 
 EXIT_OK = 0
@@ -170,6 +171,11 @@ def cmd_protocol_bench(args: argparse.Namespace) -> int:
     # seed drives every derived stream (noise, offsets, interferers).
     cfg = yaml.safe_load(Path(args.scenario).read_text(encoding="utf-8"))
     base = parse_scenario(cfg, seed=args.seed)
+    last = base.seed + args.seeds - 1
+    if last > INT_LIMIT:
+        given = "--seed" if args.seed is not None else "session.seed"
+        raise ConfigError(f"--seeds {args.seeds} from {given} {base.seed} reaches seed {last}, "
+                          f"beyond 2**63 - 1")
     if "ble-baseline" in protocols and len(base.roster) > BLE_MAX_SENSORS:
         raise ConfigError(f"ble-baseline supports at most {BLE_MAX_SENSORS} sensors; "
                           f"scenario places {len(base.roster)}")

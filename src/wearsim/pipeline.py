@@ -1,7 +1,8 @@
 """Output formats, recording persistence and analysis metrics.
 
-Every output file is written here: write_csv for each CSV kind, write_json
-for each JSON report. A CSV cell is empty for None, a float to 9
+Every output file is written here: write_csv for each CSV kind (or
+write_lines, for lines formatted by the kind's schema), write_json for each
+JSON report. A CSV cell is empty for None, a float to 9
 significant digits (the nine_digits grid) and str() of anything else.
 Each CSV kind has a CsvSchema: its column names and the one type each
 column holds. The schema turns that rule into one %-format per row shape,
@@ -43,6 +44,9 @@ from .skeleton import (CalibrationRecord, JointSpec, Skeleton, animate_frame,
 _UNIT_TOL = 1e-6
 # Width of the sliding window of rate_series.
 RATE_WINDOW_US = 1_000_000
+# pearson brings each series under 2**_PEARSON_EXP, so that its squared
+# deviations, their sums and the product of two such sums stay finite.
+_PEARSON_EXP = 201
 
 
 class RecordingError(ValueError):
@@ -111,6 +115,14 @@ class CsvSchema:
                 raise TypeError(f"{self.header} row {n}: {self._misfit(row)}")
             yield fmt % row
 
+    def row_format(self, row: tuple) -> str:
+        """The %-format that writes every row of row's shape: the types of
+        its cells. TypeError if row does not fit."""
+        fmt = self._formats.get(tuple(map(type, row)))
+        if fmt is None:
+            raise TypeError(f"{self.header}: {self._misfit(row)}")
+        return fmt
+
     def _misfit(self, row: tuple) -> str:
         if len(row) != len(self.columns):
             return f"expected {len(self.columns)} cells, got {len(row)}: {row!r}"
@@ -127,11 +139,16 @@ RECORDING_CSV = CsvSchema(("timestamp_us", int), ("sensor_id", int), ("seq", int
 ANGLE_CSV = CsvSchema(("time_us", int), ("angle_deg", float))
 
 
-def write_csv(path: str | Path, schema: CsvSchema, rows: Iterable[tuple]) -> None:
-    """Write the schema's header line, then one line per row."""
+def write_lines(path: str | Path, schema: CsvSchema, lines: Iterable[str]) -> None:
+    """Write the schema's header line, then lines the schema formatted."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(schema.header + "\n")
-        fh.writelines(schema.lines(rows))
+        fh.writelines(lines)
+
+
+def write_csv(path: str | Path, schema: CsvSchema, rows: Iterable[tuple]) -> None:
+    """Write the schema's header line, then one line per row."""
+    write_lines(path, schema, schema.lines(rows))
 
 
 def write_json(path: str | Path, data) -> None:
@@ -310,27 +327,49 @@ def _aligned(a: AngleSeries, b: AngleSeries) -> list[tuple[float, float]]:
     return pairs
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{what} overflows: the angles are too large for a float")
+    return value
+
+
 def mae(a: AngleSeries, b: AngleSeries) -> float:
     """Mean absolute error of b against a, sampled at a's timestamps.
 
     b is linearly interpolated; only the overlapping time range counts.
+    A result that overflows a float raises ValueError.
     """
     pairs = _aligned(a, b)
-    return math.fsum(abs(va - vb) for va, vb in pairs) / len(pairs)
+    try:
+        total = math.fsum(abs(va - vb) for va, vb in pairs)
+    except OverflowError:  # fsum's partial sums left the float range
+        total = math.inf
+    return _finite(total / len(pairs), "mean absolute error")
+
+
+def _scaled(values: list[float]) -> list[float]:
+    """values times a power of two that brings every magnitude under
+    2**_PEARSON_EXP; values already under it are returned as given. The
+    factor is exact and leaves Pearson's r as it is."""
+    shift = _PEARSON_EXP - math.frexp(max(map(abs, values)))[1]
+    return values if shift >= 0 else [math.ldexp(v, shift) for v in values]
 
 
 def pearson(a: AngleSeries, b: AngleSeries) -> float:
-    """Pearson correlation of the two series on a's timestamps."""
+    """Pearson correlation of the two series on a's timestamps. A result
+    that is not finite raises ValueError."""
     pairs = _aligned(a, b)
     n = len(pairs)
-    ma = math.fsum(va for va, _ in pairs) / n
-    mb = math.fsum(vb for _, vb in pairs) / n
-    cov = math.fsum((va - ma) * (vb - mb) for va, vb in pairs)
-    var_a = math.fsum((va - ma) ** 2 for va, _ in pairs)
-    var_b = math.fsum((vb - mb) ** 2 for _, vb in pairs)
+    xs = _scaled([va for va, _ in pairs])
+    ys = _scaled([vb for _, vb in pairs])
+    ma = math.fsum(xs) / n
+    mb = math.fsum(ys) / n
+    cov = math.fsum((va - ma) * (vb - mb) for va, vb in zip(xs, ys))
+    var_a = math.fsum((va - ma) ** 2 for va in xs)
+    var_b = math.fsum((vb - mb) ** 2 for vb in ys)
     if var_a == 0.0 or var_b == 0.0:
         raise ValueError("correlation undefined: a series has zero variance")
-    return cov / math.sqrt(var_a * var_b)
+    return _finite(cov / math.sqrt(var_a * var_b), "Pearson correlation")
 
 
 def rate_series(frames: Sequence[RecordingFrame],

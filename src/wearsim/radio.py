@@ -27,7 +27,6 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -141,7 +140,7 @@ class Jammer:
 
 # At most this many Wi-Fi idle/busy pairs, or BT events, per numpy call.
 _DRAW_CHUNK = 1 << 16
-# Bursts per lane turned into Python floats at a time by bursts().
+# Bursts turned into Python floats at a time by bursts().
 _ROW_CHUNK = 1024
 
 # One source's bursts, ordered by start: starts, durations, band lows and
@@ -243,15 +242,6 @@ class _Lane(NamedTuple):
     hi: np.ndarray
 
 
-def _lane_bursts(lane: _Lane) -> Iterator[Burst]:
-    for i in range(0, len(lane.starts), _ROW_CHUNK):
-        part = slice(i, i + _ROW_CHUNK)
-        yield from map(Burst._make, zip(
-            lane.starts[part].tolist(), lane.durations[part].tolist(),
-            itertools.repeat(lane.source),
-            zip(lane.lo[part].tolist(), lane.hi[part].tolist())))
-
-
 def _merged(starts: np.ndarray, ends: np.ndarray) -> tuple[list[float], list[float]]:
     """Union of intervals sorted by start, as disjoint intervals that do not
     touch: their starts and ends."""
@@ -312,10 +302,46 @@ class InterferenceField:
         # Query band -> the groups whose band overlaps it strictly.
         self._near: dict[tuple[float, float], list[tuple[list[float], list[float]]]] = {}
 
+    @property
+    def sources(self) -> list[str]:
+        """The source of each lane, sorted: the lane order of windows()."""
+        return [lane.source for lane in self._lanes]
+
+    def windows(self, cuts: Sequence[float], end_us: float
+                ) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
+        """The bursts that start at or before end_us, cut by start into
+        len(cuts) + 1 windows: window k holds those that start before
+        cuts[k] and not before cuts[k - 1]. cuts must not decrease.
+
+        A window is one (starts, durations) pair of column views per lane,
+        in the order of sources, each ordered by start.
+        """
+        edges = []
+        for lane in self._lanes:
+            limit = int(np.searchsorted(lane.starts, end_us, "right"))
+            edges.append(np.minimum(np.r_[0, np.searchsorted(lane.starts, cuts), limit],
+                                    limit).tolist())
+        for k in range(len(cuts) + 1):
+            yield [(lane.starts[e[k]:e[k + 1]], lane.durations[e[k]:e[k + 1]])
+                   for lane, e in zip(self._lanes, edges)]
+
     def bursts(self) -> Iterator[Burst]:
-        """Every burst, ordered by (start_us, source); columns turn into
-        Python floats a chunk at a time."""
-        return heapq.merge(*map(_lane_bursts, self._lanes), key=itemgetter(0, 2))
+        """Every burst, ordered by (start_us, source): the lanes, which are
+        in source order, laid end to end and stably sorted by start. Columns
+        turn into Python floats a chunk at a time."""
+        if not self._lanes:
+            return
+        sources = self.sources
+        cols = [np.concatenate(c) for c in zip(*(lane[1:] for lane in self._lanes))]
+        lanes = np.repeat(np.arange(len(sources)), [len(lane.starts) for lane in self._lanes])
+        order = np.argsort(cols[0], kind="stable")
+        starts, durations, lo, hi, lanes = (c[order] for c in (*cols, lanes))
+        for i in range(0, len(order), _ROW_CHUNK):
+            part = slice(i, i + _ROW_CHUNK)
+            yield from map(Burst._make, zip(
+                starts[part].tolist(), durations[part].tolist(),
+                map(sources.__getitem__, lanes[part].tolist()),
+                zip(lo[part].tolist(), hi[part].tolist())))
 
     def all_bursts(self) -> list[Burst]:
         return list(self.bursts())

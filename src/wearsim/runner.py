@@ -11,26 +11,32 @@ A run writes one directory:
     session.json             sidecar needed to re-derive angles offline
                              (placement, calibration pose, frozen q_calib)
 
-Both traces are ordered by (time_us, source). The interferer rows of
-radio_trace.csv stream from InterferenceField.bursts() into the writer,
-so no list of every burst is built. TraceRow, radio.Burst and a
-radio_trace.csv row all hold time in field 0 and source in field 2, so
-one key, itemgetter(0, 2), orders all three. Every file is written through
-pipeline.write_csv or pipeline.write_json.
+Both traces are ordered by (time_us, source). radio_trace.csv is written
+in windows of a few thousand protocol rows, cut only where time_us
+changes. Each window takes the interferer bursts that start before the
+next window's first row (the last one: at or before the session's end) as
+column views from InterferenceField.windows(), and puts its lines in
+order with one stable sort on (time_us, source), protocol rows first on a
+tie. That is the order of a merge of the two ordered inputs, and no
+Burst or list of every burst is built. Protocol rows are type-checked
+row by row; each lane's constant burst cells are checked once. Every file
+is written through pipeline.write_csv, write_lines or write_json.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import json
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import get_type_hints
+from typing import Iterator, get_type_hints
+
+import numpy as np
 
 from .motion import SyntheticBody, random_offsets
 from .pipeline import (ANGLE_CSV, CsvSchema, ParseError, file_slug, nine_digits,
-                       write_csv, write_json, write_recording)
+                       write_csv, write_json, write_lines, write_recording)
 from .protocol import (SessionResult, TraceRow, ble_baseline_run, master_run,
                        session_metrics)
 from .quatmath import Quaternion
@@ -44,6 +50,10 @@ SESSION_TRACE_CSV = CsvSchema(*get_type_hints(TraceRow).items())
 # Interferer bursts have no channel: their cell is empty.
 RADIO_TRACE_CSV = CsvSchema(("time_us", float), ("duration_us", float), ("source", str),
                             ("channel", int | None), ("kind", str), ("outcome", str))
+# The radio_trace.csv cells of a TraceRow.
+_RADIO_CELLS = itemgetter(0, 1, 2, 3, 4, 7)
+# Protocol rows per radio_trace.csv window, before the cut moves past ties.
+_WINDOW_ROWS = 4096
 
 
 @dataclass
@@ -94,15 +104,39 @@ def execute(sc: Scenario, field: InterferenceField | None = None) -> RunArtifact
     return RunArtifacts(sc, body, calib, field, result, session_metrics(result))
 
 
-def _radio_trace_rows(result: SessionResult, field: InterferenceField):
-    """Protocol rows and interferer bursts in one stream, by (time_us, source)."""
-    proto = ((r.time_us, r.duration_us, r.source, r.channel, r.kind, r.outcome)
-             for r in result.trace)
-    bursts = ((start, duration, source, None, source.split(":")[0], "busy")
-              for start, duration, source, _ in field.bursts()
-              if start <= result.duration_us)
-    # Both inputs are already ordered by this key, so this equals a stable sort.
-    return heapq.merge(proto, bursts, key=itemgetter(0, 2))
+def _radio_trace_lines(result: SessionResult, field: InterferenceField) -> Iterator[str]:
+    """The lines of radio_trace.csv after its header: protocol rows and the
+    interferer bursts that start at or before the session's end, ordered by
+    (time_us, source), protocol rows first on a tie."""
+    trace = result.trace
+    bounds = [0]  # window k holds the protocol rows bounds[k]:bounds[k + 1]
+    while len(bounds) == 1 or bounds[-1] < len(trace):
+        b = min(bounds[-1] + _WINDOW_ROWS, len(trace))
+        while b < len(trace) and trace[b].time_us == trace[b - 1].time_us:
+            b += 1
+        bounds.append(b)
+    windows = field.windows([trace[b].time_us for b in bounds[1:-1]], result.duration_us)
+
+    sources = field.sources
+    rank = {s: i for i, s in enumerate(sorted(set(map(itemgetter(2), trace)).union(sources)))}
+    lane_ranks = [rank[s] for s in sources]
+    tails = [(s, None, s.split(":")[0], "busy") for s in sources]
+    # Starts and durations come from float64 columns through tolist(): floats.
+    formats = [RADIO_TRACE_CSV.row_format((0.0, 0.0, *tail)) for tail in tails]
+    proto = RADIO_TRACE_CSV.lines(map(_RADIO_CELLS, trace))
+
+    for a, b, lanes in zip(bounds, bounds[1:], windows):
+        if not any(len(starts) for starts, _ in lanes):
+            yield from itertools.islice(proto, b - a)
+            continue
+        lines = list(itertools.islice(proto, b - a))
+        for (starts, durations), fmt, tail in zip(lanes, formats, tails):
+            lines += map(fmt.__mod__, zip(starts.tolist(), durations.tolist(),
+                                          *map(itertools.repeat, tail)))
+        times = np.concatenate([[r.time_us for r in trace[a:b]], *(s for s, _ in lanes)])
+        ranks = np.concatenate([[rank[r.source] for r in trace[a:b]],
+                                np.repeat(lane_ranks, [len(s) for s, _ in lanes])])
+        yield from map(lines.__getitem__, np.lexsort((ranks, times)).tolist())
 
 
 def _write_ground_truth(body: SyntheticBody, sc: Scenario, out_dir: Path) -> None:
@@ -152,8 +186,8 @@ def run_scenario(sc: Scenario, out_dir: str | Path) -> RunArtifacts:
     out.mkdir(parents=True, exist_ok=True)
     write_recording(art.result.frames, out / "recording.csv")
     write_csv(out / "session_trace.csv", SESSION_TRACE_CSV, art.result.trace)
-    write_csv(out / "radio_trace.csv", RADIO_TRACE_CSV,
-              _radio_trace_rows(art.result, art.field))
+    write_lines(out / "radio_trace.csv", RADIO_TRACE_CSV,
+                _radio_trace_lines(art.result, art.field))
     write_json(out / "metrics.json", art.metrics)
     _write_ground_truth(art.body, sc, out)
     _write_session(sc, art.calibration, out / "session.json")

@@ -33,7 +33,7 @@ _NOISE_KEYS = tuple(f.name for f in fields(NoiseModel) if f.name != "seed")
 
 _REQUIRED = object()
 # Integers beyond a C ssize_t overflow deque sizes and float conversion.
-_INT_LIMIT = 2**63 - 1
+INT_LIMIT = 2**63 - 1
 # One day: presets build their knots at parse time, in proportion to duration.
 _MAX_DURATION_S = 86_400.0
 
@@ -82,7 +82,7 @@ def _finite(raw: Mapping, key: str, where: str) -> int | float:
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
-    if isinstance(value, int) and abs(value) > _INT_LIMIT:
+    if isinstance(value, int) and abs(value) > INT_LIMIT:
         raise ConfigError(f"{where}.{key} must lie within +-(2**63 - 1)")
     return value
 
@@ -113,7 +113,7 @@ def _integer(raw: Mapping, key: str, where: str, default: Any = _REQUIRED, *,
 def _checked_int(value: Any, name: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if abs(value) > _INT_LIMIT:
+    if abs(value) > INT_LIMIT:
         raise ConfigError(f"{name} must lie within +-(2**63 - 1)")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")

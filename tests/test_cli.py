@@ -13,6 +13,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wearsim import cli
 from wearsim.cli import main
 from wearsim.motion import NoiseModel
 from wearsim.protocol import HopPolicy, TimingProfile
@@ -214,6 +215,17 @@ class TestCompare:
         report = json.loads((tmp_path / "comparison.json").read_text())
         assert report["mae_deg"] < 5.0
         assert report["pearson"] > 0.9
+
+    def test_huge_finite_angles(self, tmp_path, capsys):
+        a, b = tmp_path / "big.csv", tmp_path / "big2.csv"
+        a.write_text("time_us,angle_deg\n0,1e308\n100,-1e308\n")
+        b.write_text("time_us,angle_deg\n0,-1e308\n100,1e308\n")
+        out = tmp_path / "o"
+        assert main(["compare", str(a), str(b), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert "mean absolute error overflows" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_recording_needs_joint_choice(self, arm_raise_run, capsys):
         rc = main(["compare", str(arm_raise_run / "recording.csv"),
@@ -429,6 +441,26 @@ class TestProtocolBench:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "at most 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("session_seed, flags, given", [
+        (0, ["--seed", str(2**63 - 2)], "--seed"),
+        (2**63 - 2, [], "session.seed"),
+    ])
+    def test_last_seed_out_of_range(self, tmp_path, capsys, monkeypatch,
+                                    session_seed, flags, given):
+        # The last derived seed is checked before the first seed runs.
+        monkeypatch.setattr(cli, "execute", lambda *a: pytest.fail("a seed ran"))
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(f"session: {{duration_s: 0.3, seed: {session_seed}}}\n"
+                            "motion: {preset: arm-raise}\n"
+                            "interference: {preset: crowded}\n")
+        out = tmp_path / "bench"
+        rc = main(["protocol-bench", "--scenario", str(scenario), "--out", str(out),
+                   "--seeds", "3", *flags])
+        assert rc == 2
+        assert (f"--seeds 3 from {given} {2**63 - 2} reaches seed {2**63}, beyond 2**63 - 1"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_unknown_protocol(self, tmp_path):
         rc = main(["protocol-bench", "--scenario",

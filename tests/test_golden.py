@@ -13,13 +13,21 @@ import hashlib
 import io
 import os
 import shutil
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wearsim import runner
 from wearsim.cli import main
-from wearsim.runner import _radio_trace_rows, execute
+from wearsim.pipeline import write_lines
+from wearsim.protocol import SessionResult, TraceRow
+from wearsim.radio import Burst, InterferenceField
+from wearsim.runner import RADIO_TRACE_CSV, _radio_trace_lines, execute
 from wearsim.scenario import parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -153,9 +161,52 @@ def test_radio_trace_merge_equals_sort(kind, seed):
     cfg = yaml.safe_load((SCENARIOS / "arm_raise_crowded.yaml").read_text())
     cfg["protocol"]["kind"] = kind
     art = execute(parse_scenario(cfg, seed=seed))
-    merged = list(_radio_trace_rows(art.result, art.field))
-    assert any(r[5] == "busy" for r in merged)
-    assert merged == sorted_radio_rows(art.result, art.field)
+    merged = list(_radio_trace_lines(art.result, art.field))
+    assert any(line.endswith(",busy\n") for line in merged)
+    assert merged == list(RADIO_TRACE_CSV.lines(sorted_radio_rows(art.result, art.field)))
+
+
+# Protocol sources, and lane sources that sort before, between and after
+# them, match one of them, or hold a %.
+PROTOCOL_SOURCES = ["master", "sensor:1", "sensor:10", "sensor:2"]
+LANE_SOURCES = ["bt:0", "jam:5", "master", "n%s", "sensor", "sensor!", "sensor:10",
+                "sensor:3", "wifi%%:1", "~%d"]
+# A half-microsecond grid, so rows and bursts share starts, and a burst can
+# start exactly at the session's end or just after it.
+grid = st.integers(0, 24).map(lambda n: n / 2)
+
+
+@st.composite
+def radio_sessions(draw):
+    """A small field built from bursts and a session whose trace is ordered
+    by (time_us, source)."""
+    bursts = []
+    for source in draw(st.lists(st.sampled_from(LANE_SOURCES), unique=True, max_size=5)):
+        t = draw(grid)
+        for _ in range(draw(st.integers(0, 6))):
+            d = draw(st.integers(1, 6).map(lambda n: n / 2))
+            bursts.append(Burst(t, d, source, (2400.0, 2402.0)))
+            t += d + draw(st.sampled_from([0.0, 0.25, 0.5, 2.0]))
+    keys = sorted(draw(st.lists(st.tuples(grid, st.sampled_from(PROTOCOL_SOURCES)),
+                                max_size=24)))
+    trace = [TraceRow(t, 0.5, source, 7, "cw", "poll", 1, "delivered")
+             for t, source in keys]
+    result = SessionResult("cw", draw(grid), (1,), [], trace, 0, 0, {}, [])
+    return result, InterferenceField(bursts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(radio_sessions(), st.integers(1, 7))
+def test_windowed_radio_trace_equals_sort(session, window_rows):
+    result, field = session
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(runner, "_WINDOW_ROWS", window_rows):
+        path = Path(tmp) / "radio_trace.csv"
+        write_lines(path, RADIO_TRACE_CSV, _radio_trace_lines(result, field))
+        written = path.read_text(encoding="utf-8")
+    expected = [RADIO_TRACE_CSV.header + "\n",
+                *RADIO_TRACE_CSV.lines(sorted_radio_rows(result, field))]
+    assert written == "".join(expected)
 
 
 if __name__ == "__main__":

@@ -319,6 +319,13 @@ class TestMae:
         b = series([(0, 0.0), (200, 10.0)])
         assert pl.mae(a, b) == pytest.approx(5.0)
 
+    def test_overflow_raises(self):
+        # fsum's partial sums overflow although each difference is finite.
+        a = series([(0, 1e308), (10, 1e308), (20, -1e308)])
+        b = series([(0, 1.0), (10, 2.0), (20, 3.0)])
+        with pytest.raises(ValueError, match="mean absolute error overflows"):
+            pl.mae(a, b)
+
     def test_no_overlap(self):
         a = series([(0, 1.0), (10, 1.0)])
         b = series([(100, 1.0), (110, 1.0)])
@@ -352,6 +359,21 @@ class TestPearson:
         for scale, shift in ((2.0, 0.0), (0.5, -10.0), (7.0, 100.0)):
             bb = pl.AngleSeries("x", [(t, scale * v + shift) for t, v in b.points])
             assert abs(pl.pearson(a, bb) - base) < 1e-12
+
+
+    @pytest.mark.parametrize("exponent", [200, 700, 1000])
+    def test_huge_angles_scale_exactly(self, exponent):
+        # Squared deviations of these values overflow a float; a power-of-two
+        # factor is exact, so r equals that of the same series scaled down.
+        rng = random.Random(73)
+        a = series([(t * 10, rng.uniform(-1.0, 1.0)) for t in range(50)])
+        b = series([(t, v + rng.uniform(-0.5, 0.5)) for t, v in a.points])
+
+        def scaled(s):
+            return pl.AngleSeries(s.label, [(t, math.ldexp(v, exponent)) for t, v in s.points])
+
+        assert pl.pearson(scaled(a), scaled(b)) == pl.pearson(a, b)
+        assert pl.pearson(scaled(a), b) == pl.pearson(a, b)
 
 
 class TestRateSeries:

@@ -278,9 +278,10 @@ def test_busy_matches_brute_force(bursts, queries):
 
 
 def test_records_share_time_and_source_columns():
-    # runner._radio_trace_rows and InterferenceField.bursts() order all three
-    # by itemgetter(0, 2).
+    # runner._radio_trace_lines and InterferenceField.bursts() order by time
+    # and source, which all three hold in fields 0 and 2.
     assert TraceRow._fields[0:3:2] == ("time_us", "source")
+    assert runner._RADIO_CELLS(TraceRow._fields) == runner.RADIO_TRACE_CSV.names
     assert Burst._fields[0:3:2] == ("start_us", "source")
     assert runner.RADIO_TRACE_CSV.names[0:3:2] == ("time_us", "source")
 
