@@ -31,15 +31,17 @@ import itertools
 import json
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Iterable, Iterator, Sequence, get_args
 
-from .quatmath import Quaternion
+from .quatmath import Quaternion, shortest_angle_deg, unit4
+# animate_frame is not called here, but perfbench's span table resolves
+# pipeline.animate_frame: a traced run raises KeyError without the name.
 from .skeleton import (CalibrationRecord, JointSpec, Skeleton, animate_frame,
-                       joint_angle)
+                       sensor_poses)
 
 _UNIT_TOL = 1e-6
 # Width of the sliding window of rate_series.
@@ -158,34 +160,30 @@ def write_json(path: str | Path, data) -> None:
                           encoding="utf-8")
 
 
-@dataclass(frozen=True, slots=True)
-class RecordingFrame:
-    """One delivered sensor sample."""
+class RecordingFrame(namedtuple("RecordingFrame",
+                                "timestamp_us sensor_id seq qw qx qy qz status")):
+    """One delivered sensor sample: the tuple of its RECORDING_CSV cells.
 
-    timestamp_us: int
-    sensor_id: int
-    seq: int
-    qw: float
-    qx: float
-    qy: float
-    qz: float
-    status: int
+    The constructor checks that the quaternion is unit within _UNIT_TOL and
+    the status is in 0..3; _make is the unchecked path.
+    """
 
-    def __post_init__(self) -> None:
-        norm = math.sqrt(self.qw ** 2 + self.qx ** 2 + self.qy ** 2 + self.qz ** 2)
-        if abs(norm - 1.0) > _UNIT_TOL:
+    __slots__ = ()
+
+    def __new__(cls, timestamp_us: int, sensor_id: int, seq: int, qw: float, qx: float,
+                qy: float, qz: float, status: int) -> "RecordingFrame":
+        norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+        if not abs(norm - 1.0) <= _UNIT_TOL:  # a NaN component fails it too
             raise ValueError(f"quaternion norm {norm:.9f} is not unit within {_UNIT_TOL}")
-        if not 0 <= self.status <= 3:
-            raise ValueError(f"status {self.status} outside 0..3")
+        if not 0 <= status <= 3:
+            raise ValueError(f"status {status} outside 0..3")
+        return tuple.__new__(cls, (timestamp_us, sensor_id, seq, qw, qx, qy, qz, status))
 
     @staticmethod
     def quantized(timestamp_us: int, sensor_id: int, seq: int,
                   q: Quaternion, status: int = 3) -> "RecordingFrame":
         """Build a frame with components rounded to the serialized grid."""
         return RecordingFrame(timestamp_us, sensor_id, seq, *map(nine_digits, q), status)
-
-    def quaternion(self) -> Quaternion:
-        return Quaternion(self.qw, self.qx, self.qy, self.qz)
 
 
 def _check_stream(frames: Iterable[RecordingFrame], first_line: int = 0) -> None:
@@ -210,7 +208,7 @@ def _check_stream(frames: Iterable[RecordingFrame], first_line: int = 0) -> None
 def write_recording(frames: Sequence[RecordingFrame], path: str | Path) -> None:
     """Write frames as CSV. The stream invariants are checked first."""
     _check_stream(frames)
-    write_csv(path, RECORDING_CSV, map(attrgetter(*RECORDING_CSV.names), frames))
+    write_csv(path, RECORDING_CSV, frames)
 
 
 def read_recording(path: str | Path) -> list[RecordingFrame]:
@@ -292,18 +290,17 @@ def joint_angle_series(frames: Sequence[RecordingFrame], calib: CalibrationRecor
     for s in sensors:
         if not streams[s]:
             raise ValueError(f"recording has no frames for sensor {s} ({joint.label!r})")
-    times = {f.timestamp_us for s in sensors for f in streams[s]}
-    start = max(streams[s][0].timestamp_us for s in sensors)
-    grid = sorted(t for t in times if t >= start)
-    stamps = {s: [f.timestamp_us for f in streams[s]] for s in sensors}
-    points: list[tuple[int, float]] = []
-    for t in grid:
-        snapshot = {}
-        for s in sensors:
-            idx = bisect_right(stamps[s], t) - 1
-            snapshot[s] = streams[s][idx].quaternion()
-        points.append((t, joint_angle(animate_frame(snapshot, calib, skel), joint)))
-    return AngleSeries(joint.label, points)
+    # Each frame's bone pose is computed once, then held from its timestamp on.
+    (p_ts, p_poses), (c_ts, c_poses) = (
+        ([f.timestamp_us for f in streams[s]],
+         sensor_poses(calib, skel, s, (unit4(f.qw, f.qx, f.qy, f.qz) for f in streams[s]))[1])
+        for s in sensors)
+    start = max(p_ts[0], c_ts[0])
+    grid = sorted({t for t in itertools.chain(p_ts, c_ts) if t >= start})
+    return AngleSeries(joint.label, [
+        (t, shortest_angle_deg(p_poses[bisect_right(p_ts, t) - 1],
+                               c_poses[bisect_right(c_ts, t) - 1]))
+        for t in grid])
 
 
 def _interp(points: Sequence[tuple[int, float]], ts: Sequence[int], t: float) -> float:
@@ -314,7 +311,10 @@ def _interp(points: Sequence[tuple[int, float]], ts: Sequence[int], t: float) ->
     if ts[i] == t or i + 1 >= len(points):
         return points[i][1]
     frac = (t - ts[i]) / (ts[i + 1] - ts[i])
-    return points[i][1] + (points[i + 1][1] - points[i][1]) * frac
+    a, b = points[i][1], points[i + 1][1]
+    value = a + (b - a) * frac
+    # b - a overflows for large samples of opposite sign; this form cannot.
+    return value if math.isfinite(value) else a * (1.0 - frac) + b * frac
 
 
 def _aligned(a: AngleSeries, b: AngleSeries) -> list[tuple[float, float]]:

@@ -121,13 +121,7 @@ def hamilton_product(a: Quaternion, b: Quaternion) -> Quaternion:
     return Quaternion._make(mul4(a, b))
 
 
-def inverse(q: Quaternion) -> Quaternion:
-    """Conjugate; equals the inverse for unit quaternions."""
-    w, x, y, z = q
-    return Quaternion(w, -x, -y, -z)
-
-
-def relative_to_calibration(q: Quaternion, q_calib: Quaternion) -> Quaternion:
+def relative_to_calibration(q: Quad, q_calib: Quad) -> Quaternion:
     """Rotation of q relative to the calibration snapshot: q * q_calib^-1.
 
     A fixed mounting offset shared by both arguments cancels out, so the
@@ -137,7 +131,9 @@ def relative_to_calibration(q: Quaternion, q_calib: Quaternion) -> Quaternion:
         # At the calibration instant the result is the exact identity,
         # not an identity perturbed by rounding.
         return _IDENTITY
-    return hamilton_product(q, inverse(q_calib))
+    # The conjugate is the inverse of a unit quaternion.
+    w, x, y, z = q_calib
+    return Quaternion._make(mul4(q, unit4(w, -x, -y, -z)))
 
 
 def enu_to_left_handed(q: Quaternion) -> Quaternion:

@@ -2,7 +2,7 @@
 
 The avatar is a 20-bone tree rooted at the pelvis. Sensors bind to a
 subset of bones through a placement preset; calibration snapshots each
-sensor's orientation in a known pose, and animate_frame maps subsequent
+sensor's orientation in a known pose, and sensor_poses maps subsequent
 readings onto bone orientations:
 
     q'  = q * q_calib^-1          (motion since calibration)
@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .quatmath import Quaternion, from_axis_angle, enu_to_left_handed, \
-    hamilton_product, relative_to_calibration, shortest_angle_deg
+from .quatmath import Quad, Quaternion, from_axis_angle, mul4, relative_to_calibration, \
+    shortest_angle_deg, unit4
 
 
 class CalibrationError(ValueError):
@@ -202,17 +202,30 @@ def calibrate(snapshot: Mapping[int, Quaternion], pose: CalibrationPose,
     return CalibrationRecord(pose, placement, q_calib)
 
 
+def sensor_poses(calib: CalibrationRecord, skel: Skeleton, sensor: int,
+                 readings: Iterable[Quad]) -> tuple[BoneId, list[Quad]]:
+    """The bone that sensor is on, and its orientation at each of the
+    sensor's unit readings, computed on the quatmath tuple kernel."""
+    if sensor not in calib.q_calib:
+        raise CalibrationError(f"sensor {sensor} was not calibrated")
+    bone = calib.placement.bones[sensor]
+    rest = skel.rest[calib.pose][bone]
+    q_calib = calib.q_calib[sensor]
+    poses = []
+    for q in readings:
+        # enu_to_left_handed's permutation, normalized as its constructor does.
+        w, x, y, z = relative_to_calibration(q, q_calib)
+        poses.append(mul4(unit4(w, y, -z, -x), rest))
+    return bone, poses
+
+
 def animate_frame(snapshot: Mapping[int, Quaternion], calib: CalibrationRecord,
                   skel: Skeleton) -> dict[BoneId, Quaternion]:
     """Orientation of each sensed bone for one instant of sensor readings."""
-    rest = skel.rest[calib.pose]
     poses: dict[BoneId, Quaternion] = {}
     for sensor, q in snapshot.items():
-        if sensor not in calib.q_calib:
-            raise CalibrationError(f"sensor {sensor} was not calibrated")
-        bone = calib.placement.bones[sensor]
-        q_rel = relative_to_calibration(q, calib.q_calib[sensor])
-        poses[bone] = hamilton_product(enu_to_left_handed(q_rel), rest[bone])
+        bone, (pose,) = sensor_poses(calib, skel, sensor, (q,))
+        poses[bone] = Quaternion._make(pose)
     return poses
 
 

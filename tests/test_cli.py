@@ -317,6 +317,26 @@ class TestExitCodes:
         assert rc == 3
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["nan", "1e200"])
+    @pytest.mark.parametrize("sensor", [1, 4], ids=["shoulders", "no-joint"])
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_bad_quaternion_cell(self, arm_raise_run, tmp_path, capsys, cell, sensor, command):
+        # A malformed row wherever it sits, whether or not a joint reads the sensor.
+        lines = (arm_raise_run / "recording.csv").read_text().splitlines()
+        n = next(i for i in range(20, len(lines)) if lines[i].split(",")[1] == str(sensor))
+        cells = lines[n].split(",")
+        cells[3] = cell
+        lines[n] = ",".join(cells)
+        bad = tmp_path / "recording.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        (tmp_path / "session.json").write_bytes((arm_raise_run / "session.json").read_bytes())
+        argv = {"analyze": ["analyze", "--recording", str(bad), "--out", str(tmp_path / "o")],
+                "compare": ["compare", str(bad),
+                            str(arm_raise_run / "ground_truth_left_shoulder.csv"),
+                            "--joint", "left shoulder"]}[command]
+        assert main(argv) == 3
+        assert f"line {n + 1}: quaternion norm" in capsys.readouterr().err
+
     def test_recording_without_sidecar(self, artificial_run, tmp_path):
         alone = tmp_path / "recording.csv"
         alone.write_bytes((artificial_run / "recording.csv").read_bytes())

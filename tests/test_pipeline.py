@@ -3,6 +3,7 @@
 import math
 import random
 import tempfile
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,13 @@ class TestRecordingFrame:
         for status in (-1, 4):
             with pytest.raises(ValueError, match="outside 0..3"):
                 RecordingFrame(0, 1, 1, 1.0, 0.0, 0.0, 0.0, status)
+
+
+    @pytest.mark.parametrize("qw", [math.nan, math.inf, 1e200])
+    def test_non_finite_or_huge_component(self, qw):
+        # A NaN norm fails the unit check too; a square over the float range is inf.
+        with pytest.raises(ValueError, match="not unit"):
+            RecordingFrame(0, 1, 1, qw, 0.0, 0.0, 0.0, 3)
 
 
 class TestRoundTrip:
@@ -300,6 +308,100 @@ class TestJointAngleSeries:
             pl.joint_angle_series(frames, self.calib, self.skel, self.joint)
 
 
+def old_animate_frame(snapshot, calib, skel):
+    """animate_frame as it was before the tuple kernel: every step through
+    checked Quaternion constructors, which normalize where needed."""
+    rest = skel.rest[calib.pose]
+    poses = {}
+    for sensor, q in snapshot.items():
+        if sensor not in calib.q_calib:
+            raise sk.CalibrationError(f"sensor {sensor} was not calibrated")
+        bone = calib.placement.bones[sensor]
+        q_calib = calib.q_calib[sensor]
+        if q == q_calib:
+            q_rel = Quaternion.identity()
+        else:
+            w, x, y, z = q_calib
+            q_rel = qm.hamilton_product(q, Quaternion(w, -x, -y, -z))
+        poses[bone] = qm.hamilton_product(qm.enu_to_left_handed(q_rel), rest[bone])
+    return poses
+
+
+def per_point_series(frames, calib, skel, joint):
+    """joint_angle_series' reference: both bone poses recomputed at every grid
+    point from the latest frame of each sensor."""
+    sensors = (calib.placement.sensor_on(joint.parent_bone),
+               calib.placement.sensor_on(joint.child_bone))
+    streams = {s: [f for f in frames if f.sensor_id == s] for s in sensors}
+    for s in sensors:
+        if not streams[s]:
+            raise ValueError(f"recording has no frames for sensor {s} ({joint.label!r})")
+    stamps = {s: [f.timestamp_us for f in streams[s]] for s in sensors}
+    start = max(ts[0] for ts in stamps.values())
+    grid = sorted({t for ts in stamps.values() for t in ts if t >= start})
+    points = []
+    for t in grid:
+        latest = {s: streams[s][bisect_right(stamps[s], t) - 1] for s in sensors}
+        snapshot = {s: Quaternion(f.qw, f.qx, f.qy, f.qz) for s, f in latest.items()}
+        points.append((t, sk.joint_angle(old_animate_frame(snapshot, calib, skel), joint)))
+    return pl.AngleSeries(joint.label, points)
+
+
+@st.composite
+def recordings(draw):
+    """A p12 calibration (maybe missing a sensor), a joint, and frames of its
+    two sensors and one bystander: shared and distinct timestamps, readings
+    equal to the sensor's q_calib or to the identity, and random ones."""
+    placement = sk.placement_preset("p12")
+    joint = draw(st.sampled_from(sorted(sk.JOINTS.values(), key=lambda j: j.label)))
+    sensors = [placement.sensor_on(joint.parent_bone), placement.sensor_on(joint.child_bone)]
+    unit = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda c: sum(x * x for x in c) > 1e-6).map(lambda c: Quaternion(*c))
+    q_calib = {}
+    for s in placement.bones:
+        q = draw(st.one_of(st.just(Quaternion.identity()), unit))
+        # A calibration reading is a recorded one: on the 9-digit grid.
+        f = RecordingFrame.quantized(0, s, 0, q)
+        q_calib[s] = Quaternion(f.qw, f.qx, f.qy, f.qz)
+    uncalibrated = draw(st.sampled_from([None] * 4 + sensors))
+    if uncalibrated is not None:
+        del q_calib[uncalibrated]
+    calib = sk.CalibrationRecord(draw(st.sampled_from(list(sk.CalibrationPose))), placement,
+                                 q_calib)
+    bystander = next(s for s in placement.bones if s not in sensors)
+    frames, ts, seq = [], draw(st.integers(0, 10**6)), 0
+    for _ in range(draw(st.integers(0, 30))):
+        ts += draw(st.sampled_from([0, 0, 1, 7, 1000]))
+        seq += 1
+        s = draw(st.sampled_from(sensors + sensors + [bystander]))
+        kind = draw(st.sampled_from(["calib", "identity", "random", "random"]))
+        if kind == "calib" and s in q_calib:
+            frames.append(RecordingFrame(ts, s, seq, *q_calib[s], 3))
+        elif kind == "identity":
+            frames.append(RecordingFrame(ts, s, seq, 1.0, 0.0, 0.0, 0.0, 3))
+        else:
+            frames.append(RecordingFrame.quantized(ts, s, seq, draw(unit)))
+    return frames, calib, joint
+
+
+def outcome(fn, *args):
+    """A series' points with angles in hex, or the ValueError it raised."""
+    try:
+        return [(t, a.hex()) for t, a in fn(*args).points]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestJointAngleSeriesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(recordings())
+    def test_equals_per_point_path(self, recording):
+        frames, calib, joint = recording
+        skel = sk.Skeleton.default()
+        assert outcome(pl.joint_angle_series, frames, calib, skel, joint) == \
+            outcome(per_point_series, frames, calib, skel, joint)
+
+
 def series(pts, label="x"):
     return pl.AngleSeries(label, [(int(t), float(a)) for t, a in pts])
 
@@ -325,6 +427,23 @@ class TestMae:
         b = series([(0, 1.0), (10, 2.0), (20, 3.0)])
         with pytest.raises(ValueError, match="mean absolute error overflows"):
             pl.mae(a, b)
+
+    def test_opposite_sign_extremes(self):
+        # b's samples differ by more than the float range; its line is finite.
+        a = series([(5, 0.0), (6, 1.0)])
+        b = series([(0, -1e308), (10, 1e308)])
+        assert pl.mae(a, b) == pytest.approx(1e307, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 999))
+    def test_interp_keeps_the_plain_form_when_finite(self, va, vb, t):
+        plain = va + (vb - va) * (t / 1000)
+        got = pl._interp([(0, va), (1000, vb)], [0, 1000], t)
+        if math.isfinite(plain):
+            assert got.hex() == plain.hex()
+        else:
+            assert min(va, vb) <= got <= max(va, vb)
 
     def test_no_overlap(self):
         a = series([(0, 1.0), (10, 1.0)])

@@ -86,7 +86,7 @@ class TestConstruction:
         for _ in range(200):
             a = random_quaternion(rng)
             b = random_quaternion(rng)
-            for q in (qm.hamilton_product(a, b), qm.inverse(a),
+            for q in (qm.hamilton_product(a, b), qm.relative_to_calibration(a, b),
                       qm.enu_to_left_handed(a)):
                 n = math.sqrt(q.w**2 + q.x**2 + q.y**2 + q.z**2)
                 assert abs(n - 1.0) <= 1e-9
@@ -117,7 +117,7 @@ class TestTupleType:
     def test_operations_return_quaternions(self):
         a = qm.from_axis_angle((0.3, -0.5, 0.8), 40.0)
         b = qm.from_axis_angle((1.0, 0.0, 0.0), 25.0)
-        for q in (a, qm.hamilton_product(a, b), qm.inverse(a), qm.enu_to_left_handed(a),
+        for q in (a, qm.hamilton_product(a, b), qm.enu_to_left_handed(a),
                   qm.relative_to_calibration(a, b), qm.relative_to_calibration(a, a)):
             assert type(q) is Quaternion
 
@@ -161,24 +161,6 @@ class TestHamiltonProduct:
                                rodrigues_matrix(axis, deg), atol=1e-9)
 
 
-class TestInverse:
-    def test_identity(self):
-        q = qm.inverse(Quaternion.identity())
-        assert (q.w, q.x, q.y, q.z) == (1.0, 0.0, 0.0, 0.0)
-
-    def test_conjugate(self):
-        q = qm.inverse(Quaternion(SQ2, 0.0, 0.0, SQ2))
-        assert q.w == pytest.approx(SQ2, abs=1e-12)
-        assert q.z == pytest.approx(-SQ2, abs=1e-12)
-
-    def test_product_with_inverse_is_identity(self):
-        rng = random.Random(99)
-        for _ in range(1000):
-            q = random_quaternion(rng)
-            p = qm.hamilton_product(q, qm.inverse(q))
-            assert_quat_close(p, Quaternion.identity())
-
-
 class TestRelativeToCalibration:
     def test_calibration_instant_is_exact_identity(self):
         rng = random.Random(3)
@@ -191,6 +173,24 @@ class TestRelativeToCalibration:
         q = random_quaternion(rng)
         p = qm.relative_to_calibration(q, Quaternion.identity())
         assert_quat_close(p, q)
+
+    def test_identity_calibration_is_exact(self):
+        rng = random.Random(98)
+        for _ in range(100):
+            q = random_quaternion(rng)
+            assert qm.relative_to_calibration(q, Quaternion.identity()) == q
+
+    def test_from_identity_is_the_conjugate(self):
+        q = qm.relative_to_calibration(Quaternion.identity(), Quaternion(SQ2, 0.0, 0.0, SQ2))
+        assert q.w == pytest.approx(SQ2, abs=1e-12)
+        assert q.z == pytest.approx(-SQ2, abs=1e-12)
+
+    def test_from_identity_is_the_inverse(self):
+        rng = random.Random(99)
+        for _ in range(1000):
+            q = random_quaternion(rng)
+            p = qm.hamilton_product(q, qm.relative_to_calibration(Quaternion.identity(), q))
+            assert_quat_close(p, Quaternion.identity())
 
     def test_mounting_offset_cancels(self):
         # bone(t)*O relative to bone(t0)*O is independent of O.
