@@ -4,9 +4,9 @@ Exit codes are stable so scripts can branch on failure class:
 
     0  success
     2  configuration problem (bad scenario or --seed, a --seeds run past seed
-       2**63 - 1, unknown joint, bad flag combo)
-    3  I/O or parse failure (missing file, malformed CSV/JSON/YAML, a file
-       that is not UTF-8, a non-finite angle)
+       2**63 - 1, unknown joint, a name repeated in a flag's list, bad flag combo)
+    3  I/O or parse failure (missing file, malformed CSV/JSON/YAML or session
+       sidecar, a file that is not UTF-8, a non-finite angle)
     4  validation failure (inconsistent recording, angle CSV timestamps not
        increasing, disjoint series, an MAE or Pearson result that overflows)
 """
@@ -57,6 +57,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _names(value: str, flag: str) -> list[str]:
+    """The names of a comma-separated flag value: at least one, none twice."""
+    names = [s.strip() for s in value.split(",") if s.strip()]
+    if not names:
+        raise ConfigError(f"{flag} lists no names")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"{flag} repeats {name!r}")
+    return names
+
+
 def _require_joint(label: str) -> None:
     if label not in JOINTS:
         raise ConfigError(f"unknown joint {label!r}; known joints: "
@@ -77,8 +88,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     frames = read_recording(rec_path)
     calib, meta = _sidecar(rec_path, args.session, "--session")
 
-    if args.joints:
-        labels = [s.strip() for s in args.joints.split(",") if s.strip()]
+    if args.joints is not None:
+        labels = _names(args.joints, "--joints")
     else:
         labels = list(meta.get("joints", []))
     if not labels:
@@ -158,9 +169,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_protocol_bench(args: argparse.Namespace) -> int:
-    protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
-    if not protocols:
-        raise ConfigError("--protocols lists no protocols")
+    protocols = _names(args.protocols, "--protocols")
     for proto in protocols:
         if proto not in ("cw", "ble-baseline"):
             raise ConfigError(f"unknown protocol {proto!r}; choose cw or ble-baseline")

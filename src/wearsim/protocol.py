@@ -160,41 +160,29 @@ class HopSequencer:
     A short blacklist keeps recently abandoned channels out of play.
     """
 
-    def __init__(self, policy: HopPolicy, seed: int) -> None:
+    def __init__(self, policy: HopPolicy, seed: int, channel: int) -> None:
         order = rnd.stream(seed, rnd.PROTOCOL).permutation(len(DATA_CHANNELS))
         self.chain: list[int] = [DATA_CHANNELS[i] for i in order]
-        self._pos = {ch: i for i, ch in enumerate(self.chain)}
-        self.cursor = -1
-        self.current: int | None = None
+        if channel not in self.chain:
+            raise ConfigError(f"channel {channel} is not a data channel")
+        self.current = channel
+        self.cursor = self.chain.index(channel)
         self.blacklist: deque[int] = deque(maxlen=policy.blacklist_size)
 
-    def seek(self, channel: int) -> None:
-        """Align the cursor with an externally chosen starting channel."""
-        if channel not in self._pos:
-            raise ConfigError(f"channel {channel} is not a data channel")
-        self.cursor = self._pos[channel]
-        self.current = channel
-
-    def position(self, channel: int) -> int:
-        return self._pos[channel]
-
-    def _select(self) -> tuple[int, int]:
+    def preview(self) -> tuple[int, int]:
+        """The next channel and its chain position; the state does not move."""
         n = len(self.chain)
         for step in range(1, n + 1):
             pos = (self.cursor + step) % n
             cand = self.chain[pos]
             if cand != self.current and cand not in self.blacklist:
-                return pos, cand
+                return cand, pos
         raise RuntimeError("hop chain exhausted")
 
-    def preview(self) -> int:
-        return self._select()[1]
-
     def advance(self) -> int:
-        pos, cand = self._select()
-        if self.current is not None:
-            self.blacklist.append(self.current)
-        self.cursor, self.current = pos, cand
+        cand, pos = self.preview()
+        self.blacklist.append(self.current)
+        self.current, self.cursor = cand, pos
         return cand
 
 
@@ -206,9 +194,8 @@ class SlaveUnit:
     time, so the simulation evaluates them lazily at each transmission.
     """
 
-    def __init__(self, sensor_id: int, timing: TimingProfile, policy: HopPolicy,
+    def __init__(self, timing: TimingProfile, policy: HopPolicy,
                  chain: Sequence[int]) -> None:
-        self.sensor_id = sensor_id
         self._chain = list(chain)
         self._dwell = timing.scan_dwell_us
         self._resync = timing.resync_us
@@ -272,7 +259,9 @@ class SessionResult:
     channel_history: list[tuple[float, int]]
 
 
-def _check_roster(roster: Sequence[int], limit: int) -> tuple[int, ...]:
+def _check_session(roster: Sequence[int], limit: int,
+                   duration_s: float) -> tuple[tuple[int, ...], float]:
+    """The roster's sensor ids and the session length in us."""
     ids = tuple(int(s) for s in roster)
     if not 1 <= len(ids) <= limit:
         raise ConfigError(f"roster size {len(ids)} outside 1..{limit}")
@@ -281,7 +270,9 @@ def _check_roster(roster: Sequence[int], limit: int) -> tuple[int, ...]:
     for s in ids:
         if not 1 <= s <= 12:
             raise ConfigError(f"sensor id {s} outside 1..12")
-    return ids
+    if not 0 < duration_s < math.inf:
+        raise ConfigError(f"duration_s must be positive and finite, got {duration_s}")
+    return ids, duration_s * 1e6
 
 
 def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
@@ -293,14 +284,9 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     """Run one polling session and return its frames, trace, and counters."""
     timing = timing or TimingProfile()
     policy = policy or HopPolicy()
-    ids = _check_roster(roster, 12)
-    if duration_s <= 0:
-        raise ConfigError(f"duration_s must be positive, got {duration_s}")
-    duration_us = duration_s * 1e6
-
-    seq = HopSequencer(policy, seed)
-    seq.seek(initial_channel)
-    slaves = {s: SlaveUnit(s, timing, policy, seq.chain) for s in ids}
+    ids, duration_us = _check_session(roster, 12, duration_s)
+    seq = HopSequencer(policy, seed, initial_channel)
+    slaves = {s: SlaveUnit(timing, policy, seq.chain) for s in ids}
     joined = {s: False for s in ids}
     last_ok = {s: -math.inf for s in ids}
     loss: deque[bool] = deque(maxlen=policy.loss_window)
@@ -387,8 +373,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
             return
         if not (yield from assess()):
             return
-        nxt = seq.preview()
-        follow = (nxt, seq.position(nxt))
+        follow = seq.preview()
         for _ in range(policy.announce_repeats):
             broadcast("hop", 0, timing.hop_air_us, seq.current, ids, follow)
             yield timing.hop_air_us + timing.turnaround_us
@@ -437,10 +422,8 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                 yield from beacon_burst()
             yield max(cycle_start + timing.cap_period_us - sched.now, 0.0)
 
-    loop = master()
-    sched.spawn(0, loop)
+    sched.at(0.0, master())
     sched.run_until(duration_us)
-    loop.close()  # else its pending step keeps trace and frames until a GC cycle
     resyncs = sum(sl.resyncs for sl in slaves.values())
     return SessionResult("cw", duration_us, ids, frames, trace,
                          len(channel_history) - 1, resyncs, {s: 0 for s in ids},
@@ -489,11 +472,7 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     failures drop the link for a one-second reconnect that flushes the
     queue. Delivered samples pass a 60 Hz token-bucket host cap.
     """
-    ids = _check_roster(roster, BLE_MAX_SENSORS)
-    if duration_s <= 0:
-        raise ConfigError(f"duration_s must be positive, got {duration_s}")
-    duration_us = duration_s * 1e6
-
+    ids, duration_us = _check_session(roster, BLE_MAX_SENSORS, duration_s)
     sched = radio.EventScheduler()
     frames: list[RecordingFrame] = []
     trace: list[TraceRow] = []
@@ -550,12 +529,9 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                 else:
                     yield _BLE_INTERVAL_US - _BLE_TX_US
 
-    nodes = [node(s) for s in ids]
-    for s, gen in zip(ids, nodes):
-        sched.spawn(s, gen)
+    for s in ids:
+        sched.at(0.0, node(s), s)
     sched.run_until(duration_us)
-    for gen in nodes:  # as in master_run
-        gen.close()
     frames.sort(key=lambda f: (f.timestamp_us, f.sensor_id))
     return SessionResult("ble", duration_us, ids, frames, trace, 0,
                          resyncs, host_dropped, [])

@@ -15,9 +15,10 @@ sources, each group merged into disjoint intervals: one bisect per group
 that overlaps the queried band. bursts() streams every Burst in
 (start, source) order without building a list.
 
-The event scheduler is single-threaded and fully deterministic: events
-fire in nondecreasing time, ties broken by (source id, insertion
-order).
+The event scheduler is single-threaded and fully deterministic. Its heap
+holds generator processes that yield microsecond delays; they resume in
+nondecreasing time, ties broken by (source id, order scheduled). A run
+ends at its horizon and closes every process still waiting.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
+from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -390,31 +391,32 @@ class EventScheduler:
     """Deterministic discrete-event loop over a microsecond clock."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, int, Generator[float, None, None]]] = []
         self._counter = itertools.count()
         self.now = 0.0
 
-    def at(self, time_us: float, fn: Callable[[], None], source: int = 0) -> None:
+    def at(self, time_us: float, process: Generator[float, None, None],
+           source: int = 0) -> None:
+        """Resume process at time_us; ties run by source, then by order scheduled."""
         if time_us < self.now:
             raise ValueError(f"cannot schedule at {time_us} before now={self.now}")
-        heapq.heappush(self._heap, (time_us, source, next(self._counter), fn))
-
-    def spawn(self, source: int, gen: Generator[float, None, None]) -> None:
-        """Drive a generator that yields microsecond delays."""
-        def step() -> None:
-            try:
-                delay = next(gen)
-            except StopIteration:
-                return
-            self.at(self.now + delay, step, source)
-        self.at(self.now, step, source)
+        heapq.heappush(self._heap, (time_us, source, next(self._counter), process))
 
     def run_until(self, t_end_us: float) -> None:
-        while self._heap and self._heap[0][0] <= t_end_us:
-            t, _, _, fn = heapq.heappop(self._heap)
+        """Run every resume up to t_end_us, then close the processes left."""
+        heap = self._heap
+        while heap and heap[0][0] <= t_end_us:
+            t, source, _, process = heapq.heappop(heap)
             self.now = t
-            fn()
+            try:
+                delay = next(process)
+            except StopIteration:
+                continue
+            self.at(t + delay, process, source)
         self.now = max(self.now, t_end_us)
+        for *_, process in heap:
+            process.close()
+        heap.clear()
 
 
 def _derived_seed(seed: int, index: int) -> int:

@@ -41,7 +41,7 @@ from .protocol import (SessionResult, TraceRow, ble_baseline_run, master_run,
                        session_metrics)
 from .quatmath import Quaternion
 from .radio import InterferenceField, build_field
-from .scenario import Scenario
+from .scenario import MAX_DURATION_S, Scenario
 from .skeleton import (BoneId, CalibrationPose, CalibrationRecord, SensorPlacement,
                        Skeleton, calibrate)
 
@@ -165,7 +165,7 @@ def _write_session(sc: Scenario, calib: CalibrationRecord, path: Path) -> None:
 
 
 def load_session(path: str | Path) -> tuple[CalibrationRecord, dict]:
-    """Rebuild the calibration record from a session.json sidecar."""
+    """Rebuild the calibration record from a session.json sidecar; check its metadata."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         placement = SensorPlacement(
@@ -176,6 +176,16 @@ def load_session(path: str | Path) -> tuple[CalibrationRecord, dict]:
                    for k, v in data["q_calib"].items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"session file {path}: {exc}") from None
+    joints = data.get("joints", [])
+    if not (isinstance(joints, list) and all(isinstance(j, str) for j in joints)
+            and len(set(joints)) == len(joints)):
+        raise ParseError(f"session file {path}: joints must be a list of distinct "
+                         f"joint labels, got {joints!r}")
+    duration = data.get("duration_s", 1.0)
+    if (isinstance(duration, bool) or not isinstance(duration, (int, float))
+            or not 0 < duration <= MAX_DURATION_S):
+        raise ParseError(f"session file {path}: duration_s must be a number in "
+                         f"(0, {MAX_DURATION_S:g}], got {duration!r}")
     return CalibrationRecord(pose, placement, q_calib), data
 
 

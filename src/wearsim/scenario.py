@@ -35,7 +35,7 @@ _REQUIRED = object()
 # Integers beyond a C ssize_t overflow deque sizes and float conversion.
 INT_LIMIT = 2**63 - 1
 # One day: presets build their knots at parse time, in proportion to duration.
-_MAX_DURATION_S = 86_400.0
+MAX_DURATION_S = 86_400.0
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,7 @@ def parse_scenario(cfg: Any, *, seed: int | None = None) -> Scenario:
     if not isinstance(preset, str):
         raise ConfigError("motion.preset is required and must be a string")
     raw_params = _mapping(motion.get("params"), "motion.params")
-    params = {key: _number(raw_params, key, "motion.params", maximum=_MAX_DURATION_S)
+    params = {key: _number(raw_params, key, "motion.params", maximum=MAX_DURATION_S)
               if key in ("duration_s", "dwell_s") else _finite(raw_params, key, "motion.params")
               for key in raw_params}
     try:
@@ -247,7 +247,7 @@ def parse_scenario(cfg: Any, *, seed: int | None = None) -> Scenario:
         _check_coverage(trajectory, placement)
 
     duration_s = _number(session, "duration_s", "session",
-                         trajectory.duration_s, minimum=1e-3, maximum=_MAX_DURATION_S)
+                         trajectory.duration_s, minimum=1e-3, maximum=MAX_DURATION_S)
     if duration_s != trajectory.duration_s:
         trajectory = replace(trajectory, duration_s=duration_s)
 

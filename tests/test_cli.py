@@ -349,6 +349,51 @@ class TestExitCodes:
         assert rc == 2
         assert "left wing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, code", [
+        ("duration_s", None, 3), ("duration_s", "abc", 3), ("duration_s", True, 3),
+        ("duration_s", -5, 3), ("duration_s", 0.0, 3), ("duration_s", 86_401, 3),
+        ("duration_s", 1e300, 3), ("duration_s", math.inf, 3),
+        ("joints", 5, 3), ("joints", "left shoulder", 3), ("joints", [1], 3),
+        ("joints", ["left shoulder", "left shoulder"], 3),
+        ("joints", ["left wing"], 2),
+    ], ids=["duration-null", "duration-str", "duration-bool", "duration-negative",
+            "duration-zero", "duration-over-a-day", "duration-1e300", "duration-inf",
+            "joints-int", "joints-str", "joints-int-list", "joints-repeated",
+            "joints-unknown"])
+    def test_bad_sidecar_metadata(self, arm_raise_run, tmp_path, capsys, key, value, code):
+        meta = json.loads((arm_raise_run / "session.json").read_text())
+        meta[key] = value
+        session = tmp_path / "session.json"
+        session.write_text(json.dumps(meta))
+        rc = main(["analyze", "--recording", str(arm_raise_run / "recording.csv"),
+                   "--session", str(session), "--out", str(tmp_path / "o")])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert (key if code == 3 else "unknown joint 'left wing'") in err
+        assert not (tmp_path / "o").exists()
+
+    def test_sidecar_metadata_is_optional(self, arm_raise_run, tmp_path):
+        meta = json.loads((arm_raise_run / "session.json").read_text())
+        del meta["joints"], meta["duration_s"]
+        session = tmp_path / "session.json"
+        session.write_text(json.dumps(meta))
+        rc = main(["analyze", "--recording", str(arm_raise_run / "recording.csv"),
+                   "--session", str(session), "--joints", "left shoulder",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+
+    @pytest.mark.parametrize("joints, message", [
+        ("left shoulder,left shoulder", "--joints repeats 'left shoulder'"),
+        (" , ", "--joints lists no names"),
+        ("", "--joints lists no names"),
+    ], ids=["repeated", "empty", "blank"])
+    def test_bad_joints_flag(self, arm_raise_run, tmp_path, capsys, joints, message):
+        rc = main(["analyze", "--recording", str(arm_raise_run / "recording.csv"),
+                   "--joints", joints, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_disjoint_series(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -480,6 +525,20 @@ class TestProtocolBench:
         assert rc == 2
         assert (f"--seeds 3 from {given} {2**63 - 2} reaches seed {2**63}, beyond 2**63 - 1"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("protocols, message", [
+        ("cw,cw", "--protocols repeats 'cw'"),
+        ("ble-baseline, cw,ble-baseline", "--protocols repeats 'ble-baseline'"),
+        (",", "--protocols lists no names"),
+    ], ids=["repeated", "repeated-apart", "empty"])
+    def test_bad_protocols_flag(self, tmp_path, capsys, monkeypatch, protocols, message):
+        monkeypatch.setattr(cli, "execute", lambda *a: pytest.fail("a seed ran"))
+        out = tmp_path / "o"
+        rc = main(["protocol-bench", "--scenario", str(SCENARIOS / "arm_raise_crowded.yaml"),
+                   "--out", str(out), "--protocols", protocols])
+        assert rc == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_protocol(self, tmp_path):

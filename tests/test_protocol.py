@@ -1,6 +1,7 @@
 """Polling protocol, channel hopping, and the connection-based baseline."""
 
 import gc
+import math
 import tracemalloc
 
 import pytest
@@ -13,7 +14,7 @@ from wearsim.protocol import (ConfigError, HopPolicy, HopSequencer, SlaveUnit,
                               TimingProfile, ble_baseline_run, csa1_next,
                               master_run, session_metrics)
 from wearsim.quatmath import Quaternion
-from wearsim.radio import DATA_CHANNELS, InterferenceField, Jammer, build_field
+from wearsim.radio import DATA_CHANNELS, SYNC_CHANNELS, InterferenceField, Jammer, build_field
 
 CLEAN = InterferenceField(())
 
@@ -44,35 +45,50 @@ class TestTimingProfile:
 
 
 class TestHopSequencer:
-    def test_fresh_state_returns_first_of_permutation(self):
+    def test_starts_on_its_channel(self):
+        seq = HopSequencer(HopPolicy(), seed=9, channel=40)
+        assert seq.current == 40
+        i = seq.chain.index(40)
+        assert seq.advance() == seq.chain[(i + 1) % len(seq.chain)]
+        assert list(seq.blacklist) == [40]
+
+    def test_first_hop_follows_the_permutation(self):
         perm = rnd.stream(7, rnd.PROTOCOL).permutation(len(DATA_CHANNELS))
-        expected = DATA_CHANNELS[perm[0]]
-        seq = HopSequencer(HopPolicy(), seed=7)
+        start, expected = DATA_CHANNELS[perm[0]], DATA_CHANNELS[perm[1]]
+        seq = HopSequencer(HopPolicy(), seed=7, channel=start)
         assert seq.advance() == expected
 
+    @pytest.mark.parametrize("channel", [*SYNC_CHANNELS, -1, 80])
+    def test_not_a_data_channel(self, channel):
+        with pytest.raises(ConfigError, match=f"channel {channel} is not a data channel"):
+            HopSequencer(HopPolicy(), seed=1, channel=channel)
+
+    def test_preview_does_not_move(self):
+        seq = HopSequencer(HopPolicy(), seed=4, channel=40)
+        for _ in range(20):
+            state = (seq.current, seq.cursor, list(seq.blacklist))
+            nxt, pos = seq.preview()
+            assert seq.preview() == (nxt, pos)
+            assert (seq.current, seq.cursor, list(seq.blacklist)) == state
+            assert seq.chain[pos] == nxt
+            assert seq.advance() == nxt
+            assert (seq.current, seq.cursor) == (nxt, pos)
+
     def test_never_a_sync_channel(self):
-        seq = HopSequencer(HopPolicy(), seed=3)
+        seq = HopSequencer(HopPolicy(), seed=3, channel=40)
         for _ in range(200):
             assert seq.advance() in DATA_CHANNELS
 
     def test_no_revisit_within_blacklist_window(self):
-        seq = HopSequencer(HopPolicy(), seed=5)
-        picks = [seq.advance() for _ in range(100)]
+        seq = HopSequencer(HopPolicy(), seed=5, channel=40)
+        picks = [40] + [seq.advance() for _ in range(100)]
         for i, ch in enumerate(picks):
             assert ch not in picks[max(0, i - 8):i]
-
-    def test_seek_aligns_cursor(self):
-        seq = HopSequencer(HopPolicy(), seed=9)
-        seq.seek(40)
-        assert seq.current == 40
-        nxt = seq.advance()
-        i = seq.chain.index(40)
-        assert nxt == seq.chain[(i + 1) % len(seq.chain)]
 
 
 class TestSlaveScanning:
     def test_cycles_sync_channels_without_a_master(self):
-        slave = SlaveUnit(1, TimingProfile(), HopPolicy(), chain=list(DATA_CHANNELS))
+        slave = SlaveUnit(TimingProfile(), HopPolicy(), chain=list(DATA_CHANNELS))
         assert slave.listening_channel(0.0) == 2
         assert slave.listening_channel(39_999.0) == 2
         assert slave.listening_channel(40_000.0) == 26
@@ -101,6 +117,16 @@ class TestRosterValidation:
     def test_ble_at_most_five(self):
         with pytest.raises(ConfigError, match="5"):
             ble_baseline_run([1, 2, 3, 4, 5, 6], 1.0, flat_sampler, CLEAN, seed=0)
+
+    @pytest.mark.parametrize("run", [master_run, ble_baseline_run])
+    @pytest.mark.parametrize("duration_s", [0.0, -1.0, math.nan, math.inf])
+    def test_duration_positive_and_finite(self, run, duration_s):
+        with pytest.raises(ConfigError, match="duration_s must be positive and finite"):
+            run([1], duration_s, flat_sampler, CLEAN, seed=0)
+
+    def test_roster_checked_before_duration(self):
+        with pytest.raises(ConfigError, match="roster size"):
+            master_run([], math.nan, flat_sampler, CLEAN, seed=0)
 
 
 class TestCleanThroughput:

@@ -367,13 +367,19 @@ class TestArbitrate:
         assert radio.arbitrate(a, InterferenceField([]), node_txs=[a, b]) == "delivered"
 
 
+def record(seen, name):
+    """A process that appends name when it first runs, then ends."""
+    seen.append(name)
+    yield from ()
+
+
 class TestScheduler:
     def test_time_order(self):
         sched = EventScheduler()
         seen = []
-        sched.at(30.0, lambda: seen.append("c"))
-        sched.at(10.0, lambda: seen.append("a"))
-        sched.at(20.0, lambda: seen.append("b"))
+        sched.at(30.0, record(seen, "c"))
+        sched.at(10.0, record(seen, "a"))
+        sched.at(20.0, record(seen, "b"))
         sched.run_until(100.0)
         assert seen == ["a", "b", "c"]
         assert sched.now == 100.0
@@ -381,27 +387,17 @@ class TestScheduler:
     def test_tie_break_by_source_then_insertion(self):
         sched = EventScheduler()
         seen = []
-        sched.at(10.0, lambda: seen.append("s2-first"), source=2)
-        sched.at(10.0, lambda: seen.append("s1"), source=1)
-        sched.at(10.0, lambda: seen.append("s2-second"), source=2)
+        sched.at(10.0, record(seen, "s2-first"), source=2)
+        sched.at(10.0, record(seen, "s1"), source=1)
+        sched.at(10.0, record(seen, "s2-second"), source=2)
         sched.run_until(10.0)
         assert seen == ["s1", "s2-first", "s2-second"]
-
-    def test_run_until_leaves_future_events(self):
-        sched = EventScheduler()
-        seen = []
-        sched.at(10.0, lambda: seen.append("early"))
-        sched.at(200.0, lambda: seen.append("late"))
-        sched.run_until(100.0)
-        assert seen == ["early"]
-        sched.run_until(300.0)
-        assert seen == ["early", "late"]
 
     def test_past_event_rejected(self):
         sched = EventScheduler()
         sched.run_until(50.0)
         with pytest.raises(ValueError):
-            sched.at(10.0, lambda: None)
+            sched.at(10.0, record([], "late"))
 
     def test_generator_process(self):
         sched = EventScheduler()
@@ -412,11 +408,30 @@ class TestScheduler:
                 yield delay
                 seen.append((name, sched.now, i))
 
-        sched.spawn(1, proc("a", 10.0))
-        sched.spawn(2, proc("b", 15.0))
+        sched.at(0.0, proc("a", 10.0), 1)
+        sched.at(0.0, proc("b", 15.0), 2)
         sched.run_until(100.0)
         assert seen == [("a", 10.0, 0), ("b", 15.0, 0), ("a", 20.0, 1),
                         ("a", 30.0, 2), ("b", 30.0, 1), ("b", 45.0, 2)]
+
+    def test_run_until_closes_pending_processes(self):
+        sched = EventScheduler()
+        seen = []
+
+        def proc():
+            try:
+                while True:
+                    yield 30.0
+                    seen.append(sched.now)
+            finally:
+                seen.append("closed")
+
+        sched.at(0.0, proc())
+        sched.at(200.0, record(seen, "late"))
+        sched.run_until(100.0)
+        assert seen == [30.0, 60.0, 90.0, "closed"]
+        sched.run_until(300.0)
+        assert seen == [30.0, 60.0, 90.0, "closed"]
 
 
 def preset_field(name, seed):
