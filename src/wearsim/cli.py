@@ -42,12 +42,12 @@ BENCH_CSV = CsvSchema(("protocol", str), ("seed", int), ("sensor_id", str),
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     sc = load_scenario(args.scenario, seed=args.seed)
-    art = run_scenario(sc, args.out)
-    m = art.metrics
+    m = run_scenario(sc, args.out).metrics
+    frames = sum(st["recorded"] for st in m["per_sensor"].values())
     print(f"wrote {args.out} (recording.csv, session_trace.csv, radio_trace.csv, "
           f"metrics.json, session.json, ground truth)")
     print(f"protocol {m['protocol']}  seed {sc.seed}  duration {m['duration_s']:g} s  "
-          f"frames {len(art.result.frames)}  hops {m['hop_count']}  "
+          f"frames {frames}  hops {m['hop_count']}  "
           f"resyncs {m['resync_count']}")
     for sid, st in sorted(m["per_sensor"].items(), key=lambda kv: int(kv[0])):
         print(f"  sensor {sid}: {st['recorded']} frames  "
@@ -101,8 +101,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     skel = Skeleton.default()
     summary: dict = {"joints": {}, "rates": {}}
+    poses: dict = {}  # each sensor's poses, shared by the joints it spans
     for label in labels:
-        series = joint_angle_series(frames, calib, skel, JOINTS[label])
+        series = joint_angle_series(frames, calib, skel, JOINTS[label], poses)
         write_csv(out / f"angles_{file_slug(label)}.csv", ANGLE_CSV, series.points)
         values = [v for _, v in series.points]
         lo, hi = min(values), max(values)

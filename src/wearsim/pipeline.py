@@ -1,9 +1,10 @@
 """Output formats, recording persistence and analysis metrics.
 
 Every output file is written here: write_csv for each CSV kind (or
-write_lines, for lines formatted by the kind's schema), write_json for each
-JSON report. A CSV cell is empty for None, a float to 9
-significant digits (the nine_digits grid) and str() of anything else.
+write_lines, for lines formatted by the kind's schema, or open_csv, for
+lines written as they become known), write_json for each JSON report. A
+CSV cell is empty for None, a float to 9 significant digits (the
+nine_digits grid) and str() of anything else.
 Each CSV kind has a CsvSchema: its column names and the one type each
 column holds. The schema turns that rule into one %-format per row shape,
 so a row is formatted by one `%` and a cell of the wrong type is refused
@@ -32,10 +33,12 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Iterable, Iterator, Sequence, get_args
+from typing import Iterable, Iterator, NoReturn, Sequence, TextIO, get_args
 
 from .quatmath import Quaternion, shortest_angle_deg, unit4
 # animate_frame is not called here, but perfbench's span table resolves
@@ -141,10 +144,18 @@ RECORDING_CSV = CsvSchema(("timestamp_us", int), ("sensor_id", int), ("seq", int
 ANGLE_CSV = CsvSchema(("time_us", int), ("angle_deg", float))
 
 
-def write_lines(path: str | Path, schema: CsvSchema, lines: Iterable[str]) -> None:
-    """Write the schema's header line, then lines the schema formatted."""
+@contextmanager
+def open_csv(path: str | Path, schema: CsvSchema) -> Iterator[TextIO]:
+    """path open for writing, the schema's header line written: the caller
+    writes lines the schema formatted, as they become known."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(schema.header + "\n")
+        yield fh
+
+
+def write_lines(path: str | Path, schema: CsvSchema, lines: Iterable[str]) -> None:
+    """Write the schema's header line, then lines the schema formatted."""
+    with open_csv(path, schema) as fh:
         fh.writelines(lines)
 
 
@@ -186,28 +197,47 @@ class RecordingFrame(namedtuple("RecordingFrame",
         return RecordingFrame(timestamp_us, sensor_id, seq, *map(nine_digits, q), status)
 
 
-def _check_stream(frames: Iterable[RecordingFrame], first_line: int = 0) -> None:
-    # first_line > 0 means frames came from a file, lines first_line..;
-    # 0 means an in-memory list, reported without line numbers.
-    last_ts = None
-    last_seq: dict[int, int] = {}
-    for i, f in enumerate(frames):
-        where = f"line {first_line + i}: " if first_line else ""
-        if last_ts is not None and f.timestamp_us < last_ts:
-            raise ValidationError(
-                f"{where}timestamp {f.timestamp_us} decreases (previous {last_ts})")
-        last_ts = f.timestamp_us
-        prev = last_seq.get(f.sensor_id)
-        if prev is not None and f.seq <= prev:
-            raise ValidationError(
-                f"{where}seq {f.seq} does not increase for sensor {f.sensor_id} "
-                f"(previous {prev})")
-        last_seq[f.sensor_id] = f.seq
+# The cells FrameOrder checks: timestamp_us, sensor_id, seq.
+_ORDER_CELLS = itemgetter(0, 1, 2)
+
+
+class FrameOrder:
+    """The stream invariants of a recording, checked over frames handed in
+    batches: timestamps never decrease and each sensor's seq strictly
+    increases. first_line > 0 numbers the frames as file lines from
+    first_line on; 0 means frames in memory, reported without line numbers.
+    """
+
+    def __init__(self, first_line: int = 0) -> None:
+        self._line = first_line  # the line of the next frame, or 0
+        self._last_ts = -math.inf
+        self._last_seq: dict[int, int] = {}
+
+    def check(self, frames: Iterable[RecordingFrame]) -> None:
+        """ValidationError, naming the sensor and the seq, at the first frame
+        that breaks an invariant."""
+        last_ts, last_seq = self._last_ts, self._last_seq
+        i = -1
+        for i, (ts, sensor, seq) in enumerate(map(_ORDER_CELLS, frames)):
+            if ts < last_ts:
+                self._fail(i, sensor, seq, f": timestamp {ts} decreases (previous {last_ts})")
+            prev = last_seq.get(sensor, -math.inf)
+            if seq <= prev:
+                self._fail(i, sensor, seq, f" does not increase (previous {prev})")
+            last_ts = ts
+            last_seq[sensor] = seq
+        self._last_ts = last_ts
+        if self._line:
+            self._line += i + 1
+
+    def _fail(self, i: int, sensor: int, seq: int, broken: str) -> NoReturn:
+        where = f"line {self._line + i}: " if self._line else ""
+        raise ValidationError(f"{where}sensor {sensor} seq {seq}{broken}")
 
 
 def write_recording(frames: Sequence[RecordingFrame], path: str | Path) -> None:
     """Write frames as CSV. The stream invariants are checked first."""
-    _check_stream(frames)
+    FrameOrder().check(frames)
     write_csv(path, RECORDING_CSV, frames)
 
 
@@ -229,7 +259,7 @@ def read_recording(path: str | Path) -> list[RecordingFrame]:
         except ValueError as exc:
             raise ParseError(f"line {n}: {exc}") from exc
         frames.append(frame)
-    _check_stream(frames, first_line=2)
+    FrameOrder(first_line=2).check(frames)
     return frames
 
 
@@ -274,27 +304,35 @@ def read_angles(path: str | Path) -> AngleSeries:
 
 
 def joint_angle_series(frames: Sequence[RecordingFrame], calib: CalibrationRecord,
-                       skel: Skeleton, joint: JointSpec) -> AngleSeries:
+                       skel: Skeleton, joint: JointSpec,
+                       poses: dict[int, tuple[list[int], list[Quaternion]]] | None = None
+                       ) -> AngleSeries:
     """Joint angle over time from a recording.
 
     Sensor streams are asynchronous, so the series is evaluated on the
     union of the two sensors' timestamps with latest-sample-hold; it
     starts once both sensors have delivered at least one sample.
+
+    poses, when given, keeps each sensor's (timestamps, bone poses) from
+    these frames across calls, so that joints sharing a sensor compute
+    its poses once.
     """
     sensors = (calib.placement.sensor_on(joint.parent_bone),
                calib.placement.sensor_on(joint.child_bone))
-    streams: dict[int, list[RecordingFrame]] = {s: [] for s in sensors}
-    for f in frames:
-        if f.sensor_id in streams:
-            streams[f.sensor_id].append(f)
-    for s in sensors:
-        if not streams[s]:
+    poses = {} if poses is None else poses
+    streams: dict[int, list[RecordingFrame]] = {s: [] for s in sensors if s not in poses}
+    if streams:
+        for f in frames:
+            if f.sensor_id in streams:
+                streams[f.sensor_id].append(f)
+    for s, fs in streams.items():
+        if not fs:
             raise ValueError(f"recording has no frames for sensor {s} ({joint.label!r})")
     # Each frame's bone pose is computed once, then held from its timestamp on.
-    (p_ts, p_poses), (c_ts, c_poses) = (
-        ([f.timestamp_us for f in streams[s]],
-         sensor_poses(calib, skel, s, (unit4(f.qw, f.qx, f.qy, f.qz) for f in streams[s]))[1])
-        for s in sensors)
+    for s, fs in streams.items():
+        poses[s] = ([f.timestamp_us for f in fs],
+                    sensor_poses(calib, skel, s, (unit4(f.qw, f.qx, f.qy, f.qz) for f in fs))[1])
+    (p_ts, p_poses), (c_ts, c_poses) = (poses[s] for s in sensors)
     start = max(p_ts[0], c_ts[0])
     grid = sorted({t for t in itertools.chain(p_ts, c_ts) if t >= start})
     return AngleSeries(joint.label, [
@@ -382,15 +420,17 @@ def rate_series(frames: Sequence[RecordingFrame],
     per_sensor: dict[int, list[int]] = {}
     for f in frames:
         per_sensor.setdefault(f.sensor_id, []).append(f.timestamp_us)
-    rates: dict[int, list[tuple[int, float]]] = {}
-    for sensor, ts in sorted(per_sensor.items()):
-        ts.sort()
-        end = ts[-1] if end_us is None else end_us
-        series: list[tuple[int, float]] = []
-        t = ts[0] + RATE_WINDOW_US
-        while t <= end:
-            count = bisect_left(ts, t) - bisect_left(ts, t - RATE_WINDOW_US)
-            series.append((t, count * 1e6 / RATE_WINDOW_US))
-            t += 100_000
-        rates[sensor] = series
-    return rates
+    return {sensor: window_rates(sorted(ts), end_us)
+            for sensor, ts in sorted(per_sensor.items())}
+
+
+def window_rates(ts: Sequence[int], end_us: int | None = None) -> list[tuple[int, float]]:
+    """rate_series of one sensor, from its timestamps in order (at least one)."""
+    end = ts[-1] if end_us is None else end_us
+    series: list[tuple[int, float]] = []
+    t = ts[0] + RATE_WINDOW_US
+    while t <= end:
+        count = bisect_left(ts, t) - bisect_left(ts, t - RATE_WINDOW_US)
+        series.append((t, count * 1e6 / RATE_WINDOW_US))
+        t += 100_000
+    return series

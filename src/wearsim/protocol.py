@@ -14,21 +14,34 @@ resets; it is the comparison point for the polling design.
 
 All state advances through the discrete-event scheduler in radio.py, so
 two runs with equal seeds produce byte-identical results.
+
+Both loops append trace rows and frames to lists in session order. Without
+a sink a run returns the whole lists. With a sink the scheduler advances a
+simulated second at a time and hands the sink that second's rows and
+frames, so no session is held whole. The baseline's deliveries arrive in
+time order; those that round to the same microsecond wait in a small
+buffer and leave it in sensor order. session_metrics is SessionFold run
+over the lists, and a sink can run the same fold batch by batch. The fold
+checks frame order on every path: timestamps never decrease and each
+sensor's seq strictly increases.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from array import array
+from collections import Counter, deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from . import radio
 from . import randomness as rnd
-from .pipeline import RecordingFrame, rate_series
+# rate_series is not called here, but perfbench's span table resolves
+# protocol.rate_series: a traced run raises KeyError without the name.
+from .pipeline import FrameOrder, RecordingFrame, rate_series, window_rates
 from .quatmath import Quaternion
-from .radio import (DATA_CHANNELS, SYNC_CHANNELS, Burst, InterferenceField,
-                    channel_band)
+from .radio import CHANNEL_BANDS, DATA_CHANNELS, SYNC_CHANNELS, Burst, InterferenceField
 
 Sampler = Callable[[int, float], Quaternion]
 
@@ -150,6 +163,13 @@ class TraceRow(NamedTuple):
     frame_type: str
     sensor_id: int
     outcome: str
+
+
+# Takes the rows and frames that a session produced since its last call, in
+# session order. The lists are emptied after each call: copy what you keep.
+Sink = Callable[[list[TraceRow], list[RecordingFrame]], None]
+# Simulated time between two handoffs to a sink.
+_HANDOFF_US = 1_000_000.0
 
 
 class HopSequencer:
@@ -275,22 +295,54 @@ def _check_session(roster: Sequence[int], limit: int,
     return ids, duration_s * 1e6
 
 
+def _run(sched: radio.EventScheduler, duration_us: float, sink: Sink | None,
+         trace: list[TraceRow], frames: list[RecordingFrame]) -> None:
+    """Run the session to its end. With a sink, hand it the rows and frames
+    once per simulated second; the last ones stay for _hand_off."""
+    if sink is not None:
+        k = 1
+        while k * _HANDOFF_US < duration_us:
+            sched.advance(k * _HANDOFF_US)
+            _hand_off(sink, trace, frames)
+            k += 1
+    sched.run_until(duration_us)
+
+
+def _hand_off(sink: Sink | None, trace: list[TraceRow], frames: list[RecordingFrame]) -> None:
+    if sink is not None:
+        sink(trace, frames)
+        trace.clear()
+        frames.clear()
+
+
 def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                field: InterferenceField, seed: int, *,
                timing: TimingProfile | None = None,
                policy: HopPolicy | None = None,
                p_floor: float = DEFAULT_P_FLOOR,
-               initial_channel: int = DEFAULT_INITIAL_CHANNEL) -> SessionResult:
-    """Run one polling session and return its frames, trace, and counters."""
+               initial_channel: int = DEFAULT_INITIAL_CHANNEL,
+               sink: Sink | None = None) -> SessionResult:
+    """Run one polling session and return its frames, trace, and counters.
+    With a sink, the rows and frames go to it as the session runs, and the
+    result's lists are empty."""
     timing = timing or TimingProfile()
     policy = policy or HopPolicy()
     ids, duration_us = _check_session(roster, 12, duration_s)
     seq = HopSequencer(policy, seed, initial_channel)
     slaves = {s: SlaveUnit(timing, policy, seq.chain) for s in ids}
+    names = {s: f"sensor:{s}" for s in ids}
     joined = {s: False for s in ids}
     last_ok = {s: -math.inf for s in ids}
     loss: deque[bool] = deque(maxlen=policy.loss_window)
     floor_rng = rnd.stream(seed, rnd.FLOOR) if p_floor > 0 else None
+    # Each row's duration is one of these floats, not a new one.
+    poll_air, response_air, ack_air = (timing.poll_air_us, timing.response_air_us,
+                                       timing.ack_air_us)
+    beacon_air, hop_air = timing.beacon_air_us, timing.hop_air_us
+    turnaround, guard = timing.turnaround_us, timing.guard_us
+    ack_tail = ack_air + turnaround + guard + timing.host_cost_us
+    resync_us, cap_period = timing.resync_us, timing.cap_period_us
+    beacon_gap = timing.beacon_interval_ms * 1000.0
 
     sched = radio.EventScheduler()
     frames: list[RecordingFrame] = []
@@ -299,7 +351,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
 
     def arbitrated(source: str, start: float, dur: float, ch: int,
                    frame_type: str, sensor_id: int) -> TraceRow:
-        t = Burst(start, dur, source, channel_band(ch))
+        t = Burst(start, dur, source, CHANNEL_BANDS[ch])
         return TraceRow(start, dur, source, ch, "cw", frame_type, sensor_id,
                         radio.arbitrate(t, field, (), p_floor, floor_rng))
 
@@ -325,7 +377,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
 
     def assess():
         """Listen to the current channel for assess_us; True if it was busy."""
-        busy = field.busy(channel_band(seq.current), sched.now,
+        busy = field.busy(CHANNEL_BANDS[seq.current], sched.now,
                           sched.now + policy.assess_us)
         yield policy.assess_us
         return busy
@@ -336,15 +388,14 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
 
     def poll_exchange(s: int):
         ch = seq.current
-        heard = broadcast("poll", s, timing.poll_air_us, ch, (s,), (ch, seq.cursor))
-        yield timing.poll_air_us + timing.turnaround_us
+        heard = broadcast("poll", s, poll_air, ch, (s,), (ch, seq.cursor))
+        yield poll_air + turnaround
         delivered = False
         if heard:
             slaves[s].seq += 1
             q = sampler(s, sched.now)
-            response = arbitrated(f"sensor:{s}", sched.now, timing.response_air_us,
-                                  ch, "response", s)
-            yield timing.response_air_us
+            response = arbitrated(names[s], sched.now, response_air, ch, "response", s)
+            yield response_air
             # Logged on completion: a response the session end cuts off
             # never reaches the master, so it is neither sent nor recorded.
             trace.append(response)
@@ -355,15 +406,14 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                 last_ok[s] = sched.now
         else:
             # Nothing came back; the master still waits out the slot.
-            yield timing.response_air_us
+            yield response_air
         loss.append(delivered)
         if delivered:
-            yield timing.turnaround_us
-            broadcast("ack", s, timing.ack_air_us, ch, (s,), (ch, seq.cursor))
-            yield (timing.ack_air_us + timing.turnaround_us + timing.guard_us
-                   + timing.host_cost_us)
+            yield turnaround
+            broadcast("ack", s, ack_air, ch, (s,), (ch, seq.cursor))
+            yield ack_tail
         else:
-            yield timing.guard_us
+            yield guard
             yield from maybe_hop()
 
     def maybe_hop():
@@ -375,28 +425,27 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
             return
         follow = seq.preview()
         for _ in range(policy.announce_repeats):
-            broadcast("hop", 0, timing.hop_air_us, seq.current, ids, follow)
-            yield timing.hop_air_us + timing.turnaround_us
-        yield timing.guard_us
+            broadcast("hop", 0, hop_air, seq.current, ids, follow)
+            yield hop_air + turnaround
+        yield guard
         hop()
 
     def beacon_burst():
         pending = [s for s in ids if not joined[s]]
         for c in SYNC_CHANNELS:
-            responders = broadcast("beacon", 0, timing.beacon_air_us, c, pending,
+            responders = broadcast("beacon", 0, beacon_air, c, pending,
                                    (seq.current, seq.cursor))
-            yield timing.beacon_air_us
+            yield beacon_air
             for s in pending:
-                yield timing.turnaround_us
+                yield turnaround
                 if s in responders:
                     j_start = sched.now
-                    j_out = tx(f"sensor:{s}", j_start, timing.response_air_us, c,
-                               "join", s)
+                    j_out = tx(names[s], j_start, response_air, c, "join", s)
                     if j_out == radio.DELIVERED:
                         joined[s] = True
-                        last_ok[s] = j_start + timing.response_air_us
-                yield timing.response_air_us
-            yield timing.guard_us
+                        last_ok[s] = j_start + response_air
+                yield response_air
+            yield guard
 
     def master():
         # Leave a channel that is busy right now before inviting anyone.
@@ -410,20 +459,20 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
             for s in ids:
                 if not joined[s]:
                     continue
-                if sched.now - last_ok[s] > timing.resync_us:
+                if sched.now - last_ok[s] > resync_us:
                     joined[s] = False
                     continue
                 yield from poll_exchange(s)
                 if sched.now >= duration_us:
                     return
-            if (not all(joined.values())
-                    and sched.now - last_burst >= timing.beacon_interval_ms * 1000.0):
+            if not all(joined.values()) and sched.now - last_burst >= beacon_gap:
                 last_burst = sched.now
                 yield from beacon_burst()
-            yield max(cycle_start + timing.cap_period_us - sched.now, 0.0)
+            yield max(cycle_start + cap_period - sched.now, 0.0)
 
     sched.at(0.0, master())
-    sched.run_until(duration_us)
+    _run(sched, duration_us, sink, trace, frames)
+    _hand_off(sink, trace, frames)
     resyncs = sum(sl.resyncs for sl in slaves.values())
     return SessionResult("cw", duration_us, ids, frames, trace,
                          len(channel_history) - 1, resyncs, {s: 0 for s in ids},
@@ -456,14 +505,37 @@ def ble_center_mhz(channel: int) -> int:
     return 2428 + 2 * (channel - 11)
 
 
-def _ble_band(channel: int) -> tuple[float, float]:
-    c = ble_center_mhz(channel)
-    return (c - 1.0, c + 1.0)
+# The occupied band of each BLE data channel, indexed by channel.
+_BLE_BANDS = tuple((c - 1.0, c + 1.0) for c in map(ble_center_mhz, range(_BLE_CHANNELS)))
+
+
+_SENSOR_ID = itemgetter(1)
+
+
+class _SensorOrder:
+    """Frames that arrive in timestamp order, passed on to out in
+    (timestamp_us, sensor_id) order: the frames of the latest timestamp
+    wait until a later timestamp arrives or flush() is called."""
+
+    def __init__(self, out: list[RecordingFrame]) -> None:
+        self._out = out
+        self._tied: list[RecordingFrame] = []
+
+    def add(self, frame: RecordingFrame) -> None:
+        if self._tied and self._tied[0].timestamp_us != frame.timestamp_us:
+            self.flush()
+        self._tied.append(frame)
+
+    def flush(self) -> None:
+        self._tied.sort(key=_SENSOR_ID)
+        self._out += self._tied
+        self._tied.clear()
 
 
 def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                      field: InterferenceField, seed: int, *,
-                     p_floor: float = DEFAULT_P_FLOOR) -> SessionResult:
+                     p_floor: float = DEFAULT_P_FLOOR,
+                     sink: Sink | None = None) -> SessionResult:
     """Run the same sensors as independent connection-based links.
 
     Each link holds a 15 ms connection event cadence: a fresh sample is
@@ -471,10 +543,16 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     attempt on the next channel of its hop sequence, and eight straight
     failures drop the link for a one-second reconnect that flushes the
     queue. Delivered samples pass a 60 Hz token-bucket host cap.
+
+    Frames come in (timestamp_us, sensor_id) order: deliveries arrive in
+    time order, and those that round to the same microsecond are put in
+    sensor order. With a sink, the rows and frames go to it as the session
+    runs, and the result's lists are empty.
     """
     ids, duration_us = _check_session(roster, BLE_MAX_SENSORS, duration_s)
     sched = radio.EventScheduler()
     frames: list[RecordingFrame] = []
+    ordered = _SensorOrder(frames)
     trace: list[TraceRow] = []
     host_dropped = {s: 0 for s in ids}
     resyncs = 0
@@ -483,6 +561,7 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
 
     def node(s: int):
         nonlocal resyncs
+        name = f"sensor:{s}"
         rng = rnd.stream(seed, rnd.BLE, s)
         channel = int(rng.integers(0, _BLE_CHANNELS))
         increment = int(rng.integers(5, 17))
@@ -497,13 +576,13 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
             queue.append((seq, sampler(s, sched.now)))
             channel = csa1_next(channel, increment)
             start = sched.now
-            t = Burst(start, _BLE_TX_US, f"sensor:{s}", _ble_band(channel))
+            t = Burst(start, _BLE_TX_US, name, _BLE_BANDS[channel])
             while ledger and ledger[0].start_us + ledger[0].duration_us <= start:
                 ledger.popleft()
             ledger.append(t)
             yield _BLE_TX_US
             outcome = radio.arbitrate(t, field, ledger, p_floor, floor_rng)
-            trace.append(TraceRow(start, _BLE_TX_US, f"sensor:{s}", channel,
+            trace.append(TraceRow(start, _BLE_TX_US, name, channel,
                                   "ble", "data", s, outcome))
             if outcome == radio.DELIVERED:
                 fails = 0
@@ -514,8 +593,7 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                 last_refill = now
                 if tokens >= 1.0:
                     tokens -= 1.0
-                    frames.append(RecordingFrame.quantized(
-                        int(round(now)), s, q_seq, q, 3))
+                    ordered.add(RecordingFrame.quantized(int(round(now)), s, q_seq, q, 3))
                 else:
                     host_dropped[s] += 1
                 yield _BLE_INTERVAL_US - _BLE_TX_US
@@ -531,8 +609,9 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
 
     for s in ids:
         sched.at(0.0, node(s), s)
-    sched.run_until(duration_us)
-    frames.sort(key=lambda f: (f.timestamp_us, f.sensor_id))
+    _run(sched, duration_us, sink, trace, frames)
+    ordered.flush()
+    _hand_off(sink, trace, frames)
     return SessionResult("ble", duration_us, ids, frames, trace, 0,
                          resyncs, host_dropped, [])
 
@@ -543,63 +622,103 @@ _OUTCOME_KEYS = {radio.DELIVERED: "delivered", radio.COLLIDED: "collided",
                  radio.FLOOR_LOST: "floor_lost"}
 
 
-def source_counts(trace: Sequence[TraceRow]) -> dict[str, dict[str, int]]:
+# The cells of a trace row that the session tallies count by.
+_TALLY_KEY = itemgetter(2, 5, 6, 7)  # source, frame_type, sensor_id, outcome
+_SAMPLE_FRAMES = ("response", "data")
+_STAMP_CELLS = itemgetter(0, 1)  # timestamp_us, sensor_id
+
+
+def _ledger(tally: Counter) -> dict[str, dict[str, int]]:
     """Per-source conservation ledger: sent splits into the three outcomes."""
     out: dict[str, dict[str, int]] = {}
-    for r in trace:
-        c = out.setdefault(r.source, {"sent": 0, "delivered": 0,
-                                      "collided": 0, "floor_lost": 0})
-        c["sent"] += 1
-        c[_OUTCOME_KEYS[r.outcome]] += 1
+    for (source, _, _, outcome), n in tally.items():
+        c = out.setdefault(source, {"sent": 0, "delivered": 0,
+                                    "collided": 0, "floor_lost": 0})
+        c["sent"] += n
+        c[_OUTCOME_KEYS[outcome]] += n
     return out
 
 
-def session_metrics(result: SessionResult) -> dict:
-    """Summary statistics of one session.
+def source_counts(trace: Sequence[TraceRow]) -> dict[str, dict[str, int]]:
+    """Per-source conservation ledger: sent splits into the three outcomes."""
+    return _ledger(Counter(map(_TALLY_KEY, trace)))
 
-    Mean rate is (n-1)/span of each sensor's recorded frames; the
-    minimum window rate slides a 1 s half-open window from the first
-    delivery to the session end.
+
+class SessionFold:
+    """The tallies of session_metrics, folded over a session's rows and
+    frames as they arrive in session order, a batch at a time. Rows are
+    counted by (source, frame_type, sensor_id, outcome); each sensor keeps
+    only its frame timestamps. Frames are checked as they come: timestamps
+    never decrease and each sensor's seq strictly increases, or
+    ValidationError names the sensor and the seq.
     """
-    frames: dict[int, list[RecordingFrame]] = {s: [] for s in result.roster}
-    for f in result.frames:
-        frames[f.sensor_id].append(f)
-    rows: dict[int, list[TraceRow]] = {s: [] for s in result.roster}
-    for r in result.trace:
-        if r.frame_type in ("response", "data") and r.sensor_id in rows:
-            rows[r.sensor_id].append(r)
-    rates = rate_series(result.frames, end_us=int(result.duration_us))
-    per_sensor: dict[str, dict] = {}
-    for s in result.roster:
-        fs, sent = frames[s], rows[s]
-        delivered = sum(1 for r in sent if r.outcome == radio.DELIVERED)
-        mean = 0.0
-        if len(fs) >= 2:
-            span = (fs[-1].timestamp_us - fs[0].timestamp_us) / 1e6
-            if span > 0:
-                mean = (len(fs) - 1) / span
-        if fs:
-            min_window = min((v for _, v in rates[s]), default=float(len(fs)))
-        else:
-            min_window = 0.0
-        per_sensor[str(s)] = {
-            "recorded": len(fs),
-            "sent": len(sent),
-            "delivered": delivered,
-            "pdr": delivered / len(sent) if sent else 0.0,
-            "mean_rate_hz": mean,
-            "min_window_rate_hz": min_window,
-            "host_dropped": result.host_dropped.get(s, 0),
+
+    def __init__(self) -> None:
+        self._tally: Counter = Counter()
+        self._stamps: dict[int, array] = {}
+        self._order = FrameOrder()
+
+    def add(self, rows: Sequence[TraceRow], frames: Sequence[RecordingFrame]) -> None:
+        self._tally.update(map(_TALLY_KEY, rows))
+        self._order.check(frames)
+        stamps = self._stamps
+        for ts, sensor in map(_STAMP_CELLS, frames):
+            if sensor in stamps:
+                stamps[sensor].append(ts)
+            else:
+                stamps[sensor] = array("q", (ts,))
+
+    def metrics(self, result: SessionResult) -> dict:
+        """The summary of the session whose rows and frames were folded.
+
+        Mean rate is (n-1)/span of each sensor's recorded frames; the
+        minimum window rate slides a 1 s half-open window from the first
+        delivery to the session end.
+        """
+        sent: Counter = Counter()
+        delivered: Counter = Counter()
+        for (_, frame_type, sensor, outcome), n in self._tally.items():
+            if frame_type in _SAMPLE_FRAMES:
+                sent[sensor] += n
+                if outcome == radio.DELIVERED:
+                    delivered[sensor] += n
+        per_sensor: dict[str, dict] = {}
+        lasts = []
+        for s in result.roster:
+            ts = self._stamps.get(s, ())
+            mean = 0.0
+            if len(ts) >= 2:
+                span = (ts[-1] - ts[0]) / 1e6
+                if span > 0:
+                    mean = (len(ts) - 1) / span
+            if ts:
+                rates = window_rates(ts, int(result.duration_us))
+                min_window = min((v for _, v in rates), default=float(len(ts)))
+                lasts.append(ts[-1])
+            else:
+                min_window = 0.0
+            per_sensor[str(s)] = {
+                "recorded": len(ts),
+                "sent": sent[s],
+                "delivered": delivered[s],
+                "pdr": delivered[s] / sent[s] if sent[s] else 0.0,
+                "mean_rate_hz": mean,
+                "min_window_rate_hz": min_window,
+                "host_dropped": result.host_dropped.get(s, 0),
+            }
+        return {
+            "protocol": result.protocol,
+            "duration_s": result.duration_us / 1e6,
+            "hop_count": result.hop_count,
+            "resync_count": result.resync_count,
+            "max_skew_us": max(lasts) - min(lasts) if lasts else 0,
+            "per_sensor": per_sensor,
+            "sources": _ledger(self._tally),
         }
-    # Frames are in time order, so each sensor's last frame is its latest.
-    lasts = [fs[-1].timestamp_us for fs in frames.values() if fs]
-    skew = max(lasts) - min(lasts) if lasts else 0
-    return {
-        "protocol": result.protocol,
-        "duration_s": result.duration_us / 1e6,
-        "hop_count": result.hop_count,
-        "resync_count": result.resync_count,
-        "max_skew_us": skew,
-        "per_sensor": per_sensor,
-        "sources": source_counts(result.trace),
-    }
+
+
+def session_metrics(result: SessionResult) -> dict:
+    """Summary statistics of one session: SessionFold over its lists."""
+    fold = SessionFold()
+    fold.add(result.trace, result.frames)
+    return fold.metrics(result)

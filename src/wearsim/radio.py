@@ -28,7 +28,7 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +51,10 @@ def channel_band(k: int) -> tuple[float, float]:
     if not 0 <= k <= 79:
         raise ValueError(f"channel index {k} outside 0..79")
     return (float(2399 + k), float(2401 + k))
+
+
+# channel_band of every radio channel, indexed by channel.
+CHANNEL_BANDS = tuple(channel_band(k) for k in range(80))
 
 
 def wifi_band_mhz(wifi_channel: int) -> tuple[float, float]:
@@ -308,23 +312,26 @@ class InterferenceField:
         """The source of each lane, sorted: the lane order of windows()."""
         return [lane.source for lane in self._lanes]
 
-    def windows(self, cuts: Sequence[float], end_us: float
-                ) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
-        """The bursts that start at or before end_us, cut by start into
-        len(cuts) + 1 windows: window k holds those that start before
-        cuts[k] and not before cuts[k - 1]. cuts must not decrease.
-
-        A window is one (starts, durations) pair of column views per lane,
-        in the order of sources, each ordered by start.
+    def windows(self, end_us: float) -> Callable[[float], list[tuple[np.ndarray, np.ndarray]]]:
+        """A reader of the bursts that start at or before end_us, a window at
+        a time: take(cut) returns those not taken yet that start before cut,
+        as one (starts, durations) pair of column views per lane, in the
+        order of sources, each ordered by start. Cuts must not decrease;
+        take(math.inf) returns the rest.
         """
-        edges = []
-        for lane in self._lanes:
-            limit = int(np.searchsorted(lane.starts, end_us, "right"))
-            edges.append(np.minimum(np.r_[0, np.searchsorted(lane.starts, cuts), limit],
-                                    limit).tolist())
-        for k in range(len(cuts) + 1):
-            yield [(lane.starts[e[k]:e[k + 1]], lane.durations[e[k]:e[k + 1]])
-                   for lane, e in zip(self._lanes, edges)]
+        lanes = self._lanes
+        limits = [int(np.searchsorted(lane.starts, end_us, "right")) for lane in lanes]
+        taken = [0] * len(lanes)
+
+        def take(cut: float) -> list[tuple[np.ndarray, np.ndarray]]:
+            window = []
+            for i, (lane, limit) in enumerate(zip(lanes, limits)):
+                a, b = taken[i], min(int(np.searchsorted(lane.starts, cut)), limit)
+                window.append((lane.starts[a:b], lane.durations[a:b]))
+                taken[i] = b
+            return window
+
+        return take
 
     def bursts(self) -> Iterator[Burst]:
         """Every burst, ordered by (start_us, source): the lanes, which are
@@ -402,10 +409,11 @@ class EventScheduler:
             raise ValueError(f"cannot schedule at {time_us} before now={self.now}")
         heapq.heappush(self._heap, (time_us, source, next(self._counter), process))
 
-    def run_until(self, t_end_us: float) -> None:
-        """Run every resume up to t_end_us, then close the processes left."""
+    def advance(self, t_us: float) -> None:
+        """Run every resume up to t_us; the processes left stay scheduled,
+        so advancing in steps runs the same resumes as one run_until."""
         heap = self._heap
-        while heap and heap[0][0] <= t_end_us:
+        while heap and heap[0][0] <= t_us:
             t, source, _, process = heapq.heappop(heap)
             self.now = t
             try:
@@ -413,10 +421,14 @@ class EventScheduler:
             except StopIteration:
                 continue
             self.at(t + delay, process, source)
+
+    def run_until(self, t_end_us: float) -> None:
+        """Run every resume up to t_end_us, then close the processes left."""
+        self.advance(t_end_us)
         self.now = max(self.now, t_end_us)
-        for *_, process in heap:
+        for *_, process in self._heap:
             process.close()
-        heap.clear()
+        self._heap.clear()
 
 
 def _derived_seed(seed: int, index: int) -> int:

@@ -11,6 +11,15 @@ A run writes one directory:
     session.json             sidecar needed to re-derive angles offline
                              (placement, calibration pose, frozen q_calib)
 
+The session streams into its files: the protocol loop hands its rows and
+frames to a sink once per simulated second. The sink checks and folds
+them into the session's metrics (protocol.SessionFold), appends them to
+recording.csv and session_trace.csv, and writes radio_trace.csv a window
+at a time. No list of every row or frame is built, so run_scenario's
+artifacts carry the metrics but no trace or frames. execute() without a
+directory keeps both lists, and the same fold and window writer run over
+them.
+
 Both traces are ordered by (time_us, source). radio_trace.csv is written
 in windows of a few thousand protocol rows, cut only where time_us
 changes. Each window takes the interferer bursts that start before the
@@ -20,13 +29,15 @@ order with one stable sort on (time_us, source), protocol rows first on a
 tie. That is the order of a merge of the two ordered inputs, and no
 Burst or list of every burst is built. Protocol rows are type-checked
 row by row; each lane's constant burst cells are checked once. Every file
-is written through pipeline.write_csv, write_lines or write_json.
+is written through pipeline.open_csv, write_csv or write_json.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+from contextlib import ExitStack
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -35,10 +46,13 @@ from typing import Iterator, get_type_hints
 import numpy as np
 
 from .motion import SyntheticBody, random_offsets
-from .pipeline import (ANGLE_CSV, CsvSchema, ParseError, file_slug, nine_digits,
-                       write_csv, write_json, write_lines, write_recording)
-from .protocol import (SessionResult, TraceRow, ble_baseline_run, master_run,
-                       session_metrics)
+# write_recording is not called here, but perfbench's span table resolves
+# runner.write_recording: a traced run raises KeyError without the name.
+from .pipeline import (ANGLE_CSV, RECORDING_CSV, CsvSchema, ParseError, RecordingFrame,
+                       file_slug, nine_digits, open_csv, write_csv, write_json,
+                       write_recording)
+from .protocol import (SessionFold, SessionResult, TraceRow, ble_baseline_run,
+                       master_run, session_metrics)
 from .quatmath import Quaternion
 from .radio import InterferenceField, build_field
 from .scenario import MAX_DURATION_S, Scenario
@@ -84,9 +98,12 @@ def scenario_field(sc: Scenario) -> InterferenceField:
     return build_field(sc.interferers, duration_us + 100_000.0)
 
 
-def execute(sc: Scenario, field: InterferenceField | None = None) -> RunArtifacts:
-    """Run the radio session without touching the filesystem. field, when
-    given, must be scenario_field(sc) or a field built the same way."""
+def execute(sc: Scenario, field: InterferenceField | None = None,
+            out: Path | None = None) -> RunArtifacts:
+    """Run the radio session. field, when given, must be scenario_field(sc)
+    or a field built the same way. With out, the session streams into
+    recording.csv, session_trace.csv and radio_trace.csv there, and the
+    result holds no rows or frames; without it, nothing is written."""
     body, calib = build_body(sc)
     if field is None:
         field = scenario_field(sc)
@@ -94,49 +111,106 @@ def execute(sc: Scenario, field: InterferenceField | None = None) -> RunArtifact
     def sampler(sensor: int, t_us: float) -> Quaternion:
         return body.reading(sensor, t_us / 1e6)
 
-    if sc.protocol_kind == "cw":
-        result = master_run(sc.roster, sc.duration_s, sampler, field, sc.seed,
-                            timing=sc.timing, policy=sc.policy,
-                            p_floor=sc.p_floor, initial_channel=sc.initial_channel)
-    else:
-        result = ble_baseline_run(sc.roster, sc.duration_s, sampler, field,
-                                  sc.seed, p_floor=sc.p_floor)
-    return RunArtifacts(sc, body, calib, field, result, session_metrics(result))
+    with ExitStack() as stack:
+        sink = None if out is None else _SessionFiles(stack, out, field, sc.duration_s * 1e6)
+        if sc.protocol_kind == "cw":
+            result = master_run(sc.roster, sc.duration_s, sampler, field, sc.seed,
+                                timing=sc.timing, policy=sc.policy, p_floor=sc.p_floor,
+                                initial_channel=sc.initial_channel, sink=sink)
+        else:
+            result = ble_baseline_run(sc.roster, sc.duration_s, sampler, field,
+                                      sc.seed, p_floor=sc.p_floor, sink=sink)
+        metrics = session_metrics(result) if sink is None else sink.finish(result)
+    return RunArtifacts(sc, body, calib, field, result, metrics)
+
+
+class _RadioTrace:
+    """The lines of radio_trace.csv after its header, from protocol rows
+    handed over in session order: protocol rows and the interferer bursts
+    that start at or before end_us, ordered by (time_us, source), protocol
+    rows first on a tie. Lines come out a window at a time, once the rows
+    after the window's cut have arrived."""
+
+    def __init__(self, field: InterferenceField, end_us: float) -> None:
+        self._take = field.windows(end_us)
+        self._sources = field.sources
+        self._tails = [(s, None, s.split(":")[0], "busy") for s in self._sources]
+        # Starts and durations come from float64 columns through tolist(): floats.
+        self._formats = [RADIO_TRACE_CSV.row_format((0.0, 0.0, *tail)) for tail in self._tails]
+        self._rows: list[TraceRow] = []  # rows of windows not cut yet
+
+    def lines(self, rows: list[TraceRow]) -> Iterator[str]:
+        """The lines of the windows that rows complete."""
+        pending = self._rows
+        pending += rows
+        windows = []
+        a = 0
+        while True:
+            b = a + _WINDOW_ROWS
+            while b < len(pending) and pending[b].time_us == pending[b - 1].time_us:
+                b += 1
+            if b >= len(pending):
+                break
+            windows.append((pending[a:b], self._take(pending[b].time_us)))
+            a = b
+        del pending[:a]
+        return itertools.chain.from_iterable(itertools.starmap(self._window, windows))
+
+    def close(self) -> Iterator[str]:
+        """The lines of the last window: the rows left and every burst left."""
+        rows, self._rows = self._rows, []
+        return self._window(rows, self._take(math.inf))
+
+    def _window(self, rows: list[TraceRow], lanes: list[tuple[np.ndarray, np.ndarray]]
+                ) -> Iterator[str]:
+        proto = RADIO_TRACE_CSV.lines(map(_RADIO_CELLS, rows))
+        if not any(len(starts) for starts, _ in lanes):
+            return proto
+        lines = list(proto)
+        for (starts, durations), fmt, tail in zip(lanes, self._formats, self._tails):
+            lines += map(fmt.__mod__, zip(starts.tolist(), durations.tolist(),
+                                          *map(itertools.repeat, tail)))
+        rank = {s: i for i, s in enumerate(sorted(set(map(itemgetter(2), rows))
+                                                  .union(self._sources)))}
+        times = np.concatenate([[r.time_us for r in rows], *(s for s, _ in lanes)])
+        ranks = np.concatenate([[rank[r.source] for r in rows],
+                                np.repeat([rank[s] for s in self._sources],
+                                          [len(s) for s, _ in lanes])])
+        return map(lines.__getitem__, np.lexsort((ranks, times)).tolist())
 
 
 def _radio_trace_lines(result: SessionResult, field: InterferenceField) -> Iterator[str]:
-    """The lines of radio_trace.csv after its header: protocol rows and the
-    interferer bursts that start at or before the session's end, ordered by
-    (time_us, source), protocol rows first on a tie."""
-    trace = result.trace
-    bounds = [0]  # window k holds the protocol rows bounds[k]:bounds[k + 1]
-    while len(bounds) == 1 or bounds[-1] < len(trace):
-        b = min(bounds[-1] + _WINDOW_ROWS, len(trace))
-        while b < len(trace) and trace[b].time_us == trace[b - 1].time_us:
-            b += 1
-        bounds.append(b)
-    windows = field.windows([trace[b].time_us for b in bounds[1:-1]], result.duration_us)
+    """radio_trace.csv's lines after its header for a session's collected rows."""
+    radio = _RadioTrace(field, result.duration_us)
+    yield from radio.lines(result.trace)
+    yield from radio.close()
 
-    sources = field.sources
-    rank = {s: i for i, s in enumerate(sorted(set(map(itemgetter(2), trace)).union(sources)))}
-    lane_ranks = [rank[s] for s in sources]
-    tails = [(s, None, s.split(":")[0], "busy") for s in sources]
-    # Starts and durations come from float64 columns through tolist(): floats.
-    formats = [RADIO_TRACE_CSV.row_format((0.0, 0.0, *tail)) for tail in tails]
-    proto = RADIO_TRACE_CSV.lines(map(_RADIO_CELLS, trace))
 
-    for a, b, lanes in zip(bounds, bounds[1:], windows):
-        if not any(len(starts) for starts, _ in lanes):
-            yield from itertools.islice(proto, b - a)
-            continue
-        lines = list(itertools.islice(proto, b - a))
-        for (starts, durations), fmt, tail in zip(lanes, formats, tails):
-            lines += map(fmt.__mod__, zip(starts.tolist(), durations.tolist(),
-                                          *map(itertools.repeat, tail)))
-        times = np.concatenate([[r.time_us for r in trace[a:b]], *(s for s, _ in lanes)])
-        ranks = np.concatenate([[rank[r.source] for r in trace[a:b]],
-                                np.repeat(lane_ranks, [len(s) for s, _ in lanes])])
-        yield from map(lines.__getitem__, np.lexsort((ranks, times)).tolist())
+class _SessionFiles:
+    """The sink of a streamed session: folds its metrics and writes
+    recording.csv, session_trace.csv and radio_trace.csv into out as rows
+    and frames arrive. The files close with stack."""
+
+    def __init__(self, stack: ExitStack, out: Path, field: InterferenceField,
+                 end_us: float) -> None:
+        self._fold = SessionFold()
+        self._radio = _RadioTrace(field, end_us)
+        self._recording = stack.enter_context(open_csv(out / "recording.csv", RECORDING_CSV))
+        self._trace = stack.enter_context(open_csv(out / "session_trace.csv",
+                                                   SESSION_TRACE_CSV))
+        self._radio_file = stack.enter_context(open_csv(out / "radio_trace.csv",
+                                                        RADIO_TRACE_CSV))
+
+    def __call__(self, rows: list[TraceRow], frames: list[RecordingFrame]) -> None:
+        self._fold.add(rows, frames)  # checks the frames before they are written
+        self._recording.writelines(RECORDING_CSV.lines(frames))
+        self._trace.writelines(SESSION_TRACE_CSV.lines(rows))
+        self._radio_file.writelines(self._radio.lines(rows))
+
+    def finish(self, result: SessionResult) -> dict:
+        """Write the last radio_trace.csv window; the session's metrics."""
+        self._radio_file.writelines(self._radio.close())
+        return self._fold.metrics(result)
 
 
 def _write_ground_truth(body: SyntheticBody, sc: Scenario, out_dir: Path) -> None:
@@ -190,14 +264,11 @@ def load_session(path: str | Path) -> tuple[CalibrationRecord, dict]:
 
 
 def run_scenario(sc: Scenario, out_dir: str | Path) -> RunArtifacts:
-    """Execute a scenario and write the full output directory."""
-    art = execute(sc)
+    """Execute a scenario, streaming it into the output directory, and write
+    the rest of the directory. The artifacts hold no rows or frames."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_recording(art.result.frames, out / "recording.csv")
-    write_csv(out / "session_trace.csv", SESSION_TRACE_CSV, art.result.trace)
-    write_lines(out / "radio_trace.csv", RADIO_TRACE_CSV,
-                _radio_trace_lines(art.result, art.field))
+    art = execute(sc, out=out)
     write_json(out / "metrics.json", art.metrics)
     _write_ground_truth(art.body, sc, out)
     _write_session(sc, art.calibration, out / "session.json")
