@@ -1,10 +1,9 @@
 """Output formats, recording persistence and analysis metrics.
 
 Every output file is written here: write_csv for each CSV kind (or
-write_lines, for lines formatted by the kind's schema, or open_csv, for
-lines written as they become known), write_json for each JSON report. A
-CSV cell is empty for None, a float to 9 significant digits (the
-nine_digits grid) and str() of anything else.
+open_csv, for lines written as they become known), write_json for each
+JSON report. A CSV cell is empty for None, a float to 9 significant
+digits (the nine_digits grid) and str() of anything else.
 Each CSV kind has a CsvSchema: its column names and the one type each
 column holds. The schema turns that rule into one %-format per row shape,
 so a row is formatted by one `%` and a cell of the wrong type is refused
@@ -153,15 +152,10 @@ def open_csv(path: str | Path, schema: CsvSchema) -> Iterator[TextIO]:
         yield fh
 
 
-def write_lines(path: str | Path, schema: CsvSchema, lines: Iterable[str]) -> None:
-    """Write the schema's header line, then lines the schema formatted."""
-    with open_csv(path, schema) as fh:
-        fh.writelines(lines)
-
-
 def write_csv(path: str | Path, schema: CsvSchema, rows: Iterable[tuple]) -> None:
     """Write the schema's header line, then one line per row."""
-    write_lines(path, schema, schema.lines(rows))
+    with open_csv(path, schema) as fh:
+        fh.writelines(schema.lines(rows))
 
 
 def write_json(path: str | Path, data) -> None:

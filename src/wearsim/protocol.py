@@ -15,15 +15,14 @@ resets; it is the comparison point for the polling design.
 All state advances through the discrete-event scheduler in radio.py, so
 two runs with equal seeds produce byte-identical results.
 
-Both loops append trace rows and frames to lists in session order. Without
-a sink a run returns the whole lists. With a sink the scheduler advances a
-simulated second at a time and hands the sink that second's rows and
-frames, so no session is held whole. The baseline's deliveries arrive in
-time order; those that round to the same microsecond wait in a small
-buffer and leave it in sensor order. session_metrics is SessionFold run
-over the lists, and a sink can run the same fold batch by batch. The fold
-checks frame order on every path: timestamps never decrease and each
-sensor's seq strictly increases.
+Both loops append trace rows and frames to lists in session order, and
+the scheduler advances a simulated second at a time. A sink takes each
+second's rows and frames, so no session is held whole; without one a run
+returns the whole lists. The baseline's deliveries arrive in time order;
+those that round to the same microsecond wait in a small buffer and leave
+it in sensor order. SessionFold folds the metrics batch by batch, as a
+sink or over the lists (session_metrics), and checks frame order:
+timestamps never decrease and each sensor's seq strictly increases.
 """
 
 from __future__ import annotations
@@ -297,14 +296,14 @@ def _check_session(roster: Sequence[int], limit: int,
 
 def _run(sched: radio.EventScheduler, duration_us: float, sink: Sink | None,
          trace: list[TraceRow], frames: list[RecordingFrame]) -> None:
-    """Run the session to its end. With a sink, hand it the rows and frames
-    once per simulated second; the last ones stay for _hand_off."""
-    if sink is not None:
-        k = 1
-        while k * _HANDOFF_US < duration_us:
-            sched.advance(k * _HANDOFF_US)
-            _hand_off(sink, trace, frames)
-            k += 1
+    """Run the session to its end a simulated second at a time. After each
+    second a sink takes the rows and frames; without one the lists keep
+    them. The last ones stay for _hand_off."""
+    k = 1
+    while k * _HANDOFF_US < duration_us:
+        sched.advance(k * _HANDOFF_US)
+        _hand_off(sink, trace, frames)
+        k += 1
     sched.run_until(duration_us)
 
 

@@ -12,8 +12,9 @@ bursts in bulk as numpy columns (starts, durations, band edges), summed
 in the same order as a draw-by-draw loop, so every figure is the scalar
 one. busy() answers from the bursts grouped by exact band across
 sources, each group merged into disjoint intervals: one bisect per group
-that overlaps the queried band. bursts() streams every Burst in
-(start, source) order without building a list.
+that overlaps the queried band. windows() reads the columns a window of
+start times at a time; all_bursts() lists every Burst in (start, source)
+order.
 
 The event scheduler is single-threaded and fully deterministic. Its heap
 holds generator processes that yield microsecond delays; they resume in
@@ -28,7 +29,7 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Generator, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -145,8 +146,6 @@ class Jammer:
 
 # At most this many Wi-Fi idle/busy pairs, or BT events, per numpy call.
 _DRAW_CHUNK = 1 << 16
-# Bursts turned into Python floats at a time by bursts().
-_ROW_CHUNK = 1024
 
 # One source's bursts, ordered by start: starts, durations, band lows and
 # band highs, one float64 entry per burst.
@@ -333,26 +332,18 @@ class InterferenceField:
 
         return take
 
-    def bursts(self) -> Iterator[Burst]:
+    def all_bursts(self) -> list[Burst]:
         """Every burst, ordered by (start_us, source): the lanes, which are
-        in source order, laid end to end and stably sorted by start. Columns
-        turn into Python floats a chunk at a time."""
+        in source order, laid end to end and stably sorted by start."""
         if not self._lanes:
-            return
+            return []
         sources = self.sources
         cols = [np.concatenate(c) for c in zip(*(lane[1:] for lane in self._lanes))]
         lanes = np.repeat(np.arange(len(sources)), [len(lane.starts) for lane in self._lanes])
         order = np.argsort(cols[0], kind="stable")
-        starts, durations, lo, hi, lanes = (c[order] for c in (*cols, lanes))
-        for i in range(0, len(order), _ROW_CHUNK):
-            part = slice(i, i + _ROW_CHUNK)
-            yield from map(Burst._make, zip(
-                starts[part].tolist(), durations[part].tolist(),
-                map(sources.__getitem__, lanes[part].tolist()),
-                zip(lo[part].tolist(), hi[part].tolist())))
-
-    def all_bursts(self) -> list[Burst]:
-        return list(self.bursts())
+        starts, durations, lo, hi, lanes = (c[order].tolist() for c in (*cols, lanes))
+        return list(map(Burst._make, zip(starts, durations, map(sources.__getitem__, lanes),
+                                         zip(lo, hi))))
 
     def busy(self, band: tuple[float, float], start_us: float, end_us: float) -> bool:
         """Any burst overlapping the band and the interval, both strictly.

@@ -11,25 +11,23 @@ A run writes one directory:
     session.json             sidecar needed to re-derive angles offline
                              (placement, calibration pose, frozen q_calib)
 
-The session streams into its files: the protocol loop hands its rows and
-frames to a sink once per simulated second. The sink checks and folds
-them into the session's metrics (protocol.SessionFold), appends them to
-recording.csv and session_trace.csv, and writes radio_trace.csv a window
-at a time. No list of every row or frame is built, so run_scenario's
-artifacts carry the metrics but no trace or frames. execute() without a
-directory keeps both lists, and the same fold and window writer run over
-them.
+Every run streams: the protocol loop hands its rows and frames to a sink
+once per simulated second, and the sink checks and folds them into the
+session's metrics (protocol.SessionFold). With an output directory the
+sink also appends them to recording.csv and session_trace.csv and writes
+radio_trace.csv a window at a time. No list of every row or frame is
+built, so a run's artifacts carry the metrics but no trace or frames.
 
-Both traces are ordered by (time_us, source). radio_trace.csv is written
-in windows of a few thousand protocol rows, cut only where time_us
-changes. Each window takes the interferer bursts that start before the
-next window's first row (the last one: at or before the session's end) as
-column views from InterferenceField.windows(), and puts its lines in
-order with one stable sort on (time_us, source), protocol rows first on a
-tie. That is the order of a merge of the two ordered inputs, and no
-Burst or list of every burst is built. Protocol rows are type-checked
-row by row; each lane's constant burst cells are checked once. Every file
-is written through pipeline.open_csv, write_csv or write_json.
+Both traces are ordered by (time_us, source). Each handoff ends one
+radio_trace.csv window: the rows before the last time_us handed over so
+far, and the interferer bursts that start before it (the last window:
+the rows left and the bursts at or before the session's end), as column
+views from InterferenceField.windows(). A window's lines are put in order
+with one stable sort on (time_us, source), protocol rows first on a tie.
+That is the order of a merge of the two ordered inputs, and no Burst or
+list of every burst is built. Protocol rows are type-checked row by row;
+each lane's constant burst cells are checked once. Every file is written
+through pipeline.open_csv, write_csv or write_json.
 """
 
 from __future__ import annotations
@@ -46,13 +44,13 @@ from typing import Iterator, get_type_hints
 import numpy as np
 
 from .motion import SyntheticBody, random_offsets
-# write_recording is not called here, but perfbench's span table resolves
-# runner.write_recording: a traced run raises KeyError without the name.
+# write_recording and session_metrics are not called here, but perfbench's
+# span table resolves them in runner: a traced run raises KeyError without them.
 from .pipeline import (ANGLE_CSV, RECORDING_CSV, CsvSchema, ParseError, RecordingFrame,
                        file_slug, nine_digits, open_csv, write_csv, write_json,
                        write_recording)
-from .protocol import (SessionFold, SessionResult, TraceRow, ble_baseline_run,
-                       master_run, session_metrics)
+from .protocol import (SessionFold, TraceRow, ble_baseline_run, master_run,
+                       session_metrics)
 from .quatmath import Quaternion
 from .radio import InterferenceField, build_field
 from .scenario import MAX_DURATION_S, Scenario
@@ -66,8 +64,6 @@ RADIO_TRACE_CSV = CsvSchema(("time_us", float), ("duration_us", float), ("source
                             ("channel", int | None), ("kind", str), ("outcome", str))
 # The radio_trace.csv cells of a TraceRow.
 _RADIO_CELLS = itemgetter(0, 1, 2, 3, 4, 7)
-# Protocol rows per radio_trace.csv window, before the cut moves past ties.
-_WINDOW_ROWS = 4096
 
 
 @dataclass
@@ -75,8 +71,6 @@ class RunArtifacts:
     scenario: Scenario
     body: SyntheticBody
     calibration: CalibrationRecord
-    field: InterferenceField
-    result: SessionResult
     metrics: dict
 
 
@@ -100,10 +94,10 @@ def scenario_field(sc: Scenario) -> InterferenceField:
 
 def execute(sc: Scenario, field: InterferenceField | None = None,
             out: Path | None = None) -> RunArtifacts:
-    """Run the radio session. field, when given, must be scenario_field(sc)
-    or a field built the same way. With out, the session streams into
-    recording.csv, session_trace.csv and radio_trace.csv there, and the
-    result holds no rows or frames; without it, nothing is written."""
+    """Run the radio session and fold its metrics. field, when given, must
+    be scenario_field(sc) or a field built the same way. With out, the
+    session also streams into recording.csv, session_trace.csv and
+    radio_trace.csv there; without it, nothing is written."""
     body, calib = build_body(sc)
     if field is None:
         field = scenario_field(sc)
@@ -111,8 +105,10 @@ def execute(sc: Scenario, field: InterferenceField | None = None,
     def sampler(sensor: int, t_us: float) -> Quaternion:
         return body.reading(sensor, t_us / 1e6)
 
+    fold = SessionFold()
     with ExitStack() as stack:
-        sink = None if out is None else _SessionFiles(stack, out, field, sc.duration_s * 1e6)
+        sink = fold.add if out is None else _SessionFiles(stack, out, field,
+                                                          sc.duration_s * 1e6, fold)
         if sc.protocol_kind == "cw":
             result = master_run(sc.roster, sc.duration_s, sampler, field, sc.seed,
                                 timing=sc.timing, policy=sc.policy, p_floor=sc.p_floor,
@@ -120,16 +116,17 @@ def execute(sc: Scenario, field: InterferenceField | None = None,
         else:
             result = ble_baseline_run(sc.roster, sc.duration_s, sampler, field,
                                       sc.seed, p_floor=sc.p_floor, sink=sink)
-        metrics = session_metrics(result) if sink is None else sink.finish(result)
-    return RunArtifacts(sc, body, calib, field, result, metrics)
+        if out is not None:
+            sink.close()
+    return RunArtifacts(sc, body, calib, fold.metrics(result))
 
 
 class _RadioTrace:
     """The lines of radio_trace.csv after its header, from protocol rows
     handed over in session order: protocol rows and the interferer bursts
     that start at or before end_us, ordered by (time_us, source), protocol
-    rows first on a tie. Lines come out a window at a time, once the rows
-    after the window's cut have arrived."""
+    rows first on a tie. Each handoff gives the lines before the last
+    time_us handed over; rows of that time wait for the next one."""
 
     def __init__(self, field: InterferenceField, end_us: float) -> None:
         self._take = field.windows(end_us)
@@ -137,24 +134,22 @@ class _RadioTrace:
         self._tails = [(s, None, s.split(":")[0], "busy") for s in self._sources]
         # Starts and durations come from float64 columns through tolist(): floats.
         self._formats = [RADIO_TRACE_CSV.row_format((0.0, 0.0, *tail)) for tail in self._tails]
-        self._rows: list[TraceRow] = []  # rows of windows not cut yet
+        self._rows: list[TraceRow] = []  # rows of the last time_us handed over
 
     def lines(self, rows: list[TraceRow]) -> Iterator[str]:
-        """The lines of the windows that rows complete."""
+        """The lines of the window that rows complete: the rows and bursts
+        before the last time_us handed over so far."""
         pending = self._rows
         pending += rows
-        windows = []
-        a = 0
-        while True:
-            b = a + _WINDOW_ROWS
-            while b < len(pending) and pending[b].time_us == pending[b - 1].time_us:
-                b += 1
-            if b >= len(pending):
-                break
-            windows.append((pending[a:b], self._take(pending[b].time_us)))
-            a = b
-        del pending[:a]
-        return itertools.chain.from_iterable(itertools.starmap(self._window, windows))
+        if not pending:
+            return iter(())
+        cut = pending[-1].time_us
+        b = len(pending)
+        while b and pending[b - 1].time_us == cut:
+            b -= 1
+        window = pending[:b]
+        del pending[:b]
+        return self._window(window, self._take(cut))
 
     def close(self) -> Iterator[str]:
         """The lines of the last window: the rows left and every burst left."""
@@ -179,21 +174,14 @@ class _RadioTrace:
         return map(lines.__getitem__, np.lexsort((ranks, times)).tolist())
 
 
-def _radio_trace_lines(result: SessionResult, field: InterferenceField) -> Iterator[str]:
-    """radio_trace.csv's lines after its header for a session's collected rows."""
-    radio = _RadioTrace(field, result.duration_us)
-    yield from radio.lines(result.trace)
-    yield from radio.close()
-
-
 class _SessionFiles:
-    """The sink of a streamed session: folds its metrics and writes
-    recording.csv, session_trace.csv and radio_trace.csv into out as rows
-    and frames arrive. The files close with stack."""
+    """The sink of a session written to disk: folds its metrics into fold
+    and writes recording.csv, session_trace.csv and radio_trace.csv into
+    out as rows and frames arrive. The files close with stack."""
 
     def __init__(self, stack: ExitStack, out: Path, field: InterferenceField,
-                 end_us: float) -> None:
-        self._fold = SessionFold()
+                 end_us: float, fold: SessionFold) -> None:
+        self._fold = fold
         self._radio = _RadioTrace(field, end_us)
         self._recording = stack.enter_context(open_csv(out / "recording.csv", RECORDING_CSV))
         self._trace = stack.enter_context(open_csv(out / "session_trace.csv",
@@ -207,10 +195,9 @@ class _SessionFiles:
         self._trace.writelines(SESSION_TRACE_CSV.lines(rows))
         self._radio_file.writelines(self._radio.lines(rows))
 
-    def finish(self, result: SessionResult) -> dict:
-        """Write the last radio_trace.csv window; the session's metrics."""
+    def close(self) -> None:
+        """Write the last radio_trace.csv window."""
         self._radio_file.writelines(self._radio.close())
-        return self._fold.metrics(result)
 
 
 def _write_ground_truth(body: SyntheticBody, sc: Scenario, out_dir: Path) -> None:
@@ -265,7 +252,7 @@ def load_session(path: str | Path) -> tuple[CalibrationRecord, dict]:
 
 def run_scenario(sc: Scenario, out_dir: str | Path) -> RunArtifacts:
     """Execute a scenario, streaming it into the output directory, and write
-    the rest of the directory. The artifacts hold no rows or frames."""
+    the rest of the directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     art = execute(sc, out=out)

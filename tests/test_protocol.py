@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -372,6 +373,36 @@ class TestCrowdedComparison:
             assert (cw["per_sensor"][str(s)]["mean_rate_hz"]
                     > ble["per_sensor"][str(s)]["mean_rate_hz"])
         assert cw["hop_count"] >= 1
+
+
+def turning_sampler(sensor_id, t_us):
+    """A reading that differs per sensor and instant."""
+    half = sensor_id + t_us / 1e6
+    return Quaternion(math.cos(half), math.sin(half), 0.0, 0.0)
+
+
+class TestSinkBatches:
+    @pytest.mark.parametrize("duration_s", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("run", [master_run, ble_baseline_run], ids=["cw", "ble"])
+    def test_batches_equal_collected_lists(self, run, duration_s):
+        # A crowded field and a loss floor, so outcomes and retries vary;
+        # sub-second and non-integral lengths end within a handoff second.
+        roster, field = [1, 2, 3, 4, 5], crowded_field(4, duration_s)
+        batches, fold = [], pr.SessionFold()
+
+        def sink(rows, frames):
+            batches.append((list(rows), list(frames)))
+            fold.add(rows, frames)
+
+        streamed = run(roster, duration_s, turning_sampler, field, 4, p_floor=0.05, sink=sink)
+        collected = run(roster, duration_s, turning_sampler, field, 4, p_floor=0.05)
+        assert len(batches) == math.ceil(duration_s)
+        assert [r for rows, _ in batches for r in rows] == collected.trace
+        assert [f for _, frames in batches for f in frames] == collected.frames
+        assert {r.outcome for r in collected.trace} >= {radio.DELIVERED, radio.FLOOR_LOST}
+        assert streamed.trace == [] and streamed.frames == []
+        assert replace(collected, trace=[], frames=[]) == streamed
+        assert fold.metrics(streamed) == session_metrics(collected)
 
 
 class TestSessionMemory:

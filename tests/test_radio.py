@@ -192,31 +192,25 @@ def mixed_sources(seed):
 
 
 class TestColumns:
-    @pytest.mark.parametrize("chunks", [(None, None), (7, 5)])
+    @pytest.mark.parametrize("chunks", [{}, {"_DRAW_CHUNK": 7}])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_match_scalar_oracle(self, seed, chunks, monkeypatch):
-        # Small chunks carry the running sum across many draws and conversions.
-        for name, size in zip(("_DRAW_CHUNK", "_ROW_CHUNK"), chunks):
-            if size is not None:
-                monkeypatch.setattr(radio, name, size)
+        # Small chunks carry the running sum across many draws.
+        for name, size in chunks.items():
+            monkeypatch.setattr(radio, name, size)
         end = 1.3e6
         sources = mixed_sources(seed)
         expected = sorted((b for i in sources for b in scalar_occupancy(i, end)),
                           key=lambda b: (b.start_us, b.source))
         got = radio.build_field(sources, end).all_bursts()
-        assert len(got) > 1000
+        assert len(got) > 1000 and all(type(b) is Burst for b in got)
         assert list(map(bits, got)) == list(map(bits, expected))
-
-    def test_bursts_match_all_bursts(self):
-        field = radio.build_field(mixed_sources(5), 1e6)
-        assert field.all_bursts() == list(field.bursts())
-        assert all(type(b) is Burst for b in field.all_bursts())
 
     def test_transmissions_and_columns_give_one_field(self):
         columns = radio.build_field(mixed_sources(6), 1e6)
-        for rebuilt in (InterferenceField(columns.bursts()),
+        for rebuilt in (InterferenceField(columns.all_bursts()),
                         InterferenceField(reversed(columns.all_bursts()))):
-            assert list(rebuilt.bursts()) == list(columns.bursts())
+            assert rebuilt.all_bursts() == columns.all_bursts()
             for band in QUERY_BANDS + [channel_band(k) for k in (26, 40, 60, 79)]:
                 for start in np.linspace(-100.0, 1.05e6, 97).tolist():
                     for length in (1.0, 296.0, 5000.0):
@@ -278,7 +272,7 @@ def test_busy_matches_brute_force(bursts, queries):
 
 
 def test_records_share_time_and_source_columns():
-    # runner._radio_trace_lines and InterferenceField.bursts() order by time
+    # runner._RadioTrace and InterferenceField.all_bursts() order by time
     # and source, which all three hold in fields 0 and 2.
     assert TraceRow._fields[0:3:2] == ("time_us", "source")
     assert runner._RADIO_CELLS(TraceRow._fields) == runner.RADIO_TRACE_CSV.names
