@@ -4,9 +4,11 @@ Exit codes are stable so scripts can branch on failure class:
 
     0  success
     2  configuration problem (bad scenario or --seed, a --seeds run past seed
-       2**63 - 1, unknown joint, a name repeated in a flag's list, bad flag combo)
-    3  I/O or parse failure (missing file, malformed CSV/JSON/YAML or session
-       sidecar, a file that is not UTF-8, a non-finite angle)
+       2**63 - 1, unknown joint, a joint the recording's placement does not
+       cover, a name repeated in a flag's list, bad flag combo)
+    3  I/O or parse failure (missing file, malformed CSV/JSON/YAML, a session
+       sidecar of the wrong shape or one whose q_calib lacks a placement
+       sensor, a file that is not UTF-8, a non-finite angle)
     4  validation failure (inconsistent recording, angle CSV timestamps not
        increasing, disjoint series, an MAE or Pearson result that overflows)
 """
@@ -27,7 +29,7 @@ from .pipeline import (ANGLE_CSV, RECORDING_CSV, AngleSeries, CsvSchema, ParseEr
 from .protocol import BLE_MAX_SENSORS, ConfigError
 from .runner import execute, load_session, run_scenario, scenario_field
 from .scenario import INT_LIMIT, load_scenario, parse_scenario
-from .skeleton import JOINTS, CalibrationRecord, Skeleton
+from .skeleton import JOINTS, CalibrationRecord, SensorPlacement, Skeleton
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,10 +70,15 @@ def _names(value: str, flag: str) -> list[str]:
     return names
 
 
-def _require_joint(label: str) -> None:
+def _require_joint(label: str, placement: SensorPlacement) -> None:
+    """Refuse a joint label that is unknown or that placement does not cover."""
     if label not in JOINTS:
         raise ConfigError(f"unknown joint {label!r}; known joints: "
                           f"{', '.join(sorted(JOINTS))}")
+    try:
+        placement.joint_sensors(JOINTS[label])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _sidecar(recording: Path, session: str | None, flag: str) -> tuple[CalibrationRecord, dict]:
@@ -95,7 +102,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not labels:
         raise ConfigError("nothing to analyze: the session lists no joints; pass --joints")
     for label in labels:
-        _require_joint(label)
+        _require_joint(label, calib.placement)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -149,7 +156,7 @@ def _angle_series_from(path: Path, joint: str | None,
             raise ConfigError(f"recording {path} covers joints {joints}; pick one "
                               f"with --joint")
         label = joints[0]
-    _require_joint(label)
+    _require_joint(label, calib.placement)
     return joint_angle_series(frames, calib, Skeleton.default(), JOINTS[label])
 
 
@@ -302,10 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (yaml.YAMLError, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, yaml.YAMLError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValidationError, ValueError) as exc:

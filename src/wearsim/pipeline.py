@@ -311,8 +311,7 @@ def joint_angle_series(frames: Sequence[RecordingFrame], calib: CalibrationRecor
     these frames across calls, so that joints sharing a sensor compute
     its poses once.
     """
-    sensors = (calib.placement.sensor_on(joint.parent_bone),
-               calib.placement.sensor_on(joint.child_bone))
+    sensors = calib.placement.joint_sensors(joint)
     poses = {} if poses is None else poses
     streams: dict[int, list[RecordingFrame]] = {s: [] for s in sensors if s not in poses}
     if streams:

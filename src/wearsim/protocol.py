@@ -87,33 +87,6 @@ class TimingProfile:
         if self.beacon_interval_ms < 1e-3:
             raise ValueError("beacon_interval_ms must be at least 1e-3 (1 us)")
 
-    def airtime_us(self, nbytes: int) -> float:
-        return self.us_per_byte * nbytes
-
-    @property
-    def poll_air_us(self) -> float:
-        return self.airtime_us(self.poll_bytes)
-
-    @property
-    def response_air_us(self) -> float:
-        return self.airtime_us(self.response_bytes)
-
-    @property
-    def beacon_air_us(self) -> float:
-        return self.airtime_us(self.beacon_bytes)
-
-    @property
-    def hop_air_us(self) -> float:
-        return self.airtime_us(self.hop_bytes)
-
-    @property
-    def ack_air_us(self) -> float:
-        return self.airtime_us(self.ack_bytes)
-
-    @property
-    def cap_period_us(self) -> float:
-        return 1e6 / self.poll_cap_hz
-
     @property
     def resync_us(self) -> float:
         return self.resync_timeout_ms * 1000.0
@@ -335,12 +308,12 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     loss: deque[bool] = deque(maxlen=policy.loss_window)
     floor_rng = rnd.stream(seed, rnd.FLOOR) if p_floor > 0 else None
     # Each row's duration is one of these floats, not a new one.
-    poll_air, response_air, ack_air = (timing.poll_air_us, timing.response_air_us,
-                                       timing.ack_air_us)
-    beacon_air, hop_air = timing.beacon_air_us, timing.hop_air_us
+    poll_air, response_air, ack_air, beacon_air, hop_air = (
+        timing.us_per_byte * n for n in (timing.poll_bytes, timing.response_bytes,
+                                         timing.ack_bytes, timing.beacon_bytes, timing.hop_bytes))
     turnaround, guard = timing.turnaround_us, timing.guard_us
     ack_tail = ack_air + turnaround + guard + timing.host_cost_us
-    resync_us, cap_period = timing.resync_us, timing.cap_period_us
+    resync_us, cap_period = timing.resync_us, 1e6 / timing.poll_cap_hz
     beacon_gap = timing.beacon_interval_ms * 1000.0
 
     sched = radio.EventScheduler()

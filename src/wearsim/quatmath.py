@@ -69,9 +69,10 @@ def unit4(w: float, x: float, y: float, z: float) -> Quad:
     finite floats."""
     n2 = w * w + x * x + y * y + z * z
     if abs(n2 - 1.0) > _NORM_TOL:
-        if n2 == 0.0:
+        # A squared norm that overflowed or underflowed: hypot scales instead.
+        n = math.sqrt(n2) if 1e-300 < n2 < math.inf else math.hypot(w, x, y, z)
+        if n == 0.0:
             raise ValueError("zero quaternion has no direction")
-        n = math.sqrt(n2)
         return (w / n, x / n, y / n, z / n)
     return (w, x, y, z)
 

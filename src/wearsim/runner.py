@@ -226,16 +226,20 @@ def _write_session(sc: Scenario, calib: CalibrationRecord, path: Path) -> None:
 
 
 def load_session(path: str | Path) -> tuple[CalibrationRecord, dict]:
-    """Rebuild the calibration record from a session.json sidecar; check its metadata."""
+    """Rebuild the calibration record from a session.json sidecar, through
+    calibrate, so that every sensor of its placement is calibrated; check
+    its metadata."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        placement = SensorPlacement(
-            data["placement"]["name"],
-            {int(k): BoneId(v) for k, v in data["placement"]["sensors"].items()})
-        pose = CalibrationPose(data["calibration_pose"])
-        q_calib = {int(k): Quaternion(*map(float, v))
-                   for k, v in data["q_calib"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+        sensors, q_calib = data["placement"]["sensors"], data["q_calib"]
+        for key, value in (("placement.sensors", sensors), ("q_calib", q_calib)):
+            if not isinstance(value, dict):
+                raise TypeError(f"{key} must be a mapping, got {value!r}")
+        placement = SensorPlacement(data["placement"]["name"],
+                                    {int(k): BoneId(v) for k, v in sensors.items()})
+        calib = calibrate({int(k): Quaternion(*map(float, v)) for k, v in q_calib.items()},
+                          CalibrationPose(data["calibration_pose"]), placement)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"session file {path}: {exc}") from None
     joints = data.get("joints", [])
     if not (isinstance(joints, list) and all(isinstance(j, str) for j in joints)
@@ -247,7 +251,7 @@ def load_session(path: str | Path) -> tuple[CalibrationRecord, dict]:
             or not 0 < duration <= MAX_DURATION_S):
         raise ParseError(f"session file {path}: duration_s must be a number in "
                          f"(0, {MAX_DURATION_S:g}], got {duration!r}")
-    return CalibrationRecord(pose, placement, q_calib), data
+    return calib, data
 
 
 def run_scenario(sc: Scenario, out_dir: str | Path) -> RunArtifacts:

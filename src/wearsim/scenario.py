@@ -75,49 +75,43 @@ def _reject_unknown(raw: Mapping, allowed: tuple[str, ...], where: str) -> None:
                           f"(allowed: {', '.join(allowed)})")
 
 
-def _finite(raw: Mapping, key: str, where: str) -> int | float:
-    """raw[key] as given, if it is an int within +-(2**63 - 1) or a finite float."""
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+def _checked(value: Any, name: str, kind: type, minimum: float | None = None,
+             maximum: float | None = None) -> int | float:
+    """value as given, if it is an int (kind int) or a number (kind float)
+    that is not a bool, lies within +-(2**63 - 1) when an int, is finite
+    when a float, and lies within the bounds given."""
+    if isinstance(value, bool) or not isinstance(value, (int,) if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     if isinstance(value, int) and abs(value) > INT_LIMIT:
-        raise ConfigError(f"{where}.{key} must lie within +-(2**63 - 1)")
+        raise ConfigError(f"{name} must lie within +-(2**63 - 1)")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{name} must be <= {maximum}, got {value}")
     return value
+
+
+def _read(raw: Mapping, key: str, where: str, kind: type, default: Any,
+          minimum: float | None, maximum: float | None) -> Any:
+    """raw[key] checked by _checked, or default when the key is absent."""
+    if key not in raw:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}.{key} is required")
+        return default
+    return _checked(raw[key], f"{where}.{key}", kind, minimum, maximum)
 
 
 def _number(raw: Mapping, key: str, where: str, default: Any = _REQUIRED, *,
             minimum: float | None = None, maximum: float | None = None) -> float:
-    if key not in raw:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}.{key} is required")
-        return default
-    value = _finite(raw, key, where)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}.{key} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{where}.{key} must be <= {maximum}, got {value}")
-    return float(value)
+    return float(_read(raw, key, where, float, default, minimum, maximum))
 
 
 def _integer(raw: Mapping, key: str, where: str, default: Any = _REQUIRED, *,
              minimum: int | None = None) -> int:
-    if key not in raw:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}.{key} is required")
-        return default
-    return _checked_int(raw[key], f"{where}.{key}", minimum)
-
-
-def _checked_int(value: Any, name: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if abs(value) > INT_LIMIT:
-        raise ConfigError(f"{name} must lie within +-(2**63 - 1)")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-    return value
+    return _read(raw, key, where, int, default, minimum, None)
 
 
 def _override(base, raw: Mapping, allowed: tuple[str, ...], where: str):
@@ -143,18 +137,6 @@ def _noise(value: Any, seed: int) -> NoiseModel:
         return replace(NoiseModel.zero(), seed=seed)
     return _override(NoiseModel(seed=seed), _mapping(value, "motion.noise"),
                      _NOISE_KEYS, "motion.noise")
-
-
-def _check_coverage(trajectory: TrajectorySpec, placement: SensorPlacement) -> None:
-    for label in trajectory.joints:
-        joint = JOINTS[label]
-        for bone in (joint.parent_bone, joint.child_bone):
-            try:
-                placement.sensor_on(bone)
-            except ValueError:
-                raise ConfigError(
-                    f"placement {placement.name!r} has no sensor on {bone.value!r}, "
-                    f"needed by joint {label!r}") from None
 
 
 def _source(item: Mapping, index: int, seed: int) -> Interferer:
@@ -216,7 +198,7 @@ def parse_scenario(cfg: Any, *, seed: int | None = None) -> Scenario:
 
     session = _mapping(cfg.get("session"), "session")
     _reject_unknown(session, ("duration_s", "seed"), "session")
-    run_seed = (_checked_int(seed, "--seed", minimum=0) if seed is not None
+    run_seed = (_checked(seed, "--seed", int, minimum=0) if seed is not None
                 else _integer(session, "seed", "session", 0, minimum=0))
 
     motion = _mapping(cfg.get("motion"), "motion")
@@ -226,7 +208,8 @@ def parse_scenario(cfg: Any, *, seed: int | None = None) -> Scenario:
         raise ConfigError("motion.preset is required and must be a string")
     raw_params = _mapping(motion.get("params"), "motion.params")
     params = {key: _number(raw_params, key, "motion.params", maximum=MAX_DURATION_S)
-              if key in ("duration_s", "dwell_s") else _finite(raw_params, key, "motion.params")
+              if key in ("duration_s", "dwell_s")
+              else _checked(raw_params[key], f"motion.params.{key}", float)
               for key in raw_params}
     try:
         trajectory, placement = preset_scenario(preset, **params)
@@ -244,7 +227,11 @@ def parse_scenario(cfg: Any, *, seed: int | None = None) -> Scenario:
             placement = placement_preset(name)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        _check_coverage(trajectory, placement)
+        for label in trajectory.joints:
+            try:
+                placement.joint_sensors(JOINTS[label])
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
     duration_s = _number(session, "duration_s", "session",
                          trajectory.duration_s, minimum=1e-3, maximum=MAX_DURATION_S)

@@ -1,9 +1,11 @@
 """Bone hierarchy, sensor placements, calibration, and joint angles.
 
 The avatar is a 20-bone tree rooted at the pelvis. Sensors bind to a
-subset of bones through a placement preset; calibration snapshots each
-sensor's orientation in a known pose, and sensor_poses maps subsequent
-readings onto bone orientations:
+subset of bones through a placement preset, and a placement's
+joint_sensors names the two sensors a joint needs. calibrate snapshots
+each sensor's orientation in a known pose and is the one builder of a
+CalibrationRecord; sensor_poses maps subsequent readings onto bone
+orientations:
 
     q'  = q * q_calib^-1          (motion since calibration)
     q'' = enu_to_left_handed(q')  (display basis)
@@ -118,11 +120,14 @@ class SensorPlacement:
         if len(set(self.bones.values())) != len(self.bones):
             raise ValueError(f"placement {self.name!r} binds a bone twice")
 
-    def sensor_on(self, bone: BoneId) -> int:
-        for sensor, b in self.bones.items():
-            if b is bone:
-                return sensor
-        raise ValueError(f"no sensor on bone {bone.value}")
+    def joint_sensors(self, joint: JointSpec) -> tuple[int, int]:
+        """The sensors on the joint's parent and child bones."""
+        sensors = {b: s for s, b in self.bones.items()}
+        for bone in (joint.parent_bone, joint.child_bone):
+            if bone not in sensors:
+                raise ValueError(f"placement {self.name!r} has no sensor on {bone.value!r}, "
+                                 f"needed by joint {joint.label!r}")
+        return sensors[joint.parent_bone], sensors[joint.child_bone]
 
 
 # Canonical sensor numbering shared by every preset: a preset is a

@@ -51,6 +51,10 @@ def arm_raise_run(tmp_path_factory):
     return out
 
 
+UNCOVERED_KNEE = ("placement 'p5-upper' has no sensor on 'thigh_l', "
+                  "needed by joint 'left knee'")
+
+
 def setting(section, key, *command, id=None):
     """A test_unrunnable_setting case: a scenario line, the name its error
     must give, and the command line (simulate unless given)."""
@@ -343,24 +347,50 @@ class TestExitCodes:
         assert main(["analyze", "--recording", str(alone),
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_unknown_joint(self, artificial_run, tmp_path, capsys):
-        rc = main(["analyze", "--recording", str(artificial_run / "recording.csv"),
-                   "--joints", "left wing", "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "left wing" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, run, joint, message", [
+        ("analyze", "artificial_run", "left wing", "unknown joint 'left wing'"),
+        # arm_raise_run's placement is p5-upper: no sensor on the legs.
+        ("analyze", "arm_raise_run", "left knee", UNCOVERED_KNEE),
+        ("compare", "arm_raise_run", "left knee", UNCOVERED_KNEE),
+    ], ids=["analyze-unknown", "analyze-uncovered", "compare-uncovered"])
+    def test_unknown_joint(self, request, tmp_path, capsys, command, run, joint, message):
+        run = request.getfixturevalue(run)
+        out = tmp_path / "o"
+        argv = {"analyze": ["analyze", "--recording", str(run / "recording.csv"),
+                            "--joints", joint, "--out", str(out)],
+                "compare": ["compare", str(run / "recording.csv"),
+                            str(run / "ground_truth_left_shoulder.csv"),
+                            "--joint", joint, "--out", str(out)]}[command]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
-    @pytest.mark.parametrize("key, value, code", [
-        ("duration_s", None, 3), ("duration_s", "abc", 3), ("duration_s", True, 3),
-        ("duration_s", -5, 3), ("duration_s", 0.0, 3), ("duration_s", 86_401, 3),
-        ("duration_s", 1e300, 3), ("duration_s", math.inf, 3),
-        ("joints", 5, 3), ("joints", "left shoulder", 3), ("joints", [1], 3),
-        ("joints", ["left shoulder", "left shoulder"], 3),
-        ("joints", ["left wing"], 2),
+    @pytest.mark.parametrize("key, value, code, message", [
+        ("duration_s", None, 3, "duration_s"), ("duration_s", "abc", 3, "duration_s"),
+        ("duration_s", True, 3, "duration_s"), ("duration_s", -5, 3, "duration_s"),
+        ("duration_s", 0.0, 3, "duration_s"), ("duration_s", 86_401, 3, "duration_s"),
+        ("duration_s", 1e300, 3, "duration_s"), ("duration_s", math.inf, 3, "duration_s"),
+        ("joints", 5, 3, "joints"), ("joints", "left shoulder", 3, "joints"),
+        ("joints", [1], 3, "joints"),
+        ("joints", ["left shoulder", "left shoulder"], 3, "joints"),
+        ("joints", ["left wing"], 2, "unknown joint 'left wing'"),
+        ("joints", ["left knee"], 2, UNCOVERED_KNEE),
+        ("placement", {"name": "p5-upper", "sensors": ["spine", "arm_l", "arm_r",
+                                                       "forearm_l", "forearm_r"]},
+         3, "placement.sensors must be a mapping"),
+        ("q_calib", [[1, 0, 0, 0]] * 5, 3, "q_calib must be a mapping"),
+        # Sensor 3 carries the right shoulder, a joint of the session.
+        ("q_calib", {s: [1, 0, 0, 0] for s in "1245"}, 3,
+         "calibration snapshot missing sensors [3] for placement 'p5-upper'"),
+        ("q_calib", {s: [10**400 if s == "3" else 1, 0, 0, 0] for s in "12345"}, 3,
+         "int too large to convert to float"),
     ], ids=["duration-null", "duration-str", "duration-bool", "duration-negative",
             "duration-zero", "duration-over-a-day", "duration-1e300", "duration-inf",
             "joints-int", "joints-str", "joints-int-list", "joints-repeated",
-            "joints-unknown"])
-    def test_bad_sidecar_metadata(self, arm_raise_run, tmp_path, capsys, key, value, code):
+            "joints-unknown", "joints-uncovered", "sensors-list", "q_calib-list",
+            "q_calib-missing-sensor", "q_calib-int-beyond-float"])
+    def test_bad_sidecar_metadata(self, arm_raise_run, tmp_path, capsys, key, value, code,
+                                  message):
         meta = json.loads((arm_raise_run / "session.json").read_text())
         meta[key] = value
         session = tmp_path / "session.json"
@@ -368,8 +398,7 @@ class TestExitCodes:
         rc = main(["analyze", "--recording", str(arm_raise_run / "recording.csv"),
                    "--session", str(session), "--out", str(tmp_path / "o")])
         assert rc == code
-        err = capsys.readouterr().err
-        assert (key if code == 3 else "unknown joint 'left wing'") in err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_sidecar_metadata_is_optional(self, arm_raise_run, tmp_path):
@@ -645,4 +674,56 @@ class TestSimulateProperty:
             argv = ["simulate", "--scenario", str(path), "--out", str(Path(tmp) / "o")]
             if seed is not None:
                 argv += ["--seed", str(seed)]
+            assert main(argv) in (0, 2, 3, 4)
+
+
+SHORT_RUN_YAML = """\
+session: {duration_s: 0.5, seed: 3}
+motion: {preset: artificial-joint, params: {angle_deg: 60.0, dwell_s: 0.5}}
+interference: {preset: clean}
+"""
+# Where a mutation may land in the sidecar of SHORT_RUN_YAML's run, whose
+# placement has sensors 1 and 2: a top-level key, the placement's name or
+# sensors, one q_calib entry or one of its components.
+SIDECAR_KEYS = ["calibration_pose", "duration_s", "joints", "motion_preset", "placement",
+                "protocol", "q_calib", "seed"]
+SIDECAR_PATHS = st.one_of(
+    st.sampled_from(SIDECAR_KEYS).map(lambda key: (key,)),
+    st.sampled_from([("placement", "name"), ("placement", "sensors")]),
+    st.sampled_from([("q_calib", "1"), ("q_calib", "2")]),
+    st.tuples(st.just("q_calib"), st.sampled_from(["1", "2"]), st.integers(0, 3)))
+
+
+@pytest.fixture(scope="module")
+def short_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("short")
+    scenario = base / "short.yaml"
+    scenario.write_text(SHORT_RUN_YAML)
+    out = base / "run"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert sorted(json.loads((out / "session.json").read_text())) == SIDECAR_KEYS
+    return out
+
+
+class TestSidecarProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(path=SIDECAR_PATHS, value=ODD, command=st.sampled_from(["analyze", "compare"]))
+    def test_exit_code_never_a_crash(self, short_run, path, value, command):
+        # analyze and compare exit 0, 2, 3 or 4 whatever one sidecar value
+        # becomes; a traceback (an exception out of main) would be exit 1.
+        meta = json.loads((short_run / "session.json").read_text())
+        node = meta
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            session = Path(tmp) / "session.json"
+            session.write_text(json.dumps(meta), encoding="utf-8")
+            recording = str(short_run / "recording.csv")
+            argv = {"analyze": ["analyze", "--recording", recording, "--session", str(session),
+                                "--out", str(Path(tmp) / "o")],
+                    "compare": ["compare", recording, recording, "--session-a", str(session),
+                                "--session-b", str(short_run / "session.json")]}[command]
             assert main(argv) in (0, 2, 3, 4)

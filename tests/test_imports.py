@@ -1,11 +1,13 @@
-"""Module boundaries: no module reaches into a sibling module's private names."""
+"""Module boundaries: no module reaches into a sibling module's private names,
+and no public name of the library is there only for the tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wearsim"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "wearsim"
 
 
 def private_uses(source: str) -> list[str]:
@@ -48,3 +50,72 @@ def test_the_check_sees_each_form():
               "r.build_field([], 1.0)\n")
     assert private_uses(source) == ["line 2: pipeline._cell", "line 3: wearsim.runner._slug",
                                     "line 4: r._derived_seed"]
+
+
+def code_names(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of each name and attribute that code refers to. Docstrings
+    and other strings are not code."""
+    return [(node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+def span_target_names(source: str) -> set[str]:
+    """Each dotted part of the strings in a span table: TARGETS = (...)."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            for const in ast.walk(node.value):
+                if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                    names.update(const.value.split("."))
+    return names
+
+
+def orphans(library: dict[str, str], outside: set[str]) -> list[str]:
+    """The public functions, classes and methods of library (file name: source)
+    that no code refers to outside their own definition: neither in library
+    nor by a name in outside. Given as 'file: name' or 'file: Class.method'."""
+    trees = {name: ast.parse(source) for name, source in library.items()}
+    uses = {(name, line, used) for name, tree in trees.items()
+            for line, used in code_names(tree)}
+    found = []
+    for name, tree in trees.items():
+        defs = [(node, node.name) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs += [(m, f"{c.name}.{m.name}") for c in tree.body if isinstance(c, ast.ClassDef)
+                 for m in c.body if isinstance(m, ast.FunctionDef)]
+        for node, label in defs:
+            if node.name.startswith("_") or node.name in outside:
+                continue
+            if not any(used == node.name and not (where == name and
+                                                  node.lineno <= line <= node.end_lineno)
+                       for where, line, used in uses):
+                found.append(f"{name}: {label}")
+    return found
+
+
+def test_no_public_helper_only_tests_call():
+    # Besides the library itself, perfbench and the acceptance suite may call it.
+    outside = span_target_names((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    callers = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    for path in callers:
+        outside.update(used for _, used in code_names(ast.parse(path.read_text(encoding="utf-8"))))
+    library = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert orphans(library, outside) == []
+
+
+def test_the_orphan_check_sees_a_lone_method():
+    library = {"skeleton.py": ("class Placement:\n"
+                               "    def joint_sensors(self):\n"
+                               "        return self.joint_sensors()\n"
+                               "    def sensor_on(self):\n"
+                               "        \"\"\"Unlike joint_sensors, one bone.\"\"\"\n"
+                               "        return self.joint_sensors()\n"
+                               "    def _private(self):\n"
+                               "        pass\n"),
+               "pipeline.py": ("from .skeleton import Placement\n"
+                               "def analyze(placement: Placement):\n"
+                               "    \"\"\"Calls sensor_on.\"\"\"\n")}
+    assert orphans(library, set()) == ["skeleton.py: Placement.sensor_on",
+                                       "pipeline.py: analyze"]
+    assert orphans(library, {"analyze"}) == ["skeleton.py: Placement.sensor_on"]

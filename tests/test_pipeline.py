@@ -330,8 +330,7 @@ def old_animate_frame(snapshot, calib, skel):
 def per_point_series(frames, calib, skel, joint):
     """joint_angle_series' reference: both bone poses recomputed at every grid
     point from the latest frame of each sensor."""
-    sensors = (calib.placement.sensor_on(joint.parent_bone),
-               calib.placement.sensor_on(joint.child_bone))
+    sensors = calib.placement.joint_sensors(joint)
     streams = {s: [f for f in frames if f.sensor_id == s] for s in sensors}
     for s in sensors:
         if not streams[s]:
@@ -354,7 +353,7 @@ def recordings(draw):
     equal to the sensor's q_calib or to the identity, and random ones."""
     placement = sk.placement_preset("p12")
     joint = draw(st.sampled_from(sorted(sk.JOINTS.values(), key=lambda j: j.label)))
-    sensors = [placement.sensor_on(joint.parent_bone), placement.sensor_on(joint.child_bone)]
+    sensors = list(placement.joint_sensors(joint))
     unit = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
         lambda c: sum(x * x for x in c) > 1e-6).map(lambda c: Quaternion(*c))
     q_calib = {}

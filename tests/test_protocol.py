@@ -30,15 +30,20 @@ def crowded_field(seed, duration_s):
 
 class TestTimingProfile:
     def test_airtimes(self):
-        t = TimingProfile()
-        assert t.poll_air_us == 48.0
-        assert t.response_air_us == 128.0
-        assert t.beacon_air_us == 64.0
-        assert t.hop_air_us == 48.0
-        assert t.ack_air_us == 32.0
+        # 4 us of air per byte: each row lasts its frame's byte count times 4.
+        clean = master_run([1, 2], 0.3, flat_sampler, CLEAN, seed=0)
+        assert {(r.frame_type, r.duration_us) for r in clean.trace} == {
+            ("poll", 48.0), ("response", 128.0), ("join", 128.0), ("ack", 32.0),
+            ("beacon", 64.0)}
+        jammed = TestJamFixture().run_fixture()
+        assert {r.duration_us for r in jammed.trace if r.frame_type == "hop"} == {48.0}
 
     def test_cap_period(self):
-        assert TimingProfile().cap_period_us == pytest.approx(1e6 / 60.0)
+        # A 30 Hz cap spaces one sensor's frames 1e6 / 30 us apart.
+        res = master_run([1], 2.0, flat_sampler, CLEAN, seed=0,
+                         timing=TimingProfile(poll_cap_hz=30.0))
+        ts = [f.timestamp_us for f in res.frames]
+        assert {b - a for a, b in zip(ts, ts[1:])} == {33333, 33334}
 
     def test_scan_dwell_covers_a_beacon_interval(self):
         t = TimingProfile()

@@ -71,6 +71,13 @@ class TestConstruction:
         q = Quaternion(2.0, 0.0, 0.0, 0.0)
         assert q.w == 1.0
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-320], ids=["huge", "tiny", "subnormal"])
+    def test_normalizes_at_extreme_magnitudes(self, scale):
+        # The squared norm overflows to inf or underflows to 0 at these scales.
+        assert Quaternion(scale, 0.0, 0.0, 0.0) == (1.0, 0.0, 0.0, 0.0)
+        if scale > 1e-300:
+            assert Quaternion(3 * scale, 4 * scale, 0.0, 0.0) == pytest.approx((0.6, 0.8, 0, 0))
+
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             Quaternion(0.0, 0.0, 0.0, 0.0)

@@ -168,7 +168,6 @@ class TestProtocol:
     def test_timing_override(self):
         sc = parse_scenario(cfg(protocol={"timing": {"poll_cap_hz": 30}}))
         assert sc.timing.poll_cap_hz == 30
-        assert sc.timing.cap_period_us == pytest.approx(1e6 / 30)
 
     def test_hop_override(self):
         sc = parse_scenario(cfg(protocol={"hop": {"loss_threshold": 5}}))

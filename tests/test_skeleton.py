@@ -105,6 +105,14 @@ class TestPlacements:
         with pytest.raises(ValueError):
             sk.SensorPlacement("bad", {1: sk.BoneId.SPINE, 2: sk.BoneId.SPINE})
 
+    def test_joint_sensors(self):
+        p5 = sk.placement_preset("p5-upper")
+        assert p5.joint_sensors(sk.JOINTS["left elbow"]) == (2, 4)
+        assert p5.joint_sensors(sk.JOINTS["right shoulder"]) == (1, 3)
+        with pytest.raises(ValueError, match="^placement 'p5-upper' has no sensor on "
+                                             "'thigh_l', needed by joint 'left knee'$"):
+            p5.joint_sensors(sk.JOINTS["left knee"])
+
 
 class TestJointRegistry:
     def test_labels(self):
