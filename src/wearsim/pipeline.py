@@ -46,8 +46,10 @@ from .skeleton import (CalibrationRecord, JointSpec, Skeleton, animate_frame,
                        sensor_poses)
 
 _UNIT_TOL = 1e-6
-# Width of the sliding window of rate_series.
+# Width of the sliding window of rate_series, and the step between the
+# window ends it evaluates.
 RATE_WINDOW_US = 1_000_000
+RATE_STEP_US = 100_000
 # pearson brings each series under 2**_PEARSON_EXP, so that its squared
 # deviations, their sums and the product of two such sums stay finite.
 _PEARSON_EXP = 201
@@ -236,23 +238,25 @@ def write_recording(frames: Sequence[RecordingFrame], path: str | Path) -> None:
 
 
 def read_recording(path: str | Path) -> list[RecordingFrame]:
-    """Parse and validate a recording CSV."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != RECORDING_CSV.header:
-        raise ParseError(f"line 1: expected header {RECORDING_CSV.header!r}")
+    """Parse and validate a recording CSV, a line at a time. Lines end where
+    str.splitlines ends them: at \\n, \\r and \\r\\n, and also at \\v, \\f,
+    \\x1c-\\x1e, \\x85, \\u2028 and \\u2029."""
     frames: list[RecordingFrame] = []
-    for n, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise ParseError(f"line {n}: expected 8 fields, got {len(parts)}")
-        try:
-            frame = RecordingFrame(int(parts[0]), int(parts[1]), int(parts[2]),
-                                   float(parts[3]), float(parts[4]),
-                                   float(parts[5]), float(parts[6]), int(parts[7]))
-        except ValueError as exc:
-            raise ParseError(f"line {n}: {exc}") from exc
-        frames.append(frame)
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = itertools.chain.from_iterable(line.splitlines() for line in fh)
+        if next(lines, None) != RECORDING_CSV.header:
+            raise ParseError(f"line 1: expected header {RECORDING_CSV.header!r}")
+        for n, line in enumerate(lines, start=2):
+            parts = line.split(",")
+            if len(parts) != 8:
+                raise ParseError(f"line {n}: expected 8 fields, got {len(parts)}")
+            try:
+                frame = RecordingFrame(int(parts[0]), int(parts[1]), int(parts[2]),
+                                       float(parts[3]), float(parts[4]),
+                                       float(parts[5]), float(parts[6]), int(parts[7]))
+            except ValueError as exc:
+                raise ParseError(f"line {n}: {exc}") from exc
+            frames.append(frame)
     FrameOrder(first_line=2).check(frames)
     return frames
 
@@ -425,5 +429,5 @@ def window_rates(ts: Sequence[int], end_us: int | None = None) -> list[tuple[int
     while t <= end:
         count = bisect_left(ts, t) - bisect_left(ts, t - RATE_WINDOW_US)
         series.append((t, count * 1e6 / RATE_WINDOW_US))
-        t += 100_000
+        t += RATE_STEP_US
     return series

@@ -21,14 +21,16 @@ second's rows and frames, so no session is held whole; without one a run
 returns the whole lists. The baseline's deliveries arrive in time order;
 those that round to the same microsecond wait in a small buffer and leave
 it in sensor order. SessionFold folds the metrics batch by batch, as a
-sink or over the lists (session_metrics), and checks frame order:
-timestamps never decrease and each sensor's seq strictly increases.
+sink or over the lists (session_metrics), keeping about the last second
+of each sensor's timestamps, and checks frame order: timestamps never
+decrease and each sensor's seq strictly increases.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from operator import itemgetter
@@ -38,7 +40,8 @@ from . import radio
 from . import randomness as rnd
 # rate_series is not called here, but perfbench's span table resolves
 # protocol.rate_series: a traced run raises KeyError without the name.
-from .pipeline import FrameOrder, RecordingFrame, rate_series, window_rates
+from .pipeline import (RATE_STEP_US, RATE_WINDOW_US, FrameOrder, RecordingFrame,
+                       rate_series)
 from .quatmath import Quaternion
 from .radio import CHANNEL_BANDS, DATA_CHANNELS, SYNC_CHANNELS, Burst, InterferenceField
 
@@ -616,18 +619,50 @@ def source_counts(trace: Sequence[TraceRow]) -> dict[str, dict[str, int]]:
     return _ledger(Counter(map(_TALLY_KEY, trace)))
 
 
+class _WindowCount:
+    """The windows of pipeline.window_rates over one sensor's timestamps,
+    counted as the timestamps arrive: its first timestamp, how many
+    timestamps were dropped, the end of the next window to count and the
+    fewest timestamps any counted window held."""
+
+    __slots__ = ("first", "dropped", "next_end", "fewest")
+
+    def __init__(self, first: int) -> None:
+        self.first, self.dropped = first, 0
+        self.next_end, self.fewest = first + RATE_WINDOW_US, None
+
+    def count(self, ts: array, end: int) -> None:
+        """Count the windows that end at or before end, where ts holds
+        every timestamp below end that they can hold; then drop from ts the
+        timestamps no later window holds, but never the last."""
+        t = self.next_end
+        while t <= end:
+            n = bisect_left(ts, t) - bisect_left(ts, t - RATE_WINDOW_US)
+            if self.fewest is None or n < self.fewest:
+                self.fewest = n
+            t += RATE_STEP_US
+        self.next_end = t
+        k = min(bisect_left(ts, t - RATE_WINDOW_US), len(ts) - 1)
+        self.dropped += k
+        del ts[:k]
+
+
 class SessionFold:
-    """The tallies of session_metrics, folded over a session's rows and
-    frames as they arrive in session order, a batch at a time. Rows are
-    counted by (source, frame_type, sensor_id, outcome); each sensor keeps
-    only its frame timestamps. Frames are checked as they come: timestamps
-    never decrease and each sensor's seq strictly increases, or
-    ValidationError names the sensor and the seq.
+    """The tallies of session_metrics, folded over the rows and frames of
+    a session that ends at end_us as they arrive in session order, a batch
+    at a time. Rows are counted by (source, frame_type, sensor_id,
+    outcome). Each sensor's timestamps are counted into its sliding windows
+    once no later frame can fall in them, so a sensor keeps only about the
+    last second of them. Frames are checked as they come: timestamps never
+    decrease and each sensor's seq strictly increases, or ValidationError
+    names the sensor and the seq.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, end_us: float) -> None:
         self._tally: Counter = Counter()
+        self._end = int(end_us)
         self._stamps: dict[int, array] = {}
+        self._windows: dict[int, _WindowCount] = {}
         self._order = FrameOrder()
 
     def add(self, rows: Sequence[TraceRow], frames: Sequence[RecordingFrame]) -> None:
@@ -639,13 +674,18 @@ class SessionFold:
                 stamps[sensor].append(ts)
             else:
                 stamps[sensor] = array("q", (ts,))
+                self._windows[sensor] = _WindowCount(ts)
+        # Timestamps never decrease: a window that ends at or before the
+        # last one is complete.
+        for sensor, ts in stamps.items():
+            self._windows[sensor].count(ts, min(ts[-1], self._end))
 
     def metrics(self, result: SessionResult) -> dict:
         """The summary of the session whose rows and frames were folded.
 
         Mean rate is (n-1)/span of each sensor's recorded frames; the
         minimum window rate slides a 1 s half-open window from the first
-        delivery to the session end.
+        delivery to the session end, as pipeline.window_rates does.
         """
         sent: Counter = Counter()
         delivered: Counter = Counter()
@@ -657,20 +697,21 @@ class SessionFold:
         per_sensor: dict[str, dict] = {}
         lasts = []
         for s in result.roster:
-            ts = self._stamps.get(s, ())
-            mean = 0.0
-            if len(ts) >= 2:
-                span = (ts[-1] - ts[0]) / 1e6
-                if span > 0:
-                    mean = (len(ts) - 1) / span
+            ts = self._stamps.get(s)
+            recorded, mean, min_window = 0, 0.0, 0.0
             if ts:
-                rates = window_rates(ts, int(result.duration_us))
-                min_window = min((v for _, v in rates), default=float(len(ts)))
+                window = self._windows[s]
+                recorded = window.dropped + len(ts)
+                if recorded >= 2:
+                    span = (ts[-1] - window.first) / 1e6
+                    if span > 0:
+                        mean = (recorded - 1) / span
+                window.count(ts, self._end)
+                min_window = (float(recorded) if window.fewest is None
+                              else window.fewest * 1e6 / RATE_WINDOW_US)
                 lasts.append(ts[-1])
-            else:
-                min_window = 0.0
             per_sensor[str(s)] = {
-                "recorded": len(ts),
+                "recorded": recorded,
                 "sent": sent[s],
                 "delivered": delivered[s],
                 "pdr": delivered[s] / sent[s] if sent[s] else 0.0,
@@ -691,6 +732,6 @@ class SessionFold:
 
 def session_metrics(result: SessionResult) -> dict:
     """Summary statistics of one session: SessionFold over its lists."""
-    fold = SessionFold()
+    fold = SessionFold(result.duration_us)
     fold.add(result.trace, result.frames)
     return fold.metrics(result)

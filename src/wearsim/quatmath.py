@@ -69,10 +69,18 @@ def unit4(w: float, x: float, y: float, z: float) -> Quad:
     finite floats."""
     n2 = w * w + x * x + y * y + z * z
     if abs(n2 - 1.0) > _NORM_TOL:
-        # A squared norm that overflowed or underflowed: hypot scales instead.
-        n = math.sqrt(n2) if 1e-300 < n2 < math.inf else math.hypot(w, x, y, z)
-        if n == 0.0:
-            raise ValueError("zero quaternion has no direction")
+        if 1e-300 < n2 < math.inf:
+            n = math.sqrt(n2)
+        else:
+            # The squared norm overflowed or underflowed. Scaling by a power
+            # of two is exact and puts the largest component in [0.5, 1),
+            # where hypot keeps full precision, subnormal input included.
+            m = max(abs(w), abs(x), abs(y), abs(z))
+            if m == 0.0:
+                raise ValueError("zero quaternion has no direction")
+            e = math.frexp(m)[1]
+            w, x, y, z = (math.ldexp(c, -e) for c in (w, x, y, z))
+            n = math.hypot(w, x, y, z)
         return (w / n, x / n, y / n, z / n)
     return (w, x, y, z)
 

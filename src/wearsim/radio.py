@@ -7,14 +7,21 @@ spectral-and-temporal overlap of nonzero measure. No capture effect,
 power, or distance modeling: crowdedness is expressed via duty cycles.
 A protocol frame and an interferer burst are one record, Burst.
 
-The interference field is columnar. build_field draws each source's
+The interference field is columnar and lazy. Each source draws its
 bursts in bulk as numpy columns (starts, durations, band edges), summed
 in the same order as a draw-by-draw loop, so every figure is the scalar
-one. busy() answers from the bursts grouped by exact band across
-sources, each group merged into disjoint intervals: one bisect per group
-that overlaps the queried band. windows() reads the columns a window of
-start times at a time; all_bursts() lists every Burst in (start, source)
-order.
+one. The field is cut into time chunks of start times (_CHUNK_US); a
+chunk is drawn when a query or a windows() read first reaches it, each
+source's generator and running sums carrying on from the chunk before.
+Each chunk indexes its bursts, and the earlier ones that reach into it,
+by exact band across sources, each group merged into disjoint intervals.
+busy() answers from the chunk its interval lies in with one bisect per
+group that overlaps the queried band; an interval across a chunk edge
+asks each chunk it meets. windows() reads the chunks' columns a window of
+start times at a time; all_bursts() draws every Burst afresh, in (start,
+source) order. A field keeps its chunks, so one field can serve several
+sessions, until its owner calls drop(t): the chunks that end by t are
+freed, and a later query or read before them raises.
 
 The event scheduler is single-threaded and fully deterministic. Its heap
 holds generator processes that yield microsecond delays; they resume in
@@ -27,9 +34,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, NamedTuple, Sequence
+from functools import partial
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -147,6 +155,14 @@ class Jammer:
 # At most this many Wi-Fi idle/busy pairs, or BT events, per numpy call.
 _DRAW_CHUNK = 1 << 16
 
+# The field's time chunk: each source's bursts are drawn, and busy()'s
+# index is built, for one chunk of start times at a time, and a remainder
+# under half a chunk joins the last chunk. Indexing one chunk of the crowded
+# preset (20 sources, 43 bands) costs about 2 ms whatever its length, and
+# 10 s of its bursts hold about 1.5 MB; 10 s keeps a 10 s session's field
+# (10.1 s with its margin) one chunk.
+_CHUNK_US = 10e6
+
 # One source's bursts, ordered by start: starts, durations, band lows and
 # band highs, one float64 entry per burst.
 Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -167,15 +183,15 @@ def _clipped(starts: np.ndarray, ends: np.ndarray, end_us: float,
 
 
 def _renewal(rng: np.random.Generator, mean_idle: float, mean_busy: float,
-             end_us: float) -> tuple[np.ndarray, np.ndarray]:
+             end_us: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Alternating idle/busy exponential periods from t=0: start and end of
-    every busy period that starts before end_us.
+    every busy period that starts before end_us, a block of about a chunk
+    at a time.
 
     The sums run in draw order (t + idle, then + busy, ...), so each figure
-    equals the one of a scalar loop over rng.exponential; chunks carry t.
+    equals the one of a scalar loop over rng.exponential; blocks carry t.
     """
-    n = min(int(end_us / (mean_idle + mean_busy) * 1.1) + 64, _DRAW_CHUNK)
-    starts, ends = [], []
+    n = min(int(min(end_us, _CHUNK_US) / (mean_idle + mean_busy) * 1.1) + 64, _DRAW_CHUNK)
     t = 0.0
     while t < end_us:
         steps = rng.standard_exponential(2 * n)
@@ -184,66 +200,112 @@ def _renewal(rng: np.random.Generator, mean_idle: float, mean_busy: float,
         sums = np.cumsum(np.concatenate(([t], steps)))
         # sums[2k + 1] is the k-th start and sums[2k + 2] its end.
         k = int(np.searchsorted(sums[1::2], end_us))
-        starts.append(sums[1:2 * k:2])
-        ends.append(sums[2:2 * k + 1:2])
+        yield sums[1:2 * k:2], sums[2:2 * k + 1:2]
         if k < n:
-            break
+            return
         t = float(sums[-1])
-    if not starts:
-        return np.empty(0), np.empty(0)
-    return np.concatenate(starts), np.concatenate(ends)
 
 
-def _periodic(t: float, step: float, end_us: float) -> np.ndarray:
+def _periodic(t: float, step: float, end_us: float) -> Iterator[np.ndarray]:
     """t, t + step, (t + step) + step, ... up to the last value below end_us,
-    summed in that order."""
-    out = [np.empty(0)]
+    summed in that order, a block of about a chunk at a time."""
     while t < end_us:
-        n = min(int((end_us - t) / step) + 2, _DRAW_CHUNK)
+        n = min(int(min(end_us - t, _CHUNK_US) / step) + 2, _DRAW_CHUNK)
         sums = np.cumsum(np.concatenate(([t], np.full(n, step))))
         k = int(np.searchsorted(sums, end_us))
-        out.append(sums[:min(k, n)])
+        yield sums[:min(k, n)]
         if k <= n:
-            break
+            return
         t = float(sums[n])
-    return np.concatenate(out)
 
 
-def _occupancy(interferer: WifiAp | BtDevice | Jammer, end_us: float) -> Columns:
-    """Seeded bursts of one interferer from t=0, clipped at end_us."""
+def _occupancy(interferer: WifiAp | BtDevice | Jammer, end_us: float) -> Iterator[Columns]:
+    """Seeded bursts of one interferer from t=0, clipped at end_us, in
+    blocks ordered by start."""
     if isinstance(interferer, Jammer):
         # A jammer draws nothing, so it carries no seed.
-        return _clipped(np.array([interferer.start_s * 1e6]), np.array([end_us]),
-                        end_us, *channel_band(interferer.channel))
+        yield _clipped(np.array([interferer.start_s * 1e6]), np.array([end_us]),
+                       end_us, *channel_band(interferer.channel))
+        return
 
     rng = np.random.default_rng(interferer.seed)
     if isinstance(interferer, WifiAp):
         lo, hi = wifi_band_mhz(interferer.wifi_channel)
-        if interferer.duty == 0.0:
-            return _clipped(np.empty(0), np.empty(0), end_us, lo, hi)
         if interferer.duty == 1.0:
-            return _clipped(np.array([0.0]), np.array([end_us]), end_us, lo, hi)
-        mean_busy = interferer.mean_burst_ms * 1000.0
-        mean_idle = mean_busy * (1.0 - interferer.duty) / interferer.duty
-        return _clipped(*_renewal(rng, mean_idle, mean_busy, end_us), end_us, lo, hi)
+            yield _clipped(np.array([0.0]), np.array([end_us]), end_us, lo, hi)
+        elif interferer.duty > 0.0:
+            mean_busy = interferer.mean_burst_ms * 1000.0
+            mean_idle = mean_busy * (1.0 - interferer.duty) / interferer.duty
+            for starts, ends in _renewal(rng, mean_idle, mean_busy, end_us):
+                yield _clipped(starts, ends, end_us, lo, hi)
+        return
 
     # Bluetooth: hop (last + increment) mod 40 over 2 MHz channels at
-    # 2402 + 2k, one burst per connection event.
+    # 2402 + 2k, one burst per connection event; blocks carry the hop count.
     interval = interferer.event_interval_ms * 1000.0
     phase = float(rng.uniform(0.0, interval))
     inc = _BT_INCREMENTS[int(rng.integers(0, len(_BT_INCREMENTS)))]
     ch = int(rng.integers(0, 40))
-    starts = _periodic(phase, interval, end_us)
-    lo = (2401 + 2 * ((ch + inc * np.arange(1, len(starts) + 1)) % 40)).astype(float)
-    return _clipped(starts, starts + interferer.burst_us, end_us, lo, lo + 2.0)
+    hops = 0
+    for starts in _periodic(phase, interval, end_us):
+        lo = (2401 + 2 * ((ch + inc * np.arange(hops + 1, hops + len(starts) + 1)) % 40)
+              ).astype(float)
+        hops += len(starts)
+        yield _clipped(starts, starts + interferer.burst_us, end_us, lo, lo + 2.0)
 
 
-class _Lane(NamedTuple):
-    source: str
-    starts: np.ndarray
-    durations: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+class _Part:
+    """One interferer's bursts, taken from its blocks in order of start."""
+
+    def __init__(self, blocks: Iterator[Columns]) -> None:
+        self._blocks = blocks
+        self._pending: Columns | None = None
+
+    def take(self, until: float) -> list[Columns]:
+        """The bursts not taken yet that start before until."""
+        out = []
+        while True:
+            cols = self._pending or next(self._blocks, None)
+            if cols is None:
+                return out
+            k = int(np.searchsorted(cols[0], until))
+            if k < len(cols[0]):
+                out.append(tuple(c[:k] for c in cols))
+                self._pending = tuple(c[k:] for c in cols)
+                return out
+            out.append(cols)
+            self._pending = None
+
+
+class _Draw:
+    """The bursts of a field's sources, drawn in order of start: one lane
+    per source, holding its interferers' bursts."""
+
+    def __init__(self, parts: dict[str, list[Iterator[Columns]]]) -> None:
+        self._lanes = [(source, list(map(_Part, parts[source]))) for source in sorted(parts)]
+        self._reach = [-math.inf] * len(self._lanes)  # where each lane's last burst ends
+
+    def take(self, until: float) -> tuple[np.ndarray, ...]:
+        """The bursts not taken yet that start before until, ordered by
+        (start, lane): starts, durations, band lows, band highs and lane
+        indices. Each lane's bursts are stably sorted by start, its
+        interferers in the order given."""
+        lanes: list[Columns] = []
+        for i, (source, parts) in enumerate(self._lanes):
+            pieces = [cols for part in parts for cols in part.take(until)]
+            cols = [np.concatenate(c) for c in zip(*pieces)] or [np.empty(0)] * 4
+            order = np.argsort(cols[0], kind="stable")
+            starts, durations, lo, hi = (c[order] for c in cols)
+            if len(starts):
+                ends = starts + durations
+                if starts[0] < self._reach[i] or np.any(starts[1:] < ends[:-1]):
+                    raise ValueError(f"overlapping bursts within source {source!r}")
+                self._reach[i] = float(ends[-1])
+            lanes.append((starts, durations, lo, hi))
+        cols = [np.concatenate(c) for c in zip(*lanes)] or [np.empty(0)] * 4
+        index = np.repeat(np.arange(len(lanes)), [len(lane[0]) for lane in lanes])
+        order = np.argsort(cols[0], kind="stable")
+        return (*(c[order] for c in cols), index[order])
 
 
 def _merged(starts: np.ndarray, ends: np.ndarray) -> tuple[list[float], list[float]]:
@@ -255,13 +317,60 @@ def _merged(starts: np.ndarray, ends: np.ndarray) -> tuple[list[float], list[flo
             reach[np.r_[gaps - 1, len(starts) - 1]].tolist())
 
 
+Group = tuple[list[float], list[float]]
+
+
+def _groups(starts: np.ndarray, ends: np.ndarray, lo: np.ndarray, hi: np.ndarray
+            ) -> dict[tuple[float, float], Group]:
+    """busy()'s index of bursts: grouped by exact band, each group merged."""
+    order = np.lexsort((starts, hi, lo))
+    starts, ends, lo, hi = starts[order], ends[order], lo[order], hi[order]
+    cuts = np.flatnonzero((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])) + 1
+    return {(float(lo[a]), float(hi[a])): _merged(starts[a:b], ends[a:b])
+            for a, b in zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(starts)].tolist())
+            if b > a}
+
+
+class _Chunk(NamedTuple):
+    """One time chunk of a field: the bursts that start in [lo, hi), for
+    windows(), and busy()'s index of those and of the earlier bursts that
+    reach past lo, so a query inside [lo, hi] needs no other chunk."""
+
+    lo: float
+    hi: float
+    starts: np.ndarray
+    durations: np.ndarray
+    lanes: np.ndarray
+    groups: dict[tuple[float, float], Group]
+    # Query band -> the groups whose band overlaps it strictly.
+    near: dict[tuple[float, float], list[Group]]
+
+    def nearby(self, band: tuple[float, float]) -> list[Group]:
+        """The groups whose band overlaps band strictly, kept in near."""
+        near = self.near[band] = [group for (lo, hi), group in self.groups.items()
+                                  if lo < band[1] and band[0] < hi]
+        return near
+
+    def busy(self, band: tuple[float, float], start_us: float, end_us: float) -> bool:
+        """InterferenceField.busy on this chunk's index."""
+        near = self.near.get(band)
+        for starts, ends in self.nearby(band) if near is None else near:
+            i = bisect_left(starts, end_us)
+            if i and ends[i - 1] > start_us:
+                return True
+        return False
+
+
 class InterferenceField:
     """Queryable set of interferer bursts for one session.
 
-    Each source is one lane of columns (see Columns). Bursts of one source
-    must be non-overlapping (renewal processes guarantee that); sources are
-    independent lanes. busy() reads an index of bursts grouped by exact band
-    across sources, each group merged into disjoint intervals.
+    Each source is one lane. Bursts of one source must be non-overlapping
+    (renewal processes guarantee that); sources are independent lanes. The
+    bursts are drawn a time chunk at a time (_CHUNK_US), when a query or a
+    windows() reader first reaches the chunk, and every chunk keeps its
+    own index for busy(): its bursts grouped by exact band across sources,
+    with the earlier bursts that reach into it, each group merged into
+    disjoint intervals. A field keeps its chunks until drop() is called.
     """
 
     def __init__(self, bursts: Iterable[Burst]) -> None:
@@ -270,80 +379,111 @@ class InterferenceField:
             if not b.duration_us > 0.0:
                 raise ValueError(f"burst duration must be positive, got {b.duration_us}")
             rows.setdefault(b.source, []).append((b.start_us, b.duration_us, *b.band_mhz))
-        self._index({source: [tuple(np.array(r, dtype=float).T)]
-                     for source, r in rows.items()})
+        parts = {}
+        for source, r in rows.items():
+            cols = np.array(r, dtype=float).T
+            parts[source] = [partial(iter, [tuple(cols[:, np.argsort(cols[0], kind="stable")])])]
+        self._start(parts, [])
 
     @classmethod
-    def _from_columns(cls, parts: dict[str, list[Columns]]) -> "InterferenceField":
+    def _drawn(cls, parts: dict[str, list[Callable[[], Iterator[Columns]]]],
+               end_us: float) -> "InterferenceField":
+        """A field over end_us in chunks of _CHUNK_US."""
         field = cls.__new__(cls)
-        field._index(parts)
+        field._start(parts, [k * _CHUNK_US for k in range(1, int(end_us / _CHUNK_US + 0.5))])
         return field
 
-    def _index(self, parts: dict[str, list[Columns]]) -> None:
-        """One lane per source: its columns joined in the order given and
-        stably sorted by start. Then the per-band groups of busy()."""
-        self._lanes: list[_Lane] = []
-        for source in sorted(parts):
-            cols = [np.concatenate(c) for c in zip(*parts[source])]
-            order = np.argsort(cols[0], kind="stable")
-            starts, durations, lo, hi = (c[order] for c in cols)
-            if np.any(starts[1:] < (starts + durations)[:-1]):
-                raise ValueError(f"overlapping bursts within source {source!r}")
-            if len(starts):
-                self._lanes.append(_Lane(source, starts, durations, lo, hi))
-
-        self._groups: dict[tuple[float, float], tuple[list[float], list[float]]] = {}
-        if self._lanes:
-            starts = np.concatenate([lane.starts for lane in self._lanes])
-            ends = np.concatenate([lane.starts + lane.durations for lane in self._lanes])
-            lo = np.concatenate([lane.lo for lane in self._lanes])
-            hi = np.concatenate([lane.hi for lane in self._lanes])
-            order = np.lexsort((starts, hi, lo))
-            starts, ends, lo, hi = starts[order], ends[order], lo[order], hi[order]
-            cuts = np.flatnonzero((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])) + 1
-            for a, b in zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(starts)].tolist()):
-                self._groups[(float(lo[a]), float(hi[a]))] = _merged(starts[a:b], ends[a:b])
-        # Query band -> the groups whose band overlaps it strictly.
-        self._near: dict[tuple[float, float], list[tuple[list[float], list[float]]]] = {}
+    def _start(self, parts: dict[str, list[Callable[[], Iterator[Columns]]]],
+               edges: list[float]) -> None:
+        """parts: per source, a fresh iterator of each interferer's blocks.
+        Chunk k holds the bursts that start in [edges[k - 1], edges[k])."""
+        self._parts = parts
+        self._edges = edges
+        self._draw = _Draw({source: [f() for f in fs] for source, fs in parts.items()})
+        self._chunks: list[_Chunk | None] = []  # None: dropped
+        self._dropped = 0
+        # The bursts of the chunks drawn so far that reach past the last one.
+        self._carry = (np.empty(0),) * 4
+        self._clean = not parts
+        self._enter(self._chunk(0))
 
     @property
     def sources(self) -> list[str]:
         """The source of each lane, sorted: the lane order of windows()."""
-        return [lane.source for lane in self._lanes]
+        return sorted(self._parts)
 
-    def windows(self, end_us: float) -> Callable[[float], list[tuple[np.ndarray, np.ndarray]]]:
+    def _chunk(self, k: int) -> _Chunk:
+        """Chunk k, drawn with every chunk before it when first asked for."""
+        while len(self._chunks) <= k:
+            self._chunks.append(self._next_chunk())
+        chunk = self._chunks[k]
+        if chunk is None:
+            raise ValueError(f"interference before {self._edges[self._dropped - 1]} us "
+                             "was dropped")
+        return chunk
+
+    def _next_chunk(self) -> _Chunk:
+        k = len(self._chunks)
+        lo = self._edges[k - 1] if k else -math.inf
+        hi = self._edges[k] if k < len(self._edges) else math.inf
+        starts, durations, band_lo, band_hi, lanes = self._draw.take(hi)
+        cols = [np.concatenate(c) for c in zip(self._carry, (starts, starts + durations,
+                                                             band_lo, band_hi))]
+        self._carry = tuple(c[cols[1] > hi] for c in cols)
+        return _Chunk(lo, hi, starts, durations, lanes, _groups(*cols), {})
+
+    def _enter(self, chunk: _Chunk) -> None:
+        """Make chunk the one busy() answers from without a lookup."""
+        self._current = chunk
+        self._lo, self._hi, self._near = chunk.lo, chunk.hi, chunk.near
+
+    def drop(self, before_us: float) -> None:
+        """Forget the chunks that end at or before before_us, once no query
+        or windows() read reaches before it: they would raise."""
+        chunks = self._chunks
+        while self._dropped < len(chunks) and chunks[self._dropped].hi <= before_us:
+            if chunks[self._dropped] is self._current:
+                # No interval lies inside [inf, -inf]: busy() looks the chunk up.
+                self._current, self._lo, self._hi, self._near = None, math.inf, -math.inf, {}
+            chunks[self._dropped] = None
+            self._dropped += 1
+
+    def windows(self, end_us: float) -> Callable[[float], tuple[np.ndarray, ...]]:
         """A reader of the bursts that start at or before end_us, a window at
         a time: take(cut) returns those not taken yet that start before cut,
-        as one (starts, durations) pair of column views per lane, in the
-        order of sources, each ordered by start. Cuts must not decrease;
-        take(math.inf) returns the rest.
+        as columns (starts, durations, lane indices into sources) ordered by
+        (start, lane). Cuts must not decrease; take(math.inf) returns the
+        rest.
         """
-        lanes = self._lanes
-        limits = [int(np.searchsorted(lane.starts, end_us, "right")) for lane in lanes]
-        taken = [0] * len(lanes)
+        k = taken = 0
 
-        def take(cut: float) -> list[tuple[np.ndarray, np.ndarray]]:
+        def take(cut: float) -> tuple[np.ndarray, ...]:
+            nonlocal k, taken
             window = []
-            for i, (lane, limit) in enumerate(zip(lanes, limits)):
-                a, b = taken[i], min(int(np.searchsorted(lane.starts, cut)), limit)
-                window.append((lane.starts[a:b], lane.durations[a:b]))
-                taken[i] = b
-            return window
+            while True:
+                chunk = self._chunk(k)
+                b = min(int(np.searchsorted(chunk.starts, cut)),
+                        int(np.searchsorted(chunk.starts, end_us, "right")))
+                window.append((chunk.starts[taken:b], chunk.durations[taken:b],
+                               chunk.lanes[taken:b]))
+                if min(cut, end_us) < chunk.hi or k == len(self._edges):
+                    taken = b
+                    break
+                k, taken = k + 1, 0
+            return window[0] if len(window) == 1 else tuple(map(np.concatenate, zip(*window)))
 
         return take
 
     def all_bursts(self) -> list[Burst]:
-        """Every burst, ordered by (start_us, source): the lanes, which are
-        in source order, laid end to end and stably sorted by start."""
-        if not self._lanes:
-            return []
+        """Every burst, ordered by (start_us, source): drawn afresh, a chunk
+        at a time as the field draws them."""
+        draw = _Draw({source: [f() for f in fs] for source, fs in self._parts.items()})
+        chunks = [draw.take(hi) for hi in (*self._edges, math.inf)]
+        starts, durations, lo, hi, lanes = map(np.concatenate, zip(*chunks))
         sources = self.sources
-        cols = [np.concatenate(c) for c in zip(*(lane[1:] for lane in self._lanes))]
-        lanes = np.repeat(np.arange(len(sources)), [len(lane.starts) for lane in self._lanes])
-        order = np.argsort(cols[0], kind="stable")
-        starts, durations, lo, hi, lanes = (c[order].tolist() for c in (*cols, lanes))
-        return list(map(Burst._make, zip(starts, durations, map(sources.__getitem__, lanes),
-                                         zip(lo, hi))))
+        return list(map(Burst._make, zip(starts.tolist(), durations.tolist(),
+                                         map(sources.__getitem__, lanes.tolist()),
+                                         zip(lo.tolist(), hi.tolist()))))
 
     def busy(self, band: tuple[float, float], start_us: float, end_us: float) -> bool:
         """Any burst overlapping the band and the interval, both strictly.
@@ -351,18 +491,29 @@ class InterferenceField:
         The interval must have positive length: then it meets a merged
         interval exactly when it meets one of the bursts inside it.
         """
-        if not self._groups:
+        if self._clean:
             # A clean band: skip hashing the query band.
             return False
+        if not (self._lo <= start_us and end_us <= self._hi):
+            return self._busy_elsewhere(band, start_us, end_us)
+        # _Chunk.busy on the current chunk, inlined: a call less per query.
         near = self._near.get(band)
         if near is None:
-            near = self._near[band] = [group for (lo, hi), group in self._groups.items()
-                                       if lo < band[1] and band[0] < hi]
+            near = self._current.nearby(band)
         for starts, ends in near:
             i = bisect_left(starts, end_us)
             if i and ends[i - 1] > start_us:
                 return True
         return False
+
+    def _busy_elsewhere(self, band: tuple[float, float], start_us: float,
+                        end_us: float) -> bool:
+        """busy() outside the current chunk: the chunk where the interval
+        starts becomes current, and each chunk the interval reaches answers."""
+        first = bisect_right(self._edges, start_us)
+        self._enter(self._chunk(first))
+        return any(self._chunk(k).busy(band, start_us, end_us)
+                   for k in range(first, bisect_left(self._edges, end_us) + 1))
 
 
 def arbitrate(tx: Burst, field: InterferenceField,
@@ -449,9 +600,11 @@ def preset_interferers(name: str, seed: int) -> list[WifiAp | BtDevice]:
     return out
 
 
-def build_field(interferers: Sequence[WifiAp | BtDevice],
+def build_field(interferers: Sequence[WifiAp | BtDevice | Jammer],
                 duration_us: float) -> InterferenceField:
-    parts: dict[str, list[Columns]] = {}
+    """The interferers' field from t=0 to duration_us. Its first chunk is
+    drawn here, the others when first reached."""
+    parts: dict[str, list[Callable[[], Iterator[Columns]]]] = {}
     for i in interferers:
-        parts.setdefault(i.source, []).append(_occupancy(i, duration_us))
-    return InterferenceField._from_columns(parts)
+        parts.setdefault(i.source, []).append(partial(_occupancy, i, duration_us))
+    return InterferenceField._drawn(parts, duration_us)

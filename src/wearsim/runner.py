@@ -26,8 +26,16 @@ views from InterferenceField.windows(). A window's lines are put in order
 with one stable sort on (time_us, source), protocol rows first on a tie.
 That is the order of a merge of the two ordered inputs, and no Burst or
 list of every burst is built. Protocol rows are type-checked row by row;
-each lane's constant burst cells are checked once. Every file is written
-through pipeline.open_csv, write_csv or write_json.
+every burst line has one shape. Every file is written through
+pipeline.open_csv, write_csv or write_json.
+
+The interference field is drawn a time chunk at a time as the session
+reaches it (see radio). When execute builds the field itself, as
+simulate does, it drops at each handoff the chunks that end by the last
+row's time: the clock and the radio_trace.csv reader have both passed
+them. So a session holds a chunk or two of interference whatever its
+length. A field passed in, such as protocol-bench's one per seed, which
+every protocol of the seed reads, keeps every chunk.
 """
 
 from __future__ import annotations
@@ -99,23 +107,33 @@ def execute(sc: Scenario, field: InterferenceField | None = None,
     session also streams into recording.csv, session_trace.csv and
     radio_trace.csv there; without it, nothing is written."""
     body, calib = build_body(sc)
-    if field is None:
+    own_field = field is None
+    if own_field:
         field = scenario_field(sc)
 
     def sampler(sensor: int, t_us: float) -> Quaternion:
         return body.reading(sensor, t_us / 1e6)
 
-    fold = SessionFold()
+    fold = SessionFold(sc.duration_s * 1e6)
     with ExitStack() as stack:
         sink = fold.add if out is None else _SessionFiles(stack, out, field,
                                                           sc.duration_s * 1e6, fold)
+
+        def hand_off(rows: list[TraceRow], frames: list[RecordingFrame]) -> None:
+            sink(rows, frames)
+            if rows:
+                # The clock and the radio_trace.csv reader have both reached
+                # the last row's time; no later query or read starts before it.
+                field.drop(rows[-1].time_us)
+
+        run_sink = hand_off if own_field else sink
         if sc.protocol_kind == "cw":
             result = master_run(sc.roster, sc.duration_s, sampler, field, sc.seed,
                                 timing=sc.timing, policy=sc.policy, p_floor=sc.p_floor,
-                                initial_channel=sc.initial_channel, sink=sink)
+                                initial_channel=sc.initial_channel, sink=run_sink)
         else:
             result = ble_baseline_run(sc.roster, sc.duration_s, sampler, field,
-                                      sc.seed, p_floor=sc.p_floor, sink=sink)
+                                      sc.seed, p_floor=sc.p_floor, sink=run_sink)
         if out is not None:
             sink.close()
     return RunArtifacts(sc, body, calib, fold.metrics(result))
@@ -131,9 +149,10 @@ class _RadioTrace:
     def __init__(self, field: InterferenceField, end_us: float) -> None:
         self._take = field.windows(end_us)
         self._sources = field.sources
-        self._tails = [(s, None, s.split(":")[0], "busy") for s in self._sources]
-        # Starts and durations come from float64 columns through tolist(): floats.
-        self._formats = [RADIO_TRACE_CSV.row_format((0.0, 0.0, *tail)) for tail in self._tails]
+        self._kinds = [s.split(":")[0] for s in self._sources]
+        # Starts and durations come from float64 columns through tolist():
+        # every burst line has one shape.
+        self._format = RADIO_TRACE_CSV.row_format((0.0, 0.0, "", None, "", "busy"))
         self._rows: list[TraceRow] = []  # rows of the last time_us handed over
 
     def lines(self, rows: list[TraceRow]) -> Iterator[str]:
@@ -156,21 +175,22 @@ class _RadioTrace:
         rows, self._rows = self._rows, []
         return self._window(rows, self._take(math.inf))
 
-    def _window(self, rows: list[TraceRow], lanes: list[tuple[np.ndarray, np.ndarray]]
-                ) -> Iterator[str]:
+    def _window(self, rows: list[TraceRow], bursts: tuple[np.ndarray, ...]) -> Iterator[str]:
         proto = RADIO_TRACE_CSV.lines(map(_RADIO_CELLS, rows))
-        if not any(len(starts) for starts, _ in lanes):
+        starts, durations, lanes = bursts
+        if not len(starts):
             return proto
         lines = list(proto)
-        for (starts, durations), fmt, tail in zip(lanes, self._formats, self._tails):
-            lines += map(fmt.__mod__, zip(starts.tolist(), durations.tolist(),
-                                          *map(itertools.repeat, tail)))
+        index = lanes.tolist()
+        lines += map(self._format.__mod__,
+                     zip(starts.tolist(), durations.tolist(), map(self._sources.__getitem__, index),
+                         itertools.repeat(None), map(self._kinds.__getitem__, index),
+                         itertools.repeat("busy")))
         rank = {s: i for i, s in enumerate(sorted(set(map(itemgetter(2), rows))
                                                   .union(self._sources)))}
-        times = np.concatenate([[r.time_us for r in rows], *(s for s, _ in lanes)])
+        times = np.concatenate([[r.time_us for r in rows], starts])
         ranks = np.concatenate([[rank[r.source] for r in rows],
-                                np.repeat([rank[s] for s in self._sources],
-                                          [len(s) for s, _ in lanes])])
+                                np.array([rank[s] for s in self._sources])[lanes]])
         return map(lines.__getitem__, np.lexsort((ranks, times)).tolist())
 
 
@@ -235,8 +255,13 @@ def load_session(path: str | Path) -> tuple[CalibrationRecord, dict]:
         for key, value in (("placement.sensors", sensors), ("q_calib", q_calib)):
             if not isinstance(value, dict):
                 raise TypeError(f"{key} must be a mapping, got {value!r}")
-        placement = SensorPlacement(data["placement"]["name"],
-                                    {int(k): BoneId(v) for k, v in sensors.items()})
+        name = data["placement"]["name"]
+        if not isinstance(name, str):
+            raise TypeError(f"placement.name must be a string, got {name!r}")
+        for k, v in q_calib.items():
+            if not (isinstance(v, list) and len(v) == 4):
+                raise TypeError(f"q_calib[{k!r}] must be a list of 4 numbers, got {v!r}")
+        placement = SensorPlacement(name, {int(k): BoneId(v) for k, v in sensors.items()})
         calib = calibrate({int(k): Quaternion(*map(float, v)) for k, v in q_calib.items()},
                           CalibrationPose(data["calibration_pose"]), placement)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -705,25 +705,48 @@ def short_run(tmp_path_factory):
     return out
 
 
+# Values of the sidecar's shape that are still wrong there: a q_calib entry
+# given as a string of four digits, a placement name that is a list.
+MISSHAPEN = {("q_calib", "1"): "1000", ("q_calib", "2"): "0100", ("placement", "name"): [1, 2]}
+
+
+def sidecar_exit(short_run, path, value, command) -> tuple[int, str]:
+    """analyze or compare of SHORT_RUN_YAML's run with one sidecar value
+    replaced: the exit code and standard error."""
+    meta = json.loads((short_run / "session.json").read_text())
+    node = meta
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        session = Path(tmp) / "session.json"
+        session.write_text(json.dumps(meta), encoding="utf-8")
+        recording = str(short_run / "recording.csv")
+        argv = {"analyze": ["analyze", "--recording", recording, "--session", str(session),
+                            "--out", str(Path(tmp) / "o")],
+                "compare": ["compare", recording, recording, "--session-a", str(session),
+                            "--session-b", str(short_run / "session.json")]}[command]
+        return main(argv), err.getvalue()
+
+
 class TestSidecarProperty:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(path=SIDECAR_PATHS, value=ODD, command=st.sampled_from(["analyze", "compare"]))
+    @given(path=SIDECAR_PATHS, value=ODD | st.sampled_from(["1000", "0100", [1, 2]]),
+           command=st.sampled_from(["analyze", "compare"]))
     def test_exit_code_never_a_crash(self, short_run, path, value, command):
         # analyze and compare exit 0, 2, 3 or 4 whatever one sidecar value
         # becomes; a traceback (an exception out of main) would be exit 1.
-        meta = json.loads((short_run / "session.json").read_text())
-        node = meta
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        with tempfile.TemporaryDirectory() as tmp, \
-                contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            session = Path(tmp) / "session.json"
-            session.write_text(json.dumps(meta), encoding="utf-8")
-            recording = str(short_run / "recording.csv")
-            argv = {"analyze": ["analyze", "--recording", recording, "--session", str(session),
-                                "--out", str(Path(tmp) / "o")],
-                    "compare": ["compare", recording, recording, "--session-a", str(session),
-                                "--session-b", str(short_run / "session.json")]}[command]
-            assert main(argv) in (0, 2, 3, 4)
+        rc, _ = sidecar_exit(short_run, path, value, command)
+        assert rc in (0, 2, 3, 4)
+        if path in MISSHAPEN and MISSHAPEN[path] == value:
+            assert rc == 3
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    @pytest.mark.parametrize("path, value", MISSHAPEN.items(),
+                             ids=["q_calib-string", "q_calib-string-2", "name-list"])
+    def test_misshapen_value_names_its_key(self, short_run, path, value, command):
+        rc, err = sidecar_exit(short_run, path, value, command)
+        key = "placement.name" if path[0] == "placement" else f"q_calib[{path[1]!r}]"
+        assert rc == 3 and f"{key} must be" in err

@@ -264,6 +264,83 @@ class TestReadErrors:
         assert not (tmp_path / "x.json").exists()
 
 
+def whole_text_read_recording(path):
+    """Oracle: the recording reader that split the whole text at once."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != pl.RECORDING_CSV.header:
+        raise ParseError(f"line 1: expected header {pl.RECORDING_CSV.header!r}")
+    frames = []
+    for n, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 8:
+            raise ParseError(f"line {n}: expected 8 fields, got {len(parts)}")
+        try:
+            f = RecordingFrame(int(parts[0]), int(parts[1]), int(parts[2]),
+                               float(parts[3]), float(parts[4]),
+                               float(parts[5]), float(parts[6]), int(parts[7]))
+        except ValueError as exc:
+            raise ParseError(f"line {n}: {exc}") from exc
+        frames.append(f)
+    pl.FrameOrder(first_line=2).check(frames)
+    return frames
+
+
+def read_outcome(read, path):
+    """The frames read, or the ParseError or ValidationError raised."""
+    try:
+        return read(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+# Every line end str.splitlines honours.
+LINE_ENDS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+             "\u2028", "\u2029"]
+ODD_LINES = ["", "0,1,1,1,0,0", "x,1,1,1,0,0,0,3", "0,1,1,0.5,0,0,0,3", "5,1,1,1,0,0,0,3",
+             "timestamp_us,sensor_id,seq,qw,qx,qy,qz,status", "0,1,1,1,0,0,0,3,"]
+
+
+@st.composite
+def recording_texts(draw):
+    """A written recording's lines, some replaced or joined by odd lines,
+    each ended by any line end, the last one maybe by none."""
+    frames = draw(frame_streams())
+    lines = [pl.RECORDING_CSV.header] + [line.rstrip("\n")
+                                         for line in pl.RECORDING_CSV.lines(frames)]
+    for _ in range(draw(st.integers(0, 3))):
+        odd = draw(st.sampled_from(ODD_LINES) | st.text(max_size=12))
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    ends = st.sampled_from(LINE_ENDS)
+    text = "".join(line + draw(ends) for line in lines)
+    return text if draw(st.booleans()) else text[:-1]
+
+
+class TestReadRecordingOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(recording_texts())
+    def test_equals_whole_text_reader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert (read_outcome(pl.read_recording, path)
+                    == read_outcome(whole_text_read_recording, path))
+
+    def test_line_ends_across_read_buffers(self, tmp_path):
+        # About 6,000 lines of varying length put line ends, \r\n among them,
+        # on both sides of the reader's buffer edges.
+        rng = random.Random(16)
+        frames = [frame(ts, 1 + ts % 3, 1 + ts // 3, rot(rng.uniform(0, 360), (1, 2, 3)))
+                  for ts in range(6000)]
+        lines = [pl.RECORDING_CSV.header] + [line.rstrip("\n")
+                                            for line in pl.RECORDING_CSV.lines(frames)]
+        path = tmp_path / "r.csv"
+        path.write_bytes("".join(line + rng.choice(LINE_ENDS[:3] * 4 + LINE_ENDS)
+                                 for line in lines).encode("utf-8"))
+        got = pl.read_recording(path)
+        assert got == frames == whole_text_read_recording(path)
+
+
 class TestJointAngleSeries:
     def setup_method(self):
         self.skel = sk.Skeleton.default()

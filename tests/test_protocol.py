@@ -393,7 +393,7 @@ class TestSinkBatches:
         # A crowded field and a loss floor, so outcomes and retries vary;
         # sub-second and non-integral lengths end within a handoff second.
         roster, field = [1, 2, 3, 4, 5], crowded_field(4, duration_s)
-        batches, fold = [], pr.SessionFold()
+        batches, fold = [], pr.SessionFold(duration_s * 1e6)
 
         def sink(rows, frames):
             batches.append((list(rows), list(frames)))

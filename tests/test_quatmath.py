@@ -78,6 +78,22 @@ class TestConstruction:
         if scale > 1e-300:
             assert Quaternion(3 * scale, 4 * scale, 0.0, 0.0) == pytest.approx((0.6, 0.8, 0, 0))
 
+    @pytest.mark.parametrize("components, expected", [
+        # Subnormal: the norm of (5e-324, 5e-324) rounds to 5e-324 unscaled.
+        ((5e-324, 5e-324, 0.0, 0.0), (math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0)),
+        ((5e-324, 0.0, -5e-324, 5e-324), (1 / math.sqrt(3), 0.0, -1 / math.sqrt(3),
+                                          1 / math.sqrt(3))),
+        ((3e-320, 4e-320, 0.0, 0.0), (0.6, 0.8, 0.0, 0.0)),
+        # Near overflow: each component is finite, the squared norm is not.
+        ((1.7e308, 1.7e308, 1.7e308, 1.7e308), (0.5, 0.5, 0.5, 0.5)),
+        ((-1.7976931348623157e308, 0.0, 0.0, 1e-300), (-1.0, 0.0, 0.0, 0.0)),
+    ], ids=["subnormal-pair", "subnormal-triple", "subnormal-3-4", "near-overflow",
+            "max-float"])
+    def test_unit_norm_at_the_ends_of_the_float_range(self, components, expected):
+        q = Quaternion(*components)
+        assert q == pytest.approx(expected, abs=1e-15)
+        assert abs(math.fsum(c * c for c in q) - 1.0) <= 1e-15
+
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             Quaternion(0.0, 0.0, 0.0, 0.0)

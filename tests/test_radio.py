@@ -1,6 +1,7 @@
 """2.4 GHz band model: channels, interferers, arbitration, scheduler."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -191,20 +192,28 @@ def mixed_sources(seed):
             BtDevice(event_interval_ms=0.4, seed=seed + 2, name="bt:fast")]
 
 
+# Time chunks of 0.3 s: a 1.3 s field has four, so three chunk edges.
+SMALL_CHUNKS = {"_CHUNK_US": 3e5}
+
+
 class TestColumns:
-    @pytest.mark.parametrize("chunks", [{}, {"_DRAW_CHUNK": 7}])
+    @pytest.mark.parametrize("chunks", [{}, {"_DRAW_CHUNK": 7}, SMALL_CHUNKS,
+                                        {**SMALL_CHUNKS, "_DRAW_CHUNK": 7}])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_match_scalar_oracle(self, seed, chunks, monkeypatch):
-        # Small chunks carry the running sum across many draws.
+        # Small draws carry the running sum across many draws; small chunks
+        # carry it, the BT hop count and each lane's bursts across chunk edges.
         for name, size in chunks.items():
             monkeypatch.setattr(radio, name, size)
         end = 1.3e6
         sources = mixed_sources(seed)
         expected = sorted((b for i in sources for b in scalar_occupancy(i, end)),
                           key=lambda b: (b.start_us, b.source))
-        got = radio.build_field(sources, end).all_bursts()
+        field = radio.build_field(sources, end)
+        got = field.all_bursts()
         assert len(got) > 1000 and all(type(b) is Burst for b in got)
         assert list(map(bits, got)) == list(map(bits, expected))
+        assert len(field._edges) == (3 if chunks.get("_CHUNK_US") else 0)
 
     def test_transmissions_and_columns_give_one_field(self):
         columns = radio.build_field(mixed_sources(6), 1e6)
@@ -269,6 +278,80 @@ def test_busy_matches_brute_force(bursts, queries):
                        and b.band_mhz[0] < band[1] and band[0] < b.band_mhz[1]
                        for b in bursts)
         assert field.busy(band, start, end) is expected
+
+
+class TestChunkEdges:
+    """A field drawn in 0.3 s chunks answers and reads as one drawn whole."""
+
+    END = 1.3e6
+
+    @pytest.fixture
+    def chunked(self, monkeypatch):
+        def build(seed):
+            with monkeypatch.context() as m:
+                m.setattr(radio, "_CHUNK_US", SMALL_CHUNKS["_CHUNK_US"])
+                field = radio.build_field(mixed_sources(seed), self.END)
+            assert field._edges == [3e5, 6e5, 9e5]
+            return field
+        return build
+
+    @staticmethod
+    def brute_busy(bursts):
+        """Oracle: busy() as one test of every burst."""
+        starts, durations, lo, hi = (np.array(c) for c in zip(*(b[:2] + b[3] for b in bursts)))
+        ends = starts + durations
+
+        def busy(band, start, end):
+            return bool(np.any((starts < end) & (ends > start) & (lo < band[1]) & (band[0] < hi)))
+        return busy
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_busy_across_edges(self, chunked, seed):
+        field = chunked(seed)
+        bursts = field.all_bursts()
+        brute = self.brute_busy(bursts)
+        edges = field._edges
+        # The duty-1 AP, the jammer and some dense-AP bursts span edges.
+        spanning = {b.source for b in bursts
+                    if any(b.start_us < e < b.start_us + b.duration_us for e in edges)}
+        assert {"wifi:full", "jam:0"} <= spanning and len(spanning) > 2
+        bands = QUERY_BANDS + [channel_band(k) for k in (2, 26, 40, 60, 79)]
+        # Straddling queries at each edge, then queries that run backwards
+        # over chunks drawn already, some spanning two edges.
+        queries = [(e + lead, length) for e in edges for lead in (-300.0, -1.0, -1e-6, 0.0)
+                   for length in (0.5, 2.0, 296.0, 5000.0)]
+        queries += [(t, length) for t in np.linspace(1.25e6, -50.0, 41).tolist()
+                    for length in (128.0, 4e5)]
+        for start, length in queries:
+            for band in bands:
+                assert (field.busy(band, start, start + length)
+                        is brute(band, start, start + length)), (band, start, length)
+
+    def test_windows_read_every_burst_across_edges(self, chunked):
+        field = chunked(4)
+        expected = [(b.start_us, b.duration_us, b.source) for b in field.all_bursts()
+                    if b.start_us <= 1.2e6]
+        take = field.windows(1.2e6)
+        got = []
+        for cut in [0.0, 2.9e5, 3e5, 3e5, 7.7e5, 1.25e6, 1.25e6, math.inf]:
+            starts, durations, lanes = take(cut)
+            got += zip(starts.tolist(), durations.tolist(),
+                       map(field.sources.__getitem__, lanes.tolist()))
+        assert got == expected
+
+    def test_drop_forgets_chunks_and_refuses_queries_before_them(self, chunked):
+        field = chunked(5)
+        brute = self.brute_busy(field.all_bursts())
+        band = wifi_band_mhz(6)
+        assert field.busy(band, 1.0e6, 1.0e6 + 10.0) is brute(band, 1.0e6, 1.0e6 + 10.0)
+        field.drop(6.5e5)  # the first two chunks end at or before it
+        assert field._chunks[0] is None and field._chunks[1] is None
+        assert field._chunks[2] is not None
+        for start in (6.5e5, 9e5, 1.1e6):
+            assert field.busy(band, start, start + 500.0) is brute(band, start, start + 500.0)
+        for start in (0.0, 2.9e5, 5.999e5, 5.9999e5):
+            with pytest.raises(ValueError, match="before 600000.0 us was dropped"):
+                field.busy(band, start, start + 500.0)
 
 
 def test_records_share_time_and_source_columns():

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wearsim import protocol as pr
-from wearsim import runner
+from wearsim import radio, runner
 from wearsim.pipeline import (RecordingFrame, ValidationError, joint_angle_series,
-                              read_recording, write_csv, write_json, write_recording)
+                              read_recording, window_rates, write_csv, write_json,
+                              write_recording)
 from wearsim.protocol import SessionResult, TraceRow, session_metrics
 from wearsim.radio import Burst, EventScheduler, InterferenceField
 from wearsim.runner import RADIO_TRACE_CSV, SESSION_TRACE_CSV, run_scenario
@@ -80,12 +81,41 @@ def test_streamed_files_equal_collected(tmp_path, cfg, seed):
                 == (tmp_path / "collected" / name).read_bytes()), name
 
 
-def test_session_memory_does_not_grow_with_length():
-    # A clean band keeps the interference field, which does grow, out of it.
-    # Collecting first keeps earlier tests' cyclic garbage, which the
-    # collector may or may not free inside the traced run, out of the peak.
+@pytest.mark.parametrize("protocol", ["cw", "ble-baseline"])
+def test_dropping_field_writes_the_bytes_of_a_kept_one(tmp_path, monkeypatch, protocol):
+    # 0.5 s chunks: a 2.6 s session's field has five. run_scenario's own
+    # field drops the chunks its handoffs pass; a field passed in keeps all.
+    monkeypatch.setattr(radio, "_CHUNK_US", 5e5)
+    cfg = suit(2.6, "crowded", 7)
+    cfg["protocol"]["kind"] = protocol
+    if protocol == "ble-baseline":
+        cfg["motion"] = {"preset": "arm-raise"}  # five sensors
+    sc = parse_scenario(cfg)
+    built, build = [], runner.scenario_field
+    monkeypatch.setattr(runner, "scenario_field", lambda sc: built.append(build(sc)) or built[-1])
+    art = run_scenario(sc, tmp_path / "dropping")
+    dropping, = built
+    assert dropping._edges == [5e5, 1e6, 1.5e6, 2e6]
+    # The last handoff's rows end after 2 s: only the last chunk is left.
+    assert dropping._chunks[:4] == [None] * 4 and dropping._chunks[4] is not None
+    kept = build(sc)
+    (tmp_path / "kept").mkdir()
+    assert runner.execute(sc, kept, tmp_path / "kept").metrics == art.metrics
+    assert None not in kept._chunks and len(kept._chunks) == 5
+    for name in STREAMED[:3]:
+        assert ((tmp_path / "dropping" / name).read_bytes()
+                == (tmp_path / "kept" / name).read_bytes()), name
+
+
+def test_session_memory_does_not_grow_with_length(monkeypatch):
+    # A crowded band, its field drawn in 2 s chunks: 6 s and 24 s sessions
+    # span 3 and 12 chunks. Collecting first keeps earlier tests' cyclic
+    # garbage, which the collector may or may not free inside the traced
+    # run, out of the peak.
+    monkeypatch.setattr(radio, "_CHUNK_US", 2e6)
+
     def peak_mb(duration_s: float) -> float:
-        sc = parse_scenario(suit(duration_s, "clean", 5))
+        sc = parse_scenario(suit(duration_s, "crowded", 5))
         with tempfile.TemporaryDirectory() as tmp:
             gc.collect()
             tracemalloc.start()
@@ -95,7 +125,7 @@ def test_session_memory_does_not_grow_with_length():
             finally:
                 tracemalloc.stop()
 
-    short, long = peak_mb(10.0), peak_mb(40.0)
+    short, long = peak_mb(6.0), peak_mb(24.0)
     assert long / short < 1.5, (short, long)
 
 
@@ -137,7 +167,7 @@ def session(frames) -> SessionResult:
 def test_metrics_fold_rejects_broken_frame_order(frames, message):
     with pytest.raises(ValidationError, match=message):
         session_metrics(session(frames))
-    fold = pr.SessionFold()
+    fold = pr.SessionFold(1e6)
     fold.add([], frames[:2])
     with pytest.raises(ValidationError, match=message):
         fold.add([], frames[2:])
@@ -169,6 +199,52 @@ def test_equal_timestamps_flush_in_sensor_order(frames, data):
             out.clear()
     ordered.flush()
     assert collected + out == sorted(frames, key=lambda f: (f.timestamp_us, f.sensor_id))
+
+
+@st.composite
+def sensor_streams(draw):
+    """Frames of up to three sensors in timestamp order, with gaps from
+    none to over a window, cut into handoff batches, and a session end
+    that may fall before, between or after the frames, off the grid."""
+    frames, seqs, ts = [], {}, draw(st.integers(0, 2_000_000))
+    for _ in range(draw(st.integers(0, 60))):
+        ts += draw(st.sampled_from([0, 1, 30_000, 99_999, 100_000, 250_000, 1_000_000,
+                                    1_500_000]))
+        sensor = draw(st.integers(1, 3))
+        seqs[sensor] = seqs.get(sensor, 0) + 1
+        frames.append(frame(ts, sensor, seqs[sensor]))
+    cuts = sorted(draw(st.lists(st.integers(0, len(frames)), max_size=6)))
+    batches = [frames[a:b] for a, b in zip([0, *cuts], [*cuts, len(frames)])]
+    end = draw(st.integers(0, ts + 3_000_000)) + draw(st.sampled_from([0.0, 0.25, 0.5]))
+    if frames and draw(st.booleans()):
+        # On a window end of one sensor: its first timestamp + 1 s + k * 0.1 s.
+        first = draw(st.sampled_from(frames)).timestamp_us
+        end = first + 1_000_000 + 100_000 * draw(st.integers(0, 40))
+    return batches, end
+
+
+@settings(max_examples=300, deadline=None)
+@given(sensor_streams())
+def test_fold_rates_equal_window_rates_over_all_timestamps(stream):
+    batches, end = stream
+    fold = pr.SessionFold(end)
+    for batch in batches:
+        fold.add([], batch)
+    got = fold.metrics(SessionResult("cw", end, (1, 2, 3), [], [], 0, 0, {}, []))
+    lasts = []
+    for s in (1, 2, 3):
+        ts = [f.timestamp_us for batch in batches for f in batch if f.sensor_id == s]
+        mean = 0.0
+        if len(ts) >= 2 and ts[-1] > ts[0]:
+            mean = (len(ts) - 1) / ((ts[-1] - ts[0]) / 1e6)
+        low = 0.0
+        if ts:
+            low = min((v for _, v in window_rates(ts, int(end))), default=float(len(ts)))
+            lasts.append(ts[-1])
+        figures = got["per_sensor"][str(s)]
+        assert (figures["recorded"], figures["mean_rate_hz"], figures["min_window_rate_hz"]) \
+            == (len(ts), mean, low), s
+    assert got["max_skew_us"] == (max(lasts) - min(lasts) if lasts else 0)
 
 
 # radio_trace.csv windows ----------------------------------------------------
