@@ -10,18 +10,17 @@ A protocol frame and an interferer burst are one record, Burst.
 The interference field is columnar and lazy. Each source draws its
 bursts in bulk as numpy columns (starts, durations, band edges), summed
 in the same order as a draw-by-draw loop, so every figure is the scalar
-one. The field is cut into time chunks of start times (_CHUNK_US); a
-chunk is drawn when a query or a windows() read first reaches it, each
-source's generator and running sums carrying on from the chunk before.
-Each chunk indexes its bursts, and the earlier ones that reach into it,
-by exact band across sources, each group merged into disjoint intervals.
-busy() answers from the chunk its interval lies in with one bisect per
-group that overlaps the queried band; an interval across a chunk edge
-asks each chunk it meets. windows() reads the chunks' columns a window of
-start times at a time; all_bursts() draws every Burst afresh, in (start,
-source) order. A field keeps its chunks, so one field can serve several
-sessions, until its owner calls drop(t): the chunks that end by t are
-freed, and a later query or read before them raises.
+one. The field keeps only busy()'s index: the bursts grouped by exact
+band across sources, each group merged into disjoint intervals. The
+index is drawn a time chunk of start times (_CHUNK_US) at a time, when a
+query first reaches past what is drawn, each source's generator and
+running sums carrying on from the chunk before; a new chunk's intervals
+that meet a group's last one join it. busy() answers with one bisect per
+group that overlaps the queried band. windows() and all_bursts() draw
+the bursts afresh, in (start, source) order, so the field stores no
+burst columns. A field keeps its index, so one field can serve several
+sessions, until its owner calls drop(t): the intervals that end by t are
+freed, and a later query that starts before t raises.
 
 The event scheduler is single-threaded and fully deterministic. Its heap
 holds generator processes that yield microsecond delays; they resume in
@@ -331,46 +330,15 @@ def _groups(starts: np.ndarray, ends: np.ndarray, lo: np.ndarray, hi: np.ndarray
             if b > a}
 
 
-class _Chunk(NamedTuple):
-    """One time chunk of a field: the bursts that start in [lo, hi), for
-    windows(), and busy()'s index of those and of the earlier bursts that
-    reach past lo, so a query inside [lo, hi] needs no other chunk."""
-
-    lo: float
-    hi: float
-    starts: np.ndarray
-    durations: np.ndarray
-    lanes: np.ndarray
-    groups: dict[tuple[float, float], Group]
-    # Query band -> the groups whose band overlaps it strictly.
-    near: dict[tuple[float, float], list[Group]]
-
-    def nearby(self, band: tuple[float, float]) -> list[Group]:
-        """The groups whose band overlaps band strictly, kept in near."""
-        near = self.near[band] = [group for (lo, hi), group in self.groups.items()
-                                  if lo < band[1] and band[0] < hi]
-        return near
-
-    def busy(self, band: tuple[float, float], start_us: float, end_us: float) -> bool:
-        """InterferenceField.busy on this chunk's index."""
-        near = self.near.get(band)
-        for starts, ends in self.nearby(band) if near is None else near:
-            i = bisect_left(starts, end_us)
-            if i and ends[i - 1] > start_us:
-                return True
-        return False
-
-
 class InterferenceField:
     """Queryable set of interferer bursts for one session.
 
     Each source is one lane. Bursts of one source must be non-overlapping
     (renewal processes guarantee that); sources are independent lanes. The
-    bursts are drawn a time chunk at a time (_CHUNK_US), when a query or a
-    windows() reader first reaches the chunk, and every chunk keeps its
-    own index for busy(): its bursts grouped by exact band across sources,
-    with the earlier bursts that reach into it, each group merged into
-    disjoint intervals. A field keeps its chunks until drop() is called.
+    field holds only busy()'s index: every burst drawn so far, grouped by
+    exact band across sources, each group merged into disjoint intervals.
+    The index grows a time chunk (_CHUNK_US) at a time, when a query first
+    reaches past it, and drop() trims it.
     """
 
     def __init__(self, bursts: Iterable[Burst]) -> None:
@@ -399,87 +367,80 @@ class InterferenceField:
         Chunk k holds the bursts that start in [edges[k - 1], edges[k])."""
         self._parts = parts
         self._edges = edges
-        self._draw = _Draw({source: [f() for f in fs] for source, fs in parts.items()})
-        self._chunks: list[_Chunk | None] = []  # None: dropped
-        self._dropped = 0
-        # The bursts of the chunks drawn so far that reach past the last one.
-        self._carry = (np.empty(0),) * 4
+        self._draw = self._fresh_draw()
+        self._groups: dict[tuple[float, float], Group] = {}
+        # Query band -> the groups whose band overlaps it strictly.
+        self._near: dict[tuple[float, float], list[Group]] = {}
+        # busy() answers intervals inside [_floor, _hi] from the index alone.
+        self._floor, self._hi = -math.inf, -math.inf
         self._clean = not parts
-        self._enter(self._chunk(0))
+        self._next_chunk()
+
+    def _fresh_draw(self) -> _Draw:
+        return _Draw({source: [f() for f in fs] for source, fs in self._parts.items()})
 
     @property
     def sources(self) -> list[str]:
         """The source of each lane, sorted: the lane order of windows()."""
         return sorted(self._parts)
 
-    def _chunk(self, k: int) -> _Chunk:
-        """Chunk k, drawn with every chunk before it when first asked for."""
-        while len(self._chunks) <= k:
-            self._chunks.append(self._next_chunk())
-        chunk = self._chunks[k]
-        if chunk is None:
-            raise ValueError(f"interference before {self._edges[self._dropped - 1]} us "
-                             "was dropped")
-        return chunk
-
-    def _next_chunk(self) -> _Chunk:
-        k = len(self._chunks)
-        lo = self._edges[k - 1] if k else -math.inf
-        hi = self._edges[k] if k < len(self._edges) else math.inf
-        starts, durations, band_lo, band_hi, lanes = self._draw.take(hi)
-        cols = [np.concatenate(c) for c in zip(self._carry, (starts, starts + durations,
-                                                             band_lo, band_hi))]
-        self._carry = tuple(c[cols[1] > hi] for c in cols)
-        return _Chunk(lo, hi, starts, durations, lanes, _groups(*cols), {})
-
-    def _enter(self, chunk: _Chunk) -> None:
-        """Make chunk the one busy() answers from without a lookup."""
-        self._current = chunk
-        self._lo, self._hi, self._near = chunk.lo, chunk.hi, chunk.near
+    def _next_chunk(self) -> None:
+        """Draw the next chunk into the index. Its first intervals that meet
+        a group's last one, from a burst across the edge, join that one."""
+        k = bisect_right(self._edges, self._hi)
+        self._hi = self._edges[k] if k < len(self._edges) else math.inf
+        starts, durations, lo, hi, _ = self._draw.take(self._hi)
+        for band, (new_starts, new_ends) in _groups(starts, starts + durations, lo, hi).items():
+            group = self._groups.get(band)
+            if group is None:
+                self._groups[band] = new_starts, new_ends
+                self._near.clear()
+                continue
+            group_starts, group_ends = group
+            i = 0
+            while group_ends and i < len(new_starts) and new_starts[i] <= group_ends[-1]:
+                group_ends[-1] = max(group_ends[-1], new_ends[i])
+                i += 1
+            group_starts += new_starts[i:]
+            group_ends += new_ends[i:]
 
     def drop(self, before_us: float) -> None:
-        """Forget the chunks that end at or before before_us, once no query
-        or windows() read reaches before it: they would raise."""
-        chunks = self._chunks
-        while self._dropped < len(chunks) and chunks[self._dropped].hi <= before_us:
-            if chunks[self._dropped] is self._current:
-                # No interval lies inside [inf, -inf]: busy() looks the chunk up.
-                self._current, self._lo, self._hi, self._near = None, math.inf, -math.inf, {}
-            chunks[self._dropped] = None
-            self._dropped += 1
+        """Forget the intervals that end at or before before_us; a later
+        query that starts before it raises."""
+        for starts, ends in self._groups.values():
+            i = bisect_right(ends, before_us)
+            del starts[:i], ends[:i]
+        self._floor = max(self._floor, before_us)
 
     def windows(self, end_us: float) -> Callable[[float], tuple[np.ndarray, ...]]:
-        """A reader of the bursts that start at or before end_us, a window at
-        a time: take(cut) returns those not taken yet that start before cut,
-        as columns (starts, durations, lane indices into sources) ordered by
-        (start, lane). Cuts must not decrease; take(math.inf) returns the
-        rest.
+        """A reader of the bursts that start at or before end_us, drawn
+        afresh a chunk at a time: take(cut) returns those not taken yet
+        that start before cut, as columns (starts, durations, lane indices
+        into sources) ordered by (start, lane). Cuts must not decrease;
+        take(math.inf) returns the rest.
         """
-        k = taken = 0
+        draw = self._fresh_draw()
+        edges = iter([*self._edges, math.inf])
+        drawn = -math.inf
+        held = (np.empty(0), np.empty(0), np.empty(0, int))  # drawn, not taken yet
 
         def take(cut: float) -> tuple[np.ndarray, ...]:
-            nonlocal k, taken
-            window = []
-            while True:
-                chunk = self._chunk(k)
-                b = min(int(np.searchsorted(chunk.starts, cut)),
-                        int(np.searchsorted(chunk.starts, end_us, "right")))
-                window.append((chunk.starts[taken:b], chunk.durations[taken:b],
-                               chunk.lanes[taken:b]))
-                if min(cut, end_us) < chunk.hi or k == len(self._edges):
-                    taken = b
-                    break
-                k, taken = k + 1, 0
-            return window[0] if len(window) == 1 else tuple(map(np.concatenate, zip(*window)))
+            nonlocal drawn, held
+            # A draw a chunk, not a window, at a time: each costs about 1 ms.
+            while drawn < cut and drawn <= end_us:
+                drawn = next(edges)
+                starts, durations, _, _, lanes = draw.take(drawn)
+                held = tuple(map(np.concatenate, zip(held, (starts, durations, lanes))))
+            n = min(int(np.searchsorted(held[0], cut)),
+                    int(np.searchsorted(held[0], end_us, "right")))
+            window, held = tuple(c[:n] for c in held), tuple(c[n:] for c in held)
+            return window
 
         return take
 
     def all_bursts(self) -> list[Burst]:
-        """Every burst, ordered by (start_us, source): drawn afresh, a chunk
-        at a time as the field draws them."""
-        draw = _Draw({source: [f() for f in fs] for source, fs in self._parts.items()})
-        chunks = [draw.take(hi) for hi in (*self._edges, math.inf)]
-        starts, durations, lo, hi, lanes = map(np.concatenate, zip(*chunks))
+        """Every burst, ordered by (start_us, source), drawn afresh."""
+        starts, durations, lo, hi, lanes = self._fresh_draw().take(math.inf)
         sources = self.sources
         return list(map(Burst._make, zip(starts.tolist(), durations.tolist(),
                                          map(sources.__getitem__, lanes.tolist()),
@@ -494,26 +455,20 @@ class InterferenceField:
         if self._clean:
             # A clean band: skip hashing the query band.
             return False
-        if not (self._lo <= start_us and end_us <= self._hi):
-            return self._busy_elsewhere(band, start_us, end_us)
-        # _Chunk.busy on the current chunk, inlined: a call less per query.
+        if not (self._floor <= start_us and end_us <= self._hi):
+            if start_us < self._floor:
+                raise ValueError(f"interference before {self._floor} us was dropped")
+            while end_us > self._hi:
+                self._next_chunk()
         near = self._near.get(band)
         if near is None:
-            near = self._current.nearby(band)
+            near = self._near[band] = [group for (lo, hi), group in self._groups.items()
+                                       if lo < band[1] and band[0] < hi]
         for starts, ends in near:
             i = bisect_left(starts, end_us)
             if i and ends[i - 1] > start_us:
                 return True
         return False
-
-    def _busy_elsewhere(self, band: tuple[float, float], start_us: float,
-                        end_us: float) -> bool:
-        """busy() outside the current chunk: the chunk where the interval
-        starts becomes current, and each chunk the interval reaches answers."""
-        first = bisect_right(self._edges, start_us)
-        self._enter(self._chunk(first))
-        return any(self._chunk(k).busy(band, start_us, end_us)
-                   for k in range(first, bisect_left(self._edges, end_us) + 1))
 
 
 def arbitrate(tx: Burst, field: InterferenceField,

@@ -21,21 +21,22 @@ built, so a run's artifacts carry the metrics but no trace or frames.
 Both traces are ordered by (time_us, source). Each handoff ends one
 radio_trace.csv window: the rows before the last time_us handed over so
 far, and the interferer bursts that start before it (the last window:
-the rows left and the bursts at or before the session's end), as column
-views from InterferenceField.windows(). A window's lines are put in order
+the rows left and the bursts at or before the session's end), as columns
+from InterferenceField.windows(). A window's lines are put in order
 with one stable sort on (time_us, source), protocol rows first on a tie.
 That is the order of a merge of the two ordered inputs, and no Burst or
 list of every burst is built. Protocol rows are type-checked row by row;
 every burst line has one shape. Every file is written through
 pipeline.open_csv, write_csv or write_json.
 
-The interference field is drawn a time chunk at a time as the session
-reaches it (see radio). When execute builds the field itself, as
-simulate does, it drops at each handoff the chunks that end by the last
-row's time: the clock and the radio_trace.csv reader have both passed
-them. So a session holds a chunk or two of interference whatever its
-length. A field passed in, such as protocol-bench's one per seed, which
-every protocol of the seed reads, keeps every chunk.
+The interference field holds busy()'s index, drawn a time chunk at a
+time as the session reaches it (see radio); the radio_trace.csv reader
+draws the bursts afresh. When execute builds the field itself, as
+simulate does, it drops at each handoff the index before the last row's
+time, which the clock has passed. So a session holds about a chunk of
+interference whatever its length. A field passed in, such as
+protocol-bench's one per seed, which every protocol of the seed reads,
+keeps its whole index.
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ def execute(sc: Scenario, field: InterferenceField | None = None,
         def hand_off(rows: list[TraceRow], frames: list[RecordingFrame]) -> None:
             sink(rows, frames)
             if rows:
-                # The clock and the radio_trace.csv reader have both reached
-                # the last row's time; no later query or read starts before it.
+                # The clock has reached the last row's time; no later query
+                # starts before it.
                 field.drop(rows[-1].time_us)
 
         run_sink = hand_off if own_field else sink

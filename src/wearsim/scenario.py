@@ -207,8 +207,9 @@ def parse_scenario(cfg: Any, *, seed: int | None = None) -> Scenario:
     if not isinstance(preset, str):
         raise ConfigError("motion.preset is required and must be a string")
     raw_params = _mapping(motion.get("params"), "motion.params")
-    params = {key: _number(raw_params, key, "motion.params", maximum=MAX_DURATION_S)
-              if key in ("duration_s", "dwell_s")
+    params = {key: _number(raw_params, key, "motion.params", minimum=1e-3,
+                           maximum=MAX_DURATION_S) if key in ("duration_s", "dwell_s")
+              else _integer(raw_params, key, "motion.params") if key == "sensors"
               else _checked(raw_params[key], f"motion.params.{key}", float)
               for key in raw_params}
     try:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,64 @@ def test_busy_matches_brute_force(bursts, queries):
         assert field.busy(band, start, end) is expected
 
 
+# Chunks of 8 us: the grid's bursts cross chunk edges all the time.
+SEAM_CHUNK_US = 8.0
+SEAM_EDGES = [SEAM_CHUNK_US * k for k in range(1, 8)]
+
+
+@st.composite
+def seam_cases(draw):
+    """burst_lists plus, at a chunk edge, a burst across it and a burst of
+    another source in its band that starts in the next chunk by the time
+    the first one ends, so the index joins intervals at the seam; then
+    steps: a drop, moving the drop time on by its value, or a query band
+    and length."""
+    edge = draw(st.sampled_from(SEAM_EDGES))
+    band = draw(st.sampled_from(BANDS))
+    lead = draw(st.integers(1, 7))
+    reach = draw(st.integers(1, 7))
+    follow = draw(st.integers(0, reach))
+    bursts = [*draw(burst_lists()),
+              Burst(edge - lead, float(lead + reach), "seam:a", band),
+              Burst(edge + follow, float(draw(st.integers(1, 8))), "seam:b", band)]
+    steps = draw(st.lists(st.integers(0, 8).map(float)
+                          | st.tuples(st.sampled_from(QUERY_BANDS),
+                                      st.sampled_from([0.5, 1.0, 3.0, 7.5])),
+                          min_size=1, max_size=12))
+    return bursts, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(seam_cases())
+def test_chunked_busy_matches_brute_force_across_drops(case):
+    # Each query step asks from just before every burst edge; a query that
+    # starts before the last drop raises.
+    bursts, steps = case
+    starts = sorted({t - before for b in bursts for t in (b.start_us, b.start_us + b.duration_us)
+                     for before in (0.0, 0.25, 1.0)})
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(radio, "_CHUNK_US", SEAM_CHUNK_US)
+        field = InterferenceField._drawn(InterferenceField(bursts)._parts, 64.0)
+    assert field._edges == SEAM_EDGES
+    dropped = -math.inf
+    for step in steps:
+        if isinstance(step, float):
+            dropped = max(dropped, 0.0) + step
+            field.drop(dropped)
+            continue
+        band, length = step
+        for start in starts:
+            end = start + length
+            if start < dropped:
+                with pytest.raises(ValueError, match=f"before {dropped} us was dropped"):
+                    field.busy(band, start, end)
+                continue
+            expected = any(b.start_us < end and b.start_us + b.duration_us > start
+                           and b.band_mhz[0] < band[1] and band[0] < b.band_mhz[1]
+                           for b in bursts)
+            assert field.busy(band, start, end) is expected, (band, start, end)
+
+
 class TestChunkEdges:
     """A field drawn in 0.3 s chunks answers and reads as one drawn whole."""
 
@@ -340,17 +399,22 @@ class TestChunkEdges:
         assert got == expected
 
     def test_drop_forgets_chunks_and_refuses_queries_before_them(self, chunked):
-        field = chunked(5)
-        brute = self.brute_busy(field.all_bursts())
         band = wifi_band_mhz(6)
-        assert field.busy(band, 1.0e6, 1.0e6 + 10.0) is brute(band, 1.0e6, 1.0e6 + 10.0)
-        field.drop(6.5e5)  # the first two chunks end at or before it
-        assert field._chunks[0] is None and field._chunks[1] is None
-        assert field._chunks[2] is not None
+        # Traced from the build on, so the memory the drop frees is seen.
+        tracemalloc.start()
+        try:
+            field = chunked(5)
+            field.busy(band, 1.0e6, 1.0e6 + 10.0)  # draws every chunk
+            held = tracemalloc.get_traced_memory()[0]
+            field.drop(6.5e5)
+            assert tracemalloc.get_traced_memory()[0] < held
+        finally:
+            tracemalloc.stop()
+        brute = self.brute_busy(field.all_bursts())
         for start in (6.5e5, 9e5, 1.1e6):
             assert field.busy(band, start, start + 500.0) is brute(band, start, start + 500.0)
-        for start in (0.0, 2.9e5, 5.999e5, 5.9999e5):
-            with pytest.raises(ValueError, match="before 600000.0 us was dropped"):
+        for start in (0.0, 2.9e5, 6.4e5, 6.4999e5):
+            with pytest.raises(ValueError, match="before 650000.0 us was dropped"):
                 field.busy(band, start, start + 500.0)
 
 

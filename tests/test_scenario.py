@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wearsim.protocol import ConfigError, HopPolicy, TimingProfile
@@ -118,6 +118,15 @@ class TestMotion:
         with pytest.raises(ConfigError, match="10 or 12"):
             parse_scenario({"motion": {"preset": "half-jacks",
                                        "params": {"sensors": 13}}})
+        # Lengths are bounded as session.duration_s is.
+        for preset, params, key in (("half-jacks", {"sensors": 12.0}, "sensors"),
+                                    ("half-jacks", {"duration_s": -1}, "duration_s"),
+                                    ("artificial-joint", {"angle_deg": 30, "dwell_s": 0},
+                                     "dwell_s"),
+                                    ("artificial-joint", {"angle_deg": 30, "dwell_s": 1e-4},
+                                     "dwell_s")):
+            with pytest.raises(ConfigError, match=f"^motion.params.{key} must"):
+                parse_scenario({"motion": {"preset": preset, "params": params}})
 
     def test_unknown_param_name(self):
         with pytest.raises(ConfigError):
@@ -230,8 +239,18 @@ class TestOverrideProperty:
            params=st.dictionaries(
                st.sampled_from(["angle_deg", "dwell_s", "sensors", "duration_s"]),
                st.one_of(NUMBERS, st.none(), st.text(max_size=3))))
+    @example(preset="half-jacks", params={"sensors": 12.0})
+    @example(preset="half-jacks", params={"duration_s": -1})
+    @example(preset="artificial-joint", params={"angle_deg": 30, "dwell_s": 0})
+    @example(preset="artificial-joint", params={"angle_deg": 30, "dwell_s": 1e-4})
     def test_motion_params(self, preset, params):
-        parse_and_build({"motion": {"preset": preset, "params": params}})
+        config = {"motion": {"preset": preset, "params": params}}
+        parse_and_build(config)
+        # A refused parameter is named: one given, or angle_deg when missing.
+        try:
+            parse_scenario(config)
+        except ConfigError as exc:
+            assert any(key in str(exc) for key in [*params, "angle_deg"]), exc
 
     @settings(max_examples=200, deadline=None)
     @given(sources=st.lists(st.one_of(WIFI, BT), max_size=3))

@@ -84,7 +84,7 @@ def test_streamed_files_equal_collected(tmp_path, cfg, seed):
 @pytest.mark.parametrize("protocol", ["cw", "ble-baseline"])
 def test_dropping_field_writes_the_bytes_of_a_kept_one(tmp_path, monkeypatch, protocol):
     # 0.5 s chunks: a 2.6 s session's field has five. run_scenario's own
-    # field drops the chunks its handoffs pass; a field passed in keeps all.
+    # field drops what its handoffs pass; a field passed in keeps it all.
     monkeypatch.setattr(radio, "_CHUNK_US", 5e5)
     cfg = suit(2.6, "crowded", 7)
     cfg["protocol"]["kind"] = protocol
@@ -95,13 +95,14 @@ def test_dropping_field_writes_the_bytes_of_a_kept_one(tmp_path, monkeypatch, pr
     monkeypatch.setattr(runner, "scenario_field", lambda sc: built.append(build(sc)) or built[-1])
     art = run_scenario(sc, tmp_path / "dropping")
     dropping, = built
-    assert dropping._edges == [5e5, 1e6, 1.5e6, 2e6]
-    # The last handoff's rows end after 2 s: only the last chunk is left.
-    assert dropping._chunks[:4] == [None] * 4 and dropping._chunks[4] is not None
+    band = radio.wifi_band_mhz(6)
+    # The last handoff's rows end after 2 s.
+    with pytest.raises(ValueError, match="was dropped"):
+        dropping.busy(band, 2e6, 2e6 + 1.0)
     kept = build(sc)
     (tmp_path / "kept").mkdir()
     assert runner.execute(sc, kept, tmp_path / "kept").metrics == art.metrics
-    assert None not in kept._chunks and len(kept._chunks) == 5
+    kept.busy(band, 0.0, 1.0)
     for name in STREAMED[:3]:
         assert ((tmp_path / "dropping" / name).read_bytes()
                 == (tmp_path / "kept" / name).read_bytes()), name
