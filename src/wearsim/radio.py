@@ -414,17 +414,27 @@ class InterferenceField:
 
     def windows(self, end_us: float) -> Callable[[float], tuple[np.ndarray, ...]]:
         """A reader of the bursts that start at or before end_us, drawn
-        afresh a window at a time: take(cut) returns those not taken yet
+        afresh a chunk at a time: take(cut) returns those not taken yet
         that start before cut, as columns (starts, durations, lane indices
         into sources) ordered by (start, lane). Cuts must not decrease;
         take(math.inf) returns the rest.
         """
         draw = self._fresh_draw()
+        edges = iter([*self._edges, math.inf])
+        drawn = -math.inf
+        held = (np.empty(0), np.empty(0), np.empty(0, int))  # drawn, not taken yet
 
         def take(cut: float) -> tuple[np.ndarray, ...]:
-            starts, durations, _, _, lanes = draw.take(cut)
-            n = int(np.searchsorted(starts, end_us, "right"))
-            return starts[:n], durations[:n], lanes[:n]
+            nonlocal drawn, held
+            # A draw a chunk, not a window, at a time: each costs about 1 ms.
+            while drawn < cut and drawn <= end_us:
+                drawn = next(edges)
+                starts, durations, _, _, lanes = draw.take(drawn)
+                held = tuple(map(np.concatenate, zip(held, (starts, durations, lanes))))
+            n = min(int(np.searchsorted(held[0], cut)),
+                    int(np.searchsorted(held[0], end_us, "right")))
+            window, held = tuple(c[:n] for c in held), tuple(c[n:] for c in held)
+            return window
 
         return take
 
