@@ -17,10 +17,12 @@ mounting differences live entirely in the per-sensor offsets, which the
 calibration step cancels.
 
 The per-frame path (reading, truth_joint_angle) chains the quatmath
-kernel's plain-tuple products and builds one Quaternion per reading;
-offsets and the identity enter the kernel as the Quaternions they are.
-Each sensor's noise comes from a randomness.NormalBlocks over its own
-stream, so a reading makes no numpy call except the unit vector's norm.
+kernel's plain-tuple products and wraps one Quaternion per reading. A
+reading follows its sensor's plan, keyed by sensor id (its bone's chain,
+offset, drift axis and noise draws), and checks t once; a bone that no
+tracked joint moves has angular speed 0 without forward kinematics. Each
+sensor's noise comes from a randomness.NormalBlocks over its own stream,
+so a reading makes no numpy call except the unit vector's norm.
 """
 
 from __future__ import annotations
@@ -165,6 +167,17 @@ def random_offsets(placement: SensorPlacement, seed: int) -> dict[int, Quaternio
 _Chain = tuple[tuple[Callable[[float], float], Vector3], ...]
 
 
+def _world(chain: _Chain, t: float) -> Quad:
+    """World orientation at t of the bone at the end of chain: forward
+    kinematics, as a unit (w, x, y, z) tuple."""
+    # Starts from the identity, not the first joint's rotation: the
+    # identity product turns a -0.0 component into 0.0.
+    q = Quaternion.identity()
+    for angle, axis in chain:
+        q = mul4(q, axis_angle4(axis, angle(t)))
+    return q
+
+
 class SyntheticBody:
     """Stateful sensor simulator for one session.
 
@@ -192,35 +205,38 @@ class SyntheticBody:
                 cur = skel.parent[cur]
             self._chain[bone] = tuple(reversed(chain))
         self._noisy = noise.static_sigma_deg > 0.0 or noise.dynamic_sigma_deg > 0.0
-        self._drifting = noise.drift_deg_per_min != 0.0
-        self._noise = {s: randomness.NormalBlocks(
-                           randomness.stream(noise.seed, randomness.NOISE, s))
-                       for s in sorted(placement.bones)}
-        if self._drifting:
-            self._drift_axis = {
-                s: randomness.NormalBlocks(
-                    randomness.stream(noise.seed, randomness.DRIFT_AXIS, s)).unit_vector()
-                for s in sorted(placement.bones)}
+        drifting = noise.drift_deg_per_min != 0.0
+
+        def draws(tag: int, sensor: int) -> randomness.NormalBlocks:
+            return randomness.NormalBlocks(randomness.stream(noise.seed, tag, sensor))
+
+        # Per sensor: its bone's chain, its offset and drift axis (None for
+        # none) and its noise draws.
+        self._plans = {s: (self._chain[bone], self._offsets.get(s),
+                           draws(randomness.DRIFT_AXIS, s).unit_vector() if drifting else None,
+                           draws(randomness.NOISE, s))
+                       for s, bone in sorted(placement.bones.items())}
+
+    def _check(self, t: float) -> None:
+        if not 0.0 <= t <= self.spec.duration_s:
+            raise ValueError(f"t={t} outside trajectory [0, {self.spec.duration_s}]")
 
     def bone_world(self, bone: BoneId, t: float) -> Quad:
         """Noise-free world orientation of a bone at time t (forward
         kinematics), as a unit (w, x, y, z) tuple."""
-        if not 0.0 <= t <= self.spec.duration_s:
-            raise ValueError(f"t={t} outside trajectory [0, {self.spec.duration_s}]")
-        # Starts from the identity, not the first joint's rotation: the
-        # identity product turns a -0.0 component into 0.0.
-        q = Quaternion.identity()
-        for angle, axis in self._chain[bone]:
-            q = mul4(q, axis_angle4(axis, angle(t)))
-        return q
+        self._check(t)
+        return _world(self._chain[bone], t)
 
-    def angular_speed(self, bone: BoneId, t: float) -> float:
-        """Instantaneous rotation speed in deg/s by central difference."""
+    def _angular_speed(self, chain: _Chain, t: float) -> float:
+        """Rotation speed in deg/s of the bone at the end of chain, by
+        central difference; 0 for a bone no tracked joint moves."""
+        if not chain:
+            return 0.0
         lo = max(0.0, t - _SPEED_H)
         hi = min(self.spec.duration_s, t + _SPEED_H)
         if hi <= lo:
             return 0.0
-        return shortest_angle_deg(self.bone_world(bone, lo), self.bone_world(bone, hi)) / (hi - lo)
+        return shortest_angle_deg(_world(chain, lo), _world(chain, hi)) / (hi - lo)
 
     def truth_joint_angle(self, label: str, t: float) -> float:
         """Ground-truth angle between a joint's bones at time t."""
@@ -228,8 +244,8 @@ class SyntheticBody:
         return shortest_angle_deg(self.bone_world(joint.parent_bone, t),
                                   self.bone_world(joint.child_bone, t))
 
-    def _perturbation(self, sensor: int, sigma: float, cap: float) -> Quad:
-        draws = self._noise[sensor]
+    @staticmethod
+    def _perturbation(draws: randomness.NormalBlocks, sigma: float, cap: float) -> Quad:
         angle = abs(draws.normal(sigma))
         while angle > cap:
             angle = abs(draws.normal(sigma))
@@ -246,7 +262,7 @@ class SyntheticBody:
         for sensor in sorted(self.placement.bones):
             q = self._offsets.get(sensor, Quaternion.identity())
             if self._noisy:
-                p = self._perturbation(sensor, self.noise.static_sigma_deg,
+                p = self._perturbation(self._plans[sensor][3], self.noise.static_sigma_deg,
                                        self.noise.static_max_deg)
                 q = mul4(p, q)
             snap[sensor] = Quaternion(*q)
@@ -254,18 +270,18 @@ class SyntheticBody:
 
     def reading(self, sensor: int, t: float) -> Quaternion:
         """Instantaneous orientation reported by one sensor."""
-        bone = self.placement.bones[sensor]
-        q = self.bone_world(bone, t)
-        off = self._offsets.get(sensor)
+        chain, off, drift_axis, draws = self._plans[sensor]
+        self._check(t)
+        q = _world(chain, t)
         if off is not None:
             q = mul4(q, off)
-        if self._drifting:
+        if drift_axis is not None:
             drift_deg = self.noise.drift_deg_per_min * t / 60.0
-            q = mul4(axis_angle4(self._drift_axis[sensor], drift_deg), q)
+            q = mul4(axis_angle4(drift_axis, drift_deg), q)
         if self._noisy:
-            omega = self.angular_speed(bone, t)
-            q = mul4(self._perturbation(sensor, *sigma_and_cap(self.noise, omega)), q)
-        return Quaternion(*q)
+            omega = self._angular_speed(chain, t)
+            q = mul4(self._perturbation(draws, *sigma_and_cap(self.noise, omega)), q)
+        return Quaternion._make(q)
 
 
 def _artificial_joint(angle_deg: float | None = None, dwell_s: float = 5.0):

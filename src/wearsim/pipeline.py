@@ -67,11 +67,17 @@ class ValidationError(RecordingError):
     """Rows parse but violate a stream invariant."""
 
 
+# A float cell: 9 significant digits.
+_FLOAT_FORMAT = "%.9g"
+# The four components of a quaternion, as four float cells.
+_QUAD_FORMAT = ",".join([_FLOAT_FORMAT] * 4)
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return f"{value:.9g}"
+        return _FLOAT_FORMAT % value
     return str(value)
 
 
@@ -89,7 +95,7 @@ def _cell_format(kind: type) -> str:
     """The %-format that writes a value of type kind as _cell does."""
     if kind is NoneType:
         return "%.0s"  # None as the empty string
-    return "%.9g" if kind is float else "%s"
+    return _FLOAT_FORMAT if kind is float else "%s"
 
 
 class CsvSchema:
@@ -189,8 +195,10 @@ class RecordingFrame(namedtuple("RecordingFrame",
     @staticmethod
     def quantized(timestamp_us: int, sensor_id: int, seq: int,
                   q: Quaternion, status: int = 3) -> "RecordingFrame":
-        """Build a frame with components rounded to the serialized grid."""
-        return RecordingFrame(timestamp_us, sensor_id, seq, *map(nine_digits, q), status)
+        """Build a frame with components rounded to the serialized grid, all
+        four in one format pass."""
+        return RecordingFrame(timestamp_us, sensor_id, seq,
+                              *map(float, (_QUAD_FORMAT % q).split(",")), status)
 
 
 # The cells FrameOrder checks: timestamp_us, sensor_id, seq.

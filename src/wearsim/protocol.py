@@ -326,9 +326,9 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
 
     def arbitrated(source: str, start: float, dur: float, ch: int,
                    frame_type: str, sensor_id: int) -> TraceRow:
-        t = Burst(start, dur, source, CHANNEL_BANDS[ch])
         return TraceRow(start, dur, source, ch, "cw", frame_type, sensor_id,
-                        radio.arbitrate(t, field, (), p_floor, floor_rng))
+                        radio.arbitrate(start, dur, CHANNEL_BANDS[ch], field, (),
+                                        p_floor, floor_rng))
 
     def tx(*frame) -> str:
         row = arbitrated(*frame)
@@ -551,12 +551,15 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
             queue.append((seq, sampler(s, sched.now)))
             channel = csa1_next(channel, increment)
             start = sched.now
-            t = Burst(start, _BLE_TX_US, name, _BLE_BANDS[channel])
+            band = _BLE_BANDS[channel]
+            t = Burst(start, _BLE_TX_US, name, band)
             while ledger and ledger[0].start_us + ledger[0].duration_us <= start:
                 ledger.popleft()
             ledger.append(t)
             yield _BLE_TX_US
-            outcome = radio.arbitrate(t, field, ledger, p_floor, floor_rng)
+            outcome = radio.arbitrate(start, _BLE_TX_US, band, field,
+                                      [other for other in ledger if other is not t],
+                                      p_floor, floor_rng)
             trace.append(TraceRow(start, _BLE_TX_US, name, channel,
                                   "ble", "data", s, outcome))
             if outcome == radio.DELIVERED:

@@ -5,7 +5,7 @@ channels overlap). Interferers are renewal processes (Wi-Fi duty
 cycles) or periodic hoppers (Bluetooth); collisions are binary on any
 spectral-and-temporal overlap of nonzero measure. No capture effect,
 power, or distance modeling: crowdedness is expressed via duty cycles.
-A protocol frame and an interferer burst are one record, Burst.
+An interferer burst and a frame on the air are one record, Burst.
 
 The interference field is columnar and lazy. Each source draws its
 bursts in bulk as numpy columns (starts, durations, band edges), summed
@@ -22,10 +22,16 @@ burst columns. A field keeps its index, so one field can serve several
 sessions, until its owner calls drop(t): the intervals that end by t are
 freed, and a later query that starts before t raises.
 
+arbitrate takes a frame as its start, duration and band, and the other
+nodes' frames on the air as Bursts, so the cw loop builds no Burst.
+
 The event scheduler is single-threaded and fully deterministic. Its heap
 holds generator processes that yield microsecond delays; they resume in
-nondecreasing time, ties broken by (source id, order scheduled). A run
-ends at its horizon and closes every process still waiting.
+nondecreasing time, ties broken by (source id, order scheduled). A process
+whose next resume would be the next one popped resumes at once, without a
+heap push and pop; a lone process, as the cw master is, enters the heap
+only at the end of an advance step. A run ends at its horizon and closes
+every process still waiting.
 """
 
 from __future__ import annotations
@@ -471,19 +477,19 @@ class InterferenceField:
         return False
 
 
-def arbitrate(tx: Burst, field: InterferenceField,
-              node_txs: Sequence[Burst] = (),
+def arbitrate(start_us: float, duration_us: float, band: tuple[float, float],
+              field: InterferenceField, node_txs: Sequence[Burst] = (),
               p_floor: float = 0.0,
               floor_rng: np.random.Generator | None = None) -> str:
-    """Outcome of one transmission under the binary any-overlap rule."""
-    start, end = tx.start_us, tx.start_us + tx.duration_us
-    lo, hi = tx.band_mhz
-    if field.busy(tx.band_mhz, start, end):
+    """Outcome of one transmission under the binary any-overlap rule: it
+    collides with a field burst or another node's frame in node_txs that
+    overlaps it; only a frame clear of both draws the floor loss."""
+    end = start_us + duration_us
+    lo, hi = band
+    if field.busy(band, start_us, end):
         return COLLIDED
     for other in node_txs:
-        if other is tx:
-            continue
-        if (other.start_us < end and start < other.start_us + other.duration_us
+        if (other.start_us < end and start_us < other.start_us + other.duration_us
                 and other.band_mhz[0] < hi and lo < other.band_mhz[1]):
             return COLLIDED
     if p_floor > 0.0 and floor_rng is not None and float(floor_rng.random()) < p_floor:
@@ -502,22 +508,32 @@ class EventScheduler:
     def at(self, time_us: float, process: Generator[float, None, None],
            source: int = 0) -> None:
         """Resume process at time_us; ties run by source, then by order scheduled."""
-        if time_us < self.now:
+        if not time_us >= self.now:  # a NaN time fails it too
             raise ValueError(f"cannot schedule at {time_us} before now={self.now}")
         heapq.heappush(self._heap, (time_us, source, next(self._counter), process))
 
     def advance(self, t_us: float) -> None:
         """Run every resume up to t_us; the processes left stay scheduled,
-        so advancing in steps runs the same resumes as one run_until."""
+        so advancing in steps runs the same resumes as one run_until. A
+        process whose next resume is due by t_us and sorts before the heap's
+        top runs on at once, without a trip through the heap."""
         heap = self._heap
-        while heap and heap[0][0] <= t_us:
-            t, source, _, process = heapq.heappop(heap)
+        process = None
+        while process is not None or (heap and heap[0][0] <= t_us):
+            if process is None:
+                t, source, _, process = heapq.heappop(heap)
             self.now = t
             try:
-                delay = next(process)
+                next_t = t + next(process)
             except StopIteration:
+                process = None
                 continue
-            self.at(t + delay, process, source)
+            # A resume in the past, or at NaN, falls to at(), which refuses it.
+            if t <= next_t <= t_us and (not heap or (next_t, source) < heap[0][:2]):
+                t = next_t
+            else:
+                self.at(next_t, process, source)
+                process = None
 
     def run_until(self, t_end_us: float) -> None:
         """Run every resume up to t_end_us, then close the processes left."""

@@ -2,7 +2,11 @@
 
 Runs `simulate` on each bundled scenario, `analyze` and two `compare`
 reports on the crowded arm-raise run, and a three-seed `protocol-bench`
-of cw against the baseline, all in-process. The digests were taken
+of cw against the baseline, all in-process. Two more `simulate` runs take
+the crowded arm-raise scenario with a 5 % floor loss, on cw and on the
+baseline: no bundled scenario sets protocol.p_floor, and these pin the
+order of the floor draws; their digests were taken before arbitrate and
+the scheduler's resumes were rewritten. The other digests were taken
 before the trace rows, the radio-trace merge and the MAE alignment were
 rewritten, so a refactor that moves any byte fails here. A change that
 moves outputs on purpose regenerates them with `python3 tests/test_golden.py`.
@@ -46,6 +50,13 @@ def output_digests(work: Path) -> dict[str, str]:
             _run(["simulate", "--scenario", f"scenarios/{sc}.yaml", "--out", sc])
             dirs.append(sc)
         run = "arm_raise_crowded"
+        for kind in ("cw", "ble-baseline"):
+            cfg = yaml.safe_load(Path(f"scenarios/{run}.yaml").read_text())
+            cfg["protocol"].update(kind=kind, p_floor=0.05)
+            name = f"floor_{kind}"
+            Path(f"{name}.yaml").write_text(yaml.safe_dump(cfg))
+            _run(["simulate", "--scenario", f"{name}.yaml", "--out", name])
+            dirs.append(name)
         _run(["analyze", "--recording", f"{run}/recording.csv", "--out", "analysis"])
         truth = f"{run}/ground_truth_right_shoulder.csv"
         rec = f"{run}/recording.csv"
@@ -113,6 +124,20 @@ DIGESTS = {
     "jam_recovery/recording.csv": "05017286ed88c1e5ce41c2620e2618798b83b6a4f1ae96b9d9e24106ec95be20",
     "jam_recovery/session.json": "c48b5a17a6b4e604effc42d6bab6fec328c3a1aec1a9c4d78efd3e962af532d0",
     "jam_recovery/session_trace.csv": "292d206c170d769338d33fa487fc4bea7ddaa7f3d681a52346b31f47ddb56743",
+    "floor_cw/ground_truth_left_shoulder.csv": "b810d1b751aaddfc184e6e03a2f1dd47136e78ea17ad6686c5f3a45b23e3416a",
+    "floor_cw/ground_truth_right_shoulder.csv": "4be794021157b2495bb697ea9ce3cdffd9fb37bd325f083890790b48c838bac7",
+    "floor_cw/metrics.json": "cb1de9aa0da50a57f16cd11d85beb13ce97c0e5456357700cd63a4113afe5461",
+    "floor_cw/radio_trace.csv": "86f00ce6e66a1a65a15aa0296bf71fb410ba2127c4e26cce1f37d75e61224520",
+    "floor_cw/recording.csv": "8ebccfaa947a04f43c7915367280b5137c526a9ae7173fa91545f002d2979262",
+    "floor_cw/session.json": "75b042534c2c72e7f451fb2ec959156eb77451214c0159aa10e06e1e7fd1b4ae",
+    "floor_cw/session_trace.csv": "3ac49c0d8f291055f543f25ca26027a69f82b10d88757e91b5804e7eb3e6110b",
+    "floor_ble-baseline/ground_truth_left_shoulder.csv": "b810d1b751aaddfc184e6e03a2f1dd47136e78ea17ad6686c5f3a45b23e3416a",
+    "floor_ble-baseline/ground_truth_right_shoulder.csv": "4be794021157b2495bb697ea9ce3cdffd9fb37bd325f083890790b48c838bac7",
+    "floor_ble-baseline/metrics.json": "7381dec366fe82814d053c801b90fa545942519fcef6cde8e1daf0597db95f17",
+    "floor_ble-baseline/radio_trace.csv": "85c15d7517653df2a4e1b6ef2162d15aeb2ffd164759a89fd3e69fc600a93fa7",
+    "floor_ble-baseline/recording.csv": "905a0183d8f2d6aefebd74ee8b4a02b43544fc358fed59d794dbc5e98497c937",
+    "floor_ble-baseline/session.json": "2b981c56028e1e591b38a7a77d28e602a29da3495033361a4a922c36f2a20573",
+    "floor_ble-baseline/session_trace.csv": "418b5fc296ad6c01238cdb1f14b2cf810790d440a9805fb1f6d8fd18755cefec",
     "analysis/analysis.json": "0b5a298fec1506e72170f8ee3aae051a4cf1110d115e2d007cb20794a03e5ee2",
     "analysis/angles_left_shoulder.csv": "dc9220c2d631f21166c4024793f2c8b1f2a885bf8ec878ab4fe09c8879697951",
     "analysis/angles_right_shoulder.csv": "9788c5178db49507ead0e802cd65a28163e485a9e1a35961ca6c3a79b1834444",

@@ -213,13 +213,29 @@ class TestSensorReadings:
         r2 = body.reading(2, 1.0)
         assert r1 != r2
 
+    @pytest.mark.parametrize("noise", [NoiseModel.zero(), NoiseModel(seed=3)])
+    def test_reading_out_of_range_t(self, noise):
+        body = SyntheticBody(elbow_spec(Constant(0.0), duration=2.0), self.skel,
+                             self.placement, noise)
+        for t in (-0.1, 2.1, math.nan):
+            for sensor in (1, 5):
+                with pytest.raises(ValueError, match="outside trajectory"):
+                    body.reading(sensor, t)
+
+    def test_unmoved_bone_reads_at_rest_speed(self):
+        # The spine's chain holds no tracked joint: its speed is 0 at any t.
+        body = SyntheticBody(elbow_spec(Sinusoid(45.0, 45.0, 2.0)), self.skel,
+                             self.placement, NoiseModel.zero())
+        assert body._angular_speed(body._chain[sk.BoneId.SPINE], 0.3) == 0.0
+        assert body._angular_speed(body._chain[sk.BoneId.FOREARM_R], 0.3) > 0.0
+
     def test_angular_speed_matches_analytic(self):
         # theta(t) = 45 - 45 cos(2 pi t / 2): |dtheta/dt| = 45 pi |sin(pi t)|
         s = Sinusoid(45.0, 45.0, 2.0, phase_rad=-math.pi / 2)
         body = SyntheticBody(elbow_spec(s), self.skel, self.placement,
                              NoiseModel.zero())
         for t in (0.3, 0.5, 0.9, 1.4):
-            w = body.angular_speed(sk.BoneId.FOREARM_R, t)
+            w = body._angular_speed(body._chain[sk.BoneId.FOREARM_R], t)
             expect = abs(45.0 * math.pi * math.sin(math.pi * t))
             assert w == pytest.approx(expect, rel=0.01, abs=0.05)
 

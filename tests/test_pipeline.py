@@ -14,7 +14,8 @@ from wearsim import pipeline as pl
 from wearsim import quatmath as qm
 from wearsim import skeleton as sk
 from wearsim.cli import BENCH_CSV, RATES_CSV
-from wearsim.pipeline import ParseError, RecordingFrame, ValidationError, _cell
+from wearsim.pipeline import (ParseError, RecordingFrame, ValidationError, _cell,
+                              nine_digits)
 from wearsim.protocol import TraceRow
 from wearsim.quatmath import Quaternion
 from wearsim.runner import RADIO_TRACE_CSV, SESSION_TRACE_CSV
@@ -34,6 +35,13 @@ class TestRecordingFrame:
         f = frame(0, 1, 1, q)
         for c in (f.qw, f.qx, f.qy, f.qz):
             assert float(f"{c:.9g}") == c
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda c: sum(x * x for x in c) > 1e-6).map(lambda c: Quaternion(*c)))
+    def test_quantized_components_are_the_cells_grid(self, q):
+        # One format pass for all four components lands on nine_digits' grid.
+        assert frame(0, 1, 1, q)[3:7] == tuple(map(nine_digits, q))
 
     def test_unit_enforced(self):
         with pytest.raises(ValueError):

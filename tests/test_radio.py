@@ -1,5 +1,6 @@
 """2.4 GHz band model: channels, interferers, arbitration, scheduler."""
 
+import heapq
 import json
 import math
 import tracemalloc
@@ -476,42 +477,109 @@ class TestInterferenceField:
         assert not InterferenceField([]).busy((2400.0, 2480.0), 0.0, 1e9)
 
 
+def arbitrate(tx, field, **kwargs):
+    return radio.arbitrate(tx.start_us, tx.duration_us, tx.band_mhz, field, **kwargs)
+
+
 class TestArbitrate:
     def test_lone_delivery(self):
         tx = make_tx(37, 1000.0, 128.0)
-        assert radio.arbitrate(tx, InterferenceField([])) == "delivered"
+        assert arbitrate(tx, InterferenceField([])) == "delivered"
 
     def test_inside_burst_collides(self):
         burst = Burst(900.0, 1000.0, "wifi:6", band_mhz=(2426.0, 2448.0))
         tx = make_tx(37, 1000.0, 128.0)
-        assert radio.arbitrate(tx, InterferenceField([burst])) == "collided"
+        assert arbitrate(tx, InterferenceField([burst])) == "collided"
 
     def test_one_microsecond_tail_overlap_collides(self):
         # Burst ends 1 us into the packet.
         burst = Burst(0.0, 1001.0, "wifi:6", band_mhz=(2426.0, 2448.0))
         tx = make_tx(37, 1000.0, 128.0)
-        assert radio.arbitrate(tx, InterferenceField([burst])) == "collided"
+        assert arbitrate(tx, InterferenceField([burst])) == "collided"
 
     def test_touching_delivers(self):
         burst = Burst(0.0, 1000.0, "wifi:6", band_mhz=(2426.0, 2448.0))
         tx = make_tx(37, 1000.0, 128.0)
-        assert radio.arbitrate(tx, InterferenceField([burst])) == "delivered"
+        assert arbitrate(tx, InterferenceField([burst])) == "delivered"
 
     def test_node_collision(self):
         a = make_tx(37, 1000.0, 128.0, source="a")
         b = make_tx(37, 1100.0, 128.0, source="b")
-        assert radio.arbitrate(a, InterferenceField([]), node_txs=[a, b]) == "collided"
+        assert arbitrate(a, InterferenceField([]), node_txs=[b]) == "collided"
 
     def test_node_on_other_channel_ok(self):
         a = make_tx(37, 1000.0, 128.0, source="a")
         b = make_tx(60, 1100.0, 128.0, source="b")
-        assert radio.arbitrate(a, InterferenceField([]), node_txs=[a, b]) == "delivered"
+        assert arbitrate(a, InterferenceField([]), node_txs=[b]) == "delivered"
+
+    def test_floor_draw_only_when_clear(self):
+        burst = Burst(0.0, 2000.0, "wifi:6", band_mhz=(2426.0, 2448.0))
+        rng = np.random.default_rng(5)
+        tx = make_tx(37, 1000.0, 128.0)
+        assert arbitrate(tx, InterferenceField([burst]), p_floor=1.0,
+                         floor_rng=rng) == "collided"
+        assert arbitrate(make_tx(60, 1000.0, 128.0), InterferenceField([burst]), p_floor=1.0,
+                         floor_rng=rng) == "floor-lost"
+        assert rng.random() == np.random.default_rng(5).random(2)[1]
 
 
 def record(seen, name):
     """A process that appends name when it first runs, then ends."""
     seen.append(name)
     yield from ()
+
+
+class HeapScheduler(EventScheduler):
+    """The reference scheduler: every resume goes through the heap."""
+
+    def advance(self, t_us):
+        heap = self._heap
+        while heap and heap[0][0] <= t_us:
+            t, source, _, process = heapq.heappop(heap)
+            self.now = t
+            try:
+                delay = next(process)
+            except StopIteration:
+                continue
+            self.at(t + delay, process, source)
+
+
+def replay(cls, starts, steps, end):
+    """The (process, now) of each resume and the scheduler's now after each
+    advance step, on a scheduler of class cls. starts holds each process's
+    (first resume, source, delays)."""
+    sched = cls()
+    seen = []
+
+    def proc(i, delays):
+        for delay in delays:
+            seen.append((i, sched.now))
+            yield delay
+        seen.append((i, sched.now))
+
+    for i, (start, source, delays) in enumerate(starts):
+        sched.at(start, proc(i, delays), source)
+    nows = []
+    for step in steps:
+        sched.advance(step)
+        nows.append((sched.now, len(seen)))
+    sched.run_until(end)
+    return seen, nows, sched.now
+
+
+# Whole and half microseconds with zeros, so resumes tie across sources and
+# advance steps end exactly on resume times.
+_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4).map(float), st.integers(0, 2),
+                          st.lists(_DELAYS, max_size=8)), min_size=1, max_size=5),
+       st.lists(st.integers(0, 24).map(float), max_size=6).map(sorted),
+       st.integers(0, 30).map(float))
+def test_direct_resumes_match_the_heap(starts, steps, end):
+    assert replay(EventScheduler, starts, steps, end) == \
+        replay(HeapScheduler, starts, steps, end)
 
 
 class TestScheduler:
@@ -539,6 +607,45 @@ class TestScheduler:
         sched.run_until(50.0)
         with pytest.raises(ValueError):
             sched.at(10.0, record([], "late"))
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="cannot schedule at nan"):
+            EventScheduler().at(math.nan, record([], "never"))
+
+    # Alone or with another resume pending, the advance bound far or exactly
+    # at the bad resume: a negative delay sorts first within the bound, where
+    # a direct resume would take it; a NaN one goes to the heap.
+    @pytest.mark.parametrize("bound", [5.0, 100.0])
+    @pytest.mark.parametrize("other", [None, (5.0, 1), (50.0, 0)])
+    @pytest.mark.parametrize("delay", [-1.0, math.nan])
+    def test_bad_delay_rejected(self, bound, other, delay):
+        sched = EventScheduler()
+
+        def proc():
+            yield 5.0
+            yield delay
+
+        sched.at(0.0, proc())
+        if other is not None:
+            sched.at(other[0], record([], "other"), other[1])
+        with pytest.raises(ValueError, match="cannot schedule"):
+            sched.advance(bound)
+
+    def test_lone_process_stays_out_of_the_heap_within_a_step(self):
+        sched = EventScheduler()
+        pushes = []
+        at = sched.at
+        sched.at = lambda *args: pushes.append(args[0]) or at(*args)
+
+        def proc():
+            while True:
+                yield 10.0
+
+        sched.at(0.0, proc())
+        sched.advance(95.0)
+        sched.advance(200.0)
+        assert pushes == [0.0, 100.0, 200.0 + 10.0]
+        assert sched.now == 200.0
 
     def test_generator_process(self):
         sched = EventScheduler()
