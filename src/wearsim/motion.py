@@ -330,7 +330,7 @@ def _half_jacks(sensors: int = 10, duration_s: float = 10.0):
 
 def _arm_raise(duration_s: float = 10.0):
     if duration_s < 2.0:
-        raise ValueError("arm-raise needs at least one 2 s cycle")
+        raise ValueError(f"arm-raise needs duration_s of at least one 2 s cycle, got {duration_s}")
     left_pts, right_pts = [], []
     k = 0.0
     while k + 2.0 <= duration_s + 1e-9:

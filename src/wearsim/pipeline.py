@@ -30,8 +30,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from array import array
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
@@ -46,8 +47,8 @@ from .skeleton import (CalibrationRecord, JointSpec, Skeleton, animate_frame,
                        sensor_poses)
 
 _UNIT_TOL = 1e-6
-# Width of the sliding window of rate_series, and the step between the
-# window ends it evaluates.
+# Width of the sliding rate window, and the step between the window ends
+# that RateWindows counts.
 RATE_WINDOW_US = 1_000_000
 RATE_STEP_US = 100_000
 # pearson brings each series under 2**_PEARSON_EXP, so that its squared
@@ -415,27 +416,52 @@ def pearson(a: AngleSeries, b: AngleSeries) -> float:
     return _finite(cov / math.sqrt(var_a * var_b), "Pearson correlation")
 
 
+class RateWindows:
+    """One sensor's sliding half-open rate window [t - 1 s, t) at every
+    t = first timestamp + 1 s + k * 0.1 s, counted as the timestamps arrive
+    in order. It keeps the first and last timestamp, how many arrived (n),
+    the timestamps a later window can still hold and the fewest timestamps
+    any counted window held (None before the first)."""
+
+    def __init__(self) -> None:
+        self.first = self.last = self.n = 0
+        self.fewest: int | None = None
+        self._held = array("q")
+        self._next_end: float = math.inf  # the first timestamp sets it
+
+    def add(self, ts: int) -> None:
+        """One more timestamp, no earlier than the last."""
+        if not self.n:
+            self.first, self._next_end = ts, ts + RATE_WINDOW_US
+        self._held.append(ts)
+        self.last = ts
+        self.n += 1
+
+    def windows(self, end: int) -> list[tuple[int, int]]:
+        """The windows not counted yet that end at or before end, as (window
+        end, timestamps in it); no timestamp that arrives later may fall in
+        them. The timestamps no later window holds are dropped."""
+        held, t = self._held, self._next_end
+        counted = []
+        while t <= end:
+            counted.append((t, bisect_left(held, t) - bisect_left(held, t - RATE_WINDOW_US)))
+            t += RATE_STEP_US
+        self._next_end = t
+        for _, n in counted:
+            if self.fewest is None or n < self.fewest:
+                self.fewest = n
+        del held[:bisect_left(held, t - RATE_WINDOW_US)]
+        return counted
+
+
 def rate_series(frames: Sequence[RecordingFrame],
                 end_us: int | None = None) -> dict[int, list[tuple[int, float]]]:
-    """Per-sensor delivery rate in Hz over a sliding half-open 1 s window.
-
-    The window [t - 1 s, t) is evaluated every 0.1 s from first timestamp
-    + 1 s up to end_us (default: that sensor's last timestamp).
-    """
-    per_sensor: dict[int, list[int]] = {}
+    """Per-sensor delivery rate in Hz over a sliding half-open 1 s window,
+    from frames in timestamp order: the window [t - 1 s, t) every 0.1 s from
+    first timestamp + 1 s up to end_us (default: that sensor's last one)."""
+    counters: defaultdict[int, RateWindows] = defaultdict(RateWindows)
     for f in frames:
-        per_sensor.setdefault(f.sensor_id, []).append(f.timestamp_us)
-    return {sensor: window_rates(sorted(ts), end_us)
-            for sensor, ts in sorted(per_sensor.items())}
-
-
-def window_rates(ts: Sequence[int], end_us: int | None = None) -> list[tuple[int, float]]:
-    """rate_series of one sensor, from its timestamps in order (at least one)."""
-    end = ts[-1] if end_us is None else end_us
-    series: list[tuple[int, float]] = []
-    t = ts[0] + RATE_WINDOW_US
-    while t <= end:
-        count = bisect_left(ts, t) - bisect_left(ts, t - RATE_WINDOW_US)
-        series.append((t, count * 1e6 / RATE_WINDOW_US))
-        t += RATE_STEP_US
-    return series
+        counters[f.sensor_id].add(f.timestamp_us)
+    return {sensor: [(t, n * 1e6 / RATE_WINDOW_US)
+                     for t, n in c.windows(c.last if end_us is None else end_us)]
+            for sensor, c in sorted(counters.items())}

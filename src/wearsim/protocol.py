@@ -10,7 +10,10 @@ channels after the resync timeout.
 
 A connection-based baseline in the style of a BLE link layer runs the
 same sensors as independent links with per-event retries and supervision
-resets; it is the comparison point for the polling design.
+resets; it is the comparison point for the polling design. Its frames
+can overlap one another, so it judges that itself before radio.arbitrate,
+keeping each frame's start and channel for two air times: a frame that
+overlaps it starts within one and is judged at its own end.
 
 All state advances through the discrete-event scheduler in radio.py, so
 two runs with equal seeds produce byte-identical results.
@@ -29,9 +32,7 @@ decrease and each sensor's seq strictly increases.
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
@@ -40,10 +41,9 @@ from . import radio
 from . import randomness as rnd
 # rate_series is not called here, but perfbench's span table resolves
 # protocol.rate_series: a traced run raises KeyError without the name.
-from .pipeline import (RATE_STEP_US, RATE_WINDOW_US, FrameOrder, RecordingFrame,
-                       rate_series)
+from .pipeline import RATE_WINDOW_US, FrameOrder, RateWindows, RecordingFrame, rate_series
 from .quatmath import Quaternion
-from .radio import CHANNEL_BANDS, DATA_CHANNELS, SYNC_CHANNELS, Burst, InterferenceField
+from .radio import CHANNEL_BANDS, DATA_CHANNELS, SYNC_CHANNELS, InterferenceField
 
 Sampler = Callable[[int, float], Quaternion]
 
@@ -327,7 +327,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     def arbitrated(source: str, start: float, dur: float, ch: int,
                    frame_type: str, sensor_id: int) -> TraceRow:
         return TraceRow(start, dur, source, ch, "cw", frame_type, sensor_id,
-                        radio.arbitrate(start, dur, CHANNEL_BANDS[ch], field, (),
+                        radio.arbitrate(start, dur, CHANNEL_BANDS[ch], field,
                                         p_floor, floor_rng))
 
     def tx(*frame) -> str:
@@ -531,7 +531,8 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     trace: list[TraceRow] = []
     host_dropped = {s: 0 for s in ids}
     resyncs = 0
-    ledger: deque[Burst] = deque()
+    # (start, channel) of each frame that can still overlap one not judged yet.
+    on_air: deque[tuple[float, int]] = deque()
     floor_rng = rnd.stream(seed, rnd.FLOOR) if p_floor > 0 else None
 
     def node(s: int):
@@ -551,15 +552,19 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
             queue.append((seq, sampler(s, sched.now)))
             channel = csa1_next(channel, increment)
             start = sched.now
-            band = _BLE_BANDS[channel]
-            t = Burst(start, _BLE_TX_US, name, band)
-            while ledger and ledger[0].start_us + ledger[0].duration_us <= start:
-                ledger.popleft()
-            ledger.append(t)
+            # A frame that overlaps a kept one starts before that one ends and
+            # is judged at its own end, within two air times of the kept start.
+            while on_air and on_air[0][0] + 2 * _BLE_TX_US <= start:
+                on_air.popleft()
+            on_air.append((start, channel))
             yield _BLE_TX_US
-            outcome = radio.arbitrate(start, _BLE_TX_US, band, field,
-                                      [other for other in ledger if other is not t],
-                                      p_floor, floor_rng)
+            # This frame is one of the frames that overlap it on its channel.
+            if sum(c == channel and o < start + _BLE_TX_US and start < o + _BLE_TX_US
+                   for o, c in on_air) > 1:
+                outcome = radio.COLLIDED
+            else:
+                outcome = radio.arbitrate(start, _BLE_TX_US, _BLE_BANDS[channel], field,
+                                          p_floor, floor_rng)
             trace.append(TraceRow(start, _BLE_TX_US, name, channel,
                                   "ble", "data", s, outcome))
             if outcome == radio.DELIVERED:
@@ -603,7 +608,6 @@ _OUTCOME_KEYS = {radio.DELIVERED: "delivered", radio.COLLIDED: "collided",
 # The cells of a trace row that the session tallies count by.
 _TALLY_KEY = itemgetter(2, 5, 6, 7)  # source, frame_type, sensor_id, outcome
 _SAMPLE_FRAMES = ("response", "data")
-_STAMP_CELLS = itemgetter(0, 1)  # timestamp_us, sensor_id
 
 
 def _ledger(tally: Counter) -> dict[str, dict[str, int]]:
@@ -622,73 +626,39 @@ def source_counts(trace: Sequence[TraceRow]) -> dict[str, dict[str, int]]:
     return _ledger(Counter(map(_TALLY_KEY, trace)))
 
 
-class _WindowCount:
-    """The windows of pipeline.window_rates over one sensor's timestamps,
-    counted as the timestamps arrive: its first timestamp, how many
-    timestamps were dropped, the end of the next window to count and the
-    fewest timestamps any counted window held."""
-
-    __slots__ = ("first", "dropped", "next_end", "fewest")
-
-    def __init__(self, first: int) -> None:
-        self.first, self.dropped = first, 0
-        self.next_end, self.fewest = first + RATE_WINDOW_US, None
-
-    def count(self, ts: array, end: int) -> None:
-        """Count the windows that end at or before end, where ts holds
-        every timestamp below end that they can hold; then drop from ts the
-        timestamps no later window holds, but never the last."""
-        t = self.next_end
-        while t <= end:
-            n = bisect_left(ts, t) - bisect_left(ts, t - RATE_WINDOW_US)
-            if self.fewest is None or n < self.fewest:
-                self.fewest = n
-            t += RATE_STEP_US
-        self.next_end = t
-        k = min(bisect_left(ts, t - RATE_WINDOW_US), len(ts) - 1)
-        self.dropped += k
-        del ts[:k]
-
-
 class SessionFold:
     """The tallies of session_metrics, folded over the rows and frames of
     a session that ends at end_us as they arrive in session order, a batch
     at a time. Rows are counted by (source, frame_type, sensor_id,
-    outcome). Each sensor's timestamps are counted into its sliding windows
-    once no later frame can fall in them, so a sensor keeps only about the
-    last second of them. Frames are checked as they come: timestamps never
-    decrease and each sensor's seq strictly increases, or ValidationError
-    names the sensor and the seq.
+    outcome). Each sensor's timestamps go to its pipeline.RateWindows, which
+    counts a window once no later frame can fall in it, so a sensor keeps
+    only about the last second of them. Frames are checked as they come:
+    timestamps never decrease and each sensor's seq strictly increases, or
+    ValidationError names the sensor and the seq.
     """
 
     def __init__(self, end_us: float) -> None:
         self._tally: Counter = Counter()
         self._end = int(end_us)
-        self._stamps: dict[int, array] = {}
-        self._windows: dict[int, _WindowCount] = {}
+        self._rates: defaultdict[int, RateWindows] = defaultdict(RateWindows)
         self._order = FrameOrder()
 
     def add(self, rows: Sequence[TraceRow], frames: Sequence[RecordingFrame]) -> None:
         self._tally.update(map(_TALLY_KEY, rows))
         self._order.check(frames)
-        stamps = self._stamps
-        for ts, sensor in map(_STAMP_CELLS, frames):
-            if sensor in stamps:
-                stamps[sensor].append(ts)
-            else:
-                stamps[sensor] = array("q", (ts,))
-                self._windows[sensor] = _WindowCount(ts)
+        for f in frames:
+            self._rates[f.sensor_id].add(f.timestamp_us)
         # Timestamps never decrease: a window that ends at or before the
         # last one is complete.
-        for sensor, ts in stamps.items():
-            self._windows[sensor].count(ts, min(ts[-1], self._end))
+        for counter in self._rates.values():
+            counter.windows(min(counter.last, self._end))
 
     def metrics(self, result: SessionResult) -> dict:
         """The summary of the session whose rows and frames were folded.
 
         Mean rate is (n-1)/span of each sensor's recorded frames; the
         minimum window rate slides a 1 s half-open window from the first
-        delivery to the session end, as pipeline.window_rates does.
+        delivery to the session end, as pipeline.rate_series does.
         """
         sent: Counter = Counter()
         delivered: Counter = Counter()
@@ -700,19 +670,16 @@ class SessionFold:
         per_sensor: dict[str, dict] = {}
         lasts = []
         for s in result.roster:
-            ts = self._stamps.get(s)
+            counter = self._rates.get(s)
             recorded, mean, min_window = 0, 0.0, 0.0
-            if ts:
-                window = self._windows[s]
-                recorded = window.dropped + len(ts)
-                if recorded >= 2:
-                    span = (ts[-1] - window.first) / 1e6
-                    if span > 0:
-                        mean = (recorded - 1) / span
-                window.count(ts, self._end)
-                min_window = (float(recorded) if window.fewest is None
-                              else window.fewest * 1e6 / RATE_WINDOW_US)
-                lasts.append(ts[-1])
+            if counter is not None:
+                recorded = counter.n
+                if counter.last > counter.first:
+                    mean = (recorded - 1) / ((counter.last - counter.first) / 1e6)
+                counter.windows(self._end)
+                min_window = (float(recorded) if counter.fewest is None
+                              else counter.fewest * 1e6 / RATE_WINDOW_US)
+                lasts.append(counter.last)
             per_sensor[str(s)] = {
                 "recorded": recorded,
                 "sent": sent[s],

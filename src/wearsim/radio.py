@@ -5,7 +5,7 @@ channels overlap). Interferers are renewal processes (Wi-Fi duty
 cycles) or periodic hoppers (Bluetooth); collisions are binary on any
 spectral-and-temporal overlap of nonzero measure. No capture effect,
 power, or distance modeling: crowdedness is expressed via duty cycles.
-An interferer burst and a frame on the air are one record, Burst.
+An interferer burst is a Burst; protocol frames are trace rows.
 
 The interference field is columnar and lazy. Each source draws its
 bursts in bulk as numpy columns (starts, durations, band edges), summed
@@ -22,8 +22,9 @@ burst columns. A field keeps its index, so one field can serve several
 sessions, until its owner calls drop(t): the intervals that end by t are
 freed, and a later query that starts before t raises.
 
-arbitrate takes a frame as its start, duration and band, and the other
-nodes' frames on the air as Bursts, so the cw loop builds no Burst.
+arbitrate judges a frame, given as its start, duration and band, against
+the field and the floor loss only; a protocol whose own nodes can overlap
+(the BLE baseline) judges that overlap itself, before it calls arbitrate.
 
 The event scheduler is single-threaded and fully deterministic. Its heap
 holds generator processes that yield microsecond delays; they resume in
@@ -80,8 +81,8 @@ def wifi_band_mhz(wifi_channel: int) -> tuple[float, float]:
 
 
 class Burst(NamedTuple):
-    """A source on a band from start_us to start_us + duration_us: a
-    protocol frame or an interferer burst. Fields 0 and 2 as in TraceRow."""
+    """An interferer's burst on a band from start_us to start_us +
+    duration_us; not a protocol frame. Fields 0 and 2 as in TraceRow."""
 
     start_us: float
     duration_us: float
@@ -478,20 +479,14 @@ class InterferenceField:
 
 
 def arbitrate(start_us: float, duration_us: float, band: tuple[float, float],
-              field: InterferenceField, node_txs: Sequence[Burst] = (),
-              p_floor: float = 0.0,
+              field: InterferenceField, p_floor: float = 0.0,
               floor_rng: np.random.Generator | None = None) -> str:
-    """Outcome of one transmission under the binary any-overlap rule: it
-    collides with a field burst or another node's frame in node_txs that
-    overlaps it; only a frame clear of both draws the floor loss."""
-    end = start_us + duration_us
-    lo, hi = band
-    if field.busy(band, start_us, end):
+    """Outcome of one transmission against the field only, under the binary
+    any-overlap rule: it collides with a field burst that overlaps it, and
+    only a frame clear of the field draws the floor loss. A protocol whose
+    own frames can overlap (the BLE baseline) judges that first."""
+    if field.busy(band, start_us, start_us + duration_us):
         return COLLIDED
-    for other in node_txs:
-        if (other.start_us < end and start_us < other.start_us + other.duration_us
-                and other.band_mhz[0] < hi and lo < other.band_mhz[1]):
-            return COLLIDED
     if p_floor > 0.0 and floor_rng is not None and float(floor_rng.random()) < p_floor:
         return FLOOR_LOST
     return DELIVERED

@@ -1,5 +1,6 @@
 """Module boundaries: no module reaches into a sibling module's private names,
-and no public name of the library is there only for the tests."""
+no public name of the library is there only for the tests, and no module
+imports a name it does not use."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wearsim"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def private_uses(source: str) -> list[str]:
@@ -59,16 +61,24 @@ def code_names(tree: ast.AST) -> list[tuple[int, str]]:
             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
 
 
-def span_target_names(source: str) -> set[str]:
-    """Each dotted part of the strings in a span table: TARGETS = (...)."""
-    names: set[str] = set()
+def span_targets(source: str) -> tuple[tuple[str, str, str], ...]:
+    """A span table, TARGETS = ((span, module, dotted path in module), ...)."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
-            for const in ast.walk(node.value):
-                if isinstance(const, ast.Constant) and isinstance(const.value, str):
-                    names.update(const.value.split("."))
-    return names
+            return ast.literal_eval(node.value)
+    return ()
+
+
+def span_target_names(source: str) -> set[str]:
+    """Each dotted part of the strings in a span table."""
+    return {part for entry in span_targets(source) for text in entry
+            for part in text.split(".")}
+
+
+def span_target_pairs(source: str) -> set[tuple[str, str]]:
+    """(module, name) of each name a span table looks up in a module."""
+    return {(module, path.split(".")[0]) for _, module, path in span_targets(source)}
 
 
 def orphans(library: dict[str, str], outside: set[str]) -> list[str]:
@@ -96,7 +106,7 @@ def orphans(library: dict[str, str], outside: set[str]) -> list[str]:
 
 def test_no_public_helper_only_tests_call():
     # Besides the library itself, perfbench and the acceptance suite may call it.
-    outside = span_target_names((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    outside = span_target_names(SPANS.read_text(encoding="utf-8"))
     callers = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
     for path in callers:
         outside.update(used for _, used in code_names(ast.parse(path.read_text(encoding="utf-8"))))
@@ -119,3 +129,52 @@ def test_the_orphan_check_sees_a_lone_method():
     assert orphans(library, set()) == ["skeleton.py: Placement.sensor_on",
                                        "pipeline.py: analyze"]
     assert orphans(library, {"analyze"}) == ["skeleton.py: Placement.sensor_on"]
+
+
+def unused_imports(source: str, module: str, resolved: set[tuple[str, str]]) -> list[str]:
+    """The names source imports and its code never uses, as 'line N: name',
+    except a (module, name) pair in resolved. Docstrings and other strings
+    are not code; `from __future__` imports bind no name."""
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name not in used and (module, name) not in resolved]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # perfbench's span table looks some names up in a module that does not
+    # call them (pipeline.animate_frame, protocol.rate_series,
+    # runner.session_metrics and runner.write_recording).
+    resolved = span_target_pairs(SPANS.read_text(encoding="utf-8"))
+    assert unused_imports(path.read_text(encoding="utf-8"), path.stem, resolved) == []
+
+
+def test_the_unused_import_check_sees_each_form():
+    source = ("from __future__ import annotations\n"
+              "import math\n"
+              "import numpy as np\n"
+              "import os.path\n"
+              "from array import array\n"
+              "from bisect import bisect_left\n"
+              "from . import radio, runner\n"
+              "from .pipeline import RATE_STEP_US, RATE_WINDOW_US, rate_series\n"
+              "from .radio import Burst, InterferenceField as Field\n"
+              "def run(field: Field) -> str:\n"
+              "    \"\"\"Names Burst and array only in a docstring.\"\"\"\n"
+              "    return radio.arbitrate(np.zeros(RATE_WINDOW_US), math.pi, os.sep)\n")
+    resolved = {("protocol", "rate_series")}
+    assert unused_imports(source, "protocol", resolved) == [
+        "line 5: array", "line 6: bisect_left", "line 7: runner", "line 8: RATE_STEP_US",
+        "line 9: Burst"]
+    assert unused_imports(source, "cli", resolved)[-2:] == ["line 8: rate_series",
+                                                            "line 9: Burst"]

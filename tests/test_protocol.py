@@ -6,6 +6,8 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wearsim import protocol as pr
 from wearsim import radio
@@ -335,6 +337,74 @@ class TestBleBaseline:
         assert res.frames
         ts = [f.timestamp_us for f in res.frames]
         assert ts == sorted(ts)
+
+
+def overlapping_pairs(trace):
+    """Each pair of rows whose air times overlap, the earlier first. Brute
+    force over the rows in time order."""
+    rows = sorted(trace, key=lambda r: r.time_us)
+    pairs = []
+    for i, a in enumerate(rows):
+        for b in rows[i + 1:]:
+            if b.time_us >= a.time_us + a.duration_us:
+                break
+            pairs.append((a, b))
+    return pairs
+
+
+def same_channel_clashes(trace):
+    """The rows that another row overlaps on their channel."""
+    return {r for pair in overlapping_pairs(trace) if pair[0].channel == pair[1].channel
+            for r in pair}
+
+
+class TestBaselineCollisions:
+    """The baseline judges its own frames' overlaps before radio.arbitrate."""
+
+    def test_seed_155_collides_both_frames(self):
+        # Sensor 1's frame at 227432.05 us starts after sensor 4's has ended
+        # but before sensor 2's, which overlaps it, is judged at its end.
+        res = ble_baseline_run([1, 2, 3, 4, 5], 10.0, flat_sampler, CLEAN, seed=155)
+        rows = [(r.sensor_id, round(r.time_us, 2), r.channel, r.outcome)
+                for r in res.trace if 227_000 < r.time_us < 227_500]
+        assert rows == [(4, 227224.44, 10, "collided"), (2, 227344.43, 10, "collided"),
+                        (1, 227432.05, 2, "delivered")]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.integers(1, 12), min_size=2, max_size=5, unique=True))
+    @example(155, [1, 2, 3, 4, 5])
+    def test_overlap_on_one_channel_collides_both(self, seed, roster):
+        # On a clean band without floor loss a frame collides exactly when
+        # another frame overlaps it on its channel.
+        res = ble_baseline_run(roster, 3.0, flat_sampler, CLEAN, seed=seed)
+        collided = {r for r in res.trace if r.outcome == radio.COLLIDED}
+        assert collided == same_channel_clashes(res.trace)
+
+    def test_adjacent_channels_do_not_collide(self):
+        # BLE data channels 2 MHz apart have bands that only touch.
+        touching = []
+        for seed in range(3):
+            res = ble_baseline_run([1, 2, 3, 4, 5], 10.0, flat_sampler, CLEAN, seed=seed)
+            clashes = same_channel_clashes(res.trace)
+            touching += [r for a, b in overlapping_pairs(res.trace)
+                         if abs(pr.ble_center_mhz(a.channel) - pr.ble_center_mhz(b.channel)) == 2
+                         for r in (a, b) if r not in clashes]
+        assert len(touching) > 10
+        assert {r.outcome for r in touching} == {radio.DELIVERED}
+
+    def test_floor_draw_only_when_clear(self):
+        # A frame that another node or the field blocks draws no floor loss,
+        # so the frames clear of both take the floor stream's draws in order.
+        # Seed 8 has frames of both kinds.
+        field = crowded_field(8, 10.0)
+        res = ble_baseline_run([1, 2, 3, 4, 5], 10.0, flat_sampler, field, seed=8, p_floor=0.3)
+        collided = {r for r in res.trace if r.outcome == radio.COLLIDED}
+        node_blocked = same_channel_clashes(res.trace)
+        assert node_blocked and node_blocked <= collided and collided - node_blocked
+        clear = [r for r in res.trace if r not in collided]
+        draws = rnd.stream(8, rnd.FLOOR).random(len(clear))
+        assert [r.outcome == radio.FLOOR_LOST for r in clear] == [d < 0.3 for d in draws]
 
 
 class TestMetrics:

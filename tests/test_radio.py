@@ -502,16 +502,6 @@ class TestArbitrate:
         tx = make_tx(37, 1000.0, 128.0)
         assert arbitrate(tx, InterferenceField([burst])) == "delivered"
 
-    def test_node_collision(self):
-        a = make_tx(37, 1000.0, 128.0, source="a")
-        b = make_tx(37, 1100.0, 128.0, source="b")
-        assert arbitrate(a, InterferenceField([]), node_txs=[b]) == "collided"
-
-    def test_node_on_other_channel_ok(self):
-        a = make_tx(37, 1000.0, 128.0, source="a")
-        b = make_tx(60, 1100.0, 128.0, source="b")
-        assert arbitrate(a, InterferenceField([]), node_txs=[b]) == "delivered"
-
     def test_floor_draw_only_when_clear(self):
         burst = Burst(0.0, 2000.0, "wifi:6", band_mhz=(2426.0, 2448.0))
         rng = np.random.default_rng(5)

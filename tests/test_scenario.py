@@ -243,6 +243,7 @@ class TestOverrideProperty:
     @example(preset="half-jacks", params={"duration_s": -1})
     @example(preset="artificial-joint", params={"angle_deg": 30, "dwell_s": 0})
     @example(preset="artificial-joint", params={"angle_deg": 30, "dwell_s": 1e-4})
+    @example(preset="arm-raise", params={"duration_s": 1.0})
     def test_motion_params(self, preset, params):
         config = {"motion": {"preset": preset, "params": params}}
         parse_and_build(config)

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from wearsim import protocol as pr
 from wearsim import radio, runner
-from wearsim.pipeline import (RecordingFrame, ValidationError, joint_angle_series,
-                              read_recording, window_rates, write_csv, write_json,
+from wearsim.pipeline import (RateWindows, RecordingFrame, ValidationError,
+                              joint_angle_series, read_recording, write_csv, write_json,
                               write_recording)
 from wearsim.protocol import SessionResult, TraceRow, session_metrics
 from wearsim.radio import Burst, EventScheduler, InterferenceField
@@ -224,6 +224,17 @@ def sensor_streams(draw):
     return batches, end
 
 
+def brute_windows(ts, end):
+    """(t, count) of each window [t - 1 s, t) for t = ts[0] + 1 s + k * 0.1 s
+    up to end, each counted over all of ts."""
+    out = []
+    t = ts[0] + 1_000_000
+    while t <= end:
+        out.append((t, sum(t - 1_000_000 <= x < t for x in ts)))
+        t += 100_000
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(sensor_streams())
 def test_fold_rates_equal_window_rates_over_all_timestamps(stream):
@@ -240,12 +251,42 @@ def test_fold_rates_equal_window_rates_over_all_timestamps(stream):
             mean = (len(ts) - 1) / ((ts[-1] - ts[0]) / 1e6)
         low = 0.0
         if ts:
-            low = min((v for _, v in window_rates(ts, int(end))), default=float(len(ts)))
+            low = min((n * 1e6 / 1_000_000 for _, n in brute_windows(ts, int(end))),
+                      default=float(len(ts)))
             lasts.append(ts[-1])
         figures = got["per_sensor"][str(s)]
         assert (figures["recorded"], figures["mean_rate_hz"], figures["min_window_rate_hz"]) \
             == (len(ts), mean, low), s
     assert got["max_skew_us"] == (max(lasts) - min(lasts) if lasts else 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sensor_streams())
+def test_rate_windows_in_batches_count_as_one_batch(stream):
+    # Fed batch by batch and counted up to each batch's last timestamp, as
+    # SessionFold does, a counter gives the windows, first, last, count and
+    # fewest (so recorded, mean rate and minimum window rate) of one batch.
+    batches, end = stream
+    end = int(end)
+    for s in (1, 2, 3):
+        parts = [[f.timestamp_us for f in batch if f.sensor_id == s] for batch in batches]
+        ts = list(itertools.chain.from_iterable(parts))
+        if not ts:
+            continue
+        split, whole = RateWindows(), RateWindows()
+        windows = []
+        for part in filter(None, parts):
+            for t in part:
+                split.add(t)
+            windows += split.windows(min(split.last, end))
+        windows += split.windows(end)
+        for t in ts:
+            whole.add(t)
+        assert windows == whole.windows(end) == brute_windows(ts, end)
+        fewest = min((n for _, n in windows), default=None)
+        assert ((split.first, split.last, split.n, split.fewest)
+                == (whole.first, whole.last, whole.n, whole.fewest)
+                == (ts[0], ts[-1], len(ts), fewest))
 
 
 # radio_trace.csv windows ----------------------------------------------------
