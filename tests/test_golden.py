@@ -6,7 +6,11 @@ of cw against the baseline, all in-process. Two more `simulate` runs take
 the crowded arm-raise scenario with a 5 % floor loss, on cw and on the
 baseline: no bundled scenario sets protocol.p_floor, and these pin the
 order of the floor draws; their digests were taken before arbitrate and
-the scheduler's resumes were rewritten. The other digests were taken
+the scheduler's resumes were rewritten. Two 25 s `simulate` runs of the
+same scenario, on cw and on the baseline, span three of the field's 10 s
+chunks, so they pin radio_trace.csv across chunk edges; their digests
+were taken before each source lane became one interferer and the reader
+began to draw a window at a time. The other digests were taken
 before the trace rows, the radio-trace merge and the MAE alignment were
 rewritten, so a refactor that moves any byte fails here. A change that
 moves outputs on purpose regenerates them with `python3 tests/test_golden.py`.
@@ -54,6 +58,15 @@ def output_digests(work: Path) -> dict[str, str]:
             cfg = yaml.safe_load(Path(f"scenarios/{run}.yaml").read_text())
             cfg["protocol"].update(kind=kind, p_floor=0.05)
             name = f"floor_{kind}"
+            Path(f"{name}.yaml").write_text(yaml.safe_dump(cfg))
+            _run(["simulate", "--scenario", f"{name}.yaml", "--out", name])
+            dirs.append(name)
+        for kind in ("cw", "ble-baseline"):
+            cfg = yaml.safe_load(Path(f"scenarios/{run}.yaml").read_text())
+            cfg["protocol"]["kind"] = kind
+            cfg["session"]["duration_s"] = 25
+            cfg["motion"]["params"] = {"duration_s": 25}
+            name = f"chunks_{kind}"
             Path(f"{name}.yaml").write_text(yaml.safe_dump(cfg))
             _run(["simulate", "--scenario", f"{name}.yaml", "--out", name])
             dirs.append(name)
@@ -138,6 +151,20 @@ DIGESTS = {
     "floor_ble-baseline/recording.csv": "905a0183d8f2d6aefebd74ee8b4a02b43544fc358fed59d794dbc5e98497c937",
     "floor_ble-baseline/session.json": "2b981c56028e1e591b38a7a77d28e602a29da3495033361a4a922c36f2a20573",
     "floor_ble-baseline/session_trace.csv": "418b5fc296ad6c01238cdb1f14b2cf810790d440a9805fb1f6d8fd18755cefec",
+    "chunks_cw/ground_truth_left_shoulder.csv": "44f51773a8d4ac56d564a8549f66aafda2f541464fcc2f805dbe57bf5c57bee7",
+    "chunks_cw/ground_truth_right_shoulder.csv": "3b057a1cad6974ff54f99d523044b214df575a3dda3959603f947f6ef5223c43",
+    "chunks_cw/metrics.json": "2299e3809804ce8678e0debe0b4f870ddbd5e99a166c61a958d6e9ccfb377706",
+    "chunks_cw/radio_trace.csv": "c4b82c9690ca7bc548d6c4cc173a53ce01304408e932c49ee5ab616472822ff7",
+    "chunks_cw/recording.csv": "7cfa563e02310dd72052286af99e577f397856df49c28a9800409726247e721b",
+    "chunks_cw/session.json": "3bbcd0b5a8ebee68f3cacac41da1fa7085187d4d945712e309b55ac2765a50e5",
+    "chunks_cw/session_trace.csv": "ca782e24fbe9f9d4e8f4bf2d2f2dce067046640ab7447ad5909245129adebe94",
+    "chunks_ble-baseline/ground_truth_left_shoulder.csv": "44f51773a8d4ac56d564a8549f66aafda2f541464fcc2f805dbe57bf5c57bee7",
+    "chunks_ble-baseline/ground_truth_right_shoulder.csv": "3b057a1cad6974ff54f99d523044b214df575a3dda3959603f947f6ef5223c43",
+    "chunks_ble-baseline/metrics.json": "a5486fcb0116ecfe15768460f57c206ee50b691cdd2a69a11cfa8245d60ffef1",
+    "chunks_ble-baseline/radio_trace.csv": "077fec1196e5e96bd15466d6e55363e99781ab0937511e27e6e5ca134b2c17a4",
+    "chunks_ble-baseline/recording.csv": "bebae015eee3305f7aec97cd58f86afe70a0b7b8cc0939cee7979b434f2b2221",
+    "chunks_ble-baseline/session.json": "380867b64cbfddbae29d2ecc8a5449c994a7065be30adda83fef043a609bfef5",
+    "chunks_ble-baseline/session_trace.csv": "9539e7c575734805dab2b9f9f5db47ff2ff469b276bcd9f51f33661efd63bdf7",
     "analysis/analysis.json": "0b5a298fec1506e72170f8ee3aae051a4cf1110d115e2d007cb20794a03e5ee2",
     "analysis/angles_left_shoulder.csv": "dc9220c2d631f21166c4024793f2c8b1f2a885bf8ec878ab4fe09c8879697951",
     "analysis/angles_right_shoulder.csv": "9788c5178db49507ead0e802cd65a28163e485a9e1a35961ca6c3a79b1834444",
