@@ -190,7 +190,6 @@ class SyntheticBody:
                  placement: SensorPlacement, noise: NoiseModel,
                  offsets: Mapping[int, Quaternion] | None = None) -> None:
         self.spec = spec
-        self.skel = skel
         self.placement = placement
         self.noise = noise
         self._offsets = dict(offsets or {})

@@ -16,11 +16,14 @@ index is drawn a time chunk of start times (_CHUNK_US) at a time, when a
 query first reaches past what is drawn, each source's generator and
 running sums carrying on from the chunk before; a new chunk's intervals
 that meet a group's last one join it. busy() answers with one bisect per
-group that overlaps the queried band. windows() and all_bursts() draw
-the bursts afresh, in (start, source) order, so the field stores no
-burst columns. A field keeps its index, so one field can serve several
-sessions, until its owner calls drop(t): the intervals that end by t are
-freed, and a later query that starts before t raises.
+group that overlaps the queried band. Each source is one lane, an
+interferer's, whose bursts cannot overlap; a draw lays the lanes' new
+bursts end to end and sorts them once by start, ties in source order.
+windows() and all_bursts() draw the bursts afresh, windows() a window at
+a time, so the field stores no burst columns. A field keeps its index,
+so one field can serve several sessions, until its owner calls drop(t):
+the intervals that end by t are freed, and a later query that starts
+before t raises.
 
 arbitrate judges a frame, given as its start, duration and band, against
 the field and the floor loss only; a protocol whose own nodes can overlap
@@ -284,32 +287,20 @@ class _Part:
 
 
 class _Draw:
-    """The bursts of a field's sources, drawn in order of start: one lane
-    per source, holding its interferers' bursts."""
+    """The bursts of a field's interferers, drawn in order of start: one
+    lane per interferer, whose bursts do not overlap."""
 
-    def __init__(self, parts: dict[str, list[Iterator[Columns]]]) -> None:
-        self._lanes = [(source, list(map(_Part, parts[source]))) for source in sorted(parts)]
-        self._reach = [-math.inf] * len(self._lanes)  # where each lane's last burst ends
+    def __init__(self, lanes: Iterable[Iterator[Columns]]) -> None:
+        self._lanes = list(map(_Part, lanes))
 
     def take(self, until: float) -> tuple[np.ndarray, ...]:
         """The bursts not taken yet that start before until, ordered by
         (start, lane): starts, durations, band lows, band highs and lane
-        indices. Each lane's bursts are stably sorted by start, its
-        interferers in the order given."""
-        lanes: list[Columns] = []
-        for i, (source, parts) in enumerate(self._lanes):
-            pieces = [cols for part in parts for cols in part.take(until)]
-            cols = [np.concatenate(c) for c in zip(*pieces)] or [np.empty(0)] * 4
-            order = np.argsort(cols[0], kind="stable")
-            starts, durations, lo, hi = (c[order] for c in cols)
-            if len(starts):
-                ends = starts + durations
-                if starts[0] < self._reach[i] or np.any(starts[1:] < ends[:-1]):
-                    raise ValueError(f"overlapping bursts within source {source!r}")
-                self._reach[i] = float(ends[-1])
-            lanes.append((starts, durations, lo, hi))
-        cols = [np.concatenate(c) for c in zip(*lanes)] or [np.empty(0)] * 4
-        index = np.repeat(np.arange(len(lanes)), [len(lane[0]) for lane in lanes])
+        indices. One stable sort of every lane's pieces, laid end to end in
+        lane order, breaks ties between equal starts by lane."""
+        pieces = [lane.take(until) for lane in self._lanes]
+        cols = [np.concatenate(c) for c in zip(*itertools.chain(*pieces))] or [np.empty(0)] * 4
+        index = np.repeat(np.arange(len(pieces)), [sum(len(c[0]) for c in p) for p in pieces])
         order = np.argsort(cols[0], kind="stable")
         return (*(c[order] for c in cols), index[order])
 
@@ -340,38 +331,48 @@ def _groups(starts: np.ndarray, ends: np.ndarray, lo: np.ndarray, hi: np.ndarray
 class InterferenceField:
     """Queryable set of interferer bursts for one session.
 
-    Each source is one lane. Bursts of one source must be non-overlapping
-    (renewal processes guarantee that); sources are independent lanes. The
-    field holds only busy()'s index: every burst drawn so far, grouped by
-    exact band across sources, each group merged into disjoint intervals.
-    The index grows a time chunk (_CHUNK_US) at a time, when a query first
-    reaches past it, and drop() trims it.
+    Each source is one lane: one interferer, or the bursts given for one
+    source name. The field holds only busy()'s index: every burst drawn so
+    far, grouped by exact band across sources, each group merged into
+    disjoint intervals. The index grows a time chunk (_CHUNK_US) at a time,
+    when a query first reaches past it, and drop() trims it.
+
+    Bursts given here are checked once: each needs a finite start, a
+    positive duration and a band from low to high, and one source's bursts
+    must not overlap, as an interferer's never do.
     """
 
     def __init__(self, bursts: Iterable[Burst]) -> None:
         rows: dict[str, list[tuple[float, float, float, float]]] = {}
         for b in bursts:
+            if not math.isfinite(b.start_us):
+                raise ValueError(f"burst start must be finite, got {b.start_us}")
             if not b.duration_us > 0.0:
                 raise ValueError(f"burst duration must be positive, got {b.duration_us}")
+            if not b.band_mhz[0] < b.band_mhz[1]:
+                raise ValueError(f"burst band must run from low to high, got {b.band_mhz}")
             rows.setdefault(b.source, []).append((b.start_us, b.duration_us, *b.band_mhz))
         parts = {}
         for source, r in rows.items():
             cols = np.array(r, dtype=float).T
-            parts[source] = [partial(iter, [tuple(cols[:, np.argsort(cols[0], kind="stable")])])]
+            starts, durations, lo, hi = cols[:, np.argsort(cols[0], kind="stable")]
+            if np.any(starts[1:] < (starts + durations)[:-1]):
+                raise ValueError(f"overlapping bursts within source {source!r}")
+            parts[source] = partial(iter, [(starts, durations, lo, hi)])
         self._start(parts, [])
 
     @classmethod
-    def _drawn(cls, parts: dict[str, list[Callable[[], Iterator[Columns]]]],
+    def _drawn(cls, parts: dict[str, Callable[[], Iterator[Columns]]],
                end_us: float) -> "InterferenceField":
         """A field over end_us in chunks of _CHUNK_US."""
         field = cls.__new__(cls)
         field._start(parts, [k * _CHUNK_US for k in range(1, int(end_us / _CHUNK_US + 0.5))])
         return field
 
-    def _start(self, parts: dict[str, list[Callable[[], Iterator[Columns]]]],
+    def _start(self, parts: dict[str, Callable[[], Iterator[Columns]]],
                edges: list[float]) -> None:
-        """parts: per source, a fresh iterator of each interferer's blocks.
-        Chunk k holds the bursts that start in [edges[k - 1], edges[k])."""
+        """parts: per source, a fresh iterator of its blocks. Chunk k holds
+        the bursts that start in [edges[k - 1], edges[k])."""
         self._parts = parts
         self._edges = edges
         self._draw = self._fresh_draw()
@@ -384,7 +385,7 @@ class InterferenceField:
         self._next_chunk()
 
     def _fresh_draw(self) -> _Draw:
-        return _Draw({source: [f() for f in fs] for source, fs in self._parts.items()})
+        return _Draw(self._parts[source]() for source in self.sources)
 
     @property
     def sources(self) -> list[str]:
@@ -421,27 +422,17 @@ class InterferenceField:
 
     def windows(self, end_us: float) -> Callable[[float], tuple[np.ndarray, ...]]:
         """A reader of the bursts that start at or before end_us, drawn
-        afresh a chunk at a time: take(cut) returns those not taken yet
+        afresh a window at a time: take(cut) returns those not taken yet
         that start before cut, as columns (starts, durations, lane indices
         into sources) ordered by (start, lane). Cuts must not decrease;
         take(math.inf) returns the rest.
         """
         draw = self._fresh_draw()
-        edges = iter([*self._edges, math.inf])
-        drawn = -math.inf
-        held = (np.empty(0), np.empty(0), np.empty(0, int))  # drawn, not taken yet
+        last = math.nextafter(end_us, math.inf)  # a start before it is at or before end_us
 
         def take(cut: float) -> tuple[np.ndarray, ...]:
-            nonlocal drawn, held
-            # A draw a chunk, not a window, at a time: each costs about 1 ms.
-            while drawn < cut and drawn <= end_us:
-                drawn = next(edges)
-                starts, durations, _, _, lanes = draw.take(drawn)
-                held = tuple(map(np.concatenate, zip(held, (starts, durations, lanes))))
-            n = min(int(np.searchsorted(held[0], cut)),
-                    int(np.searchsorted(held[0], end_us, "right")))
-            window, held = tuple(c[:n] for c in held), tuple(c[n:] for c in held)
-            return window
+            starts, durations, _, _, lanes = draw.take(min(cut, last))
+            return starts, durations, lanes
 
         return take
 
@@ -568,9 +559,12 @@ def preset_interferers(name: str, seed: int) -> list[WifiAp | BtDevice]:
 
 def build_field(interferers: Sequence[WifiAp | BtDevice | Jammer],
                 duration_us: float) -> InterferenceField:
-    """The interferers' field from t=0 to duration_us. Its first chunk is
-    drawn here, the others when first reached."""
-    parts: dict[str, list[Callable[[], Iterator[Columns]]]] = {}
+    """The interferers' field from t=0 to duration_us, one lane per
+    interferer, so each needs its own source. Its first chunk is drawn
+    here, the others when first reached."""
+    parts: dict[str, Callable[[], Iterator[Columns]]] = {}
     for i in interferers:
-        parts.setdefault(i.source, []).append(partial(_occupancy, i, duration_us))
+        if i.source in parts:
+            raise ValueError(f"two interferers share the source {i.source!r}")
+        parts[i.source] = partial(_occupancy, i, duration_us)
     return InterferenceField._drawn(parts, duration_us)

@@ -31,7 +31,8 @@ pipeline.open_csv, write_csv or write_json.
 
 The interference field holds busy()'s index, drawn a time chunk at a
 time as the session reaches it (see radio); the radio_trace.csv reader
-draws the bursts afresh. When execute builds the field itself, as
+draws the bursts afresh, one window at each handoff, and keeps none it
+has handed over. When execute builds the field itself, as
 simulate does, it drops at each handoff the index before the last row's
 time, which the clock has passed. So a session holds about a chunk of
 interference whatever its length. A field passed in, such as
@@ -77,7 +78,6 @@ _RADIO_CELLS = itemgetter(0, 1, 2, 3, 4, 7)
 
 @dataclass
 class RunArtifacts:
-    scenario: Scenario
     body: SyntheticBody
     calibration: CalibrationRecord
     metrics: dict
@@ -137,7 +137,7 @@ def execute(sc: Scenario, field: InterferenceField | None = None,
                                       sc.seed, p_floor=sc.p_floor, sink=run_sink)
         if out is not None:
             sink.close()
-    return RunArtifacts(sc, body, calib, fold.metrics(result))
+    return RunArtifacts(body, calib, fold.metrics(result))
 
 
 class _RadioTrace:

@@ -1,6 +1,6 @@
 """Module boundaries: no module reaches into a sibling module's private names,
-no public name of the library is there only for the tests, and no module
-imports a name it does not use."""
+no public name or instance attribute of the library is there only for the
+tests, and no module imports a name it does not use."""
 
 import ast
 from pathlib import Path
@@ -81,13 +81,22 @@ def span_target_pairs(source: str) -> set[tuple[str, str]]:
     return {(module, path.split(".")[0]) for _, module, path in span_targets(source)}
 
 
-def orphans(library: dict[str, str], outside: set[str]) -> list[str]:
+def attribute_loads(tree: ast.AST) -> set[str]:
+    """The attributes that code reads, as in `x.attr`; not those it sets."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def orphans(library: dict[str, str], outside: set[str], outside_loads: set[str]) -> list[str]:
     """The public functions, classes and methods of library (file name: source)
-    that no code refers to outside their own definition: neither in library
-    nor by a name in outside. Given as 'file: name' or 'file: Class.method'."""
+    that no code refers to outside their own definition, neither in library
+    nor by a name in outside, and the public attributes a class sets on self
+    that no code loads, neither in library nor by a name in outside_loads.
+    Given as 'file: name', 'file: Class.method' or 'file: Class.attribute'."""
     trees = {name: ast.parse(source) for name, source in library.items()}
     uses = {(name, line, used) for name, tree in trees.items()
             for line, used in code_names(tree)}
+    loads = outside_loads.union(*map(attribute_loads, trees.values()))
     found = []
     for name, tree in trees.items():
         defs = [(node, node.name) for node in tree.body
@@ -101,17 +110,27 @@ def orphans(library: dict[str, str], outside: set[str]) -> list[str]:
                                                   node.lineno <= line <= node.end_lineno)
                        for where, line, used in uses):
                 found.append(f"{name}: {label}")
+        for c in tree.body:
+            if isinstance(c, ast.ClassDef):
+                stored = {node.attr for node in ast.walk(c) if isinstance(node, ast.Attribute)
+                          and isinstance(node.ctx, ast.Store)
+                          and isinstance(node.value, ast.Name) and node.value.id == "self"}
+                found += [f"{name}: {c.name}.{attr}" for attr in sorted(stored)
+                          if not attr.startswith("_") and attr not in loads]
     return found
 
 
 def test_no_public_helper_only_tests_call():
     # Besides the library itself, perfbench and the acceptance suite may call it.
     outside = span_target_names(SPANS.read_text(encoding="utf-8"))
+    outside_loads = set()
     callers = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
     for path in callers:
-        outside.update(used for _, used in code_names(ast.parse(path.read_text(encoding="utf-8"))))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        outside.update(used for _, used in code_names(tree))
+        outside_loads |= attribute_loads(tree)
     library = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
-    assert orphans(library, outside) == []
+    assert orphans(library, outside, outside_loads) == []
 
 
 def test_the_orphan_check_sees_a_lone_method():
@@ -126,9 +145,32 @@ def test_the_orphan_check_sees_a_lone_method():
                "pipeline.py": ("from .skeleton import Placement\n"
                                "def analyze(placement: Placement):\n"
                                "    \"\"\"Calls sensor_on.\"\"\"\n")}
-    assert orphans(library, set()) == ["skeleton.py: Placement.sensor_on",
-                                       "pipeline.py: analyze"]
-    assert orphans(library, {"analyze"}) == ["skeleton.py: Placement.sensor_on"]
+    assert orphans(library, set(), set()) == ["skeleton.py: Placement.sensor_on",
+                                              "pipeline.py: analyze"]
+    assert orphans(library, {"analyze"}, set()) == ["skeleton.py: Placement.sensor_on"]
+
+
+def test_the_orphan_check_sees_an_unread_attribute():
+    library = {"motion.py": ("class Body:\n"
+                             "    def __init__(self, skel, spec):\n"
+                             "        self.skel = skel\n"
+                             "        self.spec = spec\n"
+                             "        self.rate: float = 1.0\n"
+                             "        self._plan = skel\n"
+                             "        self.count = 0\n"
+                             "    def step(self):\n"
+                             "        self.count += 1\n"
+                             "        return self.spec\n"),
+               "runner.py": ("from .motion import Body\n"
+                             "def run(skel, spec):\n"
+                             "    \"\"\"Reads body.rate.\"\"\"\n"
+                             "    return Body(skel, spec).step()\n")}
+    # A name or a store does not count as a load: skel is a parameter too,
+    # and count is only incremented.
+    assert orphans(library, {"run", "skel", "rate", "count"}, set()) == [
+        "motion.py: Body.count", "motion.py: Body.rate", "motion.py: Body.skel"]
+    assert orphans(library, {"run"}, {"rate"}) == ["motion.py: Body.count",
+                                                   "motion.py: Body.skel"]
 
 
 def unused_imports(source: str, module: str, resolved: set[tuple[str, str]]) -> list[str]:

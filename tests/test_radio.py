@@ -3,6 +3,7 @@
 import heapq
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -233,14 +234,54 @@ class TestColumns:
         with pytest.raises(ValueError, match="duration must be positive"):
             InterferenceField([Burst(10.0, duration, "wifi", wifi_band_mhz(6))])
 
-    def test_shared_source_name_is_one_lane(self):
-        a, b = BtDevice(seed=1, name="bt"), BtDevice(seed=2, name="bt")
-        field = radio.build_field([a, b], 2e5)
-        expected = sorted(scalar_occupancy(a, 2e5) + scalar_occupancy(b, 2e5),
-                          key=lambda t: t.start_us)
-        assert list(map(bits, field.all_bursts())) == list(map(bits, expected))
-        with pytest.raises(ValueError, match="overlapping bursts within source 'jam:9'"):
-            radio.build_field([Jammer(9, name="jam:9"), Jammer(9, 0.1, name="jam:9")], 1e6)
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, start):
+        # A burst at a NaN or infinite start was dropped from every draw.
+        band = wifi_band_mhz(6)
+        with pytest.raises(ValueError, match=f"start must be finite, got {start}"):
+            InterferenceField([Burst(start, 10.0, "a", band), Burst(5.0, 10.0, "b", band)])
+
+    @pytest.mark.parametrize("band", [(math.nan, 2438.0), (2436.0, math.nan),
+                                      (2438.0, 2436.0), (2436.0, 2436.0)])
+    def test_band_must_run_from_low_to_high(self, band):
+        # A NaN band was never busy.
+        with pytest.raises(ValueError, match=re.escape(f"band must run from low to high, "
+                                                       f"got {band}")):
+            InterferenceField([Burst(10.0, 5.0, "a", band)])
+
+    def test_repeated_source_rejected(self):
+        for pair in ([BtDevice(seed=1, name="bt"), BtDevice(seed=2, name="bt")],
+                     [Jammer(9, name="jam:9"), Jammer(10, 0.1, name="jam:9")],
+                     [WifiAp(6, 0.2), WifiAp(6, 0.5, seed=3)]):
+            with pytest.raises(ValueError, match=f"share the source '{pair[0].source}'"):
+                radio.build_field(pair, 1e6)
+
+    def test_overlapping_bursts_of_one_source_rejected(self):
+        band = channel_band(9)
+        bursts = [Burst(0.0, 10.0, "y", band), Burst(30.0, 10.0, "x", band),
+                  Burst(10.0, 5.0, "y", band), Burst(20.0, 10.5, "x", band)]
+        for given in (bursts, bursts[::-1]):
+            with pytest.raises(ValueError, match="overlapping bursts within source 'x'"):
+                InterferenceField(given)
+        # Touching bursts do not overlap.
+        InterferenceField([*bursts[:3], Burst(20.0, 10.0, "x", band)])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_lanes_do_not_overlap_across_chunk_edges(self, seed, monkeypatch):
+        monkeypatch.setattr(radio, "_CHUNK_US", SMALL_CHUNKS["_CHUNK_US"])
+        field = radio.build_field(mixed_sources(seed), 1.3e6)
+        take = field.windows(1.3e6)
+        reach = [-math.inf] * len(field.sources)  # where each lane's last burst ends
+        for cut in [*field._edges, math.inf]:
+            starts, durations, lanes = take(cut)
+            assert np.all(np.diff(starts) >= 0.0)
+            for start, duration, lane in zip(starts.tolist(), durations.tolist(),
+                                             lanes.tolist()):
+                assert start >= reach[lane], (field.sources[lane], start)
+                reach[lane] = start + duration
+        # Every lane but the silent AP draws bursts in the last chunk.
+        assert field._edges == [3e5, 6e5, 9e5]
+        assert sum(r > 9e5 for r in reach) == len(reach) - 1
 
 
 # Channel 2 shares its low edge with Wi-Fi 1, channels 10 and 11 overlap.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from wearsim.protocol import ConfigError, HopPolicy, TimingProfile
 from wearsim.radio import BtDevice, Jammer, WifiAp, build_field
+from wearsim.runner import scenario_field
 from wearsim.scenario import Scenario, load_scenario, parse_scenario
 
 BASE = {"motion": {"preset": "arm-raise"}}
@@ -290,6 +291,20 @@ class TestInterference:
         assert isinstance(jam, Jammer) and jam.channel == 40
         assert wifi.name == "wifi:0" and bt.name == "bt:1" and jam.name == "jam:2"
         assert wifi.seed != bt.seed
+
+    @settings(max_examples=100, deadline=None)
+    @given(sources=st.lists(st.one_of(
+        st.fixed_dictionaries({"type": st.just("wifi"), "channel": st.sampled_from([1, 6, 11]),
+                               "duty": st.floats(0.0, 1.0)}),
+        st.fixed_dictionaries({"type": st.just("bt")}),
+        st.fixed_dictionaries({"type": st.just("jam"), "channel": st.integers(0, 79),
+                               "start_s": st.floats(0.0, 1.0)})), min_size=1, max_size=6))
+    def test_every_source_is_its_own_lane(self, sources):
+        # The field gives each interferer a lane, so their sources must differ.
+        sc = parse_scenario(cfg(session={"duration_s": 0.5}, interference={"sources": sources}))
+        names = [i.source for i in sc.interferers]
+        assert len(set(names)) == len(names) == len(sources)
+        assert scenario_field(sc).sources == sorted(names)
 
     def test_source_seed_follows_session(self):
         a = parse_scenario(cfg(interference={"sources": [{"type": "bt"}]}),
