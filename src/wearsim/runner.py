@@ -32,9 +32,9 @@ pipeline.open_csv, write_csv or write_json.
 The interference field holds busy()'s index, drawn a time chunk at a
 time as the session reaches it (see radio); the radio_trace.csv reader
 draws the bursts afresh, one window at each handoff, and keeps none it
-has handed over. When execute builds the field itself, as
-simulate does, it drops at each handoff the index before the last row's
-time, which the clock has passed. So a session holds about a chunk of
+has handed over. When execute builds the field itself, as simulate
+does, it drops at each handoff the index before the last row's time,
+which the clock has passed. So a session holds about a chunk of
 interference whatever its length. A field passed in, such as
 protocol-bench's one per seed, which every protocol of the seed reads,
 keeps its whole index.
