@@ -21,8 +21,9 @@ kernel's plain-tuple products and wraps one Quaternion per reading. A
 reading follows its sensor's plan, keyed by sensor id (its bone's chain,
 offset, drift axis and noise draws), and checks t once; a bone that no
 tracked joint moves has angular speed 0 without forward kinematics. Each
-sensor's noise comes from a randomness.NormalBlocks over its own stream,
-so a reading makes no numpy call except the unit vector's norm.
+sensor's noise is randomness.normals over its own stream, so a reading
+makes no numpy call except the generator's refill every NORMAL_BLOCK
+draws.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Iterator, Mapping, Protocol
 
 from . import randomness
 from .quatmath import (Quad, Quaternion, Vector3, axis_angle4, mul4,
@@ -206,13 +207,14 @@ class SyntheticBody:
         self._noisy = noise.static_sigma_deg > 0.0 or noise.dynamic_sigma_deg > 0.0
         drifting = noise.drift_deg_per_min != 0.0
 
-        def draws(tag: int, sensor: int) -> randomness.NormalBlocks:
-            return randomness.NormalBlocks(randomness.stream(noise.seed, tag, sensor))
+        def draws(tag: int, sensor: int) -> Iterator[float]:
+            return randomness.normals(randomness.stream(noise.seed, tag, sensor))
 
         # Per sensor: its bone's chain, its offset and drift axis (None for
         # none) and its noise draws.
         self._plans = {s: (self._chain[bone], self._offsets.get(s),
-                           draws(randomness.DRIFT_AXIS, s).unit_vector() if drifting else None,
+                           randomness.unit_vector(draws(randomness.DRIFT_AXIS, s))
+                           if drifting else None,
                            draws(randomness.NOISE, s))
                        for s, bone in sorted(placement.bones.items())}
 
@@ -244,11 +246,11 @@ class SyntheticBody:
                                   self.bone_world(joint.child_bone, t))
 
     @staticmethod
-    def _perturbation(draws: randomness.NormalBlocks, sigma: float, cap: float) -> Quad:
-        angle = abs(draws.normal(sigma))
+    def _perturbation(draws: Iterator[float], sigma: float, cap: float) -> Quad:
+        angle = abs(sigma * next(draws))
         while angle > cap:
-            angle = abs(draws.normal(sigma))
-        return axis_angle4(draws.unit_vector(), angle)
+            angle = abs(sigma * next(draws))
+        return axis_angle4(randomness.unit_vector(draws), angle)
 
     def calibration_snapshot(self) -> dict[int, Quaternion]:
         """Sensor orientations while the wearer holds the calibration pose.

@@ -16,9 +16,8 @@ intermediate.
 
 Everything here is stdlib float math in a fixed order, so one input gives
 the same bits on every run of one machine. Across machines, sin, cos and
-acos come from the platform's libm, and the noise fed in comes from numpy
-(see randomness._direction), so bit identity is promised per machine and
-build, not across platforms.
+acos come from the platform's libm, so bit identity holds where libm and
+numpy's generators (see randomness) give the same bits.
 """
 
 from __future__ import annotations

@@ -260,7 +260,8 @@ def load_session(path: str | Path) -> tuple[CalibrationRecord, dict]:
         if not isinstance(name, str):
             raise TypeError(f"placement.name must be a string, got {name!r}")
         for k, v in q_calib.items():
-            if not (isinstance(v, list) and len(v) == 4):
+            if not (isinstance(v, list) and len(v) == 4 and all(
+                    isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)):
                 raise TypeError(f"q_calib[{k!r}] must be a list of 4 numbers, got {v!r}")
         placement = SensorPlacement(name, {int(k): BoneId(v) for k, v in sensors.items()})
         calib = calibrate({int(k): Quaternion(*map(float, v)) for k, v in q_calib.items()},

@@ -706,8 +706,12 @@ def short_run(tmp_path_factory):
 
 
 # Values of the sidecar's shape that are still wrong there: a q_calib entry
-# given as a string of four digits, a placement name that is a list.
-MISSHAPEN = {("q_calib", "1"): "1000", ("q_calib", "2"): "0100", ("placement", "name"): [1, 2]}
+# given as a string of four digits, a q_calib component that is a string,
+# a bool or null (float() would take the first two), a placement name that
+# is a list.
+MISSHAPEN = {("q_calib", "1"): "1000", ("q_calib", "2"): "0100",
+             ("q_calib", "1", 0): "1.0", ("q_calib", "2", 3): True,
+             ("q_calib", "1", 2): None, ("placement", "name"): [1, 2]}
 
 
 def sidecar_exit(short_run, path, value, command) -> tuple[int, str]:
@@ -733,7 +737,7 @@ def sidecar_exit(short_run, path, value, command) -> tuple[int, str]:
 
 class TestSidecarProperty:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(path=SIDECAR_PATHS, value=ODD | st.sampled_from(["1000", "0100", [1, 2]]),
+    @given(path=SIDECAR_PATHS, value=ODD | st.sampled_from(["1000", "0100", "1.0", [1, 2]]),
            command=st.sampled_from(["analyze", "compare"]))
     def test_exit_code_never_a_crash(self, short_run, path, value, command):
         # analyze and compare exit 0, 2, 3 or 4 whatever one sidecar value
@@ -745,7 +749,8 @@ class TestSidecarProperty:
 
     @pytest.mark.parametrize("command", ["analyze", "compare"])
     @pytest.mark.parametrize("path, value", MISSHAPEN.items(),
-                             ids=["q_calib-string", "q_calib-string-2", "name-list"])
+                             ids=["q_calib-string", "q_calib-string-2", "component-string",
+                                  "component-bool", "component-null", "name-list"])
     def test_misshapen_value_names_its_key(self, short_run, path, value, command):
         rc, err = sidecar_exit(short_run, path, value, command)
         key = "placement.name" if path[0] == "placement" else f"q_calib[{path[1]!r}]"

@@ -1,6 +1,7 @@
 """Module boundaries: no module reaches into a sibling module's private names,
 no public name or instance attribute of the library is there only for the
-tests, and no module imports a name it does not use."""
+tests, no module imports a name it does not use, and no module takes a
+matrix product."""
 
 import ast
 from pathlib import Path
@@ -220,3 +221,50 @@ def test_the_unused_import_check_sees_each_form():
         "line 9: Burst"]
     assert unused_imports(source, "cli", resolved)[-2:] == ["line 8: rate_series",
                                                             "line 9: Burst"]
+
+
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "einsum", "tensordot", "linalg"}
+
+
+def matrix_products(source: str) -> list[str]:
+    """The matrix products in source, as 'line N: name': the @ operator and
+    numpy's dot, matmul, inner, vdot, einsum, tensordot and linalg, as an
+    attribute (np.dot, v.dot) or imported from numpy. numpy hands these to
+    BLAS, whose bits depend on its build and on the CPU it runs on."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found += [(node.lineno, f"{node.module}.{alias.name}") for alias in node.names
+                      if node.module == "numpy.linalg" or alias.name in BLAS_NAMES]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("numpy.linalg")]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_matrix_products(path):
+    # Byte identity rests on libm and numpy's generators; a BLAS kernel may
+    # fuse multiply-adds, so its bits vary with the build and the CPU.
+    assert matrix_products(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_matrix_product_check_sees_each_form():
+    source = ("import numpy as np\n"
+              "import numpy.linalg\n"
+              "from numpy import dot, sqrt\n"
+              "from numpy.linalg import norm\n"
+              "def norm2(v, m):\n"
+              "    \"\"\"Not v @ v, nor np.dot in a docstring.\"\"\"\n"
+              "    m @= m\n"
+              "    a = v @ v + v.dot(v) + np.matmul(m, v) + np.inner(v, v) + np.vdot(v, v)\n"
+              "    b = np.einsum('i,i', v, v) + np.tensordot(v, v, 1) + np.linalg.norm(v)\n"
+              "    return sqrt(a * b), 'np.dot'\n")
+    assert matrix_products(source) == [
+        "line 2: numpy.linalg", "line 3: numpy.dot", "line 4: numpy.linalg.norm", "line 7: @",
+        "line 8: @", "line 8: dot", "line 8: inner", "line 8: matmul", "line 8: vdot",
+        "line 9: einsum", "line 9: linalg", "line 9: tensordot"]

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from scipy import integrate, stats
 
@@ -293,9 +294,10 @@ class TestEndToEndExactness:
 def unit_vector(rng):
     """A direction from three normal draws at a time, redrawn while too short."""
     while True:
-        d = randomness._direction(rng.normal(size=3))
-        if d is not None:
-            return d
+        x, y, z = rng.normal(size=3).tolist()
+        n = math.sqrt(x * x + y * y + z * z)
+        if n > 1e-12:
+            return (x / n, y / n, z / n)
 
 
 class ScalarBody:
@@ -390,7 +392,7 @@ PRESETS = {"artificial-joint": {"angle_deg": 75.0}, "elbow-flexion": {},
 
 class TestFloatPathOracle:
     # Each noisy sensor takes at least 4 draws per reading, so 200 readings
-    # cross three refills of its NormalBlocks.
+    # cross three of randomness.normals' NORMAL_BLOCK refills.
     STEPS = 200
 
     @pytest.mark.parametrize("noise", sorted(NOISES))
@@ -424,6 +426,38 @@ class TestFloatPathOracle:
                 assert min(oracle.draws.values()) > 3 * randomness.NORMAL_BLOCK
             if noise == "capped":
                 assert oracle.redraws > 0
+
+
+class TestNoiseStream:
+    def test_normals_are_the_generators_normal_draws(self):
+        # Four blocks and a bit cross three block boundaries.
+        n = 4 * randomness.NORMAL_BLOCK + 7
+        draws = randomness.normals(randomness.stream(5, randomness.NOISE, 1))
+        want = randomness.stream(5, randomness.NOISE, 1).normal(0.0, 1.0, size=n)
+        assert [next(draws).hex() for _ in range(n)] == [z.hex() for z in want.tolist()]
+
+    def test_a_negative_zero_draw_comes_out_as_zero(self):
+        class Generator:
+            def standard_normal(self, size):
+                return np.array([-0.0, -1.0] * (size // 2))
+
+        draws = randomness.normals(Generator())
+        assert [math.copysign(1.0, next(draws)) for _ in range(4)] == [1.0, -1.0, 1.0, -1.0]
+
+    def test_unit_vector_is_the_plain_python_expression(self):
+        # 33,334 directions take 100,002 draws; the oracle's helper draws
+        # three at a time from a generator of the same stream.
+        draws = randomness.normals(randomness.stream(9, randomness.DRIFT_AXIS, 4))
+        rng = randomness.stream(9, randomness.DRIFT_AXIS, 4)
+        for _ in range(33_334):
+            assert bits(randomness.unit_vector(draws)) == bits(unit_vector(rng))
+
+    def test_a_norm_at_the_cut_off_is_drawn_again(self):
+        # A norm of exactly 1e-12 is too short and uses up its three draws;
+        # 2e-12 is long enough.
+        draws = iter([0.0, 1e-12, 0.0, 0.0, 0.0, -2e-12, 7.0])
+        assert randomness.unit_vector(draws) == (0.0, 0.0, -1.0)
+        assert next(draws) == 7.0
 
 
 class TestPresets:
