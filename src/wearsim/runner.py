@@ -22,12 +22,14 @@ Both traces are ordered by (time_us, source). Each handoff ends one
 radio_trace.csv window: the rows before the last time_us handed over so
 far, and the interferer bursts that start before it (the last window:
 the rows left and the bursts at or before the session's end), as columns
-from InterferenceField.windows(). A window's lines are put in order
-with one stable sort on (time_us, source), protocol rows first on a tie.
-That is the order of a merge of the two ordered inputs, and no Burst or
-list of every burst is built. Protocol rows are type-checked row by row;
-every burst line has one shape. Every file is written through
-pipeline.open_csv, write_csv or write_json.
+from InterferenceField.windows(). A window merges those two ordered
+inputs: a searchsorted of the burst starts on the row times puts each
+burst after the rows of its time whose source sorts at or before its
+own. No Burst or list of every burst is built. The sink checks each
+TraceRow once, against SESSION_TRACE_CSV, and each RecordingFrame in the
+fold and against RECORDING_CSV; a checked row, as every burst, has one
+radio_trace.csv format. Every file is written through pipeline.open_csv,
+write_csv or write_json.
 
 The interference field holds busy()'s index, drawn a time chunk at a
 time as the session reaches it (see radio); the radio_trace.csv reader
@@ -42,7 +44,6 @@ keeps its whole index.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from contextlib import ExitStack
@@ -72,8 +73,14 @@ SESSION_TRACE_CSV = CsvSchema(*get_type_hints(TraceRow).items())
 # Interferer bursts have no channel: their cell is empty.
 RADIO_TRACE_CSV = CsvSchema(("time_us", float), ("duration_us", float), ("source", str),
                             ("channel", int | None), ("kind", str), ("outcome", str))
-# The radio_trace.csv cells of a TraceRow.
+# The radio_trace.csv cells of a TraceRow, and the one format of those
+# cells for a row that fits SESSION_TRACE_CSV.
 _RADIO_CELLS = itemgetter(0, 1, 2, 3, 4, 7)
+_RADIO_FORMAT = RADIO_TRACE_CSV.row_format((0.0, 0.0, "", 0, "", ""))
+# A burst's line: its start and duration, then its lane's _BURST_TAIL of
+# the lane's source and kind.
+_BURST_FORMAT = "%.9g,%.9g%s"
+_BURST_TAIL = ",%s,,%s,busy\n"
 
 
 @dataclass
@@ -145,15 +152,13 @@ class _RadioTrace:
     handed over in session order: protocol rows and the interferer bursts
     that start at or before end_us, ordered by (time_us, source), protocol
     rows first on a tie. Each handoff gives the lines before the last
-    time_us handed over; rows of that time wait for the next one."""
+    time_us handed over; rows of that time wait for the next one. The
+    rows must fit SESSION_TRACE_CSV: the sink checks them first."""
 
     def __init__(self, field: InterferenceField, end_us: float) -> None:
         self._take = field.windows(end_us)
         self._sources = field.sources
-        self._kinds = [s.split(":")[0] for s in self._sources]
-        # Starts and durations come from float64 columns through tolist():
-        # every burst line has one shape.
-        self._format = RADIO_TRACE_CSV.row_format((0.0, 0.0, "", None, "", "busy"))
+        self._tails = [_BURST_TAIL % (s, s.split(":")[0]) for s in self._sources]
         self._rows: list[TraceRow] = []  # rows of the last time_us handed over
 
     def lines(self, rows: list[TraceRow]) -> Iterator[str]:
@@ -177,22 +182,24 @@ class _RadioTrace:
         return self._window(rows, self._take(math.inf))
 
     def _window(self, rows: list[TraceRow], bursts: tuple[np.ndarray, ...]) -> Iterator[str]:
-        proto = RADIO_TRACE_CSV.lines(map(_RADIO_CELLS, rows))
+        proto = map(_RADIO_FORMAT.__mod__, map(_RADIO_CELLS, rows))
         starts, durations, lanes = bursts
         if not len(starts):
             return proto
         lines = list(proto)
-        index = lanes.tolist()
-        lines += map(self._format.__mod__,
-                     zip(starts.tolist(), durations.tolist(), map(self._sources.__getitem__, index),
-                         itertools.repeat(None), map(self._kinds.__getitem__, index),
-                         itertools.repeat("busy")))
-        rank = {s: i for i, s in enumerate(sorted(set(map(itemgetter(2), rows))
-                                                  .union(self._sources)))}
-        times = np.concatenate([[r.time_us for r in rows], starts])
-        ranks = np.concatenate([[rank[r.source] for r in rows],
-                                np.array([rank[s] for s in self._sources])[lanes]])
-        return map(lines.__getitem__, np.lexsort((ranks, times)).tolist())
+        lines += map(_BURST_FORMAT.__mod__, zip(starts.tolist(), durations.tolist(),
+                                                map(self._tails.__getitem__, lanes.tolist())))
+        # Each burst goes before the first row of a later time_us, or of the
+        # same time_us and a later source: protocol rows first on a tie.
+        times = np.fromiter(map(itemgetter(0), rows), float, len(rows))
+        at = np.searchsorted(times, starts)
+        after = np.searchsorted(times, starts, "right")
+        for i in np.flatnonzero(after > at).tolist():
+            source = self._sources[lanes[i]]
+            at[i] += sum(r.source <= source for r in rows[at[i]:after[i]])
+        # Bursts placed before one row keep their (start, lane) order.
+        order = np.insert(np.arange(len(rows)), at, np.arange(len(rows), len(lines)))
+        return map(lines.__getitem__, order.tolist())
 
 
 class _SessionFiles:
@@ -213,7 +220,7 @@ class _SessionFiles:
     def __call__(self, rows: list[TraceRow], frames: list[RecordingFrame]) -> None:
         self._fold.add(rows, frames)  # checks the frames before they are written
         self._recording.writelines(RECORDING_CSV.lines(frames))
-        self._trace.writelines(SESSION_TRACE_CSV.lines(rows))
+        self._trace.writelines(SESSION_TRACE_CSV.lines(rows))  # checks the rows for _radio
         self._radio_file.writelines(self._radio.lines(rows))
 
     def close(self) -> None:

@@ -238,6 +238,11 @@ def parse_scenario(cfg: Any, *, seed: int | None = None) -> Scenario:
                          trajectory.duration_s, minimum=1e-3, maximum=MAX_DURATION_S)
     if duration_s != trajectory.duration_s:
         trajectory = replace(trajectory, duration_s=duration_s)
+    # A reading at t turns its sensor by drift_deg_per_min * t / 60 deg, and
+    # t runs up to duration_s: an infinite product would reach sin(inf).
+    if not math.isfinite(noise.drift_deg_per_min * duration_s):
+        raise ConfigError(f"motion.noise.drift_deg_per_min times duration_s {duration_s:g} "
+                          f"overflows, got {noise.drift_deg_per_min!r}")
 
     proto = _mapping(cfg.get("protocol"), "protocol")
     _reject_unknown(proto, ("kind", "initial_channel", "p_floor", "timing", "hop"),

@@ -280,6 +280,9 @@ class TestExitCodes:
         # The interpolated cap was 1e300 + (7 - 1e300) = 0: the sampler redrew forever.
         setting("motion: {preset: arm-raise, noise: {static_max_deg: 1.0e+300}}",
                 "motion.noise: perturbation caps must be <= 180 deg"),
+        # drift_deg_per_min * t overflowed mid-session: sin(inf) exited 4.
+        setting("motion: {preset: arm-raise, noise: {drift_deg_per_min: 1.0e+308}}",
+                "motion.noise.drift_deg_per_min"),
         # --seed follows session.seed's rule: an integer in 0..2**63 - 1.
         setting("", "--seed", "simulate", "--seed", "-1", id="simulate --seed -1"),
         setting("", "--seed", "simulate", "--seed", str(2**63), id="simulate --seed 2**63"),

@@ -34,6 +34,21 @@ from wearsim.scenario import parse_scenario
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
+# The length of the chunks_* runs: three of the field's 10 s chunks.
+CHUNKS_S = 25
+
+
+def crowded(kind: str, duration_s: float | None = None) -> dict:
+    """The bundled crowded arm-raise scenario on protocol kind, and with
+    duration_s, a session and motion that long."""
+    cfg = yaml.safe_load((SCENARIOS / "arm_raise_crowded.yaml").read_text())
+    cfg["protocol"]["kind"] = kind
+    if duration_s is not None:
+        cfg["session"]["duration_s"] = duration_s
+        cfg["motion"]["params"] = {"duration_s": duration_s}
+    return cfg
+
+
 def _run(args):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(args) == 0, args
@@ -62,12 +77,8 @@ def output_digests(work: Path) -> dict[str, str]:
             _run(["simulate", "--scenario", f"{name}.yaml", "--out", name])
             dirs.append(name)
         for kind in ("cw", "ble-baseline"):
-            cfg = yaml.safe_load(Path(f"scenarios/{run}.yaml").read_text())
-            cfg["protocol"]["kind"] = kind
-            cfg["session"]["duration_s"] = 25
-            cfg["motion"]["params"] = {"duration_s": 25}
             name = f"chunks_{kind}"
-            Path(f"{name}.yaml").write_text(yaml.safe_dump(cfg))
+            Path(f"{name}.yaml").write_text(yaml.safe_dump(crowded(kind, CHUNKS_S)))
             _run(["simulate", "--scenario", f"{name}.yaml", "--out", name])
             dirs.append(name)
         _run(["analyze", "--recording", f"{run}/recording.csv", "--out", "analysis"])
@@ -191,11 +202,12 @@ def test_bytes_unchanged(digests, name):
 
 
 @pytest.mark.parametrize("kind", ["cw", "ble-baseline"])
-@pytest.mark.parametrize("seed", [42, 43])
-def test_radio_trace_merge_equals_sort(kind, seed):
-    cfg = yaml.safe_load((SCENARIOS / "arm_raise_crowded.yaml").read_text())
-    cfg["protocol"]["kind"] = kind
-    result, field = collected_session(parse_scenario(cfg, seed=seed))
+@pytest.mark.parametrize("seed, duration_s", [
+    pytest.param(42, None, id="42"), pytest.param(43, None, id="43"),
+    # The chunks_* runs: each window's merge across the field's chunk edges.
+    pytest.param(42, CHUNKS_S, id="chunks")])
+def test_radio_trace_merge_equals_sort(kind, seed, duration_s):
+    result, field = collected_session(parse_scenario(crowded(kind, duration_s), seed=seed))
     radio = _RadioTrace(field, result.duration_us)
     merged = [*radio.lines(result.trace), *radio.close()]
     assert any(line.endswith(",busy\n") for line in merged)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from wearsim import pipeline as pl
 from wearsim import quatmath as qm
+from wearsim import runner
 from wearsim import skeleton as sk
 from wearsim.cli import BENCH_CSV, RATES_CSV
 from wearsim.pipeline import (ParseError, RecordingFrame, ValidationError, _cell,
@@ -145,7 +146,8 @@ SCHEMAS = {"recording": pl.RECORDING_CSV, "angles": pl.ANGLE_CSV,
 
 CELLS = {
     float: st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 5e-324,
-                                                   123456789.5, 0.1])),
+                                                   123456789.5, 0.1, 1e-7, 1e17, 3.0,
+                                                   1e9])),
     int: st.one_of(st.integers(), st.integers(2**53, 2**80), st.integers(-2**80, -2**53)),
     str: st.text(),
     type(None): st.none(),
@@ -183,6 +185,20 @@ class TestCsvSchema:
                 (-0.0, 1e-7, "wifi:1", None, "wifi", "busy")]
         assert written(RADIO_TRACE_CSV, rows).splitlines()[1:] == [
             "1.5,2,master,3,cw,delivered", "-0,1e-07,wifi:1,,wifi,busy"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows_of(SESSION_TRACE_CSV))
+    def test_radio_trace_fixed_formats(self, rows):
+        # runner writes the radio line of a TraceRow that fits
+        # SESSION_TRACE_CSV, and each burst line, by one fixed format.
+        for row in map(TraceRow._make, rows):
+            cells = runner._RADIO_CELLS(row)
+            assert runner._RADIO_FORMAT % cells == next(RADIO_TRACE_CSV.lines([cells]))
+            start, duration, source = row[:3]
+            kind = source.split(":")[0]
+            tail = runner._BURST_TAIL % (source, kind)
+            assert (runner._BURST_FORMAT % (start, duration, tail)
+                    == next(RADIO_TRACE_CSV.lines([(start, duration, source, None, kind, "busy")])))
 
     @pytest.mark.parametrize("schema, good, bad, column", [
         (SESSION_TRACE_CSV, TraceRow(0.0, 10.0, "master", 3, "cw", "poll", 1, "delivered"),

@@ -1,6 +1,8 @@
 """Scenario schema: strict validation and preset resolution."""
 
 import copy
+import math
+import sys
 from dataclasses import fields
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from wearsim.protocol import ConfigError, HopPolicy, TimingProfile
 from wearsim.radio import BtDevice, Jammer, WifiAp, build_field
-from wearsim.runner import scenario_field
+from wearsim.runner import build_body, scenario_field
 from wearsim.scenario import Scenario, load_scenario, parse_scenario
 
 BASE = {"motion": {"preset": "arm-raise"}}
@@ -146,6 +148,19 @@ class TestMotion:
                                         "noise": {"static_sigma_deg": 0.5}}})
         assert sc.noise.static_sigma_deg == 0.5
         assert sc.noise.dynamic_sigma_deg == 1.2
+
+    def test_largest_drift_reads_to_the_end(self):
+        # Half the largest float over 2 s: the drift angle at the end is finite.
+        drift = sys.float_info.max / 2.0
+        sc = parse_scenario({"motion": {"preset": "arm-raise",
+                                        "noise": {"drift_deg_per_min": drift}},
+                             "session": {"duration_s": 2.0}})
+        body, _ = build_body(sc)
+        assert all(map(math.isfinite, body.reading(sc.roster[0], 2.0)))
+        with pytest.raises(ConfigError, match="motion.noise.drift_deg_per_min"):
+            parse_scenario({"motion": {"preset": "arm-raise", "noise": {
+                "drift_deg_per_min": math.nextafter(drift, math.inf)}},
+                "session": {"duration_s": 2.0}})
 
 
 class TestPlacement:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wearsim import protocol as pr
@@ -330,8 +330,32 @@ def radio_sessions(draw):
     return result, InterferenceField(bursts)
 
 
+def hand_session(rows, bursts, end_us):
+    """A session of poll rows at each (time_us, source) of rows, and a field
+    of 1 us bursts at each (start_us, source) of bursts."""
+    trace = [TraceRow(t, 0.5, source, 7, "cw", "poll", 1, "delivered") for t, source in rows]
+    field = InterferenceField(Burst(t, 1.0, source, (2400.0, 2402.0)) for t, source in bursts)
+    return SessionResult("cw", end_us, (1,), [], trace, 0, 0, {}, []), field
+
+
+# Rows at 1.0 us from two sources, and bursts at that time from sources that
+# sort before, between and after them or equal one: a full tie puts the row
+# first. Equal starts in several lanes, and a burst at and after the end.
+TIED = hand_session([(0.5, "sensor:2"), (1.0, "master"), (1.0, "sensor:10"), (2.0, "sensor:2")],
+                    [(1.0, "bt:0"), (1.0, "master"), (1.0, "sensor"), (1.0, "sensor:10"),
+                     (1.0, "~%d"), (2.0, "jam:5"), (2.0, "sensor:3"), (2.5, "n%s")], 2.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(radio_sessions(), st.lists(st.integers(0, 9), max_size=8))
+@example(TIED, [])
+# Handoffs that cut on the tied time, and empty windows between them.
+@example(TIED, [2])
+@example(TIED, [2, 0, 1, 0])
+@example(TIED, [0, 3])
+# Only bursts, and only rows.
+@example(hand_session([], [(0.0, "bt:0"), (0.0, "jam:5")], 1.0), [0, 0])
+@example(hand_session([(0.0, "master"), (0.0, "sensor:1")], [], 1.0), [1, 0])
 def test_streamed_radio_trace_equals_sort(session_, batches):
     result, field = session_
     trace = iter(result.trace)
