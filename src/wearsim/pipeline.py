@@ -14,9 +14,10 @@ it is a plain CSV with a fixed header:
 
     timestamp_us,sensor_id,seq,qw,qx,qy,qz,status
 
-RecordingFrame.quantized rounds components to the 9-digit grid, so write
-followed by read reproduces frames exactly and a rewrite of a read file
-is byte-identical.
+A frame keeps the floats it was built with; its 9-digit cells are their
+one rounding, and a cell reads back as a float that writes the same cell.
+So read -> write is byte-identical (RecordingFrame.quantized builds in
+memory the frame a read gives).
 
 Invariants enforced on both read and write: file timestamps never
 decrease, per-sensor sequence numbers strictly increase, quaternions
@@ -70,8 +71,6 @@ class ValidationError(RecordingError):
 
 # A float cell: 9 significant digits.
 _FLOAT_FORMAT = "%.9g"
-# The four components of a quaternion, as four float cells.
-_QUAD_FORMAT = ",".join([_FLOAT_FORMAT] * 4)
 
 
 def _cell(value) -> str:
@@ -127,14 +126,6 @@ class CsvSchema:
             if fmt is None:
                 raise TypeError(f"{self.header} row {n}: {self._misfit(row)}")
             yield fmt % row
-
-    def row_format(self, row: tuple) -> str:
-        """The %-format that writes every row of row's shape: the types of
-        its cells. TypeError if row does not fit."""
-        fmt = self._formats.get(tuple(map(type, row)))
-        if fmt is None:
-            raise TypeError(f"{self.header}: {self._misfit(row)}")
-        return fmt
 
     def _misfit(self, row: tuple) -> str:
         if len(row) != len(self.columns):
@@ -196,10 +187,9 @@ class RecordingFrame(namedtuple("RecordingFrame",
     @staticmethod
     def quantized(timestamp_us: int, sensor_id: int, seq: int,
                   q: Quaternion, status: int = 3) -> "RecordingFrame":
-        """Build a frame with components rounded to the serialized grid, all
-        four in one format pass."""
-        return RecordingFrame(timestamp_us, sensor_id, seq,
-                              *map(float, (_QUAD_FORMAT % q).split(",")), status)
+        """The frame that reading the line of q's frame gives: components
+        rounded to the serialized grid."""
+        return RecordingFrame(timestamp_us, sensor_id, seq, *map(nine_digits, q), status)
 
 
 # The cells FrameOrder checks: timestamp_us, sensor_id, seq.

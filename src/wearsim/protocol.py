@@ -23,10 +23,13 @@ the scheduler advances a simulated second at a time. A sink takes each
 second's rows and frames, so no session is held whole; without one a run
 returns the whole lists. The baseline's deliveries arrive in time order;
 those that round to the same microsecond wait in a small buffer and leave
-it in sensor order. SessionFold folds the metrics batch by batch, as a
-sink or over the lists (session_metrics), keeping about the last second
-of each sensor's timestamps, and checks frame order: timestamps never
-decrease and each sensor's seq strictly increases.
+it in sensor order. A frame carries the sampler's quaternion as it is,
+through the checked RecordingFrame constructor: the loops format and
+parse no value, and the 9-digit cell of recording.csv is the frame's one
+rounding. SessionFold folds the metrics batch by batch, as a sink or
+over the lists (session_metrics), keeping about the last second of each
+sensor's timestamps, and checks frame order: timestamps never decrease
+and each sensor's seq strictly increases.
 """
 
 from __future__ import annotations
@@ -158,6 +161,9 @@ class HopSequencer:
     def __init__(self, policy: HopPolicy, seed: int, channel: int) -> None:
         order = rnd.stream(seed, rnd.PROTOCOL).permutation(len(DATA_CHANNELS))
         self.chain: list[int] = [DATA_CHANNELS[i] for i in order]
+        # The trace's channel column holds an int, and a bool is not one.
+        if type(channel) is not int:
+            raise ConfigError(f"channel {channel!r} is not an int")
         if channel not in self.chain:
             raise ConfigError(f"channel {channel} is not a data channel")
         self.current = channel
@@ -310,10 +316,12 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     last_ok = {s: -math.inf for s in ids}
     loss: deque[bool] = deque(maxlen=policy.loss_window)
     floor_rng = rnd.stream(seed, rnd.FLOOR) if p_floor > 0 else None
-    # Each row's duration is one of these floats, not a new one.
+    # Each row's duration is one of these floats, not a new one; an int
+    # us_per_byte gives the same floats.
     poll_air, response_air, ack_air, beacon_air, hop_air = (
-        timing.us_per_byte * n for n in (timing.poll_bytes, timing.response_bytes,
-                                         timing.ack_bytes, timing.beacon_bytes, timing.hop_bytes))
+        float(timing.us_per_byte * n)
+        for n in (timing.poll_bytes, timing.response_bytes, timing.ack_bytes,
+                  timing.beacon_bytes, timing.hop_bytes))
     turnaround, guard = timing.turnaround_us, timing.guard_us
     ack_tail = ack_air + turnaround + guard + timing.host_cost_us
     resync_us, cap_period = timing.resync_us, 1e6 / timing.poll_cap_hz
@@ -376,8 +384,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
             trace.append(response)
             if response.outcome == radio.DELIVERED:
                 delivered = True
-                frames.append(RecordingFrame.quantized(
-                    int(round(sched.now)), s, slaves[s].seq, q, 3))
+                frames.append(RecordingFrame(int(round(sched.now)), s, slaves[s].seq, *q, 3))
                 last_ok[s] = sched.now
         else:
             # Nothing came back; the master still waits out the slot.
@@ -576,7 +583,7 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                 last_refill = now
                 if tokens >= 1.0:
                     tokens -= 1.0
-                    ordered.add(RecordingFrame.quantized(int(round(now)), s, q_seq, q, 3))
+                    ordered.add(RecordingFrame(int(round(now)), s, q_seq, *q, 3))
                 else:
                     host_dropped[s] += 1
                 yield _BLE_INTERVAL_US - _BLE_TX_US

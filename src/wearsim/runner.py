@@ -25,11 +25,13 @@ the rows left and the bursts at or before the session's end), as columns
 from InterferenceField.windows(). A window merges those two ordered
 inputs: a searchsorted of the burst starts on the row times puts each
 burst after the rows of its time whose source sorts at or before its
-own. No Burst or list of every burst is built. The sink checks each
-TraceRow once, against SESSION_TRACE_CSV, and each RecordingFrame in the
-fold and against RECORDING_CSV; a checked row, as every burst, has one
-radio_trace.csv format. Every file is written through pipeline.open_csv,
-write_csv or write_json.
+own. No Burst or list of every burst is built. The sink checks and
+formats each TraceRow once, through SESSION_TRACE_CSV, and each
+RecordingFrame in the fold and through RECORDING_CSV. A row's
+radio_trace.csv line is its session_trace.csv line without the
+frame_type and sensor_id cells, and every burst line takes one fixed
+format. Every file is written through pipeline.open_csv, write_csv or
+write_json.
 
 The interference field holds busy()'s index, drawn a time chunk at a
 time as the session reaches it (see radio); the radio_trace.csv reader
@@ -48,9 +50,9 @@ import json
 import math
 from contextlib import ExitStack
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from pathlib import Path
-from typing import Iterator, get_type_hints
+from typing import Iterable, Iterator, get_type_hints
 
 import numpy as np
 
@@ -73,10 +75,6 @@ SESSION_TRACE_CSV = CsvSchema(*get_type_hints(TraceRow).items())
 # Interferer bursts have no channel: their cell is empty.
 RADIO_TRACE_CSV = CsvSchema(("time_us", float), ("duration_us", float), ("source", str),
                             ("channel", int | None), ("kind", str), ("outcome", str))
-# The radio_trace.csv cells of a TraceRow, and the one format of those
-# cells for a row that fits SESSION_TRACE_CSV.
-_RADIO_CELLS = itemgetter(0, 1, 2, 3, 4, 7)
-_RADIO_FORMAT = RADIO_TRACE_CSV.row_format((0.0, 0.0, "", 0, "", ""))
 # A burst's line: its start and duration, then its lane's _BURST_TAIL of
 # the lane's source and kind.
 _BURST_FORMAT = "%.9g,%.9g%s"
@@ -147,46 +145,60 @@ def execute(sc: Scenario, field: InterferenceField | None = None,
     return RunArtifacts(body, calib, fold.metrics(result))
 
 
+def _radio_lines(session_lines: Iterable[str]) -> list[str]:
+    """The radio_trace.csv lines of protocol rows, from their
+    session_trace.csv lines: each without its frame_type and sensor_id
+    cells. A row's frame_type and outcome must hold no comma, as a cell of
+    an unquoted CSV cannot."""
+    cut = methodcaller("rsplit", ",", 3)
+    return [f"{head},{outcome}" for head, _, _, outcome in map(cut, session_lines)]
+
+
 class _RadioTrace:
     """The lines of radio_trace.csv after its header, from protocol rows
-    handed over in session order: protocol rows and the interferer bursts
-    that start at or before end_us, ordered by (time_us, source), protocol
-    rows first on a tie. Each handoff gives the lines before the last
-    time_us handed over; rows of that time wait for the next one. The
-    rows must fit SESSION_TRACE_CSV: the sink checks them first."""
+    handed over in session order with their session_trace.csv lines:
+    protocol rows and the interferer bursts that start at or before end_us,
+    ordered by (time_us, source), protocol rows first on a tie. Each
+    handoff gives the lines before the last time_us handed over; rows of
+    that time wait for the next one. The rows must fit SESSION_TRACE_CSV:
+    the sink checks and formats them first."""
 
     def __init__(self, field: InterferenceField, end_us: float) -> None:
         self._take = field.windows(end_us)
         self._sources = field.sources
         self._tails = [_BURST_TAIL % (s, s.split(":")[0]) for s in self._sources]
         self._rows: list[TraceRow] = []  # rows of the last time_us handed over
+        self._proto: list[str] = []  # and their radio lines
 
-    def lines(self, rows: list[TraceRow]) -> Iterator[str]:
-        """The lines of the window that rows complete: the rows and bursts
-        before the last time_us handed over so far."""
-        pending = self._rows
+    def lines(self, rows: list[TraceRow], session_lines: Iterable[str]) -> Iterator[str]:
+        """The lines of the window that rows, whose session_trace.csv lines
+        are session_lines, complete: the rows and bursts before the last
+        time_us handed over so far."""
+        pending, proto = self._rows, self._proto
         pending += rows
+        proto += _radio_lines(session_lines)
         if not pending:
             return iter(())
         cut = pending[-1].time_us
         b = len(pending)
         while b and pending[b - 1].time_us == cut:
             b -= 1
-        window = pending[:b]
-        del pending[:b]
-        return self._window(window, self._take(cut))
+        window, window_proto = pending[:b], proto[:b]
+        del pending[:b], proto[:b]
+        return self._window(window, window_proto, self._take(cut))
 
     def close(self) -> Iterator[str]:
         """The lines of the last window: the rows left and every burst left."""
         rows, self._rows = self._rows, []
-        return self._window(rows, self._take(math.inf))
+        proto, self._proto = self._proto, []
+        return self._window(rows, proto, self._take(math.inf))
 
-    def _window(self, rows: list[TraceRow], bursts: tuple[np.ndarray, ...]) -> Iterator[str]:
-        proto = map(_RADIO_FORMAT.__mod__, map(_RADIO_CELLS, rows))
+    def _window(self, rows: list[TraceRow], lines: list[str],
+                bursts: tuple[np.ndarray, ...]) -> Iterator[str]:
+        """The rows, whose radio lines are lines, merged with bursts."""
         starts, durations, lanes = bursts
         if not len(starts):
-            return proto
-        lines = list(proto)
+            return iter(lines)
         lines += map(_BURST_FORMAT.__mod__, zip(starts.tolist(), durations.tolist(),
                                                 map(self._tails.__getitem__, lanes.tolist())))
         # Each burst goes before the first row of a later time_us, or of the
@@ -220,8 +232,9 @@ class _SessionFiles:
     def __call__(self, rows: list[TraceRow], frames: list[RecordingFrame]) -> None:
         self._fold.add(rows, frames)  # checks the frames before they are written
         self._recording.writelines(RECORDING_CSV.lines(frames))
-        self._trace.writelines(SESSION_TRACE_CSV.lines(rows))  # checks the rows for _radio
-        self._radio_file.writelines(self._radio.lines(rows))
+        lines = list(SESSION_TRACE_CSV.lines(rows))  # checks the rows for _radio
+        self._trace.writelines(lines)
+        self._radio_file.writelines(self._radio.lines(rows, lines))
 
     def close(self) -> None:
         """Write the last radio_trace.csv window."""

@@ -28,7 +28,7 @@ import yaml
 from test_streaming import collected_session, sorted_radio_rows
 
 from wearsim.cli import main
-from wearsim.runner import RADIO_TRACE_CSV, _RadioTrace
+from wearsim.runner import RADIO_TRACE_CSV, SESSION_TRACE_CSV, _RadioTrace
 from wearsim.scenario import parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -209,7 +209,8 @@ def test_bytes_unchanged(digests, name):
 def test_radio_trace_merge_equals_sort(kind, seed, duration_s):
     result, field = collected_session(parse_scenario(crowded(kind, duration_s), seed=seed))
     radio = _RadioTrace(field, result.duration_us)
-    merged = [*radio.lines(result.trace), *radio.close()]
+    merged = [*radio.lines(result.trace, SESSION_TRACE_CSV.lines(result.trace)),
+              *radio.close()]
     assert any(line.endswith(",busy\n") for line in merged)
     assert merged == list(RADIO_TRACE_CSV.lines(sorted_radio_rows(result, field)))
 

@@ -7,7 +7,7 @@ from bisect import bisect_right
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wearsim import pipeline as pl
@@ -20,6 +20,15 @@ from wearsim.pipeline import (ParseError, RecordingFrame, ValidationError, _cell
 from wearsim.protocol import TraceRow
 from wearsim.quatmath import Quaternion
 from wearsim.runner import RADIO_TRACE_CSV, SESSION_TRACE_CSV
+
+
+# Finite floats, with signed zeros, subnormals, the smallest normal,
+# magnitudes near 1e-300 and 1e300, and the largest float.
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                    1.7976931348623157e308, -1.7976931348623157e308]),
+                   st.floats(1e-310, 1e-290), st.floats(-1e-290, -1e-310),
+                   st.floats(1e290, 1e308), st.floats(-1e308, -1e290))
 
 
 def frame(ts, sensor, seq, q, status=3):
@@ -43,6 +52,26 @@ class TestRecordingFrame:
     def test_quantized_components_are_the_cells_grid(self, q):
         # One format pass for all four components lands on nine_digits' grid.
         assert frame(0, 1, 1, q)[3:7] == tuple(map(nine_digits, q))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[FINITE] * 4))
+    def test_a_cell_is_the_one_rounding(self, comps):
+        # The protocol loops keep the sampler's floats: the line of a frame
+        # of any finite components equals the line of those components on
+        # the 9-digit grid.
+        raw = RecordingFrame._make((0, 1, 1, *comps, 3))
+        on_grid = RecordingFrame._make((0, 1, 1, *map(nine_digits, comps), 3))
+        assert list(pl.RECORDING_CSV.lines([on_grid])) == list(pl.RECORDING_CSV.lines([raw]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.one_of(st.floats(-1.0, 1.0), FINITE)] * 4)
+           .filter(any).map(lambda c: Quaternion(*c)))
+    @example(Quaternion(1.0, -0.0, 5e-324, -1e-300))
+    @example(Quaternion(-1e300, 1e300, 0.0, -0.0))
+    def test_line_of_a_frame_is_its_quantized_twins(self, q):
+        raw = RecordingFrame(7, 2, 5, *q, 3)
+        twin = RecordingFrame.quantized(7, 2, 5, q, 3)
+        assert list(pl.RECORDING_CSV.lines([raw])) == list(pl.RECORDING_CSV.lines([twin]))
 
     def test_unit_enforced(self):
         with pytest.raises(ValueError):
@@ -154,6 +183,10 @@ CELLS = {
 }
 
 
+# Text an unquoted CSV cell can hold: no comma.
+CSV_TEXT = st.text().map(lambda s: s.replace(",", ""))
+
+
 def rows_of(schema):
     """Rows whose cells each hold one of their column's types."""
     return st.lists(st.tuples(*[st.one_of(*map(CELLS.get, kinds))
@@ -187,13 +220,18 @@ class TestCsvSchema:
             "1.5,2,master,3,cw,delivered", "-0,1e-07,wifi:1,,wifi,busy"]
 
     @settings(max_examples=200, deadline=None)
-    @given(rows_of(SESSION_TRACE_CSV))
+    @given(st.lists(st.tuples(*[CSV_TEXT if name in ("frame_type", "outcome")
+                                else st.one_of(*map(CELLS.get, kinds))
+                                for name, kinds in SESSION_TRACE_CSV.columns]), max_size=10))
+    @example([(0.5, 128.0, "a,b", 40, "c,d", "response", 3, "delivered")])
     def test_radio_trace_fixed_formats(self, rows):
-        # runner writes the radio line of a TraceRow that fits
-        # SESSION_TRACE_CSV, and each burst line, by one fixed format.
-        for row in map(TraceRow._make, rows):
-            cells = runner._RADIO_CELLS(row)
-            assert runner._RADIO_FORMAT % cells == next(RADIO_TRACE_CSV.lines([cells]))
+        # runner cuts the radio line of a TraceRow that fits SESSION_TRACE_CSV
+        # from its session line, and writes each burst line by one fixed
+        # format. The cut needs no comma in the last three cells only.
+        rows = list(map(TraceRow._make, rows))
+        assert runner._radio_lines(SESSION_TRACE_CSV.lines(rows)) == list(
+            RADIO_TRACE_CSV.lines((*row[:5], row.outcome) for row in rows))
+        for row in rows:
             start, duration, source = row[:3]
             kind = source.split(":")[0]
             tail = runner._BURST_TAIL % (source, kind)

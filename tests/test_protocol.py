@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -70,6 +71,16 @@ class TestHopSequencer:
     def test_not_a_data_channel(self, channel):
         with pytest.raises(ConfigError, match=f"channel {channel} is not a data channel"):
             HopSequencer(HopPolicy(), seed=1, channel=channel)
+
+    @pytest.mark.parametrize("channel", [40.0, True, "40"])
+    def test_channel_must_be_an_int(self, channel):
+        # 40.0 and True equal data channels, but a channel indexes the band
+        # table and fills the trace's int column.
+        message = re.escape(f"channel {channel!r} is not an int")
+        with pytest.raises(ConfigError, match=message):
+            HopSequencer(HopPolicy(), seed=1, channel=channel)
+        with pytest.raises(ConfigError, match=message):
+            master_run([1], 0.1, flat_sampler, CLEAN, seed=0, initial_channel=channel)
 
     def test_preview_does_not_move(self):
         seq = HopSequencer(HopPolicy(), seed=4, channel=40)

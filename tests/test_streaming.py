@@ -7,6 +7,7 @@ import gc
 import itertools
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,18 @@ def test_dropping_field_writes_the_bytes_of_a_kept_one(tmp_path, monkeypatch, pr
     for name in STREAMED[:3]:
         assert ((tmp_path / "dropping" / name).read_bytes()
                 == (tmp_path / "kept" / name).read_bytes()), name
+
+
+def test_int_us_per_byte_streams_the_bytes_of_a_float(tmp_path):
+    # TimingProfile(us_per_byte=4), as the library takes it, gives each row
+    # the float air time of 4.0, and so the same files.
+    sc = parse_scenario(suit(1.5, "crowded", 4))
+    for us_per_byte in (4.0, 4):
+        run_scenario(replace(sc, timing=pr.TimingProfile(us_per_byte=us_per_byte)),
+                     tmp_path / repr(us_per_byte))
+    for name in STREAMED:
+        assert ((tmp_path / "4.0" / name).read_bytes()
+                == (tmp_path / "4" / name).read_bytes()), name
 
 
 def test_session_memory_does_not_grow_with_length(monkeypatch):
@@ -360,10 +373,15 @@ def test_streamed_radio_trace_equals_sort(session_, batches):
     result, field = session_
     trace = iter(result.trace)
     radio = runner._RadioTrace(field, result.duration_us)
+
+    def hand(rows):
+        # The sink hands each batch over with its session_trace.csv lines.
+        return radio.lines(rows, SESSION_TRACE_CSV.lines(rows))
+
     lines = []
     for n in batches:
-        lines += radio.lines(list(itertools.islice(trace, n)))
-    lines += radio.lines(list(trace))
+        lines += hand(list(itertools.islice(trace, n)))
+    lines += hand(list(trace))
     lines += radio.close()
     assert lines == list(RADIO_TRACE_CSV.lines(sorted_radio_rows(result, field)))
 
