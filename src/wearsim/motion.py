@@ -24,6 +24,14 @@ tracked joint moves has angular speed 0 without forward kinematics. Each
 sensor's noise is randomness.normals over its own stream, so a reading
 makes no numpy call except the generator's refill every NORMAL_BLOCK
 draws.
+
+The ground truth of many instants at once (truth_joint_angles) is the
+column twin of that path: each track's angles(t) evaluates its angle
+expression in the same order on a numpy column, and _world_columns
+chains quatmath's column twins as _world chains the kernel. Each value
+has the bits of truth_joint_angle, which stays as the scalar oracle:
+tests/test_motion.py compares the two bit for bit on every preset and on
+drawn tracks.
 """
 
 from __future__ import annotations
@@ -34,9 +42,12 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Protocol
 
+import numpy as np
+
 from . import randomness
-from .quatmath import (Quad, Quaternion, Vector3, axis_angle4, mul4,
-                       shortest_angle_deg)
+from .quatmath import (Quad, QuadColumns, Quaternion, Vector3, axis_angle4,
+                       axis_angle4_columns, mul4, mul4_columns, shortest_angle_deg,
+                       shortest_angle_deg_columns)
 from .skeleton import JOINTS, BoneId, SensorPlacement, Skeleton, placement_preset
 
 # Step for numeric differentiation of bone orientation (seconds).
@@ -46,6 +57,9 @@ _SPEED_H = 5e-4
 class AngleFn(Protocol):
     def angle(self, t: float) -> float: ...
 
+    def angles(self, t: np.ndarray) -> np.ndarray:
+        """angle at each time of t, with angle's bits."""
+
 
 @dataclass(frozen=True)
 class Constant:
@@ -53,6 +67,9 @@ class Constant:
 
     def angle(self, t: float) -> float:
         return self.deg
+
+    def angles(self, t: np.ndarray) -> np.ndarray:
+        return np.full(len(t), self.deg, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -68,6 +85,10 @@ class Sinusoid:
 
     def angle(self, t: float) -> float:
         return self.center_deg + self.amplitude_deg * math.sin(
+            2.0 * math.pi * t / self.period_s + self.phase_rad)
+
+    def angles(self, t: np.ndarray) -> np.ndarray:
+        return self.center_deg + self.amplitude_deg * np.sin(
             2.0 * math.pi * t / self.period_s + self.phase_rad)
 
 
@@ -93,6 +114,16 @@ class Piecewise:
         i = bisect_right(pts, t, key=itemgetter(0))
         (t0, a0), (t1, a1) = pts[i - 1], pts[i]
         return a0 + (a1 - a0) * (t - t0) / (t1 - t0)
+
+    def angles(self, t: np.ndarray) -> np.ndarray:
+        times, values = np.array(self.points, dtype=float).T
+        # The segment of each t inside the knots, as angle's bisect_right
+        # finds it; the clip keeps the rows outside in range.
+        i = np.clip(np.searchsorted(times, t, "right"), 1, len(times) - 1)
+        t0, a0, t1, a1 = times[i - 1], values[i - 1], times[i], values[i]
+        inside = a0 + (a1 - a0) * (t - t0) / (t1 - t0)
+        return np.where(t <= times[0], values[0],
+                        np.where(t >= times[-1], values[-1], inside))
 
 
 @dataclass(frozen=True)
@@ -164,8 +195,10 @@ def random_offsets(placement: SensorPlacement, seed: int) -> dict[int, Quaternio
     return offsets
 
 
-# (angle function, hinge axis) of each tracked joint from the root down to a bone.
-_Chain = tuple[tuple[Callable[[float], float], Vector3], ...]
+# (angle function, hinge axis, its angles) of each tracked joint from the
+# root down to a bone.
+_Chain = tuple[tuple[Callable[[float], float], Vector3,
+                     Callable[[np.ndarray], np.ndarray]], ...]
 
 
 def _world(chain: _Chain, t: float) -> Quad:
@@ -174,8 +207,16 @@ def _world(chain: _Chain, t: float) -> Quad:
     # Starts from the identity, not the first joint's rotation: the
     # identity product turns a -0.0 component into 0.0.
     q = Quaternion.identity()
-    for angle, axis in chain:
+    for angle, axis, _ in chain:
         q = mul4(q, axis_angle4(axis, angle(t)))
+    return q
+
+
+def _world_columns(chain: _Chain, t: np.ndarray) -> QuadColumns:
+    """_world at each time of t, as (w, x, y, z) columns with its bits."""
+    q = (np.ones(len(t)), np.zeros(len(t)), np.zeros(len(t)), np.zeros(len(t)))
+    for _, axis, angles in chain:
+        q = mul4_columns(q, axis_angle4_columns(axis, angles(t)))
     return q
 
 
@@ -201,7 +242,8 @@ class SyntheticBody:
             cur: BoneId | None = bone
             while cur is not None:
                 if cur in tracks:
-                    chain.append((tracks[cur].fn.angle, tracks[cur].axis))
+                    fn, axis = tracks[cur].fn, tracks[cur].axis
+                    chain.append((fn.angle, axis, fn.angles))
                 cur = skel.parent[cur]
             self._chain[bone] = tuple(reversed(chain))
         self._noisy = noise.static_sigma_deg > 0.0 or noise.dynamic_sigma_deg > 0.0
@@ -244,6 +286,16 @@ class SyntheticBody:
         joint = JOINTS[label]
         return shortest_angle_deg(self.bone_world(joint.parent_bone, t),
                                   self.bone_world(joint.child_bone, t))
+
+    def truth_joint_angles(self, label: str, t: np.ndarray) -> list[float]:
+        """truth_joint_angle at each time of t, with its bits."""
+        outside = ~((t >= 0.0) & (t <= self.spec.duration_s))
+        if outside.any():
+            self._check(float(t[outside.argmax()]))
+        joint = JOINTS[label]
+        return shortest_angle_deg_columns(_world_columns(self._chain[joint.parent_bone], t),
+                                          _world_columns(self._chain[joint.child_bone], t)
+                                          ).tolist()
 
     @staticmethod
     def _perturbation(draws: Iterator[float], sigma: float, cap: float) -> Quad:

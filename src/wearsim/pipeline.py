@@ -5,9 +5,11 @@ open_csv, for lines written as they become known), write_json for each
 JSON report. A CSV cell is empty for None, a float to 9 significant
 digits (the nine_digits grid) and str() of anything else.
 Each CSV kind has a CsvSchema: its column names and the one type each
-column holds. The schema turns that rule into one %-format per row shape,
-so a row is formatted by one `%` and a cell of the wrong type is refused
-instead of written in another format.
+column holds. The schema turns that rule into one %-format per row shape
+and writes rows a batch at a time: when each column of a batch holds one
+accepted type, the whole batch is formatted by one `%`; otherwise each
+row by its own. A cell of the wrong type is refused instead of written in
+another format.
 
 A recording is a flat stream of per-sensor quaternion samples. On disk
 it is a plain CSV with a fixed header:
@@ -71,6 +73,8 @@ class ValidationError(RecordingError):
 
 # A float cell: 9 significant digits.
 _FLOAT_FORMAT = "%.9g"
+# Rows that write_csv formats at once.
+_WRITE_BATCH = 1024
 
 
 def _cell(value) -> str:
@@ -103,8 +107,8 @@ class CsvSchema:
 
     Each column is given as (name, type); `int | None` marks a column that
     may be empty. A row is a tuple with one cell per column, each of exactly
-    one of its column's types (a bool is not an int), and is written by one
-    %-format.
+    one of its column's types (a bool is not an int). A batch of rows whose
+    columns each hold one type is written by one %-format.
     """
 
     def __init__(self, *columns: tuple[str, type | UnionType]) -> None:
@@ -117,11 +121,26 @@ class CsvSchema:
         self._formats = {shape: ",".join(map(_cell_format, shape)) + "\n"
                          for shape in itertools.product(*(k for _, k in self.columns))}
 
-    def lines(self, rows: Iterable[tuple]) -> Iterator[str]:
-        """Each row as one line of text. The first row that does not fit
-        raises TypeError before any of it is formatted."""
+    def batch(self, rows: Sequence[tuple], start: int = 1) -> Iterator[str]:
+        """The lines of rows, numbered from start: one string of them all when
+        every row has a cell per column and each column holds one of its
+        types throughout; otherwise lines(rows, start), a line per row."""
+        shape = None
+        if set(map(len, rows)) == {len(self.columns)}:
+            kinds = [set(map(type, column)) for column in zip(*rows)]
+            if all(len(k) == 1 for k in kinds):
+                shape = tuple(k.pop() for k in kinds)
+        fmt = self._formats.get(shape)
+        if fmt is None:
+            yield from self.lines(rows, start)
+        else:
+            yield (fmt * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+
+    def lines(self, rows: Iterable[tuple], start: int = 1) -> Iterator[str]:
+        """Each row as one line of text, numbered from start. The first row
+        that does not fit raises TypeError before any of it is formatted."""
         formats = self._formats
-        for n, row in enumerate(rows, start=1):
+        for n, row in enumerate(rows, start=start):
             fmt = formats.get(tuple(map(type, row)))
             if fmt is None:
                 raise TypeError(f"{self.header} row {n}: {self._misfit(row)}")
@@ -153,9 +172,15 @@ def open_csv(path: str | Path, schema: CsvSchema) -> Iterator[TextIO]:
 
 
 def write_csv(path: str | Path, schema: CsvSchema, rows: Iterable[tuple]) -> None:
-    """Write the schema's header line, then one line per row."""
+    """Write the schema's header line, then one line per row, formatted
+    _WRITE_BATCH rows at a time. A row that does not fit raises TypeError
+    after the rows before it are written."""
+    rows = iter(rows)
     with open_csv(path, schema) as fh:
-        fh.writelines(schema.lines(rows))
+        start = 1
+        while batch := list(itertools.islice(rows, _WRITE_BATCH)):
+            fh.writelines(schema.batch(batch, start))
+            start += len(batch)
 
 
 def write_json(path: str | Path, data) -> None:

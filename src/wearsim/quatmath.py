@@ -14,10 +14,20 @@ kernel. mul4 and axis_angle4 return plain tuples: the sampler's per-frame
 path chains them and builds one Quaternion per reading, not one per
 intermediate.
 
-Everything here is stdlib float math in a fixed order, so one input gives
-the same bits on every run of one machine. Across machines, sin, cos and
-acos come from the platform's libm, so bit identity holds where libm and
-numpy's generators (see randomness) give the same bits.
+The column twins (unit4_columns, mul4_columns, axis_angle4_columns,
+shortest_angle_deg_columns) take numpy columns, one row per orientation,
+and give each row the bits the scalar kernel gives: the same elementwise
+operations in the same order, which + - * / and sqrt round exactly as
+stdlib floats do. They take sin, cos, radians and degrees from numpy, and
+acos from math, value by value, because np.arccos does not match
+math.acos on every argument. tests/test_motion.py pins the twins to the
+scalar kernel, and numpy's sin, cos, radians and degrees to math's.
+
+The scalar kernel is stdlib float math in a fixed order, so one input
+gives the same bits on every run of one machine. Across machines, sin, cos
+and acos come from the platform's libm, so bit identity holds where libm
+and numpy (the column twins' sin and cos, and the generators of
+randomness) give the same bits.
 """
 
 from __future__ import annotations
@@ -25,6 +35,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from typing import Sequence
+
+import numpy as np
 
 Vector3 = Sequence[float]
 Quad = tuple[float, float, float, float]
@@ -122,6 +134,55 @@ def shortest_angle_deg(a: Quad, b: Quad) -> float:
     if d >= 1.0:
         return 0.0
     return math.degrees(2.0 * math.acos(d))
+
+
+# Columns (w, x, y, z) of orientations, one row each.
+QuadColumns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def unit4_columns(w: np.ndarray, x: np.ndarray, y: np.ndarray,
+                  z: np.ndarray) -> QuadColumns:
+    """unit4 of each row: scaled to unit norm where its squared norm is off
+    unity by more than _NORM_TOL. Rows must be near unit, as products of
+    unit tuples are: unit4's overflow and underflow branch is not taken."""
+    n2 = w * w + x * x + y * y + z * z
+    # Division by 1.0 leaves every value, signed zeros included, as it is.
+    n = np.where(np.abs(n2 - 1.0) > _NORM_TOL, np.sqrt(n2), 1.0)
+    return w / n, x / n, y / n, z / n
+
+
+def mul4_columns(a: QuadColumns, b: QuadColumns) -> QuadColumns:
+    """mul4 of each row of a and b."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return unit4_columns(aw * bw - ax * bx - ay * by - az * bz,
+                         aw * bx + ax * bw + ay * bz - az * by,
+                         aw * by - ax * bz + ay * bw + az * bx,
+                         aw * bz + ax * by - ay * bx + az * bw)
+
+
+def axis_angle4_columns(axis: Vector3, deg: np.ndarray) -> QuadColumns:
+    """axis_angle4 of axis and each angle of deg."""
+    ax, ay, az = float(axis[0]), float(axis[1]), float(axis[2])
+    n = math.sqrt(ax * ax + ay * ay + az * az)
+    if n == 0.0:
+        raise ValueError("rotation axis must be non-zero")
+    half = np.radians(deg) / 2.0
+    s = np.sin(half) / n
+    return unit4_columns(np.cos(half), s * ax, s * ay, s * az)
+
+
+def shortest_angle_deg_columns(a: QuadColumns, b: QuadColumns) -> np.ndarray:
+    """shortest_angle_deg of each row of a and b."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    same = (((aw == bw) & (ax == bx) & (ay == by) & (az == bz))
+            | ((aw == -bw) & (ax == -bx) & (ay == -by) & (az == -bz)))
+    d = np.abs(aw * bw + ax * bx + ay * by + az * bz)
+    # acos(1.0) is exactly 0.0: the rows that shortest_angle_deg answers
+    # with 0.0 take d = 1.0.
+    d = np.where(same | (d >= 1.0), 1.0, d)
+    return np.degrees(2.0 * np.fromiter(map(math.acos, d.tolist()), float, len(d)))
 
 
 def hamilton_product(a: Quaternion, b: Quaternion) -> Quaternion:

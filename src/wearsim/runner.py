@@ -26,12 +26,15 @@ from InterferenceField.windows(). A window merges those two ordered
 inputs: a searchsorted of the burst starts on the row times puts each
 burst after the rows of its time whose source sorts at or before its
 own. No Burst or list of every burst is built. The sink checks and
-formats each TraceRow once, through SESSION_TRACE_CSV, and each
-RecordingFrame in the fold and through RECORDING_CSV. A row's
-radio_trace.csv line is its session_trace.csv line without the
-frame_type and sensor_id cells, and every burst line takes one fixed
-format. Every file is written through pipeline.open_csv, write_csv or
-write_json.
+formats a handoff's TraceRows once, through SESSION_TRACE_CSV, and its
+RecordingFrames in the fold and through RECORDING_CSV: each batch by one
+%-format (see pipeline.CsvSchema.batch). A row's radio_trace.csv line is
+its line of the session_trace.csv text without the frame_type and
+sensor_id cells, and every burst line takes one fixed format. The ground
+truth is computed as numpy columns (SyntheticBody.truth_joint_angles)
+and written _TRUTH_BATCH grid points at a time, every 10 ms up to the
+last point in the session. Every file is written through
+pipeline.open_csv, write_csv or write_json.
 
 The interference field holds busy()'s index, drawn a time chunk at a
 time as the session reaches it (see radio); the radio_trace.csv reader
@@ -52,7 +55,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from operator import itemgetter, methodcaller
 from pathlib import Path
-from typing import Iterable, Iterator, get_type_hints
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -71,6 +74,8 @@ from .skeleton import (BoneId, CalibrationPose, CalibrationRecord, SensorPlaceme
                        Skeleton, calibrate)
 
 GROUND_TRUTH_HZ = 100.0
+# Ground-truth grid points computed at once.
+_TRUTH_BATCH = 1024
 SESSION_TRACE_CSV = CsvSchema(*get_type_hints(TraceRow).items())
 # Interferer bursts have no channel: their cell is empty.
 RADIO_TRACE_CSV = CsvSchema(("time_us", float), ("duration_us", float), ("source", str),
@@ -145,13 +150,15 @@ def execute(sc: Scenario, field: InterferenceField | None = None,
     return RunArtifacts(body, calib, fold.metrics(result))
 
 
-def _radio_lines(session_lines: Iterable[str]) -> list[str]:
+def _radio_lines(session_text: str) -> list[str]:
     """The radio_trace.csv lines of protocol rows, from their
-    session_trace.csv lines: each without its frame_type and sensor_id
-    cells. A row's frame_type and outcome must hold no comma, as a cell of
-    an unquoted CSV cannot."""
+    session_trace.csv text: each line without its frame_type and sensor_id
+    cells. No cell of a row may hold a newline, and its frame_type and
+    outcome no comma, as a cell of an unquoted CSV cannot."""
     cut = methodcaller("rsplit", ",", 3)
-    return [f"{head},{outcome}" for head, _, _, outcome in map(cut, session_lines)]
+    lines = session_text.split("\n")
+    del lines[-1]  # the empty rest after the last line
+    return [f"{head},{outcome}\n" for head, _, _, outcome in map(cut, lines)]
 
 
 class _RadioTrace:
@@ -170,13 +177,13 @@ class _RadioTrace:
         self._rows: list[TraceRow] = []  # rows of the last time_us handed over
         self._proto: list[str] = []  # and their radio lines
 
-    def lines(self, rows: list[TraceRow], session_lines: Iterable[str]) -> Iterator[str]:
-        """The lines of the window that rows, whose session_trace.csv lines
-        are session_lines, complete: the rows and bursts before the last
+    def lines(self, rows: list[TraceRow], session_text: str) -> Iterator[str]:
+        """The lines of the window that rows, whose session_trace.csv text
+        is session_text, complete: the rows and bursts before the last
         time_us handed over so far."""
         pending, proto = self._rows, self._proto
         pending += rows
-        proto += _radio_lines(session_lines)
+        proto += _radio_lines(session_text)
         if not pending:
             return iter(())
         cut = pending[-1].time_us
@@ -231,10 +238,10 @@ class _SessionFiles:
 
     def __call__(self, rows: list[TraceRow], frames: list[RecordingFrame]) -> None:
         self._fold.add(rows, frames)  # checks the frames before they are written
-        self._recording.writelines(RECORDING_CSV.lines(frames))
-        lines = list(SESSION_TRACE_CSV.lines(rows))  # checks the rows for _radio
-        self._trace.writelines(lines)
-        self._radio_file.writelines(self._radio.lines(rows, lines))
+        self._recording.writelines(RECORDING_CSV.batch(frames))
+        text = "".join(SESSION_TRACE_CSV.batch(rows))  # checks the rows for _radio
+        self._trace.write(text)
+        self._radio_file.writelines(self._radio.lines(rows, text))
 
     def close(self) -> None:
         """Write the last radio_trace.csv window."""
@@ -243,10 +250,23 @@ class _SessionFiles:
 
 def _write_ground_truth(body: SyntheticBody, sc: Scenario, out_dir: Path) -> None:
     step = int(round(1e6 / GROUND_TRUTH_HZ))
-    times = range(0, int(sc.duration_s * 1e6 // step) * step + 1, step)
+    # The grid ends at the last t_us whose time t_us / 1e6 is in the session;
+    # duration_s * 1e6 can round to either side of it.
+    last = int(sc.duration_s * 1e6 // step) + 1
+    while last * step / 1e6 > sc.duration_s:
+        last -= 1
+    times = range(0, last * step + 1, step)
     for label in sorted(sc.trajectory.joints):
         write_csv(out_dir / f"ground_truth_{file_slug(label)}.csv", ANGLE_CSV,
-                  ((t_us, body.truth_joint_angle(label, t_us / 1e6)) for t_us in times))
+                  _truth_rows(body, label, times))
+
+
+def _truth_rows(body: SyntheticBody, label: str, times: range) -> Iterator[tuple[int, float]]:
+    """(t_us, ground-truth angle at t_us / 1e6) for each t_us of times,
+    computed _TRUTH_BATCH at a time."""
+    for i in range(0, len(times), _TRUTH_BATCH):
+        batch = times[i:i + _TRUTH_BATCH]
+        yield from zip(batch, body.truth_joint_angles(label, np.array(batch) / 1e6))
 
 
 def _write_session(sc: Scenario, calib: CalibrationRecord, path: Path) -> None:

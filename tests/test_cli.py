@@ -101,6 +101,21 @@ class TestSimulate:
         assert lines[1] == "0,90"
         assert lines[-1].startswith("5000000,")
 
+    @pytest.mark.parametrize("duration_s, last", [
+        ("1.1199999999999999", "1110000"), ("0.06999999999999999", "60000"),
+        ("0.13999999999999999", "130000"), ("0.27999999999999997", "270000"),
+        ("0.5599999999999999", "550000"), ("2.01", "2010000")])
+    def test_ground_truth_ends_in_the_session(self, tmp_path, duration_s, last):
+        # duration_s * 1e6 rounds up to a grid point past the session for the
+        # first five, and down to one short of the last grid point for 2.01.
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(f"session: {{duration_s: {duration_s}, seed: 1}}\n"
+                            "motion: {preset: half-jacks}\n")
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "ground_truth_left_hip.csv").read_text().splitlines()
+        assert lines[-1].split(",")[0] == last
+        assert len(lines) == 2 + int(last) // 10_000
+
     def test_stdout_summary(self, arm_raise_run, capsys):
         # The fixture already ran; run again into a fresh dir to capture.
         out = arm_raise_run.parent / "echo"

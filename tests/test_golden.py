@@ -209,7 +209,7 @@ def test_bytes_unchanged(digests, name):
 def test_radio_trace_merge_equals_sort(kind, seed, duration_s):
     result, field = collected_session(parse_scenario(crowded(kind, duration_s), seed=seed))
     radio = _RadioTrace(field, result.duration_us)
-    merged = [*radio.lines(result.trace, SESSION_TRACE_CSV.lines(result.trace)),
+    merged = [*radio.lines(result.trace, "".join(SESSION_TRACE_CSV.batch(result.trace))),
               *radio.close()]
     assert any(line.endswith(",busy\n") for line in merged)
     assert merged == list(RADIO_TRACE_CSV.lines(sorted_radio_rows(result, field)))

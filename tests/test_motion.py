@@ -2,14 +2,17 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from wearsim import motion as mo
 from wearsim import quatmath as qm
-from wearsim import randomness
+from wearsim import randomness, runner
 from wearsim import skeleton as sk
 from wearsim.motion import Constant, NoiseModel, Piecewise, Sinusoid, SyntheticBody
 from wearsim.quatmath import Quaternion
@@ -426,6 +429,126 @@ class TestFloatPathOracle:
                 assert min(oracle.draws.values()) > 3 * randomness.NORMAL_BLOCK
             if noise == "capped":
                 assert oracle.redraws > 0
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+def assert_numpy_is_math(x):
+    """numpy's sin, cos, radians and degrees give math's bits on each value
+    of x: the column truth takes them from numpy, the scalar one from math."""
+    for np_fn, math_fn in ((np.sin, math.sin), (np.cos, math.cos),
+                           (np.radians, math.radians), (np.degrees, math.degrees)):
+        assert hexes(np_fn(x).tolist()) == hexes(map(math_fn, x.tolist())), np_fn.__name__
+
+
+def assert_columns_are_scalar(body, t):
+    """At each time of t, every joint's column truth has the bits of
+    truth_joint_angle, each track's angles those of its angle, and numpy
+    gives math's bits on the arguments of the truth's sin, cos, radians
+    and degrees."""
+    ts = t.tolist()
+    for label, track in body.spec.joints.items():
+        assert hexes(body.truth_joint_angles(label, t)) == \
+            hexes(body.truth_joint_angle(label, x) for x in ts), label
+        angles = track.fn.angles(t)
+        assert hexes(angles.tolist()) == hexes(map(track.fn.angle, ts)), label
+        assert_numpy_is_math(angles)
+        assert_numpy_is_math(np.radians(angles) / 2.0)
+        if isinstance(track.fn, Sinusoid):
+            assert_numpy_is_math(2.0 * math.pi * t / track.fn.period_s + track.fn.phase_rad)
+        joint = sk.JOINTS[label]
+        dots = [abs(sum(map(float.__mul__, body.bone_world(joint.parent_bone, x),
+                            body.bone_world(joint.child_bone, x)))) for x in ts]
+        assert_numpy_is_math(np.array([2.0 * math.acos(min(d, 1.0)) for d in dots]))
+
+
+# Angles, with the hinge's half turns and signed zeros among them.
+ANGLES = st.one_of(st.floats(-400.0, 400.0),
+                   st.sampled_from([180.0, -180.0, 0.0, -0.0, 90.0, -90.0, 360.0]))
+AXES = st.one_of(st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0)]),
+                 st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+                     lambda a: sum(c * c for c in a) > 1e-6))
+
+
+@st.composite
+def angle_fns(draw, duration_s):
+    kind = draw(st.sampled_from(["constant", "sinusoid", "piecewise"]))
+    if kind == "constant":
+        return Constant(draw(ANGLES))
+    if kind == "sinusoid":
+        return Sinusoid(draw(ANGLES), draw(ANGLES), draw(st.floats(0.01, 20.0)),
+                        draw(st.floats(-7.0, 7.0)))
+    times = draw(st.lists(st.floats(-1.0, duration_s + 1.0), min_size=2, max_size=8,
+                          unique=True))
+    return Piecewise(tuple((k, draw(ANGLES)) for k in sorted(times)))
+
+
+@st.composite
+def column_cases(draw):
+    """A zero-noise body of drawn tracks, and times inside its session: the
+    ends, each knot inside and drawn times."""
+    duration_s = draw(st.floats(0.01, 30.0))
+    labels = draw(st.lists(st.sampled_from(["right shoulder", "right elbow", "left hip",
+                                            "left knee"]), min_size=1, unique=True))
+    spec = mo.TrajectorySpec({label: mo.JointTrack(draw(angle_fns(duration_s)), draw(AXES))
+                              for label in labels}, duration_s)
+    knots = [k for track in spec.joints.values() if isinstance(track.fn, Piecewise)
+             for k, _ in track.fn.points if 0.0 <= k <= duration_s]
+    times = draw(st.lists(st.floats(0.0, duration_s), max_size=20))
+    return truth_body(spec), np.array(sorted({0.0, duration_s, *knots, *times}))
+
+
+class TestColumnTruth:
+    @pytest.mark.parametrize("preset, params", [
+        *sorted(PRESETS.items()),
+        ("artificial-joint", {"angle_deg": 37.0}), ("artificial-joint", {"angle_deg": 180.0}),
+        ("artificial-joint", {"angle_deg": -90.0}),
+        ("half-jacks", {"sensors": 12, "duration_s": 60.0}), ("arm-raise", {"duration_s": 60.0}),
+        # Durations that are not a multiple of 10 ms.
+        ("half-jacks", {"duration_s": 1.1199999999999999}),
+        ("arm-raise", {"duration_s": 2.0149}),
+        ("artificial-joint", {"angle_deg": 180.0, "dwell_s": 0.06999999999999999}),
+    ])
+    def test_every_preset(self, preset, params):
+        assert set(PRESETS) == set(mo._PRESETS)  # every preset is covered
+        spec, _ = mo.preset_scenario(preset, **params)
+        t = np.arange(int(spec.duration_s * 100) + 1) / 100  # every 10 ms, and the end
+        assert_columns_are_scalar(truth_body(spec), np.append(t[t <= spec.duration_s],
+                                                               spec.duration_s))
+
+    @settings(max_examples=150, deadline=None)
+    @given(column_cases())
+    @example((truth_body(elbow_spec(Piecewise(((0.0, -180.0), (0.5, 180.0), (1.0, -0.0))),
+                                    duration=1.0)),
+              np.array([0.0, 0.25, 0.5, 0.75, 1.0])))
+    def test_drawn_tracks(self, case):
+        assert_columns_are_scalar(*case)
+
+    @pytest.mark.parametrize("t", [-1e-9, 2.0000000000000004, math.nan])
+    def test_time_outside_the_session(self, t):
+        body = truth_body(elbow_spec(Constant(10.0), duration=2.0))
+        with pytest.raises(ValueError, match=f"t={t} outside trajectory"):
+            body.truth_joint_angles("right elbow", np.array([0.0, 1.0, t, 2.0]))
+
+    @pytest.mark.parametrize("duration_s", [1.1199999999999999, 0.06999999999999999,
+                                            0.13999999999999999, 0.27999999999999997,
+                                            0.5599999999999999, 2.01, 0.123, 10.245])
+    def test_ground_truth_files(self, tmp_path, duration_s):
+        # Each file holds the scalar truth at every 10 ms grid point whose
+        # time is in the session, across runner._TRUTH_BATCH's batches.
+        spec, _ = mo.preset_scenario("half-jacks", duration_s=duration_s)
+        body = truth_body(spec)
+        runner._write_ground_truth(body, SimpleNamespace(duration_s=duration_s,
+                                                         trajectory=spec), tmp_path)
+        grid = [t_us for t_us in range(0, int(duration_s * 1e6) + 20_000, 10_000)
+                if t_us / 1e6 <= duration_s]
+        for label in spec.joints:
+            rows = [(t_us, body.truth_joint_angle(label, t_us / 1e6)) for t_us in grid]
+            path = tmp_path / f"ground_truth_{label.replace(' ', '_')}.csv"
+            assert path.read_text() == "time_us,angle_deg\n" + "".join(
+                f"{t_us},{angle:.9g}\n" for t_us, angle in rows)
 
 
 class TestNoiseStream:

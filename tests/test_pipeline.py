@@ -183,8 +183,9 @@ CELLS = {
 }
 
 
-# Text an unquoted CSV cell can hold: no comma.
-CSV_TEXT = st.text().map(lambda s: s.replace(",", ""))
+# Text a cell of an unquoted CSV line can hold: no newline, and no comma.
+LINE_TEXT = st.text().map(lambda s: s.replace("\n", ""))
+CSV_TEXT = LINE_TEXT.map(lambda s: s.replace(",", ""))
 
 
 def rows_of(schema):
@@ -221,15 +222,20 @@ class TestCsvSchema:
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(*[CSV_TEXT if name in ("frame_type", "outcome")
+                                else LINE_TEXT if kinds == (str,)
                                 else st.one_of(*map(CELLS.get, kinds))
                                 for name, kinds in SESSION_TRACE_CSV.columns]), max_size=10))
     @example([(0.5, 128.0, "a,b", 40, "c,d", "response", 3, "delivered")])
+    # Line ends other than a newline stay inside their line.
+    @example([(0.5, 1.0, "a\rb\x1c", 1, "\x85", "\u2028", 2, "\x1e\v"),
+              (1.5, 2.0, "\r\f", 3, "\x1d", "\u2029", 4, "done\r")])
     def test_radio_trace_fixed_formats(self, rows):
-        # runner cuts the radio line of a TraceRow that fits SESSION_TRACE_CSV
-        # from its session line, and writes each burst line by one fixed
-        # format. The cut needs no comma in the last three cells only.
+        # runner cuts the radio lines of TraceRows that fit SESSION_TRACE_CSV
+        # from their session_trace.csv text, and writes each burst line by
+        # one fixed format. The cut needs no newline in any cell and no
+        # comma in the last three.
         rows = list(map(TraceRow._make, rows))
-        assert runner._radio_lines(SESSION_TRACE_CSV.lines(rows)) == list(
+        assert runner._radio_lines("".join(SESSION_TRACE_CSV.batch(rows))) == list(
             RADIO_TRACE_CSV.lines((*row[:5], row.outcome) for row in rows))
         for row in rows:
             start, duration, source = row[:3]
@@ -262,6 +268,89 @@ class TestCsvSchema:
     def test_row_of_wrong_length(self, tmp_path):
         with pytest.raises(TypeError, match="expected 2 cells"):
             pl.write_csv(tmp_path / "a.csv", pl.ANGLE_CSV, [(0, 1.0, 2.0)])
+
+
+# A cell of each type, for a column that takes none of them.
+ODD_CELLS = [True, 7, 2.5, "x", None, b"x"]
+
+
+@st.composite
+def misfits(draw, schema):
+    """A row of schema with one cell of a type its column does not take, or
+    with a cell too many or too few."""
+    row = draw(rows_of(schema).filter(bool))[0]
+    i = draw(st.integers(0, len(row) - 1))
+    return draw(st.sampled_from(
+        [row[:i] + (odd,) + row[i + 1:] for odd in ODD_CELLS
+         if type(odd) not in schema.columns[i][1]] + [row + (0,), row[:-1]]))
+
+
+def write_outcome(write, schema, rows):
+    """The error message and the bytes that write left in a file of schema
+    given rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        with pytest.raises(TypeError) as err:
+            write(path, schema, rows)
+        return str(err.value), path.read_bytes()
+
+
+def per_row_write(path, schema, rows):
+    # write_csv before batches: each row's line as it is formatted.
+    with pl.open_csv(path, schema) as fh:
+        fh.writelines(schema.lines(rows))
+
+
+class TestBatch:
+    @pytest.mark.parametrize("kind", sorted(SCHEMAS))
+    def test_batch_equals_lines(self, kind):
+        # The radio schema's channel holds int or None: its batches mix the
+        # two and take lines, or hold one and take one %-format.
+        schema = SCHEMAS[kind]
+
+        @settings(max_examples=60, deadline=None)
+        @given(rows_of(schema), st.integers(1, 2**40))
+        def check(rows, start):
+            assert "".join(schema.batch(rows, start)) == "".join(schema.lines(rows, start))
+            # write_csv's batches split rows at any row.
+            assert written(schema, rows) == schema.header + "\n" + "".join(schema.lines(rows))
+
+        check()
+
+    def test_one_format_per_uniform_batch(self):
+        rows = [TraceRow(0.5, 10.0, "master", 3, "cw", "poll", 1, "delivered")] * 3
+        assert len(list(SESSION_TRACE_CSV.batch(rows))) == 1
+        assert len(list(SESSION_TRACE_CSV.batch([]))) == 0
+        mixed = [(1.5, 2.0, "master", 3, "cw", "delivered"), (0.0, 1.0, "bt", None, "bt", "busy")]
+        assert len(list(RADIO_TRACE_CSV.batch(mixed))) == 2
+
+    @pytest.mark.parametrize("kind", sorted(SCHEMAS))
+    def test_misfit_as_per_row(self, kind, monkeypatch):
+        schema = SCHEMAS[kind]
+
+        @settings(max_examples=40, deadline=None)
+        @given(rows_of(schema), misfits(schema), st.integers(1, 4), st.data())
+        def check(rows, misfit, batch, data):
+            # The misfit at the first, a middle or the last row, in a batch
+            # after others or past their edge.
+            monkeypatch.setattr(pl, "_WRITE_BATCH", batch)
+            i = data.draw(st.integers(0, len(rows)))
+            rows = [*rows[:i], misfit, *rows[i:]]
+            assert write_outcome(pl.write_csv, schema, rows) == \
+                write_outcome(per_row_write, schema, rows)
+
+        check()
+
+    @pytest.mark.parametrize("at", [0, 1, -2, -1])
+    def test_misfit_around_the_batch_edge(self, at):
+        # Row numbers count on across write_csv's batches.
+        rows = [(t, t / 3) for t in range(2 * pl._WRITE_BATCH)]
+        i = pl._WRITE_BATCH + at
+        rows[i] = (rows[i][0], None)
+        message, text = write_outcome(pl.write_csv, pl.ANGLE_CSV, rows)
+        assert f"row {i + 1}: column 'angle_deg'" in message
+        assert (message, text) == write_outcome(per_row_write, pl.ANGLE_CSV, rows)
+        assert text.count(b"\n") == i + 1
 
 
 class TestReadErrors:

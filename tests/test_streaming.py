@@ -375,8 +375,8 @@ def test_streamed_radio_trace_equals_sort(session_, batches):
     radio = runner._RadioTrace(field, result.duration_us)
 
     def hand(rows):
-        # The sink hands each batch over with its session_trace.csv lines.
-        return radio.lines(rows, SESSION_TRACE_CSV.lines(rows))
+        # The sink hands each batch over with its session_trace.csv text.
+        return radio.lines(rows, "".join(SESSION_TRACE_CSV.batch(rows)))
 
     lines = []
     for n in batches:
