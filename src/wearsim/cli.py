@@ -8,7 +8,7 @@ Exit codes are stable so scripts can branch on failure class:
        cover, a name repeated in a flag's list, bad flag combo)
     3  I/O or parse failure (missing file, malformed CSV/JSON/YAML, a session
        sidecar of the wrong shape or one whose q_calib lacks a placement
-       sensor, a file that is not UTF-8, a non-finite angle)
+       sensor or names one twice, a file that is not UTF-8, a non-finite angle)
     4  validation failure (inconsistent recording, angle CSV timestamps not
        increasing, disjoint series, an MAE or Pearson result that overflows)
 """
@@ -70,15 +70,17 @@ def _names(value: str, flag: str) -> list[str]:
     return names
 
 
-def _require_joint(label: str, placement: SensorPlacement) -> None:
-    """Refuse a joint label that is unknown or that placement does not cover."""
+def _require_joint(label: str, placement: SensorPlacement | None = None) -> None:
+    """Refuse a joint label that is unknown or that placement, when given,
+    does not cover."""
     if label not in JOINTS:
         raise ConfigError(f"unknown joint {label!r}; known joints: "
                           f"{', '.join(sorted(JOINTS))}")
-    try:
-        placement.joint_sensors(JOINTS[label])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if placement is not None:
+        try:
+            placement.joint_sensors(JOINTS[label])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _sidecar(recording: Path, session: str | None, flag: str) -> tuple[CalibrationRecord, dict]:
@@ -161,6 +163,8 @@ def _angle_series_from(path: Path, joint: str | None,
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    if args.joint is not None:
+        _require_joint(args.joint)  # the report names it, whatever the inputs
     series_a = _angle_series_from(Path(args.a), args.joint, args.session_a)
     series_b = _angle_series_from(Path(args.b), args.joint, args.session_b)
     err = mae(series_a, series_b)

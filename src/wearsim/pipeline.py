@@ -2,14 +2,12 @@
 
 Every output file is written here: write_csv for each CSV kind (or
 open_csv, for lines written as they become known), write_json for each
-JSON report. A CSV cell is empty for None, a float to 9 significant
-digits (the nine_digits grid) and str() of anything else.
+JSON report. A CSV cell is a float to 9 significant digits (the
+nine_digits grid) or str() of anything else.
 Each CSV kind has a CsvSchema: its column names and the one type each
-column holds. The schema turns that rule into one %-format per row shape
-and writes rows a batch at a time: when each column of a batch holds one
-accepted type, the whole batch is formatted by one `%`; otherwise each
-row by its own. A cell of the wrong type is refused instead of written in
-another format.
+column holds, and from them one %-format per row. The schema formats rows
+a batch at a time, the whole batch by one `%`. A cell of the wrong type
+is refused instead of written in another format.
 
 A recording is a flat stream of per-sensor quaternion samples. On disk
 it is a plain CSV with a fixed header:
@@ -40,8 +38,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from types import NoneType, UnionType
-from typing import Iterable, Iterator, NoReturn, Sequence, TextIO, get_args
+from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
 
 from .quatmath import Quaternion, shortest_angle_deg, unit4
 # animate_frame is not called here, but perfbench's span table resolves
@@ -77,17 +74,9 @@ _FLOAT_FORMAT = "%.9g"
 _WRITE_BATCH = 1024
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return _FLOAT_FORMAT % value
-    return str(value)
-
-
 def nine_digits(x: float) -> float:
     """x on the grid of a written CSV cell: 9 significant digits."""
-    return float(_cell(x))
+    return float(_FLOAT_FORMAT % x)
 
 
 def file_slug(label: str) -> str:
@@ -95,65 +84,38 @@ def file_slug(label: str) -> str:
     return label.replace(" ", "_")
 
 
-def _cell_format(kind: type) -> str:
-    """The %-format that writes a value of type kind as _cell does."""
-    if kind is NoneType:
-        return "%.0s"  # None as the empty string
-    return _FLOAT_FORMAT if kind is float else "%s"
-
-
 class CsvSchema:
     """Column names and cell types of one CSV kind.
 
-    Each column is given as (name, type); `int | None` marks a column that
-    may be empty. A row is a tuple with one cell per column, each of exactly
-    one of its column's types (a bool is not an int). A batch of rows whose
-    columns each hold one type is written by one %-format.
+    Each column is given as (name, type). A row is a tuple with one cell
+    per column, each of exactly its column's type (a bool is not an int).
     """
 
-    def __init__(self, *columns: tuple[str, type | UnionType]) -> None:
-        # (name, accepted cell types) per column.
-        self.columns = tuple((name, get_args(kind) if isinstance(kind, UnionType) else (kind,))
-                             for name, kind in columns)
-        self.names = tuple(name for name, _ in columns)
-        self.header = ",".join(self.names)
-        # One format per accepted tuple of cell types.
-        self._formats = {shape: ",".join(map(_cell_format, shape)) + "\n"
-                         for shape in itertools.product(*(k for _, k in self.columns))}
+    def __init__(self, *columns: tuple[str, type]) -> None:
+        self.columns = columns
+        self.header = ",".join(name for name, _ in columns)
+        self._format = ",".join(_FLOAT_FORMAT if k is float else "%s" for _, k in columns) + "\n"
 
-    def batch(self, rows: Sequence[tuple], start: int = 1) -> Iterator[str]:
-        """The lines of rows, numbered from start: one string of them all when
-        every row has a cell per column and each column holds one of its
-        types throughout; otherwise lines(rows, start), a line per row."""
-        shape = None
-        if set(map(len, rows)) == {len(self.columns)}:
-            kinds = [set(map(type, column)) for column in zip(*rows)]
-            if all(len(k) == 1 for k in kinds):
-                shape = tuple(k.pop() for k in kinds)
-        fmt = self._formats.get(shape)
-        if fmt is None:
-            yield from self.lines(rows, start)
-        else:
-            yield (fmt * len(rows)) % tuple(itertools.chain.from_iterable(rows))
-
-    def lines(self, rows: Iterable[tuple], start: int = 1) -> Iterator[str]:
-        """Each row as one line of text, numbered from start. The first row
-        that does not fit raises TypeError before any of it is formatted."""
-        formats = self._formats
-        for n, row in enumerate(rows, start=start):
-            fmt = formats.get(tuple(map(type, row)))
-            if fmt is None:
-                raise TypeError(f"{self.header} row {n}: {self._misfit(row)}")
-            yield fmt % row
+    def lines(self, rows: Sequence[tuple], start: int = 1) -> Iterator[str]:
+        """The lines of rows, numbered from start, as one string. A row that
+        does not fit raises TypeError after the lines of the rows before it."""
+        if set(map(len, rows)) == {len(self.columns)} and all(
+                set(map(type, column)) == {kind}
+                for column, (_, kind) in zip(zip(*rows), self.columns)):
+            yield (self._format * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+            return
+        for i, row in enumerate(rows):
+            if misfit := self._misfit(row):
+                yield from self.lines(rows[:i])
+                raise TypeError(f"{self.header} row {start + i}: {misfit}")
 
     def _misfit(self, row: tuple) -> str:
+        """Why row does not fit, or "" if it does."""
         if len(row) != len(self.columns):
             return f"expected {len(self.columns)} cells, got {len(row)}: {row!r}"
-        name, kinds, value = next((name, kinds, value)
-                                  for (name, kinds), value in zip(self.columns, row)
-                                  if type(value) not in kinds)
-        return (f"column {name!r} holds {' or '.join(k.__name__ for k in kinds)}, "
-                f"got {type(value).__name__} {value!r}")
+        return next((f"column {name!r} holds {kind.__name__}, got {type(value).__name__} "
+                     f"{value!r}" for (name, kind), value in zip(self.columns, row)
+                     if type(value) is not kind), "")
 
 
 RECORDING_CSV = CsvSchema(("timestamp_us", int), ("sensor_id", int), ("seq", int),
@@ -163,11 +125,11 @@ ANGLE_CSV = CsvSchema(("time_us", int), ("angle_deg", float))
 
 
 @contextmanager
-def open_csv(path: str | Path, schema: CsvSchema) -> Iterator[TextIO]:
-    """path open for writing, the schema's header line written: the caller
-    writes lines the schema formatted, as they become known."""
+def open_csv(path: str | Path, header: str) -> Iterator[TextIO]:
+    """path open for writing, the header line written: the caller writes
+    the lines after it as they become known."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(schema.header + "\n")
+        fh.write(header + "\n")
         yield fh
 
 
@@ -176,10 +138,10 @@ def write_csv(path: str | Path, schema: CsvSchema, rows: Iterable[tuple]) -> Non
     _WRITE_BATCH rows at a time. A row that does not fit raises TypeError
     after the rows before it are written."""
     rows = iter(rows)
-    with open_csv(path, schema) as fh:
+    with open_csv(path, schema.header) as fh:
         start = 1
         while batch := list(itertools.islice(rows, _WRITE_BATCH)):
-            fh.writelines(schema.batch(batch, start))
+            fh.writelines(schema.lines(batch, start))
             start += len(batch)
 
 

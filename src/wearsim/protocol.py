@@ -89,6 +89,11 @@ class TimingProfile:
                     "resync_timeout_ms"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key} must be positive")
+        # An air time that overflows to inf turns the slaves' clocks into NaN.
+        for key in ("poll_bytes", "response_bytes", "beacon_bytes", "hop_bytes", "ack_bytes"):
+            if not math.isfinite(self.us_per_byte * getattr(self, key)):
+                raise ValueError(f"us_per_byte {self.us_per_byte:g} makes the air time "
+                                 f"of {key} {getattr(self, key)} overflow")
         # Below 1 us the scan-channel index of a long session overflows.
         if self.beacon_interval_ms < 1e-3:
             raise ValueError("beacon_interval_ms must be at least 1e-3 (1 us)")

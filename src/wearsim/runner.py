@@ -28,7 +28,7 @@ burst after the rows of its time whose source sorts at or before its
 own. No Burst or list of every burst is built. The sink checks and
 formats a handoff's TraceRows once, through SESSION_TRACE_CSV, and its
 RecordingFrames in the fold and through RECORDING_CSV: each batch by one
-%-format (see pipeline.CsvSchema.batch). A row's radio_trace.csv line is
+%-format (see pipeline.CsvSchema.lines). A row's radio_trace.csv line is
 its line of the session_trace.csv text without the frame_type and
 sensor_id cells, and every burst line takes one fixed format. The ground
 truth is computed as numpy columns (SyntheticBody.truth_joint_angles)
@@ -77,9 +77,9 @@ GROUND_TRUTH_HZ = 100.0
 # Ground-truth grid points computed at once.
 _TRUTH_BATCH = 1024
 SESSION_TRACE_CSV = CsvSchema(*get_type_hints(TraceRow).items())
-# Interferer bursts have no channel: their cell is empty.
-RADIO_TRACE_CSV = CsvSchema(("time_us", float), ("duration_us", float), ("source", str),
-                            ("channel", int | None), ("kind", str), ("outcome", str))
+# A TraceRow's columns without frame_type and sensor_id. Interferer bursts
+# have no channel: their cell is empty.
+RADIO_TRACE_HEADER = "time_us,duration_us,source,channel,kind,outcome"
 # A burst's line: its start and duration, then its lane's _BURST_TAIL of
 # the lane's source and kind.
 _BURST_FORMAT = "%.9g,%.9g%s"
@@ -230,16 +230,16 @@ class _SessionFiles:
                  end_us: float, fold: SessionFold) -> None:
         self._fold = fold
         self._radio = _RadioTrace(field, end_us)
-        self._recording = stack.enter_context(open_csv(out / "recording.csv", RECORDING_CSV))
-        self._trace = stack.enter_context(open_csv(out / "session_trace.csv",
-                                                   SESSION_TRACE_CSV))
-        self._radio_file = stack.enter_context(open_csv(out / "radio_trace.csv",
-                                                        RADIO_TRACE_CSV))
+        self._recording, self._trace, self._radio_file = (
+            stack.enter_context(open_csv(out / name, header))
+            for name, header in (("recording.csv", RECORDING_CSV.header),
+                                 ("session_trace.csv", SESSION_TRACE_CSV.header),
+                                 ("radio_trace.csv", RADIO_TRACE_HEADER)))
 
     def __call__(self, rows: list[TraceRow], frames: list[RecordingFrame]) -> None:
         self._fold.add(rows, frames)  # checks the frames before they are written
-        self._recording.writelines(RECORDING_CSV.batch(frames))
-        text = "".join(SESSION_TRACE_CSV.batch(rows))  # checks the rows for _radio
+        self._recording.writelines(RECORDING_CSV.lines(frames))
+        text = "".join(SESSION_TRACE_CSV.lines(rows))  # checks the rows for _radio
         self._trace.write(text)
         self._radio_file.writelines(self._radio.lines(rows, text))
 
@@ -296,6 +296,8 @@ def load_session(path: str | Path) -> tuple[CalibrationRecord, dict]:
         for key, value in (("placement.sensors", sensors), ("q_calib", q_calib)):
             if not isinstance(value, dict):
                 raise TypeError(f"{key} must be a mapping, got {value!r}")
+            if len(set(map(int, value))) < len(value):
+                raise ValueError(f"{key} names a sensor twice: keys {sorted(value)}")
         name = data["placement"]["name"]
         if not isinstance(name, str):
             raise TypeError(f"placement.name must be a string, got {name!r}")

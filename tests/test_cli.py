@@ -246,6 +246,15 @@ class TestCompare:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_unknown_joint_for_angle_inputs(self, arm_raise_run, tmp_path, capsys):
+        # The report names the joint, so it is checked whatever the inputs.
+        truth = arm_raise_run / "ground_truth_left_shoulder.csv"
+        out = tmp_path / "o"
+        assert main(["compare", "--joint", "nope", str(truth), str(truth),
+                     "--out", str(out)]) == 2
+        assert "unknown joint 'nope'; known joints: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_recording_needs_joint_choice(self, arm_raise_run, capsys):
         rc = main(["compare", str(arm_raise_run / "recording.csv"),
                    str(arm_raise_run / "ground_truth_left_shoulder.csv")])
@@ -292,6 +301,11 @@ class TestExitCodes:
         # Under 1 us, the slaves' channel arithmetic overflowed (exit 1).
         setting("protocol: {timing: {beacon_interval_ms: 5.0e-324}}", "beacon_interval_ms"),
         setting("protocol: {hop: {walk_dwell_ms: 5.0e-324}}", "walk_dwell_ms"),
+        # The beacon's air time overflowed to inf: the slaves' clocks became
+        # NaN mid-session (exit 4). A response of 32 bytes overflows at 1e307.
+        setting("protocol: {timing: {us_per_byte: 1.5e+307}}", "us_per_byte"),
+        setting("protocol: {timing: {us_per_byte: 1.0e+307}}", "us_per_byte",
+                id="us_per_byte-1e307"),
         # The interpolated cap was 1e300 + (7 - 1e300) = 0: the sampler redrew forever.
         setting("motion: {preset: arm-raise, noise: {static_max_deg: 1.0e+300}}",
                 "motion.noise: perturbation caps must be <= 180 deg"),
@@ -402,11 +416,18 @@ class TestExitCodes:
          "calibration snapshot missing sensors [3] for placement 'p5-upper'"),
         ("q_calib", {s: [10**400 if s == "3" else 1, 0, 0, 0] for s in "12345"}, 3,
          "int too large to convert to float"),
+        # Keys that int() maps to one sensor: the last of them was kept.
+        ("q_calib", {**{s: [1, 0, 0, 0] for s in "12345"}, "04": [0, 1, 0, 0]}, 3,
+         "q_calib names a sensor twice: keys ['04', '1', '2', '3', '4', '5']"),
+        ("placement", {"name": "p5-upper", "sensors": {
+            "1": "spine", "2": "arm_l", "3": "arm_r", "4": "forearm_l", "5": "forearm_r",
+            " 2": "forearm_r"}}, 3, "placement.sensors names a sensor twice: keys [' 2', "),
     ], ids=["duration-null", "duration-str", "duration-bool", "duration-negative",
             "duration-zero", "duration-over-a-day", "duration-1e300", "duration-inf",
             "joints-int", "joints-str", "joints-int-list", "joints-repeated",
             "joints-unknown", "joints-uncovered", "sensors-list", "q_calib-list",
-            "q_calib-missing-sensor", "q_calib-int-beyond-float"])
+            "q_calib-missing-sensor", "q_calib-int-beyond-float", "q_calib-sensor-twice",
+            "sensors-sensor-twice"])
     def test_bad_sidecar_metadata(self, arm_raise_run, tmp_path, capsys, key, value, code,
                                   message):
         meta = json.loads((arm_raise_run / "session.json").read_text())

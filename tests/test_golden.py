@@ -25,10 +25,10 @@ from pathlib import Path
 
 import pytest
 import yaml
-from test_streaming import collected_session, sorted_radio_rows
+from test_streaming import collected_session, csv_line, sorted_radio_rows
 
 from wearsim.cli import main
-from wearsim.runner import RADIO_TRACE_CSV, SESSION_TRACE_CSV, _RadioTrace
+from wearsim.runner import SESSION_TRACE_CSV, _RadioTrace
 from wearsim.scenario import parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -209,10 +209,10 @@ def test_bytes_unchanged(digests, name):
 def test_radio_trace_merge_equals_sort(kind, seed, duration_s):
     result, field = collected_session(parse_scenario(crowded(kind, duration_s), seed=seed))
     radio = _RadioTrace(field, result.duration_us)
-    merged = [*radio.lines(result.trace, "".join(SESSION_TRACE_CSV.batch(result.trace))),
+    merged = [*radio.lines(result.trace, "".join(SESSION_TRACE_CSV.lines(result.trace))),
               *radio.close()]
     assert any(line.endswith(",busy\n") for line in merged)
-    assert merged == list(RADIO_TRACE_CSV.lines(sorted_radio_rows(result, field)))
+    assert merged == list(map(csv_line, sorted_radio_rows(result, field)))
 
 
 if __name__ == "__main__":

@@ -15,11 +15,12 @@ from wearsim import quatmath as qm
 from wearsim import runner
 from wearsim import skeleton as sk
 from wearsim.cli import BENCH_CSV, RATES_CSV
-from wearsim.pipeline import (ParseError, RecordingFrame, ValidationError, _cell,
-                              nine_digits)
+from test_streaming import csv_line
+
+from wearsim.pipeline import ParseError, RecordingFrame, ValidationError, nine_digits
 from wearsim.protocol import TraceRow
 from wearsim.quatmath import Quaternion
-from wearsim.runner import RADIO_TRACE_CSV, SESSION_TRACE_CSV
+from wearsim.runner import SESSION_TRACE_CSV
 
 
 # Finite floats, with signed zeros, subnormals, the smallest normal,
@@ -170,8 +171,7 @@ class TestRoundTripProperty:
 
 
 SCHEMAS = {"recording": pl.RECORDING_CSV, "angles": pl.ANGLE_CSV,
-           "session_trace": SESSION_TRACE_CSV, "radio_trace": RADIO_TRACE_CSV,
-           "rates": RATES_CSV, "bench": BENCH_CSV}
+           "session_trace": SESSION_TRACE_CSV, "rates": RATES_CSV, "bench": BENCH_CSV}
 
 CELLS = {
     float: st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 5e-324,
@@ -179,7 +179,6 @@ CELLS = {
                                                    1e9])),
     int: st.one_of(st.integers(), st.integers(2**53, 2**80), st.integers(-2**80, -2**53)),
     str: st.text(),
-    type(None): st.none(),
 }
 
 
@@ -189,9 +188,8 @@ CSV_TEXT = LINE_TEXT.map(lambda s: s.replace(",", ""))
 
 
 def rows_of(schema):
-    """Rows whose cells each hold one of their column's types."""
-    return st.lists(st.tuples(*[st.one_of(*map(CELLS.get, kinds))
-                                for _, kinds in schema.columns]), max_size=10)
+    """Rows whose cells each hold their column's type."""
+    return st.lists(st.tuples(*[CELLS[kind] for _, kind in schema.columns]), max_size=10)
 
 
 def written(schema, rows):
@@ -209,22 +207,21 @@ class TestCsvSchema:
         @settings(max_examples=60, deadline=None)
         @given(rows_of(schema))
         def check(rows):
-            oracle = "".join(",".join(map(_cell, row)) + "\n" for row in rows)
-            assert written(schema, rows) == schema.header + "\n" + oracle
+            assert written(schema, rows) == schema.header + "\n" + "".join(map(csv_line, rows))
 
         check()
 
     def test_radio_rows_with_and_without_channel(self):
-        rows = [(1.5, 2.0, "master", 3, "cw", "delivered"),
-                (-0.0, 1e-7, "wifi:1", None, "wifi", "busy")]
-        assert written(RADIO_TRACE_CSV, rows).splitlines()[1:] == [
-            "1.5,2,master,3,cw,delivered", "-0,1e-07,wifi:1,,wifi,busy"]
+        row = TraceRow(1.5, 2.0, "master", 3, "cw", "poll", 1, "delivered")
+        assert runner._radio_lines("".join(SESSION_TRACE_CSV.lines([row]))) == [
+            "1.5,2,master,3,cw,delivered\n"]
+        burst = runner._BURST_FORMAT % (-0.0, 1e-7, runner._BURST_TAIL % ("wifi:1", "wifi"))
+        assert burst == "-0,1e-07,wifi:1,,wifi,busy\n"
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(*[CSV_TEXT if name in ("frame_type", "outcome")
-                                else LINE_TEXT if kinds == (str,)
-                                else st.one_of(*map(CELLS.get, kinds))
-                                for name, kinds in SESSION_TRACE_CSV.columns]), max_size=10))
+                                else LINE_TEXT if kind is str else CELLS[kind]
+                                for name, kind in SESSION_TRACE_CSV.columns]), max_size=10))
     @example([(0.5, 128.0, "a,b", 40, "c,d", "response", 3, "delivered")])
     # Line ends other than a newline stay inside their line.
     @example([(0.5, 1.0, "a\rb\x1c", 1, "\x85", "\u2028", 2, "\x1e\v"),
@@ -235,14 +232,14 @@ class TestCsvSchema:
         # one fixed format. The cut needs no newline in any cell and no
         # comma in the last three.
         rows = list(map(TraceRow._make, rows))
-        assert runner._radio_lines("".join(SESSION_TRACE_CSV.batch(rows))) == list(
-            RADIO_TRACE_CSV.lines((*row[:5], row.outcome) for row in rows))
+        assert runner._radio_lines("".join(SESSION_TRACE_CSV.lines(rows))) == [
+            csv_line((*row[:5], row.outcome)) for row in rows]
         for row in rows:
             start, duration, source = row[:3]
             kind = source.split(":")[0]
             tail = runner._BURST_TAIL % (source, kind)
             assert (runner._BURST_FORMAT % (start, duration, tail)
-                    == next(RADIO_TRACE_CSV.lines([(start, duration, source, None, kind, "busy")])))
+                    == csv_line((start, duration, source, None, kind, "busy")))
 
     @pytest.mark.parametrize("schema, good, bad, column", [
         (SESSION_TRACE_CSV, TraceRow(0.0, 10.0, "master", 3, "cw", "poll", 1, "delivered"),
@@ -257,7 +254,7 @@ class TestCsvSchema:
         with pytest.raises(TypeError, match=f"'{column}'"):
             pl.write_csv(path, schema, [good, bad])
         # The good row is written; nothing of the bad one is.
-        assert path.read_text() == schema.header + "\n" + ",".join(map(_cell, good)) + "\n"
+        assert path.read_text() == schema.header + "\n" + csv_line(good)
 
     def test_float_timestamp_in_a_frame(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -282,7 +279,7 @@ def misfits(draw, schema):
     i = draw(st.integers(0, len(row) - 1))
     return draw(st.sampled_from(
         [row[:i] + (odd,) + row[i + 1:] for odd in ODD_CELLS
-         if type(odd) not in schema.columns[i][1]] + [row + (0,), row[:-1]]))
+         if type(odd) is not schema.columns[i][1]] + [row + (0,), row[:-1]]))
 
 
 def write_outcome(write, schema, rows):
@@ -296,33 +293,40 @@ def write_outcome(write, schema, rows):
 
 
 def per_row_write(path, schema, rows):
-    # write_csv before batches: each row's line as it is formatted.
-    with pl.open_csv(path, schema) as fh:
-        fh.writelines(schema.lines(rows))
+    # write_csv a row at a time, by the cell rule: each row's line once the
+    # row is checked, and at the first row that does not fit, the error.
+    with pl.open_csv(path, schema.header) as fh:
+        for n, row in enumerate(rows, start=1):
+            where = f"{schema.header} row {n}:"
+            if len(row) != len(schema.columns):
+                raise TypeError(f"{where} expected {len(schema.columns)} cells, "
+                                f"got {len(row)}: {row!r}")
+            for (name, kind), value in zip(schema.columns, row):
+                if type(value) is not kind:
+                    raise TypeError(f"{where} column {name!r} holds {kind.__name__}, "
+                                    f"got {type(value).__name__} {value!r}")
+            fh.write(csv_line(row))
 
 
 class TestBatch:
     @pytest.mark.parametrize("kind", sorted(SCHEMAS))
-    def test_batch_equals_lines(self, kind):
-        # The radio schema's channel holds int or None: its batches mix the
-        # two and take lines, or hold one and take one %-format.
+    def test_batch_equals_lines(self, kind, monkeypatch):
         schema = SCHEMAS[kind]
 
         @settings(max_examples=60, deadline=None)
-        @given(rows_of(schema), st.integers(1, 2**40))
-        def check(rows, start):
-            assert "".join(schema.batch(rows, start)) == "".join(schema.lines(rows, start))
+        @given(rows_of(schema), st.integers(1, 2**40), st.integers(1, 4))
+        def check(rows, start, batch):
+            assert "".join(schema.lines(rows, start)) == "".join(map(csv_line, rows))
             # write_csv's batches split rows at any row.
-            assert written(schema, rows) == schema.header + "\n" + "".join(schema.lines(rows))
+            monkeypatch.setattr(pl, "_WRITE_BATCH", batch)
+            assert written(schema, rows) == schema.header + "\n" + "".join(map(csv_line, rows))
 
         check()
 
     def test_one_format_per_uniform_batch(self):
         rows = [TraceRow(0.5, 10.0, "master", 3, "cw", "poll", 1, "delivered")] * 3
-        assert len(list(SESSION_TRACE_CSV.batch(rows))) == 1
-        assert len(list(SESSION_TRACE_CSV.batch([]))) == 0
-        mixed = [(1.5, 2.0, "master", 3, "cw", "delivered"), (0.0, 1.0, "bt", None, "bt", "busy")]
-        assert len(list(RADIO_TRACE_CSV.batch(mixed))) == 2
+        assert len(list(SESSION_TRACE_CSV.lines(rows))) == 1
+        assert len(list(SESSION_TRACE_CSV.lines([]))) == 0
 
     @pytest.mark.parametrize("kind", sorted(SCHEMAS))
     def test_misfit_as_per_row(self, kind, monkeypatch):
@@ -457,8 +461,7 @@ def recording_texts(draw):
     """A written recording's lines, some replaced or joined by odd lines,
     each ended by any line end, the last one maybe by none."""
     frames = draw(frame_streams())
-    lines = [pl.RECORDING_CSV.header] + [line.rstrip("\n")
-                                         for line in pl.RECORDING_CSV.lines(frames)]
+    lines = [pl.RECORDING_CSV.header, *map(str.rstrip, map(csv_line, frames))]
     for _ in range(draw(st.integers(0, 3))):
         odd = draw(st.sampled_from(ODD_LINES) | st.text(max_size=12))
         lines.insert(draw(st.integers(0, len(lines))), odd)
@@ -483,8 +486,7 @@ class TestReadRecordingOracle:
         rng = random.Random(16)
         frames = [frame(ts, 1 + ts % 3, 1 + ts // 3, rot(rng.uniform(0, 360), (1, 2, 3)))
                   for ts in range(6000)]
-        lines = [pl.RECORDING_CSV.header] + [line.rstrip("\n")
-                                            for line in pl.RECORDING_CSV.lines(frames)]
+        lines = [pl.RECORDING_CSV.header, *map(str.rstrip, map(csv_line, frames))]
         path = tmp_path / "r.csv"
         path.write_bytes("".join(line + rng.choice(LINE_ENDS[:3] * 4 + LINE_ENDS)
                                  for line in lines).encode("utf-8"))

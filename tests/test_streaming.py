@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 from wearsim import protocol as pr
 from wearsim import radio, runner
 from wearsim.pipeline import (RateWindows, RecordingFrame, ValidationError,
-                              joint_angle_series, read_recording, write_csv, write_json,
-                              write_recording)
+                              joint_angle_series, open_csv, read_recording, write_csv,
+                              write_json, write_recording)
 from wearsim.protocol import SessionResult, TraceRow, session_metrics
 from wearsim.radio import Burst, EventScheduler, InterferenceField
-from wearsim.runner import RADIO_TRACE_CSV, SESSION_TRACE_CSV, run_scenario
+from wearsim.runner import RADIO_TRACE_HEADER, SESSION_TRACE_CSV, run_scenario
 from wearsim.scenario import parse_scenario
 from wearsim.skeleton import JOINTS, Skeleton
 
@@ -62,7 +62,8 @@ def collected_files(sc, out: Path) -> None:
     result, field = collected_session(sc)
     write_recording(result.frames, out / "recording.csv")
     write_csv(out / "session_trace.csv", SESSION_TRACE_CSV, result.trace)
-    write_csv(out / "radio_trace.csv", RADIO_TRACE_CSV, sorted_radio_rows(result, field))
+    with open_csv(out / "radio_trace.csv", RADIO_TRACE_HEADER) as fh:
+        fh.writelines(map(csv_line, sorted_radio_rows(result, field)))
     write_json(out / "metrics.json", session_metrics(result))
 
 
@@ -304,6 +305,13 @@ def test_rate_windows_in_batches_count_as_one_batch(stream):
 
 # radio_trace.csv windows ----------------------------------------------------
 
+def csv_line(row) -> str:
+    """row's CSV line by the cell rule, apart from the library's formats: None
+    is empty, a float has 9 significant digits, anything else is its str()."""
+    return ",".join("" if c is None else format(c, ".9g") if isinstance(c, float) else str(c)
+                    for c in row) + "\n"
+
+
 def sorted_radio_rows(result, field):
     """The radio trace as one list, stably sorted by (time_us, source)."""
     rows = [(r.time_us, r.duration_us, r.source, r.channel, r.kind, r.outcome)
@@ -376,14 +384,14 @@ def test_streamed_radio_trace_equals_sort(session_, batches):
 
     def hand(rows):
         # The sink hands each batch over with its session_trace.csv text.
-        return radio.lines(rows, "".join(SESSION_TRACE_CSV.batch(rows)))
+        return radio.lines(rows, "".join(SESSION_TRACE_CSV.lines(rows)))
 
     lines = []
     for n in batches:
         lines += hand(list(itertools.islice(trace, n)))
     lines += hand(list(trace))
     lines += radio.close()
-    assert lines == list(RADIO_TRACE_CSV.lines(sorted_radio_rows(result, field)))
+    assert lines == list(map(csv_line, sorted_radio_rows(result, field)))
 
 
 # Joint angles ---------------------------------------------------------------
