@@ -6,11 +6,13 @@ Exit codes are stable so scripts can branch on failure class:
     2  configuration problem (bad scenario or --seed, a --seeds run past seed
        2**63 - 1, unknown joint, a joint the recording's placement does not
        cover, a name repeated in a flag's list, bad flag combo)
-    3  I/O or parse failure (missing file, malformed CSV/JSON/YAML, a session
-       sidecar of the wrong shape or one whose q_calib lacks a placement
-       sensor or names one twice, a file that is not UTF-8, a non-finite angle)
-    4  validation failure (inconsistent recording, angle CSV timestamps not
-       increasing, disjoint series, an MAE or Pearson result that overflows)
+    3  I/O or parse failure (missing file, malformed CSV/JSON/YAML, an int
+       cell or sensor key other than str() of an int, or a key outside 1..12,
+       a session sidecar of the wrong shape or one whose q_calib lacks a
+       placement sensor, a file that is not UTF-8, a non-finite angle)
+    4  validation failure (inconsistent recording, a frame of a sensor not in
+       the placement, angle CSV timestamps not increasing, disjoint series,
+       an MAE or Pearson result that overflows)
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from pathlib import Path
 import yaml
 
 from .pipeline import (ANGLE_CSV, RECORDING_CSV, AngleSeries, CsvSchema, ParseError,
-                       ValidationError, file_slug, joint_angle_series, mae, pearson,
-                       rate_series, read_angles, read_recording, write_csv, write_json)
+                       RecordingFrame, ValidationError, file_slug, joint_angle_series, mae,
+                       pearson, rate_series, read_angles, read_recording, write_csv,
+                       write_json)
 from .protocol import BLE_MAX_SENSORS, ConfigError
 from .runner import execute, load_session, run_scenario, scenario_field
 from .scenario import INT_LIMIT, load_scenario, parse_scenario
@@ -83,19 +86,25 @@ def _require_joint(label: str, placement: SensorPlacement | None = None) -> None
             raise ConfigError(str(exc)) from None
 
 
-def _sidecar(recording: Path, session: str | None, flag: str) -> tuple[CalibrationRecord, dict]:
-    """The session.json given by flag, or else the one next to the recording."""
+def _recording(recording: Path, session: str | None, flag: str
+               ) -> tuple[list[RecordingFrame], CalibrationRecord, dict]:
+    """The recording's frames, each of a sensor in the sidecar's placement,
+    and the sidecar: the session.json given by flag, or else the one next to it."""
+    frames = read_recording(recording)
     path = Path(session) if session else recording.with_name("session.json")
     if not path.exists():
         raise ConfigError(f"recording {recording} needs a session sidecar "
                           f"(none at {path}); pass {flag}")
-    return load_session(path)
+    calib, meta = load_session(path)
+    for line, frame in enumerate(frames, start=2):
+        if frame.sensor_id not in calib.placement.bones:
+            raise ValidationError(f"{recording} line {line}: sensor {frame.sensor_id} is "
+                                  f"not in placement {calib.placement.name!r}")
+    return frames, calib, meta
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    rec_path = Path(args.recording)
-    frames = read_recording(rec_path)
-    calib, meta = _sidecar(rec_path, args.session, "--session")
+    frames, calib, meta = _recording(Path(args.recording), args.session, "--session")
 
     if args.joints is not None:
         labels = _names(args.joints, "--joints")
@@ -149,8 +158,7 @@ def _angle_series_from(path: Path, joint: str | None,
         first = fh.readline().strip()
     if first != RECORDING_CSV.header:
         return read_angles(path)
-    frames = read_recording(path)
-    calib, meta = _sidecar(path, session, "--session-a/--session-b")
+    frames, calib, meta = _recording(path, session, "--session-a/--session-b")
     label = joint
     if label is None:
         joints = meta.get("joints", [])

@@ -3,7 +3,7 @@
 Every output file is written here: write_csv for each CSV kind (or
 open_csv, for lines written as they become known), write_json for each
 JSON report. A CSV cell is a float to 9 significant digits (the
-nine_digits grid) or str() of anything else.
+nine_digits grid, FLOAT_FORMAT) or str() of anything else.
 Each CSV kind has a CsvSchema: its column names and the one type each
 column holds, and from them one %-format per row. The schema formats rows
 a batch at a time, the whole batch by one `%`. A cell of the wrong type
@@ -16,8 +16,9 @@ it is a plain CSV with a fixed header:
 
 A frame keeps the floats it was built with; its 9-digit cells are their
 one rounding, and a cell reads back as a float that writes the same cell.
-So read -> write is byte-identical (RecordingFrame.quantized builds in
-memory the frame a read gives).
+An int cell reads only as str() writes it (int_cell), as do the sidecar's
+sensor keys. So read -> write is byte-identical (RecordingFrame.quantized
+builds in memory the frame a read gives).
 
 Invariants enforced on both read and write: file timestamps never
 decrease, per-sensor sequence numbers strictly increase, quaternions
@@ -69,14 +70,23 @@ class ValidationError(RecordingError):
 
 
 # A float cell: 9 significant digits.
-_FLOAT_FORMAT = "%.9g"
+FLOAT_FORMAT = "%.9g"
 # Rows that write_csv formats at once.
 _WRITE_BATCH = 1024
 
 
 def nine_digits(x: float) -> float:
     """x on the grid of a written CSV cell: 9 significant digits."""
-    return float(_FLOAT_FORMAT % x)
+    return float(FLOAT_FORMAT % x)
+
+
+def int_cell(text: str) -> int:
+    """The int whose str() is text; any other text, even one that int()
+    reads (a space, a plus sign, a leading zero), raises ValueError."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not an integer as str() writes one")
+    return value
 
 
 def file_slug(label: str) -> str:
@@ -94,7 +104,7 @@ class CsvSchema:
     def __init__(self, *columns: tuple[str, type]) -> None:
         self.columns = columns
         self.header = ",".join(name for name, _ in columns)
-        self._format = ",".join(_FLOAT_FORMAT if k is float else "%s" for _, k in columns) + "\n"
+        self._format = ",".join(FLOAT_FORMAT if k is float else "%s" for _, k in columns) + "\n"
 
     def lines(self, rows: Sequence[tuple], start: int = 1) -> Iterator[str]:
         """The lines of rows, numbered from start, as one string. A row that
@@ -237,9 +247,9 @@ def read_recording(path: str | Path) -> list[RecordingFrame]:
             if len(parts) != 8:
                 raise ParseError(f"line {n}: expected 8 fields, got {len(parts)}")
             try:
-                frame = RecordingFrame(int(parts[0]), int(parts[1]), int(parts[2]),
-                                       float(parts[3]), float(parts[4]),
-                                       float(parts[5]), float(parts[6]), int(parts[7]))
+                frame = RecordingFrame(int_cell(parts[0]), int_cell(parts[1]),
+                                       int_cell(parts[2]), float(parts[3]), float(parts[4]),
+                                       float(parts[5]), float(parts[6]), int_cell(parts[7]))
             except ValueError as exc:
                 raise ParseError(f"line {n}: {exc}") from exc
             frames.append(frame)
@@ -273,7 +283,7 @@ def read_angles(path: str | Path) -> AngleSeries:
             try:
                 if len(cells) != 2:
                     raise ValueError(f"expected 2 columns, got {len(cells)}")
-                t, value = int(cells[0]), float(cells[1])
+                t, value = int_cell(cells[0]), float(cells[1])
                 if not math.isfinite(value):
                     raise ValueError(f"angle {cells[1]!r} is not finite")
             except ValueError as exc:

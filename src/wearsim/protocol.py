@@ -15,12 +15,13 @@ can overlap one another, so it judges that itself before radio.arbitrate,
 keeping each frame's start and channel for two air times: a frame that
 overlaps it starts within one and is judged at its own end.
 
-All state advances through the discrete-event scheduler in radio.py, so
-two runs with equal seeds produce byte-identical results.
+The master, a cw session's one process, runs on its own clock; the
+baseline's links run on the discrete-event scheduler in radio.py. So two
+runs with equal seeds produce byte-identical results.
 
 Both loops append trace rows and frames to lists in session order, and
-the scheduler advances a simulated second at a time. A sink takes each
-second's rows and frames, so no session is held whole; without one a run
+hand them over a simulated second at a time. A sink takes each second's
+rows and frames, so no session is held whole; without one a run
 returns the whole lists. The baseline's deliveries arrive in time order;
 those that round to the same microsecond wait in a small buffer and leave
 it in sensor order. A frame carries the sampler's quaternion as it is,
@@ -87,8 +88,12 @@ class TimingProfile:
         for key in ("us_per_byte", "poll_bytes", "response_bytes", "beacon_bytes",
                     "hop_bytes", "ack_bytes", "poll_cap_hz", "beacon_interval_ms",
                     "resync_timeout_ms"):
-            if getattr(self, key) <= 0:
+            if not getattr(self, key) > 0:  # a NaN fails it too
                 raise ValueError(f"{key} must be positive")
+        # A negative or NaN wait would run the master's clock backwards.
+        for key in ("turnaround_us", "guard_us", "host_cost_us"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be non-negative and finite")
         # An air time that overflows to inf turns the slaves' clocks into NaN.
         for key in ("poll_bytes", "response_bytes", "beacon_bytes", "hop_bytes", "ack_bytes"):
             if not math.isfinite(self.us_per_byte * getattr(self, key)):
@@ -126,6 +131,8 @@ class HopPolicy:
             raise ValueError("loss_threshold must be within the loss window")
         if self.announce_repeats < 1:
             raise ValueError("announce_repeats must be at least 1")
+        if not 0 <= self.assess_us < math.inf:
+            raise ValueError("assess_us must be non-negative and finite")
         # Below 1 us the probe-walk step count of a long silence overflows.
         if self.walk_dwell_ms < 1e-3:
             raise ValueError("walk_dwell_ms must be at least 1e-3 (1 us)")
@@ -332,7 +339,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     resync_us, cap_period = timing.resync_us, 1e6 / timing.poll_cap_hz
     beacon_gap = timing.beacon_interval_ms * 1000.0
 
-    sched = radio.EventScheduler()
+    now = 0.0
     frames: list[RecordingFrame] = []
     trace: list[TraceRow] = []
     channel_history: list[tuple[float, int]] = [(0.0, seq.current)]
@@ -352,7 +359,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                   listeners: Sequence[int], follow: tuple[int, int]) -> list[int]:
         """Send a master frame; each listener tuned to ch for all of it follows
         it to (channel, chain position). Returns the listeners that heard it."""
-        start = sched.now
+        start = now
         end = start + air_us
         heard = []
         if tx("master", start, air_us, ch, frame_type, sensor_id) == radio.DELIVERED:
@@ -365,14 +372,14 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
 
     def assess():
         """Listen to the current channel for assess_us; True if it was busy."""
-        busy = field.busy(CHANNEL_BANDS[seq.current], sched.now,
-                          sched.now + policy.assess_us)
+        busy = field.busy(CHANNEL_BANDS[seq.current], now,
+                          now + policy.assess_us)
         yield policy.assess_us
         return busy
 
     def hop() -> None:
         seq.advance()
-        channel_history.append((sched.now, seq.current))
+        channel_history.append((now, seq.current))
 
     def poll_exchange(s: int):
         ch = seq.current
@@ -381,16 +388,16 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
         delivered = False
         if heard:
             slaves[s].seq += 1
-            q = sampler(s, sched.now)
-            response = arbitrated(names[s], sched.now, response_air, ch, "response", s)
+            q = sampler(s, now)
+            response = arbitrated(names[s], now, response_air, ch, "response", s)
             yield response_air
             # Logged on completion: a response the session end cuts off
             # never reaches the master, so it is neither sent nor recorded.
             trace.append(response)
             if response.outcome == radio.DELIVERED:
                 delivered = True
-                frames.append(RecordingFrame(int(round(sched.now)), s, slaves[s].seq, *q, 3))
-                last_ok[s] = sched.now
+                frames.append(RecordingFrame(int(round(now)), s, slaves[s].seq, *q, 3))
+                last_ok[s] = now
         else:
             # Nothing came back; the master still waits out the slot.
             yield response_air
@@ -426,7 +433,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
             for s in pending:
                 yield turnaround
                 if s in responders:
-                    j_start = sched.now
+                    j_start = now
                     j_out = tx(names[s], j_start, response_air, c, "join", s)
                     if j_out == radio.DELIVERED:
                         joined[s] = True
@@ -441,24 +448,33 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                 break
             hop()
         last_burst = -math.inf
-        while sched.now < duration_us:
-            cycle_start = sched.now
+        while now < duration_us:
+            cycle_start = now
             for s in ids:
                 if not joined[s]:
                     continue
-                if sched.now - last_ok[s] > resync_us:
+                if now - last_ok[s] > resync_us:
                     joined[s] = False
                     continue
                 yield from poll_exchange(s)
-                if sched.now >= duration_us:
+                if now >= duration_us:
                     return
-            if not all(joined.values()) and sched.now - last_burst >= beacon_gap:
-                last_burst = sched.now
+            if not all(joined.values()) and now - last_burst >= beacon_gap:
+                last_burst = now
                 yield from beacon_burst()
-            yield max(cycle_start + cap_period - sched.now, 0.0)
+            yield max(cycle_start + cap_period - now, 0.0)
 
-    sched.at(0.0, master())
-    _run(sched, duration_us, sink, trace, frames)
+    # One addition per delay (a sum of two can round differently). The master
+    # resumes while the clock is at or before the end; each whole second
+    # below the end that the clock passes is a handoff.
+    handoff = _HANDOFF_US
+    for delay in master():
+        now = now + delay
+        while handoff < now and handoff < duration_us:
+            _hand_off(sink, trace, frames)
+            handoff += _HANDOFF_US
+        if now > duration_us:
+            break
     _hand_off(sink, trace, frames)
     resyncs = sum(sl.resyncs for sl in slaves.values())
     return SessionResult("cw", duration_us, ids, frames, trace,

@@ -31,11 +31,10 @@ the field and the floor loss only; a protocol whose own nodes can overlap
 
 The event scheduler is single-threaded and fully deterministic. Its heap
 holds generator processes that yield microsecond delays; they resume in
-nondecreasing time, ties broken by (source id, order scheduled). A process
-whose next resume would be the next one popped resumes at once, without a
-heap push and pop; a lone process, as the cw master is, enters the heap
-only at the end of an advance step. A run ends at its horizon and closes
-every process still waiting.
+nondecreasing time, ties broken by (source id, order scheduled). A run
+ends at its horizon and closes every process still waiting. The BLE
+baseline's links run on it; the cw master, a session's one process, keeps
+its own clock (see protocol.master_run).
 """
 
 from __future__ import annotations
@@ -500,26 +499,17 @@ class EventScheduler:
 
     def advance(self, t_us: float) -> None:
         """Run every resume up to t_us; the processes left stay scheduled,
-        so advancing in steps runs the same resumes as one run_until. A
-        process whose next resume is due by t_us and sorts before the heap's
-        top runs on at once, without a trip through the heap."""
+        so advancing in steps runs the same resumes as one run_until."""
         heap = self._heap
-        process = None
-        while process is not None or (heap and heap[0][0] <= t_us):
-            if process is None:
-                t, source, _, process = heapq.heappop(heap)
+        while heap and heap[0][0] <= t_us:
+            t, source, _, process = heapq.heappop(heap)
             self.now = t
             try:
-                next_t = t + next(process)
+                delay = next(process)
             except StopIteration:
-                process = None
                 continue
-            # A resume in the past, or at NaN, falls to at(), which refuses it.
-            if t <= next_t <= t_us and (not heap or (next_t, source) < heap[0][:2]):
-                t = next_t
-            else:
-                self.at(next_t, process, source)
-                process = None
+            # at() refuses a resume in the past or at NaN.
+            self.at(t + delay, process, source)
 
     def run_until(self, t_end_us: float) -> None:
         """Run every resume up to t_end_us, then close the processes left."""

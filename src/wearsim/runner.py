@@ -62,16 +62,16 @@ import numpy as np
 from .motion import SyntheticBody, random_offsets
 # write_recording and session_metrics are not called here, but perfbench's
 # span table resolves them in runner: a traced run raises KeyError without them.
-from .pipeline import (ANGLE_CSV, RECORDING_CSV, CsvSchema, ParseError, RecordingFrame,
-                       file_slug, nine_digits, open_csv, write_csv, write_json,
-                       write_recording)
+from .pipeline import (ANGLE_CSV, FLOAT_FORMAT, RECORDING_CSV, CsvSchema, ParseError,
+                       RecordingFrame, file_slug, int_cell, nine_digits, open_csv, write_csv,
+                       write_json, write_recording)
 from .protocol import (SessionFold, TraceRow, ble_baseline_run, master_run,
                        session_metrics)
 from .quatmath import Quaternion
 from .radio import InterferenceField, build_field
 from .scenario import MAX_DURATION_S, Scenario
-from .skeleton import (BoneId, CalibrationPose, CalibrationRecord, SensorPlacement,
-                       Skeleton, calibrate)
+from .skeleton import (SENSOR_BONES, BoneId, CalibrationPose, CalibrationRecord,
+                       SensorPlacement, Skeleton, calibrate)
 
 GROUND_TRUTH_HZ = 100.0
 # Ground-truth grid points computed at once.
@@ -82,7 +82,7 @@ SESSION_TRACE_CSV = CsvSchema(*get_type_hints(TraceRow).items())
 RADIO_TRACE_HEADER = "time_us,duration_us,source,channel,kind,outcome"
 # A burst's line: its start and duration, then its lane's _BURST_TAIL of
 # the lane's source and kind.
-_BURST_FORMAT = "%.9g,%.9g%s"
+_BURST_FORMAT = f"{FLOAT_FORMAT},{FLOAT_FORMAT}%s"
 _BURST_TAIL = ",%s,,%s,busy\n"
 
 
@@ -296,8 +296,10 @@ def load_session(path: str | Path) -> tuple[CalibrationRecord, dict]:
         for key, value in (("placement.sensors", sensors), ("q_calib", q_calib)):
             if not isinstance(value, dict):
                 raise TypeError(f"{key} must be a mapping, got {value!r}")
-            if len(set(map(int, value))) < len(value):
-                raise ValueError(f"{key} names a sensor twice: keys {sorted(value)}")
+            # A sensor key is str() of an id in 1..12, as _write_session writes it.
+            for k in value:
+                if int_cell(k) not in SENSOR_BONES:
+                    raise ValueError(f"{key} key {k!r} is not a sensor id in 1..12")
         name = data["placement"]["name"]
         if not isinstance(name, str):
             raise TypeError(f"placement.name must be a string, got {name!r}")

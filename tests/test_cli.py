@@ -416,12 +416,13 @@ class TestExitCodes:
          "calibration snapshot missing sensors [3] for placement 'p5-upper'"),
         ("q_calib", {s: [10**400 if s == "3" else 1, 0, 0, 0] for s in "12345"}, 3,
          "int too large to convert to float"),
-        # Keys that int() maps to one sensor: the last of them was kept.
+        # Keys that int() maps to a sensor already named: only str() of an
+        # id is a sensor key, so the alias is refused.
         ("q_calib", {**{s: [1, 0, 0, 0] for s in "12345"}, "04": [0, 1, 0, 0]}, 3,
-         "q_calib names a sensor twice: keys ['04', '1', '2', '3', '4', '5']"),
+         "'04' is not an integer as str() writes one"),
         ("placement", {"name": "p5-upper", "sensors": {
             "1": "spine", "2": "arm_l", "3": "arm_r", "4": "forearm_l", "5": "forearm_r",
-            " 2": "forearm_r"}}, 3, "placement.sensors names a sensor twice: keys [' 2', "),
+            " 2": "forearm_r"}}, 3, "' 2' is not an integer as str() writes one"),
     ], ids=["duration-null", "duration-str", "duration-bool", "duration-negative",
             "duration-zero", "duration-over-a-day", "duration-1e300", "duration-inf",
             "joints-int", "joints-str", "joints-int-list", "joints-repeated",
@@ -439,6 +440,43 @@ class TestExitCodes:
         assert rc == code
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["-2", "1_0", " 2", "+2", "02", "\u0662", "0", "13",
+                                     "x", "2" * 30])
+    def test_bad_sensor_key(self, arm_raise_run, tmp_path, capsys, key):
+        # Sensor 2 renamed in both maps: any key but str() of an id in 1..12
+        # is a sidecar of the wrong shape, even one that int() reads as 2.
+        meta = json.loads((arm_raise_run / "session.json").read_text())
+        for mapping in (meta["placement"]["sensors"], meta["q_calib"]):
+            mapping[key] = mapping.pop("2")
+        session = tmp_path / "session.json"
+        session.write_text(json.dumps(meta))
+        rc = main(["analyze", "--recording", str(arm_raise_run / "recording.csv"),
+                   "--session", str(session), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sensor", ["0", "99", "1" * 30])
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_frame_of_a_sensor_outside_the_placement(self, arm_raise_run, tmp_path, capsys,
+                                                     sensor, command):
+        lines = (arm_raise_run / "recording.csv").read_text().splitlines()
+        cells = lines[20].split(",")
+        cells[1] = sensor
+        lines[20] = ",".join(cells)
+        bad = tmp_path / "recording.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        (tmp_path / "session.json").write_bytes((arm_raise_run / "session.json").read_bytes())
+        out = tmp_path / "o"
+        argv = {"analyze": ["analyze", "--recording", str(bad), "--out", str(out)],
+                "compare": ["compare", str(bad),
+                            str(arm_raise_run / "ground_truth_left_shoulder.csv"),
+                            "--joint", "left shoulder", "--out", str(out)]}[command]
+        assert main(argv) == 4
+        assert (f"line 21: sensor {sensor} is not in placement 'p5-upper'"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_sidecar_metadata_is_optional(self, arm_raise_run, tmp_path):
         meta = json.loads((arm_raise_run / "session.json").read_text())

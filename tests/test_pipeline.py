@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tempfile
 from bisect import bisect_right
 from pathlib import Path
@@ -406,6 +407,27 @@ class TestReadErrors:
         with pytest.raises(ValidationError, match="line 3"):
             pl.read_recording(p)
 
+    # Text that int() reads but str() does not write: a space, a plus sign,
+    # a leading zero, an underscore, a non-ASCII digit, a minus zero.
+    @pytest.mark.parametrize("column, cell", [
+        (0, " 40"), (0, "+40"), (0, "4_0"), (0, "\u0664\u0660"), (0, "040"), (0, "-0"),
+        (1, "01"), (1, "1 "), (2, "+2"), (2, "\uff12"), (7, "03"), (7, "3\t")])
+    def test_int_cell_as_str_writes_it(self, tmp_path, column, cell):
+        cells = "40,1,2,1,0,0,0,3".split(",")
+        cells[column] = cell
+        p = self.write(tmp_path,
+                       "timestamp_us,sensor_id,seq,qw,qx,qy,qz,status\n"
+                       "0,1,1,1,0,0,0,3\n" + ",".join(cells) + "\n")
+        with pytest.raises(ParseError, match=f"line 3: {re.escape(repr(cell))} is not an "
+                                             "integer as str"):
+            pl.read_recording(p)
+
+    @pytest.mark.parametrize("cell", ["+100", "0100", "1_00", "\u0661\u0660\u0660", "100 "])
+    def test_angle_time_as_str_writes_it(self, tmp_path, cell):
+        p = self.write(tmp_path, f"time_us,angle_deg\n0,1\n{cell},2\n")
+        with pytest.raises(ParseError, match="line 3: .* is not an integer as str"):
+            pl.read_angles(p)
+
     def test_write_validates_too(self, tmp_path):
         frames = [frame(0, 1, 2, rot(10.0)), frame(10, 1, 1, rot(11.0))]
         with pytest.raises(ValidationError, match="sensor 1"):
@@ -431,9 +453,9 @@ def whole_text_read_recording(path):
         if len(parts) != 8:
             raise ParseError(f"line {n}: expected 8 fields, got {len(parts)}")
         try:
-            f = RecordingFrame(int(parts[0]), int(parts[1]), int(parts[2]),
-                               float(parts[3]), float(parts[4]),
-                               float(parts[5]), float(parts[6]), int(parts[7]))
+            f = RecordingFrame(pl.int_cell(parts[0]), pl.int_cell(parts[1]),
+                               pl.int_cell(parts[2]), float(parts[3]), float(parts[4]),
+                               float(parts[5]), float(parts[6]), pl.int_cell(parts[7]))
         except ValueError as exc:
             raise ParseError(f"line {n}: {exc}") from exc
         frames.append(f)
@@ -453,7 +475,8 @@ def read_outcome(read, path):
 LINE_ENDS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
              "\u2028", "\u2029"]
 ODD_LINES = ["", "0,1,1,1,0,0", "x,1,1,1,0,0,0,3", "0,1,1,0.5,0,0,0,3", "5,1,1,1,0,0,0,3",
-             "timestamp_us,sensor_id,seq,qw,qx,qy,qz,status", "0,1,1,1,0,0,0,3,"]
+             "timestamp_us,sensor_id,seq,qw,qx,qy,qz,status", "0,1,1,1,0,0,0,3,",
+             "0,01,1,1,0,0,0,3"]
 
 
 @st.composite

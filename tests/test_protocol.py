@@ -52,6 +52,19 @@ class TestTimingProfile:
         t = TimingProfile()
         assert t.scan_dwell_us == 2 * t.beacon_interval_ms * 1000.0
 
+    # Each is a wait of the master, or (poll_cap_hz) sets one: a negative or
+    # NaN wait would run its clock backwards, and an infinite one is refused too.
+    @pytest.mark.parametrize("kind, key, value", [
+        (TimingProfile, "turnaround_us", -1000.0), (TimingProfile, "turnaround_us", math.inf),
+        (TimingProfile, "guard_us", -1.0), (TimingProfile, "guard_us", math.nan),
+        (TimingProfile, "host_cost_us", -1e-9), (TimingProfile, "host_cost_us", math.inf),
+        (TimingProfile, "poll_cap_hz", math.nan),
+        (HopPolicy, "assess_us", -1.0), (HopPolicy, "assess_us", math.nan),
+        (HopPolicy, "assess_us", math.inf)])
+    def test_refuses_a_wait_that_runs_the_clock_back(self, kind, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            kind(**{key: value})
+
 
 class TestHopSequencer:
     def test_starts_on_its_channel(self):
@@ -230,6 +243,51 @@ class TestSequenceIntegrity:
                          seed=39)
         for s, st in session_metrics(res)["per_sensor"].items():
             assert st["delivered"] == st["recorded"], s
+
+
+def duration_ending_at(t_us):
+    """A duration_s whose session ends at exactly t_us, or None."""
+    d = t_us / 1e6
+    return next((c for c in (d, math.nextafter(d, 0), math.nextafter(d, math.inf))
+                 if c * 1e6 == t_us), None)
+
+
+class TestSessionEnd:
+    """The master resumes while the clock is at or before the session's
+    end: a session that ends exactly at a resume runs it, one that ends an
+    ulp earlier does not. Seed 4 hops mid-session."""
+
+    roster, seed = [1, 2, 3, 4, 5], 4
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        return crowded_field(self.seed, 2.0)
+
+    def ending_at(self, field, t_us):
+        return master_run(self.roster, duration_ending_at(t_us), flat_sampler, field,
+                          seed=self.seed)
+
+    def pinned(self, times):
+        """The first of times at which a session, and one an ulp earlier, can end."""
+        return next(t for t in times if duration_ending_at(t) is not None
+                    and duration_ending_at(math.nextafter(t, 0)) is not None)
+
+    def test_response_logged_only_if_it_ends_by_the_end(self, field):
+        full = master_run(self.roster, 2.0, flat_sampler, field, seed=self.seed)
+        rows = [(i, r) for i, r in enumerate(full.trace)
+                if r.frame_type == "response" and r.time_us > 1e6]
+        end = self.pinned(r.time_us + r.duration_us for _, r in rows)
+        i = next(i for i, r in rows if r.time_us + r.duration_us == end)
+        assert self.ending_at(field, end).trace == full.trace[:i + 1]
+        assert self.ending_at(field, math.nextafter(end, 0)).trace == full.trace[:i]
+
+    def test_hop_taken_only_if_it_resumes_by_the_end(self, field):
+        full = master_run(self.roster, 2.0, flat_sampler, field, seed=self.seed)
+        hops = full.channel_history
+        t = self.pinned(h for h, _ in hops if h > 0.5e6)
+        k = next(k for k, (h, _) in enumerate(hops) if h == t)
+        assert self.ending_at(field, t).channel_history == hops[:k + 1]
+        assert self.ending_at(field, math.nextafter(t, 0)).channel_history == hops[:k]
 
 
 class TestDeterminism:

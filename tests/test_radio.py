@@ -1,6 +1,5 @@
 """2.4 GHz band model: channels, interferers, arbitration, scheduler."""
 
-import heapq
 import json
 import math
 import re
@@ -562,59 +561,6 @@ def record(seen, name):
     yield from ()
 
 
-class HeapScheduler(EventScheduler):
-    """The reference scheduler: every resume goes through the heap."""
-
-    def advance(self, t_us):
-        heap = self._heap
-        while heap and heap[0][0] <= t_us:
-            t, source, _, process = heapq.heappop(heap)
-            self.now = t
-            try:
-                delay = next(process)
-            except StopIteration:
-                continue
-            self.at(t + delay, process, source)
-
-
-def replay(cls, starts, steps, end):
-    """The (process, now) of each resume and the scheduler's now after each
-    advance step, on a scheduler of class cls. starts holds each process's
-    (first resume, source, delays)."""
-    sched = cls()
-    seen = []
-
-    def proc(i, delays):
-        for delay in delays:
-            seen.append((i, sched.now))
-            yield delay
-        seen.append((i, sched.now))
-
-    for i, (start, source, delays) in enumerate(starts):
-        sched.at(start, proc(i, delays), source)
-    nows = []
-    for step in steps:
-        sched.advance(step)
-        nows.append((sched.now, len(seen)))
-    sched.run_until(end)
-    return seen, nows, sched.now
-
-
-# Whole and half microseconds with zeros, so resumes tie across sources and
-# advance steps end exactly on resume times.
-_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 3.0])
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 4).map(float), st.integers(0, 2),
-                          st.lists(_DELAYS, max_size=8)), min_size=1, max_size=5),
-       st.lists(st.integers(0, 24).map(float), max_size=6).map(sorted),
-       st.integers(0, 30).map(float))
-def test_direct_resumes_match_the_heap(starts, steps, end):
-    assert replay(EventScheduler, starts, steps, end) == \
-        replay(HeapScheduler, starts, steps, end)
-
-
 class TestScheduler:
     def test_time_order(self):
         sched = EventScheduler()
@@ -646,8 +592,7 @@ class TestScheduler:
             EventScheduler().at(math.nan, record([], "never"))
 
     # Alone or with another resume pending, the advance bound far or exactly
-    # at the bad resume: a negative delay sorts first within the bound, where
-    # a direct resume would take it; a NaN one goes to the heap.
+    # at the bad resume: at() refuses a negative or NaN delay.
     @pytest.mark.parametrize("bound", [5.0, 100.0])
     @pytest.mark.parametrize("other", [None, (5.0, 1), (50.0, 0)])
     @pytest.mark.parametrize("delay", [-1.0, math.nan])
@@ -663,22 +608,6 @@ class TestScheduler:
             sched.at(other[0], record([], "other"), other[1])
         with pytest.raises(ValueError, match="cannot schedule"):
             sched.advance(bound)
-
-    def test_lone_process_stays_out_of_the_heap_within_a_step(self):
-        sched = EventScheduler()
-        pushes = []
-        at = sched.at
-        sched.at = lambda *args: pushes.append(args[0]) or at(*args)
-
-        def proc():
-            while True:
-                yield 10.0
-
-        sched.at(0.0, proc())
-        sched.advance(95.0)
-        sched.advance(200.0)
-        assert pushes == [0.0, 100.0, 200.0 + 10.0]
-        assert sched.now == 200.0
 
     def test_generator_process(self):
         sched = EventScheduler()
