@@ -131,10 +131,13 @@ class HopPolicy:
             raise ValueError("loss_threshold must be within the loss window")
         if self.announce_repeats < 1:
             raise ValueError("announce_repeats must be at least 1")
-        if not 0 <= self.assess_us < math.inf:
-            raise ValueError("assess_us must be non-negative and finite")
+        # A slave's probe walk starts probe_gap_ms into a silence; a NaN
+        # one, or a NaN walk_dwell_ms, makes its step count NaN.
+        for key in ("assess_us", "probe_gap_ms"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be non-negative and finite")
         # Below 1 us the probe-walk step count of a long silence overflows.
-        if self.walk_dwell_ms < 1e-3:
+        if not self.walk_dwell_ms >= 1e-3:
             raise ValueError("walk_dwell_ms must be at least 1e-3 (1 us)")
         # The current channel and the blacklist must leave a channel to hop to.
         limit = len(DATA_CHANNELS) - 2

@@ -65,6 +65,14 @@ class TestTimingProfile:
         with pytest.raises(ValueError, match=f"^{key} must be"):
             kind(**{key: value})
 
+    # A slave's probe walk: a NaN dwell or gap made its step count NaN mid-run.
+    @pytest.mark.parametrize("key, value", [
+        ("walk_dwell_ms", math.nan), ("probe_gap_ms", math.nan),
+        ("probe_gap_ms", -5.0), ("probe_gap_ms", math.inf)])
+    def test_refuses_a_probe_walk_without_steps(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            HopPolicy(**{key: value})
+
 
 class TestHopSequencer:
     def test_starts_on_its_channel(self):
@@ -288,6 +296,41 @@ class TestSessionEnd:
         k = next(k for k, (h, _) in enumerate(hops) if h == t)
         assert self.ending_at(field, t).channel_history == hops[:k + 1]
         assert self.ending_at(field, math.nextafter(t, 0)).channel_history == hops[:k]
+
+    @pytest.mark.parametrize("frame_type, after", [("ack", 1e6), ("join", 0.0)])
+    def test_frame_sent_only_if_it_starts_by_the_end(self, field, frame_type, after):
+        # An ack or a join is sent, and logged, at the resume that starts it.
+        full = master_run(self.roster, 2.0, flat_sampler, field, seed=self.seed)
+        rows = [(i, r) for i, r in enumerate(full.trace)
+                if r.frame_type == frame_type and r.time_us > after]
+        t = self.pinned(r.time_us for _, r in rows)
+        i = next(i for i, r in rows if r.time_us == t)
+        assert self.ending_at(field, t).trace == full.trace[:i + 1]
+        assert self.ending_at(field, math.nextafter(t, 0)).trace == full.trace[:i]
+
+
+class TestSessionPrefix:
+    @settings(max_examples=40, deadline=None)
+    @given(roster=st.lists(st.integers(1, 12), min_size=1, max_size=12, unique=True),
+           seed=st.integers(0, 2**32 - 1), crowded=st.booleans(),
+           host_cost_us=st.floats(0.0, 3000.0), turnaround_us=st.floats(0.0, 300.0),
+           loss_threshold=st.integers(1, 8), announce_repeats=st.integers(1, 4),
+           p_floor=st.sampled_from([0.0, 0.05]),
+           durations=st.lists(st.floats(1e-3, 0.999), min_size=2, max_size=2,
+                              unique=True).map(sorted))
+    def test_shorter_session_is_a_prefix(self, roster, seed, crowded, host_cost_us,
+                                         turnaround_us, loss_threshold, announce_repeats,
+                                         p_floor, durations):
+        # The same inputs and a later end: the shorter session's trace, frames
+        # and channel history begin the longer one's.
+        field = crowded_field(seed, 1.0) if crowded else CLEAN
+        timing = TimingProfile(host_cost_us=host_cost_us, turnaround_us=turnaround_us)
+        policy = HopPolicy(loss_threshold=loss_threshold, announce_repeats=announce_repeats)
+        short, long = (master_run(roster, d, turning_sampler, field, seed, timing=timing,
+                                  policy=policy, p_floor=p_floor) for d in durations)
+        assert long.trace[:len(short.trace)] == short.trace
+        assert long.frames[:len(short.frames)] == short.frames
+        assert long.channel_history[:len(short.channel_history)] == short.channel_history
 
 
 class TestDeterminism:
