@@ -17,8 +17,10 @@ it is a plain CSV with a fixed header:
 A frame keeps the floats it was built with; its 9-digit cells are their
 one rounding, and a cell reads back as a float that writes the same cell.
 An int cell reads only as str() writes it (int_cell), as do the sidecar's
-sensor keys. So read -> write is byte-identical (RecordingFrame.quantized
-builds in memory the frame a read gives).
+sensor keys. So read -> write is byte-identical for a file this writer
+wrote (RecordingFrame.quantized builds in memory the frame a read gives).
+A float cell reads as float() reads it, so "+1" or "1e0" is taken and
+written back as "1".
 
 Invariants enforced on both read and write: file timestamps never
 decrease, per-sensor sequence numbers strictly increase, quaternions

@@ -15,7 +15,8 @@ can overlap one another, so it judges that itself before radio.arbitrate,
 keeping each frame's start and channel for two air times: a frame that
 overlaps it starts within one and is judged at its own end.
 
-The master, a cw session's one process, runs on its own clock; the
+The master, a cw session's one process, is one straight-line loop on
+its own clock, each frame one radio.arbitrate call and one trace row; the
 baseline's links run on the discrete-event scheduler in radio.py. So two
 runs with equal seeds produce byte-identical results.
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict, deque
+from contextlib import suppress
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
@@ -311,6 +313,10 @@ def _hand_off(sink: Sink | None, trace: list[TraceRow], frames: list[RecordingFr
         frames.clear()
 
 
+class _SessionOver(Exception):
+    """The master's clock passed the session's end."""
+
+
 def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                field: InterferenceField, seed: int, *,
                timing: TimingProfile | None = None,
@@ -320,7 +326,10 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                sink: Sink | None = None) -> SessionResult:
     """Run one polling session and return its frames, trace, and counters.
     With a sink, the rows and frames go to it as the session runs, and the
-    result's lists are empty."""
+    result's lists are empty. The master is one loop on its own clock, now;
+    wait() moves it, one addition per delay (a sum of two can round
+    differently), hands off each whole second below the end that it passes
+    and ends the session at the first wait past the end."""
     timing = timing or TimingProfile()
     policy = policy or HopPolicy()
     ids, duration_us = _check_session(roster, 12, duration_s)
@@ -337,117 +346,58 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
         float(timing.us_per_byte * n)
         for n in (timing.poll_bytes, timing.response_bytes, timing.ack_bytes,
                   timing.beacon_bytes, timing.hop_bytes))
-    turnaround, guard = timing.turnaround_us, timing.guard_us
+    turnaround, guard, assess_us = timing.turnaround_us, timing.guard_us, policy.assess_us
+    poll_wait, hop_wait = poll_air + turnaround, hop_air + turnaround
     ack_tail = ack_air + turnaround + guard + timing.host_cost_us
     resync_us, cap_period = timing.resync_us, 1e6 / timing.poll_cap_hz
     beacon_gap = timing.beacon_interval_ms * 1000.0
 
-    now = 0.0
+    now, handoff = 0.0, _HANDOFF_US
+    stop = min(handoff, duration_us)
     frames: list[RecordingFrame] = []
     trace: list[TraceRow] = []
     channel_history: list[tuple[float, int]] = [(0.0, seq.current)]
 
-    def arbitrated(source: str, start: float, dur: float, ch: int,
-                   frame_type: str, sensor_id: int) -> TraceRow:
-        return TraceRow(start, dur, source, ch, "cw", frame_type, sensor_id,
-                        radio.arbitrate(start, dur, CHANNEL_BANDS[ch], field,
-                                        p_floor, floor_rng))
+    def wait(delay: float) -> None:
+        nonlocal now, handoff, stop
+        now = now + delay
+        if now > stop:
+            while handoff < now and handoff < duration_us:
+                _hand_off(sink, trace, frames)
+                handoff += _HANDOFF_US
+            if now > duration_us:
+                raise _SessionOver
+            stop = min(handoff, duration_us)
 
-    def tx(*frame) -> str:
-        row = arbitrated(*frame)
-        trace.append(row)
-        return row.outcome
-
-    def broadcast(frame_type: str, sensor_id: int, air_us: float, ch: int,
-                  listeners: Sequence[int], follow: tuple[int, int]) -> list[int]:
-        """Send a master frame; each listener tuned to ch for all of it follows
-        it to (channel, chain position). Returns the listeners that heard it."""
-        start = now
-        end = start + air_us
-        heard = []
-        if tx("master", start, air_us, ch, frame_type, sensor_id) == radio.DELIVERED:
-            for s in listeners:
-                if slaves[s].hears(start, end, ch):
-                    # A beacon carries no polling rhythm.
-                    slaves[s].heard_master(*follow, end, frame_type != "beacon")
-                    heard.append(s)
+    def send(source: str, frame_type: str, sensor_id: int, air: float, ch: int,
+             listeners: Sequence[int] = (), follow: tuple[int, int] = (0, 0)) -> list[int] | None:
+        """Log a hop announce, beacon or join sent now; each listener tuned to
+        ch for all of it moves to follow (channel, chain position). Returns
+        those listeners, or None if the frame was lost."""
+        outcome = radio.arbitrate(now, air, CHANNEL_BANDS[ch], field, p_floor, floor_rng)
+        trace.append(TraceRow(now, air, source, ch, "cw", frame_type, sensor_id, outcome))
+        if outcome != radio.DELIVERED:
+            return None
+        heard = [s for s in listeners if slaves[s].hears(now, now + air, ch)]
+        for s in heard:
+            # A beacon carries no polling rhythm.
+            slaves[s].heard_master(*follow, now + air, frame_type != "beacon")
         return heard
 
-    def assess():
+    def assess() -> bool:
         """Listen to the current channel for assess_us; True if it was busy."""
-        busy = field.busy(CHANNEL_BANDS[seq.current], now,
-                          now + policy.assess_us)
-        yield policy.assess_us
+        busy = field.busy(CHANNEL_BANDS[seq.current], now, now + assess_us)
+        wait(assess_us)
         return busy
 
     def hop() -> None:
         seq.advance()
         channel_history.append((now, seq.current))
 
-    def poll_exchange(s: int):
-        ch = seq.current
-        heard = broadcast("poll", s, poll_air, ch, (s,), (ch, seq.cursor))
-        yield poll_air + turnaround
-        delivered = False
-        if heard:
-            slaves[s].seq += 1
-            q = sampler(s, now)
-            response = arbitrated(names[s], now, response_air, ch, "response", s)
-            yield response_air
-            # Logged on completion: a response the session end cuts off
-            # never reaches the master, so it is neither sent nor recorded.
-            trace.append(response)
-            if response.outcome == radio.DELIVERED:
-                delivered = True
-                frames.append(RecordingFrame(int(round(now)), s, slaves[s].seq, *q, 3))
-                last_ok[s] = now
-        else:
-            # Nothing came back; the master still waits out the slot.
-            yield response_air
-        loss.append(delivered)
-        if delivered:
-            yield turnaround
-            broadcast("ack", s, ack_air, ch, (s,), (ch, seq.cursor))
-            yield ack_tail
-        else:
-            yield guard
-            yield from maybe_hop()
-
-    def maybe_hop():
-        # Hop only when the loss window tripped AND the carrier is
-        # actually busy; transient losses never cause a hop.
-        if sum(1 for ok in loss if not ok) < policy.loss_threshold:
-            return
-        if not (yield from assess()):
-            return
-        follow = seq.preview()
-        for _ in range(policy.announce_repeats):
-            broadcast("hop", 0, hop_air, seq.current, ids, follow)
-            yield hop_air + turnaround
-        yield guard
-        hop()
-
-    def beacon_burst():
-        pending = [s for s in ids if not joined[s]]
-        for c in SYNC_CHANNELS:
-            responders = broadcast("beacon", 0, beacon_air, c, pending,
-                                   (seq.current, seq.cursor))
-            yield beacon_air
-            for s in pending:
-                yield turnaround
-                if s in responders:
-                    j_start = now
-                    j_out = tx(names[s], j_start, response_air, c, "join", s)
-                    if j_out == radio.DELIVERED:
-                        joined[s] = True
-                        last_ok[s] = j_start + response_air
-                yield response_air
-            yield guard
-
-    def master():
+    with suppress(_SessionOver):
         # Leave a channel that is busy right now before inviting anyone.
         for _ in range(len(seq.chain)):
-            if not (yield from assess()):
+            if not assess():
                 break
             hop()
         last_burst = -math.inf
@@ -459,25 +409,70 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                 if now - last_ok[s] > resync_us:
                     joined[s] = False
                     continue
-                yield from poll_exchange(s)
+                slave, ch = slaves[s], seq.current
+                band = CHANNEL_BANDS[ch]
+                start, end = now, now + poll_air
+                outcome = radio.arbitrate(start, poll_air, band, field, p_floor, floor_rng)
+                trace.append(TraceRow(start, poll_air, "master", ch, "cw", "poll", s, outcome))
+                heard = outcome == radio.DELIVERED and slave.hears(start, end, ch)
+                if heard:
+                    slave.heard_master(ch, seq.cursor, end)
+                wait(poll_wait)
+                delivered = False
+                if heard:
+                    slave.seq += 1
+                    q = sampler(s, now)
+                    response = TraceRow(now, response_air, names[s], ch, "cw", "response", s,
+                                        radio.arbitrate(now, response_air, band, field,
+                                                        p_floor, floor_rng))
+                    wait(response_air)
+                    # Logged on completion: a response that the session end cuts off
+                    # never reaches the master, so it is neither sent nor recorded.
+                    trace.append(response)
+                    if response.outcome == radio.DELIVERED:
+                        delivered = True
+                        frames.append(RecordingFrame(int(round(now)), s, slave.seq, *q, 3))
+                        last_ok[s] = now
+                else:
+                    # Nothing came back; the master still waits out the slot.
+                    wait(response_air)
+                loss.append(delivered)
+                if delivered:
+                    wait(turnaround)
+                    start, end = now, now + ack_air
+                    outcome = radio.arbitrate(start, ack_air, band, field, p_floor, floor_rng)
+                    trace.append(TraceRow(start, ack_air, "master", ch, "cw", "ack", s, outcome))
+                    if outcome == radio.DELIVERED and slave.hears(start, end, ch):
+                        slave.heard_master(ch, seq.cursor, end)
+                    wait(ack_tail)
+                else:
+                    wait(guard)
+                    # Hop only when the loss window tripped AND the carrier
+                    # is actually busy; transient losses never cause a hop.
+                    if loss.count(False) >= policy.loss_threshold and assess():
+                        follow = seq.preview()
+                        for _ in range(policy.announce_repeats):
+                            send("master", "hop", 0, hop_air, seq.current, ids, follow)
+                            wait(hop_wait)
+                        wait(guard)
+                        hop()
                 if now >= duration_us:
-                    return
+                    raise _SessionOver
             if not all(joined.values()) and now - last_burst >= beacon_gap:
                 last_burst = now
-                yield from beacon_burst()
-            yield max(cycle_start + cap_period - now, 0.0)
-
-    # One addition per delay (a sum of two can round differently). The master
-    # resumes while the clock is at or before the end; each whole second
-    # below the end that the clock passes is a handoff.
-    handoff = _HANDOFF_US
-    for delay in master():
-        now = now + delay
-        while handoff < now and handoff < duration_us:
-            _hand_off(sink, trace, frames)
-            handoff += _HANDOFF_US
-        if now > duration_us:
-            break
+                pending = [s for s in ids if not joined[s]]
+                for c in SYNC_CHANNELS:
+                    heard = send("master", "beacon", 0, beacon_air, c, pending,
+                                 (seq.current, seq.cursor)) or ()
+                    wait(beacon_air)
+                    for s in pending:
+                        wait(turnaround)
+                        if s in heard and send(names[s], "join", s, response_air, c) is not None:
+                            joined[s] = True
+                            last_ok[s] = now + response_air
+                        wait(response_air)
+                    wait(guard)
+            wait(max(cycle_start + cap_period - now, 0.0))
     _hand_off(sink, trace, frames)
     resyncs = sum(sl.resyncs for sl in slaves.values())
     return SessionResult("cw", duration_us, ids, frames, trace,
