@@ -133,8 +133,8 @@ class HopPolicy:
             raise ValueError("loss_threshold must be within the loss window")
         if self.announce_repeats < 1:
             raise ValueError("announce_repeats must be at least 1")
-        # A slave's probe walk starts probe_gap_ms into a silence; a NaN
-        # one, or a NaN walk_dwell_ms, makes its step count NaN.
+        # assess_us is a wait of the master; a slave's probe walk starts
+        # probe_gap_ms into a silence, and a NaN one makes its step count NaN.
         for key in ("assess_us", "probe_gap_ms"):
             if not 0 <= getattr(self, key) < math.inf:
                 raise ValueError(f"{key} must be non-negative and finite")
