@@ -9,7 +9,8 @@ Exit codes are stable so scripts can branch on failure class:
     3  I/O or parse failure (missing file, malformed CSV/JSON/YAML, an int
        cell or sensor key other than str() of an int, or a key outside 1..12,
        a session sidecar of the wrong shape or one whose q_calib lacks a
-       placement sensor, a file that is not UTF-8, a non-finite angle)
+       placement sensor, a file that is not UTF-8, a non-finite angle, a
+       recording timestamp outside -2**63..2**63 - 1)
     4  validation failure (inconsistent recording, a frame of a sensor not in
        the placement, angle CSV timestamps not increasing, disjoint series,
        an MAE or Pearson result that overflows)
@@ -21,6 +22,7 @@ import argparse
 import math
 import sys
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 
 import yaml
@@ -96,10 +98,12 @@ def _recording(recording: Path, session: str | None, flag: str
         raise ConfigError(f"recording {recording} needs a session sidecar "
                           f"(none at {path}); pass {flag}")
     calib, meta = load_session(path)
-    for line, frame in enumerate(frames, start=2):
-        if frame.sensor_id not in calib.placement.bones:
-            raise ValidationError(f"{recording} line {line}: sensor {frame.sensor_id} is "
-                                  f"not in placement {calib.placement.name!r}")
+    bones = calib.placement.bones
+    if not set(map(itemgetter(1), frames)) <= bones.keys():
+        line, frame = next((line, f) for line, f in enumerate(frames, start=2)
+                           if f.sensor_id not in bones)
+        raise ValidationError(f"{recording} line {line}: sensor {frame.sensor_id} is "
+                              f"not in placement {calib.placement.name!r}")
     return frames, calib, meta
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict, namedtuple
@@ -43,13 +44,17 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
 
-from .quatmath import Quaternion, shortest_angle_deg, unit4
+import numpy as np
+
+from .quatmath import QuadColumns, Quaternion, shortest_angle_deg_columns
 # animate_frame is not called here, but perfbench's span table resolves
 # pipeline.animate_frame: a traced run raises KeyError without the name.
 from .skeleton import (CalibrationRecord, JointSpec, Skeleton, animate_frame,
                        sensor_poses)
 
 _UNIT_TOL = 1e-6
+# The timestamps a frame may carry: those of an int64 column.
+_TS_MIN, _TS_MAX = -2**63, 2**63 - 1
 # Width of the sliding rate window, and the step between the window ends
 # that RateWindows counts.
 RATE_WINDOW_US = 1_000_000
@@ -168,14 +173,17 @@ class RecordingFrame(namedtuple("RecordingFrame",
                                 "timestamp_us sensor_id seq qw qx qy qz status")):
     """One delivered sensor sample: the tuple of its RECORDING_CSV cells.
 
-    The constructor checks that the quaternion is unit within _UNIT_TOL and
-    the status is in 0..3; _make is the unchecked path.
+    The constructor checks that the timestamp is in _TS_MIN.._TS_MAX, the
+    quaternion is unit within _UNIT_TOL and the status is in 0..3; _make is
+    the unchecked path.
     """
 
     __slots__ = ()
 
     def __new__(cls, timestamp_us: int, sensor_id: int, seq: int, qw: float, qx: float,
                 qy: float, qz: float, status: int) -> "RecordingFrame":
+        if not _TS_MIN <= timestamp_us <= _TS_MAX:
+            raise ValueError(f"timestamp {timestamp_us} outside -2**63..2**63 - 1")
         norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
         if not abs(norm - 1.0) <= _UNIT_TOL:  # a NaN component fails it too
             raise ValueError(f"quaternion norm {norm:.9f} is not unit within {_UNIT_TOL}")
@@ -236,26 +244,71 @@ def write_recording(frames: Sequence[RecordingFrame], path: str | Path) -> None:
 
 
 def read_recording(path: str | Path) -> list[RecordingFrame]:
-    """Parse and validate a recording CSV, a line at a time. Lines end where
-    str.splitlines ends them: at \\n, \\r and \\r\\n, and also at \\v, \\f,
-    \\x1c-\\x1e, \\x85, \\u2028 and \\u2029."""
+    """Parse and validate a recording CSV. Lines end where str.splitlines
+    ends them: at \\n, \\r and \\r\\n, and also at \\v, \\f, \\x1c-\\x1e,
+    \\x85, \\u2028 and \\u2029.
+
+    The lines are parsed _WRITE_BATCH at a time, as columns (_batch_frames).
+    A batch that misses any of that path's checks is parsed again a line
+    at a time (_line_frames), which names the first bad line and its error.
+    """
     frames: list[RecordingFrame] = []
     with open(path, encoding="utf-8", newline="") as fh:
         lines = itertools.chain.from_iterable(line.splitlines() for line in fh)
         if next(lines, None) != RECORDING_CSV.header:
             raise ParseError(f"line 1: expected header {RECORDING_CSV.header!r}")
-        for n, line in enumerate(lines, start=2):
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise ParseError(f"line {n}: expected 8 fields, got {len(parts)}")
-            try:
-                frame = RecordingFrame(int_cell(parts[0]), int_cell(parts[1]),
-                                       int_cell(parts[2]), float(parts[3]), float(parts[4]),
-                                       float(parts[5]), float(parts[6]), int_cell(parts[7]))
-            except ValueError as exc:
-                raise ParseError(f"line {n}: {exc}") from exc
-            frames.append(frame)
+        n = 2
+        while batch := list(itertools.islice(lines, _WRITE_BATCH)):
+            frames += _batch_frames(batch) or _line_frames(batch, n)
+            n += len(batch)
     FrameOrder(first_line=2).check(frames)
+    return frames
+
+
+# A recording line as _batch_frames takes it: 8 cells, the int cells as
+# str() writes an int, the status in 0..3.
+_PLAIN_LINE = re.compile("(?:0|-?[1-9][0-9]*)," * 3 + "[^,]*," * 4 + "[0-3]")
+_CELL_KINDS = [kind for _, kind in RECORDING_CSV.columns]
+
+
+def _batch_frames(lines: list[str]) -> list[RecordingFrame] | None:
+    """The frames of lines, parsed a column at a time, or None if a line
+    misses _PLAIN_LINE, a float cell is not read by float(), a timestamp is
+    outside _TS_MIN.._TS_MAX or a quaternion is not unit within _UNIT_TOL."""
+    if not all(map(_PLAIN_LINE.fullmatch, lines)):
+        return None
+    cells = ",".join(lines).split(",")
+    try:
+        columns = [list(map(kind, cells[i::8])) for i, kind in enumerate(_CELL_KINDS)]
+    except ValueError:
+        return None
+    ts = columns[0]
+    if not (_TS_MIN <= min(ts) and max(ts) <= _TS_MAX):
+        return None
+    w, x, y, z = map(np.array, columns[3:7])
+    with np.errstate(over="ignore"):  # a huge component overflows to inf, and fails
+        norm = np.sqrt(w * w + x * x + y * y + z * z)
+    if not (np.abs(norm - 1.0) <= _UNIT_TOL).all():
+        return None
+    return list(map(tuple.__new__, itertools.repeat(RecordingFrame), zip(*columns)))
+
+
+def _line_frames(lines: list[str], first: int) -> list[RecordingFrame]:
+    """The frames of lines, numbered as file lines from first, each built by
+    the checked RecordingFrame constructor: the first bad line raises
+    ParseError, naming it."""
+    frames = []
+    for n, line in enumerate(lines, start=first):
+        parts = line.split(",")
+        if len(parts) != 8:
+            raise ParseError(f"line {n}: expected 8 fields, got {len(parts)}")
+        try:
+            frame = RecordingFrame(int_cell(parts[0]), int_cell(parts[1]),
+                                   int_cell(parts[2]), float(parts[3]), float(parts[4]),
+                                   float(parts[5]), float(parts[6]), int_cell(parts[7]))
+        except ValueError as exc:
+            raise ParseError(f"line {n}: {exc}") from exc
+        frames.append(frame)
     return frames
 
 
@@ -301,7 +354,7 @@ def read_angles(path: str | Path) -> AngleSeries:
 
 def joint_angle_series(frames: Sequence[RecordingFrame], calib: CalibrationRecord,
                        skel: Skeleton, joint: JointSpec,
-                       poses: dict[int, tuple[list[int], list[Quaternion]]] | None = None
+                       poses: dict[int, tuple[np.ndarray, QuadColumns]] | None = None
                        ) -> AngleSeries:
     """Joint angle over time from a recording.
 
@@ -325,15 +378,17 @@ def joint_angle_series(frames: Sequence[RecordingFrame], calib: CalibrationRecor
             raise ValueError(f"recording has no frames for sensor {s} ({joint.label!r})")
     # Each frame's bone pose is computed once, then held from its timestamp on.
     for s, fs in streams.items():
-        poses[s] = ([f.timestamp_us for f in fs],
-                    sensor_poses(calib, skel, s, (unit4(f.qw, f.qx, f.qy, f.qz) for f in fs))[1])
+        ts, _, _, *q, _ = zip(*fs)
+        poses[s] = (np.array(ts, np.int64),
+                    sensor_poses(calib, skel, s, tuple(np.array(c, float) for c in q)))
     (p_ts, p_poses), (c_ts, c_poses) = (poses[s] for s in sensors)
     start = max(p_ts[0], c_ts[0])
-    grid = sorted({t for t in itertools.chain(p_ts, c_ts) if t >= start})
-    return AngleSeries(joint.label, [
-        (t, shortest_angle_deg(p_poses[bisect_right(p_ts, t) - 1],
-                               c_poses[bisect_right(c_ts, t) - 1]))
-        for t in grid])
+    grid = np.union1d(p_ts[p_ts >= start], c_ts[c_ts >= start])
+    p_held = np.searchsorted(p_ts, grid, "right") - 1
+    c_held = np.searchsorted(c_ts, grid, "right") - 1
+    angles = shortest_angle_deg_columns(tuple(c[p_held] for c in p_poses),
+                                        tuple(c[c_held] for c in c_poses))
+    return AngleSeries(joint.label, list(zip(grid.tolist(), angles.tolist())))
 
 
 def _interp(points: Sequence[tuple[int, float]], ts: Sequence[int], t: float) -> float:

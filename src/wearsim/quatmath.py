@@ -22,6 +22,10 @@ stdlib floats do. They take sin, cos, radians and degrees from numpy, and
 acos from math, value by value, because np.arccos does not match
 math.acos on every argument. tests/test_motion.py pins the twins to the
 scalar kernel, and numpy's sin, cos, radians and degrees to math's.
+relative_to_calibration is a column step with no scalar twin: each row
+times the conjugate of one calibration snapshot, and the exact identity
+on the rows equal to it. skeleton's sensor_poses, the pose step of the
+joint angles, runs on the column kernel alone.
 
 The scalar kernel is stdlib float math in a fixed order, so one input
 gives the same bits on every run of one machine. Across machines, sin, cos
@@ -190,19 +194,20 @@ def hamilton_product(a: Quaternion, b: Quaternion) -> Quaternion:
     return Quaternion._make(mul4(a, b))
 
 
-def relative_to_calibration(q: Quad, q_calib: Quad) -> Quaternion:
-    """Rotation of q relative to the calibration snapshot: q * q_calib^-1.
+def relative_to_calibration(q: QuadColumns, q_calib: Quad) -> QuadColumns:
+    """Rotation of each row of q relative to the calibration snapshot:
+    q * q_calib^-1.
 
     A fixed mounting offset shared by both arguments cancels out, so the
     result expresses pure bone motion since calibration.
     """
-    if q == q_calib:
-        # At the calibration instant the result is the exact identity,
-        # not an identity perturbed by rounding.
-        return _IDENTITY
     # The conjugate is the inverse of a unit quaternion.
     w, x, y, z = q_calib
-    return Quaternion._make(mul4(q, unit4(w, -x, -y, -z)))
+    rel = mul4_columns(q, unit4(w, -x, -y, -z))
+    # At the calibration instant the result is the exact identity, not an
+    # identity perturbed by rounding.
+    at_calib = (q[0] == w) & (q[1] == x) & (q[2] == y) & (q[3] == z)
+    return tuple(np.where(at_calib, one, c) for one, c in zip(_IDENTITY, rel))
 
 
 def enu_to_left_handed(q: Quaternion) -> Quaternion:

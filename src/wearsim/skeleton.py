@@ -11,6 +11,10 @@ orientations:
     q'' = enu_to_left_handed(q')  (display basis)
     r   = q'' * q_bone            (bone rest orientation applied)
 
+sensor_poses runs these steps on quatmath's column kernel, on one sensor's
+readings as (w, x, y, z) columns; animate_frame is its batch of one, a
+reading per sensor.
+
 Joint angles are the shortest rotation angle between the two bones of a
 joint, with no anatomical plane decomposition.
 """
@@ -19,10 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .quatmath import Quad, Quaternion, from_axis_angle, mul4, relative_to_calibration, \
-    shortest_angle_deg, unit4
+import numpy as np
+
+from .quatmath import QuadColumns, Quaternion, from_axis_angle, mul4_columns, \
+    relative_to_calibration, shortest_angle_deg, unit4_columns
 
 
 class CalibrationError(ValueError):
@@ -208,29 +214,25 @@ def calibrate(snapshot: Mapping[int, Quaternion], pose: CalibrationPose,
 
 
 def sensor_poses(calib: CalibrationRecord, skel: Skeleton, sensor: int,
-                 readings: Iterable[Quad]) -> tuple[BoneId, list[Quad]]:
-    """The bone that sensor is on, and its orientation at each of the
-    sensor's unit readings, computed on the quatmath tuple kernel."""
+                 q: QuadColumns) -> QuadColumns:
+    """The orientation of sensor's bone at each of the sensor's readings,
+    given and returned as (w, x, y, z) columns, one row per reading."""
     if sensor not in calib.q_calib:
         raise CalibrationError(f"sensor {sensor} was not calibrated")
-    bone = calib.placement.bones[sensor]
-    rest = skel.rest[calib.pose][bone]
-    q_calib = calib.q_calib[sensor]
-    poses = []
-    for q in readings:
-        # enu_to_left_handed's permutation, normalized as its constructor does.
-        w, x, y, z = relative_to_calibration(q, q_calib)
-        poses.append(mul4(unit4(w, y, -z, -x), rest))
-    return bone, poses
+    rest = skel.rest[calib.pose][calib.placement.bones[sensor]]
+    w, x, y, z = relative_to_calibration(unit4_columns(*q), calib.q_calib[sensor])
+    # enu_to_left_handed's permutation, normalized as its constructor does.
+    return mul4_columns(unit4_columns(w, y, -z, -x), rest)
 
 
 def animate_frame(snapshot: Mapping[int, Quaternion], calib: CalibrationRecord,
                   skel: Skeleton) -> dict[BoneId, Quaternion]:
-    """Orientation of each sensed bone for one instant of sensor readings."""
+    """Orientation of each sensed bone for one instant of sensor readings:
+    sensor_poses on a batch of one reading per sensor."""
     poses: dict[BoneId, Quaternion] = {}
     for sensor, q in snapshot.items():
-        bone, (pose,) = sensor_poses(calib, skel, sensor, (q,))
-        poses[bone] = Quaternion._make(pose)
+        pose = sensor_poses(calib, skel, sensor, tuple(np.array([c], float) for c in q))
+        poses[calib.placement.bones[sensor]] = Quaternion._make(c.item() for c in pose)
     return poses
 
 

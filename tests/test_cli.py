@@ -373,6 +373,27 @@ class TestExitCodes:
         assert main(argv) == 3
         assert f"line {n + 1}: quaternion norm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ts, code", [(2**63, 3), (-2**63 - 1, 3), (2**63 - 1, 0)],
+                             ids=["2**63", "-2**63-1", "2**63-1"])
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_timestamp_outside_int64(self, arm_raise_run, tmp_path, capsys, ts, code, command):
+        # The last frame's timestamp: an int64 column holds 2**63 - 1 and no more.
+        lines = (arm_raise_run / "recording.csv").read_text().splitlines()
+        cells = lines[-1].split(",")
+        cells[0] = str(ts)
+        lines[-1] = ",".join(cells)
+        bad = tmp_path / "recording.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        (tmp_path / "session.json").write_bytes((arm_raise_run / "session.json").read_bytes())
+        argv = {"analyze": ["analyze", "--recording", str(bad), "--out", str(tmp_path / "o")],
+                "compare": ["compare", str(bad),
+                            str(arm_raise_run / "ground_truth_left_shoulder.csv"),
+                            "--joint", "left shoulder"]}[command]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if code:
+            assert f"line {len(lines)}: timestamp {ts} outside -2**63..2**63 - 1" in err
+
     def test_recording_without_sidecar(self, artificial_run, tmp_path):
         alone = tmp_path / "recording.csv"
         alone.write_bytes((artificial_run / "recording.csv").read_bytes())

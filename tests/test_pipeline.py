@@ -422,6 +422,23 @@ class TestReadErrors:
                                              "integer as str"):
             pl.read_recording(p)
 
+    @pytest.mark.parametrize("first, last", [(0, 2**63), (-2**63 - 1, 40)],
+                             ids=["2**63", "-2**63-1"])
+    def test_timestamp_outside_int64(self, tmp_path, first, last):
+        bad = last if first == 0 else first
+        p = self.write(tmp_path,
+                       "timestamp_us,sensor_id,seq,qw,qx,qy,qz,status\n"
+                       f"{first},1,1,1,0,0,0,3\n{last},1,2,1,0,0,0,3\n")
+        with pytest.raises(ParseError, match=re.escape(f"line {2 if bad == first else 3}: "
+                                                       f"timestamp {bad} outside -2**63..")):
+            pl.read_recording(p)
+
+    def test_timestamps_at_the_ends_of_int64(self, tmp_path):
+        p = self.write(tmp_path,
+                       "timestamp_us,sensor_id,seq,qw,qx,qy,qz,status\n"
+                       f"{-2**63},1,1,1,0,0,0,3\n{2**63 - 1},1,2,1,0,0,0,3\n")
+        assert [f.timestamp_us for f in pl.read_recording(p)] == [-2**63, 2**63 - 1]
+
     @pytest.mark.parametrize("cell", ["+100", "0100", "1_00", "\u0661\u0660\u0660", "100 "])
     def test_angle_time_as_str_writes_it(self, tmp_path, cell):
         p = self.write(tmp_path, f"time_us,angle_deg\n0,1\n{cell},2\n")
@@ -517,6 +534,67 @@ class TestReadRecordingOracle:
         assert got == frames == whole_text_read_recording(path)
 
 
+# Edits of one line that _PLAIN_LINE or the column checks must send to the
+# per-line parse, as {cell index: new text}; index 8 appends a ninth cell.
+# The last edge is a frame that float()'s leniency reads: (0, 0, 0, 1).
+PATTERN_EDGES = {"int-minus-zero": {2: "-0"}, "status-4": {7: "4"}, "nan": {4: "nan"},
+                 "inf": {5: "inf"}, "1e400": {3: "1e400"}, "nine-cells": {8: "3"},
+                 "float-1_0": {3: "1_0"}, "ts-2**63": {0: str(2**63)},
+                 "ts-below-int64": {0: str(-2**63 - 1)},
+                 "lenient-floats": {3: " 0", 4: "-0e0", 5: "0.0_0", 6: "1_0e-1"}}
+
+
+class TestReadRecordingBatches:
+    """Files of more than two of read_recording's batches, each with one odd
+    line in a later batch, read as the whole-text oracle reads them."""
+
+    @classmethod
+    def setup_class(cls):
+        rng = random.Random(28)
+        n = 2 * pl._WRITE_BATCH + 300
+        cls.frames = [frame(ts * 10, 1 + ts % 3, 1 + ts // 3, rot(rng.uniform(0, 360), (1, 2, 3)))
+                      for ts in range(n)]
+        cls.lines = [pl.RECORDING_CSV.header, *map(str.rstrip, map(csv_line, cls.frames))]
+
+    # Lines after the header: the first and last of the second batch, one
+    # inside the third and the file's last.
+    AT = [pl._WRITE_BATCH, 2 * pl._WRITE_BATCH - 1, 2 * pl._WRITE_BATCH + 150,
+          2 * pl._WRITE_BATCH + 299]
+
+    def outcomes(self, tmp_path, lines):
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return (read_outcome(pl.read_recording, path),
+                read_outcome(whole_text_read_recording, path))
+
+    @pytest.mark.parametrize("at", AT)
+    @pytest.mark.parametrize("odd", ODD_LINES)
+    def test_odd_line_inserted(self, tmp_path, odd, at):
+        lines = list(self.lines)
+        lines.insert(1 + at, odd)
+        got, want = self.outcomes(tmp_path, lines)
+        assert got == want
+
+    @pytest.mark.parametrize("at", AT)
+    @pytest.mark.parametrize("edge", PATTERN_EDGES, ids=str)
+    def test_pattern_edge(self, tmp_path, edge, at):
+        lines = list(self.lines)
+        cells = lines[1 + at].split(",") + [None]
+        for i, text in PATTERN_EDGES[edge].items():
+            cells[i] = text
+        lines[1 + at] = ",".join(c for c in cells if c is not None)
+        got, want = self.outcomes(tmp_path, lines)
+        assert got == want
+        if edge == "lenient-floats":
+            assert got[at][3:7] == (0.0, -0.0, 0.0, 1.0)
+        else:
+            assert got[0] is ParseError and got[1].startswith(f"line {2 + at}: ")
+
+    def test_every_batch_whole(self, tmp_path):
+        got, want = self.outcomes(tmp_path, self.lines)
+        assert got == want == self.frames
+
+
 class TestJointAngleSeries:
     def setup_method(self):
         self.skel = sk.Skeleton.default()
@@ -578,6 +656,55 @@ def old_animate_frame(snapshot, calib, skel):
             q_rel = qm.hamilton_product(q, Quaternion(w, -x, -y, -z))
         poses[bone] = qm.hamilton_product(qm.enu_to_left_handed(q_rel), rest[bone])
     return poses
+
+
+UNIT = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda c: sum(x * x for x in c) > 1e-6).map(lambda c: Quaternion(*c))
+
+
+@st.composite
+def snapshots(draw):
+    """A p12 calibration in either pose (maybe missing a sensor), and one
+    reading of some sensors: equal to the sensor's q_calib, the identity, or
+    a random one."""
+    placement = sk.placement_preset("p12")
+    q_calib = {s: draw(st.one_of(st.just(Quaternion.identity()), UNIT))
+               for s in placement.bones}
+    for s in draw(st.lists(st.sampled_from(sorted(q_calib)), max_size=1)):
+        del q_calib[s]
+    calib = sk.CalibrationRecord(draw(st.sampled_from(list(sk.CalibrationPose))), placement,
+                                 q_calib)
+    snapshot = {}
+    for s in draw(st.lists(st.sampled_from(sorted(placement.bones)), min_size=1,
+                           unique=True)):
+        kind = draw(st.sampled_from(["calib", "identity", "random"]))
+        if kind == "calib" and s in q_calib:
+            snapshot[s] = q_calib[s]
+        elif kind == "identity":
+            snapshot[s] = Quaternion.identity()
+        else:
+            snapshot[s] = draw(UNIT)
+    return snapshot, calib
+
+
+def pose_outcome(fn, *args):
+    """Each bone's pose as (bone, components in hex, type), or the
+    CalibrationError raised."""
+    try:
+        return sorted((bone.value, tuple(c.hex() for c in q), type(q))
+                      for bone, q in fn(*args).items())
+    except sk.CalibrationError as exc:
+        return str(exc)
+
+
+class TestAnimateFrameOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(snapshots())
+    def test_batch_of_one_equals_old_path(self, drawn):
+        snapshot, calib = drawn
+        skel = sk.Skeleton.default()
+        assert pose_outcome(sk.animate_frame, snapshot, calib, skel) == \
+            pose_outcome(old_animate_frame, snapshot, calib, skel)
 
 
 def per_point_series(frames, calib, skel, joint):

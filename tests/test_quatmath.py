@@ -52,6 +52,12 @@ def random_quaternion(rng):
     return qm.from_axis_angle(axis, deg)
 
 
+def relative(q, q_calib):
+    """relative_to_calibration of the one row (w, x, y, z) of q, as a Quaternion."""
+    rel = qm.relative_to_calibration(tuple(np.array([c]) for c in q), q_calib)
+    return Quaternion._make(np.concatenate(rel).tolist())
+
+
 def dot4(a, b):
     return a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
 
@@ -109,7 +115,7 @@ class TestConstruction:
         for _ in range(200):
             a = random_quaternion(rng)
             b = random_quaternion(rng)
-            for q in (qm.hamilton_product(a, b), qm.relative_to_calibration(a, b),
+            for q in (qm.hamilton_product(a, b), relative(a, b),
                       qm.enu_to_left_handed(a)):
                 n = math.sqrt(q.w**2 + q.x**2 + q.y**2 + q.z**2)
                 assert abs(n - 1.0) <= 1e-9
@@ -140,8 +146,7 @@ class TestTupleType:
     def test_operations_return_quaternions(self):
         a = qm.from_axis_angle((0.3, -0.5, 0.8), 40.0)
         b = qm.from_axis_angle((1.0, 0.0, 0.0), 25.0)
-        for q in (a, qm.hamilton_product(a, b), qm.enu_to_left_handed(a),
-                  qm.relative_to_calibration(a, b), qm.relative_to_calibration(a, a)):
+        for q in (a, qm.hamilton_product(a, b), qm.enu_to_left_handed(a)):
             assert type(q) is Quaternion
 
     def test_kernel_takes_quaternions_as_tuples(self):
@@ -188,23 +193,23 @@ class TestRelativeToCalibration:
     def test_calibration_instant_is_exact_identity(self):
         rng = random.Random(3)
         q = random_quaternion(rng)
-        p = qm.relative_to_calibration(q, q)
+        p = relative(q, q)
         assert (p.w, p.x, p.y, p.z) == (1.0, 0.0, 0.0, 0.0)
 
     def test_identity_calibration(self):
         rng = random.Random(4)
         q = random_quaternion(rng)
-        p = qm.relative_to_calibration(q, Quaternion.identity())
+        p = relative(q, Quaternion.identity())
         assert_quat_close(p, q)
 
     def test_identity_calibration_is_exact(self):
         rng = random.Random(98)
         for _ in range(100):
             q = random_quaternion(rng)
-            assert qm.relative_to_calibration(q, Quaternion.identity()) == q
+            assert relative(q, Quaternion.identity()) == q
 
     def test_from_identity_is_the_conjugate(self):
-        q = qm.relative_to_calibration(Quaternion.identity(), Quaternion(SQ2, 0.0, 0.0, SQ2))
+        q = relative(Quaternion.identity(), Quaternion(SQ2, 0.0, 0.0, SQ2))
         assert q.w == pytest.approx(SQ2, abs=1e-12)
         assert q.z == pytest.approx(-SQ2, abs=1e-12)
 
@@ -212,7 +217,7 @@ class TestRelativeToCalibration:
         rng = random.Random(99)
         for _ in range(1000):
             q = random_quaternion(rng)
-            p = qm.hamilton_product(q, qm.relative_to_calibration(Quaternion.identity(), q))
+            p = qm.hamilton_product(q, relative(Quaternion.identity(), q))
             assert_quat_close(p, Quaternion.identity())
 
     def test_mounting_offset_cancels(self):
@@ -222,18 +227,30 @@ class TestRelativeToCalibration:
             bone_t = random_quaternion(rng)
             bone_t0 = random_quaternion(rng)
             offset = random_quaternion(rng)
-            with_offset = qm.relative_to_calibration(
+            with_offset = relative(
                 qm.hamilton_product(bone_t, offset),
                 qm.hamilton_product(bone_t0, offset))
-            without = qm.relative_to_calibration(bone_t, bone_t0)
+            without = relative(bone_t, bone_t0)
             assert_quat_close(with_offset, without)
+
+    def test_each_row_as_alone(self):
+        # Rows equal to q_calib, and only those, give the exact identity;
+        # every row gives the bits it gives as a column of one row.
+        rng = random.Random(21)
+        qc = random_quaternion(rng)
+        rows = [qc, Quaternion.identity(), *(random_quaternion(rng) for _ in range(30)), qc]
+        rel = qm.relative_to_calibration(tuple(np.array(c) for c in zip(*rows)), qc)
+        assert all(c.dtype == np.float64 and c.shape == (len(rows),) for c in rel)
+        got = [tuple(r) for r in zip(*(c.tolist() for c in rel))]
+        assert got == [tuple(relative(q, qc)) for q in rows]
+        assert [i for i, r in enumerate(got) if r == (1.0, 0.0, 0.0, 0.0)] == [0, len(rows) - 1]
 
     def test_round_trip(self):
         rng = random.Random(12)
         for _ in range(1000):
             q = random_quaternion(rng)
             qc = random_quaternion(rng)
-            back = qm.hamilton_product(qm.relative_to_calibration(q, qc), qc)
+            back = qm.hamilton_product(relative(q, qc), qc)
             assert_quat_close(back, q)
 
 
