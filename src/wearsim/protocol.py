@@ -10,15 +10,17 @@ channels after the resync timeout.
 
 A connection-based baseline in the style of a BLE link layer runs the
 same sensors as independent links with per-event retries and supervision
-resets; it is the comparison point for the polling design. Its frames
-can overlap one another, so it judges that itself before radio.arbitrate,
-keeping each frame's start and channel for two air times: a frame that
-overlaps it starts within one and is judged at its own end.
+resets; it is the comparison point for the polling design. Each of its
+frames is one entry of the scheduler in radio.py, at the frame's end,
+where its outcome and the link's next frame are known; the link is
+sampled as that next frame is queued. Its frames can overlap one
+another, so it judges that itself before radio.arbitrate, from each
+channel's starts that a frame not judged yet can overlap.
 
 The master, a cw session's one process, is one straight-line loop on
-its own clock, each frame one radio.arbitrate call and one trace row; the
-baseline's links run on the discrete-event scheduler in radio.py. So two
-runs with equal seeds produce byte-identical results.
+its own clock, each frame one radio.arbitrate call and one trace row;
+the baseline is one loop over its scheduler's entries. So two runs with
+equal seeds produce byte-identical results.
 
 Both loops append trace rows and frames to lists in session order, and
 hand them over a simulated second at a time. A sink takes each second's
@@ -37,6 +39,7 @@ and each sensor's seq strictly increases.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import Counter, defaultdict, deque
 from contextlib import suppress
 from dataclasses import dataclass
@@ -293,19 +296,6 @@ def _check_session(roster: Sequence[int], limit: int,
     return ids, duration_s * 1e6
 
 
-def _run(sched: radio.EventScheduler, duration_us: float, sink: Sink | None,
-         trace: list[TraceRow], frames: list[RecordingFrame]) -> None:
-    """Run the session to its end a simulated second at a time. After each
-    second a sink takes the rows and frames; without one the lists keep
-    them. The last ones stay for _hand_off."""
-    k = 1
-    while k * _HANDOFF_US < duration_us:
-        sched.advance(k * _HANDOFF_US)
-        _hand_off(sink, trace, frames)
-        k += 1
-    sched.run_until(duration_us)
-
-
 def _hand_off(sink: Sink | None, trace: list[TraceRow], frames: list[RecordingFrame]) -> None:
     if sink is not None:
         sink(trace, frames)
@@ -557,68 +547,75 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     trace: list[TraceRow] = []
     host_dropped = {s: 0 for s in ids}
     resyncs = 0
-    # (start, channel) of each frame that can still overlap one not judged yet.
-    on_air: deque[tuple[float, int]] = deque()
     floor_rng = rnd.stream(seed, rnd.FLOOR) if p_floor > 0 else None
+    # Per channel, ascending: the starts that a frame not judged yet can overlap.
+    on_air: list[list[float]] = [[] for _ in range(_BLE_CHANNELS)]
+    # Per link: name, hop increment, queued samples, last seq, straight fails,
+    # host tokens, their last refill, and its next frame's start and channel.
+    names = {s: f"sensor:{s}" for s in ids}
+    increment, queue, seq, fails, tokens, refilled, start, channel = ({} for _ in range(8))
 
-    def node(s: int):
-        nonlocal resyncs
-        name = f"sensor:{s}"
-        rng = rnd.stream(seed, rnd.BLE, s)
-        channel = int(rng.integers(0, _BLE_CHANNELS))
-        increment = int(rng.integers(5, 17))
-        queue: deque[tuple[int, Quaternion]] = deque()
-        seq = 0
-        fails = 0
-        tokens = _HOST_BURST
-        last_refill = 0.0
-        yield float(rng.uniform(0.0, _BLE_INTERVAL_US))
-        while sched.now < duration_us:
-            seq += 1
-            queue.append((seq, sampler(s, sched.now)))
-            channel = csa1_next(channel, increment)
-            start = sched.now
-            # A frame that overlaps a kept one starts before that one ends and
-            # is judged at its own end, within two air times of the kept start.
-            while on_air and on_air[0][0] + 2 * _BLE_TX_US <= start:
-                on_air.popleft()
-            on_air.append((start, channel))
-            yield _BLE_TX_US
-            # This frame is one of the frames that overlap it on its channel.
-            if sum(c == channel and o < start + _BLE_TX_US and start < o + _BLE_TX_US
-                   for o, c in on_air) > 1:
-                outcome = radio.COLLIDED
-            else:
-                outcome = radio.arbitrate(start, _BLE_TX_US, _BLE_BANDS[channel], field,
-                                          p_floor, floor_rng)
-            trace.append(TraceRow(start, _BLE_TX_US, name, channel,
-                                  "ble", "data", s, outcome))
-            if outcome == radio.DELIVERED:
-                fails = 0
-                q_seq, q = queue.popleft()
-                now = sched.now
-                tokens = min(_HOST_BURST,
-                             tokens + (now - last_refill) * _HOST_RATE_HZ / 1e6)
-                last_refill = now
-                if tokens >= 1.0:
-                    tokens -= 1.0
-                    ordered.add(RecordingFrame(int(round(now)), s, q_seq, *q, 3))
-                else:
-                    host_dropped[s] += 1
-                yield _BLE_INTERVAL_US - _BLE_TX_US
-            else:
-                fails += 1
-                if fails >= _BLE_FAIL_LIMIT:
-                    resyncs += 1
-                    queue.clear()
-                    fails = 0
-                    yield _BLE_RECONNECT_US - _BLE_TX_US
-                else:
-                    yield _BLE_INTERVAL_US - _BLE_TX_US
+    def schedule(s: int, t: float) -> None:
+        """Sample link s's next frame at t and queue its end, if it starts
+        before the session's end."""
+        if t < duration_us:
+            seq[s] += 1
+            queue[s].append((seq[s], sampler(s, t)))
+            start[s], channel[s] = t, csa1_next(channel[s], increment[s])
+            insort(on_air[channel[s]], t)
+            sched.at(t + _BLE_TX_US, s)
 
     for s in ids:
-        sched.at(0.0, node(s), s)
-    _run(sched, duration_us, sink, trace, frames)
+        rng = rnd.stream(seed, rnd.BLE, s)
+        channel[s] = int(rng.integers(0, _BLE_CHANNELS))
+        increment[s] = int(rng.integers(5, 17))
+        queue[s], seq[s], fails[s], tokens[s], refilled[s] = deque(), 0, 0, _HOST_BURST, 0.0
+        schedule(s, float(rng.uniform(0.0, _BLE_INTERVAL_US)))
+
+    handoff = _HANDOFF_US
+
+    def hand_off_before(t: float) -> None:
+        """Hand off each whole second below t and the session's end."""
+        nonlocal handoff
+        while handoff < t and handoff < duration_us:
+            _hand_off(sink, trace, frames)
+            handoff += _HANDOFF_US
+
+    # Every frame lasts _BLE_TX_US, so frames are judged, at their ends, in
+    # order of start.
+    for end, s in sched.until(duration_us):
+        hand_off_before(end)
+        t, ch = start[s], channel[s]
+        # Starts _BLE_TX_US or more before t overlap no frame judged from now
+        # on; those left that are before this frame's end overlap it, t too.
+        starts = on_air[ch]
+        while starts[0] + _BLE_TX_US <= t:
+            del starts[0]
+        if bisect_left(starts, t + _BLE_TX_US) > 1:
+            outcome = radio.COLLIDED
+        else:
+            outcome = radio.arbitrate(t, _BLE_TX_US, _BLE_BANDS[ch], field, p_floor, floor_rng)
+        trace.append(TraceRow(t, _BLE_TX_US, names[s], ch, "ble", "data", s, outcome))
+        gap = _BLE_INTERVAL_US - _BLE_TX_US
+        if outcome == radio.DELIVERED:
+            fails[s] = 0
+            q_seq, q = queue[s].popleft()
+            tokens[s] = min(_HOST_BURST, tokens[s] + (end - refilled[s]) * _HOST_RATE_HZ / 1e6)
+            refilled[s] = end
+            if tokens[s] >= 1.0:
+                tokens[s] -= 1.0
+                ordered.add(RecordingFrame(int(round(end)), s, q_seq, *q, 3))
+            else:
+                host_dropped[s] += 1
+        else:
+            fails[s] += 1
+            if fails[s] >= _BLE_FAIL_LIMIT:
+                resyncs += 1
+                queue[s].clear()
+                fails[s] = 0
+                gap = _BLE_RECONNECT_US - _BLE_TX_US
+        schedule(s, end + gap)
+    hand_off_before(duration_us)
     ordered.flush()
     _hand_off(sink, trace, frames)
     return SessionResult("ble", duration_us, ids, frames, trace, 0,

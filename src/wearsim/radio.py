@@ -29,12 +29,11 @@ arbitrate judges a frame, given as its start, duration and band, against
 the field and the floor loss only; a protocol whose own nodes can overlap
 (the BLE baseline) judges that overlap itself, before it calls arbitrate.
 
-The event scheduler is single-threaded and fully deterministic. Its heap
-holds generator processes that yield microsecond delays; they resume in
-nondecreasing time, ties broken by (source id, order scheduled). A run
-ends at its horizon and closes every process still waiting. The BLE
-baseline's links run on it; the cw master, a session's one process, keeps
-its own clock (see protocol.master_run).
+The event scheduler is single-threaded and fully deterministic: a
+time-ordered queue of sources. Its entries are taken in (time, source)
+order up to a bound, those queued meanwhile included. The BLE baseline
+queues each frame as one entry at its end; the cw master, a session's one
+process, keeps its own clock (see protocol.master_run).
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -483,41 +482,27 @@ def arbitrate(start_us: float, duration_us: float, band: tuple[float, float],
 
 
 class EventScheduler:
-    """Deterministic discrete-event loop over a microsecond clock."""
+    """Deterministic time-ordered queue of sources over a microsecond clock."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Generator[float, None, None]]] = []
-        self._counter = itertools.count()
+        self._heap: list[tuple[float, int]] = []
         self.now = 0.0
 
-    def at(self, time_us: float, process: Generator[float, None, None],
-           source: int = 0) -> None:
-        """Resume process at time_us; ties run by source, then by order scheduled."""
+    def at(self, time_us: float, source: int) -> None:
+        """Queue source at time_us; equal times are taken in source order."""
         if not time_us >= self.now:  # a NaN time fails it too
             raise ValueError(f"cannot schedule at {time_us} before now={self.now}")
-        heapq.heappush(self._heap, (time_us, source, next(self._counter), process))
+        heapq.heappush(self._heap, (time_us, source))
 
-    def advance(self, t_us: float) -> None:
-        """Run every resume up to t_us; the processes left stay scheduled,
-        so advancing in steps runs the same resumes as one run_until."""
+    def until(self, t_us: float) -> Iterator[tuple[float, int]]:
+        """Take the (time, source) entries at or before t_us in that order,
+        those queued meanwhile included, moving now to each; the entries
+        past t_us stay queued."""
         heap = self._heap
         while heap and heap[0][0] <= t_us:
-            t, source, _, process = heapq.heappop(heap)
-            self.now = t
-            try:
-                delay = next(process)
-            except StopIteration:
-                continue
-            # at() refuses a resume in the past or at NaN.
-            self.at(t + delay, process, source)
-
-    def run_until(self, t_end_us: float) -> None:
-        """Run every resume up to t_end_us, then close the processes left."""
-        self.advance(t_end_us)
-        self.now = max(self.now, t_end_us)
-        for *_, process in self._heap:
-            process.close()
-        self._heap.clear()
+            entry = heapq.heappop(heap)
+            self.now = entry[0]
+            yield entry
 
 
 def _derived_seed(seed: int, index: int) -> int:

@@ -260,6 +260,12 @@ def duration_ending_at(t_us):
                  if c * 1e6 == t_us), None)
 
 
+def pinned_end(times):
+    """The first of times at which a session, and one an ulp earlier, can end."""
+    return next(t for t in times if duration_ending_at(t) is not None
+                and duration_ending_at(math.nextafter(t, 0)) is not None)
+
+
 class TestSessionEnd:
     """The master resumes while the clock is at or before the session's
     end: a session that ends exactly at a resume runs it, one that ends an
@@ -275,16 +281,11 @@ class TestSessionEnd:
         return master_run(self.roster, duration_ending_at(t_us), flat_sampler, field,
                           seed=self.seed)
 
-    def pinned(self, times):
-        """The first of times at which a session, and one an ulp earlier, can end."""
-        return next(t for t in times if duration_ending_at(t) is not None
-                    and duration_ending_at(math.nextafter(t, 0)) is not None)
-
     def test_response_logged_only_if_it_ends_by_the_end(self, field):
         full = master_run(self.roster, 2.0, flat_sampler, field, seed=self.seed)
         rows = [(i, r) for i, r in enumerate(full.trace)
                 if r.frame_type == "response" and r.time_us > 1e6]
-        end = self.pinned(r.time_us + r.duration_us for _, r in rows)
+        end = pinned_end(r.time_us + r.duration_us for _, r in rows)
         i = next(i for i, r in rows if r.time_us + r.duration_us == end)
         assert self.ending_at(field, end).trace == full.trace[:i + 1]
         assert self.ending_at(field, math.nextafter(end, 0)).trace == full.trace[:i]
@@ -292,7 +293,7 @@ class TestSessionEnd:
     def test_hop_taken_only_if_it_resumes_by_the_end(self, field):
         full = master_run(self.roster, 2.0, flat_sampler, field, seed=self.seed)
         hops = full.channel_history
-        t = self.pinned(h for h, _ in hops if h > 0.5e6)
+        t = pinned_end(h for h, _ in hops if h > 0.5e6)
         k = next(k for k, (h, _) in enumerate(hops) if h == t)
         assert self.ending_at(field, t).channel_history == hops[:k + 1]
         assert self.ending_at(field, math.nextafter(t, 0)).channel_history == hops[:k]
@@ -303,7 +304,7 @@ class TestSessionEnd:
         full = master_run(self.roster, 2.0, flat_sampler, field, seed=self.seed)
         rows = [(i, r) for i, r in enumerate(full.trace)
                 if r.frame_type == frame_type and r.time_us > after]
-        t = self.pinned(r.time_us for _, r in rows)
+        t = pinned_end(r.time_us for _, r in rows)
         i = next(i for i, r in rows if r.time_us == t)
         assert self.ending_at(field, t).trace == full.trace[:i + 1]
         assert self.ending_at(field, math.nextafter(t, 0)).trace == full.trace[:i]
@@ -331,6 +332,96 @@ class TestSessionPrefix:
         assert long.trace[:len(short.trace)] == short.trace
         assert long.frames[:len(short.frames)] == short.frames
         assert long.channel_history[:len(short.channel_history)] == short.channel_history
+
+
+class TestBaselineSessionEnd:
+    """The baseline judges a frame at its end while that is at or before the
+    session's end: a session that ends exactly at a frame's end logs it, one
+    that ends an ulp earlier does not. Seed 1 reconnects mid-session."""
+
+    roster, seed = [1, 2, 3, 4, 5], 1
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        return crowded_field(self.seed, 5.0)
+
+    @pytest.fixture(scope="class")
+    def full(self, field):
+        return ble_baseline_run(self.roster, 5.0, flat_sampler, field, seed=self.seed)
+
+    def ending_at(self, field, t_us, sampler=flat_sampler):
+        return ble_baseline_run(self.roster, duration_ending_at(t_us), sampler, field,
+                                seed=self.seed)
+
+    def test_delivered_frame_logged_only_if_it_ends_by_the_end(self, field, full):
+        rows = [(i, r) for i, r in enumerate(full.trace)
+                if r.outcome == radio.DELIVERED and r.time_us > 1e6]
+        end = pinned_end(r.time_us + r.duration_us for _, r in rows)
+        i = next(i for i, r in rows if r.time_us + r.duration_us == end)
+        at, before = self.ending_at(field, end), self.ending_at(field, math.nextafter(end, 0))
+        assert at.trace == full.trace[:i + 1]
+        assert before.trace == full.trace[:i]
+        assert len(at.frames) + at.host_dropped[full.trace[i].sensor_id] == (
+            len(before.frames) + before.host_dropped[full.trace[i].sensor_id] + 1)
+
+    def test_reconnecting_frame_logged_only_if_it_ends_by_the_end(self, field, full):
+        # The last frame before a link's reconnect second: the link's next
+        # frame starts about a second after it.
+        last, reconnecting = {}, []
+        for i, r in enumerate(full.trace):
+            if r.time_us - last.get(r.sensor_id, (0, math.inf))[1] > 0.5e6:
+                reconnecting.append(last[r.sensor_id])
+            last[r.sensor_id] = i, r.time_us
+        assert full.resync_count >= 1 and reconnecting
+        end = pinned_end(t + pr._BLE_TX_US for _, t in reconnecting)
+        i = next(i for i, t in reconnecting if t + pr._BLE_TX_US == end)
+        assert full.trace[i].outcome != radio.DELIVERED
+        at, before = self.ending_at(field, end), self.ending_at(field, math.nextafter(end, 0))
+        assert at.trace == full.trace[:i + 1]
+        assert before.trace == full.trace[:i]
+        assert at.resync_count == before.resync_count + 1
+
+    def test_sampled_at_the_starts_of_frames(self, field, full):
+        # Each link is sampled at the start of each of its logged frames, in
+        # order, and at the start of a frame that the end cut off. Sensor 3's
+        # first frame after 0.5 s is cut off halfway through its air time.
+        cut = next(r for r in full.trace if r.sensor_id == 3 and r.time_us > 0.5e6)
+        calls = {s: [] for s in self.roster}
+
+        def sampler(s, t_us):
+            calls[s].append(t_us)
+            return Quaternion.identity()
+
+        res = self.ending_at(field, cut.time_us + 64.0, sampler)
+        for s in self.roster:
+            starts = [r.time_us for r in res.trace if r.sensor_id == s]
+            assert calls[s][:len(starts)] == starts
+            late = calls[s][len(starts):]
+            assert len(late) <= 1
+            assert all(t < res.duration_us < t + pr._BLE_TX_US for t in late)
+        assert calls[3][-1] == cut.time_us
+        assert cut not in res.trace
+
+
+class TestBaselineSessionPrefix:
+    @settings(max_examples=40, deadline=None)
+    @given(roster=st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True),
+           seed=st.integers(0, 2**32 - 1), crowded=st.booleans(),
+           p_floor=st.sampled_from([0.0, 0.05, 0.3]),
+           durations=st.lists(st.floats(1e-3, 0.999), min_size=2, max_size=2,
+                              unique=True).map(sorted))
+    def test_shorter_session_is_a_prefix(self, roster, seed, crowded, p_floor, durations):
+        # The same inputs and a later end: the shorter session's trace begins
+        # the longer one's, and so does each sensor's frames. Frames that round
+        # to the same microsecond go out in sensor order once a later one
+        # arrives, so an end between them can change their order in the list.
+        field = crowded_field(seed, 1.0) if crowded else CLEAN
+        short, long = (ble_baseline_run(roster, d, turning_sampler, field, seed,
+                                        p_floor=p_floor) for d in durations)
+        assert long.trace[:len(short.trace)] == short.trace
+        for s in roster:
+            mine = [f for f in short.frames if f.sensor_id == s]
+            assert [f for f in long.frames if f.sensor_id == s][:len(mine)] == mine
 
 
 class TestDeterminism:
@@ -569,11 +660,13 @@ def turning_sampler(sensor_id, t_us):
 
 
 class TestSinkBatches:
-    @pytest.mark.parametrize("duration_s", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("duration_s", [0.3, 1.0, 2.5, 1.00013])
     @pytest.mark.parametrize("run", [master_run, ble_baseline_run], ids=["cw", "ble"])
     def test_batches_equal_collected_lists(self, run, duration_s):
         # A crowded field and a loss floor, so outcomes and retries vary;
         # sub-second and non-integral lengths end within a handoff second.
+        # 1.00013 s ends 130 us past a second: no baseline frame ends in them,
+        # so the second's handoff comes after the baseline's last frame.
         roster, field = [1, 2, 3, 4, 5], crowded_field(4, duration_s)
         batches, fold = [], pr.SessionFold(duration_s * 1e6)
 
@@ -584,6 +677,8 @@ class TestSinkBatches:
         streamed = run(roster, duration_s, turning_sampler, field, 4, p_floor=0.05, sink=sink)
         collected = run(roster, duration_s, turning_sampler, field, 4, p_floor=0.05)
         assert len(batches) == math.ceil(duration_s)
+        if duration_s == 1.00013 and run is ble_baseline_run:
+            assert max(r.time_us + r.duration_us for r in collected.trace) <= 1e6
         assert [r for rows, _ in batches for r in rows] == collected.trace
         assert [f for _, frames in batches for f in frames] == collected.frames
         assert {r.outcome for r in collected.trace} >= {radio.DELIVERED, radio.FLOOR_LOST}

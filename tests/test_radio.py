@@ -555,93 +555,67 @@ class TestArbitrate:
         assert rng.random() == np.random.default_rng(5).random(2)[1]
 
 
-def record(seen, name):
-    """A process that appends name when it first runs, then ends."""
-    seen.append(name)
-    yield from ()
-
-
 class TestScheduler:
     def test_time_order(self):
         sched = EventScheduler()
-        seen = []
-        sched.at(30.0, record(seen, "c"))
-        sched.at(10.0, record(seen, "a"))
-        sched.at(20.0, record(seen, "b"))
-        sched.run_until(100.0)
-        assert seen == ["a", "b", "c"]
-        assert sched.now == 100.0
+        for t, source in [(30.0, 3), (10.0, 1), (20.0, 2)]:
+            sched.at(t, source)
+        assert list(sched.until(100.0)) == [(10.0, 1), (20.0, 2), (30.0, 3)]
+        assert sched.now == 30.0
 
-    def test_tie_break_by_source_then_insertion(self):
+    def test_ties_taken_by_source(self):
         sched = EventScheduler()
-        seen = []
-        sched.at(10.0, record(seen, "s2-first"), source=2)
-        sched.at(10.0, record(seen, "s1"), source=1)
-        sched.at(10.0, record(seen, "s2-second"), source=2)
-        sched.run_until(10.0)
-        assert seen == ["s1", "s2-first", "s2-second"]
+        for source in (2, 0, 1):
+            sched.at(10.0, source)
+        assert list(sched.until(10.0)) == [(10.0, 0), (10.0, 1), (10.0, 2)]
 
     def test_past_event_rejected(self):
         sched = EventScheduler()
-        sched.run_until(50.0)
-        with pytest.raises(ValueError):
-            sched.at(10.0, record([], "late"))
+        sched.at(50.0, 1)
+        assert list(sched.until(50.0)) == [(50.0, 1)]
+        with pytest.raises(ValueError, match="cannot schedule at 10.0 before now=50.0"):
+            sched.at(10.0, 1)
 
     def test_nan_time_rejected(self):
         with pytest.raises(ValueError, match="cannot schedule at nan"):
-            EventScheduler().at(math.nan, record([], "never"))
+            EventScheduler().at(math.nan, 1)
 
-    # Alone or with another resume pending, the advance bound far or exactly
-    # at the bad resume: at() refuses a negative or NaN delay.
+    # Alone or with another entry pending, the bound far or exactly at the
+    # bad entry: at() refuses a time before the entry being taken, or NaN.
     @pytest.mark.parametrize("bound", [5.0, 100.0])
     @pytest.mark.parametrize("other", [None, (5.0, 1), (50.0, 0)])
     @pytest.mark.parametrize("delay", [-1.0, math.nan])
     def test_bad_delay_rejected(self, bound, other, delay):
         sched = EventScheduler()
-
-        def proc():
-            yield 5.0
-            yield delay
-
-        sched.at(0.0, proc())
+        delays = iter([5.0, delay])
+        sched.at(0.0, 0)
         if other is not None:
-            sched.at(other[0], record([], "other"), other[1])
+            sched.at(*other)
         with pytest.raises(ValueError, match="cannot schedule"):
-            sched.advance(bound)
+            for t, source in sched.until(bound):
+                if source == 0:
+                    sched.at(t + next(delays), 0)
 
-    def test_generator_process(self):
+    def test_entries_queued_while_taking_are_taken(self):
+        # Each entry queues the next one 4 us later, on the bound included.
         sched = EventScheduler()
-        seen = []
+        sched.at(0.0, 1)
+        sched.at(6.0, 0)
+        taken = []
+        for t, source in sched.until(12.0):
+            taken.append((t, source))
+            if source == 1:
+                sched.at(t + 4.0, 1)
+        assert taken == [(0.0, 1), (4.0, 1), (6.0, 0), (8.0, 1), (12.0, 1)]
 
-        def proc(name, delay):
-            for i in range(3):
-                yield delay
-                seen.append((name, sched.now, i))
-
-        sched.at(0.0, proc("a", 10.0), 1)
-        sched.at(0.0, proc("b", 15.0), 2)
-        sched.run_until(100.0)
-        assert seen == [("a", 10.0, 0), ("b", 15.0, 0), ("a", 20.0, 1),
-                        ("a", 30.0, 2), ("b", 30.0, 1), ("b", 45.0, 2)]
-
-    def test_run_until_closes_pending_processes(self):
+    def test_entries_past_the_bound_stay_queued(self):
         sched = EventScheduler()
-        seen = []
-
-        def proc():
-            try:
-                while True:
-                    yield 30.0
-                    seen.append(sched.now)
-            finally:
-                seen.append("closed")
-
-        sched.at(0.0, proc())
-        sched.at(200.0, record(seen, "late"))
-        sched.run_until(100.0)
-        assert seen == [30.0, 60.0, 90.0, "closed"]
-        sched.run_until(300.0)
-        assert seen == [30.0, 60.0, 90.0, "closed"]
+        for t in (5.0, 15.0, 25.0):
+            sched.at(t, 1)
+        assert list(sched.until(15.0)) == [(5.0, 1), (15.0, 1)]
+        assert sched.now == 15.0
+        assert list(sched.until(20.0)) == []
+        assert list(sched.until(math.inf)) == [(25.0, 1)]
 
 
 def preset_field(name, seed):

@@ -21,7 +21,7 @@ from wearsim.pipeline import (RateWindows, RecordingFrame, ValidationError,
                               joint_angle_series, open_csv, read_recording, write_csv,
                               write_json, write_recording)
 from wearsim.protocol import SessionResult, TraceRow, session_metrics
-from wearsim.radio import Burst, EventScheduler, InterferenceField
+from wearsim.radio import Burst, InterferenceField
 from wearsim.runner import RADIO_TRACE_HEADER, SESSION_TRACE_CSV, run_scenario
 from wearsim.scenario import parse_scenario
 from wearsim.skeleton import JOINTS, Skeleton
@@ -142,26 +142,6 @@ def test_session_memory_does_not_grow_with_length(monkeypatch):
 
     short, long = peak_mb(6.0), peak_mb(24.0)
     assert long / short < 1.5, (short, long)
-
-
-def test_scheduler_steps_run_the_same_resumes():
-    def runs(steps):
-        log = []
-        sched = EventScheduler()
-
-        def proc(name, delays):
-            for d in delays:
-                log.append((sched.now, name))
-                yield d
-
-        sched.at(0.0, proc("a", [3.0, 0.0, 2.5] * 4), 1)
-        sched.at(1.0, proc("b", [2.0, 1.5] * 6), 0)
-        for t in steps:
-            sched.advance(t)
-        sched.run_until(20.0)
-        return log
-
-    assert runs([]) == runs([3.0, 3.0, 7.5, 11.0]) == runs([0.5 * k for k in range(40)])
 
 
 # Frame order ---------------------------------------------------------------
