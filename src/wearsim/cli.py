@@ -13,7 +13,8 @@ Exit codes are stable so scripts can branch on failure class:
        recording timestamp outside -2**63..2**63 - 1)
     4  validation failure (inconsistent recording, a frame of a sensor not in
        the placement, angle CSV timestamps not increasing, disjoint series,
-       an MAE or Pearson result that overflows)
+       a first series with no sample inside the overlap, an MAE or Pearson
+       result that overflows)
 """
 
 from __future__ import annotations

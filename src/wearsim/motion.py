@@ -4,11 +4,11 @@ A trajectory assigns each tracked joint a hinge-angle function of time
 about a fixed axis; forward kinematics turns that into world
 orientations for every bone. The synthetic IMU then reports
 
-    reading = noise * drift * bone_world(t) * mounting_offset
+    reading = noise * drift * world(t) * mounting_offset
 
-where the perturbation angle is a truncated Gaussian whose sigma
-interpolates between the static and dynamic figures with the bone's
-instantaneous angular speed.
+where world(t) is the bone's world orientation and the noise angle is a
+truncated Gaussian whose sigma interpolates between the static and
+dynamic figures with the bone's instantaneous angular speed.
 
 All bones rest at the identity world orientation: sensors get a heading
 reset at power-on while lying parallel in their storage box, so the
@@ -16,22 +16,20 @@ calibration pose is the shared zero of every sensor frame. Fixed
 mounting differences live entirely in the per-sensor offsets, which the
 calibration step cancels.
 
-The per-frame path (reading, truth_joint_angle) chains the quatmath
-kernel's plain-tuple products and wraps one Quaternion per reading. A
-reading follows its sensor's plan, keyed by sensor id (its bone's chain,
-offset, drift axis and noise draws), and checks t once; a bone that no
-tracked joint moves has angular speed 0 without forward kinematics. Each
-sensor's noise is randomness.normals over its own stream, so a reading
-makes no numpy call except the generator's refill every NORMAL_BLOCK
-draws.
+A reading chains the quatmath kernel's plain-tuple products and wraps
+one Quaternion. It follows its sensor's plan, keyed by sensor id (its
+bone's chain, offset, drift axis and noise draws), and checks t once; a
+bone that no tracked joint moves has angular speed 0 without forward
+kinematics. Each sensor's noise is randomness.normals over its own
+stream, so a reading makes no numpy call except the generator's refill
+every NORMAL_BLOCK draws.
 
-The ground truth of many instants at once (truth_joint_angles) is the
-column twin of that path: each track's angles(t) evaluates its angle
-expression in the same order on a numpy column, and _world_columns
-chains quatmath's column twins as _world chains the kernel. Each value
-has the bits of truth_joint_angle, which stays as the scalar oracle:
-tests/test_motion.py compares the two bit for bit on every preset and on
-drawn tracks.
+The ground truth is computed one way, on numpy columns
+(truth_joint_angles): each track's angles(t) evaluates its angle
+expression in the same order as angle(t), and _world_columns chains
+quatmath's column twins as _world chains the kernel. truth_joint_angle
+is its batch of one. tests/test_motion.py pins the columns bit for bit
+to a scalar forward kinematics on every preset and on drawn tracks.
 """
 
 from __future__ import annotations
@@ -264,12 +262,6 @@ class SyntheticBody:
         if not 0.0 <= t <= self.spec.duration_s:
             raise ValueError(f"t={t} outside trajectory [0, {self.spec.duration_s}]")
 
-    def bone_world(self, bone: BoneId, t: float) -> Quad:
-        """Noise-free world orientation of a bone at time t (forward
-        kinematics), as a unit (w, x, y, z) tuple."""
-        self._check(t)
-        return _world(self._chain[bone], t)
-
     def _angular_speed(self, chain: _Chain, t: float) -> float:
         """Rotation speed in deg/s of the bone at the end of chain, by
         central difference; 0 for a bone no tracked joint moves."""
@@ -282,13 +274,11 @@ class SyntheticBody:
         return shortest_angle_deg(_world(chain, lo), _world(chain, hi)) / (hi - lo)
 
     def truth_joint_angle(self, label: str, t: float) -> float:
-        """Ground-truth angle between a joint's bones at time t."""
-        joint = JOINTS[label]
-        return shortest_angle_deg(self.bone_world(joint.parent_bone, t),
-                                  self.bone_world(joint.child_bone, t))
+        """Ground-truth angle between a joint's bones at time t: a batch of one."""
+        return self.truth_joint_angles(label, np.array([t], float))[0]
 
     def truth_joint_angles(self, label: str, t: np.ndarray) -> list[float]:
-        """truth_joint_angle at each time of t, with its bits."""
+        """Ground-truth angle between a joint's bones at each time of t."""
         outside = ~((t >= 0.0) & (t <= self.spec.duration_s))
         if outside.any():
             self._check(float(t[outside.argmax()]))

@@ -408,10 +408,12 @@ def _interp(points: Sequence[tuple[int, float]], ts: Sequence[int], t: float) ->
 def _aligned(a: AngleSeries, b: AngleSeries) -> list[tuple[float, float]]:
     lo = max(a.points[0][0], b.points[0][0])
     hi = min(a.points[-1][0], b.points[-1][0])
+    if lo > hi:
+        raise ValueError("series do not overlap in time")
     ts = [p[0] for p in b.points]
     pairs = [(va, _interp(b.points, ts, t)) for t, va in a.points if lo <= t <= hi]
-    if lo > hi or not pairs:
-        raise ValueError("series do not overlap in time")
+    if not pairs:
+        raise ValueError(f"no sample of the first series lies in the overlap {lo}..{hi} us")
     return pairs
 
 

@@ -1,9 +1,13 @@
 """CLI commands end to end: outputs, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -139,6 +143,31 @@ class TestDeterminism:
                      "metrics.json", "session.json",
                      "ground_truth_left_shoulder.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_outputs_equal_under_two_hash_seeds(self, tmp_path):
+        # One scenario and seed give one output whatever str hashes to: a
+        # set or dict order that follows hash() would show here.
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text("session: {duration_s: 2.0, seed: 14}\n"
+                            "motion: {preset: arm-raise}\n"
+                            "interference: {preset: crowded}\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        digests = {}
+        for hash_seed in ("0", "12345"):
+            out = tmp_path / hash_seed
+            for command in (["simulate", "--out", str(out / "simulate")],
+                            ["protocol-bench", "--seeds", "2", "--out", str(out / "bench")]):
+                subprocess.run([sys.executable, "-m", "wearsim.cli", command[0],
+                                "--scenario", str(scenario), *command[1:]],
+                               env={**os.environ, "PYTHONPATH": str(src),
+                                    "PYTHONHASHSEED": hash_seed},
+                               check=True, capture_output=True, timeout=120)
+            digests[hash_seed] = {
+                str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(out.rglob("*")) if p.is_file()}
+        assert {"simulate/recording.csv", "simulate/radio_trace.csv",
+                "bench/bench.json", "bench/bench.csv"} <= set(digests["0"])
+        assert digests["0"] == digests["12345"]
 
     def test_seed_override_changes_run(self, tmp_path):
         scenario = tmp_path / "s.yaml"
@@ -521,12 +550,27 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_disjoint_series(self, tmp_path):
+    def test_disjoint_series(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         a.write_text("time_us,angle_deg\n0,1\n100,2\n")
         b.write_text("time_us,angle_deg\n5000,3\n6000,4\n")
         assert main(["compare", str(a), str(b)]) == 4
+        assert "series do not overlap in time" in capsys.readouterr().err
+
+    def test_overlap_without_a_sample_of_the_first_series(self, tmp_path, capsys):
+        # b lies inside a's span, between a's two samples: the series overlap,
+        # but only b has samples in the overlap.
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("time_us,angle_deg\n0,1.0\n10000000,2.0\n")
+        b.write_text("time_us,angle_deg\n3000000,1.0\n7000000,2.0\n")
+        assert main(["compare", str(a), str(b)]) == 4
+        err = capsys.readouterr().err
+        assert "no sample of the first series lies in the overlap 3000000..7000000 us" in err
+        assert "do not overlap" not in err
+        assert main(["compare", str(b), str(a)]) == 0
+        assert "mae_deg 0.3\n" in capsys.readouterr().out
 
     def test_unrecognized_header(self, tmp_path):
         a = tmp_path / "a.csv"

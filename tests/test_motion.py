@@ -25,7 +25,7 @@ def fold_deg(deg):
 
 
 def truth_body(spec):
-    """Zero-noise body: its bone_world is the ground-truth forward kinematics."""
+    """Zero-noise p12 body: its truth_joint_angles is the library's ground truth."""
     return SyntheticBody(spec, sk.Skeleton.default(), sk.placement_preset("p12"),
                          NoiseModel.zero())
 
@@ -75,28 +75,30 @@ class TestTrajectories:
 
 
 class TestGroundTruth:
+    # The forward kinematics is ScalarBody's; TestColumnTruth pins the
+    # library's column truth to it bit for bit.
     def setup_method(self):
         self.skel = sk.Skeleton.default()
+        self.placement = sk.placement_preset("p12")
 
     def test_all_rest_when_no_motion(self):
-        body = truth_body(elbow_spec(Constant(0.0)))
+        oracle = ScalarBody(elbow_spec(Constant(0.0)), self.skel, self.placement,
+                            NoiseModel.zero(), {})
         for t in (0.0, 3.3, 10.0):
-            assert all(body.bone_world(b, t) == Quaternion.identity() for b in sk.BoneId)
+            assert all(oracle.world(b, t) == Quaternion.identity() for b in sk.BoneId)
 
     def test_out_of_range_t(self):
         body = truth_body(elbow_spec(Constant(0.0), duration=2.0))
-        with pytest.raises(ValueError):
-            body.bone_world(sk.BoneId.FOREARM_R, -0.1)
-        with pytest.raises(ValueError):
-            body.bone_world(sk.BoneId.FOREARM_R, 2.1)
+        for t in (-0.1, 2.1, math.nan):
+            with pytest.raises(ValueError, match=rf"t={t} outside trajectory \[0, 2.0\]"):
+                body.truth_joint_angle("right elbow", t)
 
     def test_hinge_angle_recovered_over_sweep(self):
         s = Sinusoid(90.0, 55.0, 5.0)
-        body = truth_body(elbow_spec(s))
+        oracle = ScalarBody(elbow_spec(s), self.skel, self.placement, NoiseModel.zero(), {})
         for i in range(101):
             t = 10.0 * i / 100.0
-            got = qm.shortest_angle_deg(body.bone_world(sk.BoneId.ARM_R, t),
-                                        body.bone_world(sk.BoneId.FOREARM_R, t))
+            got = oracle.truth_joint_angle("right elbow", t)
             assert abs(got - fold_deg(s.angle(t))) <= 1e-9
 
     def test_child_follows_parent_joint(self):
@@ -104,10 +106,10 @@ class TestGroundTruth:
         spec = mo.TrajectorySpec(
             joints={"right shoulder": mo.JointTrack(Constant(70.0), (0, 0, 1))},
             duration_s=1.0)
-        body = truth_body(spec)
-        forearm = body.bone_world(sk.BoneId.FOREARM_R, 0.5)
-        assert qm.shortest_angle_deg(body.bone_world(sk.BoneId.ARM_R, 0.5), forearm) == 0.0
-        assert qm.shortest_angle_deg(body.bone_world(sk.BoneId.SPINE, 0.5),
+        oracle = ScalarBody(spec, self.skel, self.placement, NoiseModel.zero(), {})
+        forearm = oracle.world(sk.BoneId.FOREARM_R, 0.5)
+        assert qm.shortest_angle_deg(oracle.world(sk.BoneId.ARM_R, 0.5), forearm) == 0.0
+        assert qm.shortest_angle_deg(oracle.world(sk.BoneId.SPINE, 0.5),
                                      forearm) == pytest.approx(70.0, abs=1e-9)
 
     def test_elbow_angle_immune_to_shoulder_motion(self):
@@ -117,11 +119,10 @@ class TestGroundTruth:
             joints={"right elbow": mo.JointTrack(elbow, (0, 1, 0)),
                     "right shoulder": mo.JointTrack(shoulder, (0, 0, 1))},
             duration_s=10.0)
-        body = truth_body(spec)
+        oracle = ScalarBody(spec, self.skel, self.placement, NoiseModel.zero(), {})
         for i in range(100):
             t = 10.0 * i / 99.0
-            got = qm.shortest_angle_deg(body.bone_world(sk.BoneId.ARM_R, t),
-                                        body.bone_world(sk.BoneId.FOREARM_R, t))
+            got = oracle.truth_joint_angle("right elbow", t)
             assert abs(got - fold_deg(elbow.angle(t))) <= 1e-9
 
     def test_truth_joint_angle_helper(self):
@@ -137,18 +138,20 @@ class TestSensorReadings:
         self.placement = sk.placement_preset("p5-upper")
 
     def test_zero_noise_identity_offset_is_truth(self):
-        body = SyntheticBody(elbow_spec(Sinusoid(90.0, 55.0, 5.0)), self.skel,
-                             self.placement, NoiseModel.zero())
+        spec = elbow_spec(Sinusoid(90.0, 55.0, 5.0))
+        body = SyntheticBody(spec, self.skel, self.placement, NoiseModel.zero())
+        oracle = ScalarBody(spec, self.skel, self.placement, NoiseModel.zero(), {})
         for t in (0.0, 1.25, 7.7):
             for sensor, bone in self.placement.bones.items():
-                assert body.reading(sensor, t) == body.bone_world(bone, t)
+                assert body.reading(sensor, t) == oracle.world(bone, t)
 
     def test_zero_noise_offset_angle(self):
         offset = qm.from_axis_angle((1, 2, 3), 25.0)
         offsets = {i: offset for i in self.placement.bones}
-        body = SyntheticBody(elbow_spec(Constant(30.0)), self.skel,
-                             self.placement, NoiseModel.zero(), offsets=offsets)
-        truth = body.bone_world(sk.BoneId.FOREARM_R, 1.0)
+        spec = elbow_spec(Constant(30.0))
+        body = SyntheticBody(spec, self.skel, self.placement, NoiseModel.zero(), offsets=offsets)
+        oracle = ScalarBody(spec, self.skel, self.placement, NoiseModel.zero(), offsets)
+        truth = oracle.world(sk.BoneId.FOREARM_R, 1.0)
         r = body.reading(5, 1.0)
         assert qm.shortest_angle_deg(r, truth) == pytest.approx(25.0, abs=1e-9)
 
@@ -156,9 +159,10 @@ class TestSensorReadings:
         sigma, cap = 0.3, 2.0
         noise = NoiseModel(static_sigma_deg=sigma, dynamic_sigma_deg=sigma,
                            static_max_deg=cap, dynamic_max_deg=cap, seed=77)
-        body = SyntheticBody(elbow_spec(Constant(30.0)), self.skel,
-                             self.placement, noise)
-        truth = body.bone_world(sk.BoneId.FOREARM_R, 5.0)
+        spec = elbow_spec(Constant(30.0))
+        body = SyntheticBody(spec, self.skel, self.placement, noise)
+        truth = ScalarBody(spec, self.skel, self.placement, noise, {}).world(
+            sk.BoneId.FOREARM_R, 5.0)
         n = 10_000
         angles = [qm.shortest_angle_deg(body.reading(5, 5.0), truth) for _ in range(n)]
         mc_mean = sum(angles) / n
@@ -172,9 +176,10 @@ class TestSensorReadings:
     def test_perturbation_never_exceeds_cap(self):
         noise = NoiseModel(static_sigma_deg=1.8, dynamic_sigma_deg=1.8,
                            static_max_deg=2.0, dynamic_max_deg=2.0, seed=3)
-        body = SyntheticBody(elbow_spec(Constant(30.0)), self.skel,
-                             self.placement, noise)
-        truth = body.bone_world(sk.BoneId.FOREARM_R, 2.0)
+        spec = elbow_spec(Constant(30.0))
+        body = SyntheticBody(spec, self.skel, self.placement, noise)
+        truth = ScalarBody(spec, self.skel, self.placement, noise, {}).world(
+            sk.BoneId.FOREARM_R, 2.0)
         for _ in range(10_000):
             a = qm.shortest_angle_deg(body.reading(5, 2.0), truth)
             assert a <= 2.0 + 1e-9
@@ -445,13 +450,14 @@ def assert_numpy_is_math(x):
 
 def assert_columns_are_scalar(body, t):
     """At each time of t, every joint's column truth has the bits of
-    truth_joint_angle, each track's angles those of its angle, and numpy
-    gives math's bits on the arguments of the truth's sin, cos, radians
-    and degrees."""
+    ScalarBody's truth_joint_angle, each track's angles those of its angle,
+    and numpy gives math's bits on the arguments of the truth's sin, cos,
+    radians and degrees."""
     ts = t.tolist()
+    oracle = ScalarBody(body.spec, sk.Skeleton.default(), body.placement, body.noise, {})
     for label, track in body.spec.joints.items():
         assert hexes(body.truth_joint_angles(label, t)) == \
-            hexes(body.truth_joint_angle(label, x) for x in ts), label
+            hexes(oracle.truth_joint_angle(label, x) for x in ts), label
         angles = track.fn.angles(t)
         assert hexes(angles.tolist()) == hexes(map(track.fn.angle, ts)), label
         assert_numpy_is_math(angles)
@@ -459,8 +465,8 @@ def assert_columns_are_scalar(body, t):
         if isinstance(track.fn, Sinusoid):
             assert_numpy_is_math(2.0 * math.pi * t / track.fn.period_s + track.fn.phase_rad)
         joint = sk.JOINTS[label]
-        dots = [abs(sum(map(float.__mul__, body.bone_world(joint.parent_bone, x),
-                            body.bone_world(joint.child_bone, x)))) for x in ts]
+        dots = [abs(sum(map(float.__mul__, oracle.world(joint.parent_bone, x),
+                            oracle.world(joint.child_bone, x)))) for x in ts]
         assert_numpy_is_math(np.array([2.0 * math.acos(min(d, 1.0)) for d in dots]))
 
 
@@ -536,16 +542,17 @@ class TestColumnTruth:
                                             0.13999999999999999, 0.27999999999999997,
                                             0.5599999999999999, 2.01, 0.123, 10.245])
     def test_ground_truth_files(self, tmp_path, duration_s):
-        # Each file holds the scalar truth at every 10 ms grid point whose
+        # Each file holds ScalarBody's truth at every 10 ms grid point whose
         # time is in the session, across runner._TRUTH_BATCH's batches.
         spec, _ = mo.preset_scenario("half-jacks", duration_s=duration_s)
         body = truth_body(spec)
+        oracle = ScalarBody(spec, sk.Skeleton.default(), body.placement, body.noise, {})
         runner._write_ground_truth(body, SimpleNamespace(duration_s=duration_s,
                                                          trajectory=spec), tmp_path)
         grid = [t_us for t_us in range(0, int(duration_s * 1e6) + 20_000, 10_000)
                 if t_us / 1e6 <= duration_s]
         for label in spec.joints:
-            rows = [(t_us, body.truth_joint_angle(label, t_us / 1e6)) for t_us in grid]
+            rows = [(t_us, oracle.truth_joint_angle(label, t_us / 1e6)) for t_us in grid]
             path = tmp_path / f"ground_truth_{label.replace(' ', '_')}.csv"
             assert path.read_text() == "time_us,angle_deg\n" + "".join(
                 f"{t_us},{angle:.9g}\n" for t_us, angle in rows)
