@@ -119,7 +119,9 @@ class Piecewise:
         # finds it; the clip keeps the rows outside in range.
         i = np.clip(np.searchsorted(times, t, "right"), 1, len(times) - 1)
         t0, a0, t1, a1 = times[i - 1], values[i - 1], times[i], values[i]
-        inside = a0 + (a1 - a0) * (t - t0) / (t1 - t0)
+        # Huge knots overflow on rows outside them, which np.where drops.
+        with np.errstate(over="ignore", invalid="ignore"):
+            inside = a0 + (a1 - a0) * (t - t0) / (t1 - t0)
         return np.where(t <= times[0], values[0],
                         np.where(t >= times[-1], values[-1], inside))
 
@@ -159,10 +161,10 @@ class NoiseModel:
     omega_ref_deg_s: float = 90.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.static_sigma_deg <= self.static_max_deg:
-            raise ValueError("require 0 <= static sigma <= static max")
-        if not 0.0 <= self.dynamic_sigma_deg <= self.dynamic_max_deg:
-            raise ValueError("require 0 <= dynamic sigma <= dynamic max")
+        for sigma, cap in (("static_sigma_deg", "static_max_deg"),
+                           ("dynamic_sigma_deg", "dynamic_max_deg")):
+            if not 0.0 <= getattr(self, sigma) <= getattr(self, cap):
+                raise ValueError(f"require 0 <= {sigma} <= {cap}")
         if self.omega_ref_deg_s <= 0.0:
             raise ValueError("omega_ref_deg_s must be positive")
         # A cap past 180 deg means nothing, and interpolating between caps
@@ -269,6 +271,7 @@ class SyntheticBody:
             return 0.0
         lo = max(0.0, t - _SPEED_H)
         hi = min(self.spec.duration_s, t + _SPEED_H)
+        # Past t = 2**43 s (about 8.8e12), t +- _SPEED_H rounds to t itself.
         if hi <= lo:
             return 0.0
         return shortest_angle_deg(_world(chain, lo), _world(chain, hi)) / (hi - lo)

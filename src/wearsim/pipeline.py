@@ -392,11 +392,9 @@ def joint_angle_series(frames: Sequence[RecordingFrame], calib: CalibrationRecor
 
 
 def _interp(points: Sequence[tuple[int, float]], ts: Sequence[int], t: float) -> float:
-    """Value of `points` at t; `ts` holds their timestamps."""
+    """Value of `points` at t, which lies within `ts`, their timestamps."""
     i = bisect_right(ts, t) - 1
-    if i < 0 or t > ts[-1]:
-        raise ValueError(f"t={t} outside series range {ts[0]}..{ts[-1]}")
-    if ts[i] == t or i + 1 >= len(points):
+    if ts[i] == t:
         return points[i][1]
     frac = (t - ts[i]) / (ts[i + 1] - ts[i])
     a, b = points[i][1], points[i + 1][1]

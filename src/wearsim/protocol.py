@@ -125,7 +125,6 @@ class HopPolicy:
 
     loss_threshold: int = 3
     loss_window: int = 8
-    blacklist_size: int = 8
     announce_repeats: int = 3
     assess_us: float = 2000.0
     probe_gap_ms: float = 35.0
@@ -144,10 +143,6 @@ class HopPolicy:
         # Below 1 us the probe-walk step count of a long silence overflows.
         if not self.walk_dwell_ms >= 1e-3:
             raise ValueError("walk_dwell_ms must be at least 1e-3 (1 us)")
-        # The current channel and the blacklist must leave a channel to hop to.
-        limit = len(DATA_CHANNELS) - 2
-        if not 0 <= self.blacklist_size <= limit:
-            raise ValueError(f"blacklist_size must be within 0..{limit}")
 
 
 class TraceRow(NamedTuple):
@@ -171,14 +166,13 @@ _HANDOFF_US = 1_000_000.0
 
 
 class HopSequencer:
-    """Walks a seeded permutation of the data channels.
+    """Walks a seeded permutation of the data channels, one position per hop.
 
     Both ends derive the same chain from the session seed, so a slave
     that knows the master's last position can predict the next channels.
-    A short blacklist keeps recently abandoned channels out of play.
     """
 
-    def __init__(self, policy: HopPolicy, seed: int, channel: int) -> None:
+    def __init__(self, seed: int, channel: int) -> None:
         order = rnd.stream(seed, rnd.PROTOCOL).permutation(len(DATA_CHANNELS))
         self.chain: list[int] = [DATA_CHANNELS[i] for i in order]
         # The trace's channel column holds an int, and a bool is not one.
@@ -188,23 +182,15 @@ class HopSequencer:
             raise ConfigError(f"channel {channel} is not a data channel")
         self.current = channel
         self.cursor = self.chain.index(channel)
-        self.blacklist: deque[int] = deque(maxlen=policy.blacklist_size)
 
     def preview(self) -> tuple[int, int]:
         """The next channel and its chain position; the state does not move."""
-        n = len(self.chain)
-        for step in range(1, n + 1):
-            pos = (self.cursor + step) % n
-            cand = self.chain[pos]
-            if cand != self.current and cand not in self.blacklist:
-                return cand, pos
-        raise RuntimeError("hop chain exhausted")
+        pos = (self.cursor + 1) % len(self.chain)
+        return self.chain[pos], pos
 
     def advance(self) -> int:
-        cand, pos = self.preview()
-        self.blacklist.append(self.current)
-        self.current, self.cursor = cand, pos
-        return cand
+        self.current, self.cursor = self.preview()
+        return self.current
 
 
 class SlaveUnit:
@@ -323,7 +309,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     timing = timing or TimingProfile()
     policy = policy or HopPolicy()
     ids, duration_us = _check_session(roster, 12, duration_s)
-    seq = HopSequencer(policy, seed, initial_channel)
+    seq = HopSequencer(seed, initial_channel)
     slaves = {s: SlaveUnit(timing, policy, seq.chain) for s in ids}
     names = {s: f"sensor:{s}" for s in ids}
     joined = {s: False for s in ids}

@@ -162,6 +162,8 @@ def _source(item: Mapping, index: int, seed: int) -> Interferer:
             return Jammer(_integer(item, "channel", where),
                           _number(item, "start_s", where, Jammer.start_s, minimum=0.0),
                           name=f"jam:{index}")
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where}.type must be 'wifi', 'bt', or 'jam', got {kind!r}")

@@ -246,6 +246,19 @@ class TestAnalyze:
         summary = json.loads((out / "analysis.json").read_text())
         assert summary["joints"]["right elbow"]["zero_range"] is True
 
+    def test_sidecar_without_joints(self, artificial_run, tmp_path, capsys):
+        # No --joints and a sidecar that lists none: nothing to analyze.
+        session = json.loads((artificial_run / "session.json").read_text())
+        session["joints"] = []
+        (tmp_path / "session.json").write_text(json.dumps(session))
+        (tmp_path / "recording.csv").write_bytes(
+            (artificial_run / "recording.csv").read_bytes())
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--recording", str(tmp_path / "recording.csv"),
+                     "--out", str(out)]) == 2
+        assert "the session lists no joints; pass --joints" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_ground_truth_vs_itself(self, arm_raise_run, capsys):
@@ -309,7 +322,9 @@ class TestExitCodes:
         setting("protocol: {timing: {poll_bytes: 0}}", "poll_bytes"),
         setting("protocol: {timing: {resync_timeout_ms: 0}}", "resync_timeout_ms"),
         setting("protocol: {hop: {walk_dwell_ms: 0}}", "walk_dwell_ms"),
+        # Not a key (the hop walk has no blacklist): refused by name as unknown.
         setting("protocol: {hop: {blacklist_size: 76}}", "blacklist_size"),
+        setting("protocol: {hop: {announce_repeats: 0}}", "announce_repeats"),
         setting("interference: {sources: [{type: jam, channel: 40, seed: 3}]}", "seed"),
         setting("protocol: {timing: {poll_cap_hz: .nan}}", "poll_cap_hz"),
         setting("protocol: {hop: {loss_window: 100000000000000000000}}", "loss_window"),
@@ -338,6 +353,16 @@ class TestExitCodes:
         # The interpolated cap was 1e300 + (7 - 1e300) = 0: the sampler redrew forever.
         setting("motion: {preset: arm-raise, noise: {static_max_deg: 1.0e+300}}",
                 "motion.noise: perturbation caps must be <= 180 deg"),
+        setting("motion: {preset: arm-raise, noise: {static_sigma_deg: 5}}",
+                "static_sigma_deg <= static_max_deg"),
+        setting("motion: {preset: arm-raise, noise: {dynamic_sigma_deg: 5}}",
+                "dynamic_sigma_deg <= dynamic_max_deg"),
+        setting("motion: {preset: arm-raise, noise: {omega_ref_deg_s: 0}}", "omega_ref_deg_s"),
+        setting("interference: {sources: 5}", "interference.sources"),
+        setting("placement: {preset: 5}", "placement.preset"),
+        # The source's own prefix, once.
+        setting("interference: {sources: [{type: wifi, duty: 0.2}]}",
+                "error: interference.sources[0].channel is required"),
         # drift_deg_per_min * t overflowed mid-session: sin(inf) exited 4.
         setting("motion: {preset: arm-raise, noise: {drift_deg_per_min: 1.0e+308}}",
                 "motion.noise.drift_deg_per_min"),
@@ -351,6 +376,8 @@ class TestExitCodes:
                 id="protocol-bench crowded --seed -1"),
         setting("", "--seed", "protocol-bench", "--seed", str(10**23),
                 id="protocol-bench --seed 10**23"),
+        setting("", "--seeds", "protocol-bench", "--seeds", "0",
+                id="protocol-bench --seeds 0"),
     ])
     def test_unrunnable_setting(self, tmp_path, capsys, section, key, command):
         s = tmp_path / "s.yaml"

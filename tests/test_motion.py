@@ -248,6 +248,14 @@ class TestSensorReadings:
             expect = abs(45.0 * math.pi * math.sin(math.pi * t))
             assert w == pytest.approx(expect, rel=0.01, abs=0.05)
 
+    def test_angular_speed_where_the_step_rounds_away(self):
+        # Past 2**43 s (about 8.8e12), t +- 0.5 ms rounds to t: the speed
+        # reads 0, not 0 / 0.
+        body = SyntheticBody(elbow_spec(Sinusoid(45.0, 45.0, 2.0), duration=2e13),
+                             self.skel, self.placement, NoiseModel())
+        assert body._angular_speed(body._chain[sk.BoneId.FOREARM_R], 1e13) == 0.0
+        body.reading(5, 1e13)
+
     def test_calibration_snapshot_zero_noise_equals_offsets(self):
         rng = random.Random(55)
         offsets = {}

@@ -76,22 +76,21 @@ class TestTimingProfile:
 
 class TestHopSequencer:
     def test_starts_on_its_channel(self):
-        seq = HopSequencer(HopPolicy(), seed=9, channel=40)
+        seq = HopSequencer(seed=9, channel=40)
         assert seq.current == 40
         i = seq.chain.index(40)
         assert seq.advance() == seq.chain[(i + 1) % len(seq.chain)]
-        assert list(seq.blacklist) == [40]
 
     def test_first_hop_follows_the_permutation(self):
         perm = rnd.stream(7, rnd.PROTOCOL).permutation(len(DATA_CHANNELS))
         start, expected = DATA_CHANNELS[perm[0]], DATA_CHANNELS[perm[1]]
-        seq = HopSequencer(HopPolicy(), seed=7, channel=start)
+        seq = HopSequencer(seed=7, channel=start)
         assert seq.advance() == expected
 
     @pytest.mark.parametrize("channel", [*SYNC_CHANNELS, -1, 80])
     def test_not_a_data_channel(self, channel):
         with pytest.raises(ConfigError, match=f"channel {channel} is not a data channel"):
-            HopSequencer(HopPolicy(), seed=1, channel=channel)
+            HopSequencer(seed=1, channel=channel)
 
     @pytest.mark.parametrize("channel", [40.0, True, "40"])
     def test_channel_must_be_an_int(self, channel):
@@ -99,31 +98,36 @@ class TestHopSequencer:
         # table and fills the trace's int column.
         message = re.escape(f"channel {channel!r} is not an int")
         with pytest.raises(ConfigError, match=message):
-            HopSequencer(HopPolicy(), seed=1, channel=channel)
+            HopSequencer(seed=1, channel=channel)
         with pytest.raises(ConfigError, match=message):
             master_run([1], 0.1, flat_sampler, CLEAN, seed=0, initial_channel=channel)
 
     def test_preview_does_not_move(self):
-        seq = HopSequencer(HopPolicy(), seed=4, channel=40)
+        seq = HopSequencer(seed=4, channel=40)
         for _ in range(20):
-            state = (seq.current, seq.cursor, list(seq.blacklist))
+            state = (seq.current, seq.cursor)
             nxt, pos = seq.preview()
             assert seq.preview() == (nxt, pos)
-            assert (seq.current, seq.cursor, list(seq.blacklist)) == state
+            assert (seq.current, seq.cursor) == state
             assert seq.chain[pos] == nxt
             assert seq.advance() == nxt
             assert (seq.current, seq.cursor) == (nxt, pos)
 
     def test_never_a_sync_channel(self):
-        seq = HopSequencer(HopPolicy(), seed=3, channel=40)
+        seq = HopSequencer(seed=3, channel=40)
         for _ in range(200):
             assert seq.advance() in DATA_CHANNELS
 
-    def test_no_revisit_within_blacklist_window(self):
-        seq = HopSequencer(HopPolicy(), seed=5, channel=40)
-        picks = [40] + [seq.advance() for _ in range(100)]
-        for i, ch in enumerate(picks):
-            assert ch not in picks[max(0, i - 8):i]
+    @pytest.mark.parametrize("seed", [0, 5, 123456])
+    @pytest.mark.parametrize("start", [DATA_CHANNELS[0], 40, DATA_CHANNELS[-1]])
+    def test_walks_the_chain_one_step_per_hop(self, seed, start):
+        # Past the 77th hop the walk wraps round the chain and starts again.
+        seq = HopSequencer(seed=seed, channel=start)
+        i, n = seq.chain.index(start), len(seq.chain)
+        for k in range(1, 201):
+            pos = (i + k) % n
+            assert seq.advance() == seq.chain[pos]
+            assert seq.cursor == pos
 
 
 class TestSlaveScanning:
