@@ -165,12 +165,12 @@ class NoiseModel:
                            ("dynamic_sigma_deg", "dynamic_max_deg")):
             if not 0.0 <= getattr(self, sigma) <= getattr(self, cap):
                 raise ValueError(f"require 0 <= {sigma} <= {cap}")
+            # A cap past 180 deg means nothing, and interpolating between caps
+            # far apart can cancel to 0, where the redraw loop never ends.
+            if getattr(self, cap) > 180.0:
+                raise ValueError(f"{cap} must be <= 180 deg")
         if self.omega_ref_deg_s <= 0.0:
             raise ValueError("omega_ref_deg_s must be positive")
-        # A cap past 180 deg means nothing, and interpolating between caps
-        # far apart can cancel to 0, where the redraw loop never ends.
-        if max(self.static_max_deg, self.dynamic_max_deg) > 180.0:
-            raise ValueError("perturbation caps must be <= 180 deg")
 
     @staticmethod
     def zero() -> "NoiseModel":

@@ -250,7 +250,8 @@ def read_recording(path: str | Path) -> list[RecordingFrame]:
 
     The lines are parsed _WRITE_BATCH at a time, as columns (_batch_frames).
     A batch that misses any of that path's checks is parsed again a line
-    at a time (_line_frames), which names the first bad line and its error.
+    at a time (_line_frames), which raises, naming the first bad line and
+    its error.
     """
     frames: list[RecordingFrame] = []
     with open(path, encoding="utf-8", newline="") as fh:
@@ -293,23 +294,21 @@ def _batch_frames(lines: list[str]) -> list[RecordingFrame] | None:
     return list(map(tuple.__new__, itertools.repeat(RecordingFrame), zip(*columns)))
 
 
-def _line_frames(lines: list[str], first: int) -> list[RecordingFrame]:
-    """The frames of lines, numbered as file lines from first, each built by
-    the checked RecordingFrame constructor: the first bad line raises
-    ParseError, naming it."""
-    frames = []
+def _line_frames(lines: list[str], first: int) -> NoReturn:
+    """Raise ParseError naming the first line of lines, numbered as file
+    lines from first, that the checked RecordingFrame constructor refuses.
+    lines is a batch that _batch_frames refused, which it does exactly when
+    some line is refused here, so this never returns."""
     for n, line in enumerate(lines, start=first):
         parts = line.split(",")
         if len(parts) != 8:
             raise ParseError(f"line {n}: expected 8 fields, got {len(parts)}")
         try:
-            frame = RecordingFrame(int_cell(parts[0]), int_cell(parts[1]),
-                                   int_cell(parts[2]), float(parts[3]), float(parts[4]),
-                                   float(parts[5]), float(parts[6]), int_cell(parts[7]))
+            RecordingFrame(int_cell(parts[0]), int_cell(parts[1]), int_cell(parts[2]),
+                           float(parts[3]), float(parts[4]), float(parts[5]),
+                           float(parts[6]), int_cell(parts[7]))
         except ValueError as exc:
             raise ParseError(f"line {n}: {exc}") from exc
-        frames.append(frame)
-    return frames
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,9 @@ Both loops append trace rows and frames to lists in session order, and
 hand them over a simulated second at a time. A sink takes each second's
 rows and frames, so no session is held whole; without one a run
 returns the whole lists. The baseline's deliveries arrive in time order;
-those that round to the same microsecond wait in a small buffer and leave
-it in sensor order. A frame carries the sampler's quaternion as it is,
+it hands them off at whole seconds of their timestamps, so those that
+round to the same microsecond leave together, and sorts each batch by
+timestamp and sensor. A frame carries the sampler's quaternion as it is,
 through the checked RecordingFrame constructor: the loops format and
 parse no value, and the 9-digit cell of recording.csv is the frame's one
 rounding. SessionFold folds the metrics batch by batch, as a sink or
@@ -132,7 +133,8 @@ class HopPolicy:
 
     def __post_init__(self) -> None:
         if not 1 <= self.loss_threshold <= self.loss_window:
-            raise ValueError("loss_threshold must be within the loss window")
+            raise ValueError(f"require 1 <= loss_threshold <= loss_window, got loss_threshold "
+                             f"{self.loss_threshold} and loss_window {self.loss_window}")
         if self.announce_repeats < 1:
             raise ValueError("announce_repeats must be at least 1")
         # assess_us is a wait of the master; a slave's probe walk starts
@@ -486,27 +488,7 @@ def ble_center_mhz(channel: int) -> int:
 _BLE_BANDS = tuple((c - 1.0, c + 1.0) for c in map(ble_center_mhz, range(_BLE_CHANNELS)))
 
 
-_SENSOR_ID = itemgetter(1)
-
-
-class _SensorOrder:
-    """Frames that arrive in timestamp order, passed on to out in
-    (timestamp_us, sensor_id) order: the frames of the latest timestamp
-    wait until a later timestamp arrives or flush() is called."""
-
-    def __init__(self, out: list[RecordingFrame]) -> None:
-        self._out = out
-        self._tied: list[RecordingFrame] = []
-
-    def add(self, frame: RecordingFrame) -> None:
-        if self._tied and self._tied[0].timestamp_us != frame.timestamp_us:
-            self.flush()
-        self._tied.append(frame)
-
-    def flush(self) -> None:
-        self._tied.sort(key=_SENSOR_ID)
-        self._out += self._tied
-        self._tied.clear()
+_STAMP_SENSOR = itemgetter(0, 1)  # a frame's timestamp_us, sensor_id
 
 
 def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
@@ -522,14 +504,14 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     queue. Delivered samples pass a 60 Hz token-bucket host cap.
 
     Frames come in (timestamp_us, sensor_id) order: deliveries arrive in
-    time order, and those that round to the same microsecond are put in
-    sensor order. With a sink, the rows and frames go to it as the session
-    runs, and the result's lists are empty.
+    time order, a handoff comes at a whole second of their timestamps, so
+    those that round to the same microsecond leave in one batch, and each
+    batch is sorted. With a sink, the rows and frames go to it as the
+    session runs, and the result's lists are empty.
     """
     ids, duration_us = _check_session(roster, BLE_MAX_SENSORS, duration_s)
     sched = radio.EventScheduler()
     frames: list[RecordingFrame] = []
-    ordered = _SensorOrder(frames)
     trace: list[TraceRow] = []
     host_dropped = {s: 0 for s in ids}
     resyncs = 0
@@ -561,16 +543,19 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     handoff = _HANDOFF_US
 
     def hand_off_before(t: float) -> None:
-        """Hand off each whole second below t and the session's end."""
+        """Hand off each whole second below t and the session's end, the
+        frames in (timestamp_us, sensor_id) order."""
         nonlocal handoff
         while handoff < t and handoff < duration_us:
-            _hand_off(sink, trace, frames)
+            if sink is not None:
+                frames.sort(key=_STAMP_SENSOR)
+                _hand_off(sink, trace, frames)
             handoff += _HANDOFF_US
 
     # Every frame lasts _BLE_TX_US, so frames are judged, at their ends, in
     # order of start.
     for end, s in sched.until(duration_us):
-        hand_off_before(end)
+        hand_off_before(round(end))  # the frame's timestamp: no tie is split
         t, ch = start[s], channel[s]
         # Starts _BLE_TX_US or more before t overlap no frame judged from now
         # on; those left that are before this frame's end overlap it, t too.
@@ -590,7 +575,7 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
             refilled[s] = end
             if tokens[s] >= 1.0:
                 tokens[s] -= 1.0
-                ordered.add(RecordingFrame(int(round(end)), s, q_seq, *q, 3))
+                frames.append(RecordingFrame(int(round(end)), s, q_seq, *q, 3))
             else:
                 host_dropped[s] += 1
         else:
@@ -602,7 +587,7 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                 gap = _BLE_RECONNECT_US - _BLE_TX_US
         schedule(s, end + gap)
     hand_off_before(duration_us)
-    ordered.flush()
+    frames.sort(key=_STAMP_SENSOR)
     _hand_off(sink, trace, frames)
     return SessionResult("ble", duration_us, ids, frames, trace, 0,
                          resyncs, host_dropped, [])

@@ -328,6 +328,9 @@ class TestExitCodes:
         setting("interference: {sources: [{type: jam, channel: 40, seed: 3}]}", "seed"),
         setting("protocol: {timing: {poll_cap_hz: .nan}}", "poll_cap_hz"),
         setting("protocol: {hop: {loss_window: 100000000000000000000}}", "loss_window"),
+        setting("protocol: {hop: {loss_threshold: 9}}", "loss_threshold 9 and loss_window 8"),
+        setting("protocol: {hop: {loss_threshold: 0}}", "loss_threshold 0 and loss_window 8"),
+        setting("protocol: {hop: {loss_window: 2}}", "loss_threshold 3 and loss_window 2"),
         setting(f"protocol: {{timing: {{poll_bytes: {10**310}}}}}", "poll_bytes",
                 id="poll_bytes-10**310"),
         setting(f"session: {{duration_s: {10**310}}}", "duration_s",
@@ -352,7 +355,9 @@ class TestExitCodes:
                 id="us_per_byte-1e307"),
         # The interpolated cap was 1e300 + (7 - 1e300) = 0: the sampler redrew forever.
         setting("motion: {preset: arm-raise, noise: {static_max_deg: 1.0e+300}}",
-                "motion.noise: perturbation caps must be <= 180 deg"),
+                "motion.noise: static_max_deg must be <= 180 deg"),
+        setting("motion: {preset: arm-raise, noise: {dynamic_max_deg: 200}}",
+                "motion.noise: dynamic_max_deg must be <= 180 deg"),
         setting("motion: {preset: arm-raise, noise: {static_sigma_deg: 5}}",
                 "static_sigma_deg <= static_max_deg"),
         setting("motion: {preset: arm-raise, noise: {dynamic_sigma_deg: 5}}",

@@ -595,6 +595,61 @@ class TestReadRecordingBatches:
         assert got == want == self.frames
 
 
+# Cell texts that the line pass or the column pass may refuse, and some that
+# both read (a lenient float, the int64 ends).
+ODD_CELLS = ["", "x", "-0", "+1", " 1", "01", "1_0", "1.5", "4", "-1", "nan", "inf", "-inf",
+             "1e400", " 0", "-0e0", "0.0_0", "1_0e-1", "0x1", str(2**63 - 1), str(2**63),
+             str(-2**63), str(-2**63 - 1)]
+
+
+@st.composite
+def recording_batches(draw):
+    """The lines of one to four frames of unit quaternions, one of them
+    maybe edited: its quaternion scaled to either side of the unit
+    tolerance, a cell replaced from ODD_CELLS, or a cell added or dropped."""
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        q = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: math.hypot(*q) > 0.1))
+        rows.append([str(draw(st.integers(-2**63, 2**63 - 1))), str(draw(st.integers(0, 12))),
+                     str(draw(st.integers(0, 10**6))), *(c / math.hypot(*q) for c in q),
+                     str(draw(st.integers(0, 3)))])
+    odd = draw(st.sampled_from(rows))
+    edit = draw(st.sampled_from(["none", "scale", "cell", "cell", "cell", "cells"]))
+    if edit == "scale":
+        scale = draw(st.sampled_from([1 + 0.9e-6, 1 + 1.1e-6, 1 - 0.9e-6, 1 - 1.1e-6]))
+        odd[3:7] = (c * scale for c in odd[3:7])
+    elif edit == "cell":
+        odd[draw(st.integers(0, 7))] = draw(st.sampled_from(ODD_CELLS))
+    elif edit == "cells":
+        odd[:] = odd[:7] if draw(st.booleans()) else [*odd, "3"]
+    return [",".join(map(str, row)) for row in rows]
+
+
+def line_pass_refuses(lines) -> bool:
+    try:
+        pl._line_frames(lines, 2)
+    except ParseError:
+        return True
+    return False
+
+
+# read_recording gives _line_frames only the batches that _batch_frames
+# refused, and _line_frames returns nothing: it must raise on each.
+@settings(max_examples=500, deadline=None)
+@given(recording_batches())
+def test_column_pass_refuses_exactly_a_batch_with_a_bad_line(lines):
+    assert (pl._batch_frames(lines) is None) == line_pass_refuses(lines)
+
+
+@pytest.mark.parametrize("cell", range(8))
+def test_column_pass_refuses_each_odd_cell_as_the_line_pass_does(cell):
+    for text in ODD_CELLS:
+        cells = ["7", "1", "2", "1.0", "0.0", "0.0", "0.0", "3"]
+        cells[cell] = text
+        lines = ["0,1,1,1.0,0.0,0.0,0.0,3", ",".join(cells)]
+        assert (pl._batch_frames(lines) is None) == line_pass_refuses(lines), text
+
+
 class TestJointAngleSeries:
     def setup_method(self):
         self.skel = sk.Skeleton.default()

@@ -691,6 +691,38 @@ class TestSinkBatches:
         assert fold.metrics(streamed) == session_metrics(collected)
 
 
+class TestBaselineTies:
+    # On these seeds two of the roster's links start under 1 us apart, so
+    # hundreds of their frames round to the same microsecond. On seed
+    # 112183, sensor 9's frames end 0.24 us past 1 s and 4 s: they are
+    # stamped on the whole second, though their ends are past it.
+    @pytest.mark.parametrize("seed, roster", [
+        pytest.param(1117, [1, 2, 3, 4, 5], id="1117"),
+        pytest.param(4406, [1, 2, 3, 4, 5], id="4406"),
+        pytest.param(112183, [1, 9, 11], id="112183")])
+    @pytest.mark.parametrize("crowded", [False, True], ids=["clean", "crowded"])
+    def test_batches_hold_whole_timestamps_in_order(self, seed, roster, crowded):
+        duration_s = 4.5
+        field = crowded_field(seed, duration_s) if crowded else CLEAN
+        batches = []
+
+        def sink(rows, frames):
+            batches.append((list(rows), list(frames)))
+
+        ble_baseline_run(roster, duration_s, turning_sampler, field, seed, sink=sink)
+        collected = ble_baseline_run(roster, duration_s, turning_sampler, field, seed)
+        assert len(batches) == math.ceil(duration_s)
+        assert [r for rows, _ in batches for r in rows] == collected.trace
+        assert [f for _, frames in batches for f in frames] == collected.frames
+        keys = [(f.timestamp_us, f.sensor_id) for f in collected.frames]
+        assert keys == sorted(set(keys))
+        # Batch k holds the frames stamped in ((k - 1) s, k s], so no
+        # timestamp is in two batches.
+        for k, (_, frames) in enumerate(batches, 1):
+            assert all((k - 1) * 10**6 < f.timestamp_us <= k * 10**6 for f in frames)
+        assert len({ts for ts, _ in keys}) < len(keys)  # some timestamps are tied
+
+
 class TestSessionMemory:
     @pytest.mark.parametrize("run", [master_run, ble_baseline_run])
     def test_dropped_result_frees_the_session(self, run):

@@ -169,34 +169,6 @@ def test_metrics_fold_rejects_broken_frame_order(frames, message):
 
 
 @st.composite
-def deliveries(draw):
-    """Frames in nondecreasing timestamp order, in arrival order; each
-    timestamp's sensors are distinct and arrive in any order."""
-    out, seqs, ts = [], {}, 0
-    for _ in range(draw(st.integers(0, 12))):
-        ts += draw(st.integers(0, 3))
-        for s in draw(st.lists(st.integers(1, 5), unique=True, max_size=5)):
-            seqs[s] = seqs.get(s, 0) + 1
-            out.append(frame(ts, s, seqs[s]))
-    return out
-
-
-@settings(max_examples=300, deadline=None)
-@given(deliveries(), st.data())
-def test_equal_timestamps_flush_in_sensor_order(frames, data):
-    out: list = []
-    ordered = pr._SensorOrder(out)
-    collected = []
-    for f in frames:
-        ordered.add(f)
-        if data.draw(st.booleans()):  # a handoff takes the frames passed on so far
-            collected += out
-            out.clear()
-    ordered.flush()
-    assert collected + out == sorted(frames, key=lambda f: (f.timestamp_us, f.sensor_id))
-
-
-@st.composite
 def sensor_streams(draw):
     """Frames of up to three sensors in timestamp order, with gaps from
     none to over a window, cut into handoff batches, and a session end
