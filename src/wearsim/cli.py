@@ -23,13 +23,14 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from operator import itemgetter
 from pathlib import Path
 
 import yaml
 
+# read_recording is not called here, but perfbench's span table resolves
+# cli.read_recording: a traced run raises KeyError without the name.
 from .pipeline import (ANGLE_CSV, RECORDING_CSV, AngleSeries, CsvSchema, ParseError,
-                       RecordingFrame, ValidationError, file_slug, joint_angle_series, mae,
+                       RecordingColumns, ValidationError, file_slug, joint_angle_series, mae,
                        pearson, rate_series, read_angles, read_recording, write_csv,
                        write_json)
 from .protocol import BLE_MAX_SENSORS, ConfigError
@@ -90,26 +91,25 @@ def _require_joint(label: str, placement: SensorPlacement | None = None) -> None
 
 
 def _recording(recording: Path, session: str | None, flag: str
-               ) -> tuple[list[RecordingFrame], CalibrationRecord, dict]:
-    """The recording's frames, each of a sensor in the sidecar's placement,
+               ) -> tuple[RecordingColumns, CalibrationRecord, dict]:
+    """The recording's columns, each of a sensor in the sidecar's placement,
     and the sidecar: the session.json given by flag, or else the one next to it."""
-    frames = read_recording(recording)
+    columns = RecordingColumns.read(recording)
     path = Path(session) if session else recording.with_name("session.json")
     if not path.exists():
         raise ConfigError(f"recording {recording} needs a session sidecar "
                           f"(none at {path}); pass {flag}")
     calib, meta = load_session(path)
     bones = calib.placement.bones
-    if not set(map(itemgetter(1), frames)) <= bones.keys():
-        line, frame = next((line, f) for line, f in enumerate(frames, start=2)
-                           if f.sensor_id not in bones)
-        raise ValidationError(f"{recording} line {line}: sensor {frame.sensor_id} is "
-                              f"not in placement {calib.placement.name!r}")
-    return frames, calib, meta
+    if outside := [s for s in columns.first if s not in bones]:
+        sensor = min(outside, key=columns.first.__getitem__)
+        raise ValidationError(f"{recording} line {columns.first[sensor] + 2}: sensor {sensor} "
+                              f"is not in placement {calib.placement.name!r}")
+    return columns, calib, meta
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    frames, calib, meta = _recording(Path(args.recording), args.session, "--session")
+    recording, calib, meta = _recording(Path(args.recording), args.session, "--session")
 
     if args.joints is not None:
         labels = _names(args.joints, "--joints")
@@ -126,7 +126,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     summary: dict = {"joints": {}, "rates": {}}
     poses: dict = {}  # each sensor's poses, shared by the joints it spans
     for label in labels:
-        series = joint_angle_series(frames, calib, skel, JOINTS[label], poses)
+        series = joint_angle_series(recording, calib, skel, JOINTS[label], poses)
         write_csv(out / f"angles_{file_slug(label)}.csv", ANGLE_CSV, series.points)
         values = [v for _, v in series.points]
         lo, hi = min(values), max(values)
@@ -141,7 +141,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     end_us = int(meta["duration_s"] * 1e6) if "duration_s" in meta else None
     rate_rows = []
-    for sensor, pts in sorted(rate_series(frames, end_us=end_us).items()):
+    for sensor, pts in sorted(rate_series(recording, end_us=end_us).items()):
         rate_rows.extend((sensor, t, hz) for t, hz in pts)
         stats = {"windows": len(pts)}
         if pts:
@@ -163,7 +163,7 @@ def _angle_series_from(path: Path, joint: str | None,
         first = fh.readline().strip()
     if first != RECORDING_CSV.header:
         return read_angles(path)
-    frames, calib, meta = _recording(path, session, "--session-a/--session-b")
+    recording, calib, meta = _recording(path, session, "--session-a/--session-b")
     label = joint
     if label is None:
         joints = meta.get("joints", [])
@@ -172,7 +172,7 @@ def _angle_series_from(path: Path, joint: str | None,
                               f"with --joint")
         label = joints[0]
     _require_joint(label, calib.placement)
-    return joint_angle_series(frames, calib, Skeleton.default(), JOINTS[label])
+    return joint_angle_series(recording, calib, Skeleton.default(), JOINTS[label])
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

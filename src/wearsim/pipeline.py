@@ -35,12 +35,10 @@ import itertools
 import json
 import math
 import re
-from array import array
-from bisect import bisect_left, bisect_right
 from collections import defaultdict, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, sub
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
 
@@ -199,15 +197,37 @@ class RecordingFrame(namedtuple("RecordingFrame",
         return RecordingFrame(timestamp_us, sensor_id, seq, *map(nine_digits, q), status)
 
 
-# The cells FrameOrder checks: timestamp_us, sensor_id, seq.
+def _int_column(values: Sequence[int] | Sequence[str]) -> np.ndarray:
+    """values, ints or cells that int() reads, as an int64 column, or as a
+    column of Python ints if one lies outside int64."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array([int(v) for v in values], object)
+
+
+def _runs(sensor: np.ndarray) -> dict[int, np.ndarray]:
+    """The positions of each sensor's cells in the column, in order."""
+    if not len(sensor):
+        return {}
+    order = np.argsort(sensor, kind="stable")
+    ids = sensor[order]
+    cuts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
+    return {int(ids[a]): order[a:b] for a, b in zip(cuts, cuts[1:])}
+
+
+# The cells FrameOrder.check reads: timestamp_us, sensor_id, seq.
 _ORDER_CELLS = itemgetter(0, 1, 2)
 
 
 class FrameOrder:
     """The stream invariants of a recording, checked over frames handed in
     batches: timestamps never decrease and each sensor's seq strictly
-    increases. first_line > 0 numbers the frames as file lines from
-    first_line on; 0 means frames in memory, reported without line numbers.
+    increases. check takes frames in memory, a frame at a time (a
+    handoff's few hundred tuples cost less walked than made into columns);
+    check_columns takes a batch read from a file as columns. first_line > 0
+    numbers the frames as file lines from first_line on; 0 means frames in
+    memory, reported without line numbers.
     """
 
     def __init__(self, first_line: int = 0) -> None:
@@ -232,6 +252,40 @@ class FrameOrder:
         if self._line:
             self._line += i + 1
 
+    def check_columns(self, ts: np.ndarray, sensor: np.ndarray,
+                      seq: np.ndarray) -> dict[int, np.ndarray]:
+        """check on the frames whose cells the columns hold; returns each
+        sensor's positions in the columns, in order."""
+        runs = _runs(sensor)
+        n = len(ts)
+        bad = n  # the first frame that breaks an invariant, or n
+        if n and ts[0] < self._last_ts:
+            bad = 0
+        elif (dips := ts[1:] < ts[:-1]).any():
+            bad = int(dips.argmax()) + 1
+        for s, pos in runs.items():
+            q = seq[pos]
+            if q[0] <= self._last_seq.get(s, -math.inf):
+                bad = min(bad, int(pos[0]))
+            elif (repeats := q[1:] <= q[:-1]).any():
+                bad = min(bad, int(pos[repeats.argmax() + 1]))
+        if bad < n:
+            last_ts = ts[bad - 1] if bad else self._last_ts
+            if ts[bad] < last_ts:  # a frame that breaks both is named for its timestamp
+                self._fail(bad, sensor[bad], seq[bad],
+                           f": timestamp {ts[bad]} decreases (previous {last_ts})")
+            pos = runs[int(sensor[bad])]
+            j = int(np.flatnonzero(pos == bad)[0])
+            prev = seq[pos[j - 1]] if j else self._last_seq[int(sensor[bad])]
+            self._fail(bad, sensor[bad], seq[bad], f" does not increase (previous {prev})")
+        if n:
+            self._last_ts = ts[-1]
+        for s, pos in runs.items():
+            self._last_seq[s] = seq[pos[-1]]
+        if self._line:
+            self._line += n
+        return runs
+
     def _fail(self, i: int, sensor: int, seq: int, broken: str) -> NoReturn:
         where = f"line {self._line + i}: " if self._line else ""
         raise ValidationError(f"{where}sensor {sensor} seq {seq}{broken}")
@@ -243,61 +297,96 @@ def write_recording(frames: Sequence[RecordingFrame], path: str | Path) -> None:
     write_csv(path, RECORDING_CSV, frames)
 
 
-def read_recording(path: str | Path) -> list[RecordingFrame]:
-    """Parse and validate a recording CSV. Lines end where str.splitlines
-    ends them: at \\n, \\r and \\r\\n, and also at \\v, \\f, \\x1c-\\x1e,
-    \\x85, \\u2028 and \\u2029.
+# Characters read_recording reads at a time: io's own chunk size, so that
+# a file that is not UTF-8 fails at the offset that line iteration names.
+_READ_BLOCK = 8192
 
-    The lines are parsed _WRITE_BATCH at a time, as columns (_batch_frames).
-    A batch that misses any of that path's checks is parsed again a line
-    at a time (_line_frames), which raises, naming the first bad line and
-    its error.
-    """
-    frames: list[RecordingFrame] = []
+
+def _lines(fh: TextIO) -> Iterator[str]:
+    """fh's lines, ended where str.splitlines ends them, read a block at a
+    time. A \\n, or a \\r with a character after it, ends a line whatever
+    comes next, so each block is split after the last of them."""
+    rest = ""
+    while block := fh.read(_READ_BLOCK):
+        text = rest + block
+        cut = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1
+        yield from text[:cut].splitlines()
+        rest = text[cut:]
+    yield from rest.splitlines()
+
+
+def _read_batches(path: str | Path) -> Iterator[tuple[list[np.ndarray], dict[int, np.ndarray]]]:
+    """The columns of each _WRITE_BATCH lines of a recording CSV
+    (_batch_columns), and each sensor's positions in them.
+
+    A batch that misses any of the column pass's checks is parsed again a
+    line at a time (_line_frames), which raises ParseError naming the
+    first bad line. A broken stream invariant raises ValidationError after
+    the last batch, so that a bad line anywhere in the file is reported
+    first."""
+    order, broken = FrameOrder(first_line=2), None
     with open(path, encoding="utf-8", newline="") as fh:
-        lines = itertools.chain.from_iterable(line.splitlines() for line in fh)
+        lines = _lines(fh)
         if next(lines, None) != RECORDING_CSV.header:
             raise ParseError(f"line 1: expected header {RECORDING_CSV.header!r}")
         n = 2
         while batch := list(itertools.islice(lines, _WRITE_BATCH)):
-            frames += _batch_frames(batch) or _line_frames(batch, n)
+            columns = _batch_columns(batch) or _line_frames(batch, n)
+            runs: dict[int, np.ndarray] = {}
+            if broken is None:
+                try:
+                    runs = order.check_columns(*columns[:3])
+                except ValidationError as exc:
+                    broken = exc
+            yield columns, runs
             n += len(batch)
-    FrameOrder(first_line=2).check(frames)
+    if broken is not None:
+        raise broken
+
+
+def read_recording(path: str | Path) -> list[RecordingFrame]:
+    """Parse and validate a recording CSV. Lines end where str.splitlines
+    ends them: at \\n, \\r and \\r\\n, and also at \\v, \\f, \\x1c-\\x1e,
+    \\x85, \\u2028 and \\u2029. The frames are built a batch at a time from
+    the checked columns that RecordingColumns.read also reads."""
+    frames: list[RecordingFrame] = []
+    for columns, _ in _read_batches(path):
+        frames += map(tuple.__new__, itertools.repeat(RecordingFrame),
+                      zip(*(c.tolist() for c in columns)))
     return frames
 
 
-# A recording line as _batch_frames takes it: 8 cells, the int cells as
+# A recording line as _batch_columns takes it: 8 cells, the int cells as
 # str() writes an int, the status in 0..3.
 _PLAIN_LINE = re.compile("(?:0|-?[1-9][0-9]*)," * 3 + "[^,]*," * 4 + "[0-3]")
-_CELL_KINDS = [kind for _, kind in RECORDING_CSV.columns]
 
 
-def _batch_frames(lines: list[str]) -> list[RecordingFrame] | None:
-    """The frames of lines, parsed a column at a time, or None if a line
-    misses _PLAIN_LINE, a float cell is not read by float(), a timestamp is
+def _batch_columns(lines: list[str]) -> list[np.ndarray] | None:
+    """The 8 columns of lines, in RECORDING_CSV's order: int64 but for a
+    sensor_id or seq cell beyond int64, which makes its column one of
+    Python ints, and float64 for the quaternion. None if a line misses
+    _PLAIN_LINE, a float cell is not read by float(), a timestamp is
     outside _TS_MIN.._TS_MAX or a quaternion is not unit within _UNIT_TOL."""
     if not all(map(_PLAIN_LINE.fullmatch, lines)):
         return None
     cells = ",".join(lines).split(",")
     try:
-        columns = [list(map(kind, cells[i::8])) for i, kind in enumerate(_CELL_KINDS)]
-    except ValueError:
+        ts = np.array(cells[0::8], np.int64)  # OverflowError outside int64
+        w, x, y, z = (np.array(cells[i::8], np.float64) for i in range(3, 7))
+    except (OverflowError, ValueError):
         return None
-    ts = columns[0]
-    if not (_TS_MIN <= min(ts) and max(ts) <= _TS_MAX):
-        return None
-    w, x, y, z = map(np.array, columns[3:7])
     with np.errstate(over="ignore"):  # a huge component overflows to inf, and fails
         norm = np.sqrt(w * w + x * x + y * y + z * z)
     if not (np.abs(norm - 1.0) <= _UNIT_TOL).all():
         return None
-    return list(map(tuple.__new__, itertools.repeat(RecordingFrame), zip(*columns)))
+    return [ts, _int_column(cells[1::8]), _int_column(cells[2::8]), w, x, y, z,
+            np.array(cells[7::8], np.int64)]
 
 
 def _line_frames(lines: list[str], first: int) -> NoReturn:
     """Raise ParseError naming the first line of lines, numbered as file
     lines from first, that the checked RecordingFrame constructor refuses.
-    lines is a batch that _batch_frames refused, which it does exactly when
+    lines is a batch that _batch_columns refused, which it does exactly when
     some line is refused here, so this never returns."""
     for n, line in enumerate(lines, start=first):
         parts = line.split(",")
@@ -309,6 +398,51 @@ def _line_frames(lines: list[str], first: int) -> NoReturn:
                            float(parts[6]), int_cell(parts[7]))
         except ValueError as exc:
             raise ParseError(f"line {n}: {exc}") from exc
+
+
+class RecordingColumns:
+    """A recording as typed columns, grouped per sensor. streams maps each
+    sensor to the timestamps of its frames (int64) and their quaternions
+    ((w, x, y, z) float64 columns), in stream order; first maps it to the
+    stream position of its first frame (0 for the stream's first)."""
+
+    def __init__(self, parts: dict[int, list[list[np.ndarray]]], first: dict[int, int]) -> None:
+        """parts: each sensor's [ts, w, x, y, z] columns of consecutive
+        batches, joined (and dropped) a sensor at a time."""
+        self.first = first
+        self.streams: dict[int, tuple[np.ndarray, QuadColumns]] = {}
+        for s in list(parts):
+            ts, *q = map(np.concatenate, zip(*parts.pop(s)))
+            self.streams[s] = (ts, tuple(q))
+
+    @classmethod
+    def read(cls, path: str | Path) -> "RecordingColumns":
+        """The recording CSV at path, with read_recording's checks and
+        errors, held as columns."""
+        parts: defaultdict[int, list[list[np.ndarray]]] = defaultdict(list)
+        first: dict[int, int] = {}
+        n = 0
+        for (ts, _, _, w, x, y, z, _), runs in _read_batches(path):
+            for s, pos in runs.items():
+                parts[s].append([c[pos] for c in (ts, w, x, y, z)])
+                first.setdefault(s, n + int(pos[0]))
+            n += len(ts)
+        return cls(parts, first)
+
+    @classmethod
+    def of(cls, frames: Sequence[RecordingFrame]) -> "RecordingColumns":
+        """The columns of frames in memory, which are not checked."""
+        if not frames:
+            return cls({}, {})
+        ts, sensor, _, *q, _ = zip(*frames)
+        columns = [np.array(ts, np.int64), *(np.array(c, float) for c in q)]
+        runs = _runs(_int_column(sensor))
+        return cls({s: [[c[pos] for c in columns]] for s, pos in runs.items()},
+                   {s: int(pos[0]) for s, pos in runs.items()})
+
+
+def _as_columns(frames: Sequence[RecordingFrame] | RecordingColumns) -> RecordingColumns:
+    return frames if isinstance(frames, RecordingColumns) else RecordingColumns.of(frames)
 
 
 @dataclass(frozen=True)
@@ -351,35 +485,32 @@ def read_angles(path: str | Path) -> AngleSeries:
     return AngleSeries(path.stem, points)
 
 
-def joint_angle_series(frames: Sequence[RecordingFrame], calib: CalibrationRecord,
-                       skel: Skeleton, joint: JointSpec,
+def joint_angle_series(frames: Sequence[RecordingFrame] | RecordingColumns,
+                       calib: CalibrationRecord, skel: Skeleton, joint: JointSpec,
                        poses: dict[int, tuple[np.ndarray, QuadColumns]] | None = None
                        ) -> AngleSeries:
-    """Joint angle over time from a recording.
+    """Joint angle over time from a recording: its RecordingColumns, or its
+    frames in stream order.
 
     Sensor streams are asynchronous, so the series is evaluated on the
     union of the two sensors' timestamps with latest-sample-hold; it
     starts once both sensors have delivered at least one sample.
 
     poses, when given, keeps each sensor's (timestamps, bone poses) from
-    these frames across calls, so that joints sharing a sensor compute
+    this recording across calls, so that joints sharing a sensor compute
     its poses once.
     """
+    recording = _as_columns(frames)
     sensors = calib.placement.joint_sensors(joint)
     poses = {} if poses is None else poses
-    streams: dict[int, list[RecordingFrame]] = {s: [] for s in sensors if s not in poses}
-    if streams:
-        for f in frames:
-            if f.sensor_id in streams:
-                streams[f.sensor_id].append(f)
-    for s, fs in streams.items():
-        if not fs:
+    for s in sensors:
+        if s not in poses and s not in recording.streams:
             raise ValueError(f"recording has no frames for sensor {s} ({joint.label!r})")
     # Each frame's bone pose is computed once, then held from its timestamp on.
-    for s, fs in streams.items():
-        ts, _, _, *q, _ = zip(*fs)
-        poses[s] = (np.array(ts, np.int64),
-                    sensor_poses(calib, skel, s, tuple(np.array(c, float) for c in q)))
+    for s in sensors:
+        if s not in poses:
+            ts, q = recording.streams[s]
+            poses[s] = (ts, sensor_poses(calib, skel, s, q))
     (p_ts, p_poses), (c_ts, c_poses) = (poses[s] for s in sensors)
     start = max(p_ts[0], c_ts[0])
     grid = np.union1d(p_ts[p_ts >= start], c_ts[c_ts >= start])
@@ -390,28 +521,39 @@ def joint_angle_series(frames: Sequence[RecordingFrame], calib: CalibrationRecor
     return AngleSeries(joint.label, list(zip(grid.tolist(), angles.tolist())))
 
 
-def _interp(points: Sequence[tuple[int, float]], ts: Sequence[int], t: float) -> float:
-    """Value of `points` at t, which lies within `ts`, their timestamps."""
-    i = bisect_right(ts, t) - 1
-    if ts[i] == t:
-        return points[i][1]
-    frac = (t - ts[i]) / (ts[i + 1] - ts[i])
-    a, b = points[i][1], points[i + 1][1]
-    value = a + (b - a) * frac
-    # b - a overflows for large samples of opposite sign; this form cannot.
-    return value if math.isfinite(value) else a * (1.0 - frac) + b * frac
+# Timestamp gaps from this size on may not convert to float64 exactly.
+_EXACT_GAP = 2**53
 
 
-def _aligned(a: AngleSeries, b: AngleSeries) -> list[tuple[float, float]]:
+def _aligned(a: AngleSeries, b: AngleSeries) -> tuple[np.ndarray, np.ndarray]:
+    """The values of a inside the time range both series span, and b's
+    values at their timestamps, b linearly interpolated."""
     lo = max(a.points[0][0], b.points[0][0])
     hi = min(a.points[-1][0], b.points[-1][0])
     if lo > hi:
         raise ValueError("series do not overlap in time")
-    ts = [p[0] for p in b.points]
-    pairs = [(va, _interp(b.points, ts, t)) for t, va in a.points if lo <= t <= hi]
-    if not pairs:
+    a_ts, a_vals = zip(*a.points)
+    b_ts, b_vals = zip(*b.points)
+    a_ts, b_ts = _int_column(a_ts), _int_column(b_ts)
+    if object in (a_ts.dtype, b_ts.dtype) or b.points[-1][0] - b.points[0][0] >= _EXACT_GAP:
+        # As Python ints: int / int rounds once, int64 -> float64 -> / twice.
+        a_ts, b_ts = a_ts.astype(object), b_ts.astype(object)
+    inside = (lo <= a_ts) & (a_ts <= hi)
+    t = a_ts[inside]
+    if not t.size:
         raise ValueError(f"no sample of the first series lies in the overlap {lo}..{hi} us")
-    return pairs
+    i = np.searchsorted(b_ts, t, "right") - 1
+    hit = b_ts[i] == t
+    j = np.minimum(i + 1, len(b_ts) - 1)
+    t0, t1 = b_ts[i], b_ts[j]
+    frac = ((t - t0) / np.where(hit, 1, t1 - t0)).astype(float)
+    b_vals = np.array(b_vals, float)
+    va, vb = b_vals[i], b_vals[j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = va + (vb - va) * frac
+        # vb - va overflows for large samples of opposite sign; this form cannot.
+        value = np.where(np.isfinite(value), value, va * (1.0 - frac) + vb * frac)
+    return np.array(a_vals, float)[inside], np.where(hit, va, value)
 
 
 def _finite(value: float, what: str) -> float:
@@ -426,34 +568,34 @@ def mae(a: AngleSeries, b: AngleSeries) -> float:
     b is linearly interpolated; only the overlapping time range counts.
     A result that overflows a float raises ValueError.
     """
-    pairs = _aligned(a, b)
+    va, vb = _aligned(a, b)
+    with np.errstate(over="ignore"):
+        errors = np.abs(va - vb).tolist()
     try:
-        total = math.fsum(abs(va - vb) for va, vb in pairs)
+        total = math.fsum(errors)
     except OverflowError:  # fsum's partial sums left the float range
         total = math.inf
-    return _finite(total / len(pairs), "mean absolute error")
+    return _finite(total / len(errors), "mean absolute error")
 
 
-def _scaled(values: list[float]) -> list[float]:
+def _scaled(values: np.ndarray) -> np.ndarray:
     """values times a power of two that brings every magnitude under
     2**_PEARSON_EXP; values already under it are returned as given. The
     factor is exact and leaves Pearson's r as it is."""
-    shift = _PEARSON_EXP - math.frexp(max(map(abs, values)))[1]
-    return values if shift >= 0 else [math.ldexp(v, shift) for v in values]
+    shift = _PEARSON_EXP - math.frexp(np.abs(values).max())[1]
+    return values if shift >= 0 else np.ldexp(values, shift)
 
 
 def pearson(a: AngleSeries, b: AngleSeries) -> float:
     """Pearson correlation of the two series on a's timestamps. A result
     that is not finite raises ValueError."""
-    pairs = _aligned(a, b)
-    n = len(pairs)
-    xs = _scaled([va for va, _ in pairs])
-    ys = _scaled([vb for _, vb in pairs])
-    ma = math.fsum(xs) / n
-    mb = math.fsum(ys) / n
-    cov = math.fsum((va - ma) * (vb - mb) for va, vb in zip(xs, ys))
-    var_a = math.fsum((va - ma) ** 2 for va in xs)
-    var_b = math.fsum((vb - mb) ** 2 for vb in ys)
+    xs, ys = map(_scaled, _aligned(a, b))
+    n = len(xs)
+    dx = xs - math.fsum(xs.tolist()) / n
+    dy = ys - math.fsum(ys.tolist()) / n
+    cov = math.fsum((dx * dy).tolist())
+    var_a = math.fsum(d ** 2 for d in dx.tolist())
+    var_b = math.fsum(d ** 2 for d in dy.tolist())
     if var_a == 0.0 or var_b == 0.0:
         raise ValueError("correlation undefined: a series has zero variance")
     return _finite(cov / math.sqrt(var_a * var_b), "Pearson correlation")
@@ -469,42 +611,49 @@ class RateWindows:
     def __init__(self) -> None:
         self.first = self.last = self.n = 0
         self.fewest: int | None = None
-        self._held = array("q")
+        self._held = np.empty(0, np.int64)
         self._next_end: float = math.inf  # the first timestamp sets it
 
-    def add(self, ts: int) -> None:
-        """One more timestamp, no earlier than the last."""
+    def extend(self, ts: Sequence[int] | np.ndarray) -> None:
+        """More timestamps, in order, none earlier than the last: a list,
+        or an int64 column."""
+        if not len(ts):
+            return
         if not self.n:
-            self.first, self._next_end = ts, ts + RATE_WINDOW_US
-        self._held.append(ts)
-        self.last = ts
-        self.n += 1
+            self.first = int(ts[0])
+            self._next_end = self.first + RATE_WINDOW_US
+        self._held = np.concatenate((self._held, ts))
+        self.last = int(ts[-1])
+        self.n += len(ts)
 
-    def windows(self, end: int) -> list[tuple[int, int]]:
+    def windows(self, end: float) -> list[tuple[int, int]]:
         """The windows not counted yet that end at or before end, as (window
         end, timestamps in it); no timestamp that arrives later may fall in
         them. The timestamps no later window holds are dropped."""
-        held, t = self._held, self._next_end
-        counted = []
-        while t <= end:
-            counted.append((t, bisect_left(held, t) - bisect_left(held, t - RATE_WINDOW_US)))
-            t += RATE_STEP_US
-        self._next_end = t
-        for _, n in counted:
-            if self.fewest is None or n < self.fewest:
-                self.fewest = n
-        del held[:bisect_left(held, t - RATE_WINDOW_US)]
-        return counted
+        t = self._next_end
+        if not t <= end:
+            return []
+        k = int((end - t) // RATE_STEP_US) + 1
+        ends = range(t, t + k * RATE_STEP_US, RATE_STEP_US)
+        held = self._held
+        edges = held.searchsorted([*ends, *(e - RATE_WINDOW_US for e in ends)]).tolist()
+        counts = list(map(sub, edges[:k], edges[k:]))
+        self._next_end = t + k * RATE_STEP_US
+        self.fewest = min(counts) if self.fewest is None else min(self.fewest, *counts)
+        self._held = held[held.searchsorted(self._next_end - RATE_WINDOW_US):]
+        return list(zip(ends, counts))
 
 
-def rate_series(frames: Sequence[RecordingFrame],
+def rate_series(frames: Sequence[RecordingFrame] | RecordingColumns,
                 end_us: int | None = None) -> dict[int, list[tuple[int, float]]]:
     """Per-sensor delivery rate in Hz over a sliding half-open 1 s window,
-    from frames in timestamp order: the window [t - 1 s, t) every 0.1 s from
-    first timestamp + 1 s up to end_us (default: that sensor's last one)."""
-    counters: defaultdict[int, RateWindows] = defaultdict(RateWindows)
-    for f in frames:
-        counters[f.sensor_id].add(f.timestamp_us)
-    return {sensor: [(t, n * 1e6 / RATE_WINDOW_US)
-                     for t, n in c.windows(c.last if end_us is None else end_us)]
-            for sensor, c in sorted(counters.items())}
+    from a recording (its RecordingColumns, or its frames in timestamp
+    order): the window [t - 1 s, t) every 0.1 s from first timestamp + 1 s
+    up to end_us (default: that sensor's last one)."""
+    rates = {}
+    for sensor, (ts, _) in sorted(_as_columns(frames).streams.items()):
+        counter = RateWindows()
+        counter.extend(ts)
+        rates[sensor] = [(t, n * 1e6 / RATE_WINDOW_US)
+                         for t, n in counter.windows(counter.last if end_us is None else end_us)]
+    return rates

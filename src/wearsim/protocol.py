@@ -640,8 +640,11 @@ class SessionFold:
     def add(self, rows: Sequence[TraceRow], frames: Sequence[RecordingFrame]) -> None:
         self._tally.update(map(_TALLY_KEY, rows))
         self._order.check(frames)
+        stamps: defaultdict[int, list[int]] = defaultdict(list)
         for f in frames:
-            self._rates[f.sensor_id].add(f.timestamp_us)
+            stamps[f.sensor_id].append(f.timestamp_us)
+        for sensor, ts in stamps.items():
+            self._rates[sensor].extend(ts)
         # Timestamps never decrease: a window that ends at or before the
         # last one is complete.
         for counter in self._rates.values():

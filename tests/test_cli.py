@@ -560,6 +560,57 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit", ["timestamp", "seq", "both", "seq-then-timestamp"])
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_broken_stream_order(self, arm_raise_run, tmp_path, capsys, edit, command):
+        # Line 21 goes back in time, repeats its sensor's last seq, or both:
+        # the timestamp is reported first. With a repeated seq on line 21 and
+        # a timestamp going back on line 31, line 21 is reported.
+        lines = (arm_raise_run / "recording.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        cells = rows[20]
+        prev_seq = next(r[2] for r in reversed(rows[1:20]) if r[1] == cells[1])
+        if edit != "seq":
+            cells[0] = str(int(rows[19][0]) - 1)
+        if edit != "timestamp":
+            cells[2] = prev_seq
+        if edit == "seq-then-timestamp":
+            cells[0] = rows[19][0]
+            rows[30][0] = str(int(rows[29][0]) - 1)
+        bad = tmp_path / "recording.csv"
+        bad.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        (tmp_path / "session.json").write_bytes((arm_raise_run / "session.json").read_bytes())
+        argv = {"analyze": ["analyze", "--recording", str(bad), "--out", str(tmp_path / "o")],
+                "compare": ["compare", str(bad),
+                            str(arm_raise_run / "ground_truth_left_shoulder.csv"),
+                            "--joint", "left shoulder"]}[command]
+        assert main(argv) == 4
+        frame = f"line 21: sensor {cells[1]} seq {cells[2]}"
+        message = (f"{frame} does not increase (previous {prev_seq})"
+                   if edit in ("seq", "seq-then-timestamp") else
+                   f"{frame}: timestamp {cells[0]} decreases (previous {rows[19][0]})")
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_first_frame_outside_the_placement_is_named(self, arm_raise_run, tmp_path, capsys,
+                                                       command):
+        # Sensor 99 on line 15, sensor 0 on lines 21 and 30: line 15 is named.
+        rows = [line.split(",")
+                for line in (arm_raise_run / "recording.csv").read_text().splitlines()]
+        for n, sensor in ((14, "99"), (20, "0"), (29, "0")):
+            rows[n][1] = sensor
+        bad = tmp_path / "recording.csv"
+        bad.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        (tmp_path / "session.json").write_bytes((arm_raise_run / "session.json").read_bytes())
+        argv = {"analyze": ["analyze", "--recording", str(bad), "--out", str(tmp_path / "o")],
+                "compare": ["compare", str(bad),
+                            str(arm_raise_run / "ground_truth_left_shoulder.csv"),
+                            "--joint", "left shoulder"]}[command]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (f"error: {bad} line 15: sensor 99 is not in "
+                                           f"placement 'p5-upper'\n")
+
     def test_sidecar_metadata_is_optional(self, arm_raise_run, tmp_path):
         meta = json.loads((arm_raise_run / "session.json").read_text())
         del meta["joints"], meta["duration_s"]

@@ -7,6 +7,7 @@ import tempfile
 from bisect import bisect_right
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -488,6 +489,38 @@ def read_outcome(read, path):
         return type(exc), str(exc)
 
 
+def stream_columns(frames):
+    """Each sensor's timestamps and quaternion components (as float.hex)
+    in stream order, and the stream position of each sensor's first frame."""
+    streams, first = {}, {}
+    for i, f in enumerate(frames):
+        first.setdefault(f.sensor_id, i)
+        ts, q = streams.setdefault(f.sensor_id, ([], ([], [], [], [])))
+        ts.append(f.timestamp_us)
+        for column, c in zip(q, f[3:7]):
+            column.append(c.hex())
+    return streams, first
+
+
+def columns_outcome(path):
+    """RecordingColumns.read's columns as stream_columns gives them, or the
+    ParseError or ValidationError raised."""
+    try:
+        recording = pl.RecordingColumns.read(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    assert all(ts.dtype == np.int64 and all(c.dtype == np.float64 for c in q)
+               for ts, q in recording.streams.values())
+    return ({s: (ts.tolist(), tuple([v.hex() for v in c.tolist()] for c in q))
+             for s, (ts, q) in recording.streams.items()}, recording.first)
+
+
+def oracle_columns_outcome(path):
+    """columns_outcome of the whole-text oracle."""
+    frames = read_outcome(whole_text_read_recording, path)
+    return stream_columns(frames) if isinstance(frames, list) else frames
+
+
 # Every line end str.splitlines honours.
 LINE_ENDS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
              "\u2028", "\u2029"]
@@ -519,6 +552,24 @@ class TestReadRecordingOracle:
             path.write_bytes(text.encode("utf-8"))
             assert (read_outcome(pl.read_recording, path)
                     == read_outcome(whole_text_read_recording, path))
+            assert columns_outcome(path) == oracle_columns_outcome(path)
+
+    @pytest.mark.parametrize("end", LINE_ENDS)
+    def test_line_end_on_a_block_edge(self, tmp_path, end):
+        # Spaces before one qw cell, which float() reads, put that line's end
+        # on the last character of the reader's first block, so a \r\n has
+        # its \n in the second block.
+        lines = [pl.RECORDING_CSV.header, *(f"{ts},1,{ts + 1},1,0,0,0,3" for ts in range(900))]
+        n = next(n for n in range(len(lines)) if len("\n".join(lines[:n + 2])) >= pl._READ_BLOCK)
+        pad = pl._READ_BLOCK - 1 - len("\n".join(lines[:n + 1]))
+        lines[n] = lines[n].replace(",1,0,0,0,3", "," + " " * pad + "1,0,0,0,3")
+        text = "\n".join(lines[:n + 1]) + end + "\n".join(lines[n + 1:]) + "\n"
+        assert text.index(end, pl._READ_BLOCK - 1) == pl._READ_BLOCK - 1
+        path = tmp_path / "r.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = read_outcome(pl.read_recording, path)
+        assert got == read_outcome(whole_text_read_recording, path) and len(got) == 900
+        assert columns_outcome(path) == oracle_columns_outcome(path)
 
     def test_line_ends_across_read_buffers(self, tmp_path):
         # About 6,000 lines of varying length put line ends, \r\n among them,
@@ -532,6 +583,7 @@ class TestReadRecordingOracle:
                                  for line in lines).encode("utf-8"))
         got = pl.read_recording(path)
         assert got == frames == whole_text_read_recording(path)
+        assert columns_outcome(path) == stream_columns(frames)
 
 
 # Edits of one line that _PLAIN_LINE or the column checks must send to the
@@ -562,8 +614,11 @@ class TestReadRecordingBatches:
           2 * pl._WRITE_BATCH + 299]
 
     def outcomes(self, tmp_path, lines):
+        """read_recording's outcome and the oracle's; the column reader's
+        outcome must equal the oracle's."""
         path = tmp_path / "r.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert columns_outcome(path) == oracle_columns_outcome(path)
         return (read_outcome(pl.read_recording, path),
                 read_outcome(whole_text_read_recording, path))
 
@@ -593,6 +648,87 @@ class TestReadRecordingBatches:
     def test_every_batch_whole(self, tmp_path):
         got, want = self.outcomes(tmp_path, self.lines)
         assert got == want == self.frames
+
+    @pytest.mark.parametrize("at", AT)
+    def test_sensor_first_seen_in_a_later_batch(self, tmp_path, at):
+        lines = list(self.lines)
+        cells = lines[1 + at].split(",")
+        cells[1] = "7"
+        lines[1 + at] = ",".join(cells)
+        got, want = self.outcomes(tmp_path, lines)
+        assert got == want == self.frames[:at] + [self.frames[at]._replace(sensor_id=7)] \
+            + self.frames[at + 1:]
+
+    @pytest.mark.parametrize("late", [False, True], ids=["order-only", "then-bad-line"])
+    def test_bad_line_after_a_broken_order_is_reported_first(self, tmp_path, late):
+        # Line 12 repeats line 11 (sensor 1 seq 4), in the first batch; a bad
+        # line in the third, if late.
+        lines = list(self.lines)
+        lines[11] = lines[10]
+        if late:
+            lines[2 * pl._WRITE_BATCH + 150] = "0,1,1,1,0,0"
+        got, want = self.outcomes(tmp_path, lines)
+        assert got == want
+        if late:
+            assert got == (ParseError,
+                           f"line {2 * pl._WRITE_BATCH + 151}: expected 8 fields, got 6")
+        else:
+            assert got == (ValidationError, "line 12: sensor 1 seq 4 does not increase "
+                                            "(previous 4)")
+
+
+@st.composite
+def ordered_batches(draw):
+    """Frames whose timestamps mostly rise and whose seqs mostly increase per
+    sensor, among them a sensor id and seqs beyond int64; cut into batches,
+    and a first line number (0: frames in memory)."""
+    sensors = draw(st.lists(st.sampled_from([1, 2, 3, 12, 2**70]), min_size=1, max_size=3,
+                            unique=True))
+    base = draw(st.sampled_from([0, 2**63 - 20, 2**64]))
+    frames, ts, seqs = [], draw(st.integers(-2**63 + 40, 2**63 - 300)), {}
+    for _ in range(draw(st.integers(0, 30))):
+        ts += draw(st.sampled_from([0, 0, 1, 7, -1]))
+        s = draw(st.sampled_from(sensors))
+        seqs[s] = seqs.get(s, base) + draw(st.sampled_from([1, 1, 1, 3, 0, -1]))
+        frames.append(RecordingFrame(ts, s, seqs[s], 1.0, 0.0, 0.0, 0.0, 3))
+    cuts = sorted(draw(st.lists(st.integers(0, len(frames)), max_size=4)))
+    return frames, cuts, draw(st.sampled_from([0, 2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordered_batches())
+# In the second batch a timestamp goes back, then sensor 1 repeats its seq.
+@example(([RecordingFrame(10, 1, 1, 1.0, 0.0, 0.0, 0.0, 3),
+           RecordingFrame(5, 2, 1, 1.0, 0.0, 0.0, 0.0, 3),
+           RecordingFrame(6, 1, 1, 1.0, 0.0, 0.0, 0.0, 3)], [1], 2))
+def test_column_check_equals_the_frame_check(drawn):
+    # FrameOrder.check_columns, as read_recording calls it, against
+    # FrameOrder.check on the same batches of frames.
+    frames, cuts, first_line = drawn
+    batches = [frames[a:b] for a, b in zip([0, *cuts], [*cuts, len(frames)])]
+
+    def outcome(check):
+        """What check returned for each batch, until the ValidationError."""
+        order, returned = pl.FrameOrder(first_line), []
+        try:
+            for batch in batches:
+                returned.append(check(order, batch))
+        except ValidationError as exc:
+            return returned, str(exc)
+        return returned, None
+
+    def by_columns(order, batch):
+        if not batch:
+            return {}
+        ts, sensor, seq = (pl._int_column(c) for c in list(zip(*batch))[:3])
+        return {s: pos.tolist() for s, pos in order.check_columns(ts, sensor, seq).items()}
+
+    def by_frames(order, batch):
+        order.check(batch)
+        return {s: [i for i, f in enumerate(batch) if f.sensor_id == s]
+                for s in {f.sensor_id for f in batch}}
+
+    assert outcome(by_columns) == outcome(by_frames)
 
 
 # Cell texts that the line pass or the column pass may refuse, and some that
@@ -633,12 +769,12 @@ def line_pass_refuses(lines) -> bool:
     return False
 
 
-# read_recording gives _line_frames only the batches that _batch_frames
+# read_recording gives _line_frames only the batches that _batch_columns
 # refused, and _line_frames returns nothing: it must raise on each.
 @settings(max_examples=500, deadline=None)
 @given(recording_batches())
 def test_column_pass_refuses_exactly_a_batch_with_a_bad_line(lines):
-    assert (pl._batch_frames(lines) is None) == line_pass_refuses(lines)
+    assert (pl._batch_columns(lines) is None) == line_pass_refuses(lines)
 
 
 @pytest.mark.parametrize("cell", range(8))
@@ -647,7 +783,7 @@ def test_column_pass_refuses_each_odd_cell_as_the_line_pass_does(cell):
         cells = ["7", "1", "2", "1.0", "0.0", "0.0", "0.0", "3"]
         cells[cell] = text
         lines = ["0,1,1,1.0,0.0,0.0,0.0,3", ",".join(cells)]
-        assert (pl._batch_frames(lines) is None) == line_pass_refuses(lines), text
+        assert (pl._batch_columns(lines) is None) == line_pass_refuses(lines), text
 
 
 class TestJointAngleSeries:
@@ -840,6 +976,130 @@ def series(pts, label="x"):
     return pl.AngleSeries(label, [(int(t), float(a)) for t, a in pts])
 
 
+# The scalar alignment, MAE and Pearson: one bisect and one interpolation
+# per point of the first series, over Python ints and floats.
+
+def scalar_interp(points, ts, t):
+    """Oracle: value of points at t, which lies within ts, their timestamps."""
+    i = bisect_right(ts, t) - 1
+    if ts[i] == t:
+        return points[i][1]
+    frac = (t - ts[i]) / (ts[i + 1] - ts[i])
+    a, b = points[i][1], points[i + 1][1]
+    value = a + (b - a) * frac
+    # b - a overflows for large samples of opposite sign; this form cannot.
+    return value if math.isfinite(value) else a * (1.0 - frac) + b * frac
+
+
+def scalar_aligned(a, b):
+    lo = max(a.points[0][0], b.points[0][0])
+    hi = min(a.points[-1][0], b.points[-1][0])
+    if lo > hi:
+        raise ValueError("series do not overlap in time")
+    ts = [p[0] for p in b.points]
+    pairs = [(va, scalar_interp(b.points, ts, t)) for t, va in a.points if lo <= t <= hi]
+    if not pairs:
+        raise ValueError(f"no sample of the first series lies in the overlap {lo}..{hi} us")
+    return pairs
+
+
+def scalar_finite(value, what):
+    if not math.isfinite(value):
+        raise ValueError(f"{what} overflows: the angles are too large for a float")
+    return value
+
+
+def scalar_mae(a, b):
+    pairs = scalar_aligned(a, b)
+    try:
+        total = math.fsum(abs(va - vb) for va, vb in pairs)
+    except OverflowError:
+        total = math.inf
+    return scalar_finite(total / len(pairs), "mean absolute error")
+
+
+def scalar_scaled(values):
+    shift = pl._PEARSON_EXP - math.frexp(max(map(abs, values)))[1]
+    return values if shift >= 0 else [math.ldexp(v, shift) for v in values]
+
+
+def scalar_pearson(a, b):
+    pairs = scalar_aligned(a, b)
+    n = len(pairs)
+    xs = scalar_scaled([va for va, _ in pairs])
+    ys = scalar_scaled([vb for _, vb in pairs])
+    ma = math.fsum(xs) / n
+    mb = math.fsum(ys) / n
+    cov = math.fsum((va - ma) * (vb - mb) for va, vb in zip(xs, ys))
+    var_a = math.fsum((va - ma) ** 2 for va in xs)
+    var_b = math.fsum((vb - mb) ** 2 for vb in ys)
+    if var_a == 0.0 or var_b == 0.0:
+        raise ValueError("correlation undefined: a series has zero variance")
+    return scalar_finite(cov / math.sqrt(var_a * var_b), "Pearson correlation")
+
+
+def metric_outcome(metric, a, b):
+    """metric(a, b) as float.hex, or the ValueError raised."""
+    try:
+        return metric(a, b).hex()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# Gaps between timestamps: small ones, and from 2**53 on, where an int64
+# no longer converts to float64 exactly; sums of them leave int64.
+GAPS = st.one_of(st.integers(1, 1000), st.sampled_from([2**53 - 1, 2**53, 2**53 + 1]),
+                 st.integers(2**53, 2**63))
+ANGLES = st.one_of(st.floats(-360.0, 360.0), st.sampled_from([0.0, 1.0, -1e308, 1e308]),
+                   FINITE)
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series: b on increasing timestamps, a on timestamps taken from b's
+    (exact hits), next to them, between them and outside them."""
+    b_ts = [draw(st.integers(-2**64, 2**64))]
+    for _ in range(draw(st.integers(0, 8))):
+        b_ts.append(b_ts[-1] + draw(GAPS))
+    near = [t + d for t in b_ts for d in (-1, 0, 1)]
+    mid = [(s + t) // 2 for s, t in zip(b_ts, b_ts[1:])]
+    far = [b_ts[0] - draw(GAPS), b_ts[-1] + draw(GAPS)]
+    a_ts = sorted(set(draw(st.lists(st.sampled_from(near + mid + far), min_size=1,
+                                    max_size=12))))
+    values = st.sampled_from([2.0, -3.5]) if draw(st.booleans()) else ANGLES
+    return (pl.AngleSeries("a", [(t, draw(values)) for t in a_ts]),
+            pl.AngleSeries("b", [(t, draw(values)) for t in b_ts]))
+
+
+def gap_series(gap):
+    """b from 0 to gap, a at 3: its fraction 3 / gap rounds once."""
+    return (pl.AngleSeries("a", [(3, 0.0), (5, 1.0)]),
+            pl.AngleSeries("b", [(0, 0.0), (gap, 1.0)]))
+
+
+class TestMetricsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(series_pairs())
+    # Exact hits at both ends, and an overflowing b - a between them.
+    @example((series([(0, 1.0), (5, 2.0), (10, 0.5)]),
+              series([(0, -1e308), (10, 1e308)])))
+    @example((series([(-5, 1.0), (20, 2.0)]), series([(0, 1.0), (10, 3.0)])))  # none inside
+    @example((series([(0, 1.0), (10, 2.0)]), series([(11, 1.0), (20, 3.0)])))  # disjoint
+    @example(gap_series(2**53 + 1))
+    @example(gap_series(2**64 + 1))
+    def test_equal_the_scalar_path_bit_for_bit(self, pair):
+        a, b = pair
+        assert metric_outcome(pl.mae, a, b) == metric_outcome(scalar_mae, a, b)
+        assert metric_outcome(pl.pearson, a, b) == metric_outcome(scalar_pearson, a, b)
+
+    def test_a_wide_gap_keeps_the_int_division(self):
+        # 2**53 + 1 becomes 2**53 as a float64, so a float division of the
+        # fraction would round twice and move the last bit of the MAE.
+        a, b = gap_series(2**53 + 1)
+        assert 3 / (2**53 + 1) != 3.0 / float(2**53 + 1)
+        assert pl.mae(a, b).hex() == scalar_mae(a, b).hex()
+
+
 class TestMae:
     def test_self_zero(self):
         a = series([(0, 1.0), (100, 2.0), (200, 3.0)])
@@ -873,7 +1133,7 @@ class TestMae:
            st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 999))
     def test_interp_keeps_the_plain_form_when_finite(self, va, vb, t):
         plain = va + (vb - va) * (t / 1000)
-        got = pl._interp([(0, va), (1000, vb)], [0, 1000], t)
+        _, (got,) = pl._aligned(series([(t, 0.0)]), series([(0, va), (1000, vb)]))
         if math.isfinite(plain):
             assert got.hex() == plain.hex()
         else:

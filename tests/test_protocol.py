@@ -416,9 +416,11 @@ class TestBaselineSessionPrefix:
                               unique=True).map(sorted))
     def test_shorter_session_is_a_prefix(self, roster, seed, crowded, p_floor, durations):
         # The same inputs and a later end: the shorter session's trace begins
-        # the longer one's, and so does each sensor's frames. Frames that round
-        # to the same microsecond go out in sensor order once a later one
-        # arrives, so an end between them can change their order in the list.
+        # the longer one's, and so does each sensor's frames. Each session sorts
+        # its own frames by (timestamp_us, sensor_id), and frames that round to
+        # the same microsecond can end on either side of the shorter end, so a
+        # tied frame only the longer session holds may sort before one both
+        # hold: only each sensor's frames are compared as a prefix.
         field = crowded_field(seed, 1.0) if crowded else CLEAN
         short, long = (ble_baseline_run(roster, d, turning_sampler, field, seed,
                                         p_floor=p_floor) for d in durations)

@@ -3,13 +3,16 @@ equal those built from a session run without a sink, the pieces that make
 streaming possible keep the collected order, and memory does not grow with
 the session's length."""
 
+import contextlib
 import gc
+import io
 import itertools
 import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings
@@ -17,9 +20,10 @@ from hypothesis import strategies as st
 
 from wearsim import protocol as pr
 from wearsim import radio, runner
-from wearsim.pipeline import (RateWindows, RecordingFrame, ValidationError,
-                              joint_angle_series, open_csv, read_recording, write_csv,
-                              write_json, write_recording)
+from wearsim.cli import main
+from wearsim.pipeline import (RateWindows, RecordingColumns, RecordingFrame, ValidationError,
+                              joint_angle_series, open_csv, rate_series, read_recording,
+                              write_csv, write_json, write_recording)
 from wearsim.protocol import SessionResult, TraceRow, session_metrics
 from wearsim.radio import Burst, InterferenceField
 from wearsim.runner import RADIO_TRACE_HEADER, SESSION_TRACE_CSV, run_scenario
@@ -144,6 +148,39 @@ def test_session_memory_does_not_grow_with_length(monkeypatch):
     assert long / short < 1.5, (short, long)
 
 
+def test_analysis_memory_grows_by_its_columns(tmp_path):
+    # analyze and compare hold a recording as typed columns, about 40 B a
+    # frame, where a tuple per frame took about 270. Each command runs once
+    # untraced first, so that caches filled by a first call stay out of the
+    # traced peaks.
+    def peak(argv: list[str]) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    frames, peaks = [], []
+    for duration_s in (5.0, 20.0):
+        out = tmp_path / str(duration_s)
+        metrics = run_scenario(parse_scenario(suit(duration_s, "crowded", 5)), out).metrics
+        frames.append(sum(st["recorded"] for st in metrics["per_sensor"].values()))
+        commands = (["analyze", "--recording", str(out / "recording.csv"),
+                     "--out", str(tmp_path / "analysis")],
+                    ["compare", str(out / "recording.csv"),
+                     str(out / "ground_truth_left_shoulder.csv"), "--joint", "left shoulder"])
+        if not peaks:
+            for argv in commands:
+                peak(argv)
+        peaks.append([peak(argv) for argv in commands])
+    added = frames[1] - frames[0]
+    per_frame = [(long - short) / added for short, long in zip(*peaks)]
+    assert added > 6000 and max(per_frame) <= 128, (frames, peaks)
+
+
 # Frame order ---------------------------------------------------------------
 
 def frame(ts: int, sensor: int, seq: int) -> RecordingFrame:
@@ -242,17 +279,57 @@ def test_rate_windows_in_batches_count_as_one_batch(stream):
         split, whole = RateWindows(), RateWindows()
         windows = []
         for part in filter(None, parts):
-            for t in part:
-                split.add(t)
+            split.extend(part)  # a list, as SessionFold hands it
             windows += split.windows(min(split.last, end))
         windows += split.windows(end)
-        for t in ts:
-            whole.add(t)
+        whole.extend(np.array(ts, np.int64))  # a column, as rate_series hands it
         assert windows == whole.windows(end) == brute_windows(ts, end)
         fewest = min((n for _, n in windows), default=None)
         assert ((split.first, split.last, split.n, split.fewest)
                 == (whole.first, whole.last, whole.n, whole.fewest)
                 == (ts[0], ts[-1], len(ts), fewest))
+
+
+def per_frame_rates(frames, end_us):
+    """rate_series' figures from one RateWindows per sensor fed a frame at a
+    time, its windows counted up to each frame as they come."""
+    counters: dict[int, RateWindows] = {}
+    windows: dict[int, list] = {}
+    for f in frames:
+        counter = counters.setdefault(f.sensor_id, RateWindows())
+        counter.extend([f.timestamp_us])
+        end = counter.last if end_us is None else min(counter.last, end_us)
+        windows.setdefault(f.sensor_id, []).extend(counter.windows(end))
+    return {s: [(t, n * 1e6 / 1_000_000) for t, n in
+                windows[s] + c.windows(c.last if end_us is None else end_us)]
+            for s, c in sorted(counters.items())}
+
+
+# Sensor 1: frames from 0 to 3 s; sensor 2: one frame at 1.25 s.
+FEW = [frame(0, 1, 1), frame(1_250_000, 2, 1), frame(2_000_000, 1, 2), frame(3_000_000, 1, 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sensor_streams(), st.booleans())
+# The session end before the last timestamp, on it, after it, and none.
+@example(([FEW], 1_500_000.0), False)
+@example(([FEW], 3_000_000.0), False)
+@example(([FEW], 4_100_000.0), False)
+@example(([FEW], 0.0), True)
+def test_rate_series_equals_per_frame_feeding(stream, default_end):
+    # Each sensor's column in one call, against a counter fed frame by frame.
+    batches, end = stream
+    frames = [f for batch in batches for f in batch]
+    end_us = None if default_end else int(end)
+    want = per_frame_rates(frames, end_us)
+    assert rate_series(frames, end_us) == want
+    with tempfile.TemporaryDirectory() as tmp:
+        write_recording(frames, Path(tmp) / "recording.csv")
+        assert rate_series(RecordingColumns.read(Path(tmp) / "recording.csv"), end_us) == want
+    for s in {f.sensor_id for f in frames}:
+        stamps = [f.timestamp_us for f in frames if f.sensor_id == s]
+        brute = brute_windows(stamps, stamps[-1] if end_us is None else end_us)
+        assert want[s] == [(t, n * 1e6 / 1_000_000) for t, n in brute]
 
 
 # radio_trace.csv windows ----------------------------------------------------
