@@ -23,9 +23,11 @@ the baseline is one loop over its scheduler's entries. So two runs with
 equal seeds produce byte-identical results.
 
 Both loops append trace rows and frames to lists in session order, and
-hand them over a simulated second at a time. A sink takes each second's
-rows and frames, so no session is held whole; without one a run
-returns the whole lists. The baseline's deliveries arrive in time order;
+hand them over a simulated second at a time. A trace row is a plain
+tuple in TraceRow's field order (Row), and readers take its cells by
+index. A sink takes each second's rows and frames, so no session is held
+whole; without one a run returns the whole lists, its rows made
+TraceRows once at the end. The baseline's deliveries arrive in time order;
 it hands them off at whole seconds of their timestamps, so those that
 round to the same microsecond leave together, and sorts each batch by
 timestamp and sensor. A frame carries the sampler's quaternion as it is,
@@ -148,7 +150,9 @@ class HopPolicy:
 
 
 class TraceRow(NamedTuple):
-    """One transmission as seen by the session log; fields in CSV column order."""
+    """One transmission as seen by the session log; fields in CSV column order.
+    The row type of a run without a sink, built once at the end from the
+    loop's plain tuples (see Row)."""
 
     time_us: float
     duration_us: float
@@ -160,9 +164,14 @@ class TraceRow(NamedTuple):
     outcome: str
 
 
+# A trace row as the loops build it and a sink takes it: a plain tuple of
+# TraceRow's cells in its field order. A TraceRow's generated __new__ is a
+# Python function, and the collector keeps tracking a tuple subclass, but
+# not a tuple of floats, ints and strs.
+Row = tuple[float, float, str, int, str, str, int, str]
 # Takes the rows and frames that a session produced since its last call, in
 # session order. The lists are emptied after each call: copy what you keep.
-Sink = Callable[[list[TraceRow], list[RecordingFrame]], None]
+Sink = Callable[[list[Row], list[RecordingFrame]], None]
 # Simulated time between two handoffs to a sink.
 _HANDOFF_US = 1_000_000.0
 
@@ -284,7 +293,7 @@ def _check_session(roster: Sequence[int], limit: int,
     return ids, duration_s * 1e6
 
 
-def _hand_off(sink: Sink | None, trace: list[TraceRow], frames: list[RecordingFrame]) -> None:
+def _hand_off(sink: Sink | None, trace: list[Row], frames: list[RecordingFrame]) -> None:
     if sink is not None:
         sink(trace, frames)
         trace.clear()
@@ -333,7 +342,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     now, handoff = 0.0, _HANDOFF_US
     stop = min(handoff, duration_us)
     frames: list[RecordingFrame] = []
-    trace: list[TraceRow] = []
+    trace: list[Row] = []
     channel_history: list[tuple[float, int]] = [(0.0, seq.current)]
 
     def wait(delay: float) -> None:
@@ -353,7 +362,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
         ch for all of it moves to follow (channel, chain position). Returns
         those listeners, or None if the frame was lost."""
         outcome = radio.arbitrate(now, air, CHANNEL_BANDS[ch], field, p_floor, floor_rng)
-        trace.append(TraceRow(now, air, source, ch, "cw", frame_type, sensor_id, outcome))
+        trace.append((now, air, source, ch, "cw", frame_type, sensor_id, outcome))
         if outcome != radio.DELIVERED:
             return None
         heard = [s for s in listeners if slaves[s].hears(now, now + air, ch)]
@@ -391,7 +400,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                 band = CHANNEL_BANDS[ch]
                 start, end = now, now + poll_air
                 outcome = radio.arbitrate(start, poll_air, band, field, p_floor, floor_rng)
-                trace.append(TraceRow(start, poll_air, "master", ch, "cw", "poll", s, outcome))
+                trace.append((start, poll_air, "master", ch, "cw", "poll", s, outcome))
                 heard = outcome == radio.DELIVERED and slave.hears(start, end, ch)
                 if heard:
                     slave.heard_master(ch, seq.cursor, end)
@@ -400,14 +409,15 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                 if heard:
                     slave.seq += 1
                     q = sampler(s, now)
-                    response = TraceRow(now, response_air, names[s], ch, "cw", "response", s,
-                                        radio.arbitrate(now, response_air, band, field,
-                                                        p_floor, floor_rng))
+                    start = now
+                    outcome = radio.arbitrate(start, response_air, band, field, p_floor,
+                                              floor_rng)
                     wait(response_air)
                     # Logged on completion: a response that the session end cuts off
                     # never reaches the master, so it is neither sent nor recorded.
-                    trace.append(response)
-                    if response.outcome == radio.DELIVERED:
+                    trace.append((start, response_air, names[s], ch, "cw", "response", s,
+                                  outcome))
+                    if outcome == radio.DELIVERED:
                         delivered = True
                         frames.append(RecordingFrame(int(round(now)), s, slave.seq, *q, 3))
                         last_ok[s] = now
@@ -419,7 +429,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                     wait(turnaround)
                     start, end = now, now + ack_air
                     outcome = radio.arbitrate(start, ack_air, band, field, p_floor, floor_rng)
-                    trace.append(TraceRow(start, ack_air, "master", ch, "cw", "ack", s, outcome))
+                    trace.append((start, ack_air, "master", ch, "cw", "ack", s, outcome))
                     if outcome == radio.DELIVERED and slave.hears(start, end, ch):
                         slave.heard_master(ch, seq.cursor, end)
                     wait(ack_tail)
@@ -453,7 +463,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
             wait(max(cycle_start + cap_period - now, 0.0))
     _hand_off(sink, trace, frames)
     resyncs = sum(sl.resyncs for sl in slaves.values())
-    return SessionResult("cw", duration_us, ids, frames, trace,
+    return SessionResult("cw", duration_us, ids, frames, list(map(TraceRow._make, trace)),
                          len(channel_history) - 1, resyncs, {s: 0 for s in ids},
                          channel_history)
 
@@ -512,7 +522,7 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     ids, duration_us = _check_session(roster, BLE_MAX_SENSORS, duration_s)
     sched = radio.EventScheduler()
     frames: list[RecordingFrame] = []
-    trace: list[TraceRow] = []
+    trace: list[Row] = []
     host_dropped = {s: 0 for s in ids}
     resyncs = 0
     floor_rng = rnd.stream(seed, rnd.FLOOR) if p_floor > 0 else None
@@ -566,7 +576,7 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
             outcome = radio.COLLIDED
         else:
             outcome = radio.arbitrate(t, _BLE_TX_US, _BLE_BANDS[ch], field, p_floor, floor_rng)
-        trace.append(TraceRow(t, _BLE_TX_US, names[s], ch, "ble", "data", s, outcome))
+        trace.append((t, _BLE_TX_US, names[s], ch, "ble", "data", s, outcome))
         gap = _BLE_INTERVAL_US - _BLE_TX_US
         if outcome == radio.DELIVERED:
             fails[s] = 0
@@ -589,7 +599,7 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     hand_off_before(duration_us)
     frames.sort(key=_STAMP_SENSOR)
     _hand_off(sink, trace, frames)
-    return SessionResult("ble", duration_us, ids, frames, trace, 0,
+    return SessionResult("ble", duration_us, ids, frames, list(map(TraceRow._make, trace)), 0,
                          resyncs, host_dropped, [])
 
 
@@ -615,7 +625,7 @@ def _ledger(tally: Counter) -> dict[str, dict[str, int]]:
     return out
 
 
-def source_counts(trace: Sequence[TraceRow]) -> dict[str, dict[str, int]]:
+def source_counts(trace: Sequence[Row]) -> dict[str, dict[str, int]]:
     """Per-source conservation ledger: sent splits into the three outcomes."""
     return _ledger(Counter(map(_TALLY_KEY, trace)))
 
@@ -637,7 +647,7 @@ class SessionFold:
         self._rates: defaultdict[int, RateWindows] = defaultdict(RateWindows)
         self._order = FrameOrder()
 
-    def add(self, rows: Sequence[TraceRow], frames: Sequence[RecordingFrame]) -> None:
+    def add(self, rows: Sequence[Row], frames: Sequence[RecordingFrame]) -> None:
         self._tally.update(map(_TALLY_KEY, rows))
         self._order.check(frames)
         stamps: defaultdict[int, list[int]] = defaultdict(list)

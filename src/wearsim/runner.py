@@ -3,7 +3,7 @@
 A run writes one directory:
 
     recording.csv            delivered sensor frames
-    session_trace.csv        every protocol transmission, one TraceRow per line
+    session_trace.csv        every protocol transmission, one trace row per line
     radio_trace.csv          protocol rows merged with interferer bursts
                              (empty channel, outcome "busy")
     metrics.json             session summary statistics
@@ -25,8 +25,9 @@ the rows left and the bursts at or before the session's end), as columns
 from InterferenceField.windows(). A window merges those two ordered
 inputs: a searchsorted of the burst starts on the row times puts each
 burst after the rows of its time whose source sorts at or before its
-own. No Burst or list of every burst is built. The sink checks and
-formats a handoff's TraceRows once, through SESSION_TRACE_CSV, and its
+own. No Burst or list of every burst is built. A handoff's trace rows
+are plain tuples in TraceRow's field order (protocol.Row), read by index.
+The sink checks and formats them once, through SESSION_TRACE_CSV, and its
 RecordingFrames in the fold and through RECORDING_CSV: each batch by one
 %-format (see pipeline.CsvSchema.lines). A row's radio_trace.csv line is
 its line of the session_trace.csv text without the frame_type and
@@ -65,7 +66,7 @@ from .motion import SyntheticBody, random_offsets
 from .pipeline import (ANGLE_CSV, FLOAT_FORMAT, RECORDING_CSV, CsvSchema, ParseError,
                        RecordingFrame, file_slug, int_cell, nine_digits, open_csv, write_csv,
                        write_json, write_recording)
-from .protocol import (SessionFold, TraceRow, ble_baseline_run, master_run,
+from .protocol import (Row, SessionFold, TraceRow, ble_baseline_run, master_run,
                        session_metrics)
 from .quatmath import Quaternion
 from .radio import InterferenceField, build_field
@@ -130,12 +131,12 @@ def execute(sc: Scenario, field: InterferenceField | None = None,
         sink = fold.add if out is None else _SessionFiles(stack, out, field,
                                                           sc.duration_s * 1e6, fold)
 
-        def hand_off(rows: list[TraceRow], frames: list[RecordingFrame]) -> None:
+        def hand_off(rows: list[Row], frames: list[RecordingFrame]) -> None:
             sink(rows, frames)
             if rows:
                 # The clock has reached the last row's time; no later query
                 # starts before it.
-                field.drop(rows[-1].time_us)
+                field.drop(rows[-1][0])
 
         run_sink = hand_off if own_field else sink
         if sc.protocol_kind == "cw":
@@ -174,10 +175,10 @@ class _RadioTrace:
         self._take = field.windows(end_us)
         self._sources = field.sources
         self._tails = [_BURST_TAIL % (s, s.split(":")[0]) for s in self._sources]
-        self._rows: list[TraceRow] = []  # rows of the last time_us handed over
+        self._rows: list[Row] = []  # rows of the last time_us handed over
         self._proto: list[str] = []  # and their radio lines
 
-    def lines(self, rows: list[TraceRow], session_text: str) -> Iterator[str]:
+    def lines(self, rows: list[Row], session_text: str) -> Iterator[str]:
         """The lines of the window that rows, whose session_trace.csv text
         is session_text, complete: the rows and bursts before the last
         time_us handed over so far."""
@@ -186,9 +187,9 @@ class _RadioTrace:
         proto += _radio_lines(session_text)
         if not pending:
             return iter(())
-        cut = pending[-1].time_us
+        cut = pending[-1][0]  # time_us
         b = len(pending)
-        while b and pending[b - 1].time_us == cut:
+        while b and pending[b - 1][0] == cut:
             b -= 1
         window, window_proto = pending[:b], proto[:b]
         del pending[:b], proto[:b]
@@ -200,7 +201,7 @@ class _RadioTrace:
         proto, self._proto = self._proto, []
         return self._window(rows, proto, self._take(math.inf))
 
-    def _window(self, rows: list[TraceRow], lines: list[str],
+    def _window(self, rows: list[Row], lines: list[str],
                 bursts: tuple[np.ndarray, ...]) -> Iterator[str]:
         """The rows, whose radio lines are lines, merged with bursts."""
         starts, durations, lanes = bursts
@@ -215,7 +216,7 @@ class _RadioTrace:
         after = np.searchsorted(times, starts, "right")
         for i in np.flatnonzero(after > at).tolist():
             source = self._sources[lanes[i]]
-            at[i] += sum(r.source <= source for r in rows[at[i]:after[i]])
+            at[i] += sum(r[2] <= source for r in rows[at[i]:after[i]])  # r's source
         # Bursts placed before one row keep their (start, lane) order.
         order = np.insert(np.arange(len(rows)), at, np.arange(len(rows), len(lines)))
         return map(lines.__getitem__, order.tolist())
@@ -236,7 +237,7 @@ class _SessionFiles:
                                  ("session_trace.csv", SESSION_TRACE_CSV.header),
                                  ("radio_trace.csv", RADIO_TRACE_HEADER)))
 
-    def __call__(self, rows: list[TraceRow], frames: list[RecordingFrame]) -> None:
+    def __call__(self, rows: list[Row], frames: list[RecordingFrame]) -> None:
         self._fold.add(rows, frames)  # checks the frames before they are written
         self._recording.writelines(RECORDING_CSV.lines(frames))
         text = "".join(SESSION_TRACE_CSV.lines(rows))  # checks the rows for _radio

@@ -1,7 +1,8 @@
 """Module boundaries: no module reaches into a sibling module's private names,
 no public name or instance attribute of the library is there only for the
-tests, no module imports a name it does not use, and no module takes a
-matrix product. Every library and test file parses as Python 3.10."""
+tests, no module imports a name it does not use, no module takes a
+matrix product, and the protocol loops and the runner call no TraceRow.
+Every library and test file parses as Python 3.10."""
 
 import ast
 from pathlib import Path
@@ -268,6 +269,32 @@ def test_the_matrix_product_check_sees_each_form():
         "line 2: numpy.linalg", "line 3: numpy.dot", "line 4: numpy.linalg.norm", "line 7: @",
         "line 8: @", "line 8: dot", "line 8: inner", "line 8: matmul", "line 8: vdot",
         "line 9: einsum", "line 9: linalg", "line 9: tensordot"]
+
+
+def row_type_calls(source: str) -> list[str]:
+    """The calls of TraceRow in source, as 'line N'; its methods, such as
+    TraceRow._make, are not calls of it."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and "TraceRow" in (getattr(node.func, "id", None),
+                                                             getattr(node.func, "attr", None))]
+
+
+@pytest.mark.parametrize("module", ["protocol.py", "runner.py"])
+def test_loops_build_no_trace_row(module):
+    # The loops hand over plain tuples: TraceRow's generated __new__ costs a
+    # Python call per row, and the collector keeps tracking its instances.
+    # TraceRow._make builds the list API's rows once at the end of a run.
+    assert row_type_calls((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_row_type_check_sees_each_form():
+    source = ("from . import protocol as pr\n"
+              "from .protocol import TraceRow\n"
+              "rows = [TraceRow(0.0, 1.0, 'master', 3, 'cw', 'poll', 1, 'delivered')]\n"
+              "rows += map(TraceRow._make, rows)\n"
+              "rows.append(pr.TraceRow(*rows[0]))\n"
+              "\"\"\"Not TraceRow(...) in a string.\"\"\"\n")
+    assert row_type_calls(source) == ["line 3", "line 5"]
 
 
 @pytest.mark.parametrize("path", sorted(path for part in ("src", "tests")

@@ -503,6 +503,61 @@ class TestCarrierSenseGate:
         assert res.hop_count == 0
 
 
+class TestLastContact:
+    """A slave's resync timeout runs from the end of the last master frame
+    it heard in full, and the master's from the end of the sensor's last
+    delivered response or join. One sensor on a clean band: it joins on
+    the first beacon and answers its first poll, whose ack starts 428 us
+    and ends 460 us after the poll ends."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(probe_gap_ms=st.floats(0.0, 0.5))
+    @example(probe_gap_ms=0.0)
+    @example(probe_gap_ms=0.44)  # tuned at the ack's start, not at its end
+    def test_slave_resyncs_from_the_last_frame_heard_in_full(self, probe_gap_ms):
+        # The slave walks off the channel probe_gap_ms after the poll and
+        # hears no later poll. So it rescans resync_timeout_ms after the end
+        # of the poll, or of the ack if it heard all of that, and joins again
+        # after the first beacon it then hears in full. With a 199.6 ms
+        # timeout, the first beacon after the master drops the sensor comes
+        # after a rescan timed from the poll and before one timed from the ack.
+        timing = TimingProfile(resync_timeout_ms=199.6)
+        trace = master_run([1], 0.5, flat_sampler, CLEAN, seed=0, timing=timing,
+                           policy=HopPolicy(probe_gap_ms=probe_gap_ms)).trace
+        poll, ack = (next(r for r in trace if r.frame_type == k) for k in ("poll", "ack"))
+        last = poll.time_us + poll.duration_us
+        if ack.time_us + ack.duration_us - last <= probe_gap_ms * 1e3:
+            last = ack.time_us + ack.duration_us
+
+        def scanned(t_us):
+            return SYNC_CHANNELS[int((t_us - last - timing.resync_us)
+                                     // timing.scan_dwell_us) % len(SYNC_CHANNELS)]
+
+        beacon = next(r for r in trace if r.frame_type == "beacon"
+                      and r.time_us - last > timing.resync_us
+                      and scanned(r.time_us) == scanned(r.time_us + r.duration_us) == r.channel)
+        rejoin = next(r for r in trace if r.frame_type == "join" and r.time_us > ack.time_us)
+        assert rejoin.time_us == beacon.time_us + beacon.duration_us + timing.turnaround_us
+
+    @settings(max_examples=30, deadline=None)
+    @given(late_us=st.floats(-300.0, 300.0))
+    @example(late_us=-64.0)  # within the timeout of the join's end, not of its start
+    def test_joiner_polled_only_within_the_timeout_of_its_join(self, late_us):
+        # The sensor's first poll turn comes 16.3 ms after its join ends. With
+        # the timeout late_us short of that, the master drops the sensor at
+        # that turn instead of polling it if late_us > 0.
+        def trace(timing):
+            return master_run([1], 0.1, flat_sampler, CLEAN, seed=0, timing=timing).trace
+
+        default = trace(TimingProfile())
+        join = next(r for r in default if r.frame_type == "join")
+        turn = next(r for r in default if r.frame_type == "poll").time_us
+        join_end = join.time_us + join.duration_us
+        timing = TimingProfile(resync_timeout_ms=(turn - join_end - late_us) / 1e3)
+        polled = any(r.frame_type == "poll" and r.time_us == turn for r in trace(timing))
+        assert polled == (turn - join_end <= timing.resync_us)
+
+
 class TestBleBaseline:
     def test_csa1_example(self):
         assert csa1_next(36, 7) == 6

@@ -25,6 +25,7 @@ from wearsim.pipeline import (RateWindows, RecordingColumns, RecordingFrame, Val
                               joint_angle_series, open_csv, rate_series, read_recording,
                               write_csv, write_json, write_recording)
 from wearsim.protocol import SessionResult, TraceRow, session_metrics
+from wearsim.quatmath import Quaternion
 from wearsim.radio import Burst, InterferenceField
 from wearsim.runner import RADIO_TRACE_HEADER, SESSION_TRACE_CSV, run_scenario
 from wearsim.scenario import parse_scenario
@@ -421,6 +422,34 @@ def test_streamed_radio_trace_equals_sort(session_, batches):
     lines += hand(list(trace))
     lines += radio.close()
     assert lines == list(map(csv_line, sorted_radio_rows(result, field)))
+
+
+# Row shape ------------------------------------------------------------------
+
+@pytest.mark.parametrize("run, seed, seen", [
+    # Seed 4's cw session joins its sensors and hops; seed 8's baseline
+    # collides frames of its own links and with the field.
+    pytest.param(pr.master_run, 4, {"join", "hop"}, id="cw"),
+    pytest.param(pr.ble_baseline_run, 8, {radio.COLLIDED}, id="ble")])
+def test_sink_takes_plain_tuples(run, seed, seen):
+    # The loops hand a sink each trace row as a plain tuple of TraceRow's
+    # cells; a run without a sink returns the same rows as TraceRows.
+    field = radio.build_field(radio.preset_interferers("crowded", seed), 3.1e6)
+    batches = []
+
+    def sampler(sensor, t_us):
+        return Quaternion.identity()
+
+    run([1, 2, 3, 4, 5], 3.0, sampler, field, seed, p_floor=0.05,
+        sink=lambda rows, frames: batches.append(list(rows)))
+    collected = run([1, 2, 3, 4, 5], 3.0, sampler, field, seed, p_floor=0.05).trace
+    assert len(batches) == 3
+    for rows in batches:
+        assert {(type(r), len(r)) for r in rows} == {(tuple, 8)}
+        assert "".join(SESSION_TRACE_CSV.lines(rows)).count("\n") == len(rows)
+    assert {type(r) for r in collected} == {TraceRow}
+    assert collected == [r for rows in batches for r in rows]
+    assert seen <= {cell for r in collected for cell in (r.frame_type, r.outcome)}
 
 
 # Joint angles ---------------------------------------------------------------
