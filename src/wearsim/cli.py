@@ -140,9 +140,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
               f"mean {mean:.3f} deg{flag}")
 
     end_us = int(meta["duration_s"] * 1e6) if "duration_s" in meta else None
-    rate_rows = []
-    for sensor, pts in sorted(rate_series(recording, end_us=end_us).items()):
-        rate_rows.extend((sensor, t, hz) for t, hz in pts)
+    rates = sorted(rate_series(recording, end_us=end_us).items())
+    for sensor, pts in rates:
         stats = {"windows": len(pts)}
         if pts:
             vals = [hz for _, hz in pts]
@@ -151,7 +150,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(f"sensor {sensor}: rate mean {stats['mean_hz']:.2f} Hz  "
                   f"min {stats['min_hz']:.1f}  max {stats['max_hz']:.1f}")
         summary["rates"][str(sensor)] = stats
-    write_csv(out / "rates.csv", RATES_CSV, rate_rows)
+    write_csv(out / "rates.csv", RATES_CSV,
+              ((sensor, t, hz) for sensor, pts in rates for t, hz in pts))
     write_json(out / "analysis.json", summary)
     return EXIT_OK
 

@@ -327,7 +327,8 @@ class SyntheticBody:
         if self._noisy:
             omega = self._angular_speed(chain, t)
             q = mul4(self._perturbation(draws, *sigma_and_cap(self.noise, omega)), q)
-        return Quaternion._make(q)
+        # q is mul4's unit 4-tuple: wrapped without _make's Python call.
+        return tuple.__new__(Quaternion, q)
 
 
 def _artificial_joint(angle_deg: float | None = None, dwell_s: float = 5.0):

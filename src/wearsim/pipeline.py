@@ -38,7 +38,7 @@ import re
 from collections import defaultdict, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import itemgetter, sub
+from operator import sub
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
 
@@ -172,7 +172,8 @@ class RecordingFrame(namedtuple("RecordingFrame",
     """One delivered sensor sample: the tuple of its RECORDING_CSV cells.
 
     The constructor checks that the timestamp is in _TS_MIN.._TS_MAX, the
-    quaternion is unit within _UNIT_TOL and the status is in 0..3; _make is
+    quaternion is unit within _UNIT_TOL and the status is in 0..3, the rule
+    that FrameOrder.check applies to plain tuples of these cells; _make is
     the unchecked path.
     """
 
@@ -216,18 +217,16 @@ def _runs(sensor: np.ndarray) -> dict[int, np.ndarray]:
     return {int(ids[a]): order[a:b] for a, b in zip(cuts, cuts[1:])}
 
 
-# The cells FrameOrder.check reads: timestamp_us, sensor_id, seq.
-_ORDER_CELLS = itemgetter(0, 1, 2)
-
-
 class FrameOrder:
-    """The stream invariants of a recording, checked over frames handed in
-    batches: timestamps never decrease and each sensor's seq strictly
-    increases. check takes frames in memory, a frame at a time (a
-    handoff's few hundred tuples cost less walked than made into columns);
-    check_columns takes a batch read from a file as columns. first_line > 0
-    numbers the frames as file lines from first_line on; 0 means frames in
-    memory, reported without line numbers.
+    """The rules of a recording, checked over frames handed in batches:
+    each frame's cells are those the checked RecordingFrame constructor
+    takes, timestamps never decrease and each sensor's seq strictly
+    increases. check takes frames in memory, plain tuples or
+    RecordingFrames, a frame at a time (a handoff's few hundred tuples cost
+    less walked than made into columns); check_columns takes a batch read
+    from a file, whose cells the reader has checked, as columns.
+    first_line > 0 numbers the frames as file lines from first_line on; 0
+    means frames in memory, reported without line numbers.
     """
 
     def __init__(self, first_line: int = 0) -> None:
@@ -235,12 +234,18 @@ class FrameOrder:
         self._last_ts = -math.inf
         self._last_seq: dict[int, int] = {}
 
-    def check(self, frames: Iterable[RecordingFrame]) -> None:
-        """ValidationError, naming the sensor and the seq, at the first frame
-        that breaks an invariant."""
+    def check(self, frames: Iterable[tuple]) -> None:
+        """At the first frame that breaks a rule, the ValueError that the
+        RecordingFrame constructor raises for its cells, or ValidationError
+        naming the sensor and the seq."""
         last_ts, last_seq = self._last_ts, self._last_seq
         i = -1
-        for i, (ts, sensor, seq) in enumerate(map(_ORDER_CELLS, frames)):
+        for i, (ts, sensor, seq, w, x, y, z, status) in enumerate(frames):
+            # The constructor is the rule and its errors' text: this test only
+            # picks the frames to hand it, and passes none that it refuses.
+            if not (_TS_MIN <= ts <= _TS_MAX and 0 <= status <= 3
+                    and abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= _UNIT_TOL):
+                RecordingFrame(ts, sensor, seq, w, x, y, z, status)
             if ts < last_ts:
                 self._fail(i, sensor, seq, f": timestamp {ts} decreases (previous {last_ts})")
             prev = last_seq.get(sensor, -math.inf)

@@ -24,19 +24,21 @@ equal seeds produce byte-identical results.
 
 Both loops append trace rows and frames to lists in session order, and
 hand them over a simulated second at a time. A trace row is a plain
-tuple in TraceRow's field order (Row), and readers take its cells by
-index. A sink takes each second's rows and frames, so no session is held
-whole; without one a run returns the whole lists, its rows made
-TraceRows once at the end. The baseline's deliveries arrive in time order;
-it hands them off at whole seconds of their timestamps, so those that
-round to the same microsecond leave together, and sorts each batch by
-timestamp and sensor. A frame carries the sampler's quaternion as it is,
-through the checked RecordingFrame constructor: the loops format and
-parse no value, and the 9-digit cell of recording.csv is the frame's one
-rounding. SessionFold folds the metrics batch by batch, as a sink or
-over the lists (session_metrics), keeping about the last second of each
-sensor's timestamps, and checks frame order: timestamps never decrease
-and each sensor's seq strictly increases.
+tuple in TraceRow's field order (Row), a frame a plain tuple of its
+recording.csv cells (Frame), and readers take their cells by index. A
+sink takes each second's rows and frames, so no session is held whole;
+without one a run returns the whole lists, made TraceRows and checked
+RecordingFrames once at the end. The baseline's deliveries arrive in
+time order; it hands them off at whole seconds of their timestamps, so
+those that round to the same microsecond leave together, and sorts each
+batch by timestamp and sensor. A frame carries the sampler's quaternion
+as it is: the loops format and parse no value, and the 9-digit cell of
+recording.csv is the frame's one rounding. SessionFold folds the metrics
+batch by batch, as a sink or over the lists (session_metrics), keeping
+about the last second of each sensor's timestamps, and checks each frame
+(pipeline.FrameOrder): its cells by the RecordingFrame constructor's
+rule, timestamps never decrease and each sensor's seq strictly
+increases. So a bad frame raises at its handoff, before a sink writes it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from bisect import bisect_left, insort
 from collections import Counter, defaultdict, deque
 from contextlib import suppress
 from dataclasses import dataclass
+from itertools import starmap
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -169,9 +172,12 @@ class TraceRow(NamedTuple):
 # Python function, and the collector keeps tracking a tuple subclass, but
 # not a tuple of floats, ints and strs.
 Row = tuple[float, float, str, int, str, str, int, str]
+# A frame as the loops build it and a sink takes it: a plain tuple of a
+# RecordingFrame's cells, unchecked until SessionFold checks its batch.
+Frame = tuple[int, int, int, float, float, float, float, int]
 # Takes the rows and frames that a session produced since its last call, in
 # session order. The lists are emptied after each call: copy what you keep.
-Sink = Callable[[list[Row], list[RecordingFrame]], None]
+Sink = Callable[[list[Row], list[Frame]], None]
 # Simulated time between two handoffs to a sink.
 _HANDOFF_US = 1_000_000.0
 
@@ -293,7 +299,7 @@ def _check_session(roster: Sequence[int], limit: int,
     return ids, duration_s * 1e6
 
 
-def _hand_off(sink: Sink | None, trace: list[Row], frames: list[RecordingFrame]) -> None:
+def _hand_off(sink: Sink | None, trace: list[Row], frames: list[Frame]) -> None:
     if sink is not None:
         sink(trace, frames)
         trace.clear()
@@ -341,7 +347,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
 
     now, handoff = 0.0, _HANDOFF_US
     stop = min(handoff, duration_us)
-    frames: list[RecordingFrame] = []
+    frames: list[Frame] = []
     trace: list[Row] = []
     channel_history: list[tuple[float, int]] = [(0.0, seq.current)]
 
@@ -419,7 +425,7 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
                                   outcome))
                     if outcome == radio.DELIVERED:
                         delivered = True
-                        frames.append(RecordingFrame(int(round(now)), s, slave.seq, *q, 3))
+                        frames.append((int(round(now)), s, slave.seq, *q, 3))
                         last_ok[s] = now
                 else:
                     # Nothing came back; the master still waits out the slot.
@@ -463,9 +469,9 @@ def master_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
             wait(max(cycle_start + cap_period - now, 0.0))
     _hand_off(sink, trace, frames)
     resyncs = sum(sl.resyncs for sl in slaves.values())
-    return SessionResult("cw", duration_us, ids, frames, list(map(TraceRow._make, trace)),
-                         len(channel_history) - 1, resyncs, {s: 0 for s in ids},
-                         channel_history)
+    return SessionResult("cw", duration_us, ids, list(starmap(RecordingFrame, frames)),
+                         list(map(TraceRow._make, trace)), len(channel_history) - 1, resyncs,
+                         {s: 0 for s in ids}, channel_history)
 
 
 # Connection-based baseline ------------------------------------------------
@@ -521,7 +527,7 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     """
     ids, duration_us = _check_session(roster, BLE_MAX_SENSORS, duration_s)
     sched = radio.EventScheduler()
-    frames: list[RecordingFrame] = []
+    frames: list[Frame] = []
     trace: list[Row] = []
     host_dropped = {s: 0 for s in ids}
     resyncs = 0
@@ -585,7 +591,7 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
             refilled[s] = end
             if tokens[s] >= 1.0:
                 tokens[s] -= 1.0
-                frames.append(RecordingFrame(int(round(end)), s, q_seq, *q, 3))
+                frames.append((int(round(end)), s, q_seq, *q, 3))
             else:
                 host_dropped[s] += 1
         else:
@@ -599,8 +605,8 @@ def ble_baseline_run(roster: Sequence[int], duration_s: float, sampler: Sampler,
     hand_off_before(duration_us)
     frames.sort(key=_STAMP_SENSOR)
     _hand_off(sink, trace, frames)
-    return SessionResult("ble", duration_us, ids, frames, list(map(TraceRow._make, trace)), 0,
-                         resyncs, host_dropped, [])
+    return SessionResult("ble", duration_us, ids, list(starmap(RecordingFrame, frames)),
+                         list(map(TraceRow._make, trace)), 0, resyncs, host_dropped, [])
 
 
 # Metrics -------------------------------------------------------------------
@@ -636,7 +642,9 @@ class SessionFold:
     at a time. Rows are counted by (source, frame_type, sensor_id,
     outcome). Each sensor's timestamps go to its pipeline.RateWindows, which
     counts a window once no later frame can fall in it, so a sensor keeps
-    only about the last second of them. Frames are checked as they come:
+    only about the last second of them. Frames, plain tuples or
+    RecordingFrames, are checked as they come by pipeline.FrameOrder: their
+    cells by the RecordingFrame constructor's rule, raising its ValueError,
     timestamps never decrease and each sensor's seq strictly increases, or
     ValidationError names the sensor and the seq.
     """
@@ -647,12 +655,12 @@ class SessionFold:
         self._rates: defaultdict[int, RateWindows] = defaultdict(RateWindows)
         self._order = FrameOrder()
 
-    def add(self, rows: Sequence[Row], frames: Sequence[RecordingFrame]) -> None:
+    def add(self, rows: Sequence[Row], frames: Sequence[Frame]) -> None:
         self._tally.update(map(_TALLY_KEY, rows))
         self._order.check(frames)
         stamps: defaultdict[int, list[int]] = defaultdict(list)
         for f in frames:
-            stamps[f.sensor_id].append(f.timestamp_us)
+            stamps[f[1]].append(f[0])  # sensor_id, timestamp_us
         for sensor, ts in stamps.items():
             self._rates[sensor].extend(ts)
         # Timestamps never decrease: a window that ends at or before the

@@ -26,16 +26,17 @@ from InterferenceField.windows(). A window merges those two ordered
 inputs: a searchsorted of the burst starts on the row times puts each
 burst after the rows of its time whose source sorts at or before its
 own. No Burst or list of every burst is built. A handoff's trace rows
-are plain tuples in TraceRow's field order (protocol.Row), read by index.
-The sink checks and formats them once, through SESSION_TRACE_CSV, and its
-RecordingFrames in the fold and through RECORDING_CSV: each batch by one
-%-format (see pipeline.CsvSchema.lines). A row's radio_trace.csv line is
-its line of the session_trace.csv text without the frame_type and
-sensor_id cells, and every burst line takes one fixed format. The ground
-truth is computed as numpy columns (SyntheticBody.truth_joint_angles)
-and written _TRUTH_BATCH grid points at a time, every 10 ms up to the
-last point in the session. Every file is written through
-pipeline.open_csv, write_csv or write_json.
+are plain tuples in TraceRow's field order (protocol.Row), and its frames
+plain tuples of their recording.csv cells (protocol.Frame), both read by
+index. The sink checks and formats them once: the rows through
+SESSION_TRACE_CSV, the frames in the fold (pipeline.FrameOrder) and through
+RECORDING_CSV, each batch by one %-format (see pipeline.CsvSchema.lines).
+A row's radio_trace.csv line is its line of the session_trace.csv text
+without the frame_type and sensor_id cells, and every burst line takes
+one fixed format. The ground truth is computed as numpy columns
+(SyntheticBody.truth_joint_angles) and written _TRUTH_BATCH grid points
+at a time, every 10 ms up to the last point in the session. Every file
+is written through pipeline.open_csv, write_csv or write_json.
 
 The interference field holds busy()'s index, drawn a time chunk at a
 time as the session reaches it (see radio); the radio_trace.csv reader
@@ -64,9 +65,9 @@ from .motion import SyntheticBody, random_offsets
 # write_recording and session_metrics are not called here, but perfbench's
 # span table resolves them in runner: a traced run raises KeyError without them.
 from .pipeline import (ANGLE_CSV, FLOAT_FORMAT, RECORDING_CSV, CsvSchema, ParseError,
-                       RecordingFrame, file_slug, int_cell, nine_digits, open_csv, write_csv,
-                       write_json, write_recording)
-from .protocol import (Row, SessionFold, TraceRow, ble_baseline_run, master_run,
+                       file_slug, int_cell, nine_digits, open_csv, write_csv, write_json,
+                       write_recording)
+from .protocol import (Frame, Row, SessionFold, TraceRow, ble_baseline_run, master_run,
                        session_metrics)
 from .quatmath import Quaternion
 from .radio import InterferenceField, build_field
@@ -131,7 +132,7 @@ def execute(sc: Scenario, field: InterferenceField | None = None,
         sink = fold.add if out is None else _SessionFiles(stack, out, field,
                                                           sc.duration_s * 1e6, fold)
 
-        def hand_off(rows: list[Row], frames: list[RecordingFrame]) -> None:
+        def hand_off(rows: list[Row], frames: list[Frame]) -> None:
             sink(rows, frames)
             if rows:
                 # The clock has reached the last row's time; no later query
@@ -237,7 +238,7 @@ class _SessionFiles:
                                  ("session_trace.csv", SESSION_TRACE_CSV.header),
                                  ("radio_trace.csv", RADIO_TRACE_HEADER)))
 
-    def __call__(self, rows: list[Row], frames: list[RecordingFrame]) -> None:
+    def __call__(self, rows: list[Row], frames: list[Frame]) -> None:
         self._fold.add(rows, frames)  # checks the frames before they are written
         self._recording.writelines(RECORDING_CSV.lines(frames))
         text = "".join(SESSION_TRACE_CSV.lines(rows))  # checks the rows for _radio

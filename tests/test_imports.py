@@ -271,12 +271,12 @@ def test_the_matrix_product_check_sees_each_form():
         "line 9: einsum", "line 9: linalg", "line 9: tensordot"]
 
 
-def row_type_calls(source: str) -> list[str]:
-    """The calls of TraceRow in source, as 'line N'; its methods, such as
-    TraceRow._make, are not calls of it."""
+def row_type_calls(source: str, name: str) -> list[str]:
+    """The calls of the type name in source, as 'line N'; its methods, such
+    as TraceRow._make, and passing it, as to starmap, are not calls of it."""
     return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call) and "TraceRow" in (getattr(node.func, "id", None),
-                                                             getattr(node.func, "attr", None))]
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None))]
 
 
 @pytest.mark.parametrize("module", ["protocol.py", "runner.py"])
@@ -284,7 +284,17 @@ def test_loops_build_no_trace_row(module):
     # The loops hand over plain tuples: TraceRow's generated __new__ costs a
     # Python call per row, and the collector keeps tracking its instances.
     # TraceRow._make builds the list API's rows once at the end of a run.
-    assert row_type_calls((PACKAGE / module).read_text(encoding="utf-8")) == []
+    assert row_type_calls((PACKAGE / module).read_text(encoding="utf-8"), "TraceRow") == []
+
+
+@pytest.mark.parametrize("module", ["protocol.py", "runner.py"])
+def test_loops_build_no_recording_frame(module):
+    # Frames too are plain tuples until the fold checks their batch:
+    # RecordingFrame's checked __new__ is a Python call per frame.
+    # starmap(RecordingFrame, frames) builds the list API's frames, through
+    # the checked constructor, once at the end of a run.
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert row_type_calls(source, "RecordingFrame") == []
 
 
 def test_the_row_type_check_sees_each_form():
@@ -293,8 +303,11 @@ def test_the_row_type_check_sees_each_form():
               "rows = [TraceRow(0.0, 1.0, 'master', 3, 'cw', 'poll', 1, 'delivered')]\n"
               "rows += map(TraceRow._make, rows)\n"
               "rows.append(pr.TraceRow(*rows[0]))\n"
-              "\"\"\"Not TraceRow(...) in a string.\"\"\"\n")
-    assert row_type_calls(source) == ["line 3", "line 5"]
+              "\"\"\"Not TraceRow(...) in a string.\"\"\"\n"
+              "frames = list(starmap(RecordingFrame, rows))\n"
+              "frames.append(pl.RecordingFrame(*frames[0]))\n")
+    assert row_type_calls(source, "TraceRow") == ["line 3", "line 5"]
+    assert row_type_calls(source, "RecordingFrame") == ["line 8"]
 
 
 @pytest.mark.parametrize("path", sorted(path for part in ("src", "tests")

@@ -17,7 +17,7 @@ from wearsim import quatmath as qm
 from wearsim import runner
 from wearsim import skeleton as sk
 from wearsim.cli import BENCH_CSV, RATES_CSV
-from test_streaming import csv_line
+from test_streaming import csv_line, refusal
 
 from wearsim.pipeline import ParseError, RecordingFrame, ValidationError, nine_digits
 from wearsim.protocol import TraceRow
@@ -729,6 +729,27 @@ def test_column_check_equals_the_frame_check(drawn):
                 for s in {f.sensor_id for f in batch}}
 
     assert outcome(by_columns) == outcome(by_frames)
+
+
+# Components near 1 and near 0 put a quaternion's norm on either side of
+# 1 +- _UNIT_TOL; NaN and the infinities break it.
+NEAR_ONE = st.one_of(st.floats(1 - 2e-6, 1 + 2e-6), st.sampled_from(
+    [1 + 0.999e-6, 1 + 1.001e-6, 1 - 0.999e-6, 1 - 1.001e-6, math.nan, math.inf, 1e200]))
+NEAR_ZERO = st.one_of(st.sampled_from([0.0, -0.0, 1e-3, -1e-3, math.nan, -math.inf]),
+                      st.floats(-2e-3, 2e-3), FINITE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-2**63 - 2, -2**63 + 2), st.integers(2**63 - 3, 2**63 + 1),
+                 st.integers()),
+       st.tuples(NEAR_ONE, NEAR_ZERO, NEAR_ZERO, NEAR_ZERO), st.integers(-2, 5))
+def test_frame_check_refuses_what_the_constructor_refuses(ts, q, status):
+    # FrameOrder.check walks a handoff's plain tuples in place of the
+    # checked constructor: it refuses exactly the frames the constructor
+    # refuses, with the constructor's error.
+    cells = (ts, 1, 1, *q, status)
+    assert refusal(lambda: pl.FrameOrder().check([cells])) == refusal(
+        lambda: RecordingFrame(*cells))
 
 
 # Cell texts that the line pass or the column pass may refuse, and some that

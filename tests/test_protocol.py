@@ -774,9 +774,10 @@ class TestBaselineTies:
         keys = [(f.timestamp_us, f.sensor_id) for f in collected.frames]
         assert keys == sorted(set(keys))
         # Batch k holds the frames stamped in ((k - 1) s, k s], so no
-        # timestamp is in two batches.
+        # timestamp is in two batches. A sink's frames are plain tuples: f[0]
+        # is the timestamp.
         for k, (_, frames) in enumerate(batches, 1):
-            assert all((k - 1) * 10**6 < f.timestamp_us <= k * 10**6 for f in frames)
+            assert all((k - 1) * 10**6 < f[0] <= k * 10**6 for f in frames)
         assert len({ts for ts, _ in keys}) < len(keys)  # some timestamps are tied
 
 
@@ -784,15 +785,20 @@ class TestSessionMemory:
     @pytest.mark.parametrize("run", [master_run, ble_baseline_run])
     def test_dropped_result_frees_the_session(self, run):
         # With the cyclic collector off, reference counting alone must free
-        # the trace and frames once the caller drops the result.
+        # the trace and frames once the caller drops the result: no cycle
+        # holds them. A full collection on each side empties CPython's free
+        # lists, whose parked tuples tracemalloc still counts as allocated,
+        # so what earlier tests or the run left there is not read as held.
         field = crowded_field(1, 3.0)
         gc.disable()
         tracemalloc.start()
         try:
+            gc.collect()
             before = tracemalloc.get_traced_memory()[0]
             result = run([1, 2, 3, 4, 5], 3.0, flat_sampler, field, 1)
             assert len(result.trace) > 500
             del result
+            assert gc.collect() == 0
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()

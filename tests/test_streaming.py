@@ -7,6 +7,7 @@ import contextlib
 import gc
 import io
 import itertools
+import math
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -21,9 +22,9 @@ from hypothesis import strategies as st
 from wearsim import protocol as pr
 from wearsim import radio, runner
 from wearsim.cli import main
-from wearsim.pipeline import (RateWindows, RecordingColumns, RecordingFrame, ValidationError,
-                              joint_angle_series, open_csv, rate_series, read_recording,
-                              write_csv, write_json, write_recording)
+from wearsim.pipeline import (RECORDING_CSV, RateWindows, RecordingColumns, RecordingFrame,
+                              ValidationError, joint_angle_series, open_csv, rate_series,
+                              read_recording, write_csv, write_json, write_recording)
 from wearsim.protocol import SessionResult, TraceRow, session_metrics
 from wearsim.quatmath import Quaternion
 from wearsim.radio import Burst, InterferenceField
@@ -433,7 +434,8 @@ def test_streamed_radio_trace_equals_sort(session_, batches):
     pytest.param(pr.ble_baseline_run, 8, {radio.COLLIDED}, id="ble")])
 def test_sink_takes_plain_tuples(run, seed, seen):
     # The loops hand a sink each trace row as a plain tuple of TraceRow's
-    # cells; a run without a sink returns the same rows as TraceRows.
+    # cells, and each frame as one of RecordingFrame's; a run without a sink
+    # returns the same rows as TraceRows and frames as RecordingFrames.
     field = radio.build_field(radio.preset_interferers("crowded", seed), 3.1e6)
     batches = []
 
@@ -441,15 +443,100 @@ def test_sink_takes_plain_tuples(run, seed, seen):
         return Quaternion.identity()
 
     run([1, 2, 3, 4, 5], 3.0, sampler, field, seed, p_floor=0.05,
-        sink=lambda rows, frames: batches.append(list(rows)))
-    collected = run([1, 2, 3, 4, 5], 3.0, sampler, field, seed, p_floor=0.05).trace
+        sink=lambda rows, frames: batches.append((list(rows), list(frames))))
+    collected = run([1, 2, 3, 4, 5], 3.0, sampler, field, seed, p_floor=0.05)
     assert len(batches) == 3
-    for rows in batches:
+    for rows, frames in batches:
         assert {(type(r), len(r)) for r in rows} == {(tuple, 8)}
         assert "".join(SESSION_TRACE_CSV.lines(rows)).count("\n") == len(rows)
-    assert {type(r) for r in collected} == {TraceRow}
-    assert collected == [r for rows in batches for r in rows]
-    assert seen <= {cell for r in collected for cell in (r.frame_type, r.outcome)}
+        assert {(type(f), len(f)) for f in frames} == {(tuple, 8)}
+        assert "".join(RECORDING_CSV.lines(frames)).count("\n") == len(frames)
+    assert {type(r) for r in collected.trace} == {TraceRow}
+    assert collected.trace == [r for rows, _ in batches for r in rows]
+    assert {type(f) for f in collected.frames} == {RecordingFrame}
+    assert collected.frames == [f for _, frames in batches for f in frames]
+    assert seen <= {cell for r in collected.trace for cell in (r.frame_type, r.outcome)}
+
+
+# Frame checks ---------------------------------------------------------------
+
+def refusal(call):
+    """None if call returns, or the type and text of the ValueError it raises
+    (a ValidationError is one)."""
+    try:
+        call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# Cells at each edge of the RecordingFrame constructor's rule, on both sides.
+EDGES = {"qx-nan": {"qx": math.nan},
+         "norm-inside-above": {"qw": 1 + 0.999e-6}, "norm-outside-above": {"qw": 1 + 1.001e-6},
+         "norm-inside-below": {"qw": 1 - 0.999e-6}, "norm-outside-below": {"qw": 1 - 1.001e-6},
+         "status-minus-1": {"status": -1}, "status-0": {"status": 0},
+         "status-3": {"status": 3}, "status-4": {"status": 4},
+         "ts-below-int64": {"timestamp_us": -2**63 - 1}, "ts-int64-min": {"timestamp_us": -2**63},
+         "ts-int64-max": {"timestamp_us": 2**63 - 1}, "ts-above-int64": {"timestamp_us": 2**63}}
+
+
+@pytest.mark.parametrize("cells", EDGES.values(), ids=EDGES)
+def test_handoff_refuses_what_the_constructor_refuses(tmp_path, cells):
+    # A sink that writes the session checks each batch before it writes it:
+    # a batch with a frame that the constructor refuses raises the
+    # constructor's error, and recording.csv keeps no line of that batch.
+    # Each sensor has one timestamp, so the fold counts no rate window.
+    edge = tuple(RecordingFrame._make((0, 1, 1, 1.0, 0.0, 0.0, 0.0, 3))._replace(**cells))
+    earlier = [(-2**63, 2, 1, 1.0, 0.0, 0.0, 0.0, 3)]
+    batch = [(-2**63, 3, 1, 1.0, 0.0, 0.0, 0.0, 3), edge]
+    want = refusal(lambda: RecordingFrame(*edge))
+    end_us = 1e6
+    with contextlib.ExitStack() as stack:
+        files = runner._SessionFiles(stack, tmp_path, InterferenceField(()), end_us,
+                                     pr.SessionFold(end_us))
+        files([], earlier)
+        assert refusal(lambda: files([], batch)) == want
+    written = earlier if want else earlier + batch
+    assert (tmp_path / "recording.csv").read_text() == "".join(
+        [RECORDING_CSV.header + "\n", *RECORDING_CSV.lines(written)])
+
+
+@pytest.mark.parametrize("run", [pr.master_run, pr.ble_baseline_run], ids=["cw", "ble"])
+@pytest.mark.parametrize("qw, qx", [
+    (1 + 0.999e-6, 0.0), (1 + 1.001e-6, 0.0), (1 - 0.999e-6, 0.0), (1 - 1.001e-6, 0.0),
+    (1.0, math.nan)], ids=["inside-above", "outside-above", "inside-below", "outside-below",
+                           "nan"])
+def test_runs_refuse_what_the_constructor_refuses(tmp_path, run, qw, qx):
+    # Sensor 2 reads (qw, qx, 0, 0) from 1.5 s on. A run without a sink
+    # makes its frames RecordingFrames at its end; a streamed run checks
+    # each batch at its handoff. Both refuse exactly what the constructor
+    # refuses, with its error, and recording.csv keeps the batches before
+    # the refused one.
+    def sampler(sensor, t_us):
+        return (qw, qx, 0.0, 0.0) if sensor == 2 and t_us > 1.5e6 else Quaternion.identity()
+
+    field = InterferenceField(())
+    want = refusal(lambda: RecordingFrame(0, 2, 1, qw, qx, 0.0, 0.0, 3))
+    collected = []
+    assert refusal(lambda: collected.extend(run([1, 2, 3], 3.0, sampler, field, 5).frames)) == want
+    handed = []
+    with contextlib.ExitStack() as stack:
+        files = runner._SessionFiles(stack, tmp_path, field, 3e6, pr.SessionFold(3e6))
+
+        def sink(rows, frames):
+            handed.append(list(frames))
+            files(rows, frames)
+
+        assert refusal(lambda: run([1, 2, 3], 3.0, sampler, field, 5, sink=sink)) == want
+    written = [f for frames in handed for f in frames]
+    if want is None:
+        assert written == collected
+    else:
+        assert any(f[1] == 2 and f[0] > 1.5e6 for f in handed[-1])
+        written = [f for frames in handed[:-1] for f in frames]
+    assert len(written) > 100
+    assert (tmp_path / "recording.csv").read_text() == "".join(
+        [RECORDING_CSV.header + "\n", *RECORDING_CSV.lines(written)])
 
 
 # Joint angles ---------------------------------------------------------------
