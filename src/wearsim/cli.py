@@ -27,6 +27,7 @@ from pathlib import Path
 
 import yaml
 
+from .bounds import INT_LIMIT
 # read_recording is not called here, but perfbench's span table resolves
 # cli.read_recording: a traced run raises KeyError without the name.
 from .pipeline import (ANGLE_CSV, RECORDING_CSV, AngleSeries, CsvSchema, ParseError,
@@ -35,7 +36,7 @@ from .pipeline import (ANGLE_CSV, RECORDING_CSV, AngleSeries, CsvSchema, ParseEr
                        write_json)
 from .protocol import BLE_MAX_SENSORS, ConfigError
 from .runner import execute, load_session, run_scenario, scenario_field
-from .scenario import INT_LIMIT, load_scenario, parse_scenario
+from .scenario import load_scenario, parse_scenario
 from .skeleton import JOINTS, CalibrationRecord, SensorPlacement, Skeleton
 
 EXIT_OK = 0

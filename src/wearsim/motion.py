@@ -43,6 +43,7 @@ from typing import Callable, Iterator, Mapping, Protocol
 import numpy as np
 
 from . import randomness
+from .bounds import check_fields, key
 from .quatmath import (Quad, QuadColumns, Quaternion, Vector3, axis_angle4,
                        axis_angle4_columns, mul4, mul4_columns, shortest_angle_deg,
                        shortest_angle_deg_columns)
@@ -151,26 +152,25 @@ class TrajectorySpec:
 class NoiseModel:
     """Orientation error envelope of the simulated IMU."""
 
-    static_sigma_deg: float = 0.3
-    dynamic_sigma_deg: float = 1.2
-    static_max_deg: float = 2.0
-    dynamic_max_deg: float = 3.5
-    drift_deg_per_min: float = 0.0
-    seed: int = 0
+    # A sigma is bounded by its cap (below). A cap past 180 deg means
+    # nothing, and interpolating between caps far apart can cancel to 0,
+    # where the redraw loop never ends.
+    static_sigma_deg: float = key(0.3, 0, unit="deg")
+    dynamic_sigma_deg: float = key(1.2, 0, unit="deg")
+    static_max_deg: float = key(2.0, 0, 180, unit="deg")
+    dynamic_max_deg: float = key(3.5, 0, 180, unit="deg")
+    # Times the session's duration, it must stay finite (scenario's rule).
+    drift_deg_per_min: float = key(0.0, 0, unit="deg/min")
+    seed: int = key(0, 0)
     # Angular speed at which sigma reaches the dynamic figure.
-    omega_ref_deg_s: float = 90.0
+    omega_ref_deg_s: float = key(90.0, 0, open_lo=True, unit="deg/s")
 
     def __post_init__(self) -> None:
+        check_fields(self)
         for sigma, cap in (("static_sigma_deg", "static_max_deg"),
                            ("dynamic_sigma_deg", "dynamic_max_deg")):
-            if not 0.0 <= getattr(self, sigma) <= getattr(self, cap):
-                raise ValueError(f"require 0 <= {sigma} <= {cap}")
-            # A cap past 180 deg means nothing, and interpolating between caps
-            # far apart can cancel to 0, where the redraw loop never ends.
-            if getattr(self, cap) > 180.0:
-                raise ValueError(f"{cap} must be <= 180 deg")
-        if self.omega_ref_deg_s <= 0.0:
-            raise ValueError("omega_ref_deg_s must be positive")
+            if not getattr(self, sigma) <= getattr(self, cap):
+                raise ValueError(f"require {sigma} <= {cap}")
 
     @staticmethod
     def zero() -> "NoiseModel":

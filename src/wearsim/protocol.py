@@ -54,6 +54,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import radio
 from . import randomness as rnd
+from .bounds import MAX_DURATION_MS, MAX_DURATION_US, check_fields, key
 # rate_series is not called here, but perfbench's span table resolves
 # protocol.rate_series: a traced run raises KeyError without the name.
 from .pipeline import RATE_WINDOW_US, FrameOrder, RateWindows, RecordingFrame, rate_series
@@ -81,38 +82,25 @@ class TimingProfile:
     sample. The poll cap bounds the per-sensor rate from above.
     """
 
-    us_per_byte: float = 4.0
-    poll_bytes: int = 12
-    response_bytes: int = 32
-    beacon_bytes: int = 16
-    hop_bytes: int = 12
-    ack_bytes: int = 8
-    turnaround_us: float = 150.0
-    guard_us: float = 50.0
-    host_cost_us: float = 1400.0
-    poll_cap_hz: float = 60.0
-    beacon_interval_ms: float = 20.0
-    resync_timeout_ms: float = 200.0
+    us_per_byte: float = key(4.0, 0, MAX_DURATION_US, open_lo=True, unit="us/byte")
+    poll_bytes: int = key(12, 1)
+    response_bytes: int = key(32, 1)
+    beacon_bytes: int = key(16, 1)
+    hop_bytes: int = key(12, 1)
+    ack_bytes: int = key(8, 1)
+    # Waits of the master: a negative one would run its clock backwards.
+    turnaround_us: float = key(150.0, 0, MAX_DURATION_US, unit="us")
+    guard_us: float = key(50.0, 0, MAX_DURATION_US, unit="us")
+    host_cost_us: float = key(1400.0, 0, MAX_DURATION_US, unit="us")
+    # A cap period of at least 1 us moves the clock every cycle, however
+    # short the waits.
+    poll_cap_hz: float = key(60.0, 0, 1e6, open_lo=True, unit="Hz")
+    # Below 1 us the scan-channel index of a long session overflows.
+    beacon_interval_ms: float = key(20.0, 1e-3, MAX_DURATION_MS, unit="ms")
+    resync_timeout_ms: float = key(200.0, 0, MAX_DURATION_MS, open_lo=True, unit="ms")
 
     def __post_init__(self) -> None:
-        # Zero-length frames, beacon intervals or timeouts cannot run.
-        for key in ("us_per_byte", "poll_bytes", "response_bytes", "beacon_bytes",
-                    "hop_bytes", "ack_bytes", "poll_cap_hz", "beacon_interval_ms",
-                    "resync_timeout_ms"):
-            if not getattr(self, key) > 0:  # a NaN fails it too
-                raise ValueError(f"{key} must be positive")
-        # A negative or NaN wait would run the master's clock backwards.
-        for key in ("turnaround_us", "guard_us", "host_cost_us"):
-            if not 0 <= getattr(self, key) < math.inf:
-                raise ValueError(f"{key} must be non-negative and finite")
-        # An air time that overflows to inf turns the slaves' clocks into NaN.
-        for key in ("poll_bytes", "response_bytes", "beacon_bytes", "hop_bytes", "ack_bytes"):
-            if not math.isfinite(self.us_per_byte * getattr(self, key)):
-                raise ValueError(f"us_per_byte {self.us_per_byte:g} makes the air time "
-                                 f"of {key} {getattr(self, key)} overflow")
-        # Below 1 us the scan-channel index of a long session overflows.
-        if self.beacon_interval_ms < 1e-3:
-            raise ValueError("beacon_interval_ms must be at least 1e-3 (1 us)")
+        check_fields(self)
 
     @property
     def resync_us(self) -> float:
@@ -129,27 +117,22 @@ class TimingProfile:
 class HopPolicy:
     """When and where the master changes data channel."""
 
-    loss_threshold: int = 3
-    loss_window: int = 8
-    announce_repeats: int = 3
-    assess_us: float = 2000.0
-    probe_gap_ms: float = 35.0
-    walk_dwell_ms: float = 20.0
+    # Bounded by their rule below.
+    loss_threshold: int = key(3)
+    loss_window: int = key(8)
+    announce_repeats: int = key(3, 1)
+    # assess_us is a wait of the master; a slave's probe walk starts
+    # probe_gap_ms into a silence and steps every walk_dwell_ms, and below
+    # 1 us the step count of a long silence overflows.
+    assess_us: float = key(2000.0, 0, MAX_DURATION_US, unit="us")
+    probe_gap_ms: float = key(35.0, 0, MAX_DURATION_MS, unit="ms")
+    walk_dwell_ms: float = key(20.0, 1e-3, MAX_DURATION_MS, unit="ms")
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not 1 <= self.loss_threshold <= self.loss_window:
             raise ValueError(f"require 1 <= loss_threshold <= loss_window, got loss_threshold "
                              f"{self.loss_threshold} and loss_window {self.loss_window}")
-        if self.announce_repeats < 1:
-            raise ValueError("announce_repeats must be at least 1")
-        # assess_us is a wait of the master; a slave's probe walk starts
-        # probe_gap_ms into a silence, and a NaN one makes its step count NaN.
-        for key in ("assess_us", "probe_gap_ms"):
-            if not 0 <= getattr(self, key) < math.inf:
-                raise ValueError(f"{key} must be non-negative and finite")
-        # Below 1 us the probe-walk step count of a long silence overflows.
-        if not self.walk_dwell_ms >= 1e-3:
-            raise ValueError("walk_dwell_ms must be at least 1e-3 (1 us)")
 
 
 class TraceRow(NamedTuple):

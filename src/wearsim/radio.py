@@ -42,13 +42,15 @@ import heapq
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import randomness
+from .bounds import (MAX_DURATION_MS, MAX_DURATION_S, MAX_DURATION_US, check_fields,
+                     key)
 
 DELIVERED = "delivered"
 COLLIDED = "collided"
@@ -95,19 +97,27 @@ class Burst(NamedTuple):
 class WifiAp:
     """Access point as an alternating busy/idle exponential renewal process."""
 
-    wifi_channel: int
-    duty: float
-    mean_burst_ms: float = 2.0
-    seed: int = 0
+    wifi_channel: int = key()
+    duty: float = key(MISSING, 0, 1)
+    mean_burst_ms: float = key(2.0, 1e-3, MAX_DURATION_MS, unit="ms")
+    seed: int = key(0, 0)
     name: str = ""
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.wifi_channel not in (1, 6, 11):
             raise ValueError("wifi interferers operate on channels 1, 6, or 11")
-        if not 0.0 <= self.duty <= 1.0:
-            raise ValueError("duty must lie in [0,1]")
-        if self.mean_burst_ms <= 0.0:
-            raise ValueError("mean burst must be positive")
+        # A draw's sums stay finite when the mean idle time is at most a
+        # day; a duty of 0 never transmits.
+        if self.duty > 0.0 and self.mean_idle_us > MAX_DURATION_US:
+            raise ValueError(f"duty {self.duty!r} at mean_burst_ms {self.mean_burst_ms!r} "
+                             f"gives a mean idle time of {self.mean_idle_us:g} us, more than "
+                             f"a day ({MAX_DURATION_US:g} us)")
+
+    @property
+    def mean_idle_us(self) -> float:
+        """Mean idle time between bursts, for a positive duty."""
+        return self.mean_burst_ms * 1000.0 * (1.0 - self.duty) / self.duty
 
     @property
     def source(self) -> str:
@@ -118,19 +128,18 @@ class WifiAp:
 class BtDevice:
     """Classic-BT-style hopper: one short burst per connection event."""
 
-    event_interval_ms: float = 15.0
-    burst_us: float = 296.0
-    seed: int = 0
+    event_interval_ms: float = key(15.0, 1e-3, MAX_DURATION_MS, unit="ms")
+    # Bounded by the event interval (below).
+    burst_us: float = key(296.0, 1e-3, unit="us")
+    seed: int = key(0, 0)
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.event_interval_ms <= 0.0 or self.burst_us <= 0.0:
-            raise ValueError("BT interval and burst must be positive")
-        # One device's bursts cannot overlap, and the phase draw needs a
-        # finite interval.
-        if not self.burst_us <= self.event_interval_ms * 1000.0 < math.inf:
-            raise ValueError(f"event_interval_ms {self.event_interval_ms} must be finite "
-                             f"and cover burst_us {self.burst_us}")
+        check_fields(self)
+        # One device's bursts cannot overlap.
+        if not self.burst_us <= self.event_interval_ms * 1000.0:
+            raise ValueError(f"event_interval_ms {self.event_interval_ms!r} must cover "
+                             f"burst_us {self.burst_us!r}")
 
     @property
     def source(self) -> str:
@@ -145,14 +154,12 @@ _BT_INCREMENTS = (7, 9, 11, 13, 17, 19, 21, 23)
 class Jammer:
     """Continuous occupier of one radio channel from start_s onward."""
 
-    channel: int
-    start_s: float = 0.0
+    channel: int = key(MISSING, 0, 79)
+    start_s: float = key(0.0, 0, MAX_DURATION_S, unit="s")
     name: str = ""
 
     def __post_init__(self) -> None:
-        channel_band(self.channel)
-        if self.start_s < 0.0:
-            raise ValueError("jam start must be non-negative")
+        check_fields(self)
 
     @property
     def source(self) -> str:
@@ -241,9 +248,8 @@ def _occupancy(interferer: WifiAp | BtDevice | Jammer, end_us: float) -> Iterato
         if interferer.duty == 1.0:
             yield _clipped(np.array([0.0]), np.array([end_us]), end_us, lo, hi)
         elif interferer.duty > 0.0:
-            mean_busy = interferer.mean_burst_ms * 1000.0
-            mean_idle = mean_busy * (1.0 - interferer.duty) / interferer.duty
-            for starts, ends in _renewal(rng, mean_idle, mean_busy, end_us):
+            for starts, ends in _renewal(rng, interferer.mean_idle_us,
+                                         interferer.mean_burst_ms * 1000.0, end_us):
                 yield _clipped(starts, ends, end_us, lo, hi)
         return
 

@@ -61,6 +61,7 @@ from typing import Iterator, get_type_hints
 
 import numpy as np
 
+from .bounds import MAX_DURATION_S
 from .motion import SyntheticBody, random_offsets
 # write_recording and session_metrics are not called here, but perfbench's
 # span table resolves them in runner: a traced run raises KeyError without them.
@@ -71,7 +72,7 @@ from .protocol import (Frame, Row, SessionFold, TraceRow, ble_baseline_run, mast
                        session_metrics)
 from .quatmath import Quaternion
 from .radio import InterferenceField, build_field
-from .scenario import MAX_DURATION_S, Scenario
+from .scenario import Scenario
 from .skeleton import (SENSOR_BONES, BoneId, CalibrationPose, CalibrationRecord,
                        SensorPlacement, Skeleton, calibrate)
 

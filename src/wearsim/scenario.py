@@ -11,12 +11,13 @@ byte-identical runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Mapping
 
 import yaml
 
+from .bounds import INT_LIMIT, MAX_DURATION_S, check
 from .motion import NoiseModel, TrajectorySpec, preset_scenario
 from .protocol import (BLE_MAX_SENSORS, DEFAULT_INITIAL_CHANNEL, DEFAULT_P_FLOOR,
                        ConfigError, HopPolicy, TimingProfile)
@@ -30,12 +31,12 @@ _TIMING_KEYS = tuple(f.name for f in fields(TimingProfile))
 _HOP_KEYS = tuple(f.name for f in fields(HopPolicy))
 # The noise seed follows the session seed, so it is not a key.
 _NOISE_KEYS = tuple(f.name for f in fields(NoiseModel) if f.name != "seed")
-
-_REQUIRED = object()
-# Integers beyond a C ssize_t overflow deque sizes and float conversion.
-INT_LIMIT = 2**63 - 1
-# One day: presets build their knots at parse time, in proportion to duration.
-MAX_DURATION_S = 86_400.0
+# Each source type's class and the field that each of its keys sets.
+_SOURCES = {"wifi": (WifiAp, {"channel": "wifi_channel", "duty": "duty",
+                              "mean_burst_ms": "mean_burst_ms", "seed": "seed"}),
+            "bt": (BtDevice, {"event_interval_ms": "event_interval_ms",
+                              "burst_us": "burst_us", "seed": "seed"}),
+            "jam": (Jammer, {"channel": "channel", "start_s": "start_s"})}
 
 
 @dataclass(frozen=True)
@@ -76,97 +77,65 @@ def _reject_unknown(raw: Mapping, allowed: tuple[str, ...], where: str) -> None:
 
 
 def _checked(value: Any, name: str, kind: type, minimum: float | None = None,
-             maximum: float | None = None) -> int | float:
-    """value as given, if it is an int (kind int) or a number (kind float)
-    that is not a bool, lies within +-(2**63 - 1) when an int, is finite
-    when a float, and lies within the bounds given."""
-    if isinstance(value, bool) or not isinstance(value, (int,) if kind is int else (int, float)):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    if isinstance(value, int) and abs(value) > INT_LIMIT:
-        raise ConfigError(f"{name} must lie within +-(2**63 - 1)")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{name} must be <= {maximum}, got {value}")
+             maximum: float | None = None) -> Any:
+    """value, if bounds.check passes it for a key that no dataclass holds."""
+    try:
+        check(value, name, kind, minimum, maximum)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return value
 
 
-def _read(raw: Mapping, key: str, where: str, kind: type, default: Any,
-          minimum: float | None, maximum: float | None) -> Any:
-    """raw[key] checked by _checked, or default when the key is absent."""
-    if key not in raw:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}.{key} is required")
-        return default
-    return _checked(raw[key], f"{where}.{key}", kind, minimum, maximum)
-
-
-def _number(raw: Mapping, key: str, where: str, default: Any = _REQUIRED, *,
+def _number(raw: Mapping, key: str, where: str, default: float, *,
             minimum: float | None = None, maximum: float | None = None) -> float:
-    return float(_read(raw, key, where, float, default, minimum, maximum))
+    """raw[key] checked as a number, or default when the key is absent."""
+    return float(_checked(raw[key], f"{where}.{key}", float, minimum, maximum)
+                 if key in raw else default)
 
 
-def _integer(raw: Mapping, key: str, where: str, default: Any = _REQUIRED, *,
-             minimum: int | None = None) -> int:
-    return _read(raw, key, where, int, default, minimum, None)
+def _integer(raw: Mapping, key: str, where: str, default: int) -> int:
+    """raw[key] checked as an integer >= 0, or default when the key is absent."""
+    return _checked(raw[key], f"{where}.{key}", int, 0) if key in raw else default
 
 
-def _override(base, raw: Mapping, allowed: tuple[str, ...], where: str):
-    """Apply a field-subset override onto a frozen dataclass of numbers."""
-    _reject_unknown(raw, allowed, where)
-    updates = {}
-    for key in raw:
-        current = getattr(base, key)
-        if isinstance(current, int):
-            updates[key] = _integer(raw, key, where, minimum=0)
-        else:
-            updates[key] = _number(raw, key, where, minimum=0.0)
-    if not updates:
-        return base
+def _build(cls, where: str, **values):
+    """cls(**values); a refusal is a ConfigError prefixed with where."""
     try:
-        return replace(base, **updates)
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+
+
+def _override(cls, raw: Mapping, allowed: tuple[str, ...], where: str, **fixed):
+    """cls with the keys of raw set, each one of allowed, and fixed."""
+    _reject_unknown(raw, allowed, where)
+    return _build(cls, where, **fixed, **raw)
 
 
 def _noise(value: Any, seed: int) -> NoiseModel:
     if value == "zero":
         return replace(NoiseModel.zero(), seed=seed)
-    return _override(NoiseModel(seed=seed), _mapping(value, "motion.noise"),
-                     _NOISE_KEYS, "motion.noise")
+    return _override(NoiseModel, _mapping(value, "motion.noise"), _NOISE_KEYS,
+                     "motion.noise", seed=seed)
 
 
 def _source(item: Mapping, index: int, seed: int) -> Interferer:
     where = f"interference.sources[{index}]"
     kind = item.get("type")
-    src_seed = _integer(item, "seed", where, default=seed * 1000 + index, minimum=0)
-    try:
-        if kind == "wifi":
-            _reject_unknown(item, ("type", "channel", "duty", "mean_burst_ms", "seed"), where)
-            return WifiAp(_integer(item, "channel", where),
-                          _number(item, "duty", where, minimum=0.0, maximum=1.0),
-                          _number(item, "mean_burst_ms", where, WifiAp.mean_burst_ms,
-                                  minimum=1e-3),
-                          seed=src_seed, name=f"wifi:{index}")
-        if kind == "bt":
-            _reject_unknown(item, ("type", "event_interval_ms", "burst_us", "seed"), where)
-            return BtDevice(_number(item, "event_interval_ms", where,
-                                    BtDevice.event_interval_ms, minimum=1e-3),
-                            _number(item, "burst_us", where, BtDevice.burst_us, minimum=1e-3),
-                            seed=src_seed, name=f"bt:{index}")
-        if kind == "jam":
-            _reject_unknown(item, ("type", "channel", "start_s"), where)
-            return Jammer(_integer(item, "channel", where),
-                          _number(item, "start_s", where, Jammer.start_s, minimum=0.0),
-                          name=f"jam:{index}")
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    raise ConfigError(f"{where}.type must be 'wifi', 'bt', or 'jam', got {kind!r}")
+    if kind not in ("wifi", "bt", "jam"):
+        raise ConfigError(f"{where}.type must be 'wifi', 'bt', or 'jam', got {kind!r}")
+    cls, keys = _SOURCES[kind]
+    _reject_unknown(item, ("type", *keys), where)
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    for key, name in keys.items():
+        if name in required and key not in item:
+            raise ConfigError(f"{where}.{key} is required")
+    values = {keys[key]: item[key] for key in keys if key in item}
+    if "seed" in keys:
+        # A source's own seed; by default one derived from the session's,
+        # kept within int64.
+        values.setdefault("seed", (seed * 1000 + index) % (INT_LIMIT + 1))
+    return _build(cls, where, name=f"{kind}:{index}", **values)
 
 
 def _interference(value: Any, seed: int) -> tuple[Interferer, ...]:
@@ -201,7 +170,7 @@ def parse_scenario(cfg: Any, *, seed: int | None = None) -> Scenario:
     session = _mapping(cfg.get("session"), "session")
     _reject_unknown(session, ("duration_s", "seed"), "session")
     run_seed = (_checked(seed, "--seed", int, minimum=0) if seed is not None
-                else _integer(session, "seed", "session", 0, minimum=0))
+                else _integer(session, "seed", "session", 0))
 
     motion = _mapping(cfg.get("motion"), "motion")
     _reject_unknown(motion, ("preset", "params", "noise"), "motion")
@@ -209,11 +178,10 @@ def parse_scenario(cfg: Any, *, seed: int | None = None) -> Scenario:
     if not isinstance(preset, str):
         raise ConfigError("motion.preset is required and must be a string")
     raw_params = _mapping(motion.get("params"), "motion.params")
-    params = {key: _number(raw_params, key, "motion.params", minimum=1e-3,
-                           maximum=MAX_DURATION_S) if key in ("duration_s", "dwell_s")
-              else _integer(raw_params, key, "motion.params") if key == "sensors"
-              else _checked(raw_params[key], f"motion.params.{key}", float)
-              for key in raw_params}
+    params = {key: float(_checked(value, f"motion.params.{key}", float, 1e-3, MAX_DURATION_S))
+              if key in ("duration_s", "dwell_s")
+              else _checked(value, f"motion.params.{key}", int if key == "sensors" else float)
+              for key, value in raw_params.items()}
     try:
         trajectory, placement = preset_scenario(preset, **params)
     except (ValueError, TypeError) as exc:
@@ -252,12 +220,11 @@ def parse_scenario(cfg: Any, *, seed: int | None = None) -> Scenario:
     kind = proto.get("kind", "cw")
     if kind not in ("cw", "ble-baseline"):
         raise ConfigError(f"protocol.kind must be 'cw' or 'ble-baseline', got {kind!r}")
-    timing = _override(TimingProfile(), _mapping(proto.get("timing"), "protocol.timing"),
+    timing = _override(TimingProfile, _mapping(proto.get("timing"), "protocol.timing"),
                        _TIMING_KEYS, "protocol.timing")
-    policy = _override(HopPolicy(), _mapping(proto.get("hop"), "protocol.hop"),
+    policy = _override(HopPolicy, _mapping(proto.get("hop"), "protocol.hop"),
                        _HOP_KEYS, "protocol.hop")
-    initial_channel = _integer(proto, "initial_channel", "protocol",
-                               DEFAULT_INITIAL_CHANNEL, minimum=0)
+    initial_channel = _integer(proto, "initial_channel", "protocol", DEFAULT_INITIAL_CHANNEL)
     if initial_channel not in DATA_CHANNELS:
         raise ConfigError(
             f"protocol.initial_channel {initial_channel} is not a data channel")

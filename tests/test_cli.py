@@ -9,18 +9,21 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wearsim import cli
+from wearsim.bounds import INT_LIMIT, declared
 from wearsim.cli import main
 from wearsim.motion import NoiseModel
 from wearsim.protocol import HopPolicy, TimingProfile
+from wearsim.radio import BtDevice, Jammer, WifiAp
 from wearsim.pipeline import read_recording
 from wearsim.quatmath import Quaternion
 from wearsim.runner import load_session
@@ -339,6 +342,12 @@ class TestExitCodes:
                 "motion.params.angle_deg", id="angle_deg-10**310"),
         setting("interference: {sources: [{type: bt, event_interval_ms: 1.0e-3}]}",
                 "event_interval_ms"),
+        # numpy overflowed drawing these sources' bursts (a RuntimeWarning, exit 0).
+        setting("interference: {sources: [{type: wifi, channel: 6, duty: 0.5, "
+                "mean_burst_ms: 1.0e+305}]}",
+                "interference.sources[0]: mean_burst_ms must be <= 8.64e+07 ms"),
+        setting("interference: {sources: [{type: wifi, channel: 6, duty: 1.0e-303, "
+                "mean_burst_ms: 10.0}]}", "interference.sources[0]: duty 1e-303"),
         # arm-raise builds three knots per 2 s of duration_s at parse time.
         setting("motion: {preset: arm-raise, params: {duration_s: 2.0e5}}",
                 "motion.params.duration_s"),
@@ -900,6 +909,79 @@ class TestSimulateProperty:
             if seed is not None:
                 argv += ["--seed", str(seed)]
             assert main(argv) in (0, 2, 3, 4)
+
+
+# Each config dataclass a scenario section or source builds: the section's
+# path, the class and the scenario of one key of it, with the keys that the
+# section needs besides.
+DECLARED_SECTIONS = [
+    ("protocol.timing", TimingProfile, lambda keys: {"protocol": {"timing": keys}}),
+    ("protocol.hop", HopPolicy, lambda keys: {"protocol": {"hop": keys}}),
+    ("motion.noise", NoiseModel,
+     lambda keys: {"motion": {"preset": "arm-raise", "noise": keys}}),
+    ("interference.sources[0]", WifiAp, lambda keys: {"interference": {"sources": [
+        {"type": "wifi", "channel": 6, "duty": 0.5, **keys}]}}),
+    ("interference.sources[0]", BtDevice,
+     lambda keys: {"interference": {"sources": [{"type": "bt", **keys}]}}),
+    ("interference.sources[0]", Jammer, lambda keys: {"interference": {"sources": [
+        {"type": "jam", "channel": 40, **keys}]}}),
+]
+# A Wi-Fi source's channel key sets its wifi_channel field; the noise seed
+# is the session's, not a key.
+KEY_NAMES = {(WifiAp, "wifi_channel"): "channel", (NoiseModel, "seed"): None}
+# (section path, scenario of one key, key, kind, bounds) of every declared key.
+DECLARED_KEYS = [(where, scenario, KEY_NAMES.get((cls, name), name), kind, bounds)
+                 for where, cls, scenario in DECLARED_SECTIONS
+                 for name, kind, bounds in declared(cls)
+                 if KEY_NAMES.get((cls, name), name) is not None]
+
+
+def edges(kind, bounds):
+    """Each bound of a key and the value just beyond it, then the ends of
+    floats and of int64, NaN, a bool and a string."""
+    values = []
+    for bound, away in ((bounds.lo, -1), (bounds.hi, 1)):
+        if bound is not None:
+            values += [bound, bound + away if kind is int
+                       else math.nextafter(bound, away * math.inf)]
+    return values + [1e308, -1e308, 5e-324, math.nan, True, "x",
+                     INT_LIMIT, INT_LIMIT + 1, -INT_LIMIT - 1]
+
+
+def at_every_edge(test):
+    """test with an explicit example for each edge of each declared key."""
+    for entry in DECLARED_KEYS:
+        for value in edges(*entry[3:]):
+            test = example(case=(entry, value))(test)
+    return test
+
+
+class TestDeclaredKeys:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=st.sampled_from(DECLARED_KEYS).flatmap(lambda entry: st.tuples(
+        st.just(entry), st.one_of(st.sampled_from(edges(*entry[3:])), st.floats(),
+                                  st.integers()))))
+    @at_every_edge
+    def test_runs_or_names_the_key(self, case):
+        # Any value of any declared key, the others at their defaults: a
+        # 0.2 s simulate runs, or refuses it with exit 2 by an error that
+        # starts with the section's path and names the key; it raises no
+        # warning either way.
+        (where, scenario, key, _, _), value = case
+        config = {"session": {"duration_s": 0.2}, "motion": {"preset": "arm-raise"},
+                  **scenario({key: value})}
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            path = Path(tmp) / "s.yaml"
+            path.write_text(yaml.safe_dump(config), encoding="utf-8")
+            rc = main(["simulate", "--scenario", str(path), "--out", str(Path(tmp) / "o")])
+        assert [str(w.message) for w in caught] == []
+        message = err.getvalue()
+        assert rc == 0 or (rc == 2 and message.startswith(f"error: {where}") and key in message), \
+            (rc, message)
 
 
 SHORT_RUN_YAML = """\

@@ -210,6 +210,19 @@ class TestProtocol:
         with pytest.raises(ConfigError, match="poll_bytes"):
             parse_scenario(cfg(protocol={"timing": {"poll_bytes": 12.5}}))
 
+    def test_an_integer_for_a_number_key_is_a_float(self):
+        sc = parse_scenario(cfg(
+            motion={"preset": "arm-raise", "noise": {"static_max_deg": 3}},
+            protocol={"timing": {"poll_cap_hz": 30}, "hop": {"assess_us": 1000}},
+            interference={"sources": [{"type": "wifi", "channel": 6, "duty": 1},
+                                      {"type": "bt", "burst_us": 100},
+                                      {"type": "jam", "channel": 40, "start_s": 1}]}))
+        wifi, bt, jam = sc.interferers
+        values = (sc.noise.static_max_deg, sc.timing.poll_cap_hz, sc.policy.assess_us,
+                  wifi.duty, bt.burst_us, jam.start_s)
+        assert values == (3.0, 30.0, 1000.0, 1.0, 100.0, 1.0)
+        assert {type(v) for v in values} == {float}
+
 
 # Ints, huge ints, floats (nan and inf too), 0, negatives and bools.
 NUMBERS = st.one_of(st.integers(), st.integers(min_value=2**62, max_value=10**320),
@@ -309,8 +322,10 @@ class TestInterference:
 
     @settings(max_examples=100, deadline=None)
     @given(sources=st.lists(st.one_of(
+        # A positive duty below about 2.3e-8 gives the default 2 ms burst a
+        # mean idle time of more than a day, which is refused (TestExitCodes).
         st.fixed_dictionaries({"type": st.just("wifi"), "channel": st.sampled_from([1, 6, 11]),
-                               "duty": st.floats(0.0, 1.0)}),
+                               "duty": st.just(0.0) | st.floats(1e-7, 1.0)}),
         st.fixed_dictionaries({"type": st.just("bt")}),
         st.fixed_dictionaries({"type": st.just("jam"), "channel": st.integers(0, 79),
                                "start_s": st.floats(0.0, 1.0)})), min_size=1, max_size=6))
@@ -327,6 +342,15 @@ class TestInterference:
         b = parse_scenario(cfg(interference={"sources": [{"type": "bt"}]}),
                            seed=2).interferers[0]
         assert a.seed != b.seed
+
+    def test_default_source_seed_stays_in_int64(self):
+        # Below 2**63 / 1000 the default is seed * 1000 + index, as it was.
+        sources = cfg(interference={"sources": [{"type": "bt"}, {"type": "wifi", "channel": 1,
+                                                                 "duty": 0.5}]})
+        assert [i.seed for i in parse_scenario(sources, seed=7).interferers] == [7000, 7001]
+        big = parse_scenario(sources, seed=2**63 - 1).interferers
+        assert [i.seed for i in big] == [((2**63 - 1) * 1000 + i) % 2**63 for i in (0, 1)]
+        build_field(big, 10_000.0)
 
     def test_bad_wifi_channel(self):
         with pytest.raises(ConfigError, match="1, 6, or 11"):
